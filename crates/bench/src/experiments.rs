@@ -1071,26 +1071,6 @@ pub fn chaos_ingest(cfg: &ExpConfig) -> Result<Table> {
     Ok(t)
 }
 
-/// Perf trajectory (beyond the paper): the hot-path knob set of DESIGN.md
-/// §10 — pooled buffers, ordered parallel front-ends, block-sized batched
-/// store flushes, 2Q cache + readahead — against the legacy settings, on
-/// the same seeded PubMed-S workload the search/ingest figures use. The
-/// `bench-perf` binary runs the same comparison stand-alone and gates the
-/// ingest ratio; here the ratio is only reported, so `figures all` never
-/// fails on scheduler noise.
-pub fn perf_hotpath(cfg: &ExpConfig) -> Result<Table> {
-    let pcfg = crate::perf::PerfConfig {
-        scale: cfg.scale,
-        queries: cfg.queries,
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        root: cfg.root.clone(),
-        min_ratio: 0.0,
-        ..Default::default()
-    };
-    Ok(crate::perf::run_perf_bench(&pcfg)?.to_table())
-}
-
 /// Chaos experiment on the serving plane — a live `Server` accepting
 /// through the deterministic wire simulator while seeded fault plans
 /// (DESIGN.md §14) tear at its client connections. Sweeps 16 seeds; each
@@ -1286,7 +1266,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ablation_grdb_geometry", ablation_grdb_geometry),
         ("chaos_ingest", chaos_ingest),
         ("chaos_serve", chaos_serve),
-        ("perf_hotpath", perf_hotpath),
     ]
 }
 

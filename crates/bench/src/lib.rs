@@ -20,30 +20,20 @@
 //! Criterion benches (`cargo bench`) wrap the same experiment functions at
 //! smaller scales.
 //!
-//! Besides the figures, four perf-trajectory binaries write committed
-//! JSON baselines: `bench-transport` (in-proc vs TCP), `bench-obs`
-//! (telemetry overhead bound), `bench-perf` (the DESIGN.md §10
-//! hot-path knob set — `--pool-blocks`, `--ingest-par`,
-//! `--cache-policy` — gated at ≥1.3× baseline ingest, exiting non-zero
-//! on regression), and `bench-serve` (cold vs warm query throughput
-//! through the mssg-serve frontend, gated on the warm/cold ratio at the
-//! top concurrency tier). Every experiment reports through
-//! [`report::Table`]:
+//! Performance over time is the job of the repo-level `benchmark/`
+//! package (BENCHMARK.json), not of this crate. Every experiment here
+//! reports through [`report::Table`]:
 //!
 //! ```
 //! use mssg_bench::Table;
 //!
-//! let mut t = Table::new("demo".to_string(), &["knob", "value"]);
-//! t.row(vec!["pool_blocks".into(), "64".into()]);
-//! assert!(t.to_markdown().contains("| pool_blocks | 64 |"));
+//! let mut t = Table::new("demo".to_string(), &["backend", "edges/s"]);
+//! t.row(vec!["grDB".into(), "1.9 M".into()]);
+//! assert!(t.to_markdown().contains("| grDB | 1.9 M |"));
 //! ```
 
 pub mod experiments;
-pub mod obs;
-pub mod perf;
 pub mod report;
-pub mod serve;
-pub mod transport;
 pub mod workloads;
 
 pub use experiments::ExpConfig;

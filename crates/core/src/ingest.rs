@@ -15,12 +15,19 @@
 //! of *directed* entries to the store filters, which append them to their
 //! local GraphDB instances. Varying the number of front-ends reproduces
 //! the Figure 5.3 experiment; varying back-ends, Figure 5.5.
+//!
+//! There is one store path (DESIGN.md §10). Each store copy applies
+//! windows in ascending id order — with several front-ends windows race to
+//! the stores, and a small reorder buffer restores the single-front-end
+//! order, so the stored graph is byte-identical for any `front_ends` — and
+//! accumulates entries up to the batch size its backend asks for
+//! ([`GraphDb::store_batch_entries`](graphdb::GraphDb::store_batch_entries))
+//! before each `store_edges` call.
 
 use crate::cluster::MssgCluster;
 use crate::decluster::Declustering;
 use crate::telemetry::TelemetryReport;
-use datacutter::{BufferPool, DataBuffer, FaultPlan, Filter, FilterContext, GraphBuilder};
-use mssg_obs::Counter;
+use datacutter::{DataBuffer, FaultPlan, Filter, FilterContext, GraphBuilder};
 use mssg_types::{Edge, Gid, Meta, Ontology, Result, TypedEdge, UNVISITED};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -42,7 +49,8 @@ pub enum DeclusterKind {
 /// Ingestion configuration.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
-    /// Number of front-end ingestion nodes.
+    /// Number of front-end ingestion nodes. The stored graph does not
+    /// depend on it: the stores apply windows in ascending id order.
     pub front_ends: usize,
     /// Edges per streaming window (thesis "blocks of a predetermined
     /// size, each of which fits into memory").
@@ -72,24 +80,6 @@ pub struct IngestOptions {
     pub stream_timeout: Option<Duration>,
     /// Deterministic fault plan for chaos testing the pipeline.
     pub fault_plan: Option<FaultPlan>,
-    /// Size of the [`BufferPool`] shared by the pipeline's filters, in
-    /// buffers (0 = pooling off). Spent window/batch payloads are recycled
-    /// into the next allocation instead of going back to the allocator;
-    /// see the `dc.pool.*` counters in the run's telemetry.
-    pub pool_blocks: usize,
-    /// Apply windows to each back-end in ascending window order (a small
-    /// store-side reorder buffer). With several front-ends, windows race
-    /// to the store and per-vertex adjacency order becomes
-    /// schedule-dependent; `ordered` restores the single-front-end order —
-    /// and therefore a byte-identical stored graph — at parallel speed.
-    pub ordered: bool,
-    /// Accumulate at least this many directed entries before calling
-    /// `store_edges` (0 = flush per window). Batches sized to the storage
-    /// engine's block let grDB walk each vertex's chain once per batch
-    /// instead of once per window. Checkpoint marks are deferred to the
-    /// batch flush, so a window is never marked durable before its edges
-    /// are stored.
-    pub store_batch_edges: usize,
 }
 
 impl Default for IngestOptions {
@@ -104,9 +94,6 @@ impl Default for IngestOptions {
             restart_backoff: Duration::from_millis(25),
             stream_timeout: None,
             fault_plan: None,
-            pool_blocks: 0,
-            ordered: false,
-            store_batch_edges: 0,
         }
     }
 }
@@ -168,19 +155,20 @@ pub fn ingest(
         DeclusterKind::EdgeRoundRobin => Declustering::edge_round_robin(p),
     }));
 
-    // A resumed run can skip outright every window below the *minimum*
-    // watermark — all nodes already hold those — and lets the per-window
-    // checkpoint sort out the ragged region above it.
-    let resume_from = if options.resume {
+    // Each store copy's cursor: the next window id it applies. A fresh
+    // stream starts at window 0 whatever an earlier stream left behind; a
+    // resumed run starts at the node's watermark, which ascending
+    // application keeps equal to the next id to apply. The source skips
+    // outright every window below the *minimum* watermark — all nodes
+    // already hold those.
+    let cursors = if options.resume {
         (0..p)
             .map(|i| cluster.with_backend(i, |db| ingest_watermark(db)))
             .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .min()
-            .unwrap_or(0)
     } else {
-        0
+        vec![0; p]
     };
+    let resume_from = cursors.iter().copied().min().unwrap_or(0);
 
     let mut g = GraphBuilder::new();
     g.telemetry(cluster.telemetry().clone());
@@ -191,42 +179,42 @@ pub fn ingest(
         g.fault_plan(plan.clone());
     }
     g.supervise(options.max_restarts, options.restart_backoff);
-    // One pool closes the allocation loop across the whole pipeline:
-    // windows recycle at the ingest filters, batches at the stores.
-    let pool = (options.pool_blocks > 0).then(|| BufferPool::new(options.pool_blocks));
     // Node layout: back-ends 0..p, front-ends p..p+f, source at p+f.
     let mut source_holder = Some(SourceFilter {
         edges: Box::new(edges),
         window: options.window_edges,
         skip_before: resume_from,
         count: Arc::new(Mutex::new(0)),
-        pool: pool.clone(),
     });
     let edge_count = Arc::clone(&source_holder.as_ref().unwrap().count);
     let src = g.add_filter("source", vec![p + f], move |_| {
         Box::new(source_holder.take().expect("source filter built once"))
     })?;
     let strat = Arc::clone(&strategy);
-    let ing_pool = pool.clone();
     let ing = g.add_filter("ingest", (p..p + f).collect(), move |_| {
         Box::new(IngestFilter {
             strategy: Arc::clone(&strat),
             nodes: 0,
-            pool: ing_pool.clone(),
         })
     })?;
     let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
     let resume = options.resume;
-    let ordered = options.ordered;
-    let batch_edges = options.store_batch_edges;
-    let store_pool = pool.clone();
+    // Built once per copy, outside the factory: a supervised restart
+    // rebuilds the filter but hands it the same progress.
+    let progress: Vec<_> = cursors
+        .into_iter()
+        .map(|next| {
+            Arc::new(Mutex::new(StoreProgress {
+                next,
+                ..Default::default()
+            }))
+        })
+        .collect();
     let store = g.add_filter("store", (0..p).collect(), move |i| {
         Box::new(StoreFilter {
             backend: backends[i].clone(),
             resume,
-            ordered,
-            batch_edges,
-            pool: store_pool.clone(),
+            progress: Arc::clone(&progress[i]),
         })
     })?;
     g.declare_ports(src, &[], &["windows"]);
@@ -248,15 +236,6 @@ pub fn ingest(
     // half-ingested windows become visible only once a `resume` replay
     // completes the boundary.
     cluster.epoch_manager().bump();
-
-    if let Some(pool) = &pool {
-        let s = pool.stats();
-        let m = &cluster.telemetry().metrics;
-        m.counter("dc.pool.hits").add(s.hits);
-        m.counter("dc.pool.misses").add(s.misses);
-        m.counter("dc.pool.recycled").add(s.recycled);
-        m.counter("dc.pool.dropped").add(s.dropped);
-    }
 
     // Publish round-robin ownership for later queries.
     if options.declustering == DeclusterKind::VertexRoundRobin {
@@ -282,7 +261,6 @@ struct SourceFilter {
     /// edges still count toward the reported total.
     skip_before: u64,
     count: Arc<Mutex<u64>>,
-    pool: Option<BufferPool>,
 }
 
 impl Filter for SourceFilter {
@@ -301,11 +279,8 @@ impl Filter for SourceFilter {
             if w < self.skip_before {
                 skipped.inc();
             } else {
-                let window = match &self.pool {
-                    Some(p) => p.from_edges(w, &buf),
-                    None => DataBuffer::from_edges(w, &buf),
-                };
-                ctx.output("windows")?.send_rr(window)?;
+                ctx.output("windows")?
+                    .send_rr(DataBuffer::from_edges(w, &buf))?;
             }
             w += 1;
         }
@@ -318,7 +293,6 @@ struct IngestFilter {
     strategy: Arc<Mutex<Declustering>>,
     /// Back-end count, learned from the strategy at `init`.
     nodes: usize,
-    pool: Option<BufferPool>,
 }
 
 impl Filter for IngestFilter {
@@ -342,84 +316,60 @@ impl Filter for IngestFilter {
                     batches[node].push(entry);
                 }
             }
-            if let Some(p) = &self.pool {
-                p.recycle(window);
-            }
             // Every back-end hears every window id — including ones it got
             // no edges from — so each node's checkpoint watermark advances
             // over empty windows too.
             for (node, batch) in batches.into_iter().enumerate() {
-                let out = match &self.pool {
-                    Some(p) => p.from_edges(w, &batch),
-                    None => DataBuffer::from_edges(w, &batch),
-                };
-                ctx.output("batches")?.send_to(node, out)?;
+                ctx.output("batches")?
+                    .send_to(node, DataBuffer::from_edges(w, &batch))?;
             }
         }
         Ok(())
     }
+}
+
+/// One store copy's place in the window sequence. It lives outside the
+/// filter incarnation (see `ingest`), so a supervised restart neither
+/// loses a window the crashed incarnation had absorbed nor applies one
+/// twice. Injected crashes fire at `recv` boundaries, before the next
+/// buffer is popped, and the lock is never held across a `recv` — a new
+/// incarnation always finds this state at a window boundary.
+#[derive(Default)]
+struct StoreProgress {
+    /// The next window id to apply.
+    next: u64,
+    /// Windows that arrived ahead of `next`.
+    early: BTreeMap<u64, DataBuffer>,
+    /// Entries applied to the batch but not yet stored…
+    batch: Vec<Edge>,
+    /// …and the windows they came from, marked durable once they are.
+    marks: Vec<u64>,
 }
 
 struct StoreFilter {
     backend: crate::cluster::SharedBackend,
     resume: bool,
-    ordered: bool,
-    /// Directed entries to accumulate before a `store_edges` flush
-    /// (0 = flush per window).
-    batch_edges: usize,
-    pool: Option<BufferPool>,
+    progress: Arc<Mutex<StoreProgress>>,
 }
 
 impl StoreFilter {
-    fn recycle(&self, buf: DataBuffer) {
-        if let Some(p) = &self.pool {
-            p.recycle(buf);
-        }
-    }
-
-    /// Folds one window into the pending batch (or skips it under resume),
-    /// flushing when the batch reaches its target size.
-    fn absorb(
-        &mut self,
-        buf: DataBuffer,
-        batch: &mut Vec<Edge>,
-        marks: &mut Vec<u64>,
-        skipped: &Counter,
-    ) -> Result<()> {
-        let w = buf.tag;
-        // Idempotent skip: a resumed run drops windows this node has
-        // already durably stored, making re-delivery harmless.
-        if self.resume && self.backend.lock().get_metadata(window_ckpt_gid(w))? == CKPT_STORED {
-            skipped.inc();
-            self.recycle(buf);
-            return Ok(());
-        }
-        batch.extend(buf.edges());
-        marks.push(w);
-        self.recycle(buf);
-        if batch.len() >= self.batch_edges {
-            self.flush_batch(batch, marks)?;
-        }
-        Ok(())
-    }
-
-    /// Stores the accumulated batch, then durably marks its windows. The
-    /// marks are deferred to this point so a window is never marked before
-    /// its edges are stored: a crash mid-batch leaves its windows
-    /// unmarked, and a `resume` replay re-stores exactly those.
-    fn flush_batch(&mut self, batch: &mut Vec<Edge>, marks: &mut Vec<u64>) -> Result<()> {
-        if marks.is_empty() {
+    /// Stores the accumulated batch, then durably marks its windows, then
+    /// advances the watermark. A window is never marked before its edges
+    /// are stored: a crash mid-batch leaves its windows unmarked, and a
+    /// `resume` replay re-stores exactly those.
+    fn flush_batch(&self, st: &mut StoreProgress) -> Result<()> {
+        if st.marks.is_empty() {
             return Ok(());
         }
         let mut db = self.backend.lock();
-        if !batch.is_empty() {
-            db.store_edges(batch)?;
+        if !st.batch.is_empty() {
+            db.store_edges(&st.batch)?;
         }
-        batch.clear();
-        for &w in marks.iter() {
+        st.batch.clear();
+        for &w in &st.marks {
             db.set_metadata(window_ckpt_gid(w), CKPT_STORED)?;
         }
-        marks.clear();
+        st.marks.clear();
         // Advance the contiguous watermark past every marked window.
         let mut wm = ingest_watermark(db.as_mut())?;
         while db.get_metadata(window_ckpt_gid(wm))? == CKPT_STORED {
@@ -433,43 +383,45 @@ impl StoreFilter {
 impl Filter for StoreFilter {
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
         let skipped = ctx.telemetry().metrics.counter("ingest.windows_skipped");
-        // Ordered mode applies windows in ascending id order. The node's
-        // watermark is exactly the next id to apply (ascending application
-        // keeps the durable prefix contiguous), which also makes a
-        // restarted incarnation pick up where the previous one stopped.
-        let mut next = if self.ordered {
-            ingest_watermark(self.backend.lock().as_mut())?
-        } else {
-            0
-        };
-        let mut pending: BTreeMap<u64, DataBuffer> = BTreeMap::new();
-        let mut batch: Vec<Edge> = Vec::new();
-        let mut marks: Vec<u64> = Vec::new();
+        let batch_entries = self.backend.lock().store_batch_entries();
         while let Some(buf) = ctx.input("batches")?.recv()? {
-            if self.ordered {
-                if buf.tag < next {
-                    // Below the durable prefix: an earlier run or
-                    // incarnation already stored it.
+            let mut guard = self.progress.lock();
+            let st = &mut *guard;
+            if buf.tag < st.next {
+                // Below a resumed node's durable prefix.
+                skipped.inc();
+                continue;
+            }
+            st.early.insert(buf.tag, buf);
+            while let Some(window) = st.early.remove(&st.next) {
+                st.next += 1;
+                // Idempotent skip: a resumed run drops windows this node
+                // has already durably stored, making re-delivery harmless.
+                if self.resume
+                    && self
+                        .backend
+                        .lock()
+                        .get_metadata(window_ckpt_gid(window.tag))?
+                        == CKPT_STORED
+                {
                     skipped.inc();
-                    self.recycle(buf);
                     continue;
                 }
-                pending.insert(buf.tag, buf);
-                while let Some(b) = pending.remove(&next) {
-                    self.absorb(b, &mut batch, &mut marks, &skipped)?;
-                    next += 1;
+                st.batch.extend(window.edges());
+                st.marks.push(window.tag);
+                if st.batch.len() >= batch_entries {
+                    self.flush_batch(st)?;
                 }
-            } else {
-                self.absorb(buf, &mut batch, &mut marks, &skipped)?;
             }
         }
         // Stream end. A cleanly finished stream delivered every window, so
-        // `pending` is empty; after an abnormal teardown it may hold
-        // windows above a gap. Those are *dropped*, never applied out of
-        // order: they are unmarked, so a resumed replay re-applies them in
-        // their proper place.
-        drop(pending);
-        self.flush_batch(&mut batch, &mut marks)?;
+        // `early` is empty; after an abnormal teardown it may hold windows
+        // above a gap. Those are *dropped*, never applied out of order:
+        // they are unmarked, so a resumed replay re-applies them in their
+        // proper place.
+        let mut guard = self.progress.lock();
+        guard.early.clear();
+        self.flush_batch(&mut guard)?;
         self.backend.lock().flush()
     }
 }
@@ -860,34 +812,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_ingestion_recycles_and_publishes_counters() {
-        let dir = tmpdir("pool");
-        let mut cluster =
-            MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        cluster.set_telemetry(mssg_obs::Telemetry::enabled());
-        let opts = IngestOptions {
-            window_edges: 10,
-            pool_blocks: 8,
-            ..Default::default()
-        };
-        let report = ingest(&mut cluster, ring(200).into_iter(), &opts).unwrap();
-        assert_eq!(report.edges, 200);
-        assert_eq!(cluster.total_entries(), 400);
-        let c = &report.telemetry.metrics.counters;
-        assert!(c["dc.pool.recycled"] > 0, "spent payloads returned");
-        assert!(c["dc.pool.hits"] > 0, "returned payloads were reused");
-        // Every pool hit consumed one previously recycled payload.
-        assert!(c["dc.pool.hits"] <= c["dc.pool.recycled"]);
-    }
-
-    #[test]
     fn batched_flushes_store_everything_and_advance_watermark() {
+        // grDB's thesis geometry asks for 32 Ki-entry batches, so the whole
+        // stream is one batch, flushed at stream end.
         let dir = tmpdir("batch");
         let mut cluster =
-            MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
+            MssgCluster::new(&dir, 2, BackendKind::Grdb, &BackendOptions::default()).unwrap();
         let opts = IngestOptions {
             window_edges: 10,
-            store_batch_edges: 64,
             ..Default::default()
         };
         let report = ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap();
@@ -900,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn ordered_parallel_front_ends_match_single_front_end_order() {
+    fn parallel_front_ends_match_single_front_end_order() {
         // Sources repeat across windows, so adjacency order depends on the
         // order windows reach the stores.
         let edges: Vec<Edge> = (0..200u64).map(|i| Edge::of(i % 10, 100 + i)).collect();
@@ -929,13 +861,12 @@ mod tests {
             &IngestOptions {
                 front_ends: 4,
                 window_edges: 8,
-                ordered: true,
                 ..Default::default()
             },
         );
         assert_eq!(
             single, parallel,
-            "ordered mode restores the single-front-end adjacency order"
+            "stores restore the single-front-end adjacency order"
         );
     }
 
@@ -944,12 +875,11 @@ mod tests {
         use datacutter::{FaultKind, FaultPlan};
         let dir = tmpdir("batch-kill");
         let mut cluster =
-            MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        // The batch never fills before the crash, so nothing this copy
+            MssgCluster::new(&dir, 2, BackendKind::Grdb, &BackendOptions::default()).unwrap();
+        // grDB's batch never fills before the crash, so nothing this copy
         // received was flushed — and nothing may be marked durable.
         let opts = IngestOptions {
             window_edges: 10,
-            store_batch_edges: 10_000,
             fault_plan: Some(FaultPlan::new().inject("store", Some(1), 4, FaultKind::Panic)),
             ..Default::default()
         };
@@ -961,7 +891,6 @@ mod tests {
         );
         let retry = IngestOptions {
             window_edges: 10,
-            store_batch_edges: 10_000,
             resume: true,
             ..Default::default()
         };

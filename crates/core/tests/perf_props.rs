@@ -1,25 +1,21 @@
-//! Property tests for the hot-path performance knobs: pooled buffers,
-//! parallel ordered ingestion, and batched store flushes are pure
-//! optimisations — under any seeded edge stream the stored graph must be
-//! **byte-identical** (same per-vertex adjacency order, captured by a
-//! digest) to the plain single-front-end baseline, even when the tuned
-//! run is killed mid-flight and resumed.
+//! Property tests for the ingest hot path (DESIGN.md §10): the store
+//! filters apply windows in ascending id order and batch them to the
+//! backend's block size, so under any seeded edge stream the stored graph
+//! must be **byte-identical** (same per-vertex adjacency order) for every
+//! front-end count — even when the run is killed mid-flight and resumed —
+//! and a second stream into the same cluster must land in full.
 
+mod common;
+
+use common::{backends, stored_graph, tmpdir};
 use datacutter::{FaultKind, FaultPlan};
-use mssg_core::backend::{BackendKind, BackendOptions};
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::MssgCluster;
 use mssg_types::Edge;
 use proptest::prelude::*;
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("core-perf-props-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
 /// A seeded stream with repeated sources, so per-vertex adjacency order
-/// spans many windows and any reordering shows up in the digest.
+/// spans many windows and any reordering shows up in the stored graph.
 fn chaos_stream(seed: u64, edges: usize) -> Vec<Edge> {
     let mut x = seed | 1;
     (0..edges)
@@ -32,53 +28,10 @@ fn chaos_stream(seed: u64, edges: usize) -> Vec<Edge> {
         .collect()
 }
 
-/// FNV-1a over every node's sorted vertex set with each adjacency list in
-/// *stored* order: equal digests ⇔ byte-identical stored graphs.
-fn graph_digest(cluster: &MssgCluster) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: [u8; 8]| {
-        for b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for i in 0..cluster.nodes() {
-        let lists = cluster.with_backend(i, |db| {
-            use graphdb::GraphDbExt;
-            let mut vs = db.local_vertices().unwrap();
-            vs.sort_unstable();
-            vs.into_iter()
-                .map(|v| (v, db.neighbors(v).unwrap()))
-                .collect::<Vec<_>>()
-        });
-        for (v, ns) in lists {
-            eat(v.raw().to_le_bytes());
-            for u in ns {
-                eat(u.raw().to_le_bytes());
-            }
-        }
-    }
-    h
-}
-
-fn baseline_digest(seed: u64, kind: BackendKind, opts: &BackendOptions) -> u64 {
-    let dir = tmpdir(&format!("base-{}-{seed:x}", kind.name()));
-    let mut cluster = MssgCluster::new(&dir, 3, kind, opts).unwrap();
-    let plain = IngestOptions {
-        window_edges: 16,
-        ..Default::default()
-    };
-    ingest(&mut cluster, chaos_stream(seed, 300).into_iter(), &plain).unwrap();
-    graph_digest(&cluster)
-}
-
-fn tuned_options() -> IngestOptions {
+fn options(front_ends: usize) -> IngestOptions {
     IngestOptions {
-        front_ends: 3,
+        front_ends,
         window_edges: 16,
-        pool_blocks: 16,
-        ordered: true,
-        store_batch_edges: 128,
         ..Default::default()
     }
 }
@@ -87,52 +40,73 @@ proptest! {
     // Each case runs several full filter graphs; keep the count modest.
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Pooling + parallel front-ends + batching change *when* allocations
-    /// and flushes happen, never *what* is stored.
+    /// Parallel front-ends change *when* windows reach the stores, never
+    /// *what* is stored — fault-free, and when a store copy is killed
+    /// mid-batch (its unflushed windows stay unmarked) and the same stream
+    /// is replayed with `resume`.
     #[test]
-    fn tuned_ingest_is_byte_identical_to_baseline(seed in any::<u64>()) {
-        for kind in [BackendKind::HashMap, BackendKind::Grdb] {
-            let opts = BackendOptions {
-                grdb: Some(grdb::GrdbConfig::tiny()),
-                ..Default::default()
+    fn stored_graph_is_independent_of_front_ends(seed in any::<u64>(), op in 2u64..8) {
+        let stream = || chaos_stream(seed, 300).into_iter();
+        for (name, kind, opts) in backends() {
+            let cluster = |tag: &str| {
+                let dir = tmpdir(&format!("{tag}-{name}-{seed:x}"));
+                MssgCluster::new(&dir, 3, kind, &opts).unwrap()
             };
-            let want = baseline_digest(seed, kind, &opts);
-            let dir = tmpdir(&format!("tuned-{}-{seed:x}", kind.name()));
+            let mut single = cluster("single");
+            ingest(&mut single, stream(), &options(1)).unwrap();
+            let want = stored_graph(&single);
+
+            let mut parallel = cluster("parallel");
+            ingest(&mut parallel, stream(), &options(3)).unwrap();
+            prop_assert_eq!(
+                stored_graph(&parallel), want,
+                "3 front-ends diverged on {} (seed {:x})", name, seed
+            );
+
+            for front_ends in [1, 3] {
+                let mut killed = cluster(&format!("killed{front_ends}"));
+                let chaos = IngestOptions {
+                    fault_plan: Some(FaultPlan::new().inject("store", Some(1), op, FaultKind::Panic)),
+                    ..options(front_ends)
+                };
+                ingest(&mut killed, stream(), &chaos).unwrap_err();
+                let retry = IngestOptions { resume: true, ..options(front_ends) };
+                ingest(&mut killed, stream(), &retry).unwrap();
+                prop_assert_eq!(
+                    stored_graph(&killed), want,
+                    "resume with {} front-ends diverged on {} (seed {:x})", front_ends, name, seed
+                );
+            }
+        }
+    }
+}
+
+/// Two different streams ingested back to back into one cluster both land
+/// in full: a fresh stream's windows count from 0 again, whatever
+/// watermark the previous stream left on the nodes.
+#[test]
+fn second_stream_into_the_same_cluster_is_stored_in_full() {
+    for (name, kind, opts) in backends() {
+        for front_ends in [1, 3] {
+            let dir = tmpdir(&format!("two-streams-{name}-{front_ends}"));
             let mut cluster = MssgCluster::new(&dir, 3, kind, &opts).unwrap();
             ingest(
                 &mut cluster,
-                chaos_stream(seed, 300).into_iter(),
-                &tuned_options(),
+                chaos_stream(7, 200).into_iter(),
+                &options(front_ends),
             )
             .unwrap();
-            prop_assert_eq!(
-                graph_digest(&cluster),
-                want,
-                "tuned {} ingest diverged (seed {seed:x})",
-                kind.name()
+            ingest(
+                &mut cluster,
+                chaos_stream(11, 100).into_iter(),
+                &options(front_ends),
+            )
+            .unwrap();
+            assert_eq!(
+                cluster.total_entries(),
+                2 * (200 + 100),
+                "{name}, {front_ends} front-end(s)"
             );
         }
-    }
-
-    /// A tuned run killed mid-batch (its unflushed windows are unmarked)
-    /// converges to the exact baseline digest after a resumed replay —
-    /// the deferred checkpoint marks never claim durability they lack.
-    #[test]
-    fn killed_tuned_ingest_resumes_to_baseline_digest(seed in any::<u64>(), op in 2u64..8) {
-        let opts = BackendOptions::default();
-        let want = baseline_digest(seed, BackendKind::HashMap, &opts);
-        let dir = tmpdir(&format!("killed-{seed:x}"));
-        let mut cluster = MssgCluster::new(&dir, 3, BackendKind::HashMap, &opts).unwrap();
-        let chaos = IngestOptions {
-            fault_plan: Some(FaultPlan::new().inject("store", Some(1), op, FaultKind::Panic)),
-            ..tuned_options()
-        };
-        ingest(&mut cluster, chaos_stream(seed, 300).into_iter(), &chaos).unwrap_err();
-        let retry = IngestOptions {
-            resume: true,
-            ..tuned_options()
-        };
-        ingest(&mut cluster, chaos_stream(seed, 300).into_iter(), &retry).unwrap();
-        prop_assert_eq!(graph_digest(&cluster), want, "resume diverged (seed {seed:x})");
     }
 }

@@ -101,31 +101,13 @@
 //!
 //! Payloads are `Arc`-backed ([`bytes::Bytes`]): point-to-point sends move
 //! one allocation end to end, broadcast shares it across consumers, and
-//! the TCP transport encodes it without an intermediate copy. A
-//! [`BufferPool`] closes the allocation loop entirely — consumers recycle
-//! spent payloads and producers reuse them:
-//!
-//! ```
-//! use datacutter::{BufferPool, DataBuffer};
-//!
-//! let pool = BufferPool::new(8);
-//! let buf = pool.from_words(0, &[1, 2, 3]);
-//! assert_eq!(buf.words(), vec![1, 2, 3]);
-//! pool.recycle(buf);                      // unique owner: Vec goes back
-//! let reused = pool.from_words(1, &[4]);  // ...and is reused here
-//! assert_eq!(pool.stats().hits, 1);
-//! assert_eq!(reused.words(), vec![4]);
-//! ```
-//!
-//! See DESIGN.md §10 "Hot-path performance" for the full lifecycle and
-//! the measured effect.
+//! the TCP transport encodes it without an intermediate copy.
 
 pub mod buffer;
 pub mod fault;
 pub mod filter;
 pub mod graph;
 pub mod netstats;
-pub mod pool;
 pub mod runtime;
 pub mod transport;
 pub mod verify;
@@ -135,7 +117,6 @@ pub use fault::{splitmix64, FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use filter::{Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
 pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};
-pub use pool::{BufferPool, PoolStats};
 pub use runtime::{run_node, FilterTiming, RestartEvent, RunReport};
 pub use transport::{
     ChannelRx, ChannelTx, EndpointSpec, InProc, RecvOutcome, RxEndpoint, SendOutcome, Transport,

@@ -59,6 +59,15 @@ pub trait GraphDb {
         true
     }
 
+    /// How many directed entries the ingestion service should accumulate
+    /// before one [`store_edges`](GraphDb::store_edges) call: the capacity
+    /// of the engine's largest storage block, in adjacency words. 0 (the
+    /// default, for engines with no block geometry) means each window is
+    /// stored as it arrives.
+    fn store_batch_entries(&self) -> usize {
+        0
+    }
+
     /// Flushes buffered state to its final home (disk for out-of-core
     /// engines, the CSR arrays for `ArrayDb`). Called by the ingestion
     /// service when a stream ends.

@@ -59,13 +59,6 @@ pub struct GrdbConfig {
     /// the thesis' proposed future optimisation ("sorting the pre-fetch
     /// disk accesses by file offsets to reduce the seek overhead", §4.2).
     pub prefetch_sort: bool,
-    /// On a cache miss, also read this many following blocks of the same
-    /// level into the cache (0 = off). BFS fringe expansion walks
-    /// adjacency chains whose sub-blocks were allocated in bursts, so the
-    /// next blocks of a level are likely to be needed next; reading them
-    /// while the head is already positioned converts future random reads
-    /// into one sequential run.
-    pub readahead_blocks: usize,
 }
 
 impl GrdbConfig {
@@ -105,7 +98,6 @@ impl GrdbConfig {
             cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
             prefetch_sort: false,
-            readahead_blocks: 0,
         }
     }
 
@@ -133,7 +125,6 @@ impl GrdbConfig {
             cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
             prefetch_sort: false,
-            readahead_blocks: 0,
         }
     }
 

@@ -1,6 +1,6 @@
 //! The grDB GraphDB adapter.
 
-use crate::config::GrdbConfig;
+use crate::config::{GrdbConfig, WORD};
 use crate::store::GrdbStore;
 use graphdb::{GraphDb, MetaTable};
 use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
@@ -64,6 +64,18 @@ impl GraphDb for GrdbGraphDb {
                 Ok(())
             }
         }
+    }
+
+    /// A batch the size of the largest block spans many ingest windows,
+    /// so edges sharing a source vertex are merged into one chain walk per
+    /// batch instead of one per window.
+    fn store_batch_entries(&self) -> usize {
+        let levels = &self.store.config().levels;
+        levels
+            .iter()
+            .map(|l| l.block_bytes / WORD)
+            .max()
+            .unwrap_or(0)
     }
 
     fn get_metadata(&mut self, v: Gid) -> Result<Meta> {

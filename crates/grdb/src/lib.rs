@@ -35,10 +35,9 @@
 //! All block I/O goes through the instance's block cache
 //! ([`simio::BlockCache`]) — the "block cache component". Capacity 0
 //! reproduces the Figure 5.2 cache-off configuration. The replacement
-//! policy and a same-level readahead are configurable (the hot-path
-//! knobs of DESIGN.md §10): [`simio::CachePolicy::TwoQ`] keeps one-shot
-//! scans from flushing the hot set, and `readahead_blocks > 0` turns a
-//! read miss into a short sequential run of the following blocks.
+//! policy is configurable: [`simio::CachePolicy::TwoQ`] keeps one-shot
+//! scans from flushing the hot set. A read miss fetches exactly the block
+//! that was asked for.
 //!
 //! ```
 //! use grdb::{GrdbConfig, GrdbGraphDb};
@@ -48,7 +47,6 @@
 //! let mut cfg = GrdbConfig::tiny();          // 3 levels, 64-byte blocks
 //! cfg.cache_blocks = 32;                     // cache capacity, in blocks
 //! cfg.cache_policy = simio::CachePolicy::TwoQ;
-//! cfg.readahead_blocks = 2;                  // pull 2 blocks per read miss
 //!
 //! let dir = std::env::temp_dir().join("grdb-doc-cache");
 //! # let _ = std::fs::remove_dir_all(&dir);

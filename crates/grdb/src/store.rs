@@ -134,40 +134,7 @@ impl GrdbStore {
             }
             _ => {}
         }
-        if !dirty {
-            // Read misses (chain walks, fringe expansion) trigger
-            // readahead; write misses during ingestion do not.
-            self.readahead(level, block)?;
-        }
         Ok(out)
-    }
-
-    /// Pulls the blocks following a missed one into the cache while the
-    /// head is still positioned there — pure cache population, clean
-    /// inserts only. No-op unless `readahead_blocks` is configured.
-    fn readahead(&mut self, level: usize, block: u64) -> Result<()> {
-        if self.config.readahead_blocks == 0 || self.cache.capacity() == 0 {
-            return Ok(());
-        }
-        let block_bytes = self.level(level).block_bytes;
-        for i in 1..=self.config.readahead_blocks as u64 {
-            let b = block + i;
-            if b >= self.files[level].len_blocks() {
-                break;
-            }
-            let key = CacheKey::new(level as u32, b);
-            if self.cache.contains(key) {
-                continue;
-            }
-            let mut buf = vec![0u8; block_bytes];
-            self.files[level].read_block(b, &mut buf)?;
-            if let Some(ev) = self.cache.insert(key, buf, false) {
-                if ev.dirty {
-                    self.files[ev.key.space as usize].write_block(ev.key.block, &ev.data)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Reads sub-block `s` of `level` into an owned buffer (used where the
@@ -1030,42 +997,6 @@ mod tests {
         assert!(s
             .append_neighbours(g(0), &[g(1), Gid::tagged(2, 5)])
             .is_err());
-    }
-
-    #[test]
-    fn readahead_turns_following_reads_into_hits() {
-        let dir_a = fresh_dir("ra-off");
-        let dir_b = fresh_dir("ra-on");
-        let mut cfg = GrdbConfig::tiny();
-        cfg.cache_blocks = 32;
-        let mut off = GrdbStore::open(&dir_a, cfg.clone(), IoStats::new()).unwrap();
-        cfg.readahead_blocks = 4;
-        let mut on = GrdbStore::open(&dir_b, cfg, IoStats::new()).unwrap();
-        for s in [&mut off, &mut on] {
-            for v in 0..40u64 {
-                s.append_neighbour(g(v), g(500 + v)).unwrap();
-            }
-            s.flush().unwrap();
-        }
-        // Drop cached state so the scan starts cold.
-        for s in [&mut off, &mut on] {
-            for ev in s.cache.drain() {
-                assert!(!ev.dirty, "flush left a dirty block behind");
-            }
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for v in 0..40u64 {
-            off.read_adjacency(g(v), &mut a).unwrap();
-            on.read_adjacency(g(v), &mut b).unwrap();
-        }
-        assert_eq!(a, b, "readahead must not change results");
-        let (s_off, s_on) = (off.cache_stats(), on.cache_stats());
-        assert!(
-            s_on.misses < s_off.misses,
-            "readahead must convert misses into hits: {} !< {}",
-            s_on.misses,
-            s_off.misses
-        );
     }
 
     #[test]

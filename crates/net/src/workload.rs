@@ -20,7 +20,7 @@
 //! [`InProc`]: datacutter::InProc
 //! [`TcpTransport`]: crate::tcp::TcpTransport
 
-use datacutter::{BufferPool, DataBuffer, Filter, FilterContext, GraphBuilder, NodeId, Transport};
+use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, NodeId, Transport};
 use mssg_obs::Telemetry;
 use mssg_types::{Edge, GraphStorageError, Result};
 use std::collections::HashMap;
@@ -51,11 +51,6 @@ pub struct WorkloadConfig {
     /// long after every ingested block, making it a straggler without
     /// changing the result. Exercised by the straggler-detection smoke.
     pub stall: Option<(usize, u64)>,
-    /// Run the ingest stream over a shared [`BufferPool`]: the generator
-    /// encodes blocks into recycled allocations and each store returns
-    /// spent payloads after decoding. Purely an allocation optimisation —
-    /// the result must stay byte-identical (the smoke test asserts it).
-    pub pooled: bool,
 }
 
 impl Default for WorkloadConfig {
@@ -69,7 +64,6 @@ impl Default for WorkloadConfig {
             stream_timeout: Duration::from_secs(20),
             die_at: None,
             stall: None,
-            pooled: false,
         }
     }
 }
@@ -160,7 +154,6 @@ fn tag_round(t: u64) -> u32 {
 /// the BFS explores the graph as undirected.
 struct Gen {
     cfg: WorkloadConfig,
-    pool: Option<BufferPool>,
 }
 
 impl Filter for Gen {
@@ -168,11 +161,6 @@ impl Filter for Gen {
         let p = self.cfg.nodes;
         let mut batches: Vec<Vec<Edge>> = vec![Vec::new(); p];
         let block = self.cfg.block.max(1);
-        let pool = self.pool.clone();
-        let encode = move |edges: &[Edge]| match &pool {
-            Some(pool) => pool.from_edges(0, edges),
-            None => DataBuffer::from_edges(0, edges),
-        };
         // Collect every directed edge first so sharding order is a pure
         // function of the config, then flush in shard order.
         let push =
@@ -180,7 +168,7 @@ impl Filter for Gen {
                 let shard = owner(a, p);
                 batches[shard].push(Edge::of(a, b));
                 if batches[shard].len() >= block {
-                    let buf = encode(&batches[shard]);
+                    let buf = DataBuffer::from_edges(0, &batches[shard]);
                     batches[shard].clear();
                     ctx.output("edges")?.send_to(shard, buf)?;
                 }
@@ -199,8 +187,8 @@ impl Filter for Gen {
         }
         for (shard, batch) in batches.iter().enumerate() {
             if !batch.is_empty() {
-                let buf = encode(batch);
-                ctx.output("edges")?.send_to(shard, buf)?;
+                ctx.output("edges")?
+                    .send_to(shard, DataBuffer::from_edges(0, batch))?;
             }
         }
         Ok(())
@@ -222,7 +210,6 @@ struct RoundBox {
 struct Store {
     cfg: WorkloadConfig,
     adj: HashMap<u64, Vec<u64>>,
-    pool: Option<BufferPool>,
 }
 
 impl Store {
@@ -256,12 +243,6 @@ impl Store {
                 if c == copy {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
-            }
-            // Hand the spent payload back: in-process this closes the
-            // allocation loop with the generator; over TCP it simply
-            // bounds this shard's decode allocations.
-            if let Some(pool) = &self.pool {
-                pool.recycle(buf);
             }
         }
         Ok(edges)
@@ -457,15 +438,10 @@ pub fn build(
     g.telemetry(telemetry);
     g.stream_timeout(cfg.stream_timeout);
 
-    // One pool per process; the generator's allocations come back from
-    // whichever stores share its address space.
-    let pool = cfg.pooled.then(|| BufferPool::new(4 * (p + 1)));
     let cfg_gen = cfg.clone();
-    let gen_pool = pool.clone();
     let gen = g.add_filter("gen", vec![0], move |_| {
         Box::new(Gen {
             cfg: cfg_gen.clone(),
-            pool: gen_pool.clone(),
         })
     })?;
     let cfg_store = cfg.clone();
@@ -473,7 +449,6 @@ pub fn build(
         Box::new(Store {
             cfg: cfg_store.clone(),
             adj: HashMap::new(),
-            pool: pool.clone(),
         })
     })?;
     let sink2 = Arc::clone(&sink);
@@ -602,29 +577,6 @@ mod tests {
         let far = a.levels.last().unwrap();
         assert!(far.1 < 299, "no shortcut found: {far:?}");
         assert!(a.edges == 2 * (299 + 400));
-    }
-
-    /// Pooling is invisible in the result: pooled and unpooled runs are
-    /// byte-identical, in-process and over real sockets.
-    #[test]
-    fn pooled_runs_are_byte_identical() {
-        let cfg = WorkloadConfig {
-            nodes: 3,
-            vertices: 300,
-            extra_edges: 400,
-            ..WorkloadConfig::default()
-        };
-        let plain = run_inproc(&cfg, Telemetry::disabled()).unwrap();
-        let pooled_cfg = WorkloadConfig {
-            pooled: true,
-            ..cfg
-        };
-        let pooled = run_inproc(&pooled_cfg, Telemetry::disabled()).unwrap();
-        assert_eq!(pooled.digest, plain.digest);
-        assert_eq!(pooled.levels, plain.levels);
-        let tcp = run_tcp_localhost(&pooled_cfg, Telemetry::disabled()).unwrap();
-        assert_eq!(tcp.digest, plain.digest);
-        assert_eq!(tcp.levels, plain.levels);
     }
 
     /// The acceptance gate, in-process edition: the same graph run over

@@ -10,10 +10,6 @@
 /// Counter names.
 pub const COUNTERS: &[&str] = &[
     "dc.faults_injected",
-    "dc.pool.dropped",
-    "dc.pool.hits",
-    "dc.pool.misses",
-    "dc.pool.recycled",
     "dc.restarts",
     "ingest.windows",
     "ingest.windows_skipped",

@@ -35,8 +35,7 @@
 //! ```
 //!
 //! Workload flags: `--nodes N --vertices V --extra-edges E --seed S
-//! --block B --timeout-secs T --pooled --die-at COPY:BLOCKS
-//! --stall-at COPY:MS`.
+//! --block B --timeout-secs T --die-at COPY:BLOCKS --stall-at COPY:MS`.
 //!
 //! Cluster-telemetry flags (launch mode): `--cluster-trace PATH` writes
 //! one merged Chrome trace with a process lane per node, with remote
@@ -70,7 +69,7 @@ fn main() -> ExitCode {
         eprintln!("modes: launch | worker --node I | inproc | serve | query --addr A");
         eprintln!(
             "workload flags: --nodes N --vertices V --extra-edges E --seed S \
-             --block B --timeout-secs T --pooled --die-at COPY:BLOCKS --stall-at COPY:MS; \
+             --block B --timeout-secs T --die-at COPY:BLOCKS --stall-at COPY:MS; \
              launch adds --deadline-secs N --cluster-trace PATH --heartbeat-millis N \
              --straggler-fraction F; serve takes --backend-nodes N --vertices V --slots S \
              --queue-depth D --cache CAP --retry-ms MS --exec-floor-ms F; query takes \
@@ -151,7 +150,6 @@ fn workload_config(args: &[String]) -> Result<WorkloadConfig> {
     if let Some(spec) = flag::<String>(args, "--stall-at")? {
         cfg.stall = Some(copy_pair(&spec, "--stall-at", "COPY:MS")?);
     }
-    cfg.pooled = args.iter().any(|a| a == "--pooled");
     Ok(cfg)
 }
 
@@ -234,9 +232,6 @@ fn launch(args: &[String]) -> Result<()> {
                         cmd.arg(carry).arg(value);
                     }
                 }
-            }
-            if args.iter().any(|a| a == "--pooled") {
-                cmd.arg("--pooled");
             }
             cmd
         })

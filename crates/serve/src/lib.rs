@@ -19,7 +19,7 @@
 //!   resistant TwoQ eviction reused from `simio`, invalidated wholesale
 //!   when the epoch advances;
 //! - [`client`] — the synchronous [`Client`] library the tests, the
-//!   smoke harness, and `bench-serve` drive the server with.
+//!   smoke harness, and the `benchmark/` package drive the server with.
 //!
 //! The `mssg-node` binary (this crate's CLI) gains `serve` and `query`
 //! modes on top of the distributed-workload modes it already had.

@@ -29,9 +29,6 @@ fn worker_command(node: usize, cfg: &WorkloadConfig) -> Command {
         .arg(cfg.block.to_string())
         .arg("--timeout-secs")
         .arg(cfg.stream_timeout.as_secs().to_string());
-    if cfg.pooled {
-        cmd.arg("--pooled");
-    }
     if let Some((copy, blocks)) = cfg.die_at {
         cmd.arg("--die-at").arg(format!("{copy}:{blocks}"));
     }
@@ -40,9 +37,6 @@ fn worker_command(node: usize, cfg: &WorkloadConfig) -> Command {
 
 #[test]
 fn three_processes_match_inproc_levels_byte_for_byte() {
-    // The baseline is the plain (unpooled) in-process run; the TCP
-    // processes run with `--pooled`, so this gate also proves the pooled
-    // zero-copy path changes nothing about the result.
     let cfg = WorkloadConfig {
         nodes: 3,
         vertices: 1_500,
@@ -58,10 +52,6 @@ fn three_processes_match_inproc_levels_byte_for_byte() {
         "spine reaches all"
     );
 
-    let cfg = WorkloadConfig {
-        pooled: true,
-        ..cfg
-    };
     let commands = (0..cfg.nodes).map(|i| worker_command(i, &cfg)).collect();
     let out = run_cluster(commands, Duration::from_secs(120)).unwrap();
 

@@ -123,6 +123,47 @@ fn cache_is_invalidated_by_epoch_advance() {
     assert_eq!(server.cache_stats().invalidations, 1);
 }
 
+/// Live feeds are different streams into one cluster: each one's windows
+/// count from 0 again and must all be stored, whatever watermark the
+/// previous feed left on the nodes — on a per-window engine and on a
+/// batching one, with one and with racing front-ends.
+#[test]
+fn back_to_back_live_feeds_are_stored_in_full() {
+    for (name, kind) in [
+        ("hashmap", BackendKind::HashMap),
+        ("grdb", BackendKind::Grdb),
+    ] {
+        for front_ends in [1, 3] {
+            let dir = std::env::temp_dir().join(format!(
+                "serve-ep-feeds-{name}-{front_ends}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cluster = MssgCluster::new(&dir, 2, kind, &BackendOptions::default()).unwrap();
+            let server = Server::start(cluster, &ServeConfig::default()).unwrap();
+            let opts = IngestOptions {
+                front_ends,
+                window_edges: 4,
+                ..Default::default()
+            };
+            // Vertex 0 gains 40 neighbours from the first feed (10
+            // windows), then 20 more from the second (5 windows).
+            let feed = |range: std::ops::Range<u64>| range.map(|i| Edge::of(0, i));
+            server.ingest(feed(1..41), &opts).unwrap();
+            server.ingest(feed(41..61), &opts).unwrap();
+            let mut client = Client::connect(server.addr()).unwrap();
+            let q = Query::Degree {
+                vertex: Gid::new(0),
+            };
+            let answer = client.request(&q).unwrap().into_answer().unwrap();
+            assert_eq!(
+                answer.result, "degree=60",
+                "{name}, {front_ends} front-end(s)"
+            );
+        }
+    }
+}
+
 /// Regression: drop the client while its query is executing (the epoch
 /// pin is held across the execution floor) and prove `begin_update`
 /// still completes — the pin is released by the worker finishing

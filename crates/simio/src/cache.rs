@@ -200,12 +200,6 @@ impl BlockCache {
         self.map.get(&key).map(|&idx| &self.frames[idx].data)
     }
 
-    /// `true` if the block is resident. Touches neither recency state nor
-    /// statistics — used by readahead to skip already-cached blocks.
-    pub fn contains(&self, key: CacheKey) -> bool {
-        self.map.contains_key(&key)
-    }
-
     /// Inserts (or replaces) a block, returning the evicted victim if the
     /// cache was full. With capacity 0, the inserted block itself comes
     /// straight back as the victim.
@@ -667,15 +661,6 @@ mod tests {
             assert_eq!(c.seg_len[PROBATION] + c.seg_len[PROTECTED], c.len());
             assert!(c.seg_len[PROTECTED] <= c.protected_cap());
         }
-    }
-
-    #[test]
-    fn contains_does_not_touch_stats() {
-        let mut c = BlockCache::new(2, CachePolicy::Lru);
-        c.insert(k(1), vec![], false);
-        assert!(c.contains(k(1)));
-        assert!(!c.contains(k(2)));
-        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]
