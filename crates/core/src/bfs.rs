@@ -1036,7 +1036,7 @@ mod tests {
     fn db_filter_equivalent_and_reduces_traffic() {
         // The fused getAdjacencyListUsingMetadata path must return the
         // same shortest paths while routing fewer fringe vertices.
-        let edges = {
+        let mut edges = {
             let mut x = 91u64;
             let mut es = Vec::new();
             for _ in 0..800 {
@@ -1051,6 +1051,8 @@ mod tests {
             }
             es
         };
+        // A second component: a destination the search can never reach.
+        edges.push(Edge::of(100, 101));
         let plain = build_cluster(
             "dbf-plain",
             3,
@@ -1065,39 +1067,31 @@ mod tests {
             edges,
             DeclusterKind::VertexHash,
         );
+        let filter_on = BfsOptions {
+            db_filter: true,
+            ..Default::default()
+        };
         for dest in [7u64, 23, 59] {
             let a = bfs(&plain, g(0), g(dest), &BfsOptions::default()).unwrap();
-            let b = bfs(
-                &filtered,
-                g(0),
-                g(dest),
-                &BfsOptions {
-                    db_filter: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let b = bfs(&filtered, g(0), g(dest), &filter_on).unwrap();
             assert_eq!(a.path_length, b.path_length, "dest {dest}");
-            assert!(
-                b.edges_scanned <= a.edges_scanned,
-                "dest {dest}: filter must not increase scanned entries \
-                 ({} vs {})",
-                b.edges_scanned,
-                a.edges_scanned
-            );
         }
+        // Scanned entries are compared on the unreachable destination
+        // only: there both searches traverse the whole component, while
+        // on a reachable one the count depends on which peer's FOUND ends
+        // the search first.
+        let a = bfs(&plain, g(0), g(101), &BfsOptions::default()).unwrap();
+        let b = bfs(&filtered, g(0), g(101), &filter_on).unwrap();
+        assert_eq!((a.path_length, b.path_length), (None, None));
+        assert!(
+            b.edges_scanned <= a.edges_scanned,
+            "filter must not increase scanned entries ({} vs {})",
+            b.edges_scanned,
+            a.edges_scanned
+        );
         // The per-query metadata reset means a second round of identical
         // queries must behave identically (no marks leak between queries).
-        let again = bfs(
-            &filtered,
-            g(0),
-            g(23),
-            &BfsOptions {
-                db_filter: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let again = bfs(&filtered, g(0), g(23), &filter_on).unwrap();
         let reference = bfs(&plain, g(0), g(23), &BfsOptions::default()).unwrap();
         assert_eq!(again.path_length, reference.path_length);
     }

@@ -114,8 +114,8 @@ pub struct EndpointSpec {
     pub shared: bool,
     /// Bounded queue depth (backpressure credit).
     pub capacity: usize,
-    /// Producer copies co-located with `node` (served by a plain local
-    /// queue even over a socket transport).
+    /// Producer copies co-located with `node` (they never touch a socket,
+    /// whatever the transport).
     pub local_producers: usize,
     /// Producer copies on *other* nodes, as `(producer node, copies)` —
     /// the peers a socket transport must accept frames and closes from.

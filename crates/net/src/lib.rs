@@ -17,8 +17,15 @@
 //! fidelity: TCP and in-process runs must produce byte-identical BFS
 //! levels.
 //!
+//! The credit protocol exists once, in [`tcp`]; what carries its frames
+//! is a seam. Besides sockets there are two other carriers: [`sim`] runs
+//! whole clusters in one process over virtual connections with seeded
+//! wire faults, and [`model`] joins transports by inline delivery so
+//! `mssg-modelcheck` can explore every interleaving of the shipping code.
+//!
 //! See DESIGN.md §8 "Distributed transport" for the wire format, the
-//! credit protocol, and the failure mapping.
+//! credit protocol, and the failure mapping, and §12.2 for the model
+//! link.
 
 pub mod conn;
 pub mod launcher;
@@ -30,7 +37,7 @@ pub mod workload;
 
 pub use conn::{Conn, Listener};
 pub use launcher::{announce_and_gather, report_error, run_cluster, ClusterOutput};
-pub use model::{model_cluster, CreditAudit, Faults, ModelTransport};
+pub use model::{model_cluster, CreditAudit, LinkFaults};
 pub use sim::{run_workload_sim, SimConn, SimFault, SimFaultEvent, SimListener, SimNet, SimPlan};
 pub use tcp::{TcpOptions, TcpTransport};
 pub use wire::{Frame, FrameKind, FRAME_OVERHEAD, MAX_PAYLOAD};

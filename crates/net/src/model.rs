@@ -1,41 +1,37 @@
-//! Model-checked twin of the TCP transport: the credit-flow protocol
-//! explored exhaustively under `mssg-modelcheck`.
+//! The model link: [`TcpTransport`] explored exhaustively under
+//! `mssg-modelcheck`.
 //!
-//! [`TcpTransport`](crate::TcpTransport) implements the PR-4 protocol —
-//! credit-based flow control, CLOSE/EP_CLOSED accounting, the READY
-//! barrier and the BYE exchange — over real sockets, where a protocol
-//! bug shows up as a rare hang under load. [`ModelTransport`] implements
-//! the *same* protocol state machines inside a
-//! [`mssg_modelcheck::check`] execution, where the scheduler drives
-//! every interleaving of the node threads. A deadlock, a lost frame, or
-//! a credit leak in *any* schedule fails the check with the exact trace.
+//! Over sockets a protocol bug — a lost credit, a missed CLOSE, a barrier
+//! that never completes — shows up as a rare hang under load.
+//! [`model_cluster`] builds the *same* transports (same credit window,
+//! routes, control barrier, `dispatch` and endpoints; see the link seam
+//! in [`crate::tcp`]) inside a [`mssg_modelcheck::check`] execution, where
+//! the scheduler drives every interleaving of the node threads. A
+//! deadlock, a lost frame, or a credit leak in *any* schedule fails the
+//! check with the exact trace.
 //!
-//! # The wire model
+//! # What the link abstracts
 //!
-//! Wires are **zero-latency FIFO**: `ModelShared::send_frame` runs the
-//! destination node's frame dispatcher inline at the send point, under
-//! the destination's own locks — the model twin of the TCP reader
-//! thread's `dispatch`. TCP's arbitrary delivery delay is subsumed by
-//! the scheduler's freedom to delay the *threads* on both sides around
-//! each dispatch: every observable ordering of protocol state
-//! transitions is still explored, without the per-connection reader
-//! threads whose independent stepping would blow the schedule space past
-//! exhaustive reach (measured: a bare two-node READY/BYE exchange
-//! exceeds 2M schedules with reader threads, and sits in the hundreds
-//! without).
+//! Wires are **zero-latency FIFO**: the link runs the destination node's
+//! frame dispatcher inline at the send point, where a socket would hand
+//! the frame to the peer's reader thread. TCP's arbitrary delivery delay
+//! is subsumed by the scheduler's freedom to delay the *threads* on both
+//! sides around each dispatch: every observable ordering of protocol
+//! state transitions is still explored, without the per-connection
+//! reader threads whose independent stepping would blow the schedule
+//! space past exhaustive reach (measured: a bare two-node READY/BYE
+//! exchange exceeds 2M schedules with reader threads, and sits in the
+//! hundreds without).
 //!
-//! # Scope and limits
-//!
-//! - Wires are lossless and FIFO (like TCP); frames are Rust values, so
-//!   the wire *format* is out of scope — [`crate::wire`] has its own
-//!   round-trip suite.
-//! - Sends and waits are untimed: a protocol state that would stall a
+//! - There is no handshake, and no reader or heartbeat threads: clusters
+//!   start past HELLO with all wires established, and frames are Rust
+//!   values, so the wire *format* is out of scope — [`crate::wire`] has
+//!   its own round-trip suite.
+//! - Barriers are untimed (sends and receives take the caller's timeout,
+//!   and the scenarios pass none): a protocol state that would stall a
 //!   production node forever is *reported* as a model deadlock instead
 //!   of papered over by a timeout.
-//! - An endpoint may mix local and remote producers on TCP; the model
-//!   keeps scenarios single-sourced (local *or* remote) and refuses the
-//!   mix with `Unsupported`.
-//! - [`Faults`] knobs break the protocol on purpose — negative controls
+//! - [`LinkFaults`] break the wire on purpose — negative controls
 //!   proving the exploration would catch a real implementation bug.
 //!
 //! Build a cluster with [`model_cluster`] *inside* a `check` closure,
@@ -45,651 +41,164 @@
 //! returns, so a non-full credit window at that point is a leak in the
 //! protocol, not an artifact of timing.
 
-use crate::FRAME_OVERHEAD;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
-use datacutter::{
-    ChannelRx, ChannelTx, DataBuffer, EndpointSpec, NodeId, RecvOutcome, RxEndpoint, SendOutcome,
-    Transport, TxEndpoint, SHARED_NODE,
-};
-use mssg_modelcheck::shim::{Condvar, Mutex};
-use mssg_types::{GraphStorageError, Result};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex as StdMutex};
-use std::time::Duration;
+use crate::tcp::{Link, Shared, TcpOptions, TcpTransport};
+use crate::wire::{Frame, FrameKind};
+use datacutter::NodeId;
+use mssg_types::Result;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-/// Deliberate protocol violations for negative controls: each knob must
-/// make the exploration fail (deadlock or credit-leak), proving the
-/// checker would catch the equivalent implementation bug.
+/// Deliberate wire faults for negative controls: each must make the
+/// exploration fail (deadlock, credit leak, or typed transport death),
+/// proving the checker would catch the equivalent implementation bug.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Faults {
-    /// Consumers never return credit for frames they pop — the producer
-    /// window starves and the run deadlocks.
-    pub swallow_credit: bool,
-    /// Producer handles skip the CLOSE frame on drop — the consumer's
-    /// merged stream never disconnects and its final recv deadlocks.
-    pub skip_close: bool,
+pub struct LinkFaults {
+    /// CREDIT frames vanish on the wire — the producer window starves
+    /// and the run deadlocks (or, with window to spare, leaks).
+    pub drop_credit: bool,
+    /// CLOSE frames vanish on the wire — the consumer's merged stream
+    /// never disconnects and its final recv deadlocks.
+    pub drop_close: bool,
+    /// Every CREDIT frame arrives twice — the second copy lifts the
+    /// window above its capacity, which the receiver must refuse.
+    pub duplicate_credit: bool,
 }
 
-/// A protocol frame. Mirrors [`crate::FrameKind`] minus the socket-only
-/// kinds (HELLO/TELEMETRY/HEARTBEAT): the model starts past the
-/// handshake, with all wires established.
-enum MFrame {
-    /// One buffer on a stream, spending one credit.
-    Data { stream: u32, buf: DataBuffer },
-    /// Returns `n` credits for a stream.
-    Credit { stream: u32, n: u64 },
-    /// One producer copy on the sending node is done with the stream.
-    Close { stream: u32 },
-    /// The consumer endpoint is gone; producers should stop.
-    EpClosed { stream: u32 },
-    /// Barrier: the sending node has registered every route.
-    Ready,
-    /// The sending node's run is complete.
-    Bye,
+/// One node's outgoing wires: every node's protocol state, indexed by
+/// [`NodeId`]. Filled by [`model_cluster`]; cleared by the owning node's
+/// `finish`, which also breaks the reference cycle (each node's state
+/// holds its link, which holds every node's state).
+type Wires = Arc<Mutex<Vec<Arc<Shared>>>>;
+
+struct ModelLink {
+    from: NodeId,
+    wires: Wires,
+    faults: LinkFaults,
 }
 
-/// Sender-side flow-control window, the model twin of the TCP
-/// `CreditCell`. No timeouts and no `dead` state: a starved window is a
-/// model deadlock, which is exactly the report we want.
-struct MCredit {
-    state: Mutex<MCreditState>,
-    cv: Condvar,
-    capacity: u64,
-}
-
-struct MCreditState {
-    avail: u64,
-    closed: bool,
-}
-
-impl MCredit {
-    fn new(capacity: u64) -> MCredit {
-        MCredit {
-            state: Mutex::new(MCreditState {
-                avail: capacity,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Takes one credit, waiting for a refund if the window is empty.
-    /// Returns `false` when the consumer endpoint is gone.
-    fn acquire(&self) -> bool {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.avail > 0 {
-                st.avail -= 1;
-                return true;
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    fn grant(&self, n: u64) {
-        self.state.lock().unwrap().avail += n;
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cv.notify_all();
-    }
-
-    fn in_flight(&self) -> usize {
-        let st = self.state.lock().unwrap();
-        (self.capacity - st.avail.min(self.capacity)) as usize
-    }
-}
-
-/// Receive-side state for one endpoint fed by remote producers; the
-/// model twin of the TCP `Route`.
-struct MRoute {
-    /// The demux sender, `Arc`-wrapped so dispatchers can snapshot it
-    /// under the scheduler-invisible routes guard without touching the
-    /// channel's (shim-locked) handle bookkeeping. CLOSE accounting
-    /// takes the `Arc` out and drops it *outside* the guard.
-    tx: Option<Arc<Sender<(DataBuffer, NodeId)>>>,
-    /// The same receiver the endpoint reads, kept so a dispatcher that
-    /// completes a push *after* the consumer dropped (and drained) can
-    /// reap the stranded frame and refund its credit ([`reap_if_gone`]).
-    drain_rx: Arc<Receiver<(DataBuffer, NodeId)>>,
-    pending_closes: HashMap<NodeId, usize>,
-    consumers_gone: bool,
-}
-
-struct MCtrl {
-    ready_from: HashSet<NodeId>,
-    bye_from: HashSet<NodeId>,
-}
-
-/// One node's protocol state: routes (consumer side), credit windows
-/// (producer side), and the READY/BYE control sets. Shared between the
-/// node's transport handle, its endpoints, and the cluster table that
-/// lets peers dispatch frames into it.
-///
-/// Lock choice is deliberate: every *shim* lock acquisition is a
-/// scheduling point the DFS must branch on, so only state that blocks
-/// — the credit window and the control barrier — uses shim primitives.
-/// The cluster table, the routes map, and the credits map are plain
-/// `std` mutexes: their guards are never held across a scheduling
-/// point, so under the model's one-runnable-thread-at-a-time token
-/// they cannot contend — and they stay out of the schedule space. The
-/// one ordering race this opens (a demux push landing after the
-/// consumer dropped and drained) is closed by [`reap_if_gone`].
-struct ModelShared {
-    my_node: NodeId,
-    /// Every node's shared state, indexed by [`NodeId`] — the "network".
-    cluster: StdMutex<Vec<Arc<ModelShared>>>,
-    routes: StdMutex<HashMap<u32, MRoute>>,
-    credits: StdMutex<HashMap<u32, Arc<MCredit>>>,
-    ctrl: Mutex<MCtrl>,
-    ctrl_cv: Condvar,
-    faults: Faults,
-}
-
-impl ModelShared {
-    /// Puts a frame on the wire to `node` — dispatched inline on the
-    /// destination's state (see the module docs on the wire model).
+impl ModelLink {
+    /// Delivers `frame` to node `to` inline, on the sending thread.
     /// Frames sent after this node's `finish` released its wires are
     /// dropped, like best-effort teardown traffic on a half-closed
     /// socket.
-    fn send_frame(&self, node: NodeId, frame: MFrame) {
-        let dst = {
-            let table = self.cluster.lock().unwrap_or_else(|p| p.into_inner());
-            table.get(node).cloned()
+    fn carry(&self, to: NodeId, frame: Frame) {
+        let copies = match frame.kind {
+            FrameKind::Credit if self.faults.drop_credit => 0,
+            FrameKind::Close if self.faults.drop_close => 0,
+            FrameKind::Credit if self.faults.duplicate_credit => 2,
+            _ => 1,
         };
+        // The guard is released before dispatch: no `std` lock is held
+        // across a scheduling point.
+        let dst = self.wires.lock().unwrap().get(to).cloned();
         if let Some(dst) = dst {
-            dispatch(&dst, self.my_node, frame);
-        }
-    }
-
-    fn refund(&self, node: NodeId, stream: u32) {
-        if !self.faults.swallow_credit {
-            self.send_frame(node, MFrame::Credit { stream, n: 1 });
+            for _ in 0..copies {
+                // A violation kills the *receiving* node, as a reader
+                // thread would; the wire itself accepted the frame.
+                let _ = dst.deliver(self.from, frame.clone());
+            }
         }
     }
 }
 
-/// The model twin of the TCP frame dispatcher, run by the *sending*
-/// thread on the *destination* node's state. Protocol violations that
-/// the socket transport maps to transport death (`Shared::fail`) panic
-/// here instead, failing the check with the schedule that produced them.
-fn dispatch(shared: &ModelShared, peer: NodeId, frame: MFrame) {
-    match frame {
-        MFrame::Data { stream, buf } => {
-            // Snapshot the route under the scheduler-invisible guard,
-            // then push *outside* it — the push is a scheduling point
-            // and no std guard may be held across one.
-            let (tx, gone) = {
-                let routes = shared.routes.lock().unwrap_or_else(|p| p.into_inner());
-                let route = routes
-                    .get(&stream)
-                    .unwrap_or_else(|| panic!("DATA on unknown stream {stream} from node {peer}"));
-                (route.tx.clone(), route.consumers_gone)
-            };
-            let refund = if gone {
-                true
-            } else {
-                match tx {
-                    None => true,
-                    Some(tx) => match tx.send_timeout((buf, peer), Duration::ZERO) {
-                        Ok(()) => {
-                            // The consumer may have dropped — and
-                            // drained — while the push was in flight;
-                            // reap anything it left behind so no
-                            // frame's credit is stranded.
-                            reap_if_gone(shared, stream);
-                            false
-                        }
-                        Err(SendTimeoutError::Timeout(_)) => {
-                            panic!("credit protocol violation: node {peer} overran stream {stream}")
-                        }
-                        Err(SendTimeoutError::Disconnected(_)) => true,
-                    },
-                }
-            };
-            if refund {
-                // Consumer is gone: hand the credit straight back and
-                // make sure the producer knows to stop.
-                shared.send_frame(peer, MFrame::Credit { stream, n: 1 });
-                shared.send_frame(peer, MFrame::EpClosed { stream });
-            }
-        }
-        MFrame::Credit { stream, n } => {
-            let cell = lookup_cell(shared, stream);
-            if let Some(cell) = cell {
-                cell.grant(n);
-            }
-        }
-        MFrame::Close { stream } => {
-            let dropped_tx = {
-                let mut routes = shared.routes.lock().unwrap_or_else(|p| p.into_inner());
-                let route = routes
-                    .get_mut(&stream)
-                    .unwrap_or_else(|| panic!("CLOSE on unknown stream {stream} from node {peer}"));
-                match route.pending_closes.get_mut(&peer) {
-                    Some(left) if *left > 0 => *left -= 1,
-                    _ => panic!("unexpected CLOSE on stream {stream} from node {peer}"),
-                }
-                if route.pending_closes.values().all(|&left| left == 0) {
-                    // Last producer copy is done: drop the demux sender
-                    // so the merged stream disconnects once drained.
-                    route.tx.take()
-                } else {
-                    None
-                }
-            };
-            // Dropping the last sender handle wakes blocked receivers —
-            // a scheduling point, so it happens outside the guard.
-            drop(dropped_tx);
-        }
-        MFrame::EpClosed { stream } => {
-            let cell = lookup_cell(shared, stream);
-            if let Some(cell) = cell {
-                cell.close();
-            }
-        }
-        MFrame::Ready => {
-            shared.ctrl.lock().unwrap().ready_from.insert(peer);
-            shared.ctrl_cv.notify_all();
-        }
-        MFrame::Bye => {
-            shared.ctrl.lock().unwrap().bye_from.insert(peer);
-            shared.ctrl_cv.notify_all();
-        }
+impl Link for ModelLink {
+    fn send_frame(&self, to: NodeId, frame: Frame) -> Result<()> {
+        self.carry(to, frame);
+        Ok(())
     }
-}
 
-/// Refunds every frame stranded in `stream`'s demux queue if its
-/// consumers are gone. Called by a dispatcher after a successful push:
-/// the consumer may have dropped the endpoint (and drained the queue)
-/// between the route snapshot and the push landing, in which case
-/// nobody else will ever pop the frame. The channel pops are atomic,
-/// so a frame reaped here is refunded exactly once even when the
-/// endpoint-drop drain runs concurrently.
-fn reap_if_gone(shared: &ModelShared, stream: u32) {
-    let rx = {
-        let routes = shared.routes.lock().unwrap_or_else(|p| p.into_inner());
-        routes
-            .get(&stream)
-            .filter(|r| r.consumers_gone)
-            .map(|r| Arc::clone(&r.drain_rx))
-    };
-    if let Some(rx) = rx {
-        while let Ok((_, origin)) = rx.try_recv() {
-            shared.refund(origin, stream);
-        }
+    fn send_data(
+        &self,
+        to: NodeId,
+        stream: u32,
+        tag: u64,
+        span: u64,
+        payload: &[u8],
+    ) -> Result<()> {
+        self.carry(to, Frame::data(stream, tag, payload).with_span(span));
+        Ok(())
     }
-}
 
-/// The credit window for `stream`, cloned out so no caller holds the
-/// map guard across the cell's (shim-locked) operations.
-fn lookup_cell(shared: &ModelShared, stream: u32) -> Option<Arc<MCredit>> {
-    shared
-        .credits
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get(&stream)
-        .cloned()
+    fn shutdown(&self) {
+        self.wires.lock().unwrap().clear();
+    }
 }
 
 /// Post-run credit-balance check for one node; obtain via
-/// [`ModelTransport::audit`] *before* moving the transport into its node
+/// [`TcpTransport::audit`] *before* moving the transport into its node
 /// thread, and assert *after* joining every node thread.
 pub struct CreditAudit {
-    shared: Arc<ModelShared>,
+    shared: Arc<Shared>,
 }
 
 impl CreditAudit {
-    /// Panics (failing the check with a counterexample schedule) unless
-    /// every stream's window is back at its configured capacity: each
+    /// Why this node is not at rest, if it is not: the transport died, or
+    /// some stream's window is short of its configured capacity. Each
     /// spent credit must have been refunded — by a pop, by the
     /// consumers-gone path, or by the endpoint-drop drain.
-    pub fn assert_balanced(&self) {
-        let cells: Vec<(u32, Arc<MCredit>)> = {
-            let map = self
-                .shared
-                .credits
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+    pub fn imbalance(&self) -> Option<String> {
+        if let Some(e) = self.shared.dead() {
+            return Some(format!("node died: {e}"));
+        }
+        let cells: Vec<_> = {
+            let map = self.shared.credits.lock().unwrap();
             map.iter().map(|(s, c)| (*s, Arc::clone(c))).collect()
         };
-        for (stream, cell) in cells {
-            let st = cell.state.lock().unwrap();
-            assert_eq!(
-                st.avail, cell.capacity,
-                "credit leak on stream {stream}: {} of {} credits at rest",
-                st.avail, cell.capacity
-            );
-        }
-    }
-}
-
-/// Receiving endpoint over the model demux queue (remote producers
-/// only).
-struct MRxInner {
-    stream: u32,
-    rx: Arc<Receiver<(DataBuffer, NodeId)>>,
-    peers: Vec<NodeId>,
-    shared: Arc<ModelShared>,
-}
-
-struct MRx {
-    inner: Arc<MRxInner>,
-}
-
-impl RxEndpoint for MRx {
-    fn recv(&self, timeout: Option<Duration>) -> RecvOutcome {
-        let inner = &self.inner;
-        let popped = match timeout {
-            None => inner.rx.recv().map_err(|_| false),
-            Some(limit) => inner.rx.recv_timeout(limit).map_err(|e| match e {
-                RecvTimeoutError::Timeout => true,
-                RecvTimeoutError::Disconnected => false,
-            }),
-        };
-        match popped {
-            Ok((buf, origin)) => {
-                inner.shared.refund(origin, inner.stream);
-                RecvOutcome::Buf(buf)
-            }
-            Err(true) => RecvOutcome::TimedOut,
-            Err(false) => RecvOutcome::Closed,
-        }
-    }
-
-    fn try_recv(&self) -> Option<DataBuffer> {
-        let (buf, origin) = self.inner.rx.try_recv().ok()?;
-        self.inner.shared.refund(origin, self.inner.stream);
-        Some(buf)
-    }
-
-    fn clone_endpoint(&self) -> Box<dyn RxEndpoint> {
-        Box::new(MRx {
-            inner: Arc::clone(&self.inner),
-        })
-    }
-}
-
-impl Drop for MRxInner {
-    fn drop(&mut self) {
-        // The consumer endpoint is gone. Stop routing to it, refund the
-        // credit of every frame still queued (their producers' windows
-        // must not leak), and tell remote producers to stop.
-        let dropped_tx = {
-            let mut routes = self.shared.routes.lock().unwrap_or_else(|p| p.into_inner());
-            routes.get_mut(&self.stream).and_then(|route| {
-                route.consumers_gone = true;
-                route.tx.take()
+        cells.into_iter().find_map(|(stream, cell)| {
+            let leaked = cell.in_flight();
+            (leaked > 0).then(|| {
+                format!("credit leak on stream {stream}: {leaked} credit(s) never refunded")
             })
-        };
-        // Outside the guard: dropping the last sender is a scheduling
-        // point (it wakes receivers blocked on the empty queue).
-        drop(dropped_tx);
-        while let Ok((_, origin)) = self.rx.try_recv() {
-            self.shared.refund(origin, self.stream);
-        }
-        for &peer in &self.peers {
-            self.shared.send_frame(
-                peer,
-                MFrame::EpClosed {
-                    stream: self.stream,
-                },
-            );
-        }
-    }
-}
-
-/// One producer copy's handle onto a remote stream.
-struct MTxInner {
-    stream: u32,
-    dst: NodeId,
-    cell: Arc<MCredit>,
-    shared: Arc<ModelShared>,
-}
-
-struct MTx {
-    inner: Arc<MTxInner>,
-}
-
-impl Drop for MTxInner {
-    fn drop(&mut self) {
-        if !self.shared.faults.skip_close {
-            self.shared.send_frame(
-                self.dst,
-                MFrame::Close {
-                    stream: self.stream,
-                },
-            );
-        }
-    }
-}
-
-impl TxEndpoint for MTx {
-    fn send(&self, buf: DataBuffer, _timeout: Option<Duration>) -> SendOutcome {
-        // The credit wait is deliberately untimed (see module docs): a
-        // window that never refills must deadlock the model, not
-        // silently turn into TimedOut.
-        let inner = &self.inner;
-        if !inner.cell.acquire() {
-            return SendOutcome::Closed;
-        }
-        inner.shared.send_frame(
-            inner.dst,
-            MFrame::Data {
-                stream: inner.stream,
-                buf,
-            },
-        );
-        SendOutcome::Sent
-    }
-
-    fn dst_node(&self) -> NodeId {
-        self.inner.dst
-    }
-
-    fn wire_bytes(&self, payload_len: usize) -> u64 {
-        (FRAME_OVERHEAD + payload_len) as u64
-    }
-
-    fn queue_len(&self) -> usize {
-        self.inner.cell.in_flight()
-    }
-
-    fn clone_endpoint(&self) -> Box<dyn TxEndpoint> {
-        Box::new(MTx {
-            inner: Arc::clone(&self.inner),
         })
     }
+
+    /// Panics (failing the check with a counterexample schedule) on any
+    /// [`CreditAudit::imbalance`].
+    pub fn assert_balanced(&self) {
+        if let Some(why) = self.imbalance() {
+            panic!("{why}");
+        }
+    }
 }
 
-/// [`Transport`] over model wires — one per node of a
-/// [`model_cluster`]. Same contract as the TCP transport: open
-/// endpoints, then senders, then `start`; `finish` after the node's
-/// filters are done.
-pub struct ModelTransport {
-    my_node: NodeId,
-    n_nodes: usize,
-    shared: Arc<ModelShared>,
-    masters: HashMap<u64, (Sender<DataBuffer>, NodeId)>,
-}
-
-impl ModelTransport {
-    /// This node's credit-balance checker (clone of the shared state, so
-    /// it stays valid after the transport moves into its node thread).
+impl TcpTransport {
+    /// This node's credit-balance checker (a handle on the shared state,
+    /// so it stays valid after the transport moves into its node thread).
     pub fn audit(&self) -> CreditAudit {
         CreditAudit {
             shared: Arc::clone(&self.shared),
         }
     }
-
-    fn await_ctrl(&self, pick: impl Fn(&MCtrl) -> bool) {
-        let mut ctrl = self.shared.ctrl.lock().unwrap();
-        while !pick(&ctrl) {
-            ctrl = self.shared.ctrl_cv.wait(ctrl).unwrap();
-        }
-    }
 }
 
-impl Transport for ModelTransport {
-    fn open_endpoint(&mut self, spec: &EndpointSpec) -> Result<Box<dyn RxEndpoint>> {
-        if spec.node != self.my_node {
-            return Err(GraphStorageError::Unsupported(format!(
-                "endpoint {}.{} belongs to node {}, not node {}",
-                spec.filter, spec.in_port, spec.node, self.my_node
-            )));
-        }
-        if spec.remote_producers.is_empty() {
-            // Purely local: exact InProc behavior, over shim channels.
-            let (tx, rx) = bounded(spec.capacity);
-            let dst = if spec.shared { SHARED_NODE } else { spec.node };
-            self.masters.insert(spec.id, (tx, dst));
-            return Ok(Box::new(ChannelRx::new(rx)));
-        }
-        if spec.local_producers > 0 {
-            return Err(GraphStorageError::Unsupported(format!(
-                "endpoint {}.{} mixes local and remote producers — out of model scope",
-                spec.filter, spec.in_port
-            )));
-        }
-        let stream = stream_id(spec)?;
-        let peers: Vec<NodeId> = spec
-            .remote_producers
-            .iter()
-            .map(|&(node, _)| node)
-            .collect();
-        // Sized so conforming producers can never fill it: the inline
-        // dispatcher's non-blocking demux push must always succeed.
-        let (demux_tx, demux_rx) = bounded(spec.capacity * peers.len());
-        let demux_rx = Arc::new(demux_rx);
-        self.shared
-            .routes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(
-                stream,
-                MRoute {
-                    tx: Some(Arc::new(demux_tx)),
-                    drain_rx: Arc::clone(&demux_rx),
-                    pending_closes: spec.remote_producers.iter().copied().collect(),
-                    consumers_gone: false,
-                },
-            );
-        Ok(Box::new(MRx {
-            inner: Arc::new(MRxInner {
-                stream,
-                rx: demux_rx,
-                peers,
-                shared: Arc::clone(&self.shared),
-            }),
-        }))
-    }
-
-    fn open_sender(&mut self, spec: &EndpointSpec) -> Result<Box<dyn TxEndpoint>> {
-        if spec.node == self.my_node {
-            let (tx, dst) = self.masters.get(&spec.id).ok_or_else(|| {
-                GraphStorageError::Unsupported(format!(
-                    "no endpoint {} ({}.{}) opened before its sender",
-                    spec.id, spec.filter, spec.in_port
-                ))
-            })?;
-            return Ok(Box::new(ChannelTx::new(tx.clone(), *dst)));
-        }
-        let stream = stream_id(spec)?;
-        let cell = Arc::clone(
-            self.shared
-                .credits
-                .lock()
-                .unwrap()
-                .entry(stream)
-                .or_insert_with(|| Arc::new(MCredit::new(spec.capacity as u64))),
-        );
-        Ok(Box::new(MTx {
-            inner: Arc::new(MTxInner {
-                stream,
-                dst: spec.node,
-                cell,
-                shared: Arc::clone(&self.shared),
-            }),
-        }))
-    }
-
-    fn start(&mut self) -> Result<()> {
-        // Release the master senders, then barrier: no DATA may reach a
-        // peer before it has registered every route.
-        self.masters.clear();
-        for peer in 0..self.n_nodes {
-            if peer != self.my_node {
-                self.shared.send_frame(peer, MFrame::Ready);
-            }
-        }
-        let want = self.n_nodes - 1;
-        self.await_ctrl(|c| c.ready_from.len() == want);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        // Tell every peer our run is complete, then wait for them to say
-        // the same. Zero-latency wires mean every frame this node sent
-        // (data, refunds, closes) has already dispatched, so once every
-        // node is past this barrier the protocol state is at rest.
-        for peer in 0..self.n_nodes {
-            if peer != self.my_node {
-                self.shared.send_frame(peer, MFrame::Bye);
-            }
-        }
-        let want = self.n_nodes - 1;
-        self.await_ctrl(|c| c.bye_from.len() == want);
-        // Release this node's wires: breaks the cluster-table reference
-        // cycle (each node's state holds every node's state, including
-        // its own) so finished executions free their cluster.
-        self.shared.cluster.lock().unwrap().clear();
-        Ok(())
-    }
-}
-
-fn stream_id(spec: &EndpointSpec) -> Result<u32> {
-    u32::try_from(spec.id).map_err(|_| {
-        GraphStorageError::Unsupported(format!("stream id {} exceeds the wire format", spec.id))
-    })
-}
-
-/// Builds an `n_nodes`-node cluster of model transports with every wire
-/// established. Must be called inside a [`mssg_modelcheck::check`]
-/// closure; run each returned transport on its own model thread, exactly
-/// like one process per node.
-pub fn model_cluster(n_nodes: usize, faults: Faults) -> Vec<ModelTransport> {
-    let shareds: Vec<Arc<ModelShared>> = (0..n_nodes)
-        .map(|me| {
-            Arc::new(ModelShared {
-                my_node: me,
-                cluster: StdMutex::new(Vec::new()),
-                routes: StdMutex::new(HashMap::new()),
-                credits: StdMutex::new(HashMap::new()),
-                ctrl: Mutex::new(MCtrl {
-                    ready_from: HashSet::new(),
-                    bye_from: HashSet::new(),
-                }),
-                ctrl_cv: Condvar::new(),
+/// Builds an `n_nodes`-node cluster of transports joined by model links,
+/// every wire established. Must be called inside a
+/// [`mssg_modelcheck::check`] closure; run each returned transport on its
+/// own model thread, exactly like one process per node.
+pub fn model_cluster(n_nodes: usize, faults: LinkFaults) -> Vec<TcpTransport> {
+    let wires: Vec<Wires> = (0..n_nodes).map(|_| Wires::default()).collect();
+    let nodes: Vec<TcpTransport> = wires
+        .iter()
+        .enumerate()
+        .map(|(from, wires)| {
+            let link = ModelLink {
+                from,
+                wires: Arc::clone(wires),
                 faults,
-            })
+            };
+            TcpTransport::over_link(
+                from,
+                n_nodes,
+                Box::new(link),
+                None,
+                HashMap::new(),
+                &TcpOptions::default(),
+            )
         })
         .collect();
-    for shared in &shareds {
-        *shared.cluster.lock().unwrap() = shareds.clone();
+    let cluster: Vec<Arc<Shared>> = nodes.iter().map(|t| Arc::clone(&t.shared)).collect();
+    for wires in &wires {
+        *wires.lock().unwrap() = cluster.clone();
     }
-    shareds
-        .iter()
-        .map(|shared| ModelTransport {
-            my_node: shared.my_node,
-            n_nodes,
-            shared: Arc::clone(shared),
-            masters: HashMap::new(),
-        })
-        .collect()
+    nodes
 }

@@ -19,7 +19,15 @@
 //! facing a full channel (`net.credit_stalls` counts these). The
 //! receive-side demux queue is sized `capacity × producer-nodes`, so a
 //! conforming peer can never block the connection's reader thread —
-//! a full demux queue is a protocol violation, not backpressure.
+//! a full demux queue is a protocol violation, not backpressure, and so
+//! is a CREDIT that would lift a window above its capacity.
+//!
+//! Producers co-located with a consumer that also has remote producers
+//! run the same protocol: this node is one more producer node of the
+//! stream, and its frames reach `dispatch` by loopback instead of a
+//! connection. The endpoint therefore reads *one* queue. (An endpoint
+//! with only co-located producers stays a plain channel, exactly as
+//! in-process.)
 //!
 //! ## Close accounting
 //!
@@ -36,7 +44,21 @@
 //! EOF without a BYE frame, a torn frame, or any socket error marks the
 //! transport *dead*: every blocked send and recv wakes and returns a
 //! typed [`GraphStorageError::Net`] — a killed peer becomes an error,
-//! never a hang.
+//! never a hang. A protocol violation by a peer (unknown stream, window
+//! overrun, excess credit, unexpected CLOSE) takes the same path.
+//!
+//! ## The link seam
+//!
+//! Everything above is written once. The only thing that varies is how
+//! a [`Frame`] leaves this node — the `Link` trait: over sockets a
+//! frame is written to a [`Conn`] and the peer's reader thread hands it
+//! to `dispatch`; under the model checker ([`crate::model`]) the link
+//! calls the destination node's `dispatch` inline. The credit window
+//! and the control barrier block on `mssg_modelcheck::shim` primitives
+//! (plain `std` ones outside a `check` execution), so the exploration
+//! schedules this code, not a copy of it. The route and credit *maps*
+//! never block; they sit behind `std` mutexes whose guards are never
+//! held across a queue push, a wait, or a link send.
 
 use crate::conn::Conn;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
@@ -44,13 +66,14 @@ use datacutter::{
     ChannelRx, ChannelTx, DataBuffer, EndpointSpec, NodeId, RecvOutcome, RxEndpoint, SendOutcome,
     Transport, TxEndpoint, SHARED_NODE,
 };
+use mssg_modelcheck::shim;
 use mssg_obs::{Counter, Heartbeat, NodeTelemetry, Telemetry};
 use mssg_types::{GraphStorageError, Result};
 use std::collections::{HashMap, HashSet};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -100,12 +123,20 @@ impl Default for TcpOptions {
     }
 }
 
-/// Sender-side flow-control window for one remote stream: starts at the
+/// Time left until `deadline` on the shim clock (virtual under the model
+/// checker), `None` once it has passed.
+fn time_left(deadline: shim::Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(shim::Instant::now())
+        .filter(|left| !left.is_zero())
+}
+
+/// Sender-side flow-control window for one stream: starts at the
 /// stream's channel capacity, spends one per DATA frame, refills on
 /// CREDIT frames.
-struct CreditCell {
-    state: Mutex<CreditState>,
-    cv: Condvar,
+pub(crate) struct CreditCell {
+    state: shim::Mutex<CreditState>,
+    cv: shim::Condvar,
     capacity: u64,
 }
 
@@ -127,18 +158,18 @@ enum Acquire {
 impl CreditCell {
     fn new(capacity: u64) -> CreditCell {
         CreditCell {
-            state: Mutex::new(CreditState {
+            state: shim::Mutex::new(CreditState {
                 avail: capacity,
                 closed: false,
                 dead: false,
             }),
-            cv: Condvar::new(),
+            cv: shim::Condvar::new(),
             capacity,
         }
     }
 
     fn acquire(&self, timeout: Option<Duration>, stalls: &Counter) -> Acquire {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = timeout.map(|t| shim::Instant::now() + t);
         let mut st = self.state.lock().unwrap();
         let mut stalled = false;
         loop {
@@ -159,10 +190,7 @@ impl CreditCell {
             match deadline {
                 None => st = self.cv.wait(st).unwrap(),
                 Some(d) => {
-                    let Some(left) = d
-                        .checked_duration_since(Instant::now())
-                        .filter(|x| !x.is_zero())
-                    else {
+                    let Some(left) = time_left(d) else {
                         return Acquire::TimedOut;
                     };
                     st = self.cv.wait_timeout(st, left).unwrap().0;
@@ -171,9 +199,19 @@ impl CreditCell {
         }
     }
 
-    fn grant(&self, n: u64) {
-        self.state.lock().unwrap().avail += n;
+    /// Returns `n` credits to the window. `false` — and nothing granted —
+    /// if that would lift it above its capacity: the peer returned credit
+    /// nobody spent.
+    fn grant(&self, n: u64) -> bool {
+        {
+            let mut st = self.state.lock().unwrap();
+            if n > self.capacity - st.avail {
+                return false;
+            }
+            st.avail += n;
+        }
         self.cv.notify_all();
+        true
     }
 
     fn close(&self) {
@@ -187,23 +225,37 @@ impl CreditCell {
     }
 
     /// Buffers currently in flight to the consumer (spent credit).
-    fn in_flight(&self) -> usize {
-        let st = self.state.lock().unwrap();
-        (self.capacity - st.avail.min(self.capacity)) as usize
+    pub(crate) fn in_flight(&self) -> usize {
+        (self.capacity - self.state.lock().unwrap().avail) as usize
     }
 }
 
-/// Receive-side state for one local endpoint fed by remote producers.
-/// The demux queue carries `(buffer, origin node, sender span id)`.
+/// What the demux queue carries: `(buffer, origin node, sender span id)`.
+type Demuxed = (DataBuffer, NodeId, u64);
+
+/// Receive-side state for one local endpoint fed through the protocol.
 struct Route {
-    /// Demux sender into the endpoint's remote queue; dropped once every
-    /// expected CLOSE has arrived, which disconnects the merged stream.
-    tx: Option<Sender<(DataBuffer, NodeId, u64)>>,
+    /// Demux sender into the endpoint's queue; taken once every expected
+    /// CLOSE has arrived, which disconnects the merged stream. `Arc`-
+    /// wrapped so [`deliver_data`] can snapshot it under the routes guard
+    /// and push outside it.
+    tx: Option<Arc<Sender<Demuxed>>>,
+    /// The receiver the endpoint reads, kept so a push that lands *after*
+    /// the consumer dropped (and drained) can be reaped and its credit
+    /// refunded ([`reap_if_gone`]).
+    drain_rx: Arc<Receiver<Demuxed>>,
     /// CLOSE frames still expected, per producer node.
     pending_closes: HashMap<NodeId, usize>,
     /// The consumer endpoint was dropped early: drop frames, refund
     /// credit.
     consumers_gone: bool,
+}
+
+impl Route {
+    /// Every producer copy has sent its CLOSE.
+    fn all_closed(&self) -> bool {
+        self.pending_closes.values().all(|&left| left == 0)
+    }
 }
 
 struct Ctrl {
@@ -213,16 +265,82 @@ struct Ctrl {
     dead: Option<String>,
 }
 
-/// State shared between the transport handle, its endpoints, and the
-/// per-connection reader threads.
-struct Shared {
+/// How a frame leaves this node for a peer — the one seam between the
+/// protocol and what carries it (see the module docs).
+pub(crate) trait Link: Send + Sync {
+    /// Puts a control frame on the wire to node `to`.
+    fn send_frame(&self, to: NodeId, frame: Frame) -> Result<()>;
+
+    /// Puts one DATA frame on the wire to node `to`; the payload stays
+    /// borrowed end to end.
+    fn send_data(&self, to: NodeId, stream: u32, tag: u64, span: u64, payload: &[u8])
+        -> Result<()>;
+
+    /// This node will send nothing more: peers see a clean end of stream.
+    fn shutdown(&self);
+}
+
+/// [`Link`] over one [`Conn`] per peer; the peer's [`reader_loop`] is the
+/// receiving end.
+struct SocketLink {
     my_node: NodeId,
     /// Write half of the connection to each node (`None` at `my_node`).
     writers: Vec<Option<Mutex<Box<dyn Conn>>>>,
+}
+
+impl SocketLink {
+    fn writer(&self, to: NodeId) -> Result<MutexGuard<'_, Box<dyn Conn>>> {
+        let writer = self
+            .writers
+            .get(to)
+            .and_then(|w| w.as_ref())
+            .ok_or_else(|| {
+                GraphStorageError::Net(format!(
+                    "node {} has no connection to node {to}",
+                    self.my_node
+                ))
+            })?;
+        Ok(writer.lock().unwrap())
+    }
+}
+
+impl Link for SocketLink {
+    fn send_frame(&self, to: NodeId, frame: Frame) -> Result<()> {
+        write_frame(&mut *self.writer(to)?, &frame)
+            .map_err(|e| GraphStorageError::Net(format!("writing to node {to} failed: {e}")))
+    }
+
+    fn send_data(
+        &self,
+        to: NodeId,
+        stream: u32,
+        tag: u64,
+        span: u64,
+        payload: &[u8],
+    ) -> Result<()> {
+        write_data_frame(&mut *self.writer(to)?, stream, tag, span, payload)
+            .map_err(|e| GraphStorageError::Net(format!("writing to node {to} failed: {e}")))
+    }
+
+    fn shutdown(&self) {
+        // Half-close every connection so peer reader threads see EOF (a
+        // clean one — our BYE precedes it) instead of blocking forever.
+        for writer in self.writers.iter().flatten() {
+            let _ = writer.lock().unwrap().shutdown_write();
+        }
+    }
+}
+
+/// One node's protocol state, shared between the transport handle, its
+/// endpoints, and whoever delivers inbound frames (the per-connection
+/// reader threads, or a peer's model link).
+pub(crate) struct Shared {
+    my_node: NodeId,
+    link: Box<dyn Link>,
     routes: Mutex<HashMap<u32, Route>>,
-    credits: Mutex<HashMap<u32, Arc<CreditCell>>>,
-    ctrl: Mutex<Ctrl>,
-    ctrl_cv: Condvar,
+    pub(crate) credits: Mutex<HashMap<u32, Arc<CreditCell>>>,
+    ctrl: shim::Mutex<Ctrl>,
+    ctrl_cv: shim::Condvar,
     /// The node's telemetry bundle: frame spans, heartbeat sampling,
     /// and the report captured at `finish` all read from here.
     telemetry: Telemetry,
@@ -241,52 +359,61 @@ struct Shared {
 }
 
 impl Shared {
-    fn send_frame(&self, node: NodeId, frame: &Frame) -> Result<()> {
-        let writer = self
-            .writers
-            .get(node)
-            .and_then(|w| w.as_ref())
-            .ok_or_else(|| {
-                GraphStorageError::Net(format!(
-                    "node {} has no connection to node {node}",
-                    self.my_node
-                ))
-            })?;
-        let mut stream = writer.lock().unwrap();
-        write_frame(&mut *stream, frame)
-            .map_err(|e| GraphStorageError::Net(format!("writing to node {node} failed: {e}")))?;
+    /// Sends a control frame to `node` — by loopback when that is this
+    /// node (a co-located producer or consumer of one of our own routes).
+    fn send_frame(&self, node: NodeId, frame: Frame) -> Result<()> {
+        if node == self.my_node {
+            return self.deliver(node, frame);
+        }
+        let wire_len = frame.wire_len() as u64;
+        self.link.send_frame(node, frame)?;
         self.frames.inc();
-        self.bytes.add(frame.wire_len() as u64);
+        self.bytes.add(wire_len);
         Ok(())
     }
 
-    /// Hot-path twin of [`Shared::send_frame`] for DATA frames: the
-    /// payload stays borrowed end to end (no `Frame` construction, no
-    /// encode buffer), with identical locking and accounting.
-    fn send_data(
-        &self,
-        node: NodeId,
-        stream: u32,
-        tag: u64,
-        span: u64,
-        payload: &[u8],
-    ) -> Result<()> {
-        let writer = self
-            .writers
-            .get(node)
-            .and_then(|w| w.as_ref())
-            .ok_or_else(|| {
-                GraphStorageError::Net(format!(
-                    "node {} has no connection to node {node}",
-                    self.my_node
-                ))
-            })?;
-        let mut s = writer.lock().unwrap();
-        write_data_frame(&mut *s, stream, tag, span, payload)
-            .map_err(|e| GraphStorageError::Net(format!("writing to node {node} failed: {e}")))?;
+    /// [`Shared::send_frame`] for DATA: over the link the payload stays
+    /// borrowed (no `Frame` built, no encode buffer); by loopback the
+    /// buffer moves into the queue as is.
+    fn send_data(&self, node: NodeId, stream: u32, span: u64, buf: DataBuffer) -> Result<()> {
+        if node == self.my_node {
+            return deliver_data(self, node, stream, span, buf).map_err(|msg| self.violated(msg));
+        }
+        self.link
+            .send_data(node, stream, buf.tag, span, &buf.data)?;
         self.frames.inc();
-        self.bytes.add((FRAME_OVERHEAD + payload.len()) as u64);
+        self.bytes.add((FRAME_OVERHEAD + buf.data.len()) as u64);
         Ok(())
+    }
+
+    /// Hands a frame that arrived from `peer` to [`dispatch`]; a protocol
+    /// violation kills the transport and comes back as the typed error.
+    pub(crate) fn deliver(&self, peer: NodeId, frame: Frame) -> Result<()> {
+        dispatch(self, peer, frame).map_err(|msg| self.violated(msg))
+    }
+
+    fn violated(&self, msg: String) -> GraphStorageError {
+        self.fail(msg.clone());
+        GraphStorageError::Net(msg)
+    }
+
+    /// Returns one credit for `stream` to the node that spent it.
+    fn refund(&self, origin: NodeId, stream: u32) {
+        let _ = self.send_frame(origin, Frame::credit(stream, 1));
+    }
+
+    /// Empties `stream`'s demux queue, refunding every frame in it: its
+    /// consumer is gone, and the producers' windows must not leak.
+    fn refund_queued(&self, stream: u32, rx: &Receiver<Demuxed>) {
+        while let Ok((_, origin, _)) = rx.try_recv() {
+            self.refund(origin, stream);
+        }
+    }
+
+    /// The credit window for `stream`, cloned out so no caller holds the
+    /// map guard across the cell's (blocking) operations.
+    fn cell(&self, stream: u32) -> Option<Arc<CreditCell>> {
+        self.credits.lock().unwrap().get(&stream).cloned()
     }
 
     /// Marks the transport dead and wakes everything blocked on it.
@@ -298,23 +425,36 @@ impl Shared {
             }
         }
         self.ctrl_cv.notify_all();
-        for cell in self.credits.lock().unwrap().values() {
+        let cells: Vec<Arc<CreditCell>> = self.credits.lock().unwrap().values().cloned().collect();
+        for cell in cells {
             cell.poison();
         }
-        // Dropping the demux senders wakes receivers blocked on remote
-        // queues; they observe `dead` before reporting the close.
-        for route in self.routes.lock().unwrap().values_mut() {
-            route.tx = None;
-        }
+        // Dropping the demux senders wakes receivers blocked on their
+        // queues; with CLOSEs outstanding they report the failure, not a
+        // close.
+        let senders: Vec<_> = self
+            .routes
+            .lock()
+            .unwrap()
+            .values_mut()
+            .filter_map(|route| route.tx.take())
+            .collect();
+        drop(senders);
     }
 
-    fn dead(&self) -> Option<GraphStorageError> {
+    pub(crate) fn dead(&self) -> Option<GraphStorageError> {
         self.ctrl
             .lock()
             .unwrap()
             .dead
             .clone()
             .map(GraphStorageError::Net)
+    }
+
+    /// The error to report from an operation the dead transport woke.
+    fn failure(&self) -> GraphStorageError {
+        self.dead()
+            .unwrap_or_else(|| GraphStorageError::Net("transport failed".into()))
     }
 
     fn record_heartbeat(&self, hb: Heartbeat) {
@@ -337,17 +477,20 @@ impl Shared {
 /// TCP. Build with [`TcpTransport::establish`], then hand to
 /// [`datacutter::run_node`].
 pub struct TcpTransport {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     my_node: NodeId,
     n_nodes: usize,
-    io_timeout: Duration,
+    /// [`TcpOptions::io_timeout`]; `None` only under the model link,
+    /// where a barrier that would stall forever must show up as a
+    /// deadlock, not as a timeout.
+    io_timeout: Option<Duration>,
     /// Estimated `peer_clock − our_clock` per peer, from handshake RTT
     /// midpoints (tracer-epoch nanoseconds; 0 when tracing is off).
     clock_offsets: HashMap<NodeId, i64>,
     heartbeat_period: Option<Duration>,
     ship_telemetry: bool,
-    /// Master senders of purely/partially local endpoints, dropped at
-    /// `start` exactly like `InProc`.
+    /// Master senders of purely local endpoints, dropped at `start`
+    /// exactly like `InProc`.
     masters: HashMap<u64, (Sender<DataBuffer>, NodeId)>,
 }
 
@@ -452,8 +595,7 @@ impl TcpTransport {
         opts: TcpOptions,
     ) -> Result<TcpTransport> {
         let n = conns.len();
-        let telemetry = &opts.telemetry;
-        let shared = Arc::new(Shared {
+        let link = SocketLink {
             my_node,
             writers: conns
                 .iter()
@@ -464,23 +606,16 @@ impl TcpTransport {
                 })
                 .collect::<std::io::Result<_>>()
                 .map_err(net_io)?,
-            routes: Mutex::new(HashMap::new()),
-            credits: Mutex::new(HashMap::new()),
-            ctrl: Mutex::new(Ctrl {
-                ready_from: HashSet::new(),
-                bye_from: HashSet::new(),
-                dead: None,
-            }),
-            ctrl_cv: Condvar::new(),
-            telemetry: telemetry.clone(),
-            frames: telemetry.metrics.counter("net.frames"),
-            bytes: telemetry.metrics.counter("net.bytes"),
-            credit_stalls: telemetry.metrics.counter("net.credit_stalls"),
-            reports_from: Mutex::new(Vec::new()),
-            heartbeats: Mutex::new(Vec::new()),
-            hb_stop: AtomicBool::new(false),
-            print_heartbeats: opts.print_heartbeats,
-        });
+        };
+        let transport = TcpTransport::over_link(
+            my_node,
+            n,
+            Box::new(link),
+            Some(opts.io_timeout),
+            clock_offsets,
+            &opts,
+        );
+        let shared = &transport.shared;
         // The handshake already put one HELLO per peer on the wire.
         let hello_len = Frame::hello(0, 0, 0, 0).wire_len() as u64;
         shared.frames.add((n - 1) as u64);
@@ -490,23 +625,58 @@ impl TcpTransport {
         // routes, credit cells, and the control barrier.
         for (peer, conn) in conns.into_iter().enumerate() {
             let Some(stream) = conn else { continue };
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(shared);
             thread::Builder::new()
                 .name(format!("net-rx-{my_node}-{peer}"))
                 .spawn(move || reader_loop(&shared, peer, stream))
                 .map_err(GraphStorageError::Io)?;
         }
+        Ok(transport)
+    }
 
-        Ok(TcpTransport {
+    /// The protocol state of node `my_node` of `n_nodes`, sending through
+    /// `link`. Whoever builds the link arranges for inbound frames to
+    /// reach [`Shared::deliver`]. `io_timeout` replaces the one in `opts`
+    /// (see the field).
+    pub(crate) fn over_link(
+        my_node: NodeId,
+        n_nodes: usize,
+        link: Box<dyn Link>,
+        io_timeout: Option<Duration>,
+        clock_offsets: HashMap<NodeId, i64>,
+        opts: &TcpOptions,
+    ) -> TcpTransport {
+        let telemetry = &opts.telemetry;
+        let shared = Arc::new(Shared {
+            my_node,
+            link,
+            routes: Mutex::new(HashMap::new()),
+            credits: Mutex::new(HashMap::new()),
+            ctrl: shim::Mutex::new(Ctrl {
+                ready_from: HashSet::new(),
+                bye_from: HashSet::new(),
+                dead: None,
+            }),
+            ctrl_cv: shim::Condvar::new(),
+            telemetry: telemetry.clone(),
+            frames: telemetry.metrics.counter("net.frames"),
+            bytes: telemetry.metrics.counter("net.bytes"),
+            credit_stalls: telemetry.metrics.counter("net.credit_stalls"),
+            reports_from: Mutex::new(Vec::new()),
+            heartbeats: Mutex::new(Vec::new()),
+            hb_stop: AtomicBool::new(false),
+            print_heartbeats: opts.print_heartbeats,
+        });
+        TcpTransport {
             shared,
             my_node,
-            n_nodes: n,
-            io_timeout: opts.io_timeout,
+            n_nodes,
+            io_timeout,
             clock_offsets,
             heartbeat_period: opts.heartbeat_period,
             ship_telemetry: opts.ship_telemetry,
             masters: HashMap::new(),
-        })
+        }
     }
 
     /// [`TcpTransport::establish`] over caller-supplied [`Conn`]s — the
@@ -580,10 +750,10 @@ impl TcpTransport {
         Ok(out)
     }
 
-    /// Waits until `pick` is satisfied on the control state or the
-    /// deadline passes; `what` names the wait in the timeout error.
+    /// Waits until `pick` is satisfied on the control state or the io
+    /// timeout passes; `what` names the wait in the timeout error.
     fn await_ctrl(&self, what: &str, pick: impl Fn(&Ctrl) -> bool, timeout_ok: bool) -> Result<()> {
-        let deadline = Instant::now() + self.io_timeout;
+        let deadline = self.io_timeout.map(|t| (shim::Instant::now() + t, t));
         let mut ctrl = self.shared.ctrl.lock().unwrap();
         loop {
             if let Some(msg) = &ctrl.dead {
@@ -592,19 +762,20 @@ impl TcpTransport {
             if pick(&ctrl) {
                 return Ok(());
             }
-            let Some(left) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                if timeout_ok {
-                    return Ok(());
+            ctrl = match deadline {
+                None => self.shared.ctrl_cv.wait(ctrl).unwrap(),
+                Some((deadline, io_timeout)) => {
+                    let Some(left) = time_left(deadline) else {
+                        if timeout_ok {
+                            return Ok(());
+                        }
+                        return Err(GraphStorageError::Net(format!(
+                            "peers never reached {what} within {io_timeout:?}"
+                        )));
+                    };
+                    self.shared.ctrl_cv.wait_timeout(ctrl, left).unwrap().0
                 }
-                return Err(GraphStorageError::Net(format!(
-                    "peers never reached {what} within {:?}",
-                    self.io_timeout
-                )));
             };
-            ctrl = self.shared.ctrl_cv.wait_timeout(ctrl, left).unwrap().0;
         }
     }
 }
@@ -627,46 +798,40 @@ impl Transport for TcpTransport {
             return Ok(Box::new(ChannelRx::new(rx)));
         }
         let stream = stream_id(spec)?;
-        let local_rx = if spec.local_producers > 0 {
-            let (tx, rx) = bounded(spec.capacity);
-            self.masters.insert(spec.id, (tx, spec.node));
-            Some(rx)
-        } else {
-            None
-        };
-        let peers: Vec<NodeId> = spec
-            .remote_producers
-            .iter()
-            .map(|&(node, _)| node)
-            .collect();
+        // Co-located producers make this node one more producer node of
+        // the stream, reached by loopback.
+        let mut producers = spec.remote_producers.clone();
+        if spec.local_producers > 0 {
+            producers.push((self.my_node, spec.local_producers));
+        }
+        let peers: Vec<NodeId> = producers.iter().map(|&(node, _)| node).collect();
         // Sized so that conforming producers (≤ capacity outstanding
-        // frames per node) can never fill it: the reader thread's
-        // non-blocking demux push must always succeed.
+        // frames per node) can never fill it: the non-blocking demux push
+        // must always succeed.
         let (demux_tx, demux_rx) = bounded(spec.capacity * peers.len());
+        let demux_rx = Arc::new(demux_rx);
         self.shared.routes.lock().unwrap().insert(
             stream,
             Route {
-                tx: Some(demux_tx),
-                pending_closes: spec.remote_producers.iter().copied().collect(),
+                tx: Some(Arc::new(demux_tx)),
+                drain_rx: Arc::clone(&demux_rx),
+                pending_closes: producers.into_iter().collect(),
                 consumers_gone: false,
             },
         );
         Ok(Box::new(NetRx {
             inner: Arc::new(RxInner {
                 stream,
-                local_rx,
-                remote_rx: demux_rx,
+                rx: demux_rx,
                 peers,
                 shared: Arc::clone(&self.shared),
-                local_done: AtomicBool::new(false),
-                remote_done: AtomicBool::new(false),
             }),
         }))
     }
 
     fn open_sender(&mut self, spec: &EndpointSpec) -> Result<Box<dyn TxEndpoint>> {
-        if spec.node == self.my_node {
-            // Consumer co-located: a plain channel clone, as in-process.
+        if spec.node == self.my_node && spec.remote_producers.is_empty() {
+            // Purely local endpoint: a plain channel clone, as in-process.
             let (tx, dst) = self.masters.get(&spec.id).ok_or_else(|| {
                 GraphStorageError::Unsupported(format!(
                     "no endpoint {} ({}.{}) opened before its sender",
@@ -699,9 +864,9 @@ impl Transport for TcpTransport {
         // clones drop), then barrier: no DATA may reach a peer before it
         // has registered every route, which it signals with READY.
         self.masters.clear();
-        let ready = Frame::control(FrameKind::Ready, 0);
         for peer in self.peers().collect::<Vec<_>>() {
-            self.shared.send_frame(peer, &ready)?;
+            self.shared
+                .send_frame(peer, Frame::control(FrameKind::Ready, 0))?;
         }
         let want = self.n_nodes - 1;
         self.await_ctrl("the READY barrier", |c| c.ready_from.len() == want, false)?;
@@ -726,7 +891,7 @@ impl Transport for TcpTransport {
             let _span = self.shared.telemetry.tracer.span("net.telemetry_ship");
             let report = NodeTelemetry::capture(self.my_node as u32, &self.shared.telemetry);
             if let Ok(frame) = Frame::telemetry(report.to_json().as_bytes()) {
-                let _ = self.shared.send_frame(0, &frame);
+                let _ = self.shared.send_frame(0, frame);
             }
         }
         // Tell every peer our run is complete — after this, our EOF is a
@@ -734,17 +899,14 @@ impl Transport for TcpTransport {
         // Missing BYEs after the window are forgiven (best-effort), but a
         // transport death is not: a peer that died mid-run must surface
         // even when every local filter finished first.
-        let bye = Frame::control(FrameKind::Bye, 0);
         for peer in self.peers().collect::<Vec<_>>() {
-            let _ = self.shared.send_frame(peer, &bye);
+            let _ = self
+                .shared
+                .send_frame(peer, Frame::control(FrameKind::Bye, 0));
         }
         let want = self.n_nodes - 1;
         let outcome = self.await_ctrl("BYE exchange", |c| c.bye_from.len() == want, true);
-        // Half-close every connection so peer reader threads see EOF (a
-        // clean one — our BYE precedes it) instead of blocking forever.
-        for writer in self.shared.writers.iter().flatten() {
-            let _ = writer.lock().unwrap().shutdown_write();
-        }
+        self.shared.link.shutdown();
         outcome
     }
 }
@@ -873,7 +1035,7 @@ fn heartbeat_loop(shared: &Shared, period: Duration) {
         };
         if shared.my_node == 0 {
             shared.record_heartbeat(hb);
-        } else if shared.send_frame(0, &Frame::heartbeat(&hb)).is_err() {
+        } else if shared.send_frame(0, Frame::heartbeat(&hb)).is_err() {
             // The connection is going away; the reader side reports it.
             return;
         }
@@ -884,8 +1046,7 @@ fn reader_loop(shared: &Shared, peer: NodeId, mut stream: Box<dyn Conn>) {
     loop {
         match read_frame(&mut stream) {
             Ok(Some(frame)) => {
-                if let Err(msg) = dispatch(shared, peer, frame) {
-                    shared.fail(msg);
+                if shared.deliver(peer, frame).is_err() {
                     return;
                 }
             }
@@ -914,76 +1075,57 @@ fn reader_loop(shared: &Shared, peer: NodeId, mut stream: Box<dyn Conn>) {
     }
 }
 
+/// Applies one frame that arrived from `peer` to this node's protocol
+/// state. `Err` is a protocol violation (see [`Shared::deliver`]).
 fn dispatch(shared: &Shared, peer: NodeId, frame: Frame) -> std::result::Result<(), String> {
     match frame.kind {
         FrameKind::Data => {
             let buf = DataBuffer::new(frame.tag, frame.payload);
-            let mut routes = shared.routes.lock().unwrap();
-            let Some(route) = routes.get_mut(&frame.stream) else {
-                return Err(format!(
-                    "DATA on unknown stream {} from node {peer}",
-                    frame.stream
-                ));
-            };
-            let refund = match &route.tx {
-                _ if route.consumers_gone => true,
-                None => true,
-                Some(tx) => match tx.send_timeout((buf, peer, frame.span), Duration::ZERO) {
-                    Ok(()) => false,
-                    Err(SendTimeoutError::Timeout(_)) => {
-                        return Err(format!(
-                            "credit protocol violation: node {peer} overran stream {}",
-                            frame.stream
-                        ));
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        route.consumers_gone = true;
-                        true
-                    }
-                },
-            };
-            drop(routes);
-            if refund {
-                // Consumer is gone: hand the credit straight back and make
-                // sure the producer knows to stop.
-                let _ = shared.send_frame(peer, &Frame::credit(frame.stream, 1));
-                let _ = shared.send_frame(peer, &Frame::control(FrameKind::EpClosed, frame.stream));
-            }
-            Ok(())
+            deliver_data(shared, peer, frame.stream, frame.span, buf)
         }
         FrameKind::Credit => {
             let amount = frame.parse_credit().map_err(|e| e.to_string())?;
-            if let Some(cell) = shared.credits.lock().unwrap().get(&frame.stream) {
-                cell.grant(amount as u64);
+            match shared.cell(frame.stream) {
+                Some(cell) if !cell.grant(amount as u64) => Err(format!(
+                    "credit protocol violation: node {peer} returned {amount} credit(s) on \
+                     stream {} beyond its window of {}",
+                    frame.stream, cell.capacity
+                )),
+                _ => Ok(()),
             }
-            Ok(())
         }
         FrameKind::Close => {
-            let mut routes = shared.routes.lock().unwrap();
-            let Some(route) = routes.get_mut(&frame.stream) else {
-                return Err(format!(
-                    "CLOSE on unknown stream {} from node {peer}",
-                    frame.stream
-                ));
-            };
-            match route.pending_closes.get_mut(&peer) {
-                Some(left) if *left > 0 => *left -= 1,
-                _ => {
+            let last_tx = {
+                let mut routes = shared.routes.lock().unwrap();
+                let Some(route) = routes.get_mut(&frame.stream) else {
                     return Err(format!(
-                        "unexpected CLOSE on stream {} from node {peer}",
+                        "CLOSE on unknown stream {} from node {peer}",
                         frame.stream
                     ));
+                };
+                match route.pending_closes.get_mut(&peer) {
+                    Some(left) if *left > 0 => *left -= 1,
+                    _ => {
+                        return Err(format!(
+                            "unexpected CLOSE on stream {} from node {peer}",
+                            frame.stream
+                        ));
+                    }
                 }
-            }
-            if route.pending_closes.values().all(|&left| left == 0) {
-                // Last producer copy is done: drop the demux sender so the
-                // merged stream disconnects once drained.
-                route.tx = None;
-            }
+                if route.all_closed() {
+                    route.tx.take()
+                } else {
+                    None
+                }
+            };
+            // Last producer copy is done: dropping the demux sender
+            // disconnects the merged stream once drained — and wakes a
+            // blocked receiver, so it happens outside the routes guard.
+            drop(last_tx);
             Ok(())
         }
         FrameKind::EpClosed => {
-            if let Some(cell) = shared.credits.lock().unwrap().get(&frame.stream) {
+            if let Some(cell) = shared.cell(frame.stream) {
                 cell.close();
             }
             Ok(())
@@ -1027,17 +1169,80 @@ fn dispatch(shared: &Shared, peer: NodeId, frame: Frame) -> std::result::Result<
     }
 }
 
-/// Receive endpoint merging a local channel (co-located producers) with
-/// the credit-bounded demux queue (remote producers).
+/// Routes one DATA buffer from `peer` into its endpoint's demux queue,
+/// or hands its credit straight back if the consumer is gone.
+fn deliver_data(
+    shared: &Shared,
+    peer: NodeId,
+    stream: u32,
+    span: u64,
+    buf: DataBuffer,
+) -> std::result::Result<(), String> {
+    // Snapshot the route under the guard, push outside it: the push
+    // wakes a blocked receiver.
+    let tx = {
+        let routes = shared.routes.lock().unwrap();
+        let Some(route) = routes.get(&stream) else {
+            return Err(format!("DATA on unknown stream {stream} from node {peer}"));
+        };
+        if route.consumers_gone {
+            None
+        } else {
+            route.tx.clone()
+        }
+    };
+    let queued = match tx {
+        None => false,
+        Some(tx) => match tx.send_timeout((buf, peer, span), Duration::ZERO) {
+            Ok(()) => true,
+            Err(SendTimeoutError::Timeout(_)) => {
+                return Err(format!(
+                    "credit protocol violation: node {peer} overran stream {stream}"
+                ));
+            }
+            Err(SendTimeoutError::Disconnected(_)) => false,
+        },
+    };
+    if queued {
+        // The consumer may have dropped — and drained — while the push
+        // was in flight.
+        reap_if_gone(shared, stream);
+    } else {
+        // Consumer is gone: hand the credit straight back and make sure
+        // the producer knows to stop.
+        shared.refund(peer, stream);
+        let _ = shared.send_frame(peer, Frame::control(FrameKind::EpClosed, stream));
+    }
+    Ok(())
+}
+
+/// Refunds every frame stranded in `stream`'s demux queue if its
+/// consumers are gone: the endpoint may have dropped (and drained the
+/// queue) between [`deliver_data`]'s route snapshot and its push landing,
+/// in which case nobody else will ever pop the frame. Queue pops are
+/// atomic, so a frame is refunded exactly once even when the
+/// endpoint-drop drain runs concurrently.
+fn reap_if_gone(shared: &Shared, stream: u32) {
+    let rx = {
+        let routes = shared.routes.lock().unwrap();
+        routes
+            .get(&stream)
+            .filter(|route| route.consumers_gone)
+            .map(|route| Arc::clone(&route.drain_rx))
+    };
+    if let Some(rx) = rx {
+        shared.refund_queued(stream, &rx);
+    }
+}
+
+/// Receive endpoint over the credit-bounded demux queue that merges
+/// every producer node's frames.
 struct RxInner {
     stream: u32,
-    local_rx: Option<Receiver<DataBuffer>>,
-    remote_rx: Receiver<(DataBuffer, NodeId, u64)>,
-    /// Remote producer nodes, told EP_CLOSED when this endpoint drops.
+    rx: Arc<Receiver<Demuxed>>,
+    /// Producer nodes, told EP_CLOSED when this endpoint drops.
     peers: Vec<NodeId>,
     shared: Arc<Shared>,
-    local_done: AtomicBool,
-    remote_done: AtomicBool,
 }
 
 struct NetRx {
@@ -1045,123 +1250,46 @@ struct NetRx {
 }
 
 impl RxInner {
-    /// Pops the next buffer without blocking, returning the credit for
-    /// remote buffers to their origin node.
-    fn poll(&self) -> std::result::Result<DataBuffer, (bool, bool)> {
-        use crossbeam::channel::TryRecvError;
-        let mut local_open = false;
-        if let Some(rx) = &self.local_rx {
-            // racecheck: done flags memo a disconnect the channel itself
-            // already ordered; worst case is one redundant try_recv.
-            if !self.local_done.load(Ordering::Relaxed) {
-                match rx.try_recv() {
-                    Ok(buf) => return Ok(buf),
-                    Err(TryRecvError::Empty) => local_open = true,
-                    Err(TryRecvError::Disconnected) => {
-                        self.local_done.store(true, Ordering::Relaxed)
-                    }
-                }
-            }
-        }
-        let mut remote_open = false;
-        // racecheck: disconnect memo, same as local_done above.
-        if !self.remote_done.load(Ordering::Relaxed) {
-            match self.remote_rx.try_recv() {
-                Ok((buf, origin, span)) => {
-                    self.took_remote(origin, span);
-                    return Ok(buf);
-                }
-                Err(TryRecvError::Empty) => remote_open = true,
-                Err(TryRecvError::Disconnected) => self.remote_done.store(true, Ordering::Relaxed),
-            }
-        }
-        Err((local_open, remote_open))
+    fn producers_closed(&self) -> bool {
+        let routes = self.shared.routes.lock().unwrap();
+        routes.get(&self.stream).is_some_and(Route::all_closed)
     }
 
     /// Bookkeeping for a buffer taken off the demux queue: record the
-    /// sender-span → current-span causal edge and return the credit to
-    /// the origin node, stamped with our span so the ack is traceable.
-    fn took_remote(&self, origin: NodeId, span: u64) {
+    /// sender-span → current-span causal edge (cross-node only) and
+    /// return the credit to the origin node, stamped with our span so the
+    /// ack is traceable.
+    fn took(&self, (buf, origin, span): Demuxed) -> DataBuffer {
         let tracer = &self.shared.telemetry.tracer;
-        tracer.flow_in(origin as u32, span);
+        if origin != self.shared.my_node {
+            tracer.flow_in(origin as u32, span);
+        }
         let credit = Frame::credit(self.stream, 1).with_span(tracer.current_span_id());
-        let _ = self.shared.send_frame(origin, &credit);
+        let _ = self.shared.send_frame(origin, credit);
+        buf
     }
 }
 
 impl RxEndpoint for NetRx {
     fn recv(&self, timeout: Option<Duration>) -> RecvOutcome {
         let inner = &self.inner;
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut idle = 0u32;
-        loop {
-            if let Some(e) = inner.shared.dead() {
-                return RecvOutcome::Failed(e);
-            }
-            let (local_open, remote_open) = match inner.poll() {
-                Ok(buf) => return RecvOutcome::Buf(buf),
-                Err(open) => open,
-            };
-            if !local_open && !remote_open {
-                return RecvOutcome::Closed;
-            }
-            let slice = match deadline {
-                Some(d) => {
-                    let Some(left) = d
-                        .checked_duration_since(Instant::now())
-                        .filter(|x| !x.is_zero())
-                    else {
-                        return RecvOutcome::TimedOut;
-                    };
-                    left.min(Duration::from_millis(25))
-                }
-                None => Duration::from_millis(25),
-            };
-            if local_open && remote_open {
-                // Two live sources: poll with a short backoff so neither
-                // starves the other.
-                idle += 1;
-                thread::sleep(
-                    Duration::from_micros(200)
-                        .saturating_mul(idle)
-                        .min(Duration::from_millis(2)),
-                );
-                continue;
-            }
-            idle = 0;
-            // One live source: block on it in slices, re-checking `dead`
-            // between slices so a transport failure wakes us promptly.
-            if local_open {
-                let rx = inner
-                    .local_rx
-                    .as_ref()
-                    .expect("local_open implies local_rx");
-                match rx.recv_timeout(slice) {
-                    Ok(buf) => return RecvOutcome::Buf(buf),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    // racecheck: disconnect memo, see RxInner::poll.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        inner.local_done.store(true, Ordering::Relaxed)
-                    }
-                }
-            } else {
-                match inner.remote_rx.recv_timeout(slice) {
-                    Ok((buf, origin, span)) => {
-                        inner.took_remote(origin, span);
-                        return RecvOutcome::Buf(buf);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    // racecheck: disconnect memo, see RxInner::poll.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        inner.remote_done.store(true, Ordering::Relaxed)
-                    }
-                }
-            }
+        let popped = match timeout {
+            None => inner.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(limit) => inner.rx.recv_timeout(limit),
+        };
+        match popped {
+            Ok(item) => RecvOutcome::Buf(inner.took(item)),
+            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
+            Err(RecvTimeoutError::Disconnected) if inner.producers_closed() => RecvOutcome::Closed,
+            // Disconnected with CLOSEs outstanding: the transport failed,
+            // which drops every demux sender to wake its receiver.
+            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Failed(inner.shared.failure()),
         }
     }
 
     fn try_recv(&self) -> Option<DataBuffer> {
-        self.inner.poll().ok()
+        let item = self.inner.rx.try_recv().ok()?;
+        Some(self.inner.took(item))
     }
 
     fn clone_endpoint(&self) -> Box<dyn RxEndpoint> {
@@ -1174,25 +1302,28 @@ impl RxEndpoint for NetRx {
 impl Drop for RxInner {
     fn drop(&mut self) {
         // The consumer endpoint is gone (normally at end of run, possibly
-        // early). Stop routing to it and tell remote producers, so their
-        // sends observe "consumer hung up" like a dropped channel.
-        {
+        // early). Stop routing to it, refund the credit of every frame
+        // still queued, and tell the producers, so their sends observe
+        // "consumer hung up" like a dropped channel.
+        let tx = {
             let mut routes = self.shared.routes.lock().unwrap();
-            if let Some(route) = routes.get_mut(&self.stream) {
+            routes.get_mut(&self.stream).and_then(|route| {
                 route.consumers_gone = true;
-                route.tx = None;
-            }
-        }
+                route.tx.take()
+            })
+        };
+        drop(tx);
+        self.shared.refund_queued(self.stream, &self.rx);
         for &peer in &self.peers {
             let _ = self
                 .shared
-                .send_frame(peer, &Frame::control(FrameKind::EpClosed, self.stream));
+                .send_frame(peer, Frame::control(FrameKind::EpClosed, self.stream));
         }
     }
 }
 
-/// One producer copy's handle onto a remote stream. Clones share the
-/// close identity: CLOSE goes on the wire when the last clone drops.
+/// One producer copy's handle onto a stream. Clones share the close
+/// identity: CLOSE goes on the wire when the last clone drops.
 struct TxInner {
     stream: u32,
     dst: NodeId,
@@ -1208,7 +1339,7 @@ impl Drop for TxInner {
     fn drop(&mut self) {
         let _ = self
             .shared
-            .send_frame(self.dst, &Frame::control(FrameKind::Close, self.stream));
+            .send_frame(self.dst, Frame::control(FrameKind::Close, self.stream));
     }
 }
 
@@ -1219,20 +1350,10 @@ impl TxEndpoint for TcpTx {
             Acquire::Got => {}
             Acquire::TimedOut => return SendOutcome::TimedOut,
             Acquire::Closed => return SendOutcome::Closed,
-            Acquire::Dead => {
-                return SendOutcome::Failed(
-                    inner
-                        .shared
-                        .dead()
-                        .unwrap_or_else(|| GraphStorageError::Net("transport failed".into())),
-                );
-            }
+            Acquire::Dead => return SendOutcome::Failed(inner.shared.failure()),
         }
         let span = inner.shared.telemetry.tracer.current_span_id();
-        match inner
-            .shared
-            .send_data(inner.dst, inner.stream, buf.tag, span, &buf.data)
-        {
+        match inner.shared.send_data(inner.dst, inner.stream, span, buf) {
             Ok(()) => SendOutcome::Sent,
             Err(e) => {
                 inner.shared.fail(e.to_string());
@@ -1246,7 +1367,12 @@ impl TxEndpoint for TcpTx {
     }
 
     fn wire_bytes(&self, payload_len: usize) -> u64 {
-        (FRAME_OVERHEAD + payload_len) as u64
+        if self.inner.dst == self.inner.shared.my_node {
+            // Loopback is a memory copy: exactly the payload.
+            payload_len as u64
+        } else {
+            (FRAME_OVERHEAD + payload_len) as u64
+        }
     }
 
     fn queue_len(&self) -> usize {
@@ -1296,6 +1422,30 @@ mod tests {
             capacity,
             local_producers: 0,
             remote_producers: remote,
+        }
+    }
+
+    /// Starts both nodes of a two-node mesh (each `start` waits for the
+    /// other's READY).
+    fn start_pair(n0: &mut TcpTransport, n1: &mut TcpTransport) {
+        thread::scope(|scope| {
+            let a = scope.spawn(|| n0.start());
+            n1.start().unwrap();
+            a.join().unwrap().unwrap();
+        });
+    }
+
+    /// Polls `tx.queue_len()` until it reaches `want` (credit returns
+    /// asynchronously over the socket).
+    fn await_queue_len(tx: &dyn TxEndpoint, want: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tx.queue_len() != want {
+            assert!(
+                Instant::now() < deadline,
+                "queue_len stuck at {}, want {want}",
+                tx.queue_len()
+            );
+            thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -1358,11 +1508,7 @@ mod tests {
         let s = spec(0, 1, 2, vec![(0, 1)]);
         let rx = n1.open_endpoint(&s).unwrap();
         let tx = n0.open_sender(&s).unwrap();
-        thread::scope(|scope| {
-            let a = scope.spawn(|| n0.start());
-            n1.start().unwrap();
-            a.join().unwrap().unwrap();
-        });
+        start_pair(&mut n0, &mut n1);
 
         // Capacity 2: the third send must block until the consumer pops.
         assert!(matches!(
@@ -1397,11 +1543,7 @@ mod tests {
         let s = spec(0, 1, 4, vec![(0, 1)]);
         let rx = n1.open_endpoint(&s).unwrap();
         let tx = n0.open_sender(&s).unwrap();
-        thread::scope(|scope| {
-            let a = scope.spawn(|| n0.start());
-            n1.start().unwrap();
-            a.join().unwrap().unwrap();
-        });
+        start_pair(&mut n0, &mut n1);
         drop(rx); // consumer hangs up before any data
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -1411,6 +1553,116 @@ mod tests {
                 other => panic!("expected Closed before the deadline, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn early_consumer_drop_refunds_queued_frames() {
+        let mut nodes = mesh(2, 5);
+        let mut n1 = nodes.pop().unwrap();
+        let mut n0 = nodes.pop().unwrap();
+        let s = spec(0, 1, 4, vec![(0, 1)]);
+        let barrier = spec(1, 1, 4, vec![(0, 1)]);
+        let rx = n1.open_endpoint(&s).unwrap();
+        let barrier_rx = n1.open_endpoint(&barrier).unwrap();
+        let tx = n0.open_sender(&s).unwrap();
+        let barrier_tx = n0.open_sender(&barrier).unwrap();
+        start_pair(&mut n0, &mut n1);
+        for tag in 0..4 {
+            assert!(matches!(
+                tx.send(DataBuffer::control(tag), None),
+                SendOutcome::Sent
+            ));
+        }
+        assert_eq!(tx.queue_len(), 4);
+        // One connection, FIFO: once the barrier frame is out of node 1's
+        // reader, the four frames before it sit in the endpoint's queue.
+        assert!(matches!(
+            barrier_tx.send(DataBuffer::control(9), None),
+            SendOutcome::Sent
+        ));
+        assert!(matches!(
+            barrier_rx.recv(Some(Duration::from_secs(5))),
+            RecvOutcome::Buf(_)
+        ));
+        drop(rx); // never popped a frame: the drop must hand all four back
+        await_queue_len(&*tx, 0);
+    }
+
+    #[test]
+    fn excess_credit_from_the_wire_fails_the_transport() {
+        let mut nodes = mesh(2, 6);
+        let mut n1 = nodes.pop().unwrap();
+        let mut n0 = nodes.pop().unwrap();
+        let s = spec(0, 1, 2, vec![(0, 1)]);
+        let _rx = n1.open_endpoint(&s).unwrap();
+        let tx = n0.open_sender(&s).unwrap();
+        start_pair(&mut n0, &mut n1);
+        // Node 0's window is full; a CREDIT for a frame it never sent is
+        // a protocol violation, not extra window.
+        n1.shared.link.send_frame(0, Frame::credit(0, 1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while n0.shared.dead().is_none() {
+            assert!(Instant::now() < deadline, "the excess CREDIT was accepted");
+            thread::sleep(Duration::from_millis(1));
+        }
+        match tx.send(DataBuffer::control(0), None) {
+            SendOutcome::Failed(GraphStorageError::Net(msg)) => {
+                assert!(msg.contains("credit protocol violation"), "got: {msg}")
+            }
+            other => panic!("expected Failed(Net), got {other:?}"),
+        }
+        assert_eq!(
+            tx.queue_len(),
+            0,
+            "the refused grant must not move the window"
+        );
+    }
+
+    #[test]
+    fn local_and_remote_producers_merge_into_one_endpoint() {
+        let mut nodes = mesh(2, 7);
+        let mut n1 = nodes.pop().unwrap();
+        let mut n0 = nodes.pop().unwrap();
+        let s = EndpointSpec {
+            local_producers: 1,
+            ..spec(0, 1, 2, vec![(0, 1)])
+        };
+        let rx = n1.open_endpoint(&s).unwrap();
+        let remote_tx = n0.open_sender(&s).unwrap();
+        let local_tx = n1.open_sender(&s).unwrap();
+        start_pair(&mut n0, &mut n1);
+        assert_eq!(local_tx.dst_node(), 1);
+        assert_eq!(local_tx.wire_bytes(10), 10);
+        assert_eq!(remote_tx.wire_bytes(10), (FRAME_OVERHEAD + 10) as u64);
+        // Each producer node has its own window of 2.
+        for tag in [10, 11] {
+            assert!(matches!(
+                local_tx.send(DataBuffer::control(tag), None),
+                SendOutcome::Sent
+            ));
+        }
+        assert!(matches!(
+            local_tx.send(DataBuffer::control(12), Some(Duration::from_millis(20))),
+            SendOutcome::TimedOut
+        ));
+        for tag in [20, 21] {
+            assert!(matches!(
+                remote_tx.send(DataBuffer::control(tag), None),
+                SendOutcome::Sent
+            ));
+        }
+        drop(local_tx);
+        drop(remote_tx);
+        let mut tags = Vec::new();
+        loop {
+            match rx.recv(Some(Duration::from_secs(5))) {
+                RecvOutcome::Buf(buf) => tags.push(buf.tag),
+                RecvOutcome::Closed => break,
+                other => panic!("expected a buffer or Closed, got {other:?}"),
+            }
+        }
+        tags.sort_unstable();
+        assert_eq!(tags, vec![10, 11, 20, 21]);
     }
 
     #[test]
@@ -1449,18 +1701,10 @@ mod tests {
         let s = spec(0, 1, 4, vec![(0, 1)]);
         let rx = n1.open_endpoint(&s).unwrap();
         let tx = n0.open_sender(&s).unwrap();
-        thread::scope(|scope| {
-            let a = scope.spawn(|| n0.start());
-            n1.start().unwrap();
-            a.join().unwrap().unwrap();
-        });
-        // Node 0 "dies": its sockets close without BYE.
+        start_pair(&mut n0, &mut n1);
+        // Node 0 "dies": its connections end without BYE.
         drop(tx);
-        let shared0 = Arc::clone(&n0.shared);
-        drop(n0);
-        for w in shared0.writers.iter().flatten() {
-            let _ = w.lock().unwrap().shutdown_both();
-        }
+        n0.shared.link.shutdown();
         // ...makes node 1's blocked recv fail, not hang. (The CLOSE from
         // dropping tx may race the shutdown, so Closed is also possible,
         // but a hang is not.)

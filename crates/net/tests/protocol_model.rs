@@ -1,8 +1,9 @@
-//! Exhaustive exploration of the credit-flow protocol over
-//! [`mssg_net::ModelTransport`]: every interleaving of node threads,
-//! reader threads and control frames in small multi-node graphs, checked
-//! for deadlock, lost frames, and credit leaks — plus negative controls
-//! proving each class of bug is actually caught.
+//! Exhaustive exploration of the credit-flow protocol as
+//! [`mssg_net::TcpTransport`] implements it, joined by model links
+//! ([`mssg_net::model_cluster`]) instead of sockets: every interleaving
+//! of node threads and frame deliveries in small multi-node graphs,
+//! checked for deadlock, lost frames, and credit leaks — plus negative
+//! controls proving each class of bug is actually caught.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use datacutter::{DataBuffer, EndpointSpec, NodeId, RecvOutcome, SendOutcome, Transport};
 use mssg_modelcheck::{check, check_config, spawn, Config};
-use mssg_net::{model_cluster, Faults};
+use mssg_net::{model_cluster, LinkFaults};
 
 fn spec(id: u64, node: NodeId, capacity: usize, remote: Vec<(NodeId, usize)>) -> EndpointSpec {
     EndpointSpec {
@@ -43,7 +44,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[test]
 fn two_node_credit_protocol_is_clean_in_every_schedule() {
     let report = check(|| {
-        let mut cluster = model_cluster(2, Faults::default());
+        let mut cluster = model_cluster(2, LinkFaults::default());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -95,7 +96,7 @@ fn early_endpoint_drop_refunds_credit_in_every_schedule() {
     let closed_seen = Arc::new(AtomicUsize::new(0));
     let closed_seen2 = Arc::clone(&closed_seen);
     let report = check(move || {
-        let mut cluster = model_cluster(2, Faults::default());
+        let mut cluster = model_cluster(2, LinkFaults::default());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -142,6 +143,7 @@ fn early_endpoint_drop_refunds_credit_in_every_schedule() {
         report.executions,
         closed_seen.load(Ordering::Relaxed)
     );
+    assert!(report.complete, "the two-node DFS must be exhaustive");
 }
 
 /// CLOSE accounting with two producer copies on one node: the merged
@@ -150,7 +152,7 @@ fn early_endpoint_drop_refunds_credit_in_every_schedule() {
 #[test]
 fn close_accounting_tracks_every_producer_copy() {
     let report = check(|| {
-        let mut cluster = model_cluster(2, Faults::default());
+        let mut cluster = model_cluster(2, LinkFaults::default());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -194,6 +196,64 @@ fn close_accounting_tracks_every_producer_copy() {
         "close_accounting: {} schedules explored, all clean",
         report.executions
     );
+    assert!(report.complete, "the two-node DFS must be exhaustive");
+}
+
+/// An endpoint fed by a co-located producer *and* a remote one: the
+/// local copy's frames, credit and CLOSE take the loopback path through
+/// the same dispatcher, both producers' frames arrive, the stream
+/// disconnects only after both closed, and both nodes' windows balance.
+#[test]
+fn local_and_remote_producers_share_one_endpoint() {
+    let report = check(|| {
+        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut consumer = cluster.pop().unwrap();
+        let mut producer = cluster.pop().unwrap();
+        let (audit_p, audit_c) = (producer.audit(), consumer.audit());
+        let sp = EndpointSpec {
+            local_producers: 1,
+            ..spec(0, 1, 1, vec![(0, 1)])
+        };
+        let sc = sp.clone();
+        let t = spawn(move || {
+            let rx = consumer.open_endpoint(&sc).unwrap();
+            let local_tx = consumer.open_sender(&sc).unwrap();
+            consumer.start().unwrap();
+            assert!(matches!(
+                local_tx.send(DataBuffer::control(5), None),
+                SendOutcome::Sent
+            ));
+            drop(local_tx);
+            let mut tags = Vec::new();
+            loop {
+                match rx.recv(None) {
+                    RecvOutcome::Buf(b) => tags.push(b.tag),
+                    RecvOutcome::Closed => break,
+                    other => panic!("unexpected recv outcome: {other:?}"),
+                }
+            }
+            tags.sort_unstable();
+            assert_eq!(tags, vec![5, 6], "a producer's frame was lost");
+            drop(rx);
+            consumer.finish().unwrap();
+        });
+        let tx = producer.open_sender(&sp).unwrap();
+        producer.start().unwrap();
+        assert!(matches!(
+            tx.send(DataBuffer::control(6), None),
+            SendOutcome::Sent
+        ));
+        drop(tx);
+        producer.finish().unwrap();
+        t.join();
+        audit_p.assert_balanced();
+        audit_c.assert_balanced();
+    });
+    println!(
+        "mixed_producers: {} schedules explored, all clean",
+        report.executions
+    );
+    assert!(report.complete, "the two-node DFS must be exhaustive");
 }
 
 /// Three nodes, one stream 0→2 plus the full READY/BYE mesh: the
@@ -213,7 +273,7 @@ fn three_node_barriers_and_stream_compose() {
         ..Config::default()
     };
     let report = check_config(config, || {
-        let mut cluster = model_cluster(3, Faults::default());
+        let mut cluster = model_cluster(3, LinkFaults::default());
         let mut consumer = cluster.pop().unwrap(); // node 2
         let mut bystander = cluster.pop().unwrap(); // node 1
         let mut producer = cluster.pop().unwrap(); // node 0
@@ -257,7 +317,7 @@ fn three_node_barriers_and_stream_compose() {
     );
 }
 
-/// Negative control: a consumer that swallows credit refunds starves a
+/// Negative control: a wire that drops CREDIT frames starves a
 /// capacity-1 window — *every* schedule must deadlock, or the
 /// exploration has lost the ability to catch flow-control leaks.
 #[test]
@@ -269,9 +329,9 @@ fn swallowed_credit_starves_the_window() {
     let report = check_config(config, || {
         let mut cluster = model_cluster(
             2,
-            Faults {
-                swallow_credit: true,
-                ..Faults::default()
+            LinkFaults {
+                drop_credit: true,
+                ..LinkFaults::default()
             },
         );
         let mut consumer = cluster.pop().unwrap();
@@ -302,7 +362,7 @@ fn swallowed_credit_starves_the_window() {
     assert!(report.deadlocks > 0, "the control stopped firing");
 }
 
-/// Negative control: a producer that skips its CLOSE leaves the merged
+/// Negative control: a wire that drops CLOSE frames leaves the merged
 /// stream connected — the consumer's drain loop never sees `Closed` and
 /// every schedule must deadlock.
 #[test]
@@ -314,9 +374,9 @@ fn skipped_close_hangs_the_consumer() {
     let report = check_config(config, || {
         let mut cluster = model_cluster(
             2,
-            Faults {
-                skip_close: true,
-                ..Faults::default()
+            LinkFaults {
+                drop_close: true,
+                ..LinkFaults::default()
             },
         );
         let mut consumer = cluster.pop().unwrap();
@@ -333,7 +393,7 @@ fn skipped_close_hangs_the_consumer() {
         let tx = producer.open_sender(&sp).unwrap();
         producer.start().unwrap();
         tx.send(DataBuffer::control(1), None);
-        drop(tx); // CLOSE suppressed by the fault
+        drop(tx); // CLOSE dropped by the link
         producer.finish().unwrap();
         t.join();
     });
@@ -344,8 +404,62 @@ fn skipped_close_hangs_the_consumer() {
     assert!(report.deadlocks > 0, "the control stopped firing");
 }
 
+/// Negative control: a link that delivers every CREDIT twice returns
+/// credit nobody spent. The producer node must refuse the excess grant
+/// and die with the typed violation in *every* schedule — its `finish`
+/// reports it and its audit refuses to call the node balanced.
+#[test]
+fn duplicated_credit_kills_the_producer_node() {
+    let report = check(|| {
+        let mut cluster = model_cluster(
+            2,
+            LinkFaults {
+                duplicate_credit: true,
+                ..LinkFaults::default()
+            },
+        );
+        let mut consumer = cluster.pop().unwrap();
+        let mut producer = cluster.pop().unwrap();
+        let audit_p = producer.audit();
+        let sp = spec(0, 1, 1, vec![(0, 1)]);
+        let sc = sp.clone();
+        let t = spawn(move || {
+            let rx = consumer.open_endpoint(&sc).unwrap();
+            consumer.start().unwrap();
+            while let RecvOutcome::Buf(_) = rx.recv(None) {}
+            drop(rx);
+            consumer.finish().unwrap();
+        });
+        let tx = producer.open_sender(&sp).unwrap();
+        producer.start().unwrap();
+        assert!(matches!(
+            tx.send(DataBuffer::control(1), None),
+            SendOutcome::Sent
+        ));
+        drop(tx);
+        // The consumer pops the frame (doubling its CREDIT) before it
+        // says BYE, so the violation always precedes the barrier.
+        let err = producer
+            .finish()
+            .expect_err("excess credit must kill the node");
+        assert!(
+            err.to_string().contains("credit protocol violation"),
+            "got: {err}"
+        );
+        t.join();
+        let why = audit_p.imbalance().expect("a dead node is not at rest");
+        assert!(why.contains("node died"), "got: {why}");
+    });
+    println!(
+        "duplicated_credit: {} schedules explored, every one caught",
+        report.executions
+    );
+    assert!(report.executions > 1, "interleavings must be explored");
+    assert!(report.complete, "the two-node DFS must be exhaustive");
+}
+
 /// Negative control for the audit itself: with a capacity-2 window and a
-/// single swallowed refund the run *completes* — only the final credit
+/// single dropped refund the run *completes* — only the final credit
 /// balance betrays the leak, and [`CreditAudit::assert_balanced`] must
 /// fail the check with the leaking stream named.
 #[test]
@@ -354,9 +468,9 @@ fn leaked_credit_fails_the_audit() {
         check(|| {
             let mut cluster = model_cluster(
                 2,
-                Faults {
-                    swallow_credit: true,
-                    ..Faults::default()
+                LinkFaults {
+                    drop_credit: true,
+                    ..LinkFaults::default()
                 },
             );
             let mut consumer = cluster.pop().unwrap();
@@ -400,7 +514,7 @@ fn try_recv_refunds_like_recv() {
     let recv_hits = Arc::new(AtomicUsize::new(0));
     let (try_hits2, recv_hits2) = (Arc::clone(&try_hits), Arc::clone(&recv_hits));
     let report = check(move || {
-        let mut cluster = model_cluster(2, Faults::default());
+        let mut cluster = model_cluster(2, LinkFaults::default());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -445,6 +559,7 @@ fn try_recv_refunds_like_recv() {
         audit_p.assert_balanced();
         audit_c.assert_balanced();
     });
+    assert!(report.complete, "the two-node DFS must be exhaustive");
     assert!(
         try_hits.load(Ordering::Relaxed) > 0,
         "some schedule must refund through the try_recv path"
