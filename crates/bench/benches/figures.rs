@@ -59,11 +59,6 @@ figure_bench!(
     "ablation_cache_policy"
 );
 figure_bench!(
-    bench_ablation_prefetch,
-    experiments::ablation_grdb_prefetch,
-    "ablation_grdb_prefetch"
-);
-figure_bench!(
     bench_ablation_visited,
     experiments::ablation_visited,
     "ablation_visited"
@@ -100,7 +95,6 @@ criterion_group! {
         bench_ablation_pipeline,
         bench_ablation_decluster,
         bench_ablation_cache,
-        bench_ablation_prefetch,
         bench_ablation_visited,
         bench_ablation_db_filter,
         bench_ablation_bulk,

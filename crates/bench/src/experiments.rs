@@ -622,55 +622,6 @@ pub fn ablation_cache_policy(cfg: &ExpConfig) -> Result<Table> {
     Ok(t)
 }
 
-/// Ablation (beyond the paper, thesis §4.2 future work): expanding the
-/// fringe in level-0 file order ("sorting the pre-fetch disk accesses by
-/// file offsets") versus discovery order.
-pub fn ablation_grdb_prefetch(cfg: &ExpConfig) -> Result<Table> {
-    use grdb::GrdbConfig;
-    let mut t = Table::new(
-        format!(
-            "Ablation — grDB fringe ordering, PubMed-S (1/{})",
-            cfg.scale
-        ),
-        &[
-            "Backend",
-            "Nodes",
-            "Path len",
-            "Queries",
-            "Avg time",
-            "Edges/s",
-            "Blk reads",
-            "Modeled I/O",
-        ],
-    );
-    for (label, prefetch) in [
-        ("grDB (discovery order)", false),
-        ("grDB (file order)", true),
-    ] {
-        let mut grdb_cfg = GrdbConfig::thesis_defaults();
-        grdb_cfg.prefetch_sort = prefetch;
-        let opts = BackendOptions {
-            grdb: Some(grdb_cfg),
-            ..Default::default()
-        };
-        let sub = search_figure(
-            cfg,
-            String::new(),
-            GraphPreset::PubMedS,
-            cfg.scale,
-            &[BackendKind::Grdb],
-            &[cfg.nodes],
-            &|_| opts.clone(),
-            &|_| BfsOptions::default(),
-            &|_| label.to_string(),
-        )?;
-        for row in sub.rows {
-            t.row(row);
-        }
-    }
-    Ok(t)
-}
-
 /// Ablation (beyond the paper): visited-structure choice on PubMed-S —
 /// hash map vs the dense level array of Algorithm 1 vs external memory.
 pub fn ablation_visited(cfg: &ExpConfig) -> Result<Table> {
@@ -1259,7 +1210,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ablation_pipeline", ablation_pipeline),
         ("ablation_decluster", ablation_decluster),
         ("ablation_cache_policy", ablation_cache_policy),
-        ("ablation_grdb_prefetch", ablation_grdb_prefetch),
         ("ablation_visited", ablation_visited),
         ("ablation_db_filter", ablation_db_filter),
         ("ablation_bulk_load", ablation_bulk_load),

@@ -1097,6 +1097,67 @@ mod tests {
     }
 
     #[test]
+    fn grdb_and_hashmap_clusters_answer_identically() {
+        // grDB hands back a fringe's neighbours in block order, HashMap in
+        // fringe order: no search variant may depend on which.
+        let mut x = 0x0016_5eed_u64;
+        let mut below = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        // Skewed sources: low ids are hubs whose chains climb grDB's levels.
+        let mut edges = Vec::new();
+        for _ in 0..1500 {
+            let span = below(300) + 1;
+            let (a, b) = (below(span), below(300));
+            if a != b {
+                edges.push(Edge::of(a, b));
+            }
+        }
+        edges.push(Edge::of(1000, 1001)); // A component no search reaches.
+        let cluster = |tag: &str, kind: BackendKind| {
+            build_cluster(tag, 2, kind, edges.clone(), DeclusterKind::VertexHash)
+        };
+        let grdb = cluster("agree-grdb", BackendKind::Grdb);
+        let hash = cluster("agree-hash", BackendKind::HashMap);
+        let variants = [
+            BfsOptions::default(),
+            BfsOptions {
+                record_parents: true,
+                ..Default::default()
+            },
+            BfsOptions {
+                db_filter: true,
+                ..Default::default()
+            },
+            BfsOptions {
+                mode: BfsMode::Pipelined { threshold: 16 },
+                ..Default::default()
+            },
+        ];
+        for pair in 0..50 {
+            let source = g(below(300));
+            let dest = if pair % 10 == 9 {
+                g(1001)
+            } else {
+                g(below(300))
+            };
+            for opts in &variants {
+                let a = bfs(&grdb, source, dest, opts).unwrap();
+                let b = bfs(&hash, source, dest, opts).unwrap();
+                assert_eq!(
+                    a.path_length, b.path_length,
+                    "{source:?} -> {dest:?} under {opts:?}"
+                );
+                // Ties may pick different parents; the path's length may not.
+                assert_eq!(a.path.map(|p| p.len()), b.path.map(|p| p.len()));
+            }
+        }
+    }
+
+    #[test]
     fn path_reconstruction_on_path_graph() {
         let cluster = build_cluster(
             "parents-path",

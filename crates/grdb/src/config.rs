@@ -55,10 +55,6 @@ pub struct GrdbConfig {
     pub cache_policy: CachePolicy,
     /// Growth policy for full sub-blocks.
     pub growth: GrowthPolicy,
-    /// Sort fringe expansions by level-0 location before issuing them —
-    /// the thesis' proposed future optimisation ("sorting the pre-fetch
-    /// disk accesses by file offsets to reduce the seek overhead", §4.2).
-    pub prefetch_sort: bool,
 }
 
 impl GrdbConfig {
@@ -97,7 +93,6 @@ impl GrdbConfig {
             cache_blocks: 2048,
             cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
-            prefetch_sort: false,
         }
     }
 
@@ -124,7 +119,6 @@ impl GrdbConfig {
             cache_blocks: 8,
             cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
-            prefetch_sort: false,
         }
     }
 

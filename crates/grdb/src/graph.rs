@@ -13,8 +13,6 @@ use std::sync::Arc;
 pub struct GrdbGraphDb {
     store: GrdbStore,
     meta: MetaTable,
-    /// Reusable scratch for adjacency reads.
-    scratch: Vec<Gid>,
 }
 
 impl GrdbGraphDb {
@@ -23,7 +21,6 @@ impl GrdbGraphDb {
         Ok(GrdbGraphDb {
             store: GrdbStore::open(dir, config, stats)?,
             meta: MetaTable::new(),
-            scratch: Vec::new(),
         })
     }
 
@@ -87,21 +84,15 @@ impl GraphDb for GrdbGraphDb {
         Ok(())
     }
 
+    /// A point lookup is a one-vertex fringe: same routine, and the list
+    /// comes back in insertion order.
     fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        self.scratch.clear();
-        self.store.read_adjacency(v, &mut self.scratch)?;
-        for &u in &self.scratch {
-            if op.admits(self.meta.get(u), meta) {
-                out.push(u);
-            }
-        }
-        Ok(())
+        self.expand_fringe(&[v], out, meta, op)
     }
 
-    /// When `prefetch_sort` is configured, expands the fringe in level-0
-    /// file order so block accesses are sequential rather than in BFS
-    /// discovery order — fewer seeks, better cache reuse on hub-heavy
-    /// fringes (the §4.2 future-work optimisation).
+    /// One block-ordered, merged pass over the whole fringe
+    /// ([`GrdbStore::expand`]), decoded straight into `out`. Neighbour
+    /// metadata is looked up only when `op` compares it.
     fn expand_fringe(
         &mut self,
         fringe: &[Gid],
@@ -109,19 +100,15 @@ impl GraphDb for GrdbGraphDb {
         meta: Meta,
         op: MetaOp,
     ) -> Result<()> {
-        if self.store.config().prefetch_sort {
-            let mut sorted = fringe.to_vec();
-            sorted.sort_unstable();
-            for v in sorted {
-                self.adjacency(v, out, meta, op)?;
-            }
-            Ok(())
-        } else {
-            for &v in fringe {
-                self.adjacency(v, out, meta, op)?;
-            }
-            Ok(())
+        if matches!(op, MetaOp::Ignore) {
+            return self.store.expand(fringe, |u| out.push(u));
         }
+        let table = &self.meta;
+        self.store.expand(fringe, |u| {
+            if op.admits(table.get(u), meta) {
+                out.push(u);
+            }
+        })
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -239,60 +226,5 @@ mod tests {
     fn unknown_vertex_empty() {
         let mut db = db("unknown");
         assert!(db.neighbors(g(123)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn prefetch_sort_reduces_seeks_without_changing_results() {
-        use mssg_types::MetaOp;
-        // Uncached instances so every block access hits the file layer.
-        let mut edges = Vec::new();
-        for v in 0..60u64 {
-            edges.push(Edge::of(v, (v + 1) % 60));
-        }
-        let build = |tag: &str, prefetch: bool| {
-            let d =
-                std::env::temp_dir().join(format!("grdb-prefetch-{}-{tag}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&d);
-            let stats = IoStats::new();
-            let mut cfg = GrdbConfig::tiny();
-            cfg.cache_blocks = 0;
-            cfg.prefetch_sort = prefetch;
-            let mut db = GrdbGraphDb::open(&d, cfg, Arc::clone(&stats)).unwrap();
-            db.store_edges(&edges).unwrap();
-            (db, stats)
-        };
-        // A fringe in scrambled discovery order.
-        let mut fringe: Vec<Gid> = (0..60).map(g).collect();
-        let mut x = 5u64;
-        for i in (1..fringe.len()).rev() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            fringe.swap(i, (x % (i as u64 + 1)) as usize);
-        }
-        let (mut plain, stats_plain) = build("plain", false);
-        let (mut sorted, stats_sorted) = build("sorted", true);
-        let before_p = stats_plain.snapshot();
-        let before_s = stats_sorted.snapshot();
-        let mut out_p = AdjBuffer::new();
-        let mut out_s = AdjBuffer::new();
-        plain
-            .expand_fringe(&fringe, &mut out_p, 0, MetaOp::Ignore)
-            .unwrap();
-        sorted
-            .expand_fringe(&fringe, &mut out_s, 0, MetaOp::Ignore)
-            .unwrap();
-        // Same multiset of neighbours.
-        let mut a = out_p.take();
-        let mut b = out_s.take();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        let seeks_plain = stats_plain.snapshot().since(&before_p).seeks;
-        let seeks_sorted = stats_sorted.snapshot().since(&before_s).seeks;
-        assert!(
-            seeks_sorted < seeks_plain,
-            "file-order expansion must seek less: {seeks_sorted} !< {seeks_plain}"
-        );
     }
 }

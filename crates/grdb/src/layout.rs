@@ -57,9 +57,25 @@ pub fn encode_slot(slot: Slot) -> Result<u64> {
                     "sub-block id {sub:#x} overflows the 61-bit pointer payload"
                 )));
             }
-            Ok(Gid::tagged(level + 1, sub).raw())
+            Ok(pointer_word(level, sub))
         }
     }
+}
+
+/// The word of a pointer to sub-block `sub` at `level`. Pointer words
+/// order by `(level, sub)` — the order sub-blocks lie in on disk.
+///
+/// # Panics
+/// Panics if `level` is above 6 or `sub` overflows 61 bits;
+/// [`encode_slot`] is the checked form.
+pub fn pointer_word(level: u8, sub: u64) -> u64 {
+    Gid::tagged(level + 1, sub).raw()
+}
+
+/// The `(level, sub)` a pointer word names.
+pub fn pointer_target(word: u64) -> (usize, u64) {
+    let g = Gid::from_raw(word);
+    (g.tag() as usize - 1, g.payload())
 }
 
 /// Decodes an 8-byte word into a slot.

@@ -39,6 +39,17 @@
 //! scans from flushing the hot set. A read miss fetches exactly the block
 //! that was asked for.
 //!
+//! # Read path
+//!
+//! There is one read routine, [`GrdbStore::expand`], and it takes a whole
+//! fringe: each chain depth is one *wave* of sub-block requests, sorted
+//! into file order, with requests that share a block served by one block
+//! access and decoded in place — the thesis' §4.2 future work ("sorting
+//! the pre-fetch disk accesses by file offsets"), FlashGraph's sorted and
+//! merged request list. [`GrdbGraphDb`]'s `expand_fringe` decodes straight
+//! into the caller's buffer; a point lookup is the same routine on a
+//! one-vertex fringe and returns the list in insertion order.
+//!
 //! ```
 //! use grdb::{GrdbConfig, GrdbGraphDb};
 //! use mssg_types::{Edge, Gid};

@@ -1,8 +1,10 @@
 //! The grDB storage engine: multi-level sub-block files behind a block
 //! cache, with Link/Move growth and background defragmentation.
 
-use crate::config::{GrdbConfig, GrowthPolicy, LevelConfig};
-use crate::layout::{occupancy, read_slot, sub_position, write_slot, Slot};
+use crate::config::{GrdbConfig, GrowthPolicy, LevelConfig, WORD};
+use crate::layout::{
+    decode_slot, occupancy, pointer_target, pointer_word, read_slot, sub_position, write_slot, Slot,
+};
 use mssg_types::{Gid, GraphStorageError, Result};
 use simio::{BlockCache, CacheKey, IoStats, MultiFile};
 use std::path::{Path, PathBuf};
@@ -43,6 +45,13 @@ pub struct GrdbStore {
     free: Vec<Vec<u64>>,
     entries: u64,
     dir: PathBuf,
+    /// [`GrdbStore::walk`]'s current and next wave of requests, kept between
+    /// calls so a point lookup allocates nothing. A request — "decode
+    /// sub-block `s` of level `ℓ`" — is the [`pointer_word`] that names the
+    /// sub-block on disk: requests sort into file order as integers, and a
+    /// pointer met while decoding is the next wave's request as it stands.
+    wave: Vec<u64>,
+    next_wave: Vec<u64>,
 }
 
 impl GrdbStore {
@@ -70,6 +79,8 @@ impl GrdbStore {
             free: vec![Vec::new(); n],
             entries: 0,
             dir: dir.to_path_buf(),
+            wave: Vec::new(),
+            next_wave: Vec::new(),
         };
         store.load_meta()?;
         Ok(store)
@@ -135,16 +146,6 @@ impl GrdbStore {
             _ => {}
         }
         Ok(out)
-    }
-
-    /// Reads sub-block `s` of `level` into an owned buffer (used where the
-    /// whole sub-block's contents are genuinely needed).
-    fn read_sub(&mut self, level: usize, s: u64) -> Result<Vec<u8>> {
-        let lc = *self.level(level);
-        let (block, off) = sub_position(s, lc.k(), lc.sub_bytes());
-        self.with_block(level, block, false, |buf| {
-            buf[off..off + lc.sub_bytes()].to_vec()
-        })
     }
 
     /// Writes sub-block `s` of `level` in place.
@@ -347,14 +348,15 @@ impl GrdbStore {
             // Copy the whole sub-block up a level, plus the new entry; the
             // predecessor's pointer is redirected and the old sub-block
             // freed. d_{ℓ+1} ≥ 2·d_ℓ guarantees room.
-            let d = self.level(level).d as usize;
-            let old = self.read_sub(level, sub)?;
-            let new_sub = self.alloc_sub(target)?;
+            let lc = *self.level(level);
+            let d = lc.d as usize;
+            let kept = (d - 1) * WORD;
+            let (block, off) = sub_position(sub, lc.k(), lc.sub_bytes());
             let mut up = vec![0u8; self.level(target).sub_bytes()];
-            for i in 0..(d - 1) {
-                let s = read_slot(&old, i)?;
-                write_slot(&mut up, i, s)?;
-            }
+            self.with_block(level, block, false, |buf| {
+                up[..kept].copy_from_slice(&buf[off..off + kept]);
+            })?;
+            let new_sub = self.alloc_sub(target)?;
             write_slot(&mut up, d - 1, Slot::Entry(displaced))?;
             write_slot(&mut up, d, Slot::Entry(new))?;
             self.write_sub(target, new_sub, &up)?;
@@ -393,52 +395,111 @@ impl GrdbStore {
         }
     }
 
-    /// Collects vertex `v`'s full adjacency list into `out` (append).
-    pub fn read_adjacency(&mut self, v: Gid, out: &mut Vec<Gid>) -> Result<()> {
-        let lc = *self.level(0);
-        let (block, _) = sub_position(v.raw(), lc.k(), lc.sub_bytes());
-        if block >= self.files[0].len_blocks() {
-            return Ok(()); // Vertex never stored here.
-        }
-        let mut level = 0usize;
-        let mut sub = v.raw();
-        loop {
-            let buf = self.read_sub(level, sub)?;
-            let d = self.level(level).d as usize;
-            let occ = occupancy(&buf, d);
-            let mut next: Option<(usize, u64)> = None;
-            for i in 0..occ {
-                match read_slot(&buf, i)? {
-                    Slot::Entry(g) => out.push(g),
-                    Slot::Pointer { level: nl, sub: ns } => {
-                        if i != d - 1 {
-                            return Err(GraphStorageError::corrupt(
-                                "pointer found before the last slot",
-                            ));
+    /// Level-0 sub-blocks backed by storage; a vertex at or past this was
+    /// never stored here.
+    fn level0_subs(&self) -> u64 {
+        self.files[0].len_blocks() * self.level(0).k()
+    }
+
+    /// The one chain decoder, behind [`expand`](Self::expand) and every
+    /// other read: calls `entry` with each adjacency entry of each vertex
+    /// in `fringe`, and `hop` with each `(level, sub-block)` a pointer
+    /// leads to.
+    fn walk(
+        &mut self,
+        fringe: &[Gid],
+        mut entry: impl FnMut(Gid),
+        mut hop: impl FnMut(usize, u64),
+    ) -> Result<()> {
+        let mut wave = std::mem::take(&mut self.wave);
+        let mut next = std::mem::take(&mut self.next_wave);
+        let stored = self.level0_subs();
+        wave.extend(
+            fringe
+                .iter()
+                .filter(|v| v.raw() < stored)
+                .map(|v| pointer_word(0, v.raw())),
+        );
+        let levels = self.config.levels.len();
+        while !wave.is_empty() {
+            wave.sort_unstable();
+            let mut rest = wave.as_slice();
+            while let Some(&first) = rest.first() {
+                let (level, sub) = pointer_target(first);
+                let lc = *self.level(level);
+                let (k, sub_bytes, d) = (lc.k(), lc.sub_bytes(), lc.d as usize);
+                let block = sub / k;
+                let base = block * k; // The block's first sub-block.
+                let run = rest
+                    .iter()
+                    .take_while(|&&r| {
+                        let (l, s) = pointer_target(r);
+                        l == level && s - base < k
+                    })
+                    .count();
+                let (group, tail) = rest.split_at(run);
+                rest = tail;
+                self.with_block(level, block, false, |buf| {
+                    for &r in group {
+                        let off = (pointer_target(r).1 - base) as usize * sub_bytes;
+                        let words = buf[off..off + sub_bytes].chunks_exact(WORD);
+                        for (i, w) in words.enumerate() {
+                            let word = u64::from_le_bytes(w.try_into().unwrap());
+                            match decode_slot(word)? {
+                                Slot::Empty => break,
+                                Slot::Entry(g) => entry(g),
+                                Slot::Pointer { level: nl, sub: ns } => {
+                                    if i != d - 1 || nl as usize >= levels {
+                                        return Err(GraphStorageError::corrupt(
+                                            "pointer before the last slot or past the top level",
+                                        ));
+                                    }
+                                    hop(nl as usize, ns);
+                                    next.push(word);
+                                }
+                            }
                         }
-                        next = Some((nl as usize, ns));
                     }
-                    Slot::Empty => unreachable!("within occupancy"),
-                }
+                    Ok(())
+                })??;
             }
-            match next {
-                Some((nl, ns)) => {
-                    level = nl;
-                    sub = ns;
-                }
-                None => return Ok(()),
-            }
+            std::mem::swap(&mut wave, &mut next);
+            next.clear();
         }
+        self.wave = wave;
+        self.next_wave = next;
+        Ok(())
+    }
+
+    /// Calls `sink` with every adjacency entry of every vertex in `fringe`;
+    /// vertices never stored here contribute nothing.
+    ///
+    /// The fringe is expanded in **waves**. Wave 0 is the fringe's level-0
+    /// sub-blocks; a wave is sorted by `(level, sub-block)`, which is file
+    /// order; requests that fall in one block are decoded in place under a
+    /// single block access; and the pointers met on the way form the next
+    /// wave. So a block is touched at most once per wave, a level's blocks
+    /// are read in ascending order (segment by segment in a multi-file
+    /// level), and nothing is read that was not asked for. A vertex that
+    /// occurs twice is decoded twice. A one-vertex fringe has one request
+    /// per wave, so its entries arrive in insertion order; a larger fringe
+    /// yields the same multiset, wave by wave.
+    pub fn expand(&mut self, fringe: &[Gid], sink: impl FnMut(Gid)) -> Result<()> {
+        self.walk(fringe, sink, |_, _| {})
+    }
+
+    /// Collects vertex `v`'s full adjacency list into `out` (append), in
+    /// insertion order.
+    pub fn read_adjacency(&mut self, v: Gid, out: &mut Vec<Gid>) -> Result<()> {
+        self.expand(&[v], |u| out.push(u))
     }
 
     /// Enumerates every vertex with a non-empty level-0 sub-block, in id
     /// order.
     pub fn vertices(&mut self) -> Result<Vec<Gid>> {
         let mut out = Vec::new();
-        let d = self.level(0).d as usize;
         for v in 0..self.next_sub[0] {
-            let sub = self.read_sub(0, v)?;
-            if occupancy(&sub, d) > 0 {
+            if self.sub_meta(0, v)?.0 > 0 {
                 out.push(Gid::new(v));
             }
         }
@@ -447,51 +508,32 @@ impl GrdbStore {
 
     /// Degree of `v` in this instance.
     pub fn degree(&mut self, v: Gid) -> Result<usize> {
-        let mut out = Vec::new();
-        self.read_adjacency(v, &mut out)?;
-        Ok(out.len())
+        let mut n = 0;
+        self.expand(&[v], |_| n += 1)?;
+        Ok(n)
     }
 
     /// Length of `v`'s sub-block chain (1 = inline in level 0). Exposed so
     /// tests and benches can observe fragmentation.
     pub fn chain_length(&mut self, v: Gid) -> Result<usize> {
-        let lc = *self.level(0);
-        let (block, _) = sub_position(v.raw(), lc.k(), lc.sub_bytes());
-        if block >= self.files[0].len_blocks() {
+        if v.raw() >= self.level0_subs() {
             return Ok(0);
         }
-        let mut level = 0usize;
-        let mut sub = v.raw();
-        let mut hops = 1usize;
-        loop {
-            match self.sub_meta(level, sub)?.1 {
-                Slot::Pointer { level: nl, sub: ns } => {
-                    level = nl as usize;
-                    sub = ns;
-                    hops += 1;
-                }
-                _ => return Ok(hops),
-            }
-        }
+        let mut subs = 1;
+        self.walk(&[v], |_| {}, |_, _| subs += 1)?;
+        Ok(subs)
     }
 
     /// Rewrites vertex `v`'s chain into the most compact shape — the
     /// "background defragmentation during idle time" of §3.4.1. Returns
     /// `true` if anything changed.
     pub fn defragment(&mut self, v: Gid) -> Result<bool> {
+        // The entries, and the old chain above level 0 to free.
         let mut entries = Vec::new();
-        self.read_adjacency(v, &mut entries)?;
+        let mut old_chain: Vec<(usize, u64)> = Vec::new();
+        self.walk(&[v], |u| entries.push(u), |l, s| old_chain.push((l, s)))?;
         if entries.is_empty() {
             return Ok(false);
-        }
-        // Collect and free the old chain (all levels above 0).
-        let mut level = 0usize;
-        let mut sub = v.raw();
-        let mut old_chain: Vec<(usize, u64)> = Vec::new();
-        while let Slot::Pointer { level: nl, sub: ns } = self.sub_meta(level, sub)?.1 {
-            level = nl as usize;
-            sub = ns;
-            old_chain.push((level, sub));
         }
         let compact = self.plan_compact_chain(entries.len());
         if old_chain.len() == compact.len()

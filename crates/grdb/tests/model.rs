@@ -1,10 +1,12 @@
 //! Model-based property tests for grDB: arbitrary append sequences with
 //! defragmentation interleaved at random points, checked against a plain
 //! in-memory model, across geometries (tiny multi-level/multi-file, and
-//! the thesis geometry).
+//! the thesis geometry) — and whole-fringe expansion checked against
+//! per-vertex lookups on the same model.
 
-use grdb::{GrdbConfig, GrdbStore, GrowthPolicy};
-use mssg_types::Gid;
+use graphdb::{GraphDb, GraphDbExt};
+use grdb::{GrdbConfig, GrdbGraphDb, GrdbStore, GrowthPolicy};
+use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp};
 use proptest::prelude::*;
 use simio::IoStats;
 use std::collections::HashMap;
@@ -88,8 +90,113 @@ fn check_model(cfg: GrdbConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The metadata word the filtered expansions compare against, held by
+/// every third vertex.
+const MARK: Meta = 7;
+
+fn marked(v: u64) -> bool {
+    v.is_multiple_of(3)
+}
+
+fn sorted(mut v: Vec<Gid>) -> Vec<Gid> {
+    v.sort_unstable();
+    v
+}
+
+/// `expand_fringe` over `fringe` against the model and against per-vertex
+/// `neighbors()`: same multiset under `Ignore`, insertion order for a
+/// one-vertex fringe, and `NotEqual`/`Equal` equal to filtering the
+/// `Ignore` output by hand.
+fn check_expansion(
+    db: &mut GrdbGraphDb,
+    model: &HashMap<u64, Vec<u64>>,
+    fringe: &[Gid],
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    let mut per_vertex = Vec::new();
+    for &v in fringe {
+        let list = db.neighbors(v).unwrap();
+        let want: Vec<Gid> = model
+            .get(&v.raw())
+            .map(|l| l.iter().map(|&u| Gid::new(u)).collect())
+            .unwrap_or_default();
+        prop_assert_eq!(&list, &want, "{}: insertion order of {:?}", stage, v);
+        per_vertex.extend(list);
+    }
+    let mut out = AdjBuffer::new();
+    db.expand_fringe(fringe, &mut out, 0, MetaOp::Ignore)
+        .unwrap();
+    let all = out.take();
+    prop_assert_eq!(sorted(all.clone()), sorted(per_vertex), "{}: Ignore", stage);
+    for op in [MetaOp::NotEqual, MetaOp::Equal] {
+        db.expand_fringe(fringe, &mut out, MARK, op).unwrap();
+        let by_hand: Vec<Gid> = all
+            .iter()
+            .copied()
+            .filter(|u| marked(u.raw()) == (op == MetaOp::Equal))
+            .collect();
+        prop_assert_eq!(sorted(out.take()), sorted(by_hand), "{}: {:?}", stage, op);
+    }
+    Ok(())
+}
+
+/// One random graph through its life — stored, defragmented, reopened —
+/// with the same fringe expanded at each stage.
+fn check_fringe_equivalence(
+    cfg: GrdbConfig,
+    edges: Vec<(u64, u64)>,
+    fringe: Vec<u64>,
+) -> Result<(), TestCaseError> {
+    let dir = fresh_dir("fringe");
+    let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
+    for &(v, u) in &edges {
+        model.entry(v).or_default().push(u);
+    }
+    let edges: Vec<Edge> = edges.iter().map(|&(v, u)| Edge::of(v, u)).collect();
+    // Far beyond the level-0 file, one of them not a vertex word at all.
+    let fringe: Vec<Gid> = fringe
+        .into_iter()
+        .map(Gid::new)
+        .chain([Gid::new(1 << 40), Gid::NIL])
+        .collect();
+    let open = |dir: &PathBuf| {
+        let mut db = GrdbGraphDb::open(dir, cfg.clone(), IoStats::new()).unwrap();
+        for v in (0..FRINGE_IDS).filter(|&v| marked(v)) {
+            db.set_metadata(Gid::new(v), MARK).unwrap();
+        }
+        db
+    };
+    let mut db = open(&dir);
+    db.store_edges(&edges).unwrap();
+    check_expansion(&mut db, &model, &fringe, "stored")?;
+    db.store().defragment_all().unwrap();
+    check_expansion(&mut db, &model, &fringe, "defragmented")?;
+    db.flush().unwrap();
+    drop(db);
+    check_expansion(&mut open(&dir), &model, &fringe, "reopened")
+}
+
+/// Fringe and neighbour ids are drawn from `0..FRINGE_IDS`, sources from
+/// the lower half (two level-0 segments under `tiny()`): the fringe is in
+/// no order, repeats vertices, and names ids that were never a source,
+/// inside the level-0 file and past its end.
+const FRINGE_IDS: u64 = 64;
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
+
+    #[test]
+    fn fringe_expansion_equals_point_lookups(
+        edges in prop::collection::vec((0..FRINGE_IDS / 2, 0..FRINGE_IDS), 1..400),
+        fringe in prop::collection::vec(0..FRINGE_IDS, 0..80),
+    ) {
+        for growth in [GrowthPolicy::Link, GrowthPolicy::Move] {
+            for cache_blocks in [0, 8] {
+                let cfg = GrdbConfig { growth, cache_blocks, ..GrdbConfig::tiny() };
+                check_fringe_equivalence(cfg, edges.clone(), fringe.clone())?;
+            }
+        }
+    }
 
     #[test]
     fn tiny_geometry_link(ops in prop::collection::vec(arb_op(8), 1..250)) {

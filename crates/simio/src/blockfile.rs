@@ -9,7 +9,7 @@
 use crate::stats::IoStats;
 use mssg_types::{GraphStorageError, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -88,9 +88,8 @@ impl BlockFile {
             )));
         }
         let off = idx * self.block_size as u64;
-        self.position(off)?;
-        self.file.read_exact(buf)?;
-        self.head_pos = off + self.block_size as u64;
+        self.file.read_exact_at(buf, off)?;
+        self.move_head(off);
         self.stats.record_read(self.block_size as u64);
         Ok(())
     }
@@ -111,9 +110,8 @@ impl BlockFile {
             )));
         }
         let off = idx * self.block_size as u64;
-        self.position(off)?;
-        self.file.write_all(buf)?;
-        self.head_pos = off + self.block_size as u64;
+        self.file.write_all_at(buf, off)?;
+        self.move_head(off);
         if idx == self.len_blocks {
             self.len_blocks += 1;
         }
@@ -136,14 +134,14 @@ impl BlockFile {
         Ok(())
     }
 
-    /// Seeks the OS file if needed and records a model seek when the target
-    /// is not where the head already is.
-    fn position(&mut self, off: u64) -> Result<()> {
+    /// Accounts for a completed one-block access at `off`: a model seek
+    /// when it did not start where the previous access ended. The OS file
+    /// is accessed positionally, so the modelled head is the only cursor.
+    fn move_head(&mut self, off: u64) {
         if off != self.head_pos {
             self.stats.record_seek();
         }
-        self.file.seek(SeekFrom::Start(off))?;
-        Ok(())
+        self.head_pos = off + self.block_size as u64;
     }
 }
 
