@@ -59,11 +59,6 @@ figure_bench!(
     "ablation_cache_policy"
 );
 figure_bench!(
-    bench_ablation_visited,
-    experiments::ablation_visited,
-    "ablation_visited"
-);
-figure_bench!(
     bench_ablation_db_filter,
     experiments::ablation_db_filter,
     "ablation_db_filter"
@@ -95,7 +90,6 @@ criterion_group! {
         bench_ablation_pipeline,
         bench_ablation_decluster,
         bench_ablation_cache,
-        bench_ablation_visited,
         bench_ablation_db_filter,
         bench_ablation_bulk,
         bench_ablation_geometry,

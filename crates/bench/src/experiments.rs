@@ -383,7 +383,6 @@ pub fn fig5_8_9(cfg: &ExpConfig) -> Result<Table> {
     for visited in [VisitedKind::InMemory, VisitedKind::External] {
         let label = match visited {
             VisitedKind::InMemory => "grDB (in-mem visited)",
-            VisitedKind::Dense => "grDB (dense visited)",
             VisitedKind::External => "grDB (ext visited)",
         };
         let sub = search_figure(
@@ -617,48 +616,6 @@ pub fn ablation_cache_policy(cfg: &ExpConfig) -> Result<Table> {
             for row in sub.rows {
                 t.row(row);
             }
-        }
-    }
-    Ok(t)
-}
-
-/// Ablation (beyond the paper): visited-structure choice on PubMed-S —
-/// hash map vs the dense level array of Algorithm 1 vs external memory.
-pub fn ablation_visited(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
-        format!("Ablation — visited structures, PubMed-S (1/{})", cfg.scale),
-        &[
-            "Backend",
-            "Nodes",
-            "Path len",
-            "Queries",
-            "Avg time",
-            "Edges/s",
-            "Blk reads",
-            "Modeled I/O",
-        ],
-    );
-    for (label, kind) in [
-        ("grDB (hash visited)", VisitedKind::InMemory),
-        ("grDB (dense visited)", VisitedKind::Dense),
-        ("grDB (ext visited)", VisitedKind::External),
-    ] {
-        let sub = search_figure(
-            cfg,
-            String::new(),
-            GraphPreset::PubMedS,
-            cfg.scale,
-            &[BackendKind::Grdb],
-            &[cfg.nodes],
-            &|_| BackendOptions::default(),
-            &|_| BfsOptions {
-                visited: kind,
-                ..Default::default()
-            },
-            &|_| label.to_string(),
-        )?;
-        for row in sub.rows {
-            t.row(row);
         }
     }
     Ok(t)
@@ -1210,7 +1167,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ablation_pipeline", ablation_pipeline),
         ("ablation_decluster", ablation_decluster),
         ("ablation_cache_policy", ablation_cache_policy),
-        ("ablation_visited", ablation_visited),
         ("ablation_db_filter", ablation_db_filter),
         ("ablation_bulk_load", ablation_bulk_load),
         ("ablation_grdb_geometry", ablation_grdb_geometry),

@@ -7,6 +7,24 @@
 //! processor's emission count; a global round with zero emissions
 //! terminates the search, and a `FOUND` message short-circuits it.
 //!
+//! # The level kernel
+//!
+//! A level is one `expand_fringe` into a reused [`AdjBuffer`], then one
+//! kernel over that buffer's slice, in place (DESIGN.md §10.5):
+//!
+//! 1. **scan** the slice for the destination — if it is there the search
+//!    is over;
+//! 2. **filter** the slice through the visited set in one call,
+//!    [`VisitedSet::visit_new`], into a reused `fresh` vector;
+//! 3. **route** `fresh`: a vertex this copy owns goes straight into the
+//!    next fringe, any other joins the pending batch of its owner.
+//!
+//! Nothing is decided per adjacency entry outside `visit_new`'s own loop:
+//! no trait call, no `Result`, no second copy of the level. Under
+//! `record_parents` the kernel runs once per fringe vertex, with that
+//! vertex as the parent of whatever it turns up. A processor sends itself
+//! nothing — not its own fringe, not `ROUND_DONE`, not `FOUND`.
+//!
 //! Fringe routing handles the three distribution cases of Algorithm 1:
 //!
 //! - **vertex granularity + globally known mapping** (`GID % p`): fringe
@@ -14,21 +32,21 @@
 //! - **vertex granularity + ingestion-published map**: likewise, using the
 //!   owner map published by the round-robin ingestion,
 //! - **edge granularity / unknown ownership**: the fringe is broadcast to
-//!   all processors.
+//!   all processors, and every processor owns every vertex.
 //!
-//! Algorithm 2 differs only in the send discipline: fringe chunks go out
-//! as soon as they reach `threshold` vertices, overlapping communication
-//! with the remaining expansion, and waiting messages are drained
-//! opportunistically during expansion (lines 16–27 of the listing).
+//! Algorithm 2 differs only in the send discipline: the kernel runs over
+//! `threshold`-sized chunks of the slice, a batch goes out as soon as it
+//! reaches `threshold` vertices, and waiting messages are drained between
+//! chunks (lines 16–27 of the listing), overlapping communication with the
+//! remaining expansion.
 
 use crate::cluster::{MssgCluster, SharedBackend};
 use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
 use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, OutPort};
-use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
+use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
 use parking_lot::Mutex;
 use simio::IoStats;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -50,7 +68,8 @@ pub enum BfsMode {
 pub struct BfsOptions {
     /// Algorithm variant.
     pub mode: BfsMode,
-    /// Visited-structure choice (the Figures 5.8/5.9 ablation).
+    /// Visited-structure choice (in memory, or Figures 5.8/5.9's external
+    /// one).
     pub visited: VisitedKind,
     /// Push visited filtering down into the storage engine: locally
     /// visited vertices are marked in the GraphDB's per-vertex metadata
@@ -136,7 +155,7 @@ enum Routing {
     /// `GID % p`.
     Hash(usize),
     /// Ingestion-published ownership.
-    Map(Arc<HashMap<Gid, usize>>),
+    Map(Arc<GidMap<usize>>),
     /// Unknown ownership: broadcast.
     Broadcast,
 }
@@ -174,10 +193,6 @@ fn tag_round(t: u64) -> u32 {
     ((t >> 24) & 0xffff_ffff) as u32
 }
 
-fn tag_sender(t: u64) -> usize {
-    (t & 0xff_ffff) as usize
-}
-
 /// Shared result sink: each BFS filter merges its contribution on exit.
 #[derive(Default)]
 struct Outcome {
@@ -186,7 +201,7 @@ struct Outcome {
     vertices_visited: u64,
     rounds: u32,
     /// Parent pointers merged from every processor (record_parents mode).
-    parents: HashMap<Gid, Gid>,
+    parents: GidMap<Gid>,
 }
 
 impl Outcome {
@@ -284,12 +299,7 @@ pub fn bfs(
 
 /// Walks parent pointers from `dest` back to `source`. Returns `None` if
 /// the chain is broken (should not happen when the search found a path).
-fn reconstruct_path(
-    parents: &HashMap<Gid, Gid>,
-    source: Gid,
-    dest: Gid,
-    len: u32,
-) -> Option<Vec<Gid>> {
+fn reconstruct_path(parents: &GidMap<Gid>, source: Gid, dest: Gid, len: u32) -> Option<Vec<Gid>> {
     let mut path = vec![dest];
     let mut cursor = dest;
     for _ in 0..len {
@@ -329,42 +339,228 @@ fn send_quiet(port: &mut OutPort, copy: usize, buf: DataBuffer) -> Result<()> {
     }
 }
 
-fn broadcast_quiet(port: &mut OutPort, buf: DataBuffer) -> Result<()> {
-    for copy in 0..port.consumers() {
+/// Sends `buf` to every copy but the sender, `me`.
+fn send_to_peers(port: &mut OutPort, me: usize, buf: DataBuffer) -> Result<()> {
+    for copy in (0..port.consumers()).filter(|&copy| copy != me) {
         send_quiet(port, copy, buf.clone())?;
     }
     Ok(())
 }
 
-/// Per-round send-side state: one pending batch per destination (index
-/// `p` holds the broadcast batch).
-struct SendState {
+/// One processor's state across the levels of a search.
+struct Traversal {
+    me: usize,
+    visited: Box<dyn VisitedSet>,
+    record_parents: bool,
+    /// The engine to mark visited vertices in (`db_filter`), if any.
+    mark_db: Option<SharedBackend>,
+    /// Vertices `mark_db` was told of; reset after the search so the next
+    /// one starts from level[v] = ∞, as Algorithm 1 requires.
+    marked: Vec<Gid>,
+    /// Scratch: what the last `visit_new` call found fresh.
+    fresh: Vec<Gid>,
+    /// Scratch: the vertices of the fringe message being received.
+    incoming: Vec<Gid>,
+    /// The next level's fringe: fresh vertices this copy owns.
+    next: Vec<Gid>,
+    /// Pending fringe words per destination; the last is the broadcast
+    /// batch.
     batches: Vec<Vec<u64>>,
+    /// Fresh vertices this copy routed this round.
     emitted: u64,
+    /// Peers whose `ROUND_DONE` for this round has arrived, and the
+    /// emission counts they carried.
+    done_from: usize,
+    emitted_by_peers: u64,
+    /// Messages of a round this copy has not reached yet.
+    stash: Vec<DataBuffer>,
+    visited_count: u64,
+    parents: GidMap<Gid>,
+}
+
+impl Traversal {
+    fn new(
+        me: usize,
+        copies: usize,
+        visited: Box<dyn VisitedSet>,
+        record_parents: bool,
+        mark_db: Option<SharedBackend>,
+    ) -> Traversal {
+        Traversal {
+            me,
+            visited,
+            record_parents,
+            mark_db,
+            marked: Vec::new(),
+            fresh: Vec::new(),
+            incoming: Vec::new(),
+            next: Vec::new(),
+            batches: vec![Vec::new(); copies + 1],
+            emitted: 0,
+            done_from: 0,
+            emitted_by_peers: 0,
+            stash: Vec::new(),
+            visited_count: 0,
+            parents: GidMap::default(),
+        }
+    }
+
+    /// Books the vertices in `fresh` as visited here: counts them and,
+    /// under `db_filter`, marks them in the engine.
+    fn book_fresh(&mut self) -> Result<()> {
+        self.visited_count += self.fresh.len() as u64;
+        if let Some(db) = &self.mark_db {
+            let mut db = db.lock();
+            for &v in &self.fresh {
+                db.set_metadata(v, VISITED_MARK)?;
+            }
+            self.marked.extend_from_slice(&self.fresh);
+        }
+        Ok(())
+    }
+
+    /// Takes one message from a peer; `Some(level)` when it ends the
+    /// search. A message of a later round waits in the stash.
+    fn receive(&mut self, msg: DataBuffer, round: u32) -> Result<Option<u32>> {
+        let kind = tag_kind(msg.tag);
+        if matches!(kind, KIND_FRINGE | KIND_ROUND_DONE) && tag_round(msg.tag) != round {
+            self.stash.push(msg);
+            return Ok(None);
+        }
+        let mut words = msg.try_words()?;
+        let mut first_word = |what: &str| {
+            words
+                .next()
+                .ok_or_else(|| GraphStorageError::corrupt(format!("{what} message is empty")))
+        };
+        match kind {
+            KIND_FOUND => return Ok(Some(first_word("FOUND")? as u32)),
+            KIND_ROUND_DONE => {
+                self.emitted_by_peers += first_word("ROUND_DONE")?;
+                self.done_from += 1;
+            }
+            KIND_FRINGE if self.record_parents => {
+                // record_parents wire format: (vertex, parent) pairs.
+                if !words.len().is_multiple_of(2) {
+                    return Err(GraphStorageError::corrupt(
+                        "fringe pair payload has odd length",
+                    ));
+                }
+                while let (Some(v), Some(parent)) = (words.next(), words.next()) {
+                    let v = Gid::from_raw(v);
+                    self.fresh.clear();
+                    self.visited.visit_new(&[v], &mut self.fresh)?;
+                    if !self.fresh.is_empty() {
+                        self.book_fresh()?;
+                        self.parents.entry(v).or_insert(Gid::from_raw(parent));
+                        self.next.push(v);
+                    }
+                }
+            }
+            KIND_FRINGE => {
+                self.incoming.clear();
+                self.incoming.extend(words.map(Gid::from_raw));
+                self.fresh.clear();
+                self.visited.visit_new(&self.incoming, &mut self.fresh)?;
+                self.book_fresh()?;
+                self.next.extend_from_slice(&self.fresh);
+            }
+            k => {
+                return Err(GraphStorageError::corrupt(format!(
+                    "unknown BFS message kind {k}"
+                )))
+            }
+        }
+        Ok(None)
+    }
 }
 
 impl BfsFilter {
-    /// Routes one freshly discovered vertex, flushing a chunk early in
-    /// pipelined mode.
-    fn route_vertex(
+    /// The level kernel over `candidates`, adjacency entries whose parent
+    /// is `parent` (`NIL` when parents are not recorded): scan for the
+    /// destination, filter through the visited set, route what is fresh.
+    /// The pipelined mode runs it chunk by chunk and takes waiting
+    /// messages in between. Returns the path length if the search ended.
+    fn expand_slice(
         &self,
         ctx: &mut FilterContext,
-        state: &mut SendState,
+        t: &mut Traversal,
         round: u32,
-        me: usize,
-        u: Gid,
+        candidates: &[Gid],
+        parent: Gid,
+    ) -> Result<Option<u32>> {
+        let (chunk, pipelined) = match self.mode {
+            BfsMode::Standard => (usize::MAX, false),
+            BfsMode::Pipelined { threshold } => (threshold.max(1), true),
+        };
+        for slice in candidates.chunks(chunk) {
+            if slice.contains(&self.dest) {
+                if self.record_parents {
+                    t.parents.insert(self.dest, parent);
+                }
+                send_to_peers(
+                    ctx.output("peers")?,
+                    t.me,
+                    DataBuffer::from_words(tag(KIND_FOUND, round, t.me), &[round as u64]),
+                )?;
+                return Ok(Some(round));
+            }
+            t.fresh.clear();
+            t.visited.visit_new(slice, &mut t.fresh)?;
+            self.route_fresh(ctx, t, round, parent)?;
+            if pipelined {
+                while let Some(msg) = ctx.input("peers")?.try_recv() {
+                    if let Some(level) = t.receive(msg, round)? {
+                        return Ok(Some(level));
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Routes the vertices in `t.fresh`: one this copy owns goes straight
+    /// into the next fringe, any other into its owner's pending batch —
+    /// flushed early in pipelined mode.
+    fn route_fresh(
+        &self,
+        ctx: &mut FilterContext,
+        t: &mut Traversal,
+        round: u32,
         parent: Gid,
     ) -> Result<()> {
-        let slot = self.routing.target(u).unwrap_or(state.batches.len() - 1);
-        state.batches[slot].push(u.raw());
-        if self.record_parents {
-            state.batches[slot].push(parent.raw());
-        }
-        state.emitted += 1;
-        if let BfsMode::Pipelined { threshold } = self.mode {
-            let words_per_entry = if self.record_parents { 2 } else { 1 };
-            if state.batches[slot].len() >= threshold * words_per_entry {
-                self.flush_slot(ctx, state, round, me, slot)?;
+        t.book_fresh()?;
+        t.emitted += t.fresh.len() as u64;
+        let broadcast_slot = t.batches.len() - 1;
+        let words_per_entry = if self.record_parents { 2 } else { 1 };
+        let flush_at = match self.mode {
+            BfsMode::Standard => usize::MAX,
+            BfsMode::Pipelined { threshold } => threshold * words_per_entry,
+        };
+        for i in 0..t.fresh.len() {
+            let u = t.fresh[i];
+            let target = self.routing.target(u);
+            if target.is_none_or(|owner| owner == t.me) {
+                t.next.push(u);
+                // The parent is recorded only where the mark is
+                // authoritative: at u's owner, or under broadcast routing
+                // (where every local visited set is globally complete). A
+                // non-owner's local gate can wrongly pass an
+                // already-visited vertex — its owner will reject the
+                // vertex, so its parent guess must not survive.
+                if self.record_parents {
+                    t.parents.insert(u, parent);
+                }
+            }
+            if target != Some(t.me) {
+                let slot = target.unwrap_or(broadcast_slot);
+                t.batches[slot].push(u.raw());
+                if self.record_parents {
+                    t.batches[slot].push(parent.raw());
+                }
+                if t.batches[slot].len() >= flush_at {
+                    self.flush_slot(ctx, t, round, slot)?;
+                }
             }
         }
         Ok(())
@@ -373,325 +569,134 @@ impl BfsFilter {
     fn flush_slot(
         &self,
         ctx: &mut FilterContext,
-        state: &mut SendState,
+        t: &mut Traversal,
         round: u32,
-        me: usize,
         slot: usize,
     ) -> Result<()> {
-        if state.batches[slot].is_empty() {
+        if t.batches[slot].is_empty() {
             return Ok(());
         }
-        let words = std::mem::take(&mut state.batches[slot]);
-        let buf = DataBuffer::from_words(tag(KIND_FRINGE, round, me), &words);
+        let buf = DataBuffer::from_words(tag(KIND_FRINGE, round, t.me), &t.batches[slot]);
+        t.batches[slot].clear();
         let port = ctx.output("peers")?;
         if slot == port.consumers() {
-            broadcast_quiet(port, buf)
+            send_to_peers(port, t.me, buf)
         } else {
             send_quiet(port, slot, buf)
         }
-    }
-
-    fn flush_all(
-        &self,
-        ctx: &mut FilterContext,
-        state: &mut SendState,
-        round: u32,
-        me: usize,
-    ) -> Result<()> {
-        for slot in 0..state.batches.len() {
-            self.flush_slot(ctx, state, round, me, slot)?;
-        }
-        Ok(())
-    }
-}
-
-/// What a message did to the receive loop.
-enum Handled {
-    Consumed,
-    Stashed(DataBuffer),
-    Found(u32),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_message(
-    msg: DataBuffer,
-    round: u32,
-    me: usize,
-    visited: &mut dyn VisitedSet,
-    db_mark: &mut dyn FnMut(Gid) -> Result<()>,
-    parents: Option<&mut HashMap<Gid, Gid>>,
-    next: &mut Vec<Gid>,
-    done_from: &mut usize,
-    emitted_sum: &mut u64,
-    visited_count: &mut u64,
-) -> Result<Handled> {
-    match tag_kind(msg.tag) {
-        KIND_FOUND => Ok(Handled::Found(msg.words()[0] as u32)),
-        KIND_FRINGE => {
-            if tag_round(msg.tag) != round {
-                return Ok(Handled::Stashed(msg));
-            }
-            let from_self = tag_sender(msg.tag) == me;
-            let words = msg.words();
-            match parents {
-                Some(parents) => {
-                    // record_parents wire format: (vertex, parent) pairs.
-                    if !words.len().is_multiple_of(2) {
-                        return Err(GraphStorageError::corrupt(
-                            "fringe pair payload has odd length",
-                        ));
-                    }
-                    for pair in words.chunks_exact(2) {
-                        let v = Gid::from_raw(pair[0]);
-                        let parent = Gid::from_raw(pair[1]);
-                        if from_self {
-                            next.push(v);
-                        } else if visited.try_visit(v, round)? {
-                            *visited_count += 1;
-                            db_mark(v)?;
-                            parents.entry(v).or_insert(parent);
-                            next.push(v);
-                        }
-                    }
-                }
-                None => {
-                    for w in words {
-                        let v = Gid::from_raw(w);
-                        if from_self {
-                            // Already marked at send time; trust our own gate.
-                            next.push(v);
-                        } else if visited.try_visit(v, round)? {
-                            *visited_count += 1;
-                            db_mark(v)?;
-                            next.push(v);
-                        }
-                    }
-                }
-            }
-            Ok(Handled::Consumed)
-        }
-        KIND_ROUND_DONE => {
-            if tag_round(msg.tag) != round {
-                return Ok(Handled::Stashed(msg));
-            }
-            *done_from += 1;
-            *emitted_sum += msg.words()[0];
-            Ok(Handled::Consumed)
-        }
-        k => Err(GraphStorageError::corrupt(format!(
-            "unknown BFS message kind {k}"
-        ))),
     }
 }
 
 impl Filter for BfsFilter {
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
         let me = ctx.copy_index;
-        let p = ctx.copies;
-        let mut visited = self
+        let peers = ctx.copies - 1;
+        let visited = self
             .visited_kind
             .open(&self.scratch, me, Arc::clone(&self.io_stats))?;
+        let mut t = Traversal::new(
+            me,
+            ctx.copies,
+            visited,
+            self.record_parents,
+            self.db_filter.then(|| self.backend.clone()),
+        );
         let mut frontier: Vec<Gid> = Vec::new();
-        let mut edges_scanned = 0u64;
-        let mut visited_count = 0u64;
-        let mut found: Option<u32> = None;
-        let mut stash: Vec<DataBuffer> = Vec::new();
         let mut adj = AdjBuffer::new();
-        let mut parents: HashMap<Gid, Gid> = HashMap::new();
+        let mut edges_scanned = 0u64;
+        let mut found: Option<u32> = None;
         let mut round: u32 = 1;
-        let db_filter = self.db_filter;
-        // Vertices whose DB metadata this query marks; reset afterwards so
-        // the next query starts from level[v] = ∞, as Algorithm 1 requires.
-        let marked = std::rc::Rc::new(std::cell::RefCell::new(Vec::<Gid>::new()));
-        let mark_backend = self.backend.clone();
-        let marked_in_closure = std::rc::Rc::clone(&marked);
-        let mut db_mark = move |v: Gid| -> Result<()> {
-            if db_filter {
-                mark_backend.lock().set_metadata(v, VISITED_MARK)?;
-                marked_in_closure.borrow_mut().push(v);
-            }
-            Ok(())
+        let (meta, op) = if self.db_filter {
+            // The engine filters out locally-visited neighbours while its
+            // blocks are hot (Listing 3.1's fused path).
+            (VISITED_MARK, MetaOp::NotEqual)
+        } else {
+            (0, MetaOp::Ignore)
         };
 
         // Initialisation: the source's owner (everyone, under broadcast
         // routing) seeds the frontier.
-        let owns_source =
-            self.routing.is_broadcast() || self.routing.target(self.source) == Some(me);
-        if owns_source {
-            visited.try_visit(self.source, 0)?;
-            visited_count += 1;
+        if self.routing.is_broadcast() || self.routing.target(self.source) == Some(me) {
+            t.visited.visit_new(&[self.source], &mut t.fresh)?;
+            t.book_fresh()?;
             frontier.push(self.source);
-            db_mark(self.source)?;
         }
 
         'rounds: while round <= self.max_rounds {
-            let visited_at_level_start = visited_count;
+            let visited_at_level_start = t.visited_count;
             let mut level_span = ctx
                 .telemetry()
                 .tracer
                 .span("bfs.level")
                 .with("level", round as u64)
                 .with("frontier", frontier.len() as u64);
+            (t.emitted, t.done_from, t.emitted_by_peers) = (0, 0, 0);
+
             // ---- expansion ----
-            let mut state = SendState {
-                batches: vec![Vec::new(); p + 1],
-                emitted: 0,
-            };
-            // (neighbour, parent) pairs; parent is NIL when not recorded.
-            let mut expanded: Vec<(Gid, Gid)> = Vec::new();
-            if !frontier.is_empty() {
-                let mut db = self.backend.lock();
-                let (meta, op) = if self.db_filter {
-                    // The engine filters out locally-visited neighbours
-                    // while its blocks are hot (Listing 3.1's fused path).
-                    (VISITED_MARK, MetaOp::NotEqual)
-                } else {
-                    (0, MetaOp::Ignore)
-                };
-                if self.record_parents {
-                    // Per-vertex lookups so each neighbour knows its parent.
-                    for &v in &frontier {
-                        adj.clear();
-                        db.adjacency(v, &mut adj, meta, op)?;
-                        edges_scanned += adj.len() as u64;
-                        expanded.extend(adj.as_slice().iter().map(|&u| (u, v)));
-                    }
-                } else {
+            if self.record_parents {
+                // Per-vertex lookups so each neighbour knows its parent.
+                for &v in &frontier {
                     adj.clear();
-                    db.expand_fringe(&frontier, &mut adj, meta, op)?;
+                    self.backend.lock().adjacency(v, &mut adj, meta, op)?;
                     edges_scanned += adj.len() as u64;
-                    expanded.extend(adj.as_slice().iter().map(|&u| (u, Gid::NIL)));
-                }
-            }
-            let mut next: Vec<Gid> = Vec::new();
-            let mut done_from = 0usize;
-            let mut emitted_sum = 0u64;
-            for &(u, parent) in &expanded {
-                if u == self.dest {
-                    if self.record_parents {
-                        parents.insert(u, parent);
-                    }
-                    found = Some(round);
-                    break;
-                }
-                if visited.try_visit(u, round)? {
-                    visited_count += 1;
-                    db_mark(u)?;
-                    // Record the parent only where the mark is
-                    // authoritative: at u's owner, or under broadcast
-                    // routing (where every local visited set is globally
-                    // complete). A non-owner's local gate can wrongly pass
-                    // an already-visited vertex — its owner will reject
-                    // the vertex, so its parent guess must not survive.
-                    if self.record_parents {
-                        let target = self.routing.target(u);
-                        if target == Some(me) || target.is_none() {
-                            parents.insert(u, parent);
-                        }
-                    }
-                    self.route_vertex(ctx, &mut state, round, me, u, parent)?;
-                }
-                // Algorithm 2: drain waiting messages while expanding.
-                if matches!(self.mode, BfsMode::Pipelined { .. }) {
-                    while let Some(msg) = ctx.input("peers")?.try_recv() {
-                        match handle_message(
-                            msg,
-                            round,
-                            me,
-                            visited.as_mut(),
-                            &mut db_mark,
-                            self.record_parents.then_some(&mut parents),
-                            &mut next,
-                            &mut done_from,
-                            &mut emitted_sum,
-                            &mut visited_count,
-                        )? {
-                            Handled::Consumed => {}
-                            Handled::Stashed(m) => stash.push(m),
-                            Handled::Found(l) => {
-                                found = Some(found.map_or(l, |f| f.min(l)));
-                                break 'rounds;
-                            }
-                        }
+                    found = self.expand_slice(ctx, &mut t, round, adj.as_slice(), v)?;
+                    if found.is_some() {
+                        break 'rounds;
                     }
                 }
+            } else if !frontier.is_empty() {
+                adj.clear();
+                self.backend
+                    .lock()
+                    .expand_fringe(&frontier, &mut adj, meta, op)?;
+                edges_scanned += adj.len() as u64;
+                found = self.expand_slice(ctx, &mut t, round, adj.as_slice(), Gid::NIL)?;
+                if found.is_some() {
+                    break 'rounds;
+                }
             }
-            if let Some(level) = found {
-                let port = ctx.output("peers")?;
-                broadcast_quiet(
-                    port,
-                    DataBuffer::from_words(tag(KIND_FOUND, round, me), &[level as u64]),
-                )?;
-                break 'rounds;
+            for slot in 0..t.batches.len() {
+                self.flush_slot(ctx, &mut t, round, slot)?;
             }
-            self.flush_all(ctx, &mut state, round, me)?;
-            broadcast_quiet(
+            send_to_peers(
                 ctx.output("peers")?,
-                DataBuffer::from_words(tag(KIND_ROUND_DONE, round, me), &[state.emitted]),
+                me,
+                DataBuffer::from_words(tag(KIND_ROUND_DONE, round, me), &[t.emitted]),
             )?;
 
             // ---- receive ----
             // Re-examine stashed messages now that the round advanced.
-            for msg in std::mem::take(&mut stash) {
-                match handle_message(
-                    msg,
-                    round,
-                    me,
-                    visited.as_mut(),
-                    &mut db_mark,
-                    self.record_parents.then_some(&mut parents),
-                    &mut next,
-                    &mut done_from,
-                    &mut emitted_sum,
-                    &mut visited_count,
-                )? {
-                    Handled::Consumed => {}
-                    Handled::Stashed(m) => stash.push(m),
-                    Handled::Found(l) => {
-                        found = Some(found.map_or(l, |f| f.min(l)));
-                        break 'rounds;
-                    }
+            for msg in std::mem::take(&mut t.stash) {
+                if let Some(level) = t.receive(msg, round)? {
+                    found = Some(level);
+                    break 'rounds;
                 }
             }
-            while done_from < p {
+            while t.done_from < peers {
                 let Some(msg) = ctx.input("peers")?.recv()? else {
                     // A peer exited (it found the target): terminate.
                     break 'rounds;
                 };
-                match handle_message(
-                    msg,
-                    round,
-                    me,
-                    visited.as_mut(),
-                    &mut db_mark,
-                    self.record_parents.then_some(&mut parents),
-                    &mut next,
-                    &mut done_from,
-                    &mut emitted_sum,
-                    &mut visited_count,
-                )? {
-                    Handled::Consumed => {}
-                    Handled::Stashed(m) => stash.push(m),
-                    Handled::Found(l) => {
-                        found = Some(found.map_or(l, |f| f.min(l)));
-                        break 'rounds;
-                    }
+                if let Some(level) = t.receive(msg, round)? {
+                    found = Some(level);
+                    break 'rounds;
                 }
             }
             // Visited hits this level (local marks from any peer's fringe).
-            level_span.record("visited", visited_count - visited_at_level_start);
-            if emitted_sum == 0 {
+            level_span.record("visited", t.visited_count - visited_at_level_start);
+            if t.emitted + t.emitted_by_peers == 0 {
                 break 'rounds; // Graph exhausted without reaching dest.
             }
-            frontier = next;
+            frontier.clear();
+            std::mem::swap(&mut frontier, &mut t.next);
             round += 1;
         }
 
         // Per-query cleanup: restore level[v] = ∞ in the engine metadata.
-        if self.db_filter {
-            let mut db = self.backend.lock();
-            for v in marked.borrow().iter() {
-                db.set_metadata(*v, mssg_types::UNVISITED)?;
+        if let Some(db) = &t.mark_db {
+            let mut db = db.lock();
+            for &v in &t.marked {
+                db.set_metadata(v, mssg_types::UNVISITED)?;
             }
         }
 
@@ -700,9 +705,9 @@ impl Filter for BfsFilter {
             out.merge_found(level);
         }
         out.edges_scanned += edges_scanned;
-        out.vertices_visited += visited_count;
+        out.vertices_visited += t.visited_count;
         out.rounds = out.rounds.max(round.min(self.max_rounds));
-        for (v, parent) in parents {
+        for (v, parent) in t.parents {
             out.parents.entry(v).or_insert(parent);
         }
         Ok(())
@@ -1096,34 +1101,14 @@ mod tests {
         assert_eq!(again.path_length, reference.path_length);
     }
 
-    #[test]
-    fn grdb_and_hashmap_clusters_answer_identically() {
-        // grDB hands back a fringe's neighbours in block order, HashMap in
-        // fringe order: no search variant may depend on which.
-        let mut x = 0x0016_5eed_u64;
-        let mut below = move |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
-        // Skewed sources: low ids are hubs whose chains climb grDB's levels.
-        let mut edges = Vec::new();
-        for _ in 0..1500 {
-            let span = below(300) + 1;
-            let (a, b) = (below(span), below(300));
-            if a != b {
-                edges.push(Edge::of(a, b));
-            }
-        }
-        edges.push(Edge::of(1000, 1001)); // A component no search reaches.
-        let cluster = |tag: &str, kind: BackendKind| {
-            build_cluster(tag, 2, kind, edges.clone(), DeclusterKind::VertexHash)
-        };
-        let grdb = cluster("agree-grdb", BackendKind::Grdb);
-        let hash = cluster("agree-hash", BackendKind::HashMap);
-        let variants = [
+    /// Every way a search can be asked to run, one option at a time.
+    fn variants() -> Vec<BfsOptions> {
+        vec![
             BfsOptions::default(),
+            BfsOptions {
+                mode: BfsMode::Pipelined { threshold: 16 },
+                ..Default::default()
+            },
             BfsOptions {
                 record_parents: true,
                 ..Default::default()
@@ -1133,28 +1118,164 @@ mod tests {
                 ..Default::default()
             },
             BfsOptions {
-                mode: BfsMode::Pipelined { threshold: 16 },
+                visited: VisitedKind::External,
                 ..Default::default()
             },
-        ];
-        for pair in 0..50 {
-            let source = g(below(300));
-            let dest = if pair % 10 == 9 {
-                g(1001)
-            } else {
-                g(below(300))
-            };
-            for opts in &variants {
-                let a = bfs(&grdb, source, dest, opts).unwrap();
-                let b = bfs(&hash, source, dest, opts).unwrap();
-                assert_eq!(
-                    a.path_length, b.path_length,
-                    "{source:?} -> {dest:?} under {opts:?}"
-                );
-                // Ties may pick different parents; the path's length may not.
-                assert_eq!(a.path.map(|p| p.len()), b.path.map(|p| p.len()));
+        ]
+    }
+
+    /// Algorithm 1's three distribution cases.
+    const ROUTINGS: [DeclusterKind; 3] = [
+        DeclusterKind::VertexHash,
+        DeclusterKind::VertexRoundRobin,
+        DeclusterKind::EdgeRoundRobin,
+    ];
+
+    /// A skewed 300-vertex graph (low ids are hubs whose chains climb
+    /// grDB's levels) plus a component, {1000, 1001}, no search reaches.
+    fn skewed_edges(below: &mut impl FnMut(u64) -> u64) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for _ in 0..1500 {
+            let span = below(300) + 1;
+            let (a, b) = (below(span), below(300));
+            if a != b {
+                edges.push(Edge::of(a, b));
             }
         }
+        edges.push(Edge::of(1000, 1001));
+        edges
+    }
+
+    fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        }
+    }
+
+    #[test]
+    fn grdb_and_hashmap_clusters_answer_identically() {
+        // grDB hands back a fringe's neighbours in block order, HashMap in
+        // fringe order: no search variant, under no routing, may depend on
+        // which — and both must agree with a BFS written out here.
+        let mut below = xorshift(0x0016_5eed);
+        let edges = skewed_edges(&mut below);
+        let mut adjacency: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+        for e in &edges {
+            adjacency.entry(e.src.raw()).or_default().push(e.dst.raw());
+            adjacency.entry(e.dst.raw()).or_default().push(e.src.raw());
+        }
+        // Distances from `source` over its whole component.
+        let reference = |source: u64| {
+            let mut dist = std::collections::HashMap::from([(source, 0u32)]);
+            let mut queue = std::collections::VecDeque::from([source]);
+            while let Some(v) = queue.pop_front() {
+                for &u in adjacency.get(&v).into_iter().flatten() {
+                    if !dist.contains_key(&u) {
+                        dist.insert(u, dist[&v] + 1);
+                        queue.push_back(u);
+                    }
+                }
+            }
+            dist
+        };
+        for routing in ROUTINGS {
+            let cluster = |kind: BackendKind| {
+                let tag = format!("agree-{routing:?}-{}", kind.name());
+                build_cluster(&tag, 3, kind, edges.clone(), routing)
+            };
+            let (grdb, hash) = (cluster(BackendKind::Grdb), cluster(BackendKind::HashMap));
+            for pair in 0..15 {
+                let source = below(300);
+                let unreachable = pair % 3 == 2;
+                let dest = if unreachable { 1001 } else { below(300) };
+                let dist = reference(source);
+                for opts in &variants() {
+                    let a = bfs(&grdb, g(source), g(dest), opts).unwrap();
+                    let b = bfs(&hash, g(source), g(dest), opts).unwrap();
+                    let what = format!("{routing:?}: {source} -> {dest} under {opts:?}");
+                    assert_eq!(a.path_length, dist.get(&dest).copied(), "grDB, {what}");
+                    assert_eq!(b.path_length, a.path_length, "HashMap, {what}");
+                    // Ties may pick different parents; the path's length may not.
+                    let hops = |m: &SearchMetrics| m.path.as_ref().map(|p| p.len() as u32 - 1);
+                    let want_hops = a.path_length.filter(|_| opts.record_parents);
+                    assert_eq!((hops(&a), hops(&b)), (want_hops, want_hops), "{what}");
+                    if !unreachable || source == dest {
+                        continue;
+                    }
+                    // No FOUND cuts such a search short, so its counts are
+                    // exact: a round per level of the component (one more
+                    // if the last level's copies emit vertices only their
+                    // owners know are old), and — unless the engine
+                    // filters — every vertex's whole list, once.
+                    let levels = dist.values().max().unwrap() + 1;
+                    assert_eq!(a.rounds, b.rounds, "{what}");
+                    assert!((levels..=levels + 1).contains(&a.rounds), "{what}");
+                    assert_eq!(a.edges_scanned, b.edges_scanned, "{what}");
+                    if !opts.db_filter {
+                        let entries: usize = dist.keys().map(|v| adjacency[v].len()).sum();
+                        assert_eq!(a.edges_scanned, entries as u64, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_sends_nothing_to_itself() {
+        // A copy's own vertices go straight into its next fringe, and it
+        // does not tell itself ROUND_DONE or FOUND: every message of a
+        // search crosses nodes, under every routing, in every mode.
+        let mut below = xorshift(0x5e1f);
+        let edges = skewed_edges(&mut below);
+        for routing in ROUTINGS {
+            let tag = format!("noself-{routing:?}");
+            let cluster = build_cluster(&tag, 3, BackendKind::HashMap, edges.clone(), routing);
+            for opts in &variants() {
+                for dest in [150 + below(150), 1001] {
+                    let m = bfs(&cluster, g(below(150)), g(dest), opts).unwrap();
+                    let net = &m.telemetry.net;
+                    assert_eq!(net.local_msgs, 0, "{routing:?} under {opts:?}");
+                    assert!(net.total_msgs() > 0, "peers still hear ROUND_DONE");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_peer_messages_are_typed_errors() {
+        use crate::visited::PagedBitmap;
+        let mut t = Traversal::new(0, 2, Box::new(PagedBitmap::new()), false, None);
+        for (what, msg) in [
+            ("0-byte FOUND", DataBuffer::control(tag(KIND_FOUND, 1, 1))),
+            (
+                "0-byte ROUND_DONE",
+                DataBuffer::control(tag(KIND_ROUND_DONE, 1, 1)),
+            ),
+            (
+                "7-byte FRINGE",
+                DataBuffer::new(tag(KIND_FRINGE, 1, 1), vec![0; 7]),
+            ),
+            ("unknown kind", DataBuffer::control(tag(9, 1, 1))),
+        ] {
+            let err = t.receive(msg, 1).unwrap_err();
+            assert!(
+                matches!(err, GraphStorageError::Corrupt(_)),
+                "{what}: {err}"
+            );
+        }
+        // Pair format: a whole number of words is not enough.
+        let mut pairs = Traversal::new(0, 2, Box::new(PagedBitmap::new()), true, None);
+        let odd = DataBuffer::from_words(tag(KIND_FRINGE, 1, 1), &[4, 2, 6]);
+        let err = pairs.receive(odd, 1).unwrap_err();
+        assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
+        // Nothing malformed was counted, and a well-formed message still is.
+        assert_eq!((t.done_from, t.visited_count), (0, 0));
+        let fringe = DataBuffer::from_words(tag(KIND_FRINGE, 1, 1), &[4, 2, 4]);
+        assert_eq!(t.receive(fringe, 1).unwrap(), None);
+        assert_eq!(t.next, [g(4), g(2)]);
     }
 
     #[test]

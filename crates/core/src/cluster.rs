@@ -12,10 +12,9 @@ use crate::telemetry::TelemetryReport;
 use datacutter::RunReport;
 use graphdb::GraphDb;
 use mssg_obs::Telemetry;
-use mssg_types::{Gid, Result};
+use mssg_types::{GidMap, Result};
 use parking_lot::Mutex;
 use simio::{IoSnapshot, IoStats};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ pub struct MssgCluster {
     dir: PathBuf,
     /// Vertex-owner map published by a `VertexRoundRobin` ingestion; used
     /// by searches that may consult the ingestion service's knowledge.
-    pub(crate) owner_map: Option<Arc<HashMap<Gid, usize>>>,
+    pub(crate) owner_map: Option<Arc<GidMap<usize>>>,
     /// Set by an edge-granularity ingestion: ownership is unknowable, so
     /// searches must broadcast their fringes (Algorithm 1's third case).
     pub(crate) broadcast_fringe: bool,
@@ -196,7 +195,7 @@ impl MssgCluster {
     }
 
     /// The owner map published by a vertex-round-robin ingestion, if any.
-    pub fn owner_map(&self) -> Option<&Arc<HashMap<Gid, usize>>> {
+    pub fn owner_map(&self) -> Option<&Arc<GidMap<usize>>> {
         self.owner_map.as_ref()
     }
 
@@ -209,7 +208,7 @@ impl MssgCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssg_types::Edge;
+    use mssg_types::{Edge, Gid};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("core-cluster-{}-{tag}", std::process::id()));

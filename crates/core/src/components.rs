@@ -27,7 +27,7 @@
 use crate::cluster::{MssgCluster, SharedBackend};
 use crate::telemetry::TelemetryReport;
 use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, OutPort};
-use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
+use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -281,7 +281,7 @@ impl Filter for CcFilter {
             quiet(port.broadcast(DataBuffer::from_words(tag(K_REGISTER_DONE, 0, me), &[0])))?;
         }
         // Labels of the vertices this processor owns (hash placement).
-        let mut labels: HashMap<Gid, u64> = HashMap::new();
+        let mut labels: GidMap<u64> = GidMap::default();
         await_phase(
             ctx,
             &mut stash,
@@ -366,7 +366,7 @@ impl Filter for CcFilter {
                     &[sent],
                 )))?;
             }
-            let mut changed: HashMap<Gid, u64> = HashMap::new();
+            let mut changed: GidMap<u64> = GidMap::default();
             await_phase(
                 ctx,
                 &mut stash,

@@ -10,8 +10,7 @@
 //! the ingestion service and the search must broadcast (Algorithm 1's
 //! three cases).
 
-use mssg_types::{Edge, Gid};
-use std::collections::HashMap;
+use mssg_types::{Edge, Gid, GidMap};
 
 /// A declustering strategy instance. Stateful: the round-robin variants
 /// remember assignments made earlier in the stream.
@@ -28,7 +27,7 @@ pub enum Declustering {
         /// Number of back-end nodes.
         nodes: usize,
         /// Assignments made so far.
-        owners: HashMap<Gid, usize>,
+        owners: GidMap<usize>,
         /// Next node in rotation.
         next: usize,
     },
@@ -54,7 +53,7 @@ impl Declustering {
         assert!(nodes > 0);
         Declustering::VertexRoundRobin {
             nodes,
-            owners: HashMap::new(),
+            owners: GidMap::default(),
             next: 0,
         }
     }
@@ -169,7 +168,7 @@ mod tests {
             Declustering::vertex_hash(4),
             Declustering::vertex_round_robin(4),
         ] {
-            let mut seen: HashMap<Gid, usize> = HashMap::new();
+            let mut seen: std::collections::HashMap<Gid, usize> = Default::default();
             let mut x = 5u64;
             for _ in 0..500 {
                 x ^= x << 13;

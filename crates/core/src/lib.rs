@@ -16,10 +16,12 @@
 //! - [`epoch`] — graph epochs: ingestion advances the cluster epoch at
 //!   window-checkpoint boundaries, queries pin it for consistent
 //!   snapshots (the contract `mssg-serve` builds on),
-//! - [`visited`] — in-memory and external-memory visited structures for
-//!   the search algorithms (the Figure 5.8/5.9 ablation),
+//! - [`visited`] — the visited sets a search filters a level through: the
+//!   in-memory paged bitmap and the external-memory B-tree of Figures
+//!   5.8/5.9,
 //! - [`bfs`] — parallel out-of-core BFS (Algorithm 1) and its pipelined
-//!   variant (Algorithm 2), implemented as DataCutter filter graphs,
+//!   variant (Algorithm 2), implemented as DataCutter filter graphs around
+//!   one per-level kernel (scan, filter, route),
 //! - [`query`] — the Query service: a registry of analyses executable by
 //!   name,
 //! - [`telemetry`] — [`TelemetryReport`], the unified per-run observation

@@ -11,8 +11,9 @@ use crate::cluster::MssgCluster;
 use crate::components::{connected_components, ComponentsOptions};
 use crate::degrees::degree_distribution;
 use crate::msf::minimum_spanning_forest;
-use mssg_types::{Gid, GraphStorageError, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::visited::{PagedBitmap, VisitedSet};
+use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
+use std::collections::BTreeMap;
 
 /// Parameters of a registered analysis, as key/value strings (the thin
 /// waist a user-facing front end would marshal into).
@@ -121,38 +122,41 @@ pub struct KHopResult {
 }
 
 /// The k-hop neighborhood of `source`: every vertex reachable in at most
-/// `k` hops. Runs a synchronous frontier expansion on the front end,
-/// asking *every* back-end for each fringe vertex's adjacency — correct
-/// under all three declustering strategies (an edge-granularity ingestion
-/// scatters a vertex's list across nodes, so the union is required).
+/// `k` hops. A level-synchronous expansion on the front end from the
+/// pieces BFS's level kernel is made of: per level, one `expand_fringe` of
+/// the whole fringe on *every* back-end — correct under all three
+/// declustering strategies (an edge-granularity ingestion scatters a
+/// vertex's list across nodes, so the union is required) — filtered
+/// through one visited set into the next fringe.
 pub fn k_hop(cluster: &MssgCluster, source: Gid, k: u32) -> Result<KHopResult> {
-    use graphdb::GraphDbExt;
-    let mut seen: BTreeSet<Gid> = BTreeSet::new();
-    seen.insert(source);
+    let mut visited = PagedBitmap::new();
+    let mut vertices = Vec::new();
+    visited.visit_new(&[source], &mut vertices)?;
     let mut fringe: Vec<Gid> = vec![source];
+    let mut next: Vec<Gid> = Vec::new();
+    let mut adj = AdjBuffer::new();
     let mut edges_scanned = 0u64;
     for _ in 0..k {
-        let mut next = Vec::new();
-        for &v in &fringe {
-            for node in 0..cluster.nodes() {
-                let adj = cluster.with_backend(node, |db| db.neighbors(v))?;
-                edges_scanned += adj.len() as u64;
-                for n in adj {
-                    if seen.insert(n) {
-                        next.push(n);
-                    }
-                }
-            }
+        for node in 0..cluster.nodes() {
+            adj.clear();
+            cluster.with_backend(node, |db| {
+                db.expand_fringe(&fringe, &mut adj, 0, MetaOp::Ignore)
+            })?;
+            edges_scanned += adj.len() as u64;
+            visited.visit_new(adj.as_slice(), &mut next)?;
         }
         if next.is_empty() {
             break;
         }
-        fringe = next;
+        vertices.extend_from_slice(&next);
+        fringe.clear();
+        std::mem::swap(&mut fringe, &mut next);
     }
+    vertices.sort_unstable();
     Ok(KHopResult {
         source,
         k,
-        vertices: seen.into_iter().collect(),
+        vertices,
         edges_scanned,
     })
 }

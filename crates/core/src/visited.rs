@@ -1,41 +1,70 @@
-//! Visited (level) structures for the search algorithms.
+//! Visited sets for the search algorithms.
 //!
-//! The thesis runs most experiments with an in-memory visited structure
+//! Algorithm 1 keeps `level[v]` per vertex, but the only question a search
+//! ever asks of it is "has `v` been seen?", so what lives here is a *set*,
+//! and it is asked a slice at a time: [`VisitedSet::visit_new`] filters a
+//! whole batch of candidates — one BFS level's adjacency entries — down to
+//! the ones seen for the first time. The trait call, and the `Result`, are
+//! paid once per batch; the loop inside is the implementation's own.
+//!
+//! The thesis runs most experiments with the visited structure in memory
 //! ("the simplest way to obtain a fair comparison is to simply fix the
-//! visited data-structure") but measures Syn-2B with an **external-memory
-//! visited structure** as well (Figures 5.8/5.9), since at 10^12 vertices
-//! even one bit per vertex outgrows RAM. Both live here behind one trait.
+//! visited data-structure") so that it is not what gets measured, and
+//! Syn-2B with an **external-memory** one as well (Figures 5.8/5.9), since
+//! at 10^12 vertices even one bit per vertex outgrows RAM. Those are the
+//! two implementations: [`PagedBitmap`] and [`ExternalVisited`].
+//!
+//! # The paged bitmap
+//!
+//! One bit per vertex id, held in zeroed pages of [`PAGE_BYTES`] bytes that
+//! are allocated when an id first falls in them, so memory follows the
+//! pages touched, not the id space. A page is found through the page
+//! directory: page numbers below [`DIRECT_PAGES`] index a table directly
+//! (a search of ids below 2^25 never hashes), higher ones go through a
+//! hash table. A probe is a shift, a mask, a directory entry and one cache
+//! line of bits.
+//!
+//! Dense ids cost about a bit each. The worst case — every visited id
+//! alone in its page, as with uniformly random 61-bit ids — is one page and
+//! one hash-directory entry per vertex, under
+//! [`WORST_CASE_BYTES_PER_VERTEX`]; the direct table adds at most
+//! 4 × `DIRECT_PAGES` bytes (256 KiB) to a search, and only as far as the
+//! highest low page it touches.
+//!
+//! Page size was chosen by measurement (`query_qps` @ mem-hashmap, with a
+//! hash-only directory and a remembered last page): 64 B and 512 B pages
+//! ran alike, 4 KiB pages ~20 % faster — but only because that graph's
+//! 29 k ids fit one 4 KiB page and never reached the directory, at 64×
+//! the worst case. The direct table gives every dense id space that speed
+//! at cache-line pages; remembering the last page on top of it measured
+//! slower (a branch per entry) and is not done.
 
 use kvdb::{KvOptions, KvStore};
+use mssg_types::gidmap::GidHasher;
 use mssg_types::{Gid, Result};
 use simio::IoStats;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Which visited structure a search uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum VisitedKind {
-    /// Hash map in memory (the thesis' default experimental setup).
+    /// Paged bitmap in memory (the thesis' default experimental setup).
     #[default]
     InMemory,
-    /// Dense `level[v]` array indexed by vertex id — the literal data
-    /// structure of Algorithm 1 (`level[v] = ∞ for v ∈ V`). Fastest, but
-    /// memory scales with the vertex-id space rather than the visited set.
-    Dense,
     /// B-tree on disk (the Figure 5.8/5.9 configuration).
     External,
 }
 
-/// A per-processor level array: remembers the BFS level at which each
-/// vertex was first seen.
+/// A per-processor set of visited vertices.
 pub trait VisitedSet: Send {
-    /// Marks `v` visited at `level` if unseen. Returns `true` when `v` was
-    /// newly marked.
-    fn try_visit(&mut self, v: Gid, level: u32) -> Result<bool>;
-
-    /// The level `v` was first seen at, if any.
-    fn level(&mut self, v: Gid) -> Result<Option<u32>>;
+    /// Marks every vertex of `candidates` visited and appends to `fresh`,
+    /// in order, those that were not: a vertex neither visited by an
+    /// earlier call nor occurring earlier in `candidates` (of duplicates
+    /// within one batch, the first is fresh and the rest are not).
+    fn visit_new(&mut self, candidates: &[Gid], fresh: &mut Vec<Gid>) -> Result<()>;
 
     /// Number of visited vertices.
     fn len(&self) -> u64;
@@ -46,93 +75,86 @@ pub trait VisitedSet: Send {
     }
 }
 
-/// Hash-map visited structure.
+/// Bytes in one bitmap page: one cache line, 512 vertex ids.
+pub const PAGE_BYTES: usize = 64;
+
+const PAGE_WORDS: usize = PAGE_BYTES / 8;
+/// `id >> PAGE_SHIFT` is the id's page number.
+const PAGE_SHIFT: u32 = (PAGE_BYTES * 8).trailing_zeros();
+
+/// Page numbers below this (ids below 2^25) are looked up by index.
+pub const DIRECT_PAGES: u64 = 1 << 16;
+
+/// Upper bound on [`PagedBitmap`]'s heap bytes per visited vertex beyond
+/// the direct table, met when every vertex is alone in its page: the page,
+/// twice over while the page vector has just doubled, and a 17-byte
+/// hash-directory bucket in a table 7/16 full just after it doubled.
+pub const WORST_CASE_BYTES_PER_VERTEX: usize = 2 * PAGE_BYTES + 40;
+
+type Page = [u64; PAGE_WORDS];
+
+/// In-memory visited set: a bitmap over the id space, paged (see the
+/// module docs).
 #[derive(Default)]
-pub struct InMemoryVisited {
-    map: HashMap<Gid, u32>,
+pub struct PagedBitmap {
+    pages: Vec<Page>,
+    /// The page directory. Both halves hold a page's index into `pages`
+    /// plus one: `direct[n]` for page number `n < DIRECT_PAGES` (0: no page
+    /// yet; as long as the highest such page touched), `hashed` beyond.
+    direct: Vec<u32>,
+    hashed: HashMap<u64, u32, BuildHasherDefault<GidHasher>>,
+    len: u64,
 }
 
-impl InMemoryVisited {
-    /// An empty structure.
-    pub fn new() -> InMemoryVisited {
-        InMemoryVisited::default()
+impl PagedBitmap {
+    /// An empty set.
+    pub fn new() -> PagedBitmap {
+        PagedBitmap::default()
+    }
+
+    /// Page `number`, allocated zeroed on first touch.
+    #[inline]
+    fn page(&mut self, number: u64) -> &mut Page {
+        let entry = if number < DIRECT_PAGES {
+            let number = number as usize;
+            if number >= self.direct.len() {
+                self.direct.resize(number + 1, 0);
+            }
+            &mut self.direct[number]
+        } else {
+            self.hashed.entry(number).or_insert(0)
+        };
+        if *entry == 0 {
+            self.pages.push([0; PAGE_WORDS]);
+            *entry =
+                u32::try_from(self.pages.len()).expect("fewer than 2^32 bitmap pages (256 GiB)");
+        }
+        &mut self.pages[*entry as usize - 1]
     }
 }
 
-impl VisitedSet for InMemoryVisited {
-    fn try_visit(&mut self, v: Gid, level: u32) -> Result<bool> {
-        use std::collections::hash_map::Entry;
-        match self.map.entry(v) {
-            Entry::Occupied(_) => Ok(false),
-            Entry::Vacant(e) => {
-                e.insert(level);
-                Ok(true)
+impl VisitedSet for PagedBitmap {
+    fn visit_new(&mut self, candidates: &[Gid], fresh: &mut Vec<Gid>) -> Result<()> {
+        let before = fresh.len();
+        for &v in candidates {
+            let raw = v.raw();
+            let word = &mut self.page(raw >> PAGE_SHIFT)[(raw >> 6) as usize % PAGE_WORDS];
+            let bit = 1u64 << (raw % 64);
+            if *word & bit == 0 {
+                *word |= bit;
+                fresh.push(v);
             }
         }
-    }
-
-    fn level(&mut self, v: Gid) -> Result<Option<u32>> {
-        Ok(self.map.get(&v).copied())
-    }
-
-    fn len(&self) -> u64 {
-        self.map.len() as u64
-    }
-}
-
-/// The dense level array of Algorithm 1: `levels[v]` holds the discovery
-/// level, `u32::MAX` meaning unvisited. Grows on demand to cover the
-/// highest vertex id touched.
-#[derive(Default)]
-pub struct DenseVisited {
-    levels: Vec<u32>,
-    visited: u64,
-}
-
-const DENSE_UNVISITED: u32 = u32::MAX;
-
-impl DenseVisited {
-    /// An empty array.
-    pub fn new() -> DenseVisited {
-        DenseVisited::default()
-    }
-
-    fn slot(&mut self, v: Gid) -> usize {
-        let idx = v.index();
-        if idx >= self.levels.len() {
-            self.levels.resize(idx + 1, DENSE_UNVISITED);
-        }
-        idx
-    }
-}
-
-impl VisitedSet for DenseVisited {
-    fn try_visit(&mut self, v: Gid, level: u32) -> Result<bool> {
-        assert!(
-            level != DENSE_UNVISITED,
-            "level u32::MAX is the unvisited sentinel"
-        );
-        let i = self.slot(v);
-        if self.levels[i] == DENSE_UNVISITED {
-            self.levels[i] = level;
-            self.visited += 1;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    fn level(&mut self, v: Gid) -> Result<Option<u32>> {
-        let i = self.slot(v);
-        Ok((self.levels[i] != DENSE_UNVISITED).then_some(self.levels[i]))
+        self.len += (fresh.len() - before) as u64;
+        Ok(())
     }
 
     fn len(&self) -> u64 {
-        self.visited
+        self.len
     }
 }
 
-/// Disk-backed visited structure over the `kvdb` B-tree.
+/// Disk-backed visited set over the `kvdb` B-tree: one key per vertex.
 pub struct ExternalVisited {
     store: KvStore,
 }
@@ -149,20 +171,16 @@ impl ExternalVisited {
 }
 
 impl VisitedSet for ExternalVisited {
-    fn try_visit(&mut self, v: Gid, level: u32) -> Result<bool> {
-        let key = v.raw().to_be_bytes();
-        if self.store.get(&key)?.is_some() {
-            return Ok(false);
+    fn visit_new(&mut self, candidates: &[Gid], fresh: &mut Vec<Gid>) -> Result<()> {
+        for &v in candidates {
+            let key = v.raw().to_be_bytes();
+            // Probe before writing: a vertex already seen dirties no page.
+            if self.store.get(&key)?.is_none() {
+                self.store.put(&key, &[])?;
+                fresh.push(v);
+            }
         }
-        self.store.put(&key, &level.to_le_bytes())?;
-        Ok(true)
-    }
-
-    fn level(&mut self, v: Gid) -> Result<Option<u32>> {
-        Ok(self
-            .store
-            .get(&v.raw().to_be_bytes())?
-            .map(|b| u32::from_le_bytes(b.as_slice().try_into().unwrap_or([0; 4]))))
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -179,8 +197,7 @@ impl VisitedKind {
         stats: Arc<IoStats>,
     ) -> Result<Box<dyn VisitedSet>> {
         Ok(match self {
-            VisitedKind::InMemory => Box::new(InMemoryVisited::new()),
-            VisitedKind::Dense => Box::new(DenseVisited::new()),
+            VisitedKind::InMemory => Box::new(PagedBitmap::new()),
             VisitedKind::External => {
                 std::fs::create_dir_all(scratch_dir)?;
                 Box::new(ExternalVisited::create(
@@ -195,92 +212,160 @@ impl VisitedKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn g(v: u64) -> Gid {
         Gid::new(v)
     }
 
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("core-visited-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}.db"))
+    }
+
+    fn external(tag: &str) -> ExternalVisited {
+        ExternalVisited::create(&scratch(tag), IoStats::new()).unwrap()
+    }
+
+    /// Heap bytes a bitmap holds, at the capacities of its pages and
+    /// directory. A hashbrown bucket is the (u64, u32) pair padded to 16
+    /// bytes plus one control byte; `capacity()` is 7/8 of the buckets.
+    fn heap_bytes(vs: &PagedBitmap) -> usize {
+        vs.pages.capacity() * PAGE_BYTES
+            + vs.direct.capacity() * 4
+            + vs.hashed.capacity() * 8 / 7 * 17
+    }
+
+    fn visit(vs: &mut dyn VisitedSet, batch: &[u64]) -> Vec<u64> {
+        let batch: Vec<Gid> = batch.iter().map(|&v| Gid::from_raw(v)).collect();
+        let mut fresh = Vec::new();
+        vs.visit_new(&batch, &mut fresh).unwrap();
+        fresh.iter().map(|v| v.raw()).collect()
+    }
+
     fn check_contract(vs: &mut dyn VisitedSet) {
         assert!(vs.is_empty());
-        assert!(vs.try_visit(g(5), 1).unwrap());
-        assert!(!vs.try_visit(g(5), 2).unwrap(), "second visit rejected");
-        assert_eq!(vs.level(g(5)).unwrap(), Some(1), "first level wins");
-        assert_eq!(vs.level(g(6)).unwrap(), None);
-        assert!(
-            vs.try_visit(g(0), 0).unwrap(),
-            "level 0 and vertex 0 are valid"
-        );
-        assert_eq!(vs.len(), 2);
+        assert_eq!(visit(vs, &[5, 0, 5, 7]), [5, 0, 7], "first occurrence only");
+        assert_eq!(visit(vs, &[7, 6, 5]), [6], "earlier batches are remembered");
+        assert_eq!(visit(vs, &[]), [0u64; 0]);
+        assert_eq!(vs.len(), 4);
+        // `fresh` is appended to, not cleared.
+        let mut fresh = vec![g(99)];
+        vs.visit_new(&[g(1)], &mut fresh).unwrap();
+        assert_eq!(fresh, [g(99), g(1)]);
     }
 
     #[test]
-    fn in_memory_contract() {
-        let mut vs = InMemoryVisited::new();
-        check_contract(&mut vs);
+    fn bitmap_contract() {
+        check_contract(&mut PagedBitmap::new());
     }
 
     #[test]
     fn external_contract() {
-        let dir = std::env::temp_dir().join(format!("core-visited-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut vs = ExternalVisited::create(&dir.join("contract.db"), IoStats::new()).unwrap();
-        check_contract(&mut vs);
+        check_contract(&mut external("contract"));
     }
 
     #[test]
     fn external_is_fresh_per_query() {
-        let dir = std::env::temp_dir().join(format!("core-visited-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fresh.db");
+        let path = scratch("fresh");
         {
             let mut vs = ExternalVisited::create(&path, IoStats::new()).unwrap();
-            vs.try_visit(g(1), 1).unwrap();
+            visit(&mut vs, &[1]);
         }
         let vs = ExternalVisited::create(&path, IoStats::new()).unwrap();
         assert!(vs.is_empty(), "create() must start a fresh query state");
     }
 
     #[test]
-    fn dense_contract() {
-        let mut vs = DenseVisited::new();
-        check_contract(&mut vs);
-    }
-
-    #[test]
-    fn dense_grows_sparsely_addressed() {
-        let mut vs = DenseVisited::new();
-        assert!(vs.try_visit(g(1_000_000), 2).unwrap());
-        assert_eq!(vs.level(g(1_000_000)).unwrap(), Some(2));
-        assert_eq!(vs.level(g(999_999)).unwrap(), None);
-        assert_eq!(vs.len(), 1);
-    }
-
-    #[test]
     fn kind_factory() {
         let dir = std::env::temp_dir().join(format!("core-visited-{}-f", std::process::id()));
-        for kind in [
-            VisitedKind::InMemory,
-            VisitedKind::Dense,
-            VisitedKind::External,
-        ] {
+        for kind in [VisitedKind::InMemory, VisitedKind::External] {
             let mut vs = kind.open(&dir, 3, IoStats::new()).unwrap();
-            assert!(vs.try_visit(g(9), 4).unwrap());
-            assert_eq!(vs.level(g(9)).unwrap(), Some(4));
+            assert_eq!(visit(vs.as_mut(), &[9, 9]), [9]);
+            assert_eq!(vs.len(), 1);
         }
     }
 
     #[test]
-    fn external_scales_past_memory_shape() {
-        // Not a memory test per se, just bulk-correctness on many keys.
-        let dir = std::env::temp_dir().join(format!("core-visited-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut vs = ExternalVisited::create(&dir.join("bulk.db"), IoStats::new()).unwrap();
-        for i in 0..5000u64 {
-            assert!(vs.try_visit(g(i), (i % 7) as u32).unwrap());
-        }
+    fn external_bulk() {
+        let mut vs = external("bulk");
+        let ids: Vec<u64> = (0..5000).collect();
+        assert_eq!(visit(&mut vs, &ids).len(), 5000);
         assert_eq!(vs.len(), 5000);
-        for i in 0..5000u64 {
-            assert_eq!(vs.level(g(i)).unwrap(), Some((i % 7) as u32));
+        assert!(visit(&mut vs, &ids).is_empty());
+    }
+
+    #[test]
+    fn dense_ids_cost_about_a_bit_each() {
+        let mut vs = PagedBitmap::new();
+        let ids: Vec<u64> = (0..1 << 20).collect();
+        assert_eq!(visit(&mut vs, &ids).len(), 1 << 20);
+        // 128 KiB of bits; page-vector doubling and the directory on top.
+        assert!(heap_bytes(&vs) < 512 << 10, "{} bytes", heap_bytes(&vs));
+    }
+
+    #[test]
+    fn random_61_bit_ids_stay_under_the_stated_worst_case() {
+        // 10 k uniformly random ids: every one alone in its page.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let ids: Vec<u64> = (0..10_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x & Gid::MAX.raw()
+            })
+            .collect();
+        let mut vs = PagedBitmap::new();
+        let fresh = visit(&mut vs, &ids).len();
+        assert_eq!(vs.len() as usize, fresh);
+        let per_vertex = heap_bytes(&vs) / fresh;
+        assert!(
+            (PAGE_BYTES..=WORST_CASE_BYTES_PER_VERTEX).contains(&per_vertex),
+            "{per_vertex} bytes per visited vertex"
+        );
+    }
+
+    /// Id shapes a search meets: dense, what `GID % p` leaves on one node,
+    /// neighbours of a page boundary, ids past 2^40, and the largest id.
+    fn id() -> impl Strategy<Value = u64> {
+        let page = (PAGE_BYTES * 8) as u64;
+        prop_oneof![
+            0u64..2000,
+            (0u64..2000, 2u64..17).prop_map(|(i, p)| i * p + 1),
+            (1u64..40, 0u64..4).prop_map(move |(n, d)| n * page - 2 + d),
+            (0u64..64).prop_map(|i| (1 << 40) + i * 511),
+            (0u64..3).prop_map(|d| Gid::MAX.raw() - d),
+        ]
+    }
+
+    fn batches() -> impl Strategy<Value = Vec<Vec<u64>>> {
+        prop::collection::vec(prop::collection::vec(id(), 0..60), 1..8)
+    }
+
+    /// `visit_new` against the obvious model, batch by batch.
+    fn check_against_model(vs: &mut dyn VisitedSet, batches: &[Vec<u64>]) {
+        let mut model: HashSet<u64> = HashSet::new();
+        for batch in batches {
+            let want: Vec<u64> = batch.iter().copied().filter(|&v| model.insert(v)).collect();
+            assert_eq!(visit(vs, batch), want);
+            assert_eq!(vs.len(), model.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+
+        #[test]
+        fn bitmap_matches_hashset_model(batches in batches()) {
+            check_against_model(&mut PagedBitmap::new(), &batches);
+        }
+
+        #[test]
+        fn external_matches_hashset_model(batches in batches()) {
+            check_against_model(&mut external("model"), &batches);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Data buffers — the unit of exchange on logical streams.
 
 use bytes::Bytes;
-use mssg_types::Edge;
+use mssg_types::{Edge, GraphStorageError, Result};
 
 /// A tagged byte buffer.
 ///
@@ -43,10 +43,27 @@ impl DataBuffer {
         DataBuffer::new(tag, data)
     }
 
-    /// Decodes the payload as 64-bit words.
+    /// The payload as 64-bit words, read in place: the view a filter takes
+    /// of a message a peer sent it. A payload that is not a whole number of
+    /// words is `Corrupt`, not a panic.
+    pub fn try_words(&self) -> Result<impl ExactSizeIterator<Item = u64> + '_> {
+        if !self.data.len().is_multiple_of(8) {
+            return Err(GraphStorageError::corrupt(format!(
+                "payload of {} bytes is not a word vector",
+                self.data.len()
+            )));
+        }
+        Ok(self
+            .data
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))))
+    }
+
+    /// Decodes the payload as 64-bit words into a fresh vector.
     ///
     /// # Panics
-    /// Panics if the payload length is not a multiple of 8.
+    /// Panics if the payload length is not a multiple of 8; use
+    /// [`try_words`](DataBuffer::try_words) on input from a peer.
     pub fn words(&self) -> Vec<u64> {
         assert!(
             self.data.len().is_multiple_of(8),
@@ -103,6 +120,17 @@ mod tests {
         assert_eq!(b.tag, 7);
         assert_eq!(b.words(), vec![1, 2, u64::MAX]);
         assert_eq!(b.len(), 24);
+    }
+
+    #[test]
+    fn checked_word_view_reads_in_place_and_rejects_ragged_payloads() {
+        let b = DataBuffer::from_words(7, &[1, 2, u64::MAX]);
+        let view = b.try_words().unwrap();
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.collect::<Vec<_>>(), vec![1, 2, u64::MAX]);
+        assert_eq!(DataBuffer::control(0).try_words().unwrap().len(), 0);
+        let err = DataBuffer::new(0, vec![0; 7]).try_words().err().unwrap();
+        assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
     }
 
     #[test]

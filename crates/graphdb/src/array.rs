@@ -17,14 +17,13 @@
 
 use crate::meta_table::MetaTable;
 use crate::traits::GraphDb;
-use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
-use std::collections::HashMap;
+use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
 
 /// CSR in-memory backend.
 #[derive(Default)]
 pub struct ArrayDb {
     /// Ingestion staging, keyed by source vertex.
-    staging: HashMap<Gid, Vec<Gid>>,
+    staging: GidMap<Vec<Gid>>,
     /// Entries staged but not yet built into the CSR.
     staged_entries: u64,
     /// Built CSR, if up to date.

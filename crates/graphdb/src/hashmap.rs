@@ -8,13 +8,12 @@
 
 use crate::meta_table::MetaTable;
 use crate::traits::GraphDb;
-use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
-use std::collections::HashMap;
+use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
 
 /// Hash-map-of-adjacency-lists in-memory backend.
 #[derive(Default)]
 pub struct HashMapDb {
-    adj: HashMap<Gid, Vec<Gid>>,
+    adj: GidMap<Vec<Gid>>,
     entries: u64,
     meta: MetaTable,
 }

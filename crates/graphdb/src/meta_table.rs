@@ -8,13 +8,12 @@
 //! identical across engines and the benchmarks measure only the adjacency
 //! storage.
 
-use mssg_types::{Gid, Meta, UNVISITED};
-use std::collections::HashMap;
+use mssg_types::{Gid, GidMap, Meta, UNVISITED};
 
 /// Map from vertex to metadata word with an `UNVISITED` default.
 #[derive(Clone, Debug, Default)]
 pub struct MetaTable {
-    map: HashMap<Gid, Meta>,
+    map: GidMap<Meta>,
 }
 
 impl MetaTable {

@@ -14,12 +14,15 @@
 //! - [`MetaOp`] and the [`GraphStorageError`] error type used by the
 //!   GraphDB service interface (thesis Listing 3.1),
 //! - [`AdjBuffer`] — the reusable adjacency-list output buffer
-//!   (the prototype's `FastLongArrayStorage`).
+//!   (the prototype's `FastLongArrayStorage`),
+//! - [`GidMap`] / [`GidSet`] — hash tables keyed by vertex id, with a
+//!   hasher specialised to that one word.
 
 pub mod adjbuf;
 pub mod edge;
 pub mod error;
 pub mod gid;
+pub mod gidmap;
 pub mod meta;
 pub mod ontology;
 pub mod verify;
@@ -28,6 +31,7 @@ pub use adjbuf::AdjBuffer;
 pub use edge::{Edge, TypedEdge};
 pub use error::{GraphStorageError, Result};
 pub use gid::Gid;
+pub use gidmap::{GidMap, GidSet};
 pub use meta::{Meta, MetaOp, UNVISITED};
 pub use ontology::{EdgeTypeId, Ontology, OntologyError, VertexTypeId};
 pub use verify::VerifyError;

@@ -44,6 +44,14 @@
 //!   Filters are single-threaded by contract; a shared-mutable field is
 //!   a deliberate escape hatch that the race-audit inventory must list,
 //!   not an accident.
+//! - **`gid-hash`** — no `HashMap<Gid, …>` / `HashSet<Gid>` with the
+//!   default hasher in non-test code under `crates/core` or
+//!   `crates/graphdb`: use `mssg_types::GidMap` / `GidSet`. These tables
+//!   sit on the traversal and storage hot paths, keyed by ids from the
+//!   operator's own ingest stream; SipHash there buys nothing and costs a
+//!   probe's worth of time per vertex. (Tables keyed by bytes a client
+//!   supplies live in `crates/serve`, out of the rule's scope, and keep
+//!   SipHash.)
 //!
 //! False positives are suppressed through the allowlist file
 //! `lint.allow` at the repo root (or `--allowlist <file>`), one entry
@@ -152,6 +160,7 @@ pub fn run(args: &[String]) -> ExitCode {
         check_untimed_recv(&rel, &text, &mut violations);
         check_wire_alloc(&rel, &text, &mut violations);
         check_clock_order(&rel, &text, &mut violations);
+        check_gid_hash(&rel, &text, &mut violations);
         collect_shared_mut(&rel, &text, &mut shared_fields);
         if let Some(reg) = &registry {
             check_metric_names(&rel, &text, reg, &mut violations);
@@ -625,6 +634,78 @@ fn check_clock_order(rel: &str, text: &str, out: &mut Vec<Violation>) {
                               none is needed, or use Acquire/Release"
                         .to_string(),
                 });
+            }
+        }
+        for c in code.chars() {
+            match c {
+                '{' => stack.push(pending.take().unwrap_or(Region::Plain)),
+                '}' => {
+                    stack.pop();
+                }
+                _ => {}
+            }
+        }
+        if pending.is_some() && trimmed.ends_with(';') {
+            pending = None;
+        }
+    }
+}
+
+/// Directories whose vertex-keyed tables sit on the traversal and storage
+/// hot paths.
+const GID_HASH_SCOPES: [&str; 2] = ["crates/core/", "crates/graphdb/"];
+
+/// Flags `HashMap<Gid, V>` / `HashSet<Gid>` — a vertex-keyed table with
+/// the default (SipHash) hasher — in non-test code of the hot-path crates.
+/// A table that names its hasher (`HashMap<Gid, V, S>`) passes.
+fn check_gid_hash(rel: &str, text: &str, out: &mut Vec<Violation>) {
+    if !GID_HASH_SCOPES.iter().any(|s| rel.starts_with(s)) || rel.contains("/tests/") {
+        return;
+    }
+    let mut stack: Vec<Region> = Vec::new();
+    let mut pending: Option<Region> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let code = strip_code(raw);
+        let trimmed = code.trim();
+        if trimmed.contains("#[cfg(test)]") {
+            pending = Some(Region::Test);
+        }
+        if !stack.contains(&Region::Test) {
+            let compact: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+            // (pattern, alias to use, commas in the type's arguments when no
+            // hasher is named: `HashMap<K, V>` has one, `HashSet<K>` none).
+            for (table, alias, bare_commas) in
+                [("HashMap<Gid,", "GidMap", 1), ("HashSet<Gid", "GidSet", 0)]
+            {
+                let Some(pos) = compact.find(table) else {
+                    continue;
+                };
+                // Both table names are as long as each other.
+                let args = balanced_prefix(&compact[pos + "HashMap<".len()..], '<', '>');
+                let mut depth = 0usize;
+                let top_level_commas = args
+                    .chars()
+                    .filter(|c| {
+                        match c {
+                            '<' | '(' | '[' => depth += 1,
+                            '>' | ')' | ']' => depth = depth.saturating_sub(1),
+                            _ => {}
+                        }
+                        *c == ',' && depth == 0
+                    })
+                    .count();
+                if top_level_commas == bare_commas {
+                    out.push(Violation {
+                        rule: "gid-hash",
+                        path: rel.to_string(),
+                        line: idx + 1,
+                        message: format!(
+                            "vertex-keyed `{table}…>` with the default hasher — use \
+                             `mssg_types::{alias}` (ids come from the operator's own \
+                             ingest stream; SipHash per vertex buys nothing here)"
+                        ),
+                    });
+                }
             }
         }
         for c in code.chars() {
@@ -1358,6 +1439,57 @@ pub const SPANS: &[&str] = &["e.f"];
         assert!(v.is_empty(), "cfg(test) Relaxed flagged");
         check_clock_order("crates/obs/tests/x.rs", bad, &mut v);
         assert!(v.is_empty(), "tests/ Relaxed flagged");
+    }
+
+    #[test]
+    fn gid_hash_flags_default_hashers_on_vertex_keys() {
+        let bad = r#"
+use std::collections::{HashMap, HashSet};
+struct Db {
+    adj: HashMap<Gid, Vec<(Gid, u32)>>,
+    seen: HashSet<Gid>,
+}
+#[cfg(test)]
+mod tests {
+    fn model() -> HashSet<Gid> { HashSet::new() }
+}
+"#;
+        let mut v = Vec::new();
+        check_gid_hash("crates/graphdb/src/hashmap.rs", bad, &mut v);
+        assert_eq!(
+            v.iter().map(|v| v.line).collect::<Vec<_>>(),
+            [4, 5],
+            "{:?}",
+            v.iter().map(|v| &v.message).collect::<Vec<_>>()
+        );
+        assert!(v.iter().all(|v| v.rule == "gid-hash"));
+        assert!(v[0].message.contains("GidMap") && v[1].message.contains("GidSet"));
+        // Out of scope: request-keyed tables elsewhere keep SipHash.
+        v.clear();
+        check_gid_hash("crates/serve/src/cache.rs", bad, &mut v);
+        check_gid_hash("crates/core/tests/fault_props.rs", bad, &mut v);
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn gid_hash_accepts_the_aliases_named_hashers_and_other_keys() {
+        let good = r#"
+struct Db {
+    adj: GidMap<Vec<Gid>>,
+    seen: GidSet,
+    explicit: HashMap<Gid, u32, BuildHasherDefault<GidHasher>>,
+    explicit_set: HashSet<Gid, BuildHasherDefault<GidHasher>>,
+    sizes: HashMap<u64, u64>,
+    by_name: HashMap<String, Gid>,
+}
+"#;
+        let mut v = Vec::new();
+        check_gid_hash("crates/core/src/bfs.rs", good, &mut v);
+        assert!(
+            v.is_empty(),
+            "{:?}",
+            v.iter().map(|v| (v.line, &v.message)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
