@@ -1,11 +1,12 @@
 //! Parallel out-of-core breadth-first search — Algorithm 1 (`oocBFS`) and
 //! the pipelined Algorithm 2 (`pOOCBFS`) of thesis §4.2.
 //!
-//! The search runs as `p` BFS filters (one per back-end node, each holding
-//! its node's GraphDB) connected all-to-all on a `peers` stream. Rounds are
-//! synchronized by per-round `ROUND_DONE` markers carrying each
-//! processor's emission count; a global round with zero emissions
-//! terminates the search, and a `FOUND` message short-circuits it.
+//! The search is a `superstep` program (DESIGN.md §10.6), one copy per
+//! back-end node with that node's GraphDB, and a level is a round: fringe
+//! batches, then a marker carrying the copy's emission count. A round in
+//! which nobody emitted ends the search; so does `FOUND`, which a copy
+//! sends the moment it meets the destination and its peers take in any
+//! round.
 //!
 //! # The level kernel
 //!
@@ -22,8 +23,7 @@
 //! Nothing is decided per adjacency entry outside `visit_new`'s own loop:
 //! no trait call, no `Result`, no second copy of the level. Under
 //! `record_parents` the kernel runs once per fringe vertex, with that
-//! vertex as the parent of whatever it turns up. A processor sends itself
-//! nothing — not its own fringe, not `ROUND_DONE`, not `FOUND`.
+//! vertex as the parent of whatever it turns up.
 //!
 //! Fringe routing handles the three distribution cases of Algorithm 1:
 //!
@@ -41,12 +41,13 @@
 //! remaining expansion.
 
 use crate::cluster::{MssgCluster, SharedBackend};
+use crate::superstep::{self, Barrier, Peers, Phase};
 use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
-use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, OutPort};
+use datacutter::DataBuffer;
 use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
-use parking_lot::Mutex;
 use simio::IoStats;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -69,7 +70,7 @@ pub struct BfsOptions {
     /// Algorithm variant.
     pub mode: BfsMode,
     /// Visited-structure choice (in memory, or Figures 5.8/5.9's external
-    /// one).
+    /// one, kept under `<cluster dir>/scratch`).
     pub visited: VisitedKind,
     /// Push visited filtering down into the storage engine: locally
     /// visited vertices are marked in the GraphDB's per-vertex metadata
@@ -82,15 +83,10 @@ pub struct BfsOptions {
     /// per-vertex adjacency lookups to attribute each neighbour to its
     /// parent, and fringe messages carry (vertex, parent) pairs.
     pub record_parents: bool,
-    /// Safety bound on rounds.
-    pub max_rounds: u32,
-    /// Scratch directory for external visited structures; defaults to
-    /// `<cluster dir>/scratch`.
-    pub scratch: Option<PathBuf>,
-    /// Per-stream send/recv deadline. BFS's all-to-all exchange blocks on
-    /// `ROUND_DONE` markers from every peer, so a dead storage filter
-    /// would otherwise hang the search forever; with the deadline it
-    /// surfaces as a typed `Timeout`/`FilterFailed` error instead.
+    /// Per-stream send/recv deadline. A round ends on a marker from every
+    /// peer, so a dead storage filter would otherwise hang the search
+    /// forever; with the deadline it surfaces as a typed
+    /// `Timeout`/`FilterFailed` error instead.
     /// Defaults to 120 s; `None` blocks indefinitely (classic semantics).
     pub recv_timeout: Option<std::time::Duration>,
     /// Deterministic fault plan for chaos testing the search pipeline.
@@ -108,9 +104,7 @@ impl Default for BfsOptions {
             visited: VisitedKind::InMemory,
             db_filter: false,
             record_parents: false,
-            max_rounds: 10_000,
-            scratch: None,
-            recv_timeout: Some(std::time::Duration::from_secs(120)),
+            recv_timeout: Some(superstep::DEADLINE),
             fault_plan: None,
         }
     }
@@ -175,39 +169,21 @@ impl Routing {
     }
 }
 
-// Message kinds on the `peers` stream. Tag layout:
-// [kind: 8 bits][round: 32 bits][sender: 24 bits].
-const KIND_FRINGE: u64 = 0;
-const KIND_ROUND_DONE: u64 = 1;
+/// A level: fringe batches — vertices, or (vertex, parent) pairs under
+/// `record_parents` — then a marker with the copy's emission count.
+pub(crate) const ROUND: Phase = Phase::nth(0);
+/// The level the destination was met at; sent in [`superstep::ANY_ROUND`].
 const KIND_FOUND: u64 = 2;
+pub(crate) const KINDS: u64 = 3;
 
-fn tag(kind: u64, round: u32, sender: usize) -> u64 {
-    (kind << 56) | ((round as u64) << 24) | sender as u64
-}
-
-fn tag_kind(t: u64) -> u64 {
-    t >> 56
-}
-
-fn tag_round(t: u64) -> u32 {
-    ((t >> 24) & 0xffff_ffff) as u32
-}
-
-/// Shared result sink: each BFS filter merges its contribution on exit.
-#[derive(Default)]
+/// One copy's share of a search's result.
 struct Outcome {
     found: Option<u32>,
     edges_scanned: u64,
     vertices_visited: u64,
     rounds: u32,
-    /// Parent pointers merged from every processor (record_parents mode).
+    /// Parent pointers this copy recorded (record_parents mode).
     parents: GidMap<Gid>,
-}
-
-impl Outcome {
-    fn merge_found(&mut self, level: u32) {
-        self.found = Some(self.found.map_or(level, |f| f.min(level)));
-    }
 }
 
 /// Runs a BFS from `source` to `dest` over the cluster's stored graph.
@@ -218,7 +194,6 @@ pub fn bfs(
     options: &BfsOptions,
 ) -> Result<SearchMetrics> {
     let p = cluster.nodes();
-    let io_before = cluster.io_snapshot();
     if source == dest {
         return Ok(SearchMetrics {
             path_length: Some(0),
@@ -236,64 +211,47 @@ pub fn bfs(
     } else {
         Routing::Hash(p)
     };
-    let scratch = options
-        .scratch
-        .clone()
-        .unwrap_or_else(|| cluster.dir().join("scratch"));
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
+    let search = BfsFilter {
+        visited_kind: options.visited,
+        scratch: cluster.dir().join("scratch"),
+        io_stats: (0..p).map(|i| cluster.io_stats(i)).collect(),
+        routing,
+        source,
+        dest,
+        mode: options.mode,
+        db_filter: options.db_filter,
+        record_parents: options.record_parents,
+    };
+    let (copies, telemetry) = superstep::run(
+        cluster,
+        "bfs",
+        KINDS,
+        options.recv_timeout,
+        options.fault_plan.as_ref(),
+        move |peers, backend| search.run(peers, backend),
+    )?;
 
-    let mut g = GraphBuilder::new();
-    g.channel_capacity(8192);
-    g.telemetry(cluster.telemetry().clone());
-    if let Some(t) = options.recv_timeout {
-        g.stream_timeout(t);
-    }
-    if let Some(plan) = &options.fault_plan {
-        g.fault_plan(plan.clone());
-    }
-    let backends: Vec<SharedBackend> = (0..p).map(|i| cluster.backend(i)).collect();
-    let io_stats: Vec<Arc<IoStats>> = (0..p).map(|i| cluster.io_stats(i)).collect();
-    let routing2 = routing.clone();
-    let outcome2 = Arc::clone(&outcome);
-    let opts = options.clone();
-    let filter = g.add_filter("bfs", (0..p).collect(), move |i| {
-        Box::new(BfsFilter {
-            backend: backends[i].clone(),
-            visited_kind: opts.visited,
-            scratch: scratch.clone(),
-            io_stats: io_stats[i].clone(),
-            routing: routing2.clone(),
-            source,
-            dest,
-            mode: opts.mode,
-            db_filter: opts.db_filter,
-            record_parents: opts.record_parents,
-            max_rounds: opts.max_rounds,
-            outcome: Arc::clone(&outcome2),
-        })
-    })?;
-    g.declare_ports(filter, &["peers"], &["peers"]);
-    g.expect_consumers(filter, "peers", p);
-    // Per round a copy drains opportunistically, but may burst up to one
-    // fringe batch per destination plus the ROUND_DONE marker before its
-    // first recv; 4 rounds of headroom keeps the declaration honest for
-    // the pipelined mode's chunked sends.
-    g.send_window(filter, "peers", 4 * (p as u64 + 1));
-    g.connect(filter, "peers", filter, "peers")?;
-    let report = g.run()?;
-
-    let out = outcome.lock();
-    let path = match (options.record_parents, out.found) {
-        (true, Some(len)) => reconstruct_path(&out.parents, source, dest, len),
+    let path_length = copies.iter().filter_map(|c| c.found).min();
+    let rounds = copies.iter().map(|c| c.rounds).max().unwrap_or(0);
+    let edges_scanned = copies.iter().map(|c| c.edges_scanned).sum();
+    let vertices_visited = copies.iter().map(|c| c.vertices_visited).sum();
+    let path = match (options.record_parents, path_length) {
+        (true, Some(len)) => {
+            let mut parents = GidMap::default();
+            for (v, parent) in copies.into_iter().flat_map(|c| c.parents) {
+                parents.entry(v).or_insert(parent);
+            }
+            reconstruct_path(&parents, source, dest, len)
+        }
         _ => None,
     };
     Ok(SearchMetrics {
-        path_length: out.found,
+        path_length,
         path,
-        rounds: out.rounds,
-        edges_scanned: out.edges_scanned,
-        vertices_visited: out.vertices_visited,
-        telemetry: cluster.telemetry_report(report, &io_before),
+        rounds,
+        edges_scanned,
+        vertices_visited,
+        telemetry,
     })
 }
 
@@ -314,37 +272,18 @@ fn reconstruct_path(parents: &GidMap<Gid>, source: Gid, dest: Gid, len: u32) -> 
     None
 }
 
+/// The search every copy of the `bfs` filter runs.
 struct BfsFilter {
-    backend: SharedBackend,
     visited_kind: VisitedKind,
     scratch: PathBuf,
-    io_stats: Arc<IoStats>,
+    /// Per node, for the external visited structure's I/O accounting.
+    io_stats: Vec<Arc<IoStats>>,
     routing: Routing,
     source: Gid,
     dest: Gid,
     mode: BfsMode,
     db_filter: bool,
     record_parents: bool,
-    max_rounds: u32,
-    outcome: Arc<Mutex<Outcome>>,
-}
-
-/// Sends that race filter shutdown (a peer found the target and exited)
-/// must not fail the run.
-fn send_quiet(port: &mut OutPort, copy: usize, buf: DataBuffer) -> Result<()> {
-    match port.send_to(copy, buf) {
-        Ok(()) => Ok(()),
-        Err(GraphStorageError::Unsupported(m)) if m.contains("hung up") => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Sends `buf` to every copy but the sender, `me`.
-fn send_to_peers(port: &mut OutPort, me: usize, buf: DataBuffer) -> Result<()> {
-    for copy in (0..port.consumers()).filter(|&copy| copy != me) {
-        send_quiet(port, copy, buf.clone())?;
-    }
-    Ok(())
 }
 
 /// One processor's state across the levels of a search.
@@ -368,43 +307,11 @@ struct Traversal {
     batches: Vec<Vec<u64>>,
     /// Fresh vertices this copy routed this round.
     emitted: u64,
-    /// Peers whose `ROUND_DONE` for this round has arrived, and the
-    /// emission counts they carried.
-    done_from: usize,
-    emitted_by_peers: u64,
-    /// Messages of a round this copy has not reached yet.
-    stash: Vec<DataBuffer>,
     visited_count: u64,
     parents: GidMap<Gid>,
 }
 
 impl Traversal {
-    fn new(
-        me: usize,
-        copies: usize,
-        visited: Box<dyn VisitedSet>,
-        record_parents: bool,
-        mark_db: Option<SharedBackend>,
-    ) -> Traversal {
-        Traversal {
-            me,
-            visited,
-            record_parents,
-            mark_db,
-            marked: Vec::new(),
-            fresh: Vec::new(),
-            incoming: Vec::new(),
-            next: Vec::new(),
-            batches: vec![Vec::new(); copies + 1],
-            emitted: 0,
-            done_from: 0,
-            emitted_by_peers: 0,
-            stash: Vec::new(),
-            visited_count: 0,
-            parents: GidMap::default(),
-        }
-    }
-
     /// Books the vertices in `fresh` as visited here: counts them and,
     /// under `db_filter`, marks them in the engine.
     fn book_fresh(&mut self) -> Result<()> {
@@ -419,59 +326,38 @@ impl Traversal {
         Ok(())
     }
 
-    /// Takes one message from a peer; `Some(level)` when it ends the
-    /// search. A message of a later round waits in the stash.
-    fn receive(&mut self, msg: DataBuffer, round: u32) -> Result<Option<u32>> {
-        let kind = tag_kind(msg.tag);
-        if matches!(kind, KIND_FRINGE | KIND_ROUND_DONE) && tag_round(msg.tag) != round {
-            self.stash.push(msg);
-            return Ok(None);
+    /// Takes one fringe batch or `FOUND` from a peer; breaks with the
+    /// level when that ends the search.
+    fn receive(&mut self, kind: u64, msg: &DataBuffer) -> Result<ControlFlow<u32>> {
+        if kind == KIND_FOUND {
+            return Ok(ControlFlow::Break(superstep::one_word(msg)? as u32));
         }
-        let mut words = msg.try_words()?;
-        let mut first_word = |what: &str| {
-            words
-                .next()
-                .ok_or_else(|| GraphStorageError::corrupt(format!("{what} message is empty")))
-        };
-        match kind {
-            KIND_FOUND => return Ok(Some(first_word("FOUND")? as u32)),
-            KIND_ROUND_DONE => {
-                self.emitted_by_peers += first_word("ROUND_DONE")?;
-                self.done_from += 1;
-            }
-            KIND_FRINGE if self.record_parents => {
-                // record_parents wire format: (vertex, parent) pairs.
-                if !words.len().is_multiple_of(2) {
-                    return Err(GraphStorageError::corrupt(
-                        "fringe pair payload has odd length",
-                    ));
-                }
-                while let (Some(v), Some(parent)) = (words.next(), words.next()) {
-                    let v = Gid::from_raw(v);
-                    self.fresh.clear();
-                    self.visited.visit_new(&[v], &mut self.fresh)?;
-                    if !self.fresh.is_empty() {
-                        self.book_fresh()?;
-                        self.parents.entry(v).or_insert(Gid::from_raw(parent));
-                        self.next.push(v);
-                    }
-                }
-            }
-            KIND_FRINGE => {
-                self.incoming.clear();
-                self.incoming.extend(words.map(Gid::from_raw));
+        if kind != ROUND.data {
+            return Err(GraphStorageError::corrupt(format!(
+                "BFS message of kind {kind} outside its round"
+            )));
+        }
+        if self.record_parents {
+            for [v, parent] in superstep::records::<2>(msg)? {
+                let v = Gid::from_raw(v);
                 self.fresh.clear();
-                self.visited.visit_new(&self.incoming, &mut self.fresh)?;
-                self.book_fresh()?;
-                self.next.extend_from_slice(&self.fresh);
+                self.visited.visit_new(&[v], &mut self.fresh)?;
+                if !self.fresh.is_empty() {
+                    self.book_fresh()?;
+                    self.parents.entry(v).or_insert(Gid::from_raw(parent));
+                    self.next.push(v);
+                }
             }
-            k => {
-                return Err(GraphStorageError::corrupt(format!(
-                    "unknown BFS message kind {k}"
-                )))
-            }
+        } else {
+            self.incoming.clear();
+            self.incoming
+                .extend(superstep::records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
+            self.fresh.clear();
+            self.visited.visit_new(&self.incoming, &mut self.fresh)?;
+            self.book_fresh()?;
+            self.next.extend_from_slice(&self.fresh);
         }
-        Ok(None)
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -483,7 +369,7 @@ impl BfsFilter {
     /// messages in between. Returns the path length if the search ended.
     fn expand_slice(
         &self,
-        ctx: &mut FilterContext,
+        peers: &mut Peers<'_>,
         t: &mut Traversal,
         round: u32,
         candidates: &[Gid],
@@ -498,21 +384,16 @@ impl BfsFilter {
                 if self.record_parents {
                     t.parents.insert(self.dest, parent);
                 }
-                send_to_peers(
-                    ctx.output("peers")?,
-                    t.me,
-                    DataBuffer::from_words(tag(KIND_FOUND, round, t.me), &[round as u64]),
-                )?;
+                peers.send_all(KIND_FOUND, superstep::ANY_ROUND, &[round as u64])?;
                 return Ok(Some(round));
             }
             t.fresh.clear();
             t.visited.visit_new(slice, &mut t.fresh)?;
-            self.route_fresh(ctx, t, round, parent)?;
+            self.route_fresh(peers, t, round, parent)?;
             if pipelined {
-                while let Some(msg) = ctx.input("peers")?.try_recv() {
-                    if let Some(level) = t.receive(msg, round)? {
-                        return Ok(Some(level));
-                    }
+                let waiting = peers.poll(ROUND, round, &mut |kind, msg| t.receive(kind, msg))?;
+                if let ControlFlow::Break(level) = waiting {
+                    return Ok(Some(level));
                 }
             }
         }
@@ -524,7 +405,7 @@ impl BfsFilter {
     /// flushed early in pipelined mode.
     fn route_fresh(
         &self,
-        ctx: &mut FilterContext,
+        peers: &mut Peers<'_>,
         t: &mut Traversal,
         round: u32,
         parent: Gid,
@@ -559,7 +440,7 @@ impl BfsFilter {
                     t.batches[slot].push(parent.raw());
                 }
                 if t.batches[slot].len() >= flush_at {
-                    self.flush_slot(ctx, t, round, slot)?;
+                    self.flush_slot(peers, t, round, slot)?;
                 }
             }
         }
@@ -568,7 +449,7 @@ impl BfsFilter {
 
     fn flush_slot(
         &self,
-        ctx: &mut FilterContext,
+        peers: &mut Peers<'_>,
         t: &mut Traversal,
         round: u32,
         slot: usize,
@@ -576,31 +457,35 @@ impl BfsFilter {
         if t.batches[slot].is_empty() {
             return Ok(());
         }
-        let buf = DataBuffer::from_words(tag(KIND_FRINGE, round, t.me), &t.batches[slot]);
-        t.batches[slot].clear();
-        let port = ctx.output("peers")?;
-        if slot == port.consumers() {
-            send_to_peers(port, t.me, buf)
+        if slot == peers.copies() {
+            peers.send_all(ROUND.data, round, &t.batches[slot])?;
         } else {
-            send_quiet(port, slot, buf)
+            peers.send(slot, ROUND.data, round, &t.batches[slot])?;
         }
+        t.batches[slot].clear();
+        Ok(())
     }
-}
 
-impl Filter for BfsFilter {
-    fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
-        let me = ctx.copy_index;
-        let peers = ctx.copies - 1;
+    /// One copy's search over its node's `backend`.
+    fn run(&self, peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Outcome> {
+        let me = peers.me();
         let visited = self
             .visited_kind
-            .open(&self.scratch, me, Arc::clone(&self.io_stats))?;
-        let mut t = Traversal::new(
+            .open(&self.scratch, me, Arc::clone(&self.io_stats[me]))?;
+        let mut t = Traversal {
             me,
-            ctx.copies,
             visited,
-            self.record_parents,
-            self.db_filter.then(|| self.backend.clone()),
-        );
+            record_parents: self.record_parents,
+            mark_db: self.db_filter.then(|| backend.clone()),
+            marked: Vec::new(),
+            fresh: Vec::new(),
+            incoming: Vec::new(),
+            next: Vec::new(),
+            batches: vec![Vec::new(); peers.copies() + 1],
+            emitted: 0,
+            visited_count: 0,
+            parents: GidMap::default(),
+        };
         let mut frontier: Vec<Gid> = Vec::new();
         let mut adj = AdjBuffer::new();
         let mut edges_scanned = 0u64;
@@ -622,69 +507,59 @@ impl Filter for BfsFilter {
             frontier.push(self.source);
         }
 
-        'rounds: while round <= self.max_rounds {
+        'rounds: while round <= superstep::MAX_ROUNDS {
             let visited_at_level_start = t.visited_count;
-            let mut level_span = ctx
+            let mut level_span = peers
                 .telemetry()
                 .tracer
                 .span("bfs.level")
                 .with("level", round as u64)
                 .with("frontier", frontier.len() as u64);
-            (t.emitted, t.done_from, t.emitted_by_peers) = (0, 0, 0);
+            t.emitted = 0;
 
             // ---- expansion ----
             if self.record_parents {
                 // Per-vertex lookups so each neighbour knows its parent.
                 for &v in &frontier {
                     adj.clear();
-                    self.backend.lock().adjacency(v, &mut adj, meta, op)?;
+                    backend.lock().adjacency(v, &mut adj, meta, op)?;
                     edges_scanned += adj.len() as u64;
-                    found = self.expand_slice(ctx, &mut t, round, adj.as_slice(), v)?;
+                    found = self.expand_slice(peers, &mut t, round, adj.as_slice(), v)?;
                     if found.is_some() {
                         break 'rounds;
                     }
                 }
             } else if !frontier.is_empty() {
                 adj.clear();
-                self.backend
+                backend
                     .lock()
                     .expand_fringe(&frontier, &mut adj, meta, op)?;
                 edges_scanned += adj.len() as u64;
-                found = self.expand_slice(ctx, &mut t, round, adj.as_slice(), Gid::NIL)?;
+                found = self.expand_slice(peers, &mut t, round, adj.as_slice(), Gid::NIL)?;
                 if found.is_some() {
                     break 'rounds;
                 }
             }
             for slot in 0..t.batches.len() {
-                self.flush_slot(ctx, &mut t, round, slot)?;
+                self.flush_slot(peers, &mut t, round, slot)?;
             }
-            send_to_peers(
-                ctx.output("peers")?,
-                me,
-                DataBuffer::from_words(tag(KIND_ROUND_DONE, round, me), &[t.emitted]),
-            )?;
+            peers.send_all(ROUND.done, round, &[t.emitted])?;
 
             // ---- receive ----
-            // Re-examine stashed messages now that the round advanced.
-            for msg in std::mem::take(&mut t.stash) {
-                if let Some(level) = t.receive(msg, round)? {
+            let ended = peers.barrier(ROUND, round, &mut |kind, msg| t.receive(kind, msg))?;
+            let emitted_by_peers = match ended {
+                Barrier::Complete(emitted) => emitted,
+                Barrier::Stopped(level) => {
                     found = Some(level);
                     break 'rounds;
                 }
-            }
-            while t.done_from < peers {
-                let Some(msg) = ctx.input("peers")?.recv()? else {
-                    // A peer exited (it found the target): terminate.
-                    break 'rounds;
-                };
-                if let Some(level) = t.receive(msg, round)? {
-                    found = Some(level);
-                    break 'rounds;
-                }
-            }
+                // Every peer has exited, as one does on meeting the
+                // destination: the search is over.
+                Barrier::PeerLeft => break 'rounds,
+            };
             // Visited hits this level (local marks from any peer's fringe).
             level_span.record("visited", t.visited_count - visited_at_level_start);
-            if t.emitted + t.emitted_by_peers == 0 {
+            if t.emitted + emitted_by_peers == 0 {
                 break 'rounds; // Graph exhausted without reaching dest.
             }
             frontier.clear();
@@ -699,18 +574,13 @@ impl Filter for BfsFilter {
                 db.set_metadata(v, mssg_types::UNVISITED)?;
             }
         }
-
-        let mut out = self.outcome.lock();
-        if let Some(level) = found {
-            out.merge_found(level);
-        }
-        out.edges_scanned += edges_scanned;
-        out.vertices_visited += t.visited_count;
-        out.rounds = out.rounds.max(round.min(self.max_rounds));
-        for (v, parent) in t.parents {
-            out.parents.entry(v).or_insert(parent);
-        }
-        Ok(())
+        Ok(Outcome {
+            found,
+            edges_scanned,
+            vertices_visited: t.visited_count,
+            rounds: round.min(superstep::MAX_ROUNDS),
+            parents: t.parents,
+        })
     }
 }
 
@@ -1224,12 +1094,17 @@ mod tests {
     }
 
     #[test]
-    fn a_search_sends_nothing_to_itself() {
+    fn no_program_sends_to_itself() {
         // A copy's own vertices go straight into its next fringe, and it
         // does not tell itself ROUND_DONE or FOUND: every message of a
         // search crosses nodes, under every routing, in every mode.
         let mut below = xorshift(0x5e1f);
         let edges = skewed_edges(&mut below);
+        // The other analyses handle what they own in place too, and still
+        // agree with their sequential oracles.
+        let (components, vertices) = crate::components::tests::union_find_oracle(&edges);
+        let (weight, forest_edges, trees) = crate::msf::tests::kruskal(&edges);
+        let degrees = graphgen::degree_stats(edges.iter().copied(), 1002);
         for routing in ROUTINGS {
             let tag = format!("noself-{routing:?}");
             let cluster = build_cluster(&tag, 3, BackendKind::HashMap, edges.clone(), routing);
@@ -1241,41 +1116,31 @@ mod tests {
                     assert!(net.total_msgs() > 0, "peers still hear ROUND_DONE");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn malformed_peer_messages_are_typed_errors() {
-        use crate::visited::PagedBitmap;
-        let mut t = Traversal::new(0, 2, Box::new(PagedBitmap::new()), false, None);
-        for (what, msg) in [
-            ("0-byte FOUND", DataBuffer::control(tag(KIND_FOUND, 1, 1))),
-            (
-                "0-byte ROUND_DONE",
-                DataBuffer::control(tag(KIND_ROUND_DONE, 1, 1)),
-            ),
-            (
-                "7-byte FRINGE",
-                DataBuffer::new(tag(KIND_FRINGE, 1, 1), vec![0; 7]),
-            ),
-            ("unknown kind", DataBuffer::control(tag(9, 1, 1))),
-        ] {
-            let err = t.receive(msg, 1).unwrap_err();
-            assert!(
-                matches!(err, GraphStorageError::Corrupt(_)),
-                "{what}: {err}"
+            let cc = crate::connected_components(&cluster, &Default::default()).unwrap();
+            assert_eq!(cc.telemetry.net.local_msgs, 0, "components, {routing:?}");
+            assert_eq!(
+                (cc.components as usize, cc.vertices as usize),
+                (components, vertices),
+                "{routing:?}"
             );
+            let msf = crate::minimum_spanning_forest(&cluster).unwrap();
+            assert_eq!(msf.telemetry.net.local_msgs, 0, "MSF, {routing:?}");
+            assert_eq!(
+                (msf.total_weight, msf.edges.len(), msf.components as usize),
+                (weight, forest_edges, trees),
+                "{routing:?}"
+            );
+            let deg = crate::degree_distribution(&cluster).unwrap();
+            assert_eq!(deg.telemetry.net.local_msgs, 0, "degrees, {routing:?}");
+            assert_eq!(
+                (deg.vertices, deg.max_degree, deg.degree_sum),
+                (degrees.vertices, degrees.max_degree, 2 * degrees.und_edges),
+                "{routing:?}"
+            );
+            for r in [&cc.telemetry, &msf.telemetry, &deg.telemetry] {
+                assert!(r.net.total_msgs() > 0, "peers still hear the markers");
+            }
         }
-        // Pair format: a whole number of words is not enough.
-        let mut pairs = Traversal::new(0, 2, Box::new(PagedBitmap::new()), true, None);
-        let odd = DataBuffer::from_words(tag(KIND_FRINGE, 1, 1), &[4, 2, 6]);
-        let err = pairs.receive(odd, 1).unwrap_err();
-        assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
-        // Nothing malformed was counted, and a well-formed message still is.
-        assert_eq!((t.done_from, t.visited_count), (0, 0));
-        let fringe = DataBuffer::from_words(tag(KIND_FRINGE, 1, 1), &[4, 2, 4]);
-        assert_eq!(t.receive(fringe, 1).unwrap(), None);
-        assert_eq!(t.next, [g(4), g(2)]);
     }
 
     #[test]

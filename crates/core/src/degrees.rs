@@ -8,13 +8,12 @@
 //! partials (under edge granularity a vertex's adjacency is spread over
 //! many nodes) and fold the totals into a histogram.
 
-use crate::cluster::{MssgCluster, SharedBackend};
+use crate::cluster::MssgCluster;
+use crate::superstep::{self, Phase};
 use crate::telemetry::TelemetryReport;
-use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, OutPort};
-use mssg_types::{GraphStorageError, Result};
-use parking_lot::Mutex;
+use graphdb::GraphDbExt;
+use mssg_types::Result;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of a degree-distribution run.
 #[derive(Clone, Debug)]
@@ -38,45 +37,47 @@ pub struct DegreeReport {
     pub telemetry: TelemetryReport,
 }
 
-const K_PARTIAL: u64 = 0;
-const K_DONE: u64 = 1;
-
-fn tag(kind: u64, sender: usize) -> u64 {
-    (kind << 56) | sender as u64
-}
+/// (vertex, partial degree), to the vertex's hash owner.
+pub(crate) const PARTIALS: Phase = Phase::nth(0);
+pub(crate) const KINDS: u64 = 2;
 
 /// Computes the degree distribution of the stored graph.
 pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
-    let p = cluster.nodes();
-    let io_before = cluster.io_snapshot();
-    let totals: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut g = GraphBuilder::new();
-    g.channel_capacity(8192);
-    g.telemetry(cluster.telemetry().clone());
-    // Each copy blocks on a DONE marker from every peer before folding
-    // totals; a dead filter must time out rather than hang the run.
-    g.stream_timeout(std::time::Duration::from_secs(120));
-    let backends: Vec<SharedBackend> = (0..p).map(|i| cluster.backend(i)).collect();
-    let totals2 = Arc::clone(&totals);
-    let filter = g.add_filter("degrees", (0..p).collect(), move |i| {
-        Box::new(DegreeFilter {
-            backend: backends[i].clone(),
-            totals: Arc::clone(&totals2),
-        })
-    })?;
-    g.declare_ports(filter, &["peers"], &["peers"]);
-    g.expect_consumers(filter, "peers", p);
-    // One partial-degree batch per destination plus a DONE marker.
-    g.send_window(filter, "peers", 2 * (p as u64 + 1));
-    g.connect(filter, "peers", filter, "peers")?;
-    let report = g.run()?;
+    let (copies, telemetry) = superstep::run(
+        cluster,
+        "degrees",
+        KINDS,
+        Some(superstep::DEADLINE),
+        None,
+        |peers, backend| {
+            let p = peers.copies();
+            // Measure the local partition.
+            let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
+            {
+                let mut db = backend.lock();
+                for v in db.local_vertices()? {
+                    let deg = db.degree(v)? as u64;
+                    batches[(v.raw() % p as u64) as usize].extend([v.raw(), deg]);
+                }
+            }
+            // Sum partials for the vertices this processor hash-owns.
+            let mut owned: HashMap<u64, u64> = HashMap::new();
+            let own = peers.scatter(PARTIALS.data, 0, &mut batches)?;
+            peers.finish::<2>(PARTIALS, 0, &own, 0, |[v, partial]| {
+                *owned.entry(v).or_insert(0) += partial;
+                Ok(())
+            })?;
+            Ok(owned)
+        },
+    )?;
 
-    let totals = totals.lock();
-    let vertices = totals.len() as u64;
-    let degree_sum: u64 = totals.values().sum();
-    let max_degree = totals.values().copied().max().unwrap_or(0);
+    // A vertex has one hash owner, so the copies' tables are disjoint.
+    let degrees = || copies.iter().flat_map(|owned| owned.values().copied());
+    let vertices = degrees().count() as u64;
+    let degree_sum: u64 = degrees().sum();
+    let max_degree = degrees().max().unwrap_or(0);
     let mut histogram = vec![0u64; max_degree as usize + 1];
-    for &d in totals.values() {
+    for d in degrees() {
         histogram[d as usize] += 1;
     }
     let powerlaw_exponent = graphgen::stats::powerlaw_exponent(&histogram);
@@ -91,70 +92,8 @@ pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
             degree_sum as f64 / vertices as f64
         },
         powerlaw_exponent,
-        telemetry: cluster.telemetry_report(report, &io_before),
+        telemetry,
     })
-}
-
-struct DegreeFilter {
-    backend: SharedBackend,
-    totals: Arc<Mutex<HashMap<u64, u64>>>,
-}
-
-impl Filter for DegreeFilter {
-    fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
-        use graphdb::GraphDbExt;
-        let me = ctx.copy_index;
-        let p = ctx.copies;
-        // Measure the local partition.
-        let mut per_owner: Vec<Vec<u64>> = vec![Vec::new(); p];
-        {
-            let mut db = self.backend.lock();
-            for v in db.local_vertices()? {
-                let deg = db.degree(v)? as u64;
-                let owner = (v.raw() % p as u64) as usize;
-                per_owner[owner].push(v.raw());
-                per_owner[owner].push(deg);
-            }
-        }
-        {
-            let port: &mut OutPort = ctx.output("peers")?;
-            for (owner, words) in per_owner.iter().enumerate() {
-                if !words.is_empty() {
-                    port.send_to(owner, DataBuffer::from_words(tag(K_PARTIAL, me), words))?;
-                }
-            }
-            port.broadcast(DataBuffer::control(tag(K_DONE, me)))?;
-        }
-        // Sum partials for the vertices this processor hash-owns.
-        let mut owned: HashMap<u64, u64> = HashMap::new();
-        let mut done = 0usize;
-        while done < p {
-            let Some(msg) = ctx.input("peers")?.recv()? else {
-                return Err(GraphStorageError::Unsupported(
-                    "peer exited during degree analysis".into(),
-                ));
-            };
-            match msg.tag >> 56 {
-                K_DONE => done += 1,
-                K_PARTIAL => {
-                    let words = msg.words();
-                    for pair in words.chunks_exact(2) {
-                        *owned.entry(pair[0]).or_insert(0) += pair[1];
-                    }
-                }
-                k => {
-                    return Err(GraphStorageError::corrupt(format!(
-                        "unknown degree message kind {k}"
-                    )))
-                }
-            }
-        }
-        let mut totals = self.totals.lock();
-        for (v, d) in owned {
-            *totals.entry(v).or_insert(0) += d;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

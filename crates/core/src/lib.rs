@@ -22,6 +22,9 @@
 //! - [`bfs`] — parallel out-of-core BFS (Algorithm 1) and its pipelined
 //!   variant (Algorithm 2), implemented as DataCutter filter graphs around
 //!   one per-level kernel (scan, filter, route),
+//! - `superstep` (crate-private) — the round protocol [`bfs`],
+//!   [`components`], [`msf`] and [`degrees`] are programs over: one
+//!   `peers` pipeline, message tag, barrier and record codec,
 //! - [`query`] — the Query service: a registry of analyses executable by
 //!   name,
 //! - [`telemetry`] — [`TelemetryReport`], the unified per-run observation
@@ -38,6 +41,7 @@ pub mod epoch;
 pub mod ingest;
 pub mod msf;
 pub mod query;
+pub(crate) mod superstep;
 pub mod telemetry;
 pub mod visited;
 

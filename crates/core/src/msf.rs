@@ -22,12 +22,10 @@
 //! forest unique and testable against a sequential Kruskal oracle.
 
 use crate::cluster::{MssgCluster, SharedBackend};
+use crate::superstep::{self, Peers, Phase};
 use crate::telemetry::TelemetryReport;
-use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, OutPort};
-use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, MetaOp, Result};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use mssg_types::{AdjBuffer, Edge, Gid, MetaOp, Result};
+use std::collections::{HashMap, HashSet};
 
 /// Deterministic symmetric edge weight: a 64-bit mix of the unordered
 /// endpoint pair (SplitMix64 finalizer).
@@ -63,25 +61,18 @@ pub struct MsfResult {
     pub telemetry: TelemetryReport,
 }
 
-// Message kinds: [kind:8][round:32][sender:24], as in the other analyses.
-const K_REGISTER: u64 = 0;
-const K_REGISTER_DONE: u64 = 1;
-const K_CANDIDATE: u64 = 2;
-const K_CANDIDATE_DONE: u64 = 3;
-const K_WINNER: u64 = 4;
-const K_WINNER_DONE: u64 = 5;
+/// Every copy's stored vertices, to every copy.
+pub(crate) const REGISTER: Phase = Phase::nth(0);
+/// (component, weight, u, v): a copy's lightest edge out of a component,
+/// to the component's hash owner.
+pub(crate) const CANDIDATE: Phase = Phase::nth(1);
+/// The same records, for the edges the owners chose, to every copy; the
+/// marker counts them.
+pub(crate) const WINNER: Phase = Phase::nth(2);
+pub(crate) const KINDS: u64 = 6;
 
-fn tag(kind: u64, round: u32, sender: usize) -> u64 {
-    (kind << 56) | ((round as u64) << 24) | sender as u64
-}
-
-fn tag_kind(t: u64) -> u64 {
-    t >> 56
-}
-
-fn tag_round(t: u64) -> u32 {
-    ((t >> 24) & 0xffff_ffff) as u32
-}
+/// Every round at least halves the components that can still merge.
+const BORUVKA_ROUNDS: u32 = 64;
 
 /// Union-find with union-by-minimum: the root of every set is its smallest
 /// element, so the final partition (and every label) is independent of the
@@ -120,312 +111,142 @@ impl MinUnionFind {
     }
 }
 
+/// What copy 0 reports: every copy applies the same winners and ends with
+/// the same forest, so one of them keeps it.
 #[derive(Default)]
-struct Outcome {
-    edges: Vec<Edge>,
-    total_weight: u128,
+struct Forest {
+    edges: Vec<(u64, Edge)>,
     vertices: u64,
     components: u64,
     rounds: u32,
-    filled: bool,
 }
 
 /// Computes the minimum spanning forest of the stored graph.
 pub fn minimum_spanning_forest(cluster: &MssgCluster) -> Result<MsfResult> {
-    let p = cluster.nodes();
-    let io_before = cluster.io_snapshot();
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
-    let mut g = GraphBuilder::new();
-    g.channel_capacity(8192);
-    g.telemetry(cluster.telemetry().clone());
-    // Borůvka rounds barrier on DONE markers from every peer; a dead
-    // filter must surface as a typed Timeout rather than a hang.
-    g.stream_timeout(std::time::Duration::from_secs(120));
-    let backends: Vec<SharedBackend> = (0..p).map(|i| cluster.backend(i)).collect();
-    let outcome2 = Arc::clone(&outcome);
-    let filter = g.add_filter("msf", (0..p).collect(), move |i| {
-        Box::new(MsfFilter {
-            backend: backends[i].clone(),
-            outcome: Arc::clone(&outcome2),
-        })
-    })?;
-    g.declare_ports(filter, &["peers"], &["peers"]);
-    g.expect_consumers(filter, "peers", p);
-    // Candidate/winner phases burst at most one record batch per
-    // destination plus a DONE marker before draining.
-    g.send_window(filter, "peers", 4 * (p as u64 + 1));
-    g.connect(filter, "peers", filter, "peers")?;
-    let report = g.run()?;
-    let out = outcome.lock();
+    let (copies, telemetry) = superstep::run(
+        cluster,
+        "msf",
+        KINDS,
+        Some(superstep::DEADLINE),
+        None,
+        boruvka,
+    )?;
+    let forest = copies.into_iter().flatten().next().unwrap_or_default();
     Ok(MsfResult {
-        edges: out.edges.clone(),
-        total_weight: out.total_weight,
-        components: out.components,
-        vertices: out.vertices,
-        rounds: out.rounds,
-        telemetry: cluster.telemetry_report(report, &io_before),
+        total_weight: forest.edges.iter().map(|&(w, _)| w as u128).sum(),
+        edges: forest.edges.into_iter().map(|(_, e)| e).collect(),
+        components: forest.components,
+        vertices: forest.vertices,
+        rounds: forest.rounds,
+        telemetry,
     })
 }
 
-struct MsfFilter {
-    backend: SharedBackend,
-    outcome: Arc<Mutex<Outcome>>,
-}
+/// One copy's Borůvka; copy 0 returns the forest.
+fn boruvka(peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Option<Forest>> {
+    let me = peers.me();
+    let p = peers.copies();
+    let hash_owner = |c: u64| (c % p as u64) as usize;
 
-/// A candidate/winner record on the wire: (component, weight, u, v).
-fn encode_records(records: &[(u64, u64, Gid, Gid)]) -> Vec<u64> {
-    let mut words = Vec::with_capacity(records.len() * 4);
-    for &(c, w, u, v) in records {
-        words.extend_from_slice(&[c, w, u.raw(), v.raw()]);
-    }
-    words
-}
-
-fn decode_records(buf: &DataBuffer) -> Result<Vec<(u64, u64, Gid, Gid)>> {
-    let words = buf.words();
-    if !words.len().is_multiple_of(4) {
-        return Err(GraphStorageError::corrupt("MSF record payload misaligned"));
-    }
-    Ok(words
-        .chunks_exact(4)
-        .map(|c| (c[0], c[1], Gid::from_raw(c[2]), Gid::from_raw(c[3])))
-        .collect())
-}
-
-/// Waits for `p` DONE markers of the given phase, feeding data messages to
-/// `on_data`; future-phase messages are stashed.
-fn await_phase(
-    ctx: &mut FilterContext,
-    stash: &mut Vec<DataBuffer>,
-    p: usize,
-    data_kind: u64,
-    done_kind: u64,
-    round: u32,
-    on_data: &mut dyn FnMut(&DataBuffer) -> Result<()>,
-) -> Result<u64> {
-    let mut done = 0usize;
-    let mut sum = 0u64;
-    let mut i = 0;
-    while i < stash.len() {
-        let t = stash[i].tag;
-        if tag_round(t) == round && (tag_kind(t) == data_kind || tag_kind(t) == done_kind) {
-            let msg = stash.remove(i);
-            if tag_kind(msg.tag) == done_kind {
-                done += 1;
-                sum += msg.words().first().copied().unwrap_or(0);
-            } else {
-                on_data(&msg)?;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    while done < p {
-        let Some(msg) = ctx.input("peers")?.recv()? else {
-            return Err(GraphStorageError::Unsupported(
-                "peer exited during MSF".into(),
-            ));
-        };
-        let (k, r) = (tag_kind(msg.tag), tag_round(msg.tag));
-        if r == round && k == data_kind {
-            on_data(&msg)?;
-        } else if r == round && k == done_kind {
-            done += 1;
-            sum += msg.words().first().copied().unwrap_or(0);
-        } else {
-            stash.push(msg);
-        }
-    }
-    Ok(sum)
-}
-
-impl Filter for MsfFilter {
-    fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
-        let me = ctx.copy_index;
-        let p = ctx.copies;
-        let hash_owner = |c: u64| (c % p as u64) as usize;
-        let mut stash: Vec<DataBuffer> = Vec::new();
-
-        // ---- registration: replicate the vertex set everywhere ----
-        let local = {
-            let mut db = self.backend.lock();
-            db.local_vertices()?
-        };
-        {
-            let port = ctx.output("peers")?;
-            let words: Vec<u64> = local.iter().map(|g| g.raw()).collect();
-            port.broadcast(DataBuffer::from_words(tag(K_REGISTER, 0, me), &words))?;
-            port.broadcast(DataBuffer::from_words(tag(K_REGISTER_DONE, 0, me), &[0]))?;
-        }
-        let mut uf = MinUnionFind::default();
-        await_phase(
-            ctx,
-            &mut stash,
-            p,
-            K_REGISTER,
-            K_REGISTER_DONE,
-            0,
-            &mut |msg| {
-                for w in msg.words() {
-                    uf.insert(w);
-                }
-                Ok(())
-            },
-        )?;
-        let all_vertices: Vec<u64> = uf.parent.keys().copied().collect();
-
-        // Cache the local adjacency once: Borůvka re-scans edges each round.
-        let local_edges: Vec<(Gid, Gid)> = {
-            let mut db = self.backend.lock();
-            let mut adj = AdjBuffer::new();
-            let mut out = Vec::new();
-            for &v in &local {
-                adj.clear();
-                db.adjacency(v, &mut adj, 0, MetaOp::Ignore)?;
-                for &u in adj.as_slice() {
-                    out.push((v, u));
-                }
-            }
-            out
-        };
-
-        let mut forest: Vec<(u64, Edge)> = Vec::new();
-        let mut rounds = 0u32;
-        for round in 1..=64u32 {
-            rounds = round;
-            // Phase A: local minimum outgoing edge per component.
-            let mut best: HashMap<u64, (u64, Gid, Gid)> = HashMap::new();
-            for &(v, u) in &local_edges {
-                let (cv, cu) = (uf.find(v.raw()), uf.find(u.raw()));
-                if cv == cu {
-                    continue;
-                }
-                let w = edge_weight(v, u);
-                // Lexicographic tie-break on (w, min, max).
-                let (a, b) = if v <= u { (v, u) } else { (u, v) };
-                let cand = (w, a, b);
-                let better = match best.get(&cv) {
-                    Some(&(bw, ba, bb)) => cand < (bw, ba, bb),
-                    None => true,
-                };
-                if better {
-                    best.insert(cv, cand);
-                }
-            }
-            let mut per_owner: Vec<Vec<(u64, u64, Gid, Gid)>> = vec![Vec::new(); p];
-            for (c, (w, a, b)) in best {
-                per_owner[hash_owner(c)].push((c, w, a, b));
-            }
-            {
-                let port: &mut OutPort = ctx.output("peers")?;
-                for (owner, records) in per_owner.iter().enumerate() {
-                    if !records.is_empty() {
-                        port.send_to(
-                            owner,
-                            DataBuffer::from_words(
-                                tag(K_CANDIDATE, round, me),
-                                &encode_records(records),
-                            ),
-                        )?;
-                    }
-                }
-                port.broadcast(DataBuffer::from_words(
-                    tag(K_CANDIDATE_DONE, round, me),
-                    &[0],
-                ))?;
-            }
-            // Phase B: owners pick global winners per component.
-            let mut winners: HashMap<u64, (u64, Gid, Gid)> = HashMap::new();
-            await_phase(
-                ctx,
-                &mut stash,
-                p,
-                K_CANDIDATE,
-                K_CANDIDATE_DONE,
-                round,
-                &mut |msg| {
-                    for (c, w, a, b) in decode_records(msg)? {
-                        let cand = (w, a, b);
-                        let better = match winners.get(&c) {
-                            Some(&existing) => cand < existing,
-                            None => true,
-                        };
-                        if better {
-                            winners.insert(c, cand);
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-            let winner_records: Vec<(u64, u64, Gid, Gid)> = winners
-                .into_iter()
-                .map(|(c, (w, a, b))| (c, w, a, b))
-                .collect();
-            {
-                let port: &mut OutPort = ctx.output("peers")?;
-                port.broadcast(DataBuffer::from_words(
-                    tag(K_WINNER, round, me),
-                    &encode_records(&winner_records),
-                ))?;
-                port.broadcast(DataBuffer::from_words(
-                    tag(K_WINNER_DONE, round, me),
-                    &[winner_records.len() as u64],
-                ))?;
-            }
-            // Phase C: everyone applies the same winner set.
-            let mut all_winners: Vec<(u64, u64, Gid, Gid)> = Vec::new();
-            let total = await_phase(
-                ctx,
-                &mut stash,
-                p,
-                K_WINNER,
-                K_WINNER_DONE,
-                round,
-                &mut |msg| {
-                    all_winners.extend(decode_records(msg)?);
-                    Ok(())
-                },
-            )?;
-            // Deterministic application order; duplicate (both-side)
-            // winners union idempotently, but only one processor (the
-            // smaller endpoint's component owner... simply: the proc with
-            // copy 0) records forest edges to avoid double counting — all
-            // procs see the identical winner list.
-            all_winners.sort_unstable_by_key(|&(c, w, a, b)| (w, a, b, c));
-            for &(_, w, a, b) in &all_winners {
-                let (ra, rb) = (uf.find(a.raw()), uf.find(b.raw()));
-                if ra != rb {
-                    uf.union(ra, rb);
-                    if me == 0 {
-                        forest.push((w, Edge::new(a, b)));
-                    }
-                }
-            }
-            if total == 0 {
-                break;
-            }
-        }
-
-        // ---- aggregate (copy 0 carries the shared results) ----
-        let mut out = self.outcome.lock();
-        out.rounds = out.rounds.max(rounds);
-        if me == 0 && !out.filled {
-            out.filled = true;
-            out.vertices = all_vertices.len() as u64;
-            let mut roots = std::collections::HashSet::new();
-            for v in all_vertices {
-                roots.insert(uf.find(v));
-            }
-            out.components = roots.len() as u64;
-            out.total_weight = forest.iter().map(|&(w, _)| w as u128).sum();
-            out.edges = forest.into_iter().map(|(_, e)| e).collect();
-        }
+    // ---- registration: replicate the vertex set everywhere ----
+    let local = backend.lock().local_vertices()?;
+    let words: Vec<u64> = local.iter().map(|g| g.raw()).collect();
+    let mut uf = MinUnionFind::default();
+    peers.send_all(REGISTER.data, 0, &words)?;
+    peers.finish::<1>(REGISTER, 0, &words, 0, |[v]| {
+        uf.insert(v);
         Ok(())
+    })?;
+    let all_vertices: Vec<u64> = uf.parent.keys().copied().collect();
+
+    // Cache the local adjacency once: Borůvka re-scans edges each round.
+    let local_edges: Vec<(Gid, Gid)> = {
+        let mut db = backend.lock();
+        let mut adj = AdjBuffer::new();
+        let mut out = Vec::new();
+        for &v in &local {
+            adj.clear();
+            db.adjacency(v, &mut adj, 0, MetaOp::Ignore)?;
+            for &u in adj.as_slice() {
+                out.push((v, u));
+            }
+        }
+        out
+    };
+
+    let mut forest: Vec<(u64, Edge)> = Vec::new();
+    let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
+    let mut rounds = 0u32;
+    for round in 1..=BORUVKA_ROUNDS {
+        rounds = round;
+        // Phase A: local minimum outgoing edge per component.
+        let mut best: HashMap<u64, (u64, Gid, Gid)> = HashMap::new();
+        for &(v, u) in &local_edges {
+            let (cv, cu) = (uf.find(v.raw()), uf.find(u.raw()));
+            if cv == cu {
+                continue;
+            }
+            // Lexicographic tie-break on (w, min, max).
+            let (a, b) = if v <= u { (v, u) } else { (u, v) };
+            let cand = (edge_weight(v, u), a, b);
+            if best.get(&cv).is_none_or(|&existing| cand < existing) {
+                best.insert(cv, cand);
+            }
+        }
+        for (c, (w, a, b)) in best {
+            batches[hash_owner(c)].extend([c, w, a.raw(), b.raw()]);
+        }
+        // Phase B: owners pick global winners per component.
+        let mut winners: HashMap<u64, (u64, u64, u64)> = HashMap::new();
+        let own = peers.scatter(CANDIDATE.data, round, &mut batches)?;
+        peers.finish::<4>(CANDIDATE, round, &own, 0, |[c, w, a, b]| {
+            if winners.get(&c).is_none_or(|&existing| (w, a, b) < existing) {
+                winners.insert(c, (w, a, b));
+            }
+            Ok(())
+        })?;
+        let words: Vec<u64> = winners
+            .iter()
+            .flat_map(|(&c, &(w, a, b))| [c, w, a, b])
+            .collect();
+        // Phase C: everyone applies the same winner set.
+        let mut all_winners: Vec<[u64; 4]> = Vec::new();
+        peers.send_all(WINNER.data, round, &words)?;
+        let total = peers.finish::<4>(WINNER, round, &words, winners.len() as u64, |winner| {
+            all_winners.push(winner);
+            Ok(())
+        })?;
+        // Deterministic application order; a winner both its components
+        // chose unions idempotently.
+        all_winners.sort_unstable_by_key(|&[c, w, a, b]| (w, a, b, c));
+        for &[_, w, a, b] in &all_winners {
+            let (ra, rb) = (uf.find(a), uf.find(b));
+            if ra != rb {
+                uf.union(ra, rb);
+                if me == 0 {
+                    forest.push((w, Edge::new(Gid::from_raw(a), Gid::from_raw(b))));
+                }
+            }
+        }
+        if total == 0 {
+            break;
+        }
     }
+
+    if me != 0 {
+        return Ok(None);
+    }
+    let roots: HashSet<u64> = all_vertices.iter().map(|&v| uf.find(v)).collect();
+    Ok(Some(Forest {
+        edges: forest,
+        vertices: all_vertices.len() as u64,
+        components: roots.len() as u64,
+        rounds,
+    }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::{BackendKind, BackendOptions};
     use crate::ingest::{ingest, DeclusterKind, IngestOptions};
@@ -453,7 +274,7 @@ mod tests {
     }
 
     /// Sequential Kruskal with the same weights and tie-breaking.
-    fn kruskal(edges: &[Edge]) -> (u128, usize, usize) {
+    pub(crate) fn kruskal(edges: &[Edge]) -> (u128, usize, usize) {
         let mut uf = MinUnionFind::default();
         let mut vertices = std::collections::HashSet::new();
         let mut weighted: Vec<(u64, Gid, Gid)> = edges
