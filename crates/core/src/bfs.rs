@@ -6,7 +6,9 @@
 //! batches, then a marker carrying the copy's emission count. A round in
 //! which nobody emitted ends the search; so does `FOUND`, which a copy
 //! sends the moment it meets the destination and its peers take in any
-//! round.
+//! round. A copy that hears it in the barrier before that level still
+//! expands the level, so the entries a search scans do not depend on
+//! message timing.
 //!
 //! # The level kernel
 //!
@@ -41,9 +43,10 @@
 //! remaining expansion.
 
 use crate::cluster::{MssgCluster, SharedBackend};
-use crate::superstep::{self, Barrier, Peers, Phase};
+use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
+use datacutter::superstep::{one_word, records, Barrier, Peers, Phase, ANY_ROUND};
 use datacutter::DataBuffer;
 use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
 use simio::IoStats;
@@ -172,7 +175,7 @@ impl Routing {
 /// A level: fringe batches — vertices, or (vertex, parent) pairs under
 /// `record_parents` — then a marker with the copy's emission count.
 pub(crate) const ROUND: Phase = Phase::nth(0);
-/// The level the destination was met at; sent in [`superstep::ANY_ROUND`].
+/// The level the destination was met at; sent in [`ANY_ROUND`].
 const KIND_FOUND: u64 = 2;
 pub(crate) const KINDS: u64 = 3;
 
@@ -296,6 +299,9 @@ struct Traversal {
     /// Vertices `mark_db` was told of; reset after the search so the next
     /// one starts from level[v] = ∞, as Algorithm 1 requires.
     marked: Vec<Gid>,
+    /// The level a peer met the destination at, heard in the barrier
+    /// before it.
+    found_ahead: Option<u32>,
     /// Scratch: what the last `visit_new` call found fresh.
     fresh: Vec<Gid>,
     /// Scratch: the vertices of the fringe message being received.
@@ -326,11 +332,19 @@ impl Traversal {
         Ok(())
     }
 
-    /// Takes one fringe batch or `FOUND` from a peer; breaks with the
-    /// level when that ends the search.
-    fn receive(&mut self, kind: u64, msg: &DataBuffer) -> Result<ControlFlow<u32>> {
+    /// Takes one fringe batch or `FOUND` from a peer in `round`; breaks
+    /// with the level when that ends the search.
+    fn receive(&mut self, kind: u64, msg: &DataBuffer, round: u32) -> Result<ControlFlow<u32>> {
         if kind == KIND_FOUND {
-            return Ok(ControlFlow::Break(superstep::one_word(msg)? as u32));
+            let level = one_word(msg)? as u32;
+            if level > round {
+                // A peer met the destination a level ahead of this copy's
+                // barrier: this copy still expands that level, so what a
+                // search scans does not depend on when FOUND arrives.
+                self.found_ahead = Some(level);
+                return Ok(ControlFlow::Continue(()));
+            }
+            return Ok(ControlFlow::Break(level));
         }
         if kind != ROUND.data {
             return Err(GraphStorageError::corrupt(format!(
@@ -338,7 +352,7 @@ impl Traversal {
             )));
         }
         if self.record_parents {
-            for [v, parent] in superstep::records::<2>(msg)? {
+            for [v, parent] in records::<2>(msg)? {
                 let v = Gid::from_raw(v);
                 self.fresh.clear();
                 self.visited.visit_new(&[v], &mut self.fresh)?;
@@ -351,7 +365,7 @@ impl Traversal {
         } else {
             self.incoming.clear();
             self.incoming
-                .extend(superstep::records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
+                .extend(records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
             self.fresh.clear();
             self.visited.visit_new(&self.incoming, &mut self.fresh)?;
             self.book_fresh()?;
@@ -384,14 +398,15 @@ impl BfsFilter {
                 if self.record_parents {
                     t.parents.insert(self.dest, parent);
                 }
-                peers.send_all(KIND_FOUND, superstep::ANY_ROUND, &[round as u64])?;
+                peers.send_all(KIND_FOUND, ANY_ROUND, &[round as u64])?;
                 return Ok(Some(round));
             }
             t.fresh.clear();
             t.visited.visit_new(slice, &mut t.fresh)?;
             self.route_fresh(peers, t, round, parent)?;
             if pipelined {
-                let waiting = peers.poll(ROUND, round, &mut |kind, msg| t.receive(kind, msg))?;
+                let waiting =
+                    peers.poll(ROUND, round, &mut |kind, msg| t.receive(kind, msg, round))?;
                 if let ControlFlow::Break(level) = waiting {
                     return Ok(Some(level));
                 }
@@ -478,6 +493,7 @@ impl BfsFilter {
             record_parents: self.record_parents,
             mark_db: self.db_filter.then(|| backend.clone()),
             marked: Vec::new(),
+            found_ahead: None,
             fresh: Vec::new(),
             incoming: Vec::new(),
             next: Vec::new(),
@@ -540,13 +556,18 @@ impl BfsFilter {
                     break 'rounds;
                 }
             }
+            if t.found_ahead.is_some() {
+                found = t.found_ahead;
+                break 'rounds;
+            }
             for slot in 0..t.batches.len() {
                 self.flush_slot(peers, &mut t, round, slot)?;
             }
             peers.send_all(ROUND.done, round, &[t.emitted])?;
 
             // ---- receive ----
-            let ended = peers.barrier(ROUND, round, &mut |kind, msg| t.receive(kind, msg))?;
+            let ended =
+                peers.barrier(ROUND, round, &mut |kind, msg| t.receive(kind, msg, round))?;
             let emitted_by_peers = match ended {
                 Barrier::Complete(emitted) => emitted,
                 Barrier::Stopped(level) => {

@@ -21,8 +21,9 @@
 //! 3. A round with zero label changes anywhere terminates the algorithm.
 
 use crate::cluster::{MssgCluster, SharedBackend};
-use crate::superstep::{self, Peers, Phase};
+use crate::superstep;
 use crate::telemetry::TelemetryReport;
+use datacutter::superstep::{Peers, Phase};
 use mssg_types::{AdjBuffer, Gid, GidMap, MetaOp, Result};
 use std::collections::HashMap;
 

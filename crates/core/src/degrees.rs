@@ -9,8 +9,9 @@
 //! many nodes) and fold the totals into a histogram.
 
 use crate::cluster::MssgCluster;
-use crate::superstep::{self, Phase};
+use crate::superstep;
 use crate::telemetry::TelemetryReport;
+use datacutter::superstep::Phase;
 use graphdb::GraphDbExt;
 use mssg_types::Result;
 use std::collections::HashMap;

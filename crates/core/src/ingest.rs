@@ -311,7 +311,7 @@ impl Filter for IngestFilter {
                 .with("edges", window.len() as u64 / 16)
                 .with("bytes", window.len() as u64);
             let mut batches = vec![Vec::new(); self.nodes];
-            for e in window.edges() {
+            for e in window.try_edges()? {
                 for (node, entry) in self.strategy.lock().assign(e) {
                     batches[node].push(entry);
                 }
@@ -407,7 +407,7 @@ impl Filter for StoreFilter {
                     skipped.inc();
                     continue;
                 }
-                st.batch.extend(window.edges());
+                st.batch.extend(window.try_edges()?);
                 st.marks.push(window.tag);
                 if st.batch.len() >= batch_entries {
                     self.flush_batch(st)?;

@@ -22,9 +22,9 @@
 //! - [`bfs`] — parallel out-of-core BFS (Algorithm 1) and its pipelined
 //!   variant (Algorithm 2), implemented as DataCutter filter graphs around
 //!   one per-level kernel (scan, filter, route),
-//! - `superstep` (crate-private) — the round protocol [`bfs`],
-//!   [`components`], [`msf`] and [`degrees`] are programs over: one
-//!   `peers` pipeline, message tag, barrier and record codec,
+//! - `superstep` (crate-private) — the one `peers` pipeline [`bfs`],
+//!   [`components`], [`msf`] and [`degrees`] run on, as programs over
+//!   `datacutter::superstep`'s round protocol,
 //! - [`query`] — the Query service: a registry of analyses executable by
 //!   name,
 //! - [`telemetry`] — [`TelemetryReport`], the unified per-run observation

@@ -22,8 +22,9 @@
 //! forest unique and testable against a sequential Kruskal oracle.
 
 use crate::cluster::{MssgCluster, SharedBackend};
-use crate::superstep::{self, Peers, Phase};
+use crate::superstep;
 use crate::telemetry::TelemetryReport;
+use datacutter::superstep::{Peers, Phase};
 use mssg_types::{AdjBuffer, Edge, Gid, MetaOp, Result};
 use std::collections::{HashMap, HashSet};
 

@@ -59,22 +59,6 @@ impl DataBuffer {
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))))
     }
 
-    /// Decodes the payload as 64-bit words into a fresh vector.
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 8; use
-    /// [`try_words`](DataBuffer::try_words) on input from a peer.
-    pub fn words(&self) -> Vec<u64> {
-        assert!(
-            self.data.len().is_multiple_of(8),
-            "payload is not a word vector"
-        );
-        self.data
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-
     /// Encodes a slice of edges (16 bytes each).
     pub fn from_edges(tag: u64, edges: &[Edge]) -> DataBuffer {
         let mut data = Vec::with_capacity(edges.len() * 16);
@@ -84,19 +68,19 @@ impl DataBuffer {
         DataBuffer::new(tag, data)
     }
 
-    /// Decodes the payload as edges.
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 16.
-    pub fn edges(&self) -> Vec<Edge> {
-        assert!(
-            self.data.len().is_multiple_of(16),
-            "payload is not an edge vector"
-        );
-        self.data
+    /// The payload as edges, read in place. A payload that is not a whole
+    /// number of 16-byte edges is `Corrupt`, not a panic.
+    pub fn try_edges(&self) -> Result<impl ExactSizeIterator<Item = Edge> + '_> {
+        if !self.data.len().is_multiple_of(16) {
+            return Err(GraphStorageError::corrupt(format!(
+                "payload of {} bytes is not an edge vector",
+                self.data.len()
+            )));
+        }
+        Ok(self
+            .data
             .chunks_exact(16)
-            .map(|c| Edge::from_bytes(c.try_into().unwrap()))
-            .collect()
+            .map(|c| Edge::from_bytes(c.try_into().expect("chunks_exact(16) yields 16 bytes"))))
     }
 
     /// Payload length in bytes.
@@ -115,16 +99,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn word_roundtrip() {
-        let b = DataBuffer::from_words(7, &[1, 2, u64::MAX]);
-        assert_eq!(b.tag, 7);
-        assert_eq!(b.words(), vec![1, 2, u64::MAX]);
-        assert_eq!(b.len(), 24);
-    }
-
-    #[test]
     fn checked_word_view_reads_in_place_and_rejects_ragged_payloads() {
         let b = DataBuffer::from_words(7, &[1, 2, u64::MAX]);
+        assert_eq!((b.tag, b.len()), (7, 24));
         let view = b.try_words().unwrap();
         assert_eq!(view.len(), 3);
         assert_eq!(view.collect::<Vec<_>>(), vec![1, 2, u64::MAX]);
@@ -134,23 +111,17 @@ mod tests {
     }
 
     #[test]
-    fn edge_roundtrip() {
+    fn checked_edge_view_round_trips_and_rejects_ragged_payloads() {
         let edges = vec![Edge::of(1, 2), Edge::of(3, 4)];
         let b = DataBuffer::from_edges(0, &edges);
-        assert_eq!(b.edges(), edges);
+        assert_eq!(b.try_edges().unwrap().collect::<Vec<_>>(), edges);
+        let err = DataBuffer::new(0, vec![0; 17]).try_edges().err().unwrap();
+        assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn control_is_empty() {
-        let c = DataBuffer::control(9);
-        assert!(c.is_empty());
-        assert_eq!(c.words(), Vec::<u64>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a word vector")]
-    fn misaligned_words_panic() {
-        DataBuffer::new(0, vec![1, 2, 3]).words();
+        assert!(DataBuffer::control(9).is_empty());
     }
 
     #[test]

@@ -352,31 +352,24 @@ impl GraphBuilder {
     pub fn topology_signature(&self) -> u64 {
         // FNV-1a over a canonical rendering; stable across processes and
         // platforms (no pointer- or hashmap-order-dependent input).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&(self.channel_capacity as u64).to_le_bytes());
+        let mut r: Vec<u8> = (self.channel_capacity as u64).to_le_bytes().to_vec();
         for f in &self.filters {
-            eat(f.name.as_bytes());
-            eat(&[0]);
+            r.extend_from_slice(f.name.as_bytes());
+            r.push(0);
             for &n in &f.placement {
-                eat(&(n as u64).to_le_bytes());
+                r.extend_from_slice(&(n as u64).to_le_bytes());
             }
-            eat(&[1]);
+            r.push(1);
         }
         for s in &self.streams {
-            eat(&(s.from as u64).to_le_bytes());
-            eat(s.out_port.as_bytes());
-            eat(&[0]);
-            eat(&(s.to as u64).to_le_bytes());
-            eat(s.in_port.as_bytes());
-            eat(&[if s.shared { 2 } else { 3 }]);
+            r.extend_from_slice(&(s.from as u64).to_le_bytes());
+            r.extend_from_slice(s.out_port.as_bytes());
+            r.push(0);
+            r.extend_from_slice(&(s.to as u64).to_le_bytes());
+            r.extend_from_slice(s.in_port.as_bytes());
+            r.push(if s.shared { 2 } else { 3 });
         }
-        h
+        mssg_types::fnv1a(&r)
     }
 }
 

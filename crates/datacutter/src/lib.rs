@@ -40,7 +40,7 @@
 //! impl Filter for Summer {
 //!     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
 //!         while let Some(buf) = ctx.input("in")?.recv()? {
-//!             self.0 += buf.words()[0];
+//!             self.0 += buf.try_words()?.sum::<u64>();
 //!         }
 //!         Ok(())
 //!     }
@@ -53,6 +53,18 @@
 //! let report = g.run().unwrap();
 //! assert_eq!(report.net.remote_msgs + report.net.local_msgs, 10);
 //! ```
+//!
+//! A payload from another filter is read through a checked view
+//! ([`DataBuffer::try_words`], [`DataBuffer::try_edges`]): a length that
+//! is not whole words or edges is `Corrupt`, never a panic.
+//!
+//! ## Bulk-synchronous programs
+//!
+//! [`superstep`] is the round protocol of `p` copies of one filter joined
+//! all-to-all: tagged messages, a per-phase barrier that stashes early
+//! messages, and checked record decoding. `mssg-core`'s analyses and
+//! `mssg-net`'s distributed workload both run on it, so the exchange that
+//! crosses process boundaries is the one the analyses use.
 //!
 //! ## Static verification
 //!
@@ -109,6 +121,7 @@ pub mod filter;
 pub mod graph;
 pub mod netstats;
 pub mod runtime;
+pub mod superstep;
 pub mod transport;
 pub mod verify;
 

@@ -634,6 +634,7 @@ mod tests {
     use super::*;
     use crate::buffer::DataBuffer;
     use crate::filter::Filter;
+    use crate::superstep::one_word;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Producer {
@@ -657,7 +658,7 @@ mod tests {
     impl Filter for Collector {
         fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
             while let Some(b) = ctx.input("in")?.recv()? {
-                for w in b.words() {
+                for w in b.try_words()? {
                     self.sum.fetch_add(w, Ordering::Relaxed);
                 }
             }
@@ -961,7 +962,7 @@ mod tests {
             ctx.close_output("peers");
             let mut received = 0;
             while let Some(b) = ctx.input("peers")?.recv()? {
-                self.got.fetch_add(b.words()[0], Ordering::Relaxed);
+                self.got.fetch_add(one_word(&b)?, Ordering::Relaxed);
                 received += 1;
             }
             assert_eq!(
@@ -1002,7 +1003,7 @@ mod tests {
             while let Some(b) = ctx.input("in")?.recv()? {
                 std::thread::sleep(std::time::Duration::from_micros(self.delay_us));
                 self.got.fetch_add(1, Ordering::Relaxed);
-                self.total.fetch_add(b.words()[0], Ordering::Relaxed);
+                self.total.fetch_add(one_word(&b)?, Ordering::Relaxed);
             }
             Ok(())
         }

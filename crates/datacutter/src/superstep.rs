@@ -1,0 +1,460 @@
+//! The round protocol of bulk-synchronous filter programs (DESIGN.md
+//! §10.6).
+//!
+//! `p` copies of one filter, joined all-to-all by a [`PORT`] stream, advance
+//! through *phases*. In a phase a copy sends records to the copies that own
+//! them, tells every peer it is done with a marker carrying one count, and
+//! waits for the markers of the other `p − 1`. This module owns what that
+//! takes — the message tag, the exchange, the barrier with its stash of
+//! early messages, and the record codec — and a program is code over a
+//! [`Peers`]. Its two users are `mssg-core`'s analyses (BFS, components,
+//! MSF, degrees) and `mssg-net`'s distributed workload, so the protocol
+//! that crosses a process boundary is the one the analyses ship.
+//!
+//! A copy sends itself nothing: what it owns it handles in place.
+
+use crate::{DataBuffer, FilterContext};
+use mssg_obs::Telemetry;
+use mssg_types::{GraphStorageError, Result};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
+/// The port a program's copies exchange messages on, in and out.
+pub const PORT: &str = "peers";
+
+/// The round of a message its receiver takes whatever round it is in
+/// itself (BFS's `FOUND`).
+pub const ANY_ROUND: u32 = u32::MAX;
+
+/// Message tag: `[kind: 8 bits][round: 32 bits][sender: 24 bits]`.
+pub fn tag(kind: u64, round: u32, sender: usize) -> u64 {
+    (kind << 56) | ((round as u64) << 24) | sender as u64
+}
+
+fn tag_kind(t: u64) -> u64 {
+    t >> 56
+}
+
+fn tag_round(t: u64) -> u32 {
+    ((t >> 24) & 0xffff_ffff) as u32
+}
+
+/// One phase of a program: the kind of its record messages and the kind
+/// of the marker that ends it.
+#[derive(Clone, Copy, Debug)]
+pub struct Phase {
+    /// Kind of the phase's record messages.
+    pub data: u64,
+    /// Kind of the marker that ends the phase.
+    pub done: u64,
+}
+
+impl Phase {
+    /// A program's `n`-th phase: kinds `2n` and `2n + 1`.
+    pub const fn nth(n: u64) -> Phase {
+        Phase {
+            data: 2 * n,
+            done: 2 * n + 1,
+        }
+    }
+}
+
+/// How a barrier ended.
+pub enum Barrier<B> {
+    /// Every peer's marker arrived; the sum of the counts they carried.
+    Complete(u64),
+    /// The handler ended the program (BFS: a peer found the destination).
+    Stopped(B),
+    /// The input closed: every peer has exited. Over in-process channels a
+    /// copy's own sender keeps its input open, and a peer that left
+    /// without its marker is reported by the stream deadline instead.
+    PeerLeft,
+}
+
+/// What has arrived at a copy: the markers of the phase it is in, and the
+/// messages of phases it has not reached.
+struct Inbox {
+    kinds: u64,
+    done: usize,
+    sum: u64,
+    stash: Vec<DataBuffer>,
+}
+
+impl Inbox {
+    fn new(kinds: u64) -> Inbox {
+        Inbox {
+            kinds,
+            done: 0,
+            sum: 0,
+            stash: Vec::new(),
+        }
+    }
+
+    /// Takes one message at a copy in `phase` of `round`: that phase's
+    /// marker is counted, its records — and any [`ANY_ROUND`] message —
+    /// go to `on_data`, everything else waits in the stash.
+    fn accept<B>(
+        &mut self,
+        phase: Phase,
+        round: u32,
+        msg: DataBuffer,
+        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+    ) -> Result<ControlFlow<B>> {
+        let (kind, of_round) = (tag_kind(msg.tag), tag_round(msg.tag));
+        if kind >= self.kinds {
+            return Err(GraphStorageError::corrupt(format!(
+                "unknown message kind {kind}"
+            )));
+        }
+        if of_round == ANY_ROUND || (of_round == round && kind == phase.data) {
+            return on_data(kind, &msg);
+        }
+        if of_round == round && kind == phase.done {
+            self.sum = self.sum.saturating_add(one_word(&msg)?);
+            self.done += 1;
+        } else {
+            self.stash.push(msg);
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+}
+
+/// A copy's end of the exchange with its `p − 1` peers.
+pub struct Peers<'a> {
+    ctx: &'a mut FilterContext,
+    inbox: Inbox,
+}
+
+impl<'a> Peers<'a> {
+    /// The exchange of the copy `ctx` belongs to, for a program whose
+    /// messages are of kinds `0..kinds`; any other kind is `Corrupt`.
+    pub fn new(ctx: &'a mut FilterContext, kinds: u64) -> Peers<'a> {
+        Peers {
+            ctx,
+            inbox: Inbox::new(kinds),
+        }
+    }
+
+    /// This copy's index.
+    pub fn me(&self) -> usize {
+        self.ctx.copy_index
+    }
+
+    /// `p`: this copy and its peers.
+    pub fn copies(&self) -> usize {
+        self.ctx.copies
+    }
+
+    /// The run's telemetry bundle.
+    pub fn telemetry(&self) -> &Telemetry {
+        self.ctx.telemetry()
+    }
+
+    /// Sends `words` to the peer `to`.
+    pub fn send(&mut self, to: usize, kind: u64, round: u32, words: &[u64]) -> Result<()> {
+        debug_assert_ne!(to, self.me(), "a copy sends itself nothing");
+        let buf = DataBuffer::from_words(tag(kind, round, self.me()), words);
+        self.post(to, buf)
+    }
+
+    /// Sends `words` to every peer, as one shared buffer.
+    pub fn send_all(&mut self, kind: u64, round: u32, words: &[u64]) -> Result<()> {
+        let me = self.me();
+        let buf = DataBuffer::from_words(tag(kind, round, me), words);
+        for to in (0..self.copies()).filter(|&to| to != me) {
+            self.post(to, buf.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Sends every peer that has a batch its batch and empties it; returns
+    /// this copy's own.
+    pub fn scatter(&mut self, kind: u64, round: u32, batches: &mut [Vec<u64>]) -> Result<Vec<u64>> {
+        let me = self.me();
+        for (to, batch) in batches.iter_mut().enumerate() {
+            if to != me && !batch.is_empty() {
+                self.send(to, kind, round, batch)?;
+                batch.clear();
+            }
+        }
+        Ok(std::mem::take(&mut batches[me]))
+    }
+
+    fn post(&mut self, to: usize, buf: DataBuffer) -> Result<()> {
+        match self.ctx.output(PORT)?.send_to(to, buf) {
+            // The receiver has exited: it found the destination, or it
+            // failed and the run reports that. Nobody waits for this.
+            Err(GraphStorageError::Unsupported(m)) if m.contains("hung up") => Ok(()),
+            sent => sent,
+        }
+    }
+
+    /// Takes the messages that are waiting, without blocking — Algorithm 2
+    /// overlaps them with expansion. Markers taken here count towards the
+    /// round's [`barrier`](Peers::barrier).
+    pub fn poll<B>(
+        &mut self,
+        phase: Phase,
+        round: u32,
+        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+    ) -> Result<ControlFlow<B>> {
+        while let Some(msg) = self.ctx.input(PORT)?.try_recv() {
+            if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
+                return Ok(ControlFlow::Break(b));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Blocks until every peer's marker for `phase` of `round` is in,
+    /// handing that phase's record messages to `on_data` as they arrive —
+    /// first the ones that came early and waited in the stash.
+    pub fn barrier<B>(
+        &mut self,
+        phase: Phase,
+        round: u32,
+        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+    ) -> Result<Barrier<B>> {
+        for msg in std::mem::take(&mut self.inbox.stash) {
+            if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
+                return Ok(Barrier::Stopped(b));
+            }
+        }
+        while self.inbox.done + 1 < self.copies() {
+            let Some(msg) = self.ctx.input(PORT)?.recv()? else {
+                return Ok(Barrier::PeerLeft);
+            };
+            if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
+                return Ok(Barrier::Stopped(b));
+            }
+        }
+        self.inbox.done = 0;
+        Ok(Barrier::Complete(std::mem::take(&mut self.inbox.sum)))
+    }
+
+    /// Ends a phase whose records are `N` words: tells every peer this
+    /// copy is done, with `count`; hands `on_record` this copy's `own`
+    /// records and then every peer's, until their markers are in; returns
+    /// the counts of all `p` copies, summed. A peer that has left is a
+    /// `Net` error: over sockets that is a lost connection.
+    pub fn finish<const N: usize>(
+        &mut self,
+        phase: Phase,
+        round: u32,
+        own: &[u64],
+        count: u64,
+        mut on_record: impl FnMut([u64; N]) -> Result<()>,
+    ) -> Result<u64> {
+        self.send_all(phase.done, round, &[count])?;
+        for record in records_of(own.iter().copied())? {
+            on_record(record)?;
+        }
+        let mut on_data = |kind: u64, msg: &DataBuffer| {
+            if kind != phase.data {
+                return Err(GraphStorageError::corrupt(format!(
+                    "message of kind {kind} outside its round"
+                )));
+            }
+            for record in records(msg)? {
+                on_record(record)?;
+            }
+            Ok(ControlFlow::<Infallible>::Continue(()))
+        };
+        match self.barrier(phase, round, &mut on_data)? {
+            Barrier::Complete(sum) => Ok(sum.saturating_add(count)),
+            Barrier::Stopped(never) => match never {},
+            Barrier::PeerLeft => Err(GraphStorageError::Net(format!(
+                "peers exited before round {round} ended"
+            ))),
+        }
+    }
+}
+
+/// `words` as `N`-word records; a count that is not whole records is
+/// `Corrupt`.
+fn records_of<const N: usize>(
+    mut words: impl ExactSizeIterator<Item = u64>,
+) -> Result<impl Iterator<Item = [u64; N]>> {
+    if !words.len().is_multiple_of(N) {
+        return Err(GraphStorageError::corrupt(format!(
+            "{} words are not {N}-word records",
+            words.len()
+        )));
+    }
+    // The length was checked: `words` never runs dry inside a record.
+    Ok(
+        (0..words.len() / N)
+            .map(move |_| std::array::from_fn(|_| words.next().unwrap_or_default())),
+    )
+}
+
+/// A peer's payload as `N`-word records, read in place.
+pub fn records<const N: usize>(msg: &DataBuffer) -> Result<impl Iterator<Item = [u64; N]> + '_> {
+    records_of(msg.try_words()?)
+}
+
+/// A peer's payload that must be exactly one word: a marker's count.
+pub fn one_word(msg: &DataBuffer) -> Result<u64> {
+    let mut words = msg.try_words()?;
+    match (words.next(), words.next()) {
+        (Some(word), None) => Ok(word),
+        _ => Err(GraphStorageError::corrupt(format!(
+            "a payload of {} bytes where one word belongs",
+            msg.len()
+        ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Filter, GraphBuilder};
+    use parking_lot::Mutex;
+    use std::cell::Cell;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    type Program<T> = dyn Fn(&mut Peers<'_>) -> Result<T> + Send + Sync;
+
+    struct Copy<T> {
+        program: Arc<Program<T>>,
+        results: Arc<Mutex<Vec<Option<T>>>>,
+    }
+
+    impl<T: Send> Filter for Copy<T> {
+        fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
+            let me = ctx.copy_index;
+            let result = (self.program)(&mut Peers::new(ctx, 2))?;
+            self.results.lock()[me] = Some(result);
+            Ok(())
+        }
+    }
+
+    /// Runs `program` on two copies of one kind-0/1 program with a 2 s
+    /// stream deadline; returns what each computed, by copy index.
+    fn run_pair<T: Send + 'static>(
+        program: impl Fn(&mut Peers<'_>) -> Result<T> + Send + Sync + 'static,
+    ) -> Result<Vec<T>> {
+        let program: Arc<Program<T>> = Arc::new(program);
+        let results = Arc::new(Mutex::new(vec![None, None]));
+        let slots = Arc::clone(&results);
+        let mut g = GraphBuilder::new();
+        g.stream_timeout(Duration::from_secs(2));
+        let f = g.add_filter("pair", vec![0, 1], move |_| {
+            Box::new(Copy {
+                program: Arc::clone(&program),
+                results: Arc::clone(&slots),
+            })
+        })?;
+        g.connect(f, PORT, f, PORT)?;
+        g.run()?;
+        let results = std::mem::take(&mut *results.lock());
+        Ok(results.into_iter().map(|r| r.expect("ran")).collect())
+    }
+
+    #[test]
+    fn malformed_peer_messages_are_typed_errors() {
+        // Programs of up to four kinds, a phase of each, records of 1, 2
+        // and 4 words.
+        for (kinds, phase) in [(2, Phase::nth(0)), (3, Phase::nth(0)), (4, Phase::nth(1))] {
+            for arity in [1, 2, 4] {
+                let what = format!("{kinds} kinds, phase {phase:?}, {arity}-word records");
+                let mut inbox = Inbox::new(kinds);
+                let delivered = Cell::new(0);
+                let mut read = |_kind: u64, msg: &DataBuffer| {
+                    delivered.set(match arity {
+                        1 => records::<1>(msg)?.count(),
+                        2 => records::<2>(msg)?.count(),
+                        _ => records::<4>(msg)?.count(),
+                    });
+                    Ok(ControlFlow::<()>::Continue(()))
+                };
+                let (data, done) = (tag(phase.data, 1, 1), tag(phase.done, 1, 1));
+                let mut malformed = vec![
+                    ("0-byte marker", DataBuffer::control(done)),
+                    ("2-word marker", DataBuffer::from_words(done, &[0, 0])),
+                    ("7-byte marker", DataBuffer::new(done, vec![0; 7])),
+                    ("7-byte records", DataBuffer::new(data, vec![0; 7])),
+                    ("unknown kind", DataBuffer::control(tag(kinds, 1, 1))),
+                ];
+                if arity > 1 {
+                    // Whole words are not enough: they must be whole records.
+                    let ragged = DataBuffer::from_words(data, &vec![0; arity + 1]);
+                    malformed.push(("ragged records", ragged));
+                }
+                for (fault, msg) in malformed {
+                    let err = inbox.accept(phase, 1, msg, &mut read).unwrap_err();
+                    assert!(
+                        matches!(err, GraphStorageError::Corrupt(_)),
+                        "{what}, {fault}: {err}"
+                    );
+                }
+                // Nothing malformed was counted or kept, and a well-formed
+                // message still is.
+                assert_eq!((inbox.done, inbox.stash.len()), (0, 0), "{what}");
+                let two = DataBuffer::from_words(data, &vec![3; 2 * arity]);
+                let marker = DataBuffer::from_words(done, &[5]);
+                for msg in [two, marker] {
+                    assert!(inbox
+                        .accept(phase, 1, msg, &mut read)
+                        .unwrap()
+                        .is_continue());
+                }
+                assert_eq!(
+                    (delivered.get(), inbox.done, inbox.sum),
+                    (2, 1, 5),
+                    "{what}"
+                );
+            }
+        }
+        // BFS's FOUND carries the level, one word.
+        for words in [&[][..], &[3, 3]] {
+            let found = DataBuffer::from_words(tag(2, ANY_ROUND, 1), words);
+            let err = one_word(&found).unwrap_err();
+            assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn early_messages_wait_for_their_round_and_a_departed_peer_is_a_typed_error() {
+        const PHASE: Phase = Phase::nth(0);
+        // Copy 1 runs ahead: a round-2 record of its is on the wire before
+        // its round-1 marker. Copy 0 must keep it through round 1 and see
+        // it once, in round 2.
+        let seen = run_pair(|peers| {
+            let mut seen = [Vec::new(), Vec::new()];
+            if peers.me() == 1 {
+                peers.send(0, PHASE.data, 2, &[7])?;
+            }
+            for round in [1, 2] {
+                peers.finish::<1>(PHASE, round, &[], 0, |[word]| {
+                    seen[round as usize - 1].push(word);
+                    Ok(())
+                })?;
+            }
+            Ok(seen)
+        })
+        .unwrap();
+        assert_eq!(seen[0], [vec![], vec![7]]);
+        assert_eq!(seen[1], [vec![], vec![]]);
+
+        // Copy 1 leaves without its marker. In process, copy 0's own
+        // sender keeps its input open, so the deadline reports it.
+        let start = Instant::now();
+        let err = run_pair(|peers| {
+            if peers.me() == 0 {
+                peers.finish::<1>(PHASE, 1, &[], 0, |_| Ok(()))?;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphStorageError::Timeout(_) | GraphStorageError::Net(_)
+            ),
+            "{err}"
+        );
+        assert!(start.elapsed() < Duration::from_secs(30), "no hang");
+    }
+}

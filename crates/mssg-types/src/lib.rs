@@ -16,11 +16,13 @@
 //! - [`AdjBuffer`] — the reusable adjacency-list output buffer
 //!   (the prototype's `FastLongArrayStorage`),
 //! - [`GidMap`] / [`GidSet`] — hash tables keyed by vertex id, with a
-//!   hasher specialised to that one word.
+//!   hasher specialised to that one word,
+//! - [`fnv1a`] — the byte hash behind digests and topology signatures.
 
 pub mod adjbuf;
 pub mod edge;
 pub mod error;
+pub mod fnv;
 pub mod gid;
 pub mod gidmap;
 pub mod meta;
@@ -30,6 +32,7 @@ pub mod verify;
 pub use adjbuf::AdjBuffer;
 pub use edge::{Edge, TypedEdge};
 pub use error::{GraphStorageError, Result};
+pub use fnv::fnv1a;
 pub use gid::Gid;
 pub use gidmap::{GidMap, GidSet};
 pub use meta::{Meta, MetaOp, UNVISITED};

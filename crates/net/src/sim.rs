@@ -28,12 +28,12 @@
 //! comes out into a typed `GraphStorageError`. See DESIGN.md §14.
 
 use crate::conn::{Conn, Listener};
-use crate::tcp::{TcpOptions, TcpTransport};
+use crate::tcp::TcpTransport;
 use crate::wire;
 use crate::workload::{self, WorkloadConfig, WorkloadReport};
 use datacutter::splitmix64;
 use mssg_obs::{Counter, Telemetry};
-use mssg_types::{GraphStorageError, Result};
+use mssg_types::{fnv1a, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -181,15 +181,6 @@ impl SimPlan {
         out.sort_by_key(|(at, _)| *at);
         out
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 /// xoshiro256** — the per-pipe chaos stream, seeded through SplitMix64
@@ -875,9 +866,9 @@ impl Conn for SimConn {
 /// the sim's fault plan. Node `i` is labeled `"n{i}"`, so the pipe from
 /// node 0 to node 1 is addressable as `"n0->n1"`.
 ///
-/// Mirrors [`workload::run_tcp_localhost`]: same graph, same per-node
-/// threads, same report; only the wire differs. Returns node 0's report,
-/// or the first typed error any node hit.
+/// The same runner as [`workload::run_tcp_localhost`]: same graph, same
+/// per-node threads, same report; only the wire differs. Returns node 0's
+/// report, or the first typed error any node hit.
 pub fn run_workload_sim(
     cfg: &WorkloadConfig,
     sim: &SimNet,
@@ -896,43 +887,14 @@ pub fn run_workload_sim(
             conns[j][i] = Some(Box::new(b));
         }
     }
-    let (g0, _) = workload::build(cfg, Telemetry::disabled())?;
-    let topology = g0.topology_signature();
-
-    let mut handles = Vec::new();
-    for (node, node_conns) in conns.into_iter().enumerate() {
-        let cfg = cfg.clone();
-        let opts = TcpOptions {
-            io_timeout: cfg.stream_timeout,
-            dial_timeout: cfg.stream_timeout,
-            telemetry: telemetry.clone(),
-            ..TcpOptions::default()
-        };
-        let node_telemetry = telemetry.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut transport = TcpTransport::establish_over(node, node_conns, topology, opts)?;
-            workload::run_node(&cfg, node, &mut transport, node_telemetry)
-        }));
-    }
-    let mut report = None;
-    let mut first_err = None;
-    for h in handles {
-        match h.join().expect("sim workload node thread never panics") {
-            Ok(Some(r)) => report = Some(r),
-            Ok(None) => {}
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    report.ok_or_else(|| GraphStorageError::Net("node 0 produced no report".into()))
+    workload::run_node_threads(cfg, telemetry, conns, TcpTransport::establish_over)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{read_frame, write_frame, Frame};
+    use mssg_types::GraphStorageError;
 
     #[test]
     fn bytes_round_trip_and_eof_propagates() {

@@ -1389,6 +1389,7 @@ impl TxEndpoint for TcpTx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacutter::superstep::one_word;
 
     /// Establishes a fully-connected `n`-node transport set over
     /// localhost, each node on its own thread.
@@ -1479,7 +1480,7 @@ mod tests {
             match rx.recv(Some(Duration::from_secs(5))) {
                 RecvOutcome::Buf(buf) => {
                     assert_eq!(buf.tag, i);
-                    assert_eq!(buf.words(), vec![i * 7]);
+                    assert_eq!(one_word(&buf).unwrap(), i * 7);
                 }
                 other => panic!("expected buffer {i}, got {other:?}"),
             }

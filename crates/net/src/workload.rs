@@ -1,14 +1,19 @@
 //! A self-contained distributed ingest → BFS workload.
 //!
-//! `mssg-core`'s BFS runs against shared-memory storage backends, so it
-//! cannot cross a process boundary. This module carries the same
-//! communication structure — sharded ingestion, then level-synchronous
-//! BFS with round markers over an all-to-all `peers` stream — but keeps
-//! every vertex in plain per-shard memory, making it runnable unchanged
-//! on [`InProc`] threads or as one OS process per node over
-//! [`TcpTransport`]. The two must produce **byte-identical** BFS levels
-//! for the same [`WorkloadConfig`]; the distributed smoke test holds the
-//! transport to that.
+//! `mssg-core`'s analyses run against shared-memory storage backends, so
+//! they cannot cross a process boundary yet. This module keeps every
+//! vertex in plain per-shard memory instead, which makes it runnable
+//! unchanged on [`InProc`] threads, as one OS process per node over
+//! [`TcpTransport`], or over the wire simulator: sharded ingestion, then a
+//! level-synchronous BFS. The BFS is a program over
+//! [`datacutter::superstep`] — the same tag, exchange, barrier and record
+//! codec the core analyses run on — so the round protocol the transports
+//! carry is the shipping one. A round sends each peer the candidates it
+//! owns, visits this shard's own in place, and ends with a marker carrying
+//! the shard's frontier size; a round whose frontiers sum to zero ends the
+//! search. Every run of one [`WorkloadConfig`] must produce
+//! **byte-identical** BFS levels, whatever the transport; the distributed
+//! smoke test holds the transport to that.
 //!
 //! Filter graph (`p` = participating nodes):
 //!
@@ -20,9 +25,11 @@
 //! [`InProc`]: datacutter::InProc
 //! [`TcpTransport`]: crate::tcp::TcpTransport
 
+use crate::tcp::{TcpOptions, TcpTransport};
+use datacutter::superstep::{self, Peers, Phase, PORT};
 use datacutter::{DataBuffer, Filter, FilterContext, GraphBuilder, NodeId, Transport};
 use mssg_obs::Telemetry;
-use mssg_types::{Edge, GraphStorageError, Result};
+use mssg_types::{fnv1a, Edge, GraphStorageError, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -112,15 +119,6 @@ fn owner(v: u64, p: usize) -> usize {
     (v % p as u64) as usize
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -130,24 +128,13 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-// Tag layout on the `peers` stream: [kind: 8][round: 32][sender: 24].
-const KIND_CAND: u64 = 0;
-const KIND_DONE: u64 = 1;
+/// A BFS round: candidate vertices to their owners, then a marker with
+/// the sender's frontier size.
+const ROUND: Phase = Phase::nth(0);
+const KINDS: u64 = 2;
 // Tags on the `levels` stream.
 const TAG_LEVELS: u64 = 0;
 const TAG_STATS: u64 = 1;
-
-fn tag(kind: u64, round: u32, sender: usize) -> u64 {
-    (kind << 56) | ((round as u64) << 24) | sender as u64
-}
-
-fn tag_kind(t: u64) -> u64 {
-    t >> 56
-}
-
-fn tag_round(t: u64) -> u32 {
-    ((t >> 24) & 0xffff_ffff) as u32
-}
 
 /// Generates the deterministic edge list and shards it to store copies
 /// by source-vertex owner. Both directions of every edge are emitted, so
@@ -195,15 +182,6 @@ impl Filter for Gen {
     }
 }
 
-/// Buffered `peers` traffic for a round this copy has not reached yet
-/// (a fast peer can run one round ahead).
-#[derive(Default)]
-struct RoundBox {
-    cands: Vec<u64>,
-    done: usize,
-    global: u64,
-}
-
 /// One shard: ingests its adjacency, then runs level-synchronous BFS
 /// rounds with its peers, and finally ships `(vertex, level)` pairs plus
 /// timing stats to the collector.
@@ -224,13 +202,14 @@ impl Store {
             .with("copy", copy as u64);
         let windows = telemetry.metrics.counter("ingest.windows");
         while let Some(buf) = ctx.input("edges")?.recv()? {
-            for e in buf.edges() {
+            let block = buf.try_edges()?;
+            edges += block.len() as u64;
+            for e in block {
                 self.adj
                     .entry(e.src.payload())
                     .or_default()
                     .push(e.dst.payload());
             }
-            edges += (buf.len() / 16) as u64;
             blocks += 1;
             windows.inc();
             if self.cfg.die_at == Some((copy, blocks)) {
@@ -248,89 +227,38 @@ impl Store {
         Ok(edges)
     }
 
-    fn bfs(&mut self, ctx: &mut FilterContext) -> Result<(HashMap<u64, u32>, u32)> {
-        let p = ctx.copies;
-        let me = ctx.copy_index;
+    fn bfs(&self, peers: &mut Peers<'_>) -> Result<(HashMap<u64, u32>, u32)> {
+        let (p, me) = (peers.copies(), peers.me());
         let mut levels: HashMap<u64, u32> = HashMap::new();
         let mut frontier: Vec<u64> = Vec::new();
         if owner(0, p) == me && self.cfg.vertices > 0 {
             levels.insert(0, 0);
             frontier.push(0);
         }
-        let mut pending: HashMap<u32, RoundBox> = HashMap::new();
+        // Candidates per owner: one buffer per peer a round, which is what
+        // the declared send_window and the transport's credit window bound.
+        let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
+        let tracer = peers.telemetry().tracer.clone();
         let mut round: u32 = 0;
-        let tracer = ctx.telemetry().tracer.clone();
         loop {
             let _round_span = tracer.span("bfs.round").with("round", round as u64);
-            // Send this round's candidates: one buffer per destination
-            // shard (bounding the burst, which is what the declared
-            // send_window and the transport's credit window rely on).
-            let mut out: Vec<Vec<u64>> = vec![Vec::new(); p];
-            for &v in &frontier {
-                if let Some(nbrs) = self.adj.get(&v) {
-                    for &w in nbrs {
-                        out[owner(w, p)].push(w);
-                    }
+            for v in &frontier {
+                for &w in self.adj.get(v).map_or(&[][..], Vec::as_slice) {
+                    batches[owner(w, p)].push(w);
                 }
             }
-            for (dest, cands) in out.into_iter().enumerate() {
-                if !cands.is_empty() {
-                    ctx.output("peers")?.send_to(
-                        dest,
-                        DataBuffer::from_words(tag(KIND_CAND, round, me), &cands),
-                    )?;
-                }
-            }
-            for dest in 0..p {
-                ctx.output("peers")?.send_to(
-                    dest,
-                    DataBuffer::from_words(tag(KIND_DONE, round, me), &[frontier.len() as u64]),
-                )?;
-            }
-
-            // Collect candidates until every peer's round marker arrives.
-            // Per-sender FIFO guarantees a peer's candidates precede its
-            // marker; traffic from peers already in round+1 is stashed.
-            let mut rb = pending.remove(&round).unwrap_or_default();
+            let own = peers.scatter(ROUND.data, round, &mut batches)?;
             let mut next: Vec<u64> = Vec::new();
-            let visit = |cands: &[u64], levels: &mut HashMap<u64, u32>, next: &mut Vec<u64>| {
-                for &w in cands {
-                    levels.entry(w).or_insert_with(|| {
-                        next.push(w);
-                        round + 1
-                    });
-                }
-            };
-            visit(&rb.cands, &mut levels, &mut next);
-            while rb.done < p {
-                let Some(buf) = ctx.input("peers")?.recv()? else {
-                    return Err(GraphStorageError::Net(format!(
-                        "peers stream closed mid-BFS on shard {me} (round {round})"
-                    )));
-                };
-                let r = tag_round(buf.tag);
-                if r == round {
-                    match tag_kind(buf.tag) {
-                        KIND_CAND => visit(&buf.words(), &mut levels, &mut next),
-                        _ => {
-                            rb.done += 1;
-                            rb.global += buf.words().first().copied().unwrap_or(0);
-                        }
-                    }
-                } else {
-                    let stash = pending.entry(r).or_default();
-                    match tag_kind(buf.tag) {
-                        KIND_CAND => stash.cands.extend(buf.words()),
-                        _ => {
-                            stash.done += 1;
-                            stash.global += buf.words().first().copied().unwrap_or(0);
-                        }
-                    }
-                }
-            }
-            // Global frontier size this round was zero: nobody sent a
-            // candidate, every shard agrees, all stop after this round.
-            if rb.global == 0 {
+            let global = peers.finish::<1>(ROUND, round, &own, frontier.len() as u64, |[w]| {
+                levels.entry(w).or_insert_with(|| {
+                    next.push(w);
+                    round + 1
+                });
+                Ok(())
+            })?;
+            // Nobody had a frontier this round: every shard agrees, all
+            // stop after it.
+            if global == 0 {
                 return Ok((levels, round));
             }
             frontier = next;
@@ -347,7 +275,7 @@ impl Filter for Store {
         let ingest = t0.elapsed();
 
         let t1 = Instant::now();
-        let (levels, rounds) = self.bfs(ctx)?;
+        let (levels, rounds) = self.bfs(&mut Peers::new(ctx, KINDS))?;
         let bfs = t1.elapsed();
 
         // Ship owned levels in canonical (sorted) order, then stats.
@@ -386,15 +314,31 @@ impl Filter for Collect {
         let mut ingest_ns = 0u64;
         let mut bfs_ns = 0u64;
         while let Some(buf) = ctx.input("levels")?.recv()? {
-            let words = buf.words();
-            if buf.tag == TAG_STATS {
-                report.edges += words[0];
-                ingest_ns = ingest_ns.max(words[1]);
-                bfs_ns = bfs_ns.max(words[2]);
-                report.rounds = report.rounds.max(words[3] as u32);
-            } else {
-                for pair in words.chunks_exact(2) {
-                    report.levels.push((pair[0], pair[1] as u32));
+            match buf.tag {
+                TAG_LEVELS => {
+                    for [v, level] in superstep::records::<2>(&buf)? {
+                        report.levels.push((v, level as u32));
+                    }
+                }
+                TAG_STATS => {
+                    let mut stats = superstep::records::<5>(&buf)?;
+                    let (Some([edges, ingest, bfs, rounds, _copy]), None) =
+                        (stats.next(), stats.next())
+                    else {
+                        return Err(GraphStorageError::corrupt(format!(
+                            "a stats message of {} bytes",
+                            buf.len()
+                        )));
+                    };
+                    report.edges += edges;
+                    ingest_ns = ingest_ns.max(ingest);
+                    bfs_ns = bfs_ns.max(bfs);
+                    report.rounds = report.rounds.max(rounds as u32);
+                }
+                tag => {
+                    return Err(GraphStorageError::corrupt(format!(
+                        "unknown levels tag {tag}"
+                    )))
                 }
             }
         }
@@ -458,11 +402,11 @@ pub fn build(
         })
     })?;
 
-    g.declare_ports(store, &["edges", "peers"], &["peers", "levels"]);
-    g.expect_consumers(store, "peers", p);
-    g.send_window(store, "peers", 4 * (p as u64 + 1));
+    g.declare_ports(store, &["edges", PORT], &[PORT, "levels"]);
+    g.expect_consumers(store, PORT, p);
+    g.send_window(store, PORT, 4 * (p as u64 + 1));
     g.connect(gen, "edges", store, "edges")?;
-    g.connect(store, "peers", store, "peers")?;
+    g.connect(store, PORT, store, PORT)?;
     g.connect(store, "levels", collect, "levels")?;
     Ok((g, sink))
 }
@@ -508,8 +452,6 @@ pub fn run_node(
 /// the transport bench measures. `telemetry` receives the `net.*`
 /// counters from every node's transport.
 pub fn run_tcp_localhost(cfg: &WorkloadConfig, telemetry: Telemetry) -> Result<WorkloadReport> {
-    use crate::tcp::{TcpOptions, TcpTransport};
-
     let listeners: Vec<std::net::TcpListener> = (0..cfg.nodes)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
         .collect::<std::io::Result<_>>()
@@ -519,38 +461,54 @@ pub fn run_tcp_localhost(cfg: &WorkloadConfig, telemetry: Telemetry) -> Result<W
         .map(|l| l.local_addr().map(|a| a.to_string()))
         .collect::<std::io::Result<_>>()
         .map_err(|e| GraphStorageError::Net(format!("local_addr: {e}")))?;
+    run_node_threads(
+        cfg,
+        telemetry,
+        listeners,
+        |node, listener, topology, opts| {
+            TcpTransport::establish(node, listener, &addrs, topology, opts)
+        },
+    )
+}
+
+/// Runs every node of the workload on its own thread of this process,
+/// node `i` over the transport `establish` builds from `links[i]`.
+/// Returns node 0's report, or the first typed error any node hit (in
+/// node order).
+pub(crate) fn run_node_threads<L: Send>(
+    cfg: &WorkloadConfig,
+    telemetry: Telemetry,
+    links: Vec<L>,
+    establish: impl Fn(NodeId, L, u64, TcpOptions) -> Result<TcpTransport> + Sync,
+) -> Result<WorkloadReport> {
     let (g0, _) = build(cfg, Telemetry::disabled())?;
     let topology = g0.topology_signature();
-
-    let mut handles = Vec::new();
-    for (node, listener) in listeners.into_iter().enumerate() {
-        let cfg = cfg.clone();
-        let addrs = addrs.clone();
-        let opts = TcpOptions {
-            io_timeout: cfg.stream_timeout,
-            dial_timeout: cfg.stream_timeout,
-            telemetry: telemetry.clone(),
-            ..TcpOptions::default()
-        };
-        let node_telemetry = telemetry.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut transport = TcpTransport::establish(node, listener, &addrs, topology, opts)?;
-            run_node(&cfg, node, &mut transport, node_telemetry)
-        }));
-    }
-    let mut report = None;
-    let mut first_err = None;
-    for h in handles {
-        match h.join().expect("workload node thread never panics") {
-            Ok(Some(r)) => report = Some(r),
-            Ok(None) => {}
-            Err(e) => first_err = first_err.or(Some(e)),
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = links
+            .into_iter()
+            .enumerate()
+            .map(|(node, link)| {
+                let (establish, telemetry) = (&establish, telemetry.clone());
+                scope.spawn(move || {
+                    let opts = TcpOptions {
+                        io_timeout: cfg.stream_timeout,
+                        dial_timeout: cfg.stream_timeout,
+                        telemetry: telemetry.clone(),
+                        ..TcpOptions::default()
+                    };
+                    let mut transport = establish(node, link, topology, opts)?;
+                    run_node(cfg, node, &mut transport, telemetry)
+                })
+            })
+            .collect();
+        // Leaving early with an error still joins the other nodes: the
+        // scope waits for every thread it spawned.
+        let mut report = None;
+        for h in handles {
+            report = report.or(h.join().expect("workload node thread never panics")?);
         }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    report.ok_or_else(|| GraphStorageError::Net("node 0 produced no report".into()))
+        report.ok_or_else(|| GraphStorageError::Net("node 0 produced no report".into()))
+    })
 }
 
 #[cfg(test)]
@@ -605,5 +563,164 @@ mod tests {
         let bytes = counters.get("net.bytes").copied().unwrap_or(0);
         assert!(frames > 0, "no frames counted");
         assert!(bytes >= frames * crate::wire::FRAME_OVERHEAD as u64);
+    }
+
+    #[test]
+    fn no_peers_message_goes_from_a_shard_to_itself() {
+        // Shard 0's edge block, its levels and its stats are the only
+        // messages that stay on a node: a candidate or marker a shard sent
+        // itself would be one more.
+        let random = WorkloadConfig {
+            nodes: 3,
+            vertices: 300,
+            extra_edges: 400,
+            ..WorkloadConfig::default()
+        };
+        let (g, _) = build(&random, Telemetry::disabled()).unwrap();
+        assert_eq!(g.run().unwrap().net.local_msgs, 3);
+
+        // The path 0 – 1 – 2, one vertex per shard: every count is exact.
+        let path = WorkloadConfig {
+            nodes: 3,
+            vertices: 3,
+            extra_edges: 0,
+            ..WorkloadConfig::default()
+        };
+        let (g, sink) = build(&path, Telemetry::disabled()).unwrap();
+        let net = g.run().unwrap().net;
+        let report = take_report(&sink).unwrap();
+        assert_eq!(report.levels, [(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(report.rounds, 3);
+        // Remote: the other two shards' blocks, levels and stats (6), per
+        // round 0..=3 one marker to each of 2 peers from each of 3 shards
+        // (24), and the candidates 0→1, 1→0, 1→2, 2→1 (4).
+        assert_eq!((net.local_msgs, net.remote_msgs), (3, 6 + 24 + 4));
+    }
+
+    /// Sends `msg` to copy 0 on `port` — after draining `drain`, if any.
+    #[derive(Clone)]
+    struct Rogue {
+        drain: Option<&'static str>,
+        port: &'static str,
+        msg: DataBuffer,
+    }
+
+    impl Filter for Rogue {
+        fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
+            if let Some(port) = self.drain {
+                while ctx.input(port)?.recv()?.is_some() {}
+            }
+            ctx.output(self.port)?.send_to(0, self.msg.clone())
+        }
+    }
+
+    /// A graph whose blocking operations give up: a message a regression
+    /// makes the receiver wait on fails the test instead of hanging it.
+    fn graph() -> GraphBuilder {
+        let mut g = GraphBuilder::new();
+        g.stream_timeout(Duration::from_secs(10));
+        g
+    }
+
+    fn assert_corrupt(g: GraphBuilder, what: &str) {
+        match g.run() {
+            Err(GraphStorageError::Corrupt(_)) => {}
+            other => panic!("{what}: want Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_messages_are_typed_errors() {
+        let cfg = WorkloadConfig {
+            nodes: 2,
+            vertices: 50,
+            extra_edges: 50,
+            ..WorkloadConfig::default()
+        };
+        let store = |cfg: WorkloadConfig| {
+            move |_| -> Box<dyn Filter> {
+                Box::new(Store {
+                    cfg: cfg.clone(),
+                    adj: HashMap::new(),
+                })
+            }
+        };
+
+        let mut g = graph();
+        let rogue = Rogue {
+            drain: None,
+            port: "edges",
+            msg: DataBuffer::new(0, vec![0; 17]),
+        };
+        let gen = g
+            .add_filter("gen", vec![0], move |_| Box::new(rogue.clone()))
+            .unwrap();
+        let shard = g.add_filter("store", vec![0], store(cfg.clone())).unwrap();
+        g.connect(gen, "edges", shard, "edges").unwrap();
+        assert_corrupt(g, "a 17-byte edge block");
+
+        for (what, msg) in [
+            (
+                "a 3-word stats message",
+                DataBuffer::from_words(TAG_STATS, &[1, 2, 3]),
+            ),
+            (
+                "a 3-word level message",
+                DataBuffer::from_words(TAG_LEVELS, &[1, 2, 3]),
+            ),
+            ("an unknown levels tag", DataBuffer::control(2)),
+        ] {
+            let mut g = graph();
+            let rogue = Rogue {
+                drain: None,
+                port: "levels",
+                msg,
+            };
+            let shard = g
+                .add_filter("store", vec![0], move |_| Box::new(rogue.clone()))
+                .unwrap();
+            let collect = g
+                .add_filter("collect", vec![0], |_| {
+                    Box::new(Collect {
+                        sink: Arc::default(),
+                    })
+                })
+                .unwrap();
+            g.connect(shard, "levels", collect, "levels").unwrap();
+            assert_corrupt(g, what);
+        }
+
+        // Shard 1 ingests its edges and then sends shard 0, in round 0:
+        for (what, msg) in [
+            (
+                "a 7-byte candidate payload",
+                DataBuffer::new(superstep::tag(ROUND.data, 0, 1), vec![0; 7]),
+            ),
+            (
+                "an unknown peers kind",
+                DataBuffer::control(superstep::tag(KINDS, 0, 1)),
+            ),
+        ] {
+            let mut g = graph();
+            let c = cfg.clone();
+            let gen = g
+                .add_filter("gen", vec![0], move |_| Box::new(Gen { cfg: c.clone() }))
+                .unwrap();
+            let rogue = Rogue {
+                drain: Some("edges"),
+                port: PORT,
+                msg,
+            };
+            let store = store(cfg.clone());
+            let shards = g
+                .add_filter("store", vec![0, 1], move |i| match i {
+                    0 => store(i),
+                    _ => Box::new(rogue.clone()),
+                })
+                .unwrap();
+            g.connect(gen, "edges", shards, "edges").unwrap();
+            g.connect(shards, PORT, shards, PORT).unwrap();
+            assert_corrupt(g, what);
+        }
     }
 }

@@ -42,7 +42,10 @@ proptest! {
         let buf = DataBuffer::from_edges(7, &edges);
         let frame = Frame::data(stream, buf.tag, &buf.data);
         let back = read_frame(&mut Cursor::new(frame.encode())).unwrap().unwrap();
-        let decoded = DataBuffer::new(back.tag, back.payload).edges();
+        let decoded: Vec<Edge> = DataBuffer::new(back.tag, back.payload)
+            .try_edges()
+            .unwrap()
+            .collect();
         prop_assert_eq!(decoded, edges);
     }
 

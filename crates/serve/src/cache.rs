@@ -13,18 +13,8 @@
 //! *never* returned — a response's epoch stamp is exactly the epoch its
 //! result was computed at.
 
+use mssg_types::fnv1a;
 use simio::{BlockCache, CacheKey, CachePolicy};
-
-/// FNV-1a, the same shape the declustering hash uses; collisions are
-/// tolerated (verified on hit), not assumed away.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Hit/miss/invalidation tallies for one cache lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
