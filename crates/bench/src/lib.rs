@@ -17,9 +17,6 @@
 //! cargo run -p mssg-bench --release --bin figures -- fig5_4 --scale 256 --queries 20
 //! ```
 //!
-//! Criterion benches (`cargo bench`) wrap the same experiment functions at
-//! smaller scales.
-//!
 //! Performance over time is the job of the repo-level `benchmark/`
 //! package (BENCHMARK.json), not of this crate. Every experiment here
 //! reports through [`report::Table`]:

@@ -6,7 +6,7 @@ use grdb::{GrdbConfig, GrdbGraphDb};
 use kvdb::{BdbGraphDb, KvOptions};
 use minisql::MySqlGraphDb;
 use mssg_types::Result;
-use simio::{CachePolicy, IoStats};
+use simio::IoStats;
 use std::path::Path;
 use std::sync::Arc;
 use streamdb::StreamDb;
@@ -87,8 +87,6 @@ pub struct BackendOptions {
     pub cache_enabled: bool,
     /// Cache capacity in blocks/pages when enabled.
     pub cache_capacity: usize,
-    /// Cache replacement policy (grDB and the B-tree buffer pool).
-    pub cache_policy: CachePolicy,
     /// grDB configuration override (defaults to the thesis geometry).
     pub grdb: Option<GrdbConfig>,
 }
@@ -98,7 +96,6 @@ impl Default for BackendOptions {
         BackendOptions {
             cache_enabled: true,
             cache_capacity: 256,
-            cache_policy: CachePolicy::Lru,
             grdb: None,
         }
     }
@@ -135,7 +132,6 @@ pub fn open_backend(
         BackendKind::BerkeleyDb => {
             let kv = KvOptions {
                 cache_pages: cache,
-                cache_policy: options.cache_policy,
                 ..Default::default()
             };
             Box::new(BdbGraphDb::open(&dir.join("bdb.db"), kv, stats)?)
@@ -144,7 +140,6 @@ pub fn open_backend(
         BackendKind::Grdb => {
             let mut cfg = options.grdb.clone().unwrap_or_default();
             cfg.cache_blocks = cache;
-            cfg.cache_policy = options.cache_policy;
             Box::new(GrdbGraphDb::open(&dir.join("grdb"), cfg, stats)?)
         }
     })

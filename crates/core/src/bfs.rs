@@ -1137,7 +1137,7 @@ mod tests {
                     assert!(net.total_msgs() > 0, "peers still hear ROUND_DONE");
                 }
             }
-            let cc = crate::connected_components(&cluster, &Default::default()).unwrap();
+            let cc = crate::connected_components(&cluster).unwrap();
             assert_eq!(cc.telemetry.net.local_msgs, 0, "components, {routing:?}");
             assert_eq!(
                 (cc.components as usize, cc.vertices as usize),

@@ -27,24 +27,6 @@ use datacutter::superstep::{Peers, Phase};
 use mssg_types::{AdjBuffer, Gid, GidMap, MetaOp, Result};
 use std::collections::HashMap;
 
-/// Configuration for a components run.
-#[derive(Clone, Debug)]
-pub struct ComponentsOptions {
-    /// Per-stream send/recv deadline. Every phase ends on a marker from
-    /// every peer, so a dead filter would otherwise hang the run forever;
-    /// with the deadline it surfaces as a typed `Timeout` error instead.
-    /// Defaults to 120 s; `None` blocks indefinitely (classic semantics).
-    pub recv_timeout: Option<std::time::Duration>,
-}
-
-impl Default for ComponentsOptions {
-    fn default() -> Self {
-        ComponentsOptions {
-            recv_timeout: Some(superstep::DEADLINE),
-        }
-    }
-}
-
 /// Result of a components run.
 #[derive(Clone, Debug)]
 pub struct ComponentsResult {
@@ -73,11 +55,10 @@ pub(crate) const PROPOSE: Phase = Phase::nth(2);
 pub(crate) const APPLIED: Phase = Phase::nth(3);
 pub(crate) const KINDS: u64 = 8;
 
-/// Runs connected components over the cluster's stored graph.
-pub fn connected_components(
-    cluster: &MssgCluster,
-    options: &ComponentsOptions,
-) -> Result<ComponentsResult> {
+/// Runs connected components over the cluster's stored graph. Every phase
+/// ends on a marker from every peer, so a dead filter surfaces as a typed
+/// `Timeout` after the 120 s analysis deadline instead of a hang.
+pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
     // Frontier labels can stay local only when storage placement equals
     // the hash placement of label state.
     let storage_is_hash = !cluster.broadcast_fringe() && cluster.owner_map().is_none();
@@ -85,7 +66,7 @@ pub fn connected_components(
         cluster,
         "components",
         KINDS,
-        options.recv_timeout,
+        Some(superstep::DEADLINE),
         None,
         move |peers, backend| propagate(peers, backend, storage_is_hash),
     )?;
@@ -226,7 +207,7 @@ pub(crate) mod tests {
             },
         )
         .unwrap();
-        connected_components(&cluster, &ComponentsOptions::default()).unwrap()
+        connected_components(&cluster).unwrap()
     }
 
     #[test]

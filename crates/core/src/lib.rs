@@ -48,7 +48,7 @@ pub mod visited;
 pub use backend::{BackendKind, BackendOptions};
 pub use bfs::{BfsMode, BfsOptions, SearchMetrics};
 pub use cluster::MssgCluster;
-pub use components::{connected_components, ComponentsOptions, ComponentsResult};
+pub use components::{connected_components, ComponentsResult};
 pub use decluster::Declustering;
 pub use degrees::{degree_distribution, DegreeReport};
 pub use epoch::{EpochManager, EpochPin, EpochUpdate};

@@ -8,7 +8,7 @@
 
 use crate::bfs::{bfs, BfsOptions, SearchMetrics};
 use crate::cluster::MssgCluster;
-use crate::components::{connected_components, ComponentsOptions};
+use crate::components::connected_components;
 use crate::degrees::degree_distribution;
 use crate::msf::minimum_spanning_forest;
 use crate::visited::{PagedBitmap, VisitedSet};
@@ -186,7 +186,7 @@ fn run_bfs_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<Strin
 }
 
 fn run_components_analysis(cluster: &MssgCluster, _params: &QueryParams) -> Result<String> {
-    let r = connected_components(cluster, &ComponentsOptions::default())?;
+    let r = connected_components(cluster)?;
     Ok(format!(
         "components={} vertices={} largest={} rounds={}",
         r.components, r.vertices, r.largest, r.rounds

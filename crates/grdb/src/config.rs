@@ -1,7 +1,6 @@
 //! grDB instance configuration.
 
 use mssg_types::{GraphStorageError, Result};
-use simio::CachePolicy;
 
 /// Bytes per stored word (the thesis' `b`: one 64-bit GID).
 pub const WORD: usize = 8;
@@ -51,8 +50,6 @@ pub struct GrdbConfig {
     pub max_file_bytes: u64,
     /// Block cache capacity in blocks (0 = cache disabled).
     pub cache_blocks: usize,
-    /// Cache replacement policy.
-    pub cache_policy: CachePolicy,
     /// Growth policy for full sub-blocks.
     pub growth: GrowthPolicy,
 }
@@ -91,7 +88,6 @@ impl GrdbConfig {
             ],
             max_file_bytes: 256 * 1024 * 1024,
             cache_blocks: 2048,
-            cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
         }
     }
@@ -117,7 +113,6 @@ impl GrdbConfig {
             ],
             max_file_bytes: 256,
             cache_blocks: 8,
-            cache_policy: CachePolicy::Lru,
             growth: GrowthPolicy::Link,
         }
     }

@@ -34,10 +34,11 @@
 //!
 //! All block I/O goes through the instance's block cache
 //! ([`simio::BlockCache`]) — the "block cache component". Capacity 0
-//! reproduces the Figure 5.2 cache-off configuration. The replacement
-//! policy is configurable: [`simio::CachePolicy::TwoQ`] keeps one-shot
-//! scans from flushing the hot set. A read miss fetches exactly the block
-//! that was asked for.
+//! reproduces the Figure 5.2 cache-off configuration. The cache is 2Q: a
+//! block enters probation and only a second reference protects it, so the
+//! one-touch blocks of a level's waves leave first and the blocks point
+//! lookups reuse stay resident. A read miss fetches exactly the block that
+//! was asked for.
 //!
 //! # Read path
 //!
@@ -57,7 +58,6 @@
 //!
 //! let mut cfg = GrdbConfig::tiny();          // 3 levels, 64-byte blocks
 //! cfg.cache_blocks = 32;                     // cache capacity, in blocks
-//! cfg.cache_policy = simio::CachePolicy::TwoQ;
 //!
 //! let dir = std::env::temp_dir().join("grdb-doc-cache");
 //! # let _ = std::fs::remove_dir_all(&dir);

@@ -70,7 +70,7 @@ impl GrdbStore {
             )?);
         }
         let n = config.levels.len();
-        let cache = BlockCache::new(config.cache_blocks, config.cache_policy);
+        let cache = BlockCache::new(config.cache_blocks);
         let mut store = GrdbStore {
             config,
             files,
@@ -125,10 +125,10 @@ impl GrdbStore {
         f: impl FnOnce(&mut [u8]) -> T,
     ) -> Result<T> {
         let key = CacheKey::new(level as u32, block);
-        if let Some(bytes) = self.cache.get(key) {
+        if let Some(bytes) = self.cache.get(&key) {
             let out = f(bytes);
             if dirty {
-                self.cache.mark_dirty(key);
+                self.cache.mark_dirty(&key);
             }
             return Ok(out);
         }

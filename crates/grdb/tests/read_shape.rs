@@ -3,6 +3,8 @@
 //! at most once per wave, in file order. The expected counts come from a
 //! reference walk of the level files as they lie on disk; the instance is
 //! uncached, so every block access the store makes is a counted read.
+//! With the block cache on, a scan's one-touch blocks must not evict the
+//! block a lookup reused.
 
 use graphdb::GraphDb;
 use grdb::layout::{read_slot, sub_position, Slot};
@@ -164,5 +166,59 @@ fn one_expansion_reads_each_block_once_per_wave_in_file_order() {
         io.seeks
     );
     assert_eq!(io.block_writes, 0, "a read writes nothing back");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Block reads one expansion of `fringe` costs; every vertex in it has
+/// exactly one neighbour.
+fn block_reads(db: &mut GrdbGraphDb, stats: &IoStats, fringe: &[Gid]) -> u64 {
+    let before = stats.snapshot();
+    let mut out = AdjBuffer::new();
+    db.expand_fringe(fringe, &mut out, 0, MetaOp::Ignore)
+        .unwrap();
+    assert_eq!(out.len(), fringe.len(), "one neighbour per vertex");
+    stats.snapshot().since(&before).block_reads
+}
+
+#[test]
+fn a_scan_does_not_evict_the_block_a_lookup_reused() {
+    let dir = std::env::temp_dir().join(format!("grdb-read-shape-scan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = GrdbConfig {
+        cache_blocks: 8,
+        ..GrdbConfig::tiny()
+    };
+    // One vertex per level-0 block: the scan touches three times as many
+    // distinct blocks as the cache holds, none of them the hot vertex's.
+    let per_block = cfg.levels[0].k();
+    let hot = Gid::new(0);
+    let scan: Vec<Gid> = (1..=3 * cfg.cache_blocks as u64)
+        .map(|i| Gid::new(i * per_block))
+        .collect();
+    {
+        let mut db = GrdbGraphDb::open(&dir, cfg.clone(), IoStats::new()).unwrap();
+        let edges: Vec<Edge> = std::iter::once(hot)
+            .chain(scan.iter().copied())
+            .map(|v| Edge::of(v.raw(), 1))
+            .collect();
+        db.store_edges(&edges).unwrap();
+        db.flush().unwrap();
+    }
+
+    // Reopened, so the cache starts cold.
+    let stats = IoStats::new();
+    let mut db = GrdbGraphDb::open(&dir, cfg, Arc::clone(&stats)).unwrap();
+    assert_eq!(block_reads(&mut db, &stats, &[hot]), 1, "cold lookup");
+    assert_eq!(block_reads(&mut db, &stats, &[hot]), 0, "reused lookup");
+    assert_eq!(
+        block_reads(&mut db, &stats, &scan),
+        scan.len() as u64,
+        "the scan reads each of its blocks once"
+    );
+    assert_eq!(
+        block_reads(&mut db, &stats, &[hot]),
+        0,
+        "the reused block outlives the scan"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,16 @@
 //! Page allocation and caching.
 //!
 //! The pager owns the store's [`BlockFile`] and its [`BlockCache`] (the
-//! BerkeleyDB-style buffer pool). All tree code goes through
-//! [`Pager::read_page`] / [`Pager::write_page`]; the cache is write-back,
-//! so dirty pages hit disk only on eviction or [`Pager::flush`] — disabling
-//! the cache (capacity 0) degrades every access to disk I/O, which is
-//! exactly the knob Figure 5.2 turns.
+//! BerkeleyDB-style buffer pool, the same 2Q cache grDB runs: a page a
+//! lookup re-reads outlives pages a scan touches once). All tree code goes
+//! through [`Pager::read_page`] / [`Pager::write_page`]; the cache is
+//! write-back, so dirty pages hit disk only on eviction or
+//! [`Pager::flush`] — disabling the cache (capacity 0) degrades every
+//! access to disk I/O, which is exactly the knob Figure 5.2 turns.
 
 use crate::page::Page;
 use mssg_types::{GraphStorageError, Result};
-use simio::{BlockCache, BlockFile, CacheKey, CachePolicy, IoStats};
+use simio::{BlockCache, BlockFile, CacheKey, IoStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -34,11 +35,10 @@ impl Pager {
         path: &Path,
         page_size: usize,
         cache_pages: usize,
-        policy: CachePolicy,
         stats: Arc<IoStats>,
     ) -> Result<Pager> {
         let mut file = BlockFile::open(path, page_size, stats)?;
-        let cache = BlockCache::new(cache_pages, policy);
+        let cache = BlockCache::new(cache_pages);
         if file.len_blocks() == 0 {
             // Fresh store: meta page + empty leaf root.
             let mut pager = Pager {
@@ -111,7 +111,7 @@ impl Pager {
             )));
         }
         let key = CacheKey::new(SPACE, id);
-        if let Some(bytes) = self.cache.get(key) {
+        if let Some(bytes) = self.cache.get(&key) {
             return Page::decode(bytes, self.page_size);
         }
         let mut buf = vec![0u8; self.page_size];
@@ -209,7 +209,7 @@ mod tests {
     }
 
     fn open(tag: &str, cache: usize) -> Pager {
-        Pager::open(&tmppath(tag), 256, cache, CachePolicy::Lru, IoStats::new()).unwrap()
+        Pager::open(&tmppath(tag), 256, cache, IoStats::new()).unwrap()
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
     fn persistence_across_reopen() {
         let path = tmppath("persist.db");
         {
-            let mut p = Pager::open(&path, 256, 8, CachePolicy::Lru, IoStats::new()).unwrap();
+            let mut p = Pager::open(&path, 256, 8, IoStats::new()).unwrap();
             let id = p.allocate().unwrap();
             p.write_page(
                 id,
@@ -258,7 +258,7 @@ mod tests {
             p.len = 123;
             p.flush().unwrap();
         }
-        let mut p = Pager::open(&path, 256, 8, CachePolicy::Lru, IoStats::new()).unwrap();
+        let mut p = Pager::open(&path, 256, 8, IoStats::new()).unwrap();
         assert_eq!(p.len, 123);
         let root = p.root;
         assert_eq!(
@@ -274,7 +274,7 @@ mod tests {
     fn zero_cache_goes_straight_to_disk() {
         let stats = IoStats::new();
         let path = tmppath("nocache.db");
-        let mut p = Pager::open(&path, 256, 0, CachePolicy::Lru, Arc::clone(&stats)).unwrap();
+        let mut p = Pager::open(&path, 256, 0, Arc::clone(&stats)).unwrap();
         let before = stats.snapshot();
         let page = Page::Leaf { entries: vec![] };
         p.write_page(1, &page).unwrap();
@@ -288,7 +288,7 @@ mod tests {
     fn cached_reads_avoid_disk() {
         let stats = IoStats::new();
         let path = tmppath("cached.db");
-        let mut p = Pager::open(&path, 256, 8, CachePolicy::Lru, Arc::clone(&stats)).unwrap();
+        let mut p = Pager::open(&path, 256, 8, Arc::clone(&stats)).unwrap();
         p.read_page(1).unwrap();
         let before = stats.snapshot();
         for _ in 0..10 {
@@ -313,7 +313,7 @@ mod tests {
     fn meta_mismatch_detected() {
         let path = tmppath("badmeta.db");
         {
-            let mut p = Pager::open(&path, 256, 8, CachePolicy::Lru, IoStats::new()).unwrap();
+            let mut p = Pager::open(&path, 256, 8, IoStats::new()).unwrap();
             p.flush().unwrap();
         }
         // Append a stray block so the page count disagrees with meta.
@@ -324,6 +324,6 @@ mod tests {
             .unwrap();
         f.write_all(&vec![0u8; 256]).unwrap();
         drop(f);
-        assert!(Pager::open(&path, 256, 8, CachePolicy::Lru, IoStats::new()).is_err());
+        assert!(Pager::open(&path, 256, 8, IoStats::new()).is_err());
     }
 }

@@ -3,7 +3,7 @@
 use crate::pager::Pager;
 use crate::tree;
 use mssg_types::Result;
-use simio::{CachePolicy, CacheStats, IoStats};
+use simio::{CacheStats, IoStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -15,8 +15,6 @@ pub struct KvOptions {
     /// Buffer-pool capacity in pages. 0 disables caching — the Figure 5.2
     /// "without cache" configuration.
     pub cache_pages: usize,
-    /// Buffer-pool replacement policy.
-    pub cache_policy: CachePolicy,
 }
 
 impl Default for KvOptions {
@@ -24,7 +22,6 @@ impl Default for KvOptions {
         KvOptions {
             page_size: 4096,
             cache_pages: 1024,
-            cache_policy: CachePolicy::Lru,
         }
     }
 }
@@ -66,13 +63,7 @@ impl KvStore {
     /// Opens or creates a store at `path`.
     pub fn open(path: &Path, options: KvOptions, stats: Arc<IoStats>) -> Result<KvStore> {
         Ok(KvStore {
-            pager: Pager::open(
-                path,
-                options.page_size,
-                options.cache_pages,
-                options.cache_policy,
-                stats,
-            )?,
+            pager: Pager::open(path, options.page_size, options.cache_pages, stats)?,
         })
     }
 

@@ -399,14 +399,14 @@ fn free_overflow(pager: &mut Pager, first_page: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simio::{CachePolicy, IoStats};
+    use simio::IoStats;
 
     fn pager(tag: &str, page_size: usize) -> Pager {
         let d = std::env::temp_dir().join(format!("kvdb-tree-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         let p = d.join(tag);
         let _ = std::fs::remove_file(&p);
-        Pager::open(&p, page_size, 64, CachePolicy::Lru, IoStats::new()).unwrap()
+        Pager::open(&p, page_size, 64, IoStats::new()).unwrap()
     }
 
     #[test]
@@ -578,13 +578,13 @@ mod tests {
         let path = d.join("persist2.db");
         let _ = std::fs::remove_file(&path);
         {
-            let mut p = Pager::open(&path, 256, 64, CachePolicy::Lru, IoStats::new()).unwrap();
+            let mut p = Pager::open(&path, 256, 64, IoStats::new()).unwrap();
             for i in 0..300u32 {
                 put(&mut p, &i.to_be_bytes(), &i.to_le_bytes()).unwrap();
             }
             p.flush().unwrap();
         }
-        let mut p = Pager::open(&path, 256, 64, CachePolicy::Lru, IoStats::new()).unwrap();
+        let mut p = Pager::open(&path, 256, 64, IoStats::new()).unwrap();
         assert_eq!(p.len, 300);
         for i in 0..300u32 {
             assert_eq!(

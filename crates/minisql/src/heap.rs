@@ -15,7 +15,7 @@
 //! fixed up.
 
 use mssg_types::{GraphStorageError, Result};
-use simio::{BlockCache, BlockFile, CacheKey, CachePolicy, IoStats};
+use simio::{BlockCache, BlockFile, CacheKey, IoStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -72,7 +72,7 @@ impl HeapFile {
         let last_page = file.len_blocks().saturating_sub(1);
         Ok(HeapFile {
             file,
-            cache: BlockCache::new(cache_pages, CachePolicy::Lru),
+            cache: BlockCache::new(cache_pages),
             page_size,
             last_page,
         })
@@ -90,7 +90,7 @@ impl HeapFile {
 
     fn load(&mut self, page: u64) -> Result<Vec<u8>> {
         let key = CacheKey::new(0, page);
-        if let Some(bytes) = self.cache.get(key) {
+        if let Some(bytes) = self.cache.get(&key) {
             return Ok(bytes.clone());
         }
         let mut buf = vec![0u8; self.page_size];

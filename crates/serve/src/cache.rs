@@ -1,20 +1,17 @@
-//! Result cache keyed by `(query, epoch)` with TwoQ eviction.
+//! Result cache keyed by the encoded query, for one epoch at a time.
 //!
-//! Reuses [`simio::BlockCache`] — the same scan-resistant
-//! [`CachePolicy::TwoQ`] machinery the grDB block cache runs — by mapping
-//! each `(query, epoch)` pair onto a [`CacheKey`]: the epoch in the
-//! `space` field, an FNV-1a hash of the encoded query in the `block`
-//! field. The cached value stores the full encoded query alongside the
-//! result and is verified on every hit, so a 64-bit hash collision
-//! degrades to a miss instead of serving the wrong answer.
+//! Runs on [`simio::BlockCache`] — the same scan-resistant 2Q cache the
+//! grDB block cache runs — holding each result under the encoded query
+//! bytes themselves, so a key cannot collide and a lookup borrows the
+//! caller's bytes.
 //!
-//! Epoch advance invalidates everything: the first access stamped with a
-//! newer epoch drains the cache wholesale. Stale-epoch entries are
-//! *never* returned — a response's epoch stamp is exactly the epoch its
-//! result was computed at.
+//! Every resident entry was computed at the cache's current epoch. An
+//! access stamped with a newer epoch drains the cache wholesale; one
+//! stamped with an older epoch misses. Stale-epoch entries are *never*
+//! returned — a response's epoch stamp is exactly the epoch its result
+//! was computed at.
 
-use mssg_types::fnv1a;
-use simio::{BlockCache, CacheKey, CachePolicy};
+use simio::BlockCache;
 
 /// Hit/miss/invalidation tallies for one cache lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,18 +26,19 @@ pub struct ResultCacheStats {
 
 /// The epoch-keyed query result cache.
 pub struct ResultCache {
-    cache: BlockCache,
+    /// Encoded query → result, every entry computed at `epoch`.
+    cache: BlockCache<Box<[u8]>, String>,
     /// Epoch of every resident entry; an access at a newer epoch drains.
     epoch: u64,
     stats: ResultCacheStats,
 }
 
 impl ResultCache {
-    /// A cache holding up to `capacity` results under TwoQ eviction.
+    /// A cache holding up to `capacity` results under 2Q eviction.
     /// Capacity 0 disables caching (every lookup misses).
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
-            cache: BlockCache::new(capacity, CachePolicy::TwoQ),
+            cache: BlockCache::new(capacity),
             epoch: 0,
             stats: ResultCacheStats::default(),
         }
@@ -74,21 +72,13 @@ impl ResultCache {
         }
     }
 
-    fn key(epoch: u64, query: &[u8]) -> CacheKey {
-        // The space field disambiguates epochs within u32; exact-epoch
-        // safety comes from `advance` draining on every bump.
-        CacheKey::new(epoch as u32, fnv1a(query))
-    }
-
     /// The cached result for `query` at `epoch`, if present.
-    pub fn get(&mut self, epoch: u64, query: &[u8]) -> Option<String> {
+    pub fn get(&mut self, epoch: u64, query: &[u8]) -> Option<&str> {
         self.advance(epoch);
-        let hit = match self.cache.get(Self::key(epoch, query)) {
-            Some(value) => decode_entry(value).and_then(|(q, result)| {
-                // Verify the stored query: a hash collision is a miss.
-                (q == query).then(|| result.to_string())
-            }),
-            None => None,
+        let hit = if epoch == self.epoch {
+            self.cache.get(query)
+        } else {
+            None
         };
         match hit {
             Some(result) => {
@@ -108,19 +98,8 @@ impl ResultCache {
         if epoch < self.epoch || self.cache.capacity() == 0 {
             return; // a stale result must never become visible
         }
-        let mut value = Vec::with_capacity(4 + query.len() + result.len());
-        value.extend_from_slice(&(query.len() as u32).to_le_bytes());
-        value.extend_from_slice(query);
-        value.extend_from_slice(result.as_bytes());
-        self.cache.insert(Self::key(epoch, query), value, false);
+        self.cache.insert(query.into(), result.to_string(), false);
     }
-}
-
-fn decode_entry(value: &[u8]) -> Option<(&[u8], &str)> {
-    let qlen = u32::from_le_bytes(value.get(0..4)?.try_into().ok()?) as usize;
-    let query = value.get(4..4 + qlen)?;
-    let result = std::str::from_utf8(value.get(4 + qlen..)?).ok()?;
-    Some((query, result))
 }
 
 #[cfg(test)]
@@ -132,7 +111,7 @@ mod tests {
         let mut c = ResultCache::new(8);
         assert_eq!(c.get(1, b"q1"), None);
         c.insert(1, b"q1", "r1");
-        assert_eq!(c.get(1, b"q1"), Some("r1".into()));
+        assert_eq!(c.get(1, b"q1"), Some("r1"));
         assert_eq!(
             c.stats(),
             ResultCacheStats {
@@ -159,16 +138,21 @@ mod tests {
     }
 
     #[test]
-    fn colliding_hash_degrades_to_miss_not_wrong_answer() {
+    fn distinct_queries_hold_distinct_results() {
         let mut c = ResultCache::new(8);
         c.insert(1, b"q1", "r1");
-        // Forge a lookup that hashes identically by bypassing the hash:
-        // same key bytes are the only way to hit, so a different query
-        // with (hypothetically) the same hash must verify-fail. Simulate
-        // by inserting a raw entry under q2's key with q1's body.
         c.insert(1, b"q2", "r2");
-        assert_eq!(c.get(1, b"q2"), Some("r2".into()));
-        assert_eq!(c.get(1, b"q1"), Some("r1".into()));
+        assert_eq!(c.get(1, b"q2"), Some("r2"));
+        assert_eq!(c.get(1, b"q1"), Some("r1"));
+        assert_eq!(c.get(1, b"q"), None, "a prefix is a different query");
+    }
+
+    #[test]
+    fn older_epoch_reads_miss_current_entries() {
+        let mut c = ResultCache::new(8);
+        c.insert(2, b"q", "r@2");
+        assert_eq!(c.get(1, b"q"), None, "a reader pinned at epoch 1");
+        assert_eq!(c.get(2, b"q"), Some("r@2"));
     }
 
     #[test]
@@ -190,7 +174,7 @@ mod tests {
         }
         assert_eq!(
             c.get(1, b"hot"),
-            Some("r".into()),
+            Some("r"),
             "a one-shot scan must not flush the protected entry"
         );
     }

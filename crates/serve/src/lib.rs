@@ -15,9 +15,9 @@
 //!   pinned to a consistent graph epoch (ingestion advances the epoch at
 //!   window-checkpoint boundaries), so a query never observes a
 //!   half-applied ingestion;
-//! - [`cache`] — the `(query, epoch)` result cache with the scan-
-//!   resistant TwoQ eviction reused from `simio`, invalidated wholesale
-//!   when the epoch advances;
+//! - [`cache`] — the result cache, keyed by the encoded query on
+//!   `simio`'s scan-resistant 2Q cache, invalidated wholesale when the
+//!   epoch advances;
 //! - [`client`] — the synchronous [`Client`] library the tests, the
 //!   smoke harness, and the `benchmark/` package drive the server with.
 //!

@@ -382,7 +382,7 @@ fn execute(shared: &Arc<Shared>, query: &Query) -> ResponseBody {
     let pin = shared.epoch.pin();
     let epoch = pin.epoch();
     let key = query.encode();
-    if let Some(result) = lock(&shared.cache).get(epoch, &key) {
+    if let Some(result) = lock(&shared.cache).get(epoch, &key).map(str::to_owned) {
         shared.telemetry.metrics.counter("serve.cache.hits").inc();
         return ResponseBody {
             epoch,

@@ -211,6 +211,14 @@ fn check_seed(seed: u64, baseline: &RunOutcome) -> bool {
             "CHAOS SEED {seed}: no fault fired yet the run did not match the baseline"
         );
     }
+    // A chaos client that got an answer got a fault-free one: faults may
+    // cut requests short, never change what they return.
+    for answer in first.chaos.iter().filter(|o| o.starts_with("ok:")) {
+        assert!(
+            baseline.chaos.contains(answer),
+            "CHAOS SEED {seed}: answered {answer:?}, which the fault-free run never did"
+        );
+    }
     if first.chaos != baseline.chaos {
         assert!(
             !audit.is_empty(),

@@ -85,7 +85,7 @@ proptest! {
             let epoch = cluster.epoch();
             let key = query.encode();
             let via_cache = match cache.get(epoch, &key) {
-                Some(hit) => hit,
+                Some(hit) => hit.to_string(),
                 None => {
                     let computed = svc.run(&cluster, name, &params).unwrap();
                     cache.insert(epoch, &key, &computed);

@@ -17,8 +17,8 @@
 //! On top of those sit the building blocks the engines share:
 //! [`BlockFile`] (a file of fixed-size blocks), [`MultiFile`] (a logical
 //! block space split across many files of at most `M` bytes, as grDB
-//! requires), and [`BlockCache`] (the "block cache component" of grDB, with
-//! LRU and CLOCK policies).
+//! requires), and [`BlockCache`] (the "block cache component" of grDB, a
+//! scan-resistant 2Q cache every engine and the serving plane share).
 
 pub mod blockfile;
 pub mod cache;
@@ -27,7 +27,7 @@ pub mod multifile;
 pub mod stats;
 
 pub use blockfile::BlockFile;
-pub use cache::{BlockCache, CacheKey, CachePolicy, CacheStats, Evicted};
+pub use cache::{BlockCache, CacheKey, CacheStats, Evicted};
 pub use costmodel::DiskCostModel;
 pub use multifile::MultiFile;
 pub use stats::{IoSnapshot, IoStats};

@@ -78,7 +78,7 @@ fn main() -> mssg::types::Result<()> {
 
     // Whole-graph analysis through the same framework: connected
     // components (a BA graph is connected by construction).
-    let cc = mssg::core::connected_components(&cluster, &mssg::core::ComponentsOptions::default())?;
+    let cc = mssg::core::connected_components(&cluster)?;
     println!(
         "components: {} ({} vertices, largest {}) in {} rounds",
         cc.components, cc.vertices, cc.largest, cc.rounds

@@ -4,9 +4,7 @@
 
 use mssg::core::bfs::{bfs, BfsOptions};
 use mssg::core::ingest::{ingest, IngestOptions};
-use mssg::core::{
-    connected_components, BackendKind, BackendOptions, ComponentsOptions, MssgCluster,
-};
+use mssg::core::{connected_components, BackendKind, BackendOptions, MssgCluster};
 use mssg::graphgen::generate::{BarabasiAlbert, Rmat};
 use mssg::graphgen::{degree_stats, GraphPreset, Xoshiro256};
 use mssg::prelude::*;
@@ -89,7 +87,7 @@ fn components_identical_across_runs_and_backends() {
         let dir = tmpdir(&format!("cc-{}", kind.name()));
         let mut cluster = MssgCluster::new(&dir, 3, kind, &BackendOptions::default()).unwrap();
         ingest(&mut cluster, w.edge_stream(), &IngestOptions::default()).unwrap();
-        let r = connected_components(&cluster, &ComponentsOptions::default()).unwrap();
+        let r = connected_components(&cluster).unwrap();
         results.push((kind.name(), r.components, r.vertices, r.largest, r.sizes));
     }
     for w in results.windows(2) {

@@ -2,7 +2,7 @@
 //! experiment must run end to end at a tiny scale and produce a
 //! well-formed, non-empty table. This guards the benchmark suite itself —
 //! a broken experiment would otherwise only surface during a (long)
-//! `cargo bench` or `figures all` run.
+//! `figures all` run.
 
 use mssg_bench::experiments::{self, ExpConfig};
 
@@ -52,7 +52,6 @@ fn experiment_registry_is_complete() {
         "ablation_grdb_growth",
         "ablation_pipeline",
         "ablation_decluster",
-        "ablation_cache_policy",
         "ablation_db_filter",
         "ablation_bulk_load",
         "ablation_grdb_geometry",
