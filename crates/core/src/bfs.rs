@@ -1,31 +1,48 @@
-//! Parallel out-of-core breadth-first search — Algorithm 1 (`oocBFS`) and
-//! the pipelined Algorithm 2 (`pOOCBFS`) of thesis §4.2.
+//! Parallel out-of-core breadth-first search between two vertices —
+//! Algorithm 1 (`oocBFS`) and the pipelined Algorithm 2 (`pOOCBFS`) of
+//! thesis §4.2, run from both ends.
+//!
+//! The search grows two sides, one from the source and one from the
+//! destination, each with its own visited set and frontier. A round expands
+//! one side by a level: the side whose global frontier has fewer vertices,
+//! and on a tie the side that did not expand last round — the source, in
+//! round 1 (Pohl's bidirectional search, with the per-round choice by
+//! frontier size of Beamer et al.'s direction-optimising BFS). A **meet** is
+//! a vertex that its owner accepts as fresh on the expanding side and
+//! already holds on the other; the round number is then the path length. A
+//! side that runs out of fresh vertices ends a search whose ends are not
+//! connected.
 //!
 //! The search is a `superstep` program (DESIGN.md §10.6), one copy per
-//! back-end node with that node's GraphDB, and a level is a round: fringe
-//! batches, then a marker carrying the copy's emission count. A round in
-//! which nobody emitted ends the search; so does `FOUND`, which a copy
-//! sends the moment it meets the destination and its peers take in any
-//! round. A copy that hears it in the barrier before that level still
-//! expands the level, so the entries a search scans do not depend on
-//! message timing.
+//! back-end node with that node's GraphDB, and a round has two phases:
+//!
+//! 1. **the level**: fringe batches to the vertices' owners, then a marker;
+//! 2. **the tally**: a marker with the number of fresh vertices the copy
+//!    accepted — summed, the side's next frontier size — or, from a copy
+//!    that met the other side, `FOUND` with the meet vertex in its place.
+//!
+//! An owner sees a meet only once it has every batch of the level, so a
+//! copy sends `FOUND` only after every copy's level marker is in, and a
+//! copy still receiving the level keeps it until its own tally. Every copy
+//! expands and receives the whole level that meets and none expands past
+//! it: the entries a search scans do not depend on message timing.
 //!
 //! # The level kernel
 //!
-//! A level is one `expand_fringe` into a reused [`AdjBuffer`], then one
-//! kernel over that buffer's slice, in place (DESIGN.md §10.5):
+//! A level is one `expand_fringe` of the expanding side's frontier into a
+//! reused [`AdjBuffer`], then one kernel over that buffer's slice, in place
+//! (DESIGN.md §10.5):
 //!
-//! 1. **scan** the slice for the destination — if it is there the search
-//!    is over;
-//! 2. **filter** the slice through the visited set in one call,
+//! 1. **filter** the slice through the side's visited set in one call,
 //!    [`VisitedSet::visit_new`], into a reused `fresh` vector;
-//! 3. **route** `fresh`: a vertex this copy owns goes straight into the
-//!    next fringe, any other joins the pending batch of its owner.
+//! 2. **route** `fresh`: a vertex this copy owns goes straight into the
+//!    side's next frontier, any other joins the pending batch of its owner.
 //!
 //! Nothing is decided per adjacency entry outside `visit_new`'s own loop:
-//! no trait call, no `Result`, no second copy of the level. Under
-//! `record_parents` the kernel runs once per fringe vertex, with that
-//! vertex as the parent of whatever it turns up.
+//! no trait call, no `Result`, no second copy of the level. Meet detection
+//! is one [`VisitedSet::first_visited`] call per round over the vertices
+//! the copy accepted. Under `record_parents` the kernel runs once per
+//! fringe vertex, with that vertex as the parent of whatever it turns up.
 //!
 //! Fringe routing handles the three distribution cases of Algorithm 1:
 //!
@@ -46,10 +63,12 @@ use crate::cluster::{MssgCluster, SharedBackend};
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
-use datacutter::superstep::{one_word, records, Barrier, Peers, Phase, ANY_ROUND};
+use datacutter::superstep::{one_word, records, Barrier, Peers, Phase};
 use datacutter::DataBuffer;
 use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
 use simio::IoStats;
+use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,8 +132,10 @@ impl Default for BfsOptions {
     }
 }
 
-/// Metadata word the `db_filter` mode writes for locally-visited vertices.
-const VISITED_MARK: mssg_types::Meta = 1;
+/// Metadata words the `db_filter` mode writes for locally-visited vertices,
+/// by side. A vertex holds one at a time: the sides' visited sets are
+/// disjoint until they meet, and the search ends there.
+const MARKS: [mssg_types::Meta; 2] = [1, 2];
 
 /// Measurements from one search.
 #[derive(Clone, Debug)]
@@ -124,12 +145,16 @@ pub struct SearchMetrics {
     /// The vertices of one shortest path (source first, destination
     /// last); only populated under [`BfsOptions::record_parents`].
     pub path: Option<Vec<Gid>>,
-    /// BFS rounds executed (maximum over processors).
+    /// Rounds executed, each of which expands one side by a level: a
+    /// search that finds the destination takes one round per edge of the
+    /// path; one that does not stops in the round its smaller side runs
+    /// out of fresh vertices.
     pub rounds: u32,
-    /// Aggregate adjacency entries scanned — the numerator of the paper's
+    /// Aggregate adjacency entries scanned over both sides' levels, the
+    /// level that meets included whole — the numerator of the paper's
     /// edges/s metric (Figures 5.7, 5.9).
     pub edges_scanned: u64,
-    /// Vertices marked visited across all processors.
+    /// Vertices marked visited across all processors, on both sides.
     pub vertices_visited: u64,
     /// Time, traffic, and per-filter breakdown of the run.
     pub telemetry: TelemetryReport,
@@ -172,21 +197,23 @@ impl Routing {
     }
 }
 
-/// A level: fringe batches — vertices, or (vertex, parent) pairs under
-/// `record_parents` — then a marker with the copy's emission count.
-pub(crate) const ROUND: Phase = Phase::nth(0);
-/// The level the destination was met at; sent in [`ANY_ROUND`].
-const KIND_FOUND: u64 = 2;
-pub(crate) const KINDS: u64 = 3;
+/// A round's first phase, the level: fringe batches — vertices, or
+/// (vertex, parent) pairs under `record_parents` — then a marker.
+pub(crate) const LEVEL: Phase = Phase::nth(0);
+/// A round's second phase: a marker with the number of fresh vertices the
+/// copy accepted, or in its place `FOUND`, the meet vertex in one word.
+pub(crate) const TALLY: Phase = Phase::nth(1);
+pub(crate) const KINDS: u64 = 4;
 
 /// One copy's share of a search's result.
 struct Outcome {
-    found: Option<u32>,
+    /// Where the sides met, if they did.
+    met: Option<Gid>,
     edges_scanned: u64,
     vertices_visited: u64,
     rounds: u32,
-    /// Parent pointers this copy recorded (record_parents mode).
-    parents: GidMap<Gid>,
+    /// Parent pointers this copy recorded, by side (record_parents mode).
+    parents: [GidMap<Gid>; 2],
 }
 
 /// Runs a BFS from `source` to `dest` over the cluster's stored graph.
@@ -219,8 +246,7 @@ pub fn bfs(
         scratch: cluster.dir().join("scratch"),
         io_stats: (0..p).map(|i| cluster.io_stats(i)).collect(),
         routing,
-        source,
-        dest,
+        ends: [source, dest],
         mode: options.mode,
         db_filter: options.db_filter,
         record_parents: options.record_parents,
@@ -234,17 +260,22 @@ pub fn bfs(
         move |peers, backend| search.run(peers, backend),
     )?;
 
-    let path_length = copies.iter().filter_map(|c| c.found).min();
+    let met = copies.iter().find_map(|c| c.met);
     let rounds = copies.iter().map(|c| c.rounds).max().unwrap_or(0);
+    let path_length = met.map(|_| rounds);
     let edges_scanned = copies.iter().map(|c| c.edges_scanned).sum();
     let vertices_visited = copies.iter().map(|c| c.vertices_visited).sum();
-    let path = match (options.record_parents, path_length) {
-        (true, Some(len)) => {
-            let mut parents = GidMap::default();
-            for (v, parent) in copies.into_iter().flat_map(|c| c.parents) {
-                parents.entry(v).or_insert(parent);
+    let path = match (options.record_parents, met) {
+        (true, Some(meet)) => {
+            let mut parents: [GidMap<Gid>; 2] = Default::default();
+            for copy in copies {
+                for (side, recorded) in copy.parents.into_iter().enumerate() {
+                    for (v, parent) in recorded {
+                        parents[side].entry(v).or_insert(parent);
+                    }
+                }
             }
-            reconstruct_path(&parents, source, dest, len)
+            path_through(&parents, [source, dest], meet, rounds)
         }
         _ => None,
     };
@@ -258,21 +289,32 @@ pub fn bfs(
     })
 }
 
-/// Walks parent pointers from `dest` back to `source`. Returns `None` if
-/// the chain is broken (should not happen when the search found a path).
-fn reconstruct_path(parents: &GidMap<Gid>, source: Gid, dest: Gid, len: u32) -> Option<Vec<Gid>> {
-    let mut path = vec![dest];
-    let mut cursor = dest;
-    for _ in 0..len {
-        let &p = parents.get(&cursor)?;
-        path.push(p);
-        cursor = p;
-        if cursor == source {
-            path.reverse();
-            return Some(path);
+/// The path through `meet`: its chain of source-side parents back to the
+/// source, reversed, then its chain of destination-side parents to the
+/// destination. `None` if a chain is broken or the path is not `len` edges
+/// (neither should happen when the sides met).
+fn path_through(
+    parents: &[GidMap<Gid>; 2],
+    ends: [Gid; 2],
+    meet: Gid,
+    len: u32,
+) -> Option<Vec<Gid>> {
+    let chain = |side: usize| {
+        let mut chain = vec![meet];
+        let mut cursor = meet;
+        while cursor != ends[side] {
+            if chain.len() > len as usize {
+                return None;
+            }
+            cursor = *parents[side].get(&cursor)?;
+            chain.push(cursor);
         }
-    }
-    None
+        Some(chain)
+    };
+    let mut path = chain(0)?;
+    path.reverse();
+    path.extend_from_slice(&chain(1)?[1..]);
+    (path.len() == len as usize + 1).then_some(path)
 }
 
 /// The search every copy of the `bfs` filter runs.
@@ -282,83 +324,63 @@ struct BfsFilter {
     /// Per node, for the external visited structure's I/O accounting.
     io_stats: Vec<Arc<IoStats>>,
     routing: Routing,
-    source: Gid,
-    dest: Gid,
+    /// Where each side starts: the source, then the destination.
+    ends: [Gid; 2],
     mode: BfsMode,
     db_filter: bool,
     record_parents: bool,
 }
 
-/// One processor's state across the levels of a search.
+/// One processor's state across the rounds of a search. What a side owns
+/// is indexed by it: 0 grows from the source, 1 from the destination.
 struct Traversal {
     me: usize,
-    visited: Box<dyn VisitedSet>,
+    visited: [Box<dyn VisitedSet>; 2],
     record_parents: bool,
     /// The engine to mark visited vertices in (`db_filter`), if any.
     mark_db: Option<SharedBackend>,
     /// Vertices `mark_db` was told of; reset after the search so the next
     /// one starts from level[v] = ∞, as Algorithm 1 requires.
     marked: Vec<Gid>,
-    /// The level a peer met the destination at, heard in the barrier
-    /// before it.
-    found_ahead: Option<u32>,
     /// Scratch: what the last `visit_new` call found fresh.
     fresh: Vec<Gid>,
     /// Scratch: the vertices of the fringe message being received.
     incoming: Vec<Gid>,
-    /// The next level's fringe: fresh vertices this copy owns.
+    /// The expanding side's next frontier: fresh vertices this copy owns.
     next: Vec<Gid>,
     /// Pending fringe words per destination; the last is the broadcast
     /// batch.
     batches: Vec<Vec<u64>>,
-    /// Fresh vertices this copy routed this round.
-    emitted: u64,
     visited_count: u64,
-    parents: GidMap<Gid>,
+    parents: [GidMap<Gid>; 2],
 }
 
 impl Traversal {
-    /// Books the vertices in `fresh` as visited here: counts them and,
-    /// under `db_filter`, marks them in the engine.
-    fn book_fresh(&mut self) -> Result<()> {
+    /// Books the vertices in `fresh` as visited on `side` here: counts them
+    /// and, under `db_filter`, marks them in the engine.
+    fn book_fresh(&mut self, side: usize) -> Result<()> {
         self.visited_count += self.fresh.len() as u64;
         if let Some(db) = &self.mark_db {
             let mut db = db.lock();
             for &v in &self.fresh {
-                db.set_metadata(v, VISITED_MARK)?;
+                db.set_metadata(v, MARKS[side])?;
             }
             self.marked.extend_from_slice(&self.fresh);
         }
         Ok(())
     }
 
-    /// Takes one fringe batch or `FOUND` from a peer in `round`; breaks
-    /// with the level when that ends the search.
-    fn receive(&mut self, kind: u64, msg: &DataBuffer, round: u32) -> Result<ControlFlow<u32>> {
-        if kind == KIND_FOUND {
-            let level = one_word(msg)? as u32;
-            if level > round {
-                // A peer met the destination a level ahead of this copy's
-                // barrier: this copy still expands that level, so what a
-                // search scans does not depend on when FOUND arrives.
-                self.found_ahead = Some(level);
-                return Ok(ControlFlow::Continue(()));
-            }
-            return Ok(ControlFlow::Break(level));
-        }
-        if kind != ROUND.data {
-            return Err(GraphStorageError::corrupt(format!(
-                "BFS message of kind {kind} outside its round"
-            )));
-        }
+    /// Takes one fringe batch of `side`'s level from a peer: this copy owns
+    /// every vertex in it.
+    fn receive(&mut self, msg: &DataBuffer, side: usize) -> Result<ControlFlow<Infallible>> {
         if self.record_parents {
             for [v, parent] in records::<2>(msg)? {
                 let v = Gid::from_raw(v);
                 self.fresh.clear();
-                self.visited.visit_new(&[v], &mut self.fresh)?;
+                self.visited[side].visit_new(&[v], &mut self.fresh)?;
                 if !self.fresh.is_empty() {
-                    self.book_fresh()?;
-                    self.parents.entry(v).or_insert(Gid::from_raw(parent));
+                    self.book_fresh(side)?;
+                    self.parents[side].entry(v).or_insert(Gid::from_raw(parent));
                     self.next.push(v);
                 }
             }
@@ -367,8 +389,8 @@ impl Traversal {
             self.incoming
                 .extend(records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
             self.fresh.clear();
-            self.visited.visit_new(&self.incoming, &mut self.fresh)?;
-            self.book_fresh()?;
+            self.visited[side].visit_new(&self.incoming, &mut self.fresh)?;
+            self.book_fresh(side)?;
             self.next.extend_from_slice(&self.fresh);
         }
         Ok(ControlFlow::Continue(()))
@@ -376,43 +398,33 @@ impl Traversal {
 }
 
 impl BfsFilter {
-    /// The level kernel over `candidates`, adjacency entries whose parent
-    /// is `parent` (`NIL` when parents are not recorded): scan for the
-    /// destination, filter through the visited set, route what is fresh.
-    /// The pipelined mode runs it chunk by chunk and takes waiting
-    /// messages in between. Returns the path length if the search ended.
+    /// The level kernel over `candidates`, adjacency entries of `side`'s
+    /// frontier whose parent is `parent` (`NIL` when parents are not
+    /// recorded): filter through the side's visited set, route what is
+    /// fresh. The pipelined mode runs it chunk by chunk and takes waiting
+    /// messages in between.
     fn expand_slice(
         &self,
         peers: &mut Peers<'_>,
         t: &mut Traversal,
         round: u32,
+        side: usize,
         candidates: &[Gid],
         parent: Gid,
-    ) -> Result<Option<u32>> {
+    ) -> Result<()> {
         let (chunk, pipelined) = match self.mode {
             BfsMode::Standard => (usize::MAX, false),
             BfsMode::Pipelined { threshold } => (threshold.max(1), true),
         };
         for slice in candidates.chunks(chunk) {
-            if slice.contains(&self.dest) {
-                if self.record_parents {
-                    t.parents.insert(self.dest, parent);
-                }
-                peers.send_all(KIND_FOUND, ANY_ROUND, &[round as u64])?;
-                return Ok(Some(round));
-            }
             t.fresh.clear();
-            t.visited.visit_new(slice, &mut t.fresh)?;
-            self.route_fresh(peers, t, round, parent)?;
+            t.visited[side].visit_new(slice, &mut t.fresh)?;
+            self.route_fresh(peers, t, round, side, parent)?;
             if pipelined {
-                let waiting =
-                    peers.poll(ROUND, round, &mut |kind, msg| t.receive(kind, msg, round))?;
-                if let ControlFlow::Break(level) = waiting {
-                    return Ok(Some(level));
-                }
+                peers.poll(LEVEL, round, &mut |msg| t.receive(msg, side))?;
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Routes the vertices in `t.fresh`: one this copy owns goes straight
@@ -423,10 +435,10 @@ impl BfsFilter {
         peers: &mut Peers<'_>,
         t: &mut Traversal,
         round: u32,
+        side: usize,
         parent: Gid,
     ) -> Result<()> {
-        t.book_fresh()?;
-        t.emitted += t.fresh.len() as u64;
+        t.book_fresh(side)?;
         let broadcast_slot = t.batches.len() - 1;
         let words_per_entry = if self.record_parents { 2 } else { 1 };
         let flush_at = match self.mode {
@@ -445,7 +457,7 @@ impl BfsFilter {
                 // already-visited vertex — its owner will reject the
                 // vertex, so its parent guess must not survive.
                 if self.record_parents {
-                    t.parents.insert(u, parent);
+                    t.parents[side].insert(u, parent);
                 }
             }
             if target != Some(t.me) {
@@ -473,9 +485,9 @@ impl BfsFilter {
             return Ok(());
         }
         if slot == peers.copies() {
-            peers.send_all(ROUND.data, round, &t.batches[slot])?;
+            peers.send_all(LEVEL.data, round, &t.batches[slot])?;
         } else {
-            peers.send(slot, ROUND.data, round, &t.batches[slot])?;
+            peers.send(slot, LEVEL.data, round, &t.batches[slot])?;
         }
         t.batches[slot].clear();
         Ok(())
@@ -484,107 +496,129 @@ impl BfsFilter {
     /// One copy's search over its node's `backend`.
     fn run(&self, peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Outcome> {
         let me = peers.me();
-        let visited = self
-            .visited_kind
-            .open(&self.scratch, me, Arc::clone(&self.io_stats[me]))?;
+        let open = |side: usize| {
+            let name = format!("visited-{me}-{side}");
+            let stats = Arc::clone(&self.io_stats[me]);
+            self.visited_kind.open(&self.scratch, &name, stats)
+        };
         let mut t = Traversal {
             me,
-            visited,
+            visited: [open(0)?, open(1)?],
             record_parents: self.record_parents,
             mark_db: self.db_filter.then(|| backend.clone()),
             marked: Vec::new(),
-            found_ahead: None,
             fresh: Vec::new(),
             incoming: Vec::new(),
             next: Vec::new(),
             batches: vec![Vec::new(); peers.copies() + 1],
-            emitted: 0,
             visited_count: 0,
-            parents: GidMap::default(),
+            parents: Default::default(),
         };
-        let mut frontier: Vec<Gid> = Vec::new();
+        let mut frontiers: [Vec<Gid>; 2] = Default::default();
         let mut adj = AdjBuffer::new();
         let mut edges_scanned = 0u64;
-        let mut found: Option<u32> = None;
+        let mut met: Option<Gid> = None;
         let mut round: u32 = 1;
-        let (meta, op) = if self.db_filter {
-            // The engine filters out locally-visited neighbours while its
-            // blocks are hot (Listing 3.1's fused path).
-            (VISITED_MARK, MetaOp::NotEqual)
-        } else {
-            (0, MetaOp::Ignore)
-        };
 
-        // Initialisation: the source's owner (everyone, under broadcast
-        // routing) seeds the frontier.
-        if self.routing.is_broadcast() || self.routing.target(self.source) == Some(me) {
-            t.visited.visit_new(&[self.source], &mut t.fresh)?;
-            t.book_fresh()?;
-            frontier.push(self.source);
+        // Initialisation: each end's owner (everyone, under broadcast
+        // routing) seeds its side.
+        for (side, end) in self.ends.into_iter().enumerate() {
+            if self.routing.is_broadcast() || self.routing.target(end) == Some(me) {
+                t.fresh.clear();
+                t.visited[side].visit_new(&[end], &mut t.fresh)?;
+                t.book_fresh(side)?;
+                frontiers[side].push(end);
+            }
         }
+        // Global frontier sizes as the tallies count them: under broadcast
+        // routing every copy holds, and counts, the whole frontier.
+        let seeded = if self.routing.is_broadcast() {
+            peers.copies() as u64
+        } else {
+            1
+        };
+        let mut sizes = [seeded; 2];
+        // The side that expanded last round: round 1's tie goes to the
+        // source.
+        let mut side = 1;
 
-        'rounds: while round <= superstep::MAX_ROUNDS {
+        while round <= superstep::MAX_ROUNDS {
+            side = match sizes[0].cmp(&sizes[1]) {
+                Ordering::Less => 0,
+                Ordering::Greater => 1,
+                Ordering::Equal => 1 - side,
+            };
             let visited_at_level_start = t.visited_count;
             let mut level_span = peers
                 .telemetry()
                 .tracer
                 .span("bfs.level")
                 .with("level", round as u64)
-                .with("frontier", frontier.len() as u64);
-            t.emitted = 0;
+                .with("side", side as u64)
+                .with("frontier", frontiers[side].len() as u64);
+            let (meta, op) = if self.db_filter {
+                // The engine filters out neighbours visited here on this
+                // side while its blocks are hot (Listing 3.1's fused path).
+                (MARKS[side], MetaOp::NotEqual)
+            } else {
+                (0, MetaOp::Ignore)
+            };
 
-            // ---- expansion ----
+            // ---- the level: expansion ----
             if self.record_parents {
                 // Per-vertex lookups so each neighbour knows its parent.
-                for &v in &frontier {
+                for &v in &frontiers[side] {
                     adj.clear();
                     backend.lock().adjacency(v, &mut adj, meta, op)?;
                     edges_scanned += adj.len() as u64;
-                    found = self.expand_slice(peers, &mut t, round, adj.as_slice(), v)?;
-                    if found.is_some() {
-                        break 'rounds;
-                    }
+                    self.expand_slice(peers, &mut t, round, side, adj.as_slice(), v)?;
                 }
-            } else if !frontier.is_empty() {
+            } else if !frontiers[side].is_empty() {
                 adj.clear();
                 backend
                     .lock()
-                    .expand_fringe(&frontier, &mut adj, meta, op)?;
+                    .expand_fringe(&frontiers[side], &mut adj, meta, op)?;
                 edges_scanned += adj.len() as u64;
-                found = self.expand_slice(peers, &mut t, round, adj.as_slice(), Gid::NIL)?;
-                if found.is_some() {
-                    break 'rounds;
-                }
-            }
-            if t.found_ahead.is_some() {
-                found = t.found_ahead;
-                break 'rounds;
+                self.expand_slice(peers, &mut t, round, side, adj.as_slice(), Gid::NIL)?;
             }
             for slot in 0..t.batches.len() {
                 self.flush_slot(peers, &mut t, round, slot)?;
             }
-            peers.send_all(ROUND.done, round, &[t.emitted])?;
+            peers.send_all(LEVEL.done, round, &[0])?;
 
-            // ---- receive ----
-            let ended =
-                peers.barrier(ROUND, round, &mut |kind, msg| t.receive(kind, msg, round))?;
-            let emitted_by_peers = match ended {
-                Barrier::Complete(emitted) => emitted,
-                Barrier::Stopped(level) => {
-                    found = Some(level);
-                    break 'rounds;
-                }
-                // Every peer has exited, as one does on meeting the
-                // destination: the search is over.
-                Barrier::PeerLeft => break 'rounds,
-            };
+            // ---- the level: receive ----
+            match peers.barrier(LEVEL, round, &mut |msg| t.receive(msg, side))? {
+                Barrier::Complete(_) => {}
+                Barrier::Stopped(never) => match never {},
+                Barrier::PeerLeft => return Err(peers_left(round)),
+            }
             // Visited hits this level (local marks from any peer's fringe).
             level_span.record("visited", t.visited_count - visited_at_level_start);
-            if t.emitted + emitted_by_peers == 0 {
-                break 'rounds; // Graph exhausted without reaching dest.
+
+            // ---- the tally ----
+            if let Some(meet) = t.visited[1 - side].first_visited(&t.next)? {
+                peers.send_all(TALLY.data, round, &[meet.raw()])?;
+                met = Some(meet);
+                break;
             }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut t.next);
+            let accepted = t.next.len() as u64;
+            peers.send_all(TALLY.done, round, &[accepted])?;
+            let mut found = |msg: &DataBuffer| -> Result<ControlFlow<Gid>> {
+                Ok(ControlFlow::Break(Gid::from_raw(one_word(msg)?)))
+            };
+            match peers.barrier(TALLY, round, &mut found)? {
+                Barrier::Complete(peers_accepted) => sizes[side] = peers_accepted + accepted,
+                Barrier::Stopped(meet) => {
+                    met = Some(meet);
+                    break;
+                }
+                Barrier::PeerLeft => return Err(peers_left(round)),
+            }
+            if sizes[side] == 0 {
+                break; // The side ran out: the ends are not connected.
+            }
+            std::mem::swap(&mut frontiers[side], &mut t.next);
+            t.next.clear();
             round += 1;
         }
 
@@ -596,7 +630,7 @@ impl BfsFilter {
             }
         }
         Ok(Outcome {
-            found,
+            met,
             edges_scanned,
             vertices_visited: t.visited_count,
             rounds: round.min(superstep::MAX_ROUNDS),
@@ -605,12 +639,19 @@ impl BfsFilter {
     }
 }
 
+/// A barrier whose input closed: every peer exited before its marker, which
+/// no copy does in a search that is still running.
+fn peers_left(round: u32) -> GraphStorageError {
+    GraphStorageError::Net(format!("BFS peers exited before round {round} ended"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{BackendKind, BackendOptions};
     use crate::ingest::{ingest, DeclusterKind, IngestOptions};
     use mssg_types::Edge;
+    use std::collections::{HashMap, HashSet};
     use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -932,7 +973,7 @@ mod tests {
     fn db_filter_equivalent_and_reduces_traffic() {
         // The fused getAdjacencyListUsingMetadata path must return the
         // same shortest paths while routing fewer fringe vertices.
-        let mut edges = {
+        let component = {
             let mut x = 91u64;
             let mut es = Vec::new();
             for _ in 0..800 {
@@ -947,8 +988,12 @@ mod tests {
             }
             es
         };
-        // A second component: a destination the search can never reach.
-        edges.push(Edge::of(100, 101));
+        // A copy of it, shifted to 100..160: a destination the search can
+        // never reach, on a side as large as the source's.
+        let shifted = component
+            .iter()
+            .map(|e| Edge::of(e.src.raw() + 100, e.dst.raw() + 100));
+        let edges: Vec<Edge> = component.iter().copied().chain(shifted).collect();
         let plain = build_cluster(
             "dbf-plain",
             3,
@@ -972,10 +1017,8 @@ mod tests {
             let b = bfs(&filtered, g(0), g(dest), &filter_on).unwrap();
             assert_eq!(a.path_length, b.path_length, "dest {dest}");
         }
-        // Scanned entries are compared on the unreachable destination
-        // only: there both searches traverse the whole component, while
-        // on a reachable one the count depends on which peer's FOUND ends
-        // the search first.
+        // Scanned entries are compared on the unreachable destination,
+        // where the side that runs out has traversed its whole component.
         let a = bfs(&plain, g(0), g(101), &BfsOptions::default()).unwrap();
         let b = bfs(&filtered, g(0), g(101), &filter_on).unwrap();
         assert_eq!((a.path_length, b.path_length), (None, None));
@@ -1037,6 +1080,57 @@ mod tests {
         edges
     }
 
+    /// Both directions of every edge, duplicates kept, as the engines store
+    /// them.
+    fn adjacency_of(edges: &[Edge]) -> HashMap<u64, Vec<u64>> {
+        let mut adjacency: HashMap<u64, Vec<u64>> = HashMap::new();
+        for e in edges {
+            adjacency.entry(e.src.raw()).or_default().push(e.dst.raw());
+            adjacency.entry(e.dst.raw()).or_default().push(e.src.raw());
+        }
+        adjacency
+    }
+
+    /// The two-sided search written out: each round expands, by a whole
+    /// level, the side with the smaller frontier — on a tie the one that
+    /// did not expand last round — and the search ends on a vertex fresh on
+    /// that side and visited on the other, or when the side runs out.
+    /// Returns the path length, the rounds and the entries scanned.
+    fn two_sided(
+        adjacency: &HashMap<u64, Vec<u64>>,
+        source: u64,
+        dest: u64,
+    ) -> (Option<u32>, u32, u64) {
+        if source == dest {
+            return (Some(0), 0, 0);
+        }
+        let mut visited = [HashSet::from([source]), HashSet::from([dest])];
+        let mut frontiers = [vec![source], vec![dest]];
+        let (mut side, mut round, mut scanned) = (1, 0, 0);
+        loop {
+            round += 1;
+            side = match frontiers[0].len().cmp(&frontiers[1].len()) {
+                Ordering::Less => 0,
+                Ordering::Greater => 1,
+                Ordering::Equal => 1 - side,
+            };
+            let (mut next, mut met) = (Vec::new(), false);
+            for v in &frontiers[side] {
+                for &u in adjacency.get(v).into_iter().flatten() {
+                    scanned += 1;
+                    if visited[side].insert(u) {
+                        met |= visited[1 - side].contains(&u);
+                        next.push(u);
+                    }
+                }
+            }
+            if met || next.is_empty() {
+                return (met.then_some(round), round, scanned);
+            }
+            frontiers[side] = next;
+        }
+    }
+
     fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
         move |n| {
             x ^= x << 13;
@@ -1053,14 +1147,10 @@ mod tests {
         // which — and both must agree with a BFS written out here.
         let mut below = xorshift(0x0016_5eed);
         let edges = skewed_edges(&mut below);
-        let mut adjacency: std::collections::HashMap<u64, Vec<u64>> = Default::default();
-        for e in &edges {
-            adjacency.entry(e.src.raw()).or_default().push(e.dst.raw());
-            adjacency.entry(e.dst.raw()).or_default().push(e.src.raw());
-        }
+        let adjacency = adjacency_of(&edges);
         // Distances from `source` over its whole component.
         let reference = |source: u64| {
-            let mut dist = std::collections::HashMap::from([(source, 0u32)]);
+            let mut dist = HashMap::from([(source, 0u32)]);
             let mut queue = std::collections::VecDeque::from([source]);
             while let Some(v) = queue.pop_front() {
                 for &u in adjacency.get(&v).into_iter().flatten() {
@@ -1096,18 +1186,20 @@ mod tests {
                     if !unreachable || source == dest {
                         continue;
                     }
-                    // No FOUND cuts such a search short, so its counts are
-                    // exact: a round per level of the component (one more
-                    // if the last level's copies emit vertices only their
-                    // owners know are old), and — unless the engine
-                    // filters — every vertex's whole list, once.
-                    let levels = dist.values().max().unwrap() + 1;
-                    assert_eq!(a.rounds, b.rounds, "{what}");
-                    assert!((levels..=levels + 1).contains(&a.rounds), "{what}");
+                    // The destination's side, {1001, 1000}, holds 1, 1, then
+                    // 0 vertices, so it is never the larger frontier: it
+                    // expands in round 2 and runs out on its second
+                    // expansion, in round 3 — or 4, when the source's first
+                    // level is one vertex and the tie hands round 3 to the
+                    // source. The engine's filter leaves every frontier as
+                    // it is, so in every variant the rounds are the
+                    // reference's, and so are the entries unless it filters.
+                    let (_, rounds, entries) = two_sided(&adjacency, source, dest);
+                    assert_eq!((a.rounds, b.rounds), (rounds, rounds), "{what}");
+                    assert!(a.rounds <= 4, "{what}");
                     assert_eq!(a.edges_scanned, b.edges_scanned, "{what}");
                     if !opts.db_filter {
-                        let entries: usize = dist.keys().map(|v| adjacency[v].len()).sum();
-                        assert_eq!(a.edges_scanned, entries as u64, "{what}");
+                        assert_eq!(a.edges_scanned, entries, "{what}");
                     }
                 }
             }
@@ -1115,9 +1207,43 @@ mod tests {
     }
 
     #[test]
+    fn two_sided_counts_match_the_reference() {
+        // Which side each round expands, where the sides meet and where a
+        // side runs out decide every count of a search: on every routing
+        // and either engine they are the reference's, reachable or not.
+        let mut below = xorshift(0x0028_5eed);
+        let edges = skewed_edges(&mut below);
+        let adjacency = adjacency_of(&edges);
+        // Unreachable pairs run both ways: from {1000, 1001}, round 2 is a
+        // tie of one-vertex frontiers.
+        let pairs: Vec<(u64, u64)> = (0..15)
+            .map(|pair| match pair % 6 {
+                2 => (below(300), 1001),
+                5 => (1001, below(300)),
+                _ => (below(300), below(300)),
+            })
+            .collect();
+        let mut both_sides_met = 0;
+        for routing in ROUTINGS {
+            for kind in [BackendKind::Grdb, BackendKind::HashMap] {
+                let tag = format!("counts-{routing:?}-{}", kind.name());
+                let cluster = build_cluster(&tag, 3, kind, edges.clone(), routing);
+                for &(source, dest) in &pairs {
+                    let m = bfs(&cluster, g(source), g(dest), &BfsOptions::default()).unwrap();
+                    let want = two_sided(&adjacency, source, dest);
+                    let what = format!("{routing:?}, {}: {source} -> {dest}", kind.name());
+                    assert_eq!((m.path_length, m.rounds, m.edges_scanned), want, "{what}");
+                    both_sides_met += usize::from(m.path_length.is_some_and(|len| len > 1));
+                }
+            }
+        }
+        assert!(both_sides_met > 0, "some pair needs both sides");
+    }
+
+    #[test]
     fn no_program_sends_to_itself() {
         // A copy's own vertices go straight into its next fringe, and it
-        // does not tell itself ROUND_DONE or FOUND: every message of a
+        // does not tell itself its markers or FOUND: every message of a
         // search crosses nodes, under every routing, in every mode.
         let mut below = xorshift(0x5e1f);
         let edges = skewed_edges(&mut below);
@@ -1134,7 +1260,7 @@ mod tests {
                     let m = bfs(&cluster, g(below(150)), g(dest), opts).unwrap();
                     let net = &m.telemetry.net;
                     assert_eq!(net.local_msgs, 0, "{routing:?} under {opts:?}");
-                    assert!(net.total_msgs() > 0, "peers still hear ROUND_DONE");
+                    assert!(net.total_msgs() > 0, "peers still hear the markers");
                 }
             }
             let cc = crate::connected_components(&cluster).unwrap();
@@ -1296,14 +1422,21 @@ mod tests {
         let telemetry = mssg_obs::Telemetry::enabled();
         cluster.set_telemetry(telemetry.clone());
         let m = bfs(&cluster, g(0), g(6), &BfsOptions::default()).unwrap();
-        assert_eq!(m.path_length, Some(6));
+        assert_eq!((m.path_length, m.rounds), (Some(6), 6));
 
         let spans = telemetry.tracer.finished_spans();
         let levels: Vec<_> = spans.iter().filter(|s| s.name == "bfs.level").collect();
+        // Every frontier is one vertex, so each round is a tie and the
+        // sides alternate — the source's in odd rounds, the destination's
+        // in even ones — until they meet at vertex 3.
         for level in 1..=6u64 {
+            let side = 1 - level % 2;
             assert!(
-                levels.iter().any(|s| s.field_u64("level") == Some(level)),
-                "no bfs.level span for level {level}"
+                levels
+                    .iter()
+                    .any(|s| s.field_u64("level") == Some(level)
+                        && s.field_u64("side") == Some(side)),
+                "no bfs.level span for level {level} on side {side}"
             );
         }
         // Every level span carries its frontier size and nests under the

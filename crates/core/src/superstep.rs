@@ -128,8 +128,9 @@ mod tests {
         // Every phase of every program: its kinds, and words per record.
         use {components as cc, degrees as deg};
         let rows = [
-            ("bfs fringe", bfs::KINDS, bfs::ROUND, 1),
-            ("bfs fringe with parents", bfs::KINDS, bfs::ROUND, 2),
+            ("bfs fringe", bfs::KINDS, bfs::LEVEL, 1),
+            ("bfs fringe with parents", bfs::KINDS, bfs::LEVEL, 2),
+            ("bfs tally", bfs::KINDS, bfs::TALLY, 1),
             ("components register", cc::KINDS, cc::REGISTER, 1),
             ("components frontier", cc::KINDS, cc::FRONTIER, 2),
             ("components propose", cc::KINDS, cc::PROPOSE, 2),

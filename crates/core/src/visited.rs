@@ -5,7 +5,10 @@
 //! and it is asked a slice at a time: [`VisitedSet::visit_new`] filters a
 //! whole batch of candidates — one BFS level's adjacency entries — down to
 //! the ones seen for the first time. The trait call, and the `Result`, are
-//! paid once per batch; the loop inside is the implementation's own.
+//! paid once per batch; the loop inside is the implementation's own. A
+//! two-sided search keeps a set per side and asks the other side's set,
+//! a batch at a time too, whether a vertex is in it
+//! ([`VisitedSet::first_visited`]).
 //!
 //! The thesis runs most experiments with the visited structure in memory
 //! ("the simplest way to obtain a fair comparison is to simply fix the
@@ -65,6 +68,10 @@ pub trait VisitedSet: Send {
     /// earlier call nor occurring earlier in `candidates` (of duplicates
     /// within one batch, the first is fresh and the rest are not).
     fn visit_new(&mut self, candidates: &[Gid], fresh: &mut Vec<Gid>) -> Result<()>;
+
+    /// The first vertex of `candidates` that is visited, if any; marks
+    /// nothing.
+    fn first_visited(&mut self, candidates: &[Gid]) -> Result<Option<Gid>>;
 
     /// Number of visited vertices.
     fn len(&self) -> u64;
@@ -131,6 +138,25 @@ impl PagedBitmap {
         }
         &mut self.pages[*entry as usize - 1]
     }
+
+    /// Whether `v` is visited; allocates nothing.
+    #[inline]
+    fn contains(&self, v: Gid) -> bool {
+        let raw = v.raw();
+        let number = raw >> PAGE_SHIFT;
+        let entry = if number < DIRECT_PAGES {
+            self.direct.get(number as usize)
+        } else {
+            self.hashed.get(&number)
+        };
+        match entry.copied() {
+            Some(index) if index > 0 => {
+                let word = self.pages[index as usize - 1][(raw >> 6) as usize % PAGE_WORDS];
+                word & (1u64 << (raw % 64)) != 0
+            }
+            _ => false,
+        }
+    }
 }
 
 impl VisitedSet for PagedBitmap {
@@ -147,6 +173,10 @@ impl VisitedSet for PagedBitmap {
         }
         self.len += (fresh.len() - before) as u64;
         Ok(())
+    }
+
+    fn first_visited(&mut self, candidates: &[Gid]) -> Result<Option<Gid>> {
+        Ok(candidates.iter().copied().find(|&v| self.contains(v)))
     }
 
     fn len(&self) -> u64 {
@@ -183,17 +213,28 @@ impl VisitedSet for ExternalVisited {
         Ok(())
     }
 
+    fn first_visited(&mut self, candidates: &[Gid]) -> Result<Option<Gid>> {
+        for &v in candidates {
+            if self.store.get(&v.raw().to_be_bytes())?.is_some() {
+                return Ok(Some(v));
+            }
+        }
+        Ok(None)
+    }
+
     fn len(&self) -> u64 {
         self.store.len()
     }
 }
 
 impl VisitedKind {
-    /// Opens a visited structure for one processor of a search.
+    /// Opens a visited structure for a search; the external one is the
+    /// file `<name>.db` in `scratch_dir`, so `name` must be unique among the
+    /// structures open there.
     pub fn open(
         self,
         scratch_dir: &Path,
-        processor: usize,
+        name: &str,
         stats: Arc<IoStats>,
     ) -> Result<Box<dyn VisitedSet>> {
         Ok(match self {
@@ -201,7 +242,7 @@ impl VisitedKind {
             VisitedKind::External => {
                 std::fs::create_dir_all(scratch_dir)?;
                 Box::new(ExternalVisited::create(
-                    &scratch_dir.join(format!("visited-{processor}.db")),
+                    &scratch_dir.join(format!("{name}.db")),
                     stats,
                 )?)
             }
@@ -245,9 +286,17 @@ mod tests {
         fresh.iter().map(|v| v.raw()).collect()
     }
 
+    fn first_visited(vs: &mut dyn VisitedSet, batch: &[u64]) -> Option<u64> {
+        let batch: Vec<Gid> = batch.iter().map(|&v| Gid::from_raw(v)).collect();
+        vs.first_visited(&batch).unwrap().map(Gid::raw)
+    }
+
     fn check_contract(vs: &mut dyn VisitedSet) {
         assert!(vs.is_empty());
+        assert_eq!(first_visited(vs, &[5, 0]), None);
         assert_eq!(visit(vs, &[5, 0, 5, 7]), [5, 0, 7], "first occurrence only");
+        assert_eq!(first_visited(vs, &[6, 1 << 40, 7, 5]), Some(7));
+        assert_eq!(vs.len(), 3, "asking marks nothing");
         assert_eq!(visit(vs, &[7, 6, 5]), [6], "earlier batches are remembered");
         assert_eq!(visit(vs, &[]), [0u64; 0]);
         assert_eq!(vs.len(), 4);
@@ -282,7 +331,7 @@ mod tests {
     fn kind_factory() {
         let dir = std::env::temp_dir().join(format!("core-visited-{}-f", std::process::id()));
         for kind in [VisitedKind::InMemory, VisitedKind::External] {
-            let mut vs = kind.open(&dir, 3, IoStats::new()).unwrap();
+            let mut vs = kind.open(&dir, "factory", IoStats::new()).unwrap();
             assert_eq!(visit(vs.as_mut(), &[9, 9]), [9]);
             assert_eq!(vs.len(), 1);
         }
@@ -349,6 +398,8 @@ mod tests {
     fn check_against_model(vs: &mut dyn VisitedSet, batches: &[Vec<u64>]) {
         let mut model: HashSet<u64> = HashSet::new();
         for batch in batches {
+            let seen = batch.iter().copied().find(|v| model.contains(v));
+            assert_eq!(first_visited(vs, batch), seen);
             let want: Vec<u64> = batch.iter().copied().filter(|&v| model.insert(v)).collect();
             assert_eq!(visit(vs, batch), want);
             assert_eq!(vs.len(), model.len() as u64);

@@ -22,10 +22,6 @@ use std::ops::ControlFlow;
 /// The port a program's copies exchange messages on, in and out.
 pub const PORT: &str = "peers";
 
-/// The round of a message its receiver takes whatever round it is in
-/// itself (BFS's `FOUND`).
-pub const ANY_ROUND: u32 = u32::MAX;
-
 /// Message tag: `[kind: 8 bits][round: 32 bits][sender: 24 bits]`.
 pub fn tag(kind: u64, round: u32, sender: usize) -> u64 {
     (kind << 56) | ((round as u64) << 24) | sender as u64
@@ -63,7 +59,7 @@ impl Phase {
 pub enum Barrier<B> {
     /// Every peer's marker arrived; the sum of the counts they carried.
     Complete(u64),
-    /// The handler ended the program (BFS: a peer found the destination).
+    /// The handler ended the program (BFS: a peer met the other side).
     Stopped(B),
     /// The input closed: every peer has exited. Over in-process channels a
     /// copy's own sender keeps its input open, and a peer that left
@@ -91,14 +87,14 @@ impl Inbox {
     }
 
     /// Takes one message at a copy in `phase` of `round`: that phase's
-    /// marker is counted, its records — and any [`ANY_ROUND`] message —
-    /// go to `on_data`, everything else waits in the stash.
+    /// marker is counted, its records go to `on_data`, everything else
+    /// waits in the stash.
     fn accept<B>(
         &mut self,
         phase: Phase,
         round: u32,
         msg: DataBuffer,
-        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+        on_data: &mut impl FnMut(&DataBuffer) -> Result<ControlFlow<B>>,
     ) -> Result<ControlFlow<B>> {
         let (kind, of_round) = (tag_kind(msg.tag), tag_round(msg.tag));
         if kind >= self.kinds {
@@ -106,8 +102,8 @@ impl Inbox {
                 "unknown message kind {kind}"
             )));
         }
-        if of_round == ANY_ROUND || (of_round == round && kind == phase.data) {
-            return on_data(kind, &msg);
+        if of_round == round && kind == phase.data {
+            return on_data(&msg);
         }
         if of_round == round && kind == phase.done {
             self.sum = self.sum.saturating_add(one_word(&msg)?);
@@ -182,8 +178,8 @@ impl<'a> Peers<'a> {
 
     fn post(&mut self, to: usize, buf: DataBuffer) -> Result<()> {
         match self.ctx.output(PORT)?.send_to(to, buf) {
-            // The receiver has exited: it found the destination, or it
-            // failed and the run reports that. Nobody waits for this.
+            // The receiver has exited: it met the other side of a search,
+            // or it failed and the run reports that. Nobody waits for this.
             Err(GraphStorageError::Unsupported(m)) if m.contains("hung up") => Ok(()),
             sent => sent,
         }
@@ -196,7 +192,7 @@ impl<'a> Peers<'a> {
         &mut self,
         phase: Phase,
         round: u32,
-        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+        on_data: &mut impl FnMut(&DataBuffer) -> Result<ControlFlow<B>>,
     ) -> Result<ControlFlow<B>> {
         while let Some(msg) = self.ctx.input(PORT)?.try_recv() {
             if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
@@ -213,7 +209,7 @@ impl<'a> Peers<'a> {
         &mut self,
         phase: Phase,
         round: u32,
-        on_data: &mut impl FnMut(u64, &DataBuffer) -> Result<ControlFlow<B>>,
+        on_data: &mut impl FnMut(&DataBuffer) -> Result<ControlFlow<B>>,
     ) -> Result<Barrier<B>> {
         for msg in std::mem::take(&mut self.inbox.stash) {
             if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
@@ -249,12 +245,7 @@ impl<'a> Peers<'a> {
         for record in records_of(own.iter().copied())? {
             on_record(record)?;
         }
-        let mut on_data = |kind: u64, msg: &DataBuffer| {
-            if kind != phase.data {
-                return Err(GraphStorageError::corrupt(format!(
-                    "message of kind {kind} outside its round"
-                )));
-            }
+        let mut on_data = |msg: &DataBuffer| {
             for record in records(msg)? {
                 on_record(record)?;
             }
@@ -361,7 +352,7 @@ mod tests {
                 let what = format!("{kinds} kinds, phase {phase:?}, {arity}-word records");
                 let mut inbox = Inbox::new(kinds);
                 let delivered = Cell::new(0);
-                let mut read = |_kind: u64, msg: &DataBuffer| {
+                let mut read = |msg: &DataBuffer| {
                     delivered.set(match arity {
                         1 => records::<1>(msg)?.count(),
                         2 => records::<2>(msg)?.count(),
@@ -407,9 +398,9 @@ mod tests {
                 );
             }
         }
-        // BFS's FOUND carries the level, one word.
+        // BFS's FOUND carries the vertex where the sides met, one word.
         for words in [&[][..], &[3, 3]] {
-            let found = DataBuffer::from_words(tag(2, ANY_ROUND, 1), words);
+            let found = DataBuffer::from_words(tag(2, 1, 1), words);
             let err = one_word(&found).unwrap_err();
             assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
         }
