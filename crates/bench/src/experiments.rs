@@ -213,7 +213,10 @@ pub fn fig5_2(cfg: &ExpConfig) -> Result<Table> {
         let opts = if cached {
             BackendOptions::default()
         } else {
-            BackendOptions::uncached()
+            BackendOptions {
+                cache_blocks: 0,
+                ..Default::default()
+            }
         };
         let suffix = if cached { "cache" } else { "no cache" };
         let sub = search_figure(
@@ -644,7 +647,7 @@ pub fn ablation_bulk_load(cfg: &ExpConfig) -> Result<Table> {
         // access *pattern*, which a big write-back cache would absorb at
         // bench scale.
         let opts_small_cache = BackendOptions {
-            cache_capacity: 8,
+            cache_blocks: 8,
             ..Default::default()
         };
         let mut cluster =

@@ -82,31 +82,20 @@ impl BackendKind {
 /// Backend tuning shared by the benchmark harness.
 #[derive(Clone, Debug)]
 pub struct BackendOptions {
-    /// Enable the engine's block cache (BerkeleyDB, grDB). The Figure 5.2
-    /// experiment turns this off.
-    pub cache_enabled: bool,
-    /// Cache capacity in blocks/pages when enabled.
-    pub cache_capacity: usize,
-    /// grDB configuration override (defaults to the thesis geometry).
+    /// Block-cache capacity, in blocks/pages, of the engines that have one
+    /// (BerkeleyDB, grDB); 0 turns the cache off, as the Figure 5.2
+    /// experiment does. Default 256.
+    pub cache_blocks: usize,
+    /// grDB configuration override (defaults to the thesis geometry). Its
+    /// own `cache_blocks` is replaced by the count above.
     pub grdb: Option<GrdbConfig>,
 }
 
 impl Default for BackendOptions {
     fn default() -> Self {
         BackendOptions {
-            cache_enabled: true,
-            cache_capacity: 256,
+            cache_blocks: 256,
             grdb: None,
-        }
-    }
-}
-
-impl BackendOptions {
-    /// Options with caches disabled.
-    pub fn uncached() -> BackendOptions {
-        BackendOptions {
-            cache_enabled: false,
-            ..Default::default()
         }
     }
 }
@@ -120,18 +109,13 @@ pub fn open_backend(
     stats: Arc<IoStats>,
 ) -> Result<Box<dyn GraphDb + Send>> {
     std::fs::create_dir_all(dir)?;
-    let cache = if options.cache_enabled {
-        options.cache_capacity
-    } else {
-        0
-    };
     Ok(match kind {
         BackendKind::Array => Box::new(ArrayDb::new()),
         BackendKind::HashMap => Box::new(HashMapDb::new()),
         BackendKind::MySql => Box::new(MySqlGraphDb::open(&dir.join("mysql"), stats)?),
         BackendKind::BerkeleyDb => {
             let kv = KvOptions {
-                cache_pages: cache,
+                cache_pages: options.cache_blocks,
                 ..Default::default()
             };
             Box::new(BdbGraphDb::open(&dir.join("bdb.db"), kv, stats)?)
@@ -139,7 +123,7 @@ pub fn open_backend(
         BackendKind::StreamDb => Box::new(StreamDb::open(&dir.join("stream.log"), stats)?),
         BackendKind::Grdb => {
             let mut cfg = options.grdb.clone().unwrap_or_default();
-            cfg.cache_blocks = cache;
+            cfg.cache_blocks = options.cache_blocks;
             Box::new(GrdbGraphDb::open(&dir.join("grdb"), cfg, stats)?)
         }
     })
@@ -176,8 +160,11 @@ mod tests {
     fn uncached_backends_work() {
         for kind in [BackendKind::BerkeleyDb, BackendKind::Grdb] {
             let dir = tmpdir(&format!("uncached-{}", kind.name()));
-            let mut db =
-                open_backend(kind, &dir, &BackendOptions::uncached(), IoStats::new()).unwrap();
+            let uncached = BackendOptions {
+                cache_blocks: 0,
+                ..Default::default()
+            };
+            let mut db = open_backend(kind, &dir, &uncached, IoStats::new()).unwrap();
             db.store_edges(&[Edge::of(5, 6)]).unwrap();
             assert_eq!(db.neighbors(Gid::new(5)).unwrap(), vec![Gid::new(6)]);
         }

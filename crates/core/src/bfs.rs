@@ -41,8 +41,9 @@
 //! Nothing is decided per adjacency entry outside `visit_new`'s own loop:
 //! no trait call, no `Result`, no second copy of the level. Meet detection
 //! is one [`VisitedSet::first_visited`] call per round over the vertices
-//! the copy accepted. Under `record_parents` the kernel runs once per
-//! fringe vertex, with that vertex as the parent of whatever it turns up.
+//! the copy accepted. This is the search's one expansion path: a search
+//! answers the path *length* (Algorithm 1's output), so nothing is tracked
+//! per fringe vertex and every level is one `expand_fringe` call.
 //!
 //! Fringe routing handles the three distribution cases of Algorithm 1:
 //!
@@ -100,11 +101,6 @@ pub struct BfsOptions {
     /// visited" — the fused `getAdjacencyListUsingMetadata` path of
     /// Listing 3.1. Reduces routed traffic; results are identical.
     pub db_filter: bool,
-    /// Record parent pointers and reconstruct the actual shortest path
-    /// (returned in [`SearchMetrics::path`]). Expansion switches to
-    /// per-vertex adjacency lookups to attribute each neighbour to its
-    /// parent, and fringe messages carry (vertex, parent) pairs.
-    pub record_parents: bool,
     /// Per-stream send/recv deadline. A round ends on a marker from every
     /// peer, so a dead storage filter would otherwise hang the search
     /// forever; with the deadline it surfaces as a typed
@@ -125,7 +121,6 @@ impl Default for BfsOptions {
             mode: BfsMode::Standard,
             visited: VisitedKind::InMemory,
             db_filter: false,
-            record_parents: false,
             recv_timeout: Some(superstep::DEADLINE),
             fault_plan: None,
         }
@@ -142,9 +137,6 @@ const MARKS: [mssg_types::Meta; 2] = [1, 2];
 pub struct SearchMetrics {
     /// Shortest path length in edges, if the destination was reached.
     pub path_length: Option<u32>,
-    /// The vertices of one shortest path (source first, destination
-    /// last); only populated under [`BfsOptions::record_parents`].
-    pub path: Option<Vec<Gid>>,
     /// Rounds executed, each of which expands one side by a level: a
     /// search that finds the destination takes one round per edge of the
     /// path; one that does not stops in the round its smaller side runs
@@ -197,8 +189,8 @@ impl Routing {
     }
 }
 
-/// A round's first phase, the level: fringe batches — vertices, or
-/// (vertex, parent) pairs under `record_parents` — then a marker.
+/// A round's first phase, the level: fringe batches of vertices, then a
+/// marker.
 pub(crate) const LEVEL: Phase = Phase::nth(0);
 /// A round's second phase: a marker with the number of fresh vertices the
 /// copy accepted, or in its place `FOUND`, the meet vertex in one word.
@@ -212,8 +204,6 @@ struct Outcome {
     edges_scanned: u64,
     vertices_visited: u64,
     rounds: u32,
-    /// Parent pointers this copy recorded, by side (record_parents mode).
-    parents: [GidMap<Gid>; 2],
 }
 
 /// Runs a BFS from `source` to `dest` over the cluster's stored graph.
@@ -227,7 +217,6 @@ pub fn bfs(
     if source == dest {
         return Ok(SearchMetrics {
             path_length: Some(0),
-            path: options.record_parents.then(|| vec![source]),
             rounds: 0,
             edges_scanned: 0,
             vertices_visited: 1,
@@ -249,7 +238,6 @@ pub fn bfs(
         ends: [source, dest],
         mode: options.mode,
         db_filter: options.db_filter,
-        record_parents: options.record_parents,
     };
     let (copies, telemetry) = superstep::run(
         cluster,
@@ -265,56 +253,13 @@ pub fn bfs(
     let path_length = met.map(|_| rounds);
     let edges_scanned = copies.iter().map(|c| c.edges_scanned).sum();
     let vertices_visited = copies.iter().map(|c| c.vertices_visited).sum();
-    let path = match (options.record_parents, met) {
-        (true, Some(meet)) => {
-            let mut parents: [GidMap<Gid>; 2] = Default::default();
-            for copy in copies {
-                for (side, recorded) in copy.parents.into_iter().enumerate() {
-                    for (v, parent) in recorded {
-                        parents[side].entry(v).or_insert(parent);
-                    }
-                }
-            }
-            path_through(&parents, [source, dest], meet, rounds)
-        }
-        _ => None,
-    };
     Ok(SearchMetrics {
         path_length,
-        path,
         rounds,
         edges_scanned,
         vertices_visited,
         telemetry,
     })
-}
-
-/// The path through `meet`: its chain of source-side parents back to the
-/// source, reversed, then its chain of destination-side parents to the
-/// destination. `None` if a chain is broken or the path is not `len` edges
-/// (neither should happen when the sides met).
-fn path_through(
-    parents: &[GidMap<Gid>; 2],
-    ends: [Gid; 2],
-    meet: Gid,
-    len: u32,
-) -> Option<Vec<Gid>> {
-    let chain = |side: usize| {
-        let mut chain = vec![meet];
-        let mut cursor = meet;
-        while cursor != ends[side] {
-            if chain.len() > len as usize {
-                return None;
-            }
-            cursor = *parents[side].get(&cursor)?;
-            chain.push(cursor);
-        }
-        Some(chain)
-    };
-    let mut path = chain(0)?;
-    path.reverse();
-    path.extend_from_slice(&chain(1)?[1..]);
-    (path.len() == len as usize + 1).then_some(path)
 }
 
 /// The search every copy of the `bfs` filter runs.
@@ -328,7 +273,6 @@ struct BfsFilter {
     ends: [Gid; 2],
     mode: BfsMode,
     db_filter: bool,
-    record_parents: bool,
 }
 
 /// One processor's state across the rounds of a search. What a side owns
@@ -336,7 +280,6 @@ struct BfsFilter {
 struct Traversal {
     me: usize,
     visited: [Box<dyn VisitedSet>; 2],
-    record_parents: bool,
     /// The engine to mark visited vertices in (`db_filter`), if any.
     mark_db: Option<SharedBackend>,
     /// Vertices `mark_db` was told of; reset after the search so the next
@@ -352,7 +295,6 @@ struct Traversal {
     /// batch.
     batches: Vec<Vec<u64>>,
     visited_count: u64,
-    parents: [GidMap<Gid>; 2],
 }
 
 impl Traversal {
@@ -373,36 +315,22 @@ impl Traversal {
     /// Takes one fringe batch of `side`'s level from a peer: this copy owns
     /// every vertex in it.
     fn receive(&mut self, msg: &DataBuffer, side: usize) -> Result<ControlFlow<Infallible>> {
-        if self.record_parents {
-            for [v, parent] in records::<2>(msg)? {
-                let v = Gid::from_raw(v);
-                self.fresh.clear();
-                self.visited[side].visit_new(&[v], &mut self.fresh)?;
-                if !self.fresh.is_empty() {
-                    self.book_fresh(side)?;
-                    self.parents[side].entry(v).or_insert(Gid::from_raw(parent));
-                    self.next.push(v);
-                }
-            }
-        } else {
-            self.incoming.clear();
-            self.incoming
-                .extend(records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
-            self.fresh.clear();
-            self.visited[side].visit_new(&self.incoming, &mut self.fresh)?;
-            self.book_fresh(side)?;
-            self.next.extend_from_slice(&self.fresh);
-        }
+        self.incoming.clear();
+        self.incoming
+            .extend(records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
+        self.fresh.clear();
+        self.visited[side].visit_new(&self.incoming, &mut self.fresh)?;
+        self.book_fresh(side)?;
+        self.next.extend_from_slice(&self.fresh);
         Ok(ControlFlow::Continue(()))
     }
 }
 
 impl BfsFilter {
-    /// The level kernel over `candidates`, adjacency entries of `side`'s
-    /// frontier whose parent is `parent` (`NIL` when parents are not
-    /// recorded): filter through the side's visited set, route what is
-    /// fresh. The pipelined mode runs it chunk by chunk and takes waiting
-    /// messages in between.
+    /// The level kernel over `candidates`, the adjacency entries of
+    /// `side`'s frontier: filter through the side's visited set, route what
+    /// is fresh. The pipelined mode runs it chunk by chunk and takes
+    /// waiting messages in between.
     fn expand_slice(
         &self,
         peers: &mut Peers<'_>,
@@ -410,7 +338,6 @@ impl BfsFilter {
         round: u32,
         side: usize,
         candidates: &[Gid],
-        parent: Gid,
     ) -> Result<()> {
         let (chunk, pipelined) = match self.mode {
             BfsMode::Standard => (usize::MAX, false),
@@ -419,7 +346,7 @@ impl BfsFilter {
         for slice in candidates.chunks(chunk) {
             t.fresh.clear();
             t.visited[side].visit_new(slice, &mut t.fresh)?;
-            self.route_fresh(peers, t, round, side, parent)?;
+            self.route_fresh(peers, t, round, side)?;
             if pipelined {
                 peers.poll(LEVEL, round, &mut |msg| t.receive(msg, side))?;
             }
@@ -436,36 +363,22 @@ impl BfsFilter {
         t: &mut Traversal,
         round: u32,
         side: usize,
-        parent: Gid,
     ) -> Result<()> {
         t.book_fresh(side)?;
         let broadcast_slot = t.batches.len() - 1;
-        let words_per_entry = if self.record_parents { 2 } else { 1 };
         let flush_at = match self.mode {
             BfsMode::Standard => usize::MAX,
-            BfsMode::Pipelined { threshold } => threshold * words_per_entry,
+            BfsMode::Pipelined { threshold } => threshold,
         };
         for i in 0..t.fresh.len() {
             let u = t.fresh[i];
             let target = self.routing.target(u);
             if target.is_none_or(|owner| owner == t.me) {
                 t.next.push(u);
-                // The parent is recorded only where the mark is
-                // authoritative: at u's owner, or under broadcast routing
-                // (where every local visited set is globally complete). A
-                // non-owner's local gate can wrongly pass an
-                // already-visited vertex — its owner will reject the
-                // vertex, so its parent guess must not survive.
-                if self.record_parents {
-                    t.parents[side].insert(u, parent);
-                }
             }
             if target != Some(t.me) {
                 let slot = target.unwrap_or(broadcast_slot);
                 t.batches[slot].push(u.raw());
-                if self.record_parents {
-                    t.batches[slot].push(parent.raw());
-                }
                 if t.batches[slot].len() >= flush_at {
                     self.flush_slot(peers, t, round, slot)?;
                 }
@@ -504,7 +417,6 @@ impl BfsFilter {
         let mut t = Traversal {
             me,
             visited: [open(0)?, open(1)?],
-            record_parents: self.record_parents,
             mark_db: self.db_filter.then(|| backend.clone()),
             marked: Vec::new(),
             fresh: Vec::new(),
@@ -512,7 +424,6 @@ impl BfsFilter {
             next: Vec::new(),
             batches: vec![Vec::new(); peers.copies() + 1],
             visited_count: 0,
-            parents: Default::default(),
         };
         let mut frontiers: [Vec<Gid>; 2] = Default::default();
         let mut adj = AdjBuffer::new();
@@ -565,21 +476,13 @@ impl BfsFilter {
             };
 
             // ---- the level: expansion ----
-            if self.record_parents {
-                // Per-vertex lookups so each neighbour knows its parent.
-                for &v in &frontiers[side] {
-                    adj.clear();
-                    backend.lock().adjacency(v, &mut adj, meta, op)?;
-                    edges_scanned += adj.len() as u64;
-                    self.expand_slice(peers, &mut t, round, side, adj.as_slice(), v)?;
-                }
-            } else if !frontiers[side].is_empty() {
+            if !frontiers[side].is_empty() {
                 adj.clear();
                 backend
                     .lock()
                     .expand_fringe(&frontiers[side], &mut adj, meta, op)?;
                 edges_scanned += adj.len() as u64;
-                self.expand_slice(peers, &mut t, round, side, adj.as_slice(), Gid::NIL)?;
+                self.expand_slice(peers, &mut t, round, side, adj.as_slice())?;
             }
             for slot in 0..t.batches.len() {
                 self.flush_slot(peers, &mut t, round, slot)?;
@@ -634,7 +537,6 @@ impl BfsFilter {
             edges_scanned,
             vertices_visited: t.visited_count,
             rounds: round.min(superstep::MAX_ROUNDS),
-            parents: t.parents,
         })
     }
 }
@@ -1044,10 +946,6 @@ mod tests {
                 ..Default::default()
             },
             BfsOptions {
-                record_parents: true,
-                ..Default::default()
-            },
-            BfsOptions {
                 db_filter: true,
                 ..Default::default()
             },
@@ -1179,10 +1077,6 @@ mod tests {
                     let what = format!("{routing:?}: {source} -> {dest} under {opts:?}");
                     assert_eq!(a.path_length, dist.get(&dest).copied(), "grDB, {what}");
                     assert_eq!(b.path_length, a.path_length, "HashMap, {what}");
-                    // Ties may pick different parents; the path's length may not.
-                    let hops = |m: &SearchMetrics| m.path.as_ref().map(|p| p.len() as u32 - 1);
-                    let want_hops = a.path_length.filter(|_| opts.record_parents);
-                    assert_eq!((hops(&a), hops(&b)), (want_hops, want_hops), "{what}");
                     if !unreachable || source == dest {
                         continue;
                     }
@@ -1288,124 +1182,6 @@ mod tests {
                 assert!(r.net.total_msgs() > 0, "peers still hear the markers");
             }
         }
-    }
-
-    #[test]
-    fn path_reconstruction_on_path_graph() {
-        let cluster = build_cluster(
-            "parents-path",
-            3,
-            BackendKind::HashMap,
-            path_edges(8),
-            DeclusterKind::VertexHash,
-        );
-        let m = bfs(
-            &cluster,
-            g(0),
-            g(8),
-            &BfsOptions {
-                record_parents: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.path_length, Some(8));
-        assert_eq!(m.path, Some((0..=8).map(g).collect::<Vec<_>>()));
-    }
-
-    #[test]
-    fn path_reconstruction_is_a_valid_shortest_path() {
-        let edges = {
-            let mut x = 13u64;
-            let mut es = Vec::new();
-            for _ in 0..500 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let a = x % 70;
-                let b = (x >> 21) % 70;
-                if a != b {
-                    es.push(Edge::of(a, b));
-                }
-            }
-            es
-        };
-        let edge_set: std::collections::HashSet<(u64, u64)> = edges
-            .iter()
-            .flat_map(|e| [(e.src.raw(), e.dst.raw()), (e.dst.raw(), e.src.raw())])
-            .collect();
-        let cluster = build_cluster(
-            "parents-random",
-            4,
-            BackendKind::Grdb,
-            edges,
-            DeclusterKind::VertexHash,
-        );
-        for dest in [9u64, 33, 69] {
-            let m = bfs(
-                &cluster,
-                g(0),
-                g(dest),
-                &BfsOptions {
-                    record_parents: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let Some(len) = m.path_length else { continue };
-            let path = m.path.expect("path recorded when found");
-            assert_eq!(path.len() as u32, len + 1, "dest {dest}");
-            assert_eq!(path[0], g(0));
-            assert_eq!(*path.last().unwrap(), g(dest));
-            for w in path.windows(2) {
-                assert!(
-                    edge_set.contains(&(w[0].raw(), w[1].raw())),
-                    "dest {dest}: {:?}-{:?} is not an edge",
-                    w[0],
-                    w[1]
-                );
-            }
-            // It is also shortest: same length without recording.
-            let plain = bfs(&cluster, g(0), g(dest), &BfsOptions::default()).unwrap();
-            assert_eq!(plain.path_length, Some(len));
-        }
-    }
-
-    #[test]
-    fn path_none_when_not_recording_or_unreachable() {
-        let cluster = build_cluster(
-            "parents-none",
-            2,
-            BackendKind::HashMap,
-            path_edges(3),
-            DeclusterKind::VertexHash,
-        );
-        let m = bfs(&cluster, g(0), g(3), &BfsOptions::default()).unwrap();
-        assert!(m.path.is_none());
-        let m = bfs(
-            &cluster,
-            g(0),
-            g(999),
-            &BfsOptions {
-                record_parents: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.path_length, None);
-        assert!(m.path.is_none());
-        // Source == dest still yields the trivial path.
-        let m = bfs(
-            &cluster,
-            g(2),
-            g(2),
-            &BfsOptions {
-                record_parents: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.path, Some(vec![g(2)]));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! local GraphDB instances. Varying the number of front-ends reproduces
 //! the Figure 5.3 experiment; varying back-ends, Figure 5.5.
 //!
-//! There is one store path (DESIGN.md §10). Each store copy applies
-//! windows in ascending id order — with several front-ends windows race to
-//! the stores, and a small reorder buffer restores the single-front-end
-//! order, so the stored graph is byte-identical for any `front_ends` — and
+//! There is one distribution path — the round-robin deal above — and one
+//! store path (DESIGN.md §10). Each store copy applies windows in
+//! ascending id order — with several front-ends windows race to the
+//! stores, and a small reorder buffer restores the single-front-end order,
+//! so the stored graph is byte-identical for any `front_ends` — and
 //! accumulates entries up to the batch size its backend asks for
 //! ([`GraphDb::store_batch_entries`](graphdb::GraphDb::store_batch_entries))
 //! before each `store_edges` call.
@@ -57,11 +58,6 @@ pub struct IngestOptions {
     pub window_edges: usize,
     /// Declustering strategy.
     pub declustering: DeclusterKind,
-    /// Distribute windows to the front-ends through a River-style shared
-    /// demand queue instead of round-robin: faster ingestion nodes pull
-    /// more windows, adapting to load imbalance (thesis chapter 2's River
-    /// discussion).
-    pub demand_driven: bool,
     /// Resume a killed-and-restarted ingestion: windows the checkpoint
     /// shows as already durably stored are skipped instead of duplicated
     /// (counted in the `ingest.windows_skipped` metric). Only meaningful
@@ -88,7 +84,6 @@ impl Default for IngestOptions {
             front_ends: 1,
             window_edges: 4096,
             declustering: DeclusterKind::VertexHash,
-            demand_driven: false,
             resume: false,
             max_restarts: 0,
             restart_backoff: Duration::from_millis(25),
@@ -221,11 +216,7 @@ pub fn ingest(
     g.declare_ports(ing, &["windows"], &["batches"]);
     g.declare_ports(store, &["batches"], &[]);
     g.expect_consumers(ing, "batches", p);
-    if options.demand_driven {
-        g.connect_shared(src, "windows", ing, "windows")?;
-    } else {
-        g.connect(src, "windows", ing, "windows")?;
-    }
+    g.connect(src, "windows", ing, "windows")?;
     g.connect(ing, "batches", store, "batches")?;
     let report = g.run()?;
 
@@ -588,31 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn demand_driven_ingestion_stores_everything() {
-        let dir = tmpdir("demand");
-        let mut cluster =
-            MssgCluster::new(&dir, 3, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        let opts = IngestOptions {
-            front_ends: 4,
-            window_edges: 5,
-            demand_driven: true,
-            ..Default::default()
-        };
-        let report = ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap();
-        assert_eq!(report.edges, 100);
-        assert_eq!(cluster.total_entries(), 200);
-        // Same stored graph as round-robin distribution.
-        for v in 0..100u64 {
-            let owner = hash_owner(Gid::new(v), 3);
-            let n = cluster.with_backend(owner, |db| {
-                use graphdb::GraphDbExt;
-                db.neighbors(Gid::new(v)).unwrap()
-            });
-            assert_eq!(n.len(), 2, "vertex {v}");
-        }
-    }
-
-    #[test]
     fn typed_ingestion_enforces_the_ontology() {
         use mssg_types::TypedEdge;
         let dir = tmpdir("typed");
@@ -833,41 +799,39 @@ mod tests {
 
     #[test]
     fn parallel_front_ends_match_single_front_end_order() {
-        // Sources repeat across windows, so adjacency order depends on the
-        // order windows reach the stores.
-        let edges: Vec<Edge> = (0..200u64).map(|i| Edge::of(i % 10, 100 + i)).collect();
-        let run = |tag: &str, opts: &IngestOptions| {
-            let dir = tmpdir(tag);
-            let mut cluster =
-                MssgCluster::new(&dir, 3, BackendKind::HashMap, &BackendOptions::default())
-                    .unwrap();
-            ingest(&mut cluster, edges.clone().into_iter(), opts).unwrap();
-            (0..10u64)
-                .map(|v| {
-                    let owner = hash_owner(Gid::new(v), 3);
-                    cluster.with_backend(owner, |db| db.neighbors(Gid::new(v)).unwrap())
-                })
-                .collect::<Vec<_>>()
-        };
-        let single = run(
-            "ord-single",
-            &IngestOptions {
-                window_edges: 8,
-                ..Default::default()
-            },
-        );
-        let parallel = run(
-            "ord-par",
-            &IngestOptions {
-                front_ends: 4,
-                window_edges: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            single, parallel,
-            "stores restore the single-front-end adjacency order"
-        );
+        // Hub sources repeat across windows, so their adjacency order
+        // depends on the order windows reach the stores; the ring with
+        // 5-edge windows deals more windows than there are front-ends.
+        let hubs: Vec<Edge> = (0..200u64).map(|i| Edge::of(i % 10, 100 + i)).collect();
+        for (input, edges, window_edges, vertices) in
+            [("hubs", hubs, 8, 10), ("ring", ring(100), 5, 100)]
+        {
+            let run = |front_ends: usize| {
+                let dir = tmpdir(&format!("ord-{input}-{front_ends}"));
+                let mut cluster =
+                    MssgCluster::new(&dir, 3, BackendKind::HashMap, &BackendOptions::default())
+                        .unwrap();
+                let opts = IngestOptions {
+                    front_ends,
+                    window_edges,
+                    ..Default::default()
+                };
+                let report = ingest(&mut cluster, edges.clone().into_iter(), &opts).unwrap();
+                assert_eq!(report.edges, edges.len() as u64, "{input}");
+                assert_eq!(cluster.total_entries(), 2 * edges.len() as u64, "{input}");
+                (0..vertices)
+                    .map(|v| {
+                        let owner = hash_owner(Gid::new(v), 3);
+                        cluster.with_backend(owner, |db| db.neighbors(Gid::new(v)).unwrap())
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                run(1),
+                run(4),
+                "{input}: stores restore the single-front-end adjacency order"
+            );
+        }
     }
 
     #[test]

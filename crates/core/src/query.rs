@@ -6,7 +6,7 @@
 //! serialisable result. BFS relationship analysis (§4.2) is pre-registered;
 //! applications add their own with [`QueryService::register`].
 
-use crate::bfs::{bfs, BfsOptions, SearchMetrics};
+use crate::bfs::{bfs, BfsOptions};
 use crate::cluster::MssgCluster;
 use crate::components::connected_components;
 use crate::degrees::degree_distribution;
@@ -62,33 +62,6 @@ impl QueryService {
             ))
         })?;
         analysis(cluster, params)
-    }
-
-    /// Runs the analysis `name` pinned to the cluster's current epoch:
-    /// the graph cannot advance past a checkpoint boundary while the
-    /// analysis executes, so everything it reads belongs to the returned
-    /// epoch. This is the hook `mssg-serve` stamps its responses (and
-    /// keys its result cache) with.
-    pub fn run_pinned(
-        &self,
-        cluster: &MssgCluster,
-        name: &str,
-        params: &QueryParams,
-    ) -> Result<(u64, String)> {
-        let pin = cluster.epoch_manager().pin();
-        let out = self.run(cluster, name, params)?;
-        Ok((pin.epoch(), out))
-    }
-
-    /// Convenience: runs a BFS directly, returning the metrics.
-    pub fn bfs(
-        &self,
-        cluster: &MssgCluster,
-        source: Gid,
-        dest: Gid,
-        options: &BfsOptions,
-    ) -> Result<SearchMetrics> {
-        bfs(cluster, source, dest, options)
     }
 }
 
@@ -375,18 +348,6 @@ mod tests {
         assert_eq!(out, "unreachable");
         let r = k_hop(&c, Gid::new(0), 4).unwrap();
         assert_eq!(r.vertices, vec![Gid::new(0)]);
-    }
-
-    #[test]
-    fn run_pinned_stamps_the_ingestion_epoch() {
-        let c = cluster("epoch"); // one ingest() call = one checkpoint boundary
-        let svc = QueryService::new();
-        let (epoch, out) = svc
-            .run_pinned(&c, "degree", &params(&[("vertex", "5")]))
-            .unwrap();
-        assert_eq!(epoch, 1, "the seed ingestion bumped epoch 0 -> 1");
-        assert_eq!(out, "degree=2");
-        assert_eq!(c.epoch_manager().pinned(), 0, "pin released");
     }
 
     #[test]

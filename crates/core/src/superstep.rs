@@ -129,7 +129,6 @@ mod tests {
         use {components as cc, degrees as deg};
         let rows = [
             ("bfs fringe", bfs::KINDS, bfs::LEVEL, 1),
-            ("bfs fringe with parents", bfs::KINDS, bfs::LEVEL, 2),
             ("bfs tally", bfs::KINDS, bfs::TALLY, 1),
             ("components register", cc::KINDS, cc::REGISTER, 1),
             ("components frontier", cc::KINDS, cc::FRONTIER, 2),

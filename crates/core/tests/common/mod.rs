@@ -16,6 +16,9 @@ pub fn tmpdir(tag: &str) -> std::path::PathBuf {
 /// window a crashed store copy had absorbed is still unflushed when it
 /// dies.
 pub fn backends() -> [(&'static str, BackendKind, BackendOptions); 3] {
+    // `tiny()`'s own 8-block cache is replaced by `BackendOptions`'
+    // `cache_blocks`, so this back-end runs the tiny geometry with the
+    // default 256-block cache.
     let tiny = BackendOptions {
         grdb: Some(grdb::GrdbConfig::tiny()),
         ..Default::default()

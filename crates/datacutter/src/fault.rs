@@ -19,7 +19,7 @@
 //! supervised restart (the restarted incarnation does not replay its
 //! predecessor's faults).
 
-use mssg_types::{GraphStorageError, Result};
+use mssg_types::{splitmix64, GraphStorageError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -87,17 +87,6 @@ pub struct FaultEvent {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
-}
-
-/// SplitMix64 step — the deterministic generator behind the seed-driven
-/// plan constructors. Public so sibling fault planners (e.g. the wire
-/// simulator's `SimPlan`) derive their streams from the same primitive.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {

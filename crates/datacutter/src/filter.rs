@@ -260,16 +260,6 @@ impl FilterContext {
         self.outputs.remove(name);
     }
 
-    /// `true` if an input port with this name is connected.
-    pub fn has_input(&self, name: &str) -> bool {
-        self.inputs.contains_key(name)
-    }
-
-    /// `true` if an output port with this name is connected.
-    pub fn has_output(&self, name: &str) -> bool {
-        self.outputs.contains_key(name)
-    }
-
     /// A pristine context on the same channels — what the supervisor hands
     /// a restarted incarnation (ports closed by the previous incarnation
     /// via `close_output` come back open).

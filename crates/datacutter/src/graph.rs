@@ -1,4 +1,8 @@
 //! Filter-graph construction.
+//!
+//! Every stream is addressed: a producer copy reaches each consumer copy's
+//! own queue, chosen per send (targeted, round-robin or broadcast). There
+//! is no shared work queue, so every stream can cross a process boundary.
 
 use crate::fault::FaultPlan;
 use crate::filter::Filter;
@@ -27,9 +31,6 @@ pub(crate) struct StreamDef {
     pub out_port: String,
     pub to: usize,
     pub in_port: String,
-    /// River-style demand-driven stream: one shared queue all consumer
-    /// copies pull from, instead of one addressable queue per copy.
-    pub shared: bool,
 }
 
 /// Opt-in port declarations for one filter, enabling the verifier's
@@ -168,32 +169,27 @@ impl GraphBuilder {
         Ok(FilterHandle(self.filters.len() - 1))
     }
 
-    /// Shared validation for `connect` / `connect_shared`.
-    fn push_stream(
+    /// Connects `from.out_port` to `to.in_port`. Every copy of `from` can
+    /// address every copy of `to` (targeted, round-robin, or broadcast —
+    /// chosen per send). Cycles, self-connections, and multiple streams
+    /// into one input port are allowed; the input port merges producers.
+    ///
+    /// Rejects, with a typed [`VerifyError`]: the exact same edge
+    /// connected twice and an out port re-wired to a second destination.
+    pub fn connect(
         &mut self,
         from: FilterHandle,
         out_port: &str,
         to: FilterHandle,
         in_port: &str,
-        shared: bool,
     ) -> Result<(), VerifyError> {
         assert!(from.0 < self.filters.len() && to.0 < self.filters.len());
         for s in &self.streams {
-            let same_edge =
-                s.from == from.0 && s.out_port == out_port && s.to == to.0 && s.in_port == in_port;
-            if same_edge && s.shared == shared {
+            if s.from == from.0 && s.out_port == out_port && s.to == to.0 && s.in_port == in_port {
                 return Err(VerifyError::DuplicateStream {
                     from: self.filters[from.0].name.clone(),
                     out_port: out_port.to_string(),
                     to: self.filters[to.0].name.clone(),
-                    in_port: in_port.to_string(),
-                });
-            }
-            // Mixing one shared and one addressed stream into a single
-            // input port would be ambiguous: which queue discipline wins?
-            if s.to == to.0 && s.in_port == in_port && s.shared != shared {
-                return Err(VerifyError::MixedWiring {
-                    filter: self.filters[to.0].name.clone(),
                     in_port: in_port.to_string(),
                 });
             }
@@ -214,47 +210,8 @@ impl GraphBuilder {
             out_port: out_port.to_string(),
             to: to.0,
             in_port: in_port.to_string(),
-            shared,
         });
         Ok(())
-    }
-
-    /// Connects `from.out_port` to `to.in_port`. Every copy of `from` can
-    /// address every copy of `to` (targeted, round-robin, or broadcast —
-    /// chosen per send). Cycles, self-connections, and multiple streams
-    /// into one input port are allowed; the input port merges producers.
-    ///
-    /// Rejects, with a typed [`VerifyError`]: the exact same edge
-    /// connected twice, an out port re-wired to a second destination,
-    /// and mixed shared/addressed wiring of one input port.
-    pub fn connect(
-        &mut self,
-        from: FilterHandle,
-        out_port: &str,
-        to: FilterHandle,
-        in_port: &str,
-    ) -> Result<(), VerifyError> {
-        self.push_stream(from, out_port, to, in_port, false)
-    }
-
-    /// Connects through a single **shared queue** that every copy of `to`
-    /// pulls from — the demand-driven distribution of the River system the
-    /// thesis reviews ("processing filters take work from a distributed
-    /// queue, thereby adaptively allocating work where it is needed
-    /// most"). Sends are not addressable (`send_to(0)`, `send_rr`, and
-    /// `broadcast` all enqueue once); whichever consumer is free first
-    /// dequeues. Traffic is accounted as remote, as a distributed queue's
-    /// would be.
-    ///
-    /// Rejects the same wiring defects as [`connect`](Self::connect).
-    pub fn connect_shared(
-        &mut self,
-        from: FilterHandle,
-        out_port: &str,
-        to: FilterHandle,
-        in_port: &str,
-    ) -> Result<(), VerifyError> {
-        self.push_stream(from, out_port, to, in_port, true)
     }
 
     /// Declares the complete port set of `filter`, opting it into the
@@ -343,10 +300,10 @@ impl GraphBuilder {
     }
 
     /// A stable hash of the graph's wiring-relevant shape: filter names
-    /// and placements, stream edges (with queue discipline), and the
-    /// channel capacity. Two processes can cooperate on one distributed
-    /// run only if their descriptions hash identically — the transport's
-    /// handshake compares this value and refuses mismatched peers.
+    /// and placements, stream edges, and the channel capacity. Two
+    /// processes can cooperate on one distributed run only if their
+    /// descriptions hash identically — the transport's handshake
+    /// compares this value and refuses mismatched peers.
     /// Factories, telemetry, timeouts, and fault plans are process-local
     /// and deliberately excluded.
     pub fn topology_signature(&self) -> u64 {
@@ -367,7 +324,7 @@ impl GraphBuilder {
             r.push(0);
             r.extend_from_slice(&(s.to as u64).to_le_bytes());
             r.extend_from_slice(s.in_port.as_bytes());
-            r.push(if s.shared { 2 } else { 3 });
+            r.push(0);
         }
         mssg_types::fnv1a(&r)
     }

@@ -126,14 +126,14 @@ pub mod transport;
 pub mod verify;
 
 pub use buffer::DataBuffer;
-pub use fault::{splitmix64, FaultEvent, FaultKind, FaultPlan, FaultSpec};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use filter::{Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
 pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};
 pub use runtime::{run_node, FilterTiming, RestartEvent, RunReport};
 pub use transport::{
     ChannelRx, ChannelTx, EndpointSpec, InProc, RecvOutcome, RxEndpoint, SendOutcome, Transport,
-    TxEndpoint, SHARED_NODE,
+    TxEndpoint,
 };
 
 /// Identifies a logical cluster node (a thread in this substrate).

@@ -73,30 +73,21 @@ pub struct RunReport {
     pub faults: Vec<FaultEvent>,
 }
 
-/// One input port's endpoint layout, planned identically by every
-/// process from the shared graph description.
-struct PortPlan {
-    shared: bool,
-    /// Addressed: one spec per consumer copy (indexed by copy). Shared:
-    /// a single spec every copy pulls from.
-    specs: Vec<EndpointSpec>,
-}
-
-/// Derives the deterministic endpoint table: iterate streams in
-/// declaration order, assign dense ids to each (consumer, in_port) key
-/// on first sight, and split each endpoint's producers into co-located
-/// vs. remote relative to `only_node` semantics (in single-process mode
-/// everything is co-located).
+/// Derives the deterministic endpoint table — one spec per consumer copy
+/// of each (consumer, in_port) key, indexed by copy, planned identically
+/// by every process from the shared graph description: iterate streams
+/// in declaration order, assign dense ids to each key on first sight,
+/// and split each endpoint's producers into co-located vs. remote
+/// relative to `only_node` (in single-process mode everything is
+/// co-located).
 fn plan_endpoints(
     graph: &GraphBuilder,
     only_node: Option<NodeId>,
-) -> Result<HashMap<(usize, String), PortPlan>> {
+) -> HashMap<(usize, String), Vec<EndpointSpec>> {
     // Group producer streams by consumer port, preserving first-seen
     // order for id assignment.
     let mut order: Vec<(usize, String)> = Vec::new();
     let mut producers: HashMap<(usize, String), Vec<NodeId>> = HashMap::new();
-    let mut shared_ports: std::collections::HashSet<(usize, String)> =
-        std::collections::HashSet::new();
     for s in &graph.streams {
         let key = (s.to, s.in_port.clone());
         let entry = producers.entry(key.clone()).or_insert_with(|| {
@@ -104,9 +95,6 @@ fn plan_endpoints(
             Vec::new()
         });
         entry.extend(graph.filters[s.from].placement.iter().copied());
-        if s.shared {
-            shared_ports.insert(key);
-        }
     }
 
     // In single-process mode every node lives in this process, so all
@@ -116,67 +104,34 @@ fn plan_endpoints(
     let mut next_id: u64 = 0;
     for key in order {
         let prods = &producers[&key];
-        let (fi, port) = (key.0, key.1.clone());
-        let name = graph.filters[fi].name.clone();
-        let consumer_nodes = graph.filters[fi].placement.clone();
-        let shared = shared_ports.contains(&key);
+        let filter = &graph.filters[key.0];
         let mut specs = Vec::new();
-        if shared {
-            // A demand-driven queue has no per-copy address, so v1 cannot
-            // stripe it across processes: require the whole group on one
-            // node when running distributed.
-            let mut nodes: Vec<NodeId> =
-                consumer_nodes.iter().chain(prods.iter()).copied().collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            if distributed && nodes.len() > 1 {
-                return Err(GraphStorageError::Unsupported(format!(
-                    "shared stream into {name}.{port} spans nodes {nodes:?}: \
-                     demand-driven queues cannot cross process boundaries \
-                     (place the producer and every consumer copy on one node)"
-                )));
+        for (ci, &node) in filter.placement.iter().enumerate() {
+            let (mut local, mut remote) = (0usize, HashMap::<NodeId, usize>::new());
+            for &p in prods {
+                if !distributed || p == node {
+                    local += 1;
+                } else {
+                    *remote.entry(p).or_insert(0) += 1;
+                }
             }
+            let mut remote_producers: Vec<(NodeId, usize)> = remote.into_iter().collect();
+            remote_producers.sort_unstable();
             specs.push(EndpointSpec {
                 id: next_id,
-                filter: name,
-                in_port: port.clone(),
-                copy: 0,
-                node: nodes[0],
-                shared: true,
+                filter: filter.name.clone(),
+                in_port: key.1.clone(),
+                copy: ci,
+                node,
                 capacity: graph.channel_capacity,
-                local_producers: prods.len(),
-                remote_producers: Vec::new(),
+                local_producers: local,
+                remote_producers,
             });
             next_id += 1;
-        } else {
-            for (ci, &node) in consumer_nodes.iter().enumerate() {
-                let (mut local, mut remote) = (0usize, HashMap::<NodeId, usize>::new());
-                for &p in prods {
-                    if !distributed || p == node {
-                        local += 1;
-                    } else {
-                        *remote.entry(p).or_insert(0) += 1;
-                    }
-                }
-                let mut remote_producers: Vec<(NodeId, usize)> = remote.into_iter().collect();
-                remote_producers.sort_unstable();
-                specs.push(EndpointSpec {
-                    id: next_id,
-                    filter: name.clone(),
-                    in_port: port.clone(),
-                    copy: ci,
-                    node,
-                    shared: false,
-                    capacity: graph.channel_capacity,
-                    local_producers: local,
-                    remote_producers,
-                });
-                next_id += 1;
-            }
         }
-        plans.insert(key, PortPlan { shared, specs });
+        plans.insert(key, specs);
     }
-    Ok(plans)
+    plans
 }
 
 /// Runs a built graph to completion with every node as a thread in this
@@ -218,7 +173,7 @@ fn run_with(
     let telemetry = graph.telemetry.clone();
     let is_local = |node: NodeId| only_node.is_none_or(|n| n == node);
 
-    let plans = plan_endpoints(&graph, only_node)?;
+    let plans = plan_endpoints(&graph, only_node);
 
     // Build per-copy contexts (local copies only), each with its own
     // blocked-time clocks.
@@ -256,46 +211,24 @@ fn run_with(
     let mut keys: Vec<&(usize, String)> = plans.keys().collect();
     keys.sort();
     for key in keys {
-        let plan = &plans[key];
         let (fi, port) = (key.0, key.1.as_str());
-        if plan.shared {
-            let spec = &plan.specs[0];
+        for spec in &plans[key] {
             if !is_local(spec.node) {
                 continue;
             }
-            let master = transport.open_endpoint(spec)?;
-            for (ci, slot) in contexts[fi].iter_mut().enumerate() {
-                let Some(ctx) = slot else { continue };
+            let rx = transport.open_endpoint(spec)?;
+            let ci = spec.copy;
+            if let Some(ctx) = contexts[fi][ci].as_mut() {
                 ctx.inputs.insert(
                     port.to_string(),
                     InPort {
                         name: port.to_string(),
-                        rx: master.clone_endpoint(),
+                        rx,
                         clocks: Some(Arc::clone(&clocks[fi][ci])),
                         timeout: graph.stream_timeout,
                         faults: None,
                     },
                 );
-            }
-        } else {
-            for spec in &plan.specs {
-                if !is_local(spec.node) {
-                    continue;
-                }
-                let rx = transport.open_endpoint(spec)?;
-                let ci = spec.copy;
-                if let Some(ctx) = contexts[fi][ci].as_mut() {
-                    ctx.inputs.insert(
-                        port.to_string(),
-                        InPort {
-                            name: port.to_string(),
-                            rx,
-                            clocks: Some(Arc::clone(&clocks[fi][ci])),
-                            timeout: graph.stream_timeout,
-                            faults: None,
-                        },
-                    );
-                }
             }
         }
     }
@@ -303,8 +236,7 @@ fn run_with(
     // Attach out ports to local producer copies: one send endpoint per
     // (producer copy, consumer endpoint).
     for s in &graph.streams {
-        let key = (s.to, s.in_port.clone());
-        let plan = &plans[&key];
+        let specs = &plans[&(s.to, s.in_port.clone())];
         // One occupancy histogram per logical stream, sampled after each
         // send — the backpressure picture per consumer port.
         let queue_depth = if telemetry.is_enabled() {
@@ -318,7 +250,7 @@ fn run_with(
         for (ci, slot) in contexts[s.from].iter_mut().enumerate() {
             let Some(ctx) = slot else { continue };
             let mut senders = Vec::new();
-            for spec in &plan.specs {
+            for spec in specs {
                 senders.push(transport.open_sender(spec)?);
             }
             // connect() allows listing the same stream only once per
@@ -1007,97 +939,6 @@ mod tests {
             }
             Ok(())
         }
-    }
-
-    #[test]
-    fn shared_queue_delivers_everything_once() {
-        let total = Arc::new(AtomicU64::new(0));
-        let counts: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let mut g = GraphBuilder::new();
-        let p = g
-            .add_filter("p", vec![0], |_| Box::new(Producer { count: 300 }))
-            .unwrap();
-        let total2 = Arc::clone(&total);
-        let counts2 = counts.clone();
-        let c = g
-            .add_filter("c", vec![1, 2, 3], move |i| {
-                Box::new(SlowCollector {
-                    delay_us: 0,
-                    got: Arc::clone(&counts2[i]),
-                    total: Arc::clone(&total2),
-                })
-            })
-            .unwrap();
-        g.connect_shared(p, "out", c, "in").unwrap();
-        let report = g.run().unwrap();
-        assert_eq!(total.load(Ordering::Relaxed), (0..300).sum::<u64>());
-        let per: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        assert_eq!(
-            per.iter().sum::<u64>(),
-            300,
-            "each item consumed exactly once"
-        );
-        // Shared-queue traffic is charged as remote.
-        assert_eq!(report.net.remote_msgs, 300);
-    }
-
-    #[test]
-    fn shared_queue_balances_by_demand() {
-        // One consumer is 100× slower; the fast one must take the bulk of
-        // the work — River's adaptive allocation.
-        let total = Arc::new(AtomicU64::new(0));
-        let counts: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let mut g = GraphBuilder::new();
-        // Small channel so the producer cannot just park everything in the
-        // queue ahead of the consumers.
-        g.channel_capacity(4);
-        let p = g
-            .add_filter("p", vec![0], |_| Box::new(Producer { count: 200 }))
-            .unwrap();
-        let total2 = Arc::clone(&total);
-        let counts2 = counts.clone();
-        let c = g
-            .add_filter("c", vec![1, 2], move |i| {
-                Box::new(SlowCollector {
-                    delay_us: if i == 0 { 500 } else { 5 },
-                    got: Arc::clone(&counts2[i]),
-                    total: Arc::clone(&total2),
-                })
-            })
-            .unwrap();
-        g.connect_shared(p, "out", c, "in").unwrap();
-        g.run().unwrap();
-        let slow = counts[0].load(Ordering::Relaxed);
-        let fast = counts[1].load(Ordering::Relaxed);
-        assert_eq!(slow + fast, 200);
-        assert!(
-            fast > 3 * slow,
-            "demand-driven queue should favour the fast consumer (fast={fast}, slow={slow})"
-        );
-    }
-
-    #[test]
-    fn mixed_shared_and_addressed_wiring_rejected() {
-        let mut g = GraphBuilder::new();
-        let p1 = g
-            .add_filter("p1", vec![0], |_| Box::new(Producer { count: 1 }))
-            .unwrap();
-        let p2 = g
-            .add_filter("p2", vec![0], |_| Box::new(Producer { count: 1 }))
-            .unwrap();
-        let c = g
-            .add_filter("c", vec![1], |_| {
-                Box::new(Collector {
-                    sum: Arc::new(AtomicU64::new(0)),
-                })
-            })
-            .unwrap();
-        g.connect(p1, "out", c, "in").unwrap();
-        let err = g.connect_shared(p2, "out", c, "in").unwrap_err();
-        assert!(
-            matches!(err, mssg_types::VerifyError::MixedWiring { .. }),
-            "got {err:?}"
-        );
     }
 
     #[test]

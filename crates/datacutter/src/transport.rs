@@ -11,7 +11,9 @@
 //! [`EndpointSpec`] table from the same graph description (specs are
 //! assigned in stream-declaration order), which is what lets separate
 //! processes agree on stream ids without any coordination beyond the
-//! topology handshake.
+//! topology handshake. Every endpoint is addressed: one receive queue
+//! per consumer copy's input port, on the node that copy is placed on, so
+//! every stream can cross a process boundary.
 //!
 //! [`GraphBuilder`]: crate::GraphBuilder
 
@@ -21,11 +23,6 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, 
 use mssg_types::{GraphStorageError, Result};
 use std::collections::HashMap;
 use std::time::Duration;
-
-/// Accounting destination for shared (demand-driven) queues: a
-/// distributed queue crosses the network by design, so its traffic is
-/// charged remote regardless of placement.
-pub const SHARED_NODE: NodeId = usize::MAX;
 
 /// What a blocking receive produced.
 #[derive(Debug)]
@@ -64,8 +61,7 @@ pub trait RxEndpoint: Send {
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<DataBuffer>;
 
-    /// A second handle on the same endpoint (for supervised restarts and
-    /// shared-queue consumer copies).
+    /// A second handle on the same endpoint (for supervised restarts).
     fn clone_endpoint(&self) -> Box<dyn RxEndpoint>;
 }
 
@@ -75,8 +71,7 @@ pub trait TxEndpoint: Send {
     /// Blocks until the buffer is accepted, up to `timeout` if given.
     fn send(&self, buf: DataBuffer, timeout: Option<Duration>) -> SendOutcome;
 
-    /// Node the consumer endpoint lives on, for locality accounting
-    /// ([`SHARED_NODE`] for shared queues).
+    /// Node the consumer endpoint lives on, for locality accounting.
     fn dst_node(&self) -> NodeId;
 
     /// Bytes a payload of `payload_len` puts on the wire: the payload
@@ -95,7 +90,7 @@ pub trait TxEndpoint: Send {
 }
 
 /// One logical stream endpoint: the receive queue of one consumer copy's
-/// input port (or the single shared queue of a demand-driven stream).
+/// input port.
 /// Derived deterministically from the graph, identical in every process.
 #[derive(Clone, Debug)]
 pub struct EndpointSpec {
@@ -106,12 +101,10 @@ pub struct EndpointSpec {
     pub filter: String,
     /// Consumer input port name (diagnostics).
     pub in_port: String,
-    /// Consumer copy index (0 for shared endpoints).
+    /// Consumer copy index.
     pub copy: usize,
     /// Node the consumer copy is placed on.
     pub node: NodeId,
-    /// Demand-driven shared queue instead of an addressed per-copy queue.
-    pub shared: bool,
     /// Bounded queue depth (backpressure credit).
     pub capacity: usize,
     /// Producer copies co-located with `node` (they never touch a socket,
@@ -135,8 +128,8 @@ impl EndpointSpec {
 /// `finish` after every local filter has joined.
 pub trait Transport {
     /// Creates the receive side of `spec`. Called exactly once per local
-    /// endpoint; the runtime clones the returned handle for shared-queue
-    /// consumer copies and supervised restarts.
+    /// endpoint; the runtime clones the returned handle for supervised
+    /// restarts.
     fn open_endpoint(&mut self, spec: &EndpointSpec) -> Result<Box<dyn RxEndpoint>>;
 
     /// Creates one producer copy's send handle onto `spec`. Called once
@@ -166,7 +159,7 @@ pub trait Transport {
 pub struct InProc {
     /// Master senders, dropped at `start` so streams close once the
     /// producer-held clones do.
-    masters: HashMap<u64, (Sender<DataBuffer>, NodeId)>,
+    masters: HashMap<u64, Sender<DataBuffer>>,
 }
 
 impl InProc {
@@ -179,13 +172,12 @@ impl InProc {
 impl Transport for InProc {
     fn open_endpoint(&mut self, spec: &EndpointSpec) -> Result<Box<dyn RxEndpoint>> {
         let (tx, rx) = bounded(spec.capacity);
-        let dst = if spec.shared { SHARED_NODE } else { spec.node };
-        self.masters.insert(spec.id, (tx, dst));
+        self.masters.insert(spec.id, tx);
         Ok(Box::new(ChannelRx { rx }))
     }
 
     fn open_sender(&mut self, spec: &EndpointSpec) -> Result<Box<dyn TxEndpoint>> {
-        let (tx, dst) = self.masters.get(&spec.id).ok_or_else(|| {
+        let tx = self.masters.get(&spec.id).ok_or_else(|| {
             GraphStorageError::Unsupported(format!(
                 "no endpoint {} ({}.{}) opened before its sender",
                 spec.id, spec.filter, spec.in_port
@@ -193,7 +185,7 @@ impl Transport for InProc {
         })?;
         Ok(Box::new(ChannelTx {
             tx: tx.clone(),
-            dst: *dst,
+            dst: spec.node,
         }))
     }
 
@@ -298,14 +290,13 @@ impl TxEndpoint for ChannelTx {
 mod tests {
     use super::*;
 
-    fn spec(id: u64, node: NodeId, shared: bool) -> EndpointSpec {
+    fn spec(id: u64, node: NodeId) -> EndpointSpec {
         EndpointSpec {
             id,
             filter: "c".into(),
             in_port: "in".into(),
             copy: 0,
             node,
-            shared,
             capacity: 4,
             local_producers: 1,
             remote_producers: Vec::new(),
@@ -315,8 +306,8 @@ mod tests {
     #[test]
     fn inproc_round_trip_and_close() {
         let mut t = InProc::new();
-        let rx = t.open_endpoint(&spec(0, 1, false)).unwrap();
-        let tx = t.open_sender(&spec(0, 1, false)).unwrap();
+        let rx = t.open_endpoint(&spec(0, 1)).unwrap();
+        let tx = t.open_sender(&spec(0, 1)).unwrap();
         t.start().unwrap();
         assert!(matches!(
             tx.send(DataBuffer::control(7), None),
@@ -335,8 +326,8 @@ mod tests {
     #[test]
     fn inproc_timeouts_and_backpressure() {
         let mut t = InProc::new();
-        let rx = t.open_endpoint(&spec(0, 0, false)).unwrap();
-        let tx = t.open_sender(&spec(0, 0, false)).unwrap();
+        let rx = t.open_endpoint(&spec(0, 0)).unwrap();
+        let tx = t.open_sender(&spec(0, 0)).unwrap();
         t.start().unwrap();
         assert!(matches!(
             rx.recv(Some(Duration::from_millis(5))),
@@ -361,16 +352,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_endpoints_charge_remote() {
-        let mut t = InProc::new();
-        let _rx = t.open_endpoint(&spec(3, 2, true)).unwrap();
-        let tx = t.open_sender(&spec(3, 2, true)).unwrap();
-        assert_eq!(tx.dst_node(), SHARED_NODE);
-    }
-
-    #[test]
     fn sender_without_endpoint_is_an_error() {
         let mut t = InProc::new();
-        assert!(t.open_sender(&spec(9, 0, false)).is_err());
+        assert!(t.open_sender(&spec(9, 0)).is_err());
     }
 }

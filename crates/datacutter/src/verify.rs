@@ -23,8 +23,8 @@
 //! `C` the verifier compares:
 //!
 //! - `credit(C)`: total messages the cycle's buffers can absorb —
-//!   `Σ capacity × queues(stream)`, where an addressed stream has one
-//!   queue per consumer copy and a shared stream has one queue total;
+//!   `Σ capacity × copies(consumer)`, since every stream has one queue
+//!   per consumer copy;
 //! - `window(C)`: the largest burst any producing stage may have in
 //!   flight before it drains its own input —
 //!   `max(send_window(filter, out_port) × copies(filter))` over the
@@ -133,14 +133,9 @@ fn check_consumer_contracts(g: &GraphBuilder, errs: &mut Vec<VerifyError>) {
 }
 
 /// Buffer credit one stream contributes to a cycle: its capacity times
-/// its queue count (addressed streams get one queue per consumer copy).
+/// its queue count, one queue per consumer copy.
 fn stream_credit(g: &GraphBuilder, edge: usize) -> u64 {
-    let s = &g.streams[edge];
-    let queues = if s.shared {
-        1
-    } else {
-        g.filters[s.to].placement.len()
-    };
+    let queues = g.filters[g.streams[edge].to].placement.len();
     g.channel_capacity as u64 * queues as u64
 }
 
@@ -441,28 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_stream_counts_one_queue() {
-        // Shared (demand-driven) self-loop: one queue regardless of the
-        // 4 copies, so credit is just the capacity.
-        let mut g = GraphBuilder::new();
-        g.channel_capacity(3);
-        let x = g.add_filter("x", vec![0, 1, 2, 3], |_| nop()).unwrap();
-        g.connect_shared(x, "work", x, "work").unwrap();
-        let errs = g.verify().unwrap_err();
-        assert!(
-            errs.iter().any(|e| matches!(
-                e,
-                VerifyError::CapacityStarvedCycle {
-                    credit: 3,
-                    window: 4,
-                    ..
-                }
-            )),
-            "4 copies × window 1 > shared credit 3: {errs:?}"
-        );
-    }
-
-    #[test]
     fn builder_rejects_duplicates_at_build_time() {
         let mut g = GraphBuilder::new();
         g.add_filter("same", vec![0], |_| nop()).unwrap();
@@ -485,10 +458,6 @@ mod tests {
         assert!(matches!(
             g.connect(a, "out", c, "in"),
             Err(VerifyError::OutPortConflict { .. })
-        ));
-        assert!(matches!(
-            g.connect_shared(b, "x", b, "in"),
-            Err(VerifyError::MixedWiring { .. })
         ));
     }
 

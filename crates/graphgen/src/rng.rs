@@ -8,15 +8,7 @@
 //! [`Xoshiro256::fork`], which applies the generator's `jump()` function
 //! (equivalent to 2^128 sequential draws).
 
-/// SplitMix64 step; used for seeding and as a cheap standalone mixer.
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
+use mssg_types::splitmix64;
 
 /// The xoshiro256++ generator.
 #[derive(Clone, Debug, PartialEq, Eq)]

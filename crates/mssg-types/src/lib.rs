@@ -17,14 +17,16 @@
 //!   (the prototype's `FastLongArrayStorage`),
 //! - [`GidMap`] / [`GidSet`] — hash tables keyed by vertex id, with a
 //!   hasher specialised to that one word,
-//! - [`fnv1a`] — the byte hash behind digests and topology signatures.
+//! - [`fnv1a`] — the byte hash behind digests and topology signatures,
+//!   and [`splitmix64`] — the seed expander behind generators and fault
+//!   plans.
 
 pub mod adjbuf;
 pub mod edge;
 pub mod error;
-pub mod fnv;
 pub mod gid;
 pub mod gidmap;
+pub mod hash;
 pub mod meta;
 pub mod ontology;
 pub mod verify;
@@ -32,9 +34,9 @@ pub mod verify;
 pub use adjbuf::AdjBuffer;
 pub use edge::{Edge, TypedEdge};
 pub use error::{GraphStorageError, Result};
-pub use fnv::fnv1a;
 pub use gid::Gid;
 pub use gidmap::{GidMap, GidSet};
+pub use hash::{fnv1a, splitmix64};
 pub use meta::{Meta, MetaOp, UNVISITED};
 pub use ontology::{EdgeTypeId, Ontology, OntologyError, VertexTypeId};
 pub use verify::VerifyError;

@@ -51,15 +51,6 @@ pub enum VerifyError {
         /// Destination of the offending second connection.
         second: String,
     },
-    /// An input port was fed by both shared (demand-driven) and
-    /// addressed streams; the runtime cannot mix queue disciplines on
-    /// one port.
-    MixedWiring {
-        /// Consuming filter.
-        filter: String,
-        /// The port with mixed disciplines.
-        in_port: String,
-    },
     /// A filter declared an input port that no stream feeds.
     UnconnectedInPort {
         /// The filter whose declaration is unmet.
@@ -138,10 +129,6 @@ impl fmt::Display for VerifyError {
             } => write!(
                 f,
                 "output port {filter}.{out_port} wired to both {first} and {second}"
-            ),
-            VerifyError::MixedWiring { filter, in_port } => write!(
-                f,
-                "input port {filter}.{in_port} mixes shared and addressed streams"
             ),
             VerifyError::UnconnectedInPort { filter, port } => {
                 write!(f, "declared input port {filter}.{port} is not connected")

@@ -31,9 +31,8 @@ use crate::conn::{Conn, Listener};
 use crate::tcp::TcpTransport;
 use crate::wire;
 use crate::workload::{self, WorkloadConfig, WorkloadReport};
-use datacutter::splitmix64;
 use mssg_obs::{Counter, Telemetry};
-use mssg_types::{fnv1a, Result};
+use mssg_types::{fnv1a, splitmix64, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};

@@ -64,7 +64,7 @@ use crate::conn::Conn;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
 use datacutter::{
     ChannelRx, ChannelTx, DataBuffer, EndpointSpec, NodeId, RecvOutcome, RxEndpoint, SendOutcome,
-    Transport, TxEndpoint, SHARED_NODE,
+    Transport, TxEndpoint,
 };
 use mssg_modelcheck::shim;
 use mssg_obs::{Counter, Heartbeat, NodeTelemetry, Telemetry};
@@ -491,7 +491,7 @@ pub struct TcpTransport {
     ship_telemetry: bool,
     /// Master senders of purely local endpoints, dropped at `start`
     /// exactly like `InProc`.
-    masters: HashMap<u64, (Sender<DataBuffer>, NodeId)>,
+    masters: HashMap<u64, Sender<DataBuffer>>,
 }
 
 impl TcpTransport {
@@ -789,12 +789,9 @@ impl Transport for TcpTransport {
             )));
         }
         if spec.remote_producers.is_empty() {
-            // Purely local (all shared queues land here: the planner
-            // restricts distributed shared streams to one node). Exact
-            // InProc behavior.
+            // Purely local: exact InProc behavior.
             let (tx, rx) = bounded(spec.capacity);
-            let dst = if spec.shared { SHARED_NODE } else { spec.node };
-            self.masters.insert(spec.id, (tx, dst));
+            self.masters.insert(spec.id, tx);
             return Ok(Box::new(ChannelRx::new(rx)));
         }
         let stream = stream_id(spec)?;
@@ -832,13 +829,13 @@ impl Transport for TcpTransport {
     fn open_sender(&mut self, spec: &EndpointSpec) -> Result<Box<dyn TxEndpoint>> {
         if spec.node == self.my_node && spec.remote_producers.is_empty() {
             // Purely local endpoint: a plain channel clone, as in-process.
-            let (tx, dst) = self.masters.get(&spec.id).ok_or_else(|| {
+            let tx = self.masters.get(&spec.id).ok_or_else(|| {
                 GraphStorageError::Unsupported(format!(
                     "no endpoint {} ({}.{}) opened before its sender",
                     spec.id, spec.filter, spec.in_port
                 ))
             })?;
-            return Ok(Box::new(ChannelTx::new(tx.clone(), *dst)));
+            return Ok(Box::new(ChannelTx::new(tx.clone(), spec.node)));
         }
         let stream = stream_id(spec)?;
         let cell = Arc::clone(
@@ -1419,7 +1416,6 @@ mod tests {
             in_port: "in".into(),
             copy: 0,
             node,
-            shared: false,
             capacity,
             local_producers: 0,
             remote_producers: remote,

@@ -20,7 +20,6 @@ fn spec(id: u64, node: NodeId, capacity: usize, remote: Vec<(NodeId, usize)>) ->
         in_port: "in".into(),
         copy: 0,
         node,
-        shared: false,
         capacity,
         local_producers: 0,
         remote_producers: remote,
