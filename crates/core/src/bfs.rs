@@ -45,14 +45,16 @@
 //! answers the path *length* (Algorithm 1's output), so nothing is tracked
 //! per fringe vertex and every level is one `expand_fringe` call.
 //!
-//! Fringe routing handles the three distribution cases of Algorithm 1:
+//! Fringe routing reads one function, the cluster placement's
+//! [`owner`](crate::Declustering::owner), which covers the three
+//! distribution cases of Algorithm 1:
 //!
 //! - **vertex granularity + globally known mapping** (`GID % p`): fringe
 //!   vertices are sent straight to their owners,
-//! - **vertex granularity + ingestion-published map**: likewise, using the
-//!   owner map published by the round-robin ingestion,
-//! - **edge granularity / unknown ownership**: the fringe is broadcast to
-//!   all processors, and every processor owns every vertex.
+//! - **vertex granularity + first-come map**: likewise, to the owners the
+//!   round-robin ingestion assigned,
+//! - **edge granularity**: no one node owns a vertex, so the fringe is
+//!   broadcast to all processors, and every processor owns every vertex.
 //!
 //! Algorithm 2 differs only in the send discipline: the kernel runs over
 //! `threshold`-sized chunks of the slice, a batch goes out as soon as it
@@ -61,12 +63,13 @@
 //! remaining expansion.
 
 use crate::cluster::{MssgCluster, SharedBackend};
+use crate::decluster::Declustering;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
 use datacutter::superstep::{one_word, records, Barrier, Peers, Phase};
 use datacutter::DataBuffer;
-use mssg_types::{AdjBuffer, Gid, GidMap, GraphStorageError, MetaOp, Result};
+use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
 use simio::IoStats;
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -163,32 +166,6 @@ impl SearchMetrics {
     }
 }
 
-/// How fringe vertices find their owners.
-#[derive(Clone)]
-enum Routing {
-    /// `GID % p`.
-    Hash(usize),
-    /// Ingestion-published ownership.
-    Map(Arc<GidMap<usize>>),
-    /// Unknown ownership: broadcast.
-    Broadcast,
-}
-
-impl Routing {
-    /// The processor to send `v` to; `None` means broadcast.
-    fn target(&self, v: Gid) -> Option<usize> {
-        match self {
-            Routing::Hash(p) => Some((v.raw() % *p as u64) as usize),
-            Routing::Map(m) => m.get(&v).copied(),
-            Routing::Broadcast => None,
-        }
-    }
-
-    fn is_broadcast(&self) -> bool {
-        matches!(self, Routing::Broadcast)
-    }
-}
-
 /// A round's first phase, the level: fringe batches of vertices, then a
 /// marker.
 pub(crate) const LEVEL: Phase = Phase::nth(0);
@@ -223,18 +200,11 @@ pub fn bfs(
             telemetry: TelemetryReport::default(),
         });
     }
-    let routing = if cluster.broadcast_fringe() {
-        Routing::Broadcast
-    } else if let Some(map) = cluster.owner_map() {
-        Routing::Map(Arc::clone(map))
-    } else {
-        Routing::Hash(p)
-    };
     let search = BfsFilter {
         visited_kind: options.visited,
         scratch: cluster.dir().join("scratch"),
         io_stats: (0..p).map(|i| cluster.io_stats(i)).collect(),
-        routing,
+        placement: cluster.placement().clone(),
         ends: [source, dest],
         mode: options.mode,
         db_filter: options.db_filter,
@@ -268,7 +238,9 @@ struct BfsFilter {
     scratch: PathBuf,
     /// Per node, for the external visited structure's I/O accounting.
     io_stats: Vec<Arc<IoStats>>,
-    routing: Routing,
+    /// A snapshot of the cluster's placement: where each vertex's
+    /// adjacency lives, or `None` where every node holds part of it.
+    placement: Declustering,
     /// Where each side starts: the source, then the destination.
     ends: [Gid; 2],
     mode: BfsMode,
@@ -372,7 +344,7 @@ impl BfsFilter {
         };
         for i in 0..t.fresh.len() {
             let u = t.fresh[i];
-            let target = self.routing.target(u);
+            let target = self.placement.owner(u);
             if target.is_none_or(|owner| owner == t.me) {
                 t.next.push(u);
             }
@@ -431,24 +403,22 @@ impl BfsFilter {
         let mut met: Option<Gid> = None;
         let mut round: u32 = 1;
 
-        // Initialisation: each end's owner (everyone, under broadcast
-        // routing) seeds its side.
+        // Initialisation: each end's owner (everyone, when no one node owns
+        // it) seeds its side. Global frontier sizes are as the tallies count
+        // them: every copy holding a vertex counts it.
+        let mut sizes = [1; 2];
         for (side, end) in self.ends.into_iter().enumerate() {
-            if self.routing.is_broadcast() || self.routing.target(end) == Some(me) {
+            let owner = self.placement.owner(end);
+            if owner.is_none_or(|owner| owner == me) {
                 t.fresh.clear();
                 t.visited[side].visit_new(&[end], &mut t.fresh)?;
                 t.book_fresh(side)?;
                 frontiers[side].push(end);
             }
+            if owner.is_none() {
+                sizes[side] = peers.copies() as u64;
+            }
         }
-        // Global frontier sizes as the tallies count them: under broadcast
-        // routing every copy holds, and counts, the whole frontier.
-        let seeded = if self.routing.is_broadcast() {
-            peers.copies() as u64
-        } else {
-            1
-        };
-        let mut sizes = [seeded; 2];
         // The side that expanded last round: round 1's tie goes to the
         // source.
         let mut side = 1;
@@ -725,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn owner_map_routing_for_vertex_rr() {
+    fn vertex_rr_routes_by_the_placement() {
         let cluster = build_cluster(
             "rrmap",
             3,
@@ -733,7 +703,9 @@ mod tests {
             path_edges(10),
             DeclusterKind::VertexRoundRobin,
         );
-        assert!(cluster.owner_map().is_some());
+        // First seen, first dealt: 0, 1, 2, … go to nodes 0, 1, 2, 0, …
+        let placement = cluster.placement();
+        assert_eq!(placement.owner(g(4)), Some(1));
         let m = bfs(&cluster, g(0), g(7), &BfsOptions::default()).unwrap();
         assert_eq!(m.path_length, Some(7));
     }

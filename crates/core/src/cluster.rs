@@ -7,12 +7,13 @@
 //! (DESIGN.md §2).
 
 use crate::backend::{open_backend, BackendKind, BackendOptions};
+use crate::decluster::{DeclusterKind, Declustering};
 use crate::epoch::EpochManager;
 use crate::telemetry::TelemetryReport;
 use datacutter::RunReport;
 use graphdb::GraphDb;
 use mssg_obs::Telemetry;
-use mssg_types::{GidMap, Result};
+use mssg_types::Result;
 use parking_lot::Mutex;
 use simio::{IoSnapshot, IoStats};
 use std::path::{Path, PathBuf};
@@ -29,12 +30,9 @@ pub struct MssgCluster {
     stats: Vec<Arc<IoStats>>,
     kind: BackendKind,
     dir: PathBuf,
-    /// Vertex-owner map published by a `VertexRoundRobin` ingestion; used
-    /// by searches that may consult the ingestion service's knowledge.
-    pub(crate) owner_map: Option<Arc<GidMap<usize>>>,
-    /// Set by an edge-granularity ingestion: ownership is unknowable, so
-    /// searches must broadcast their fringes (Algorithm 1's third case).
-    pub(crate) broadcast_fringe: bool,
+    /// Where every vertex and entry lives: fixed by the first ingest into
+    /// the empty cluster, continued by every later one (`ingest`).
+    pub(crate) placement: Declustering,
     /// Telemetry bundle handed to every service run over this cluster.
     telemetry: Telemetry,
     /// Epoch counter/gate advanced by ingestion at checkpoint boundaries
@@ -70,8 +68,7 @@ impl MssgCluster {
             stats,
             kind,
             dir: dir.to_path_buf(),
-            owner_map: None,
-            broadcast_fringe: false,
+            placement: Declustering::new(DeclusterKind::default(), nodes),
             telemetry: Telemetry::disabled(),
             epoch: Arc::new(EpochManager::new()),
         })
@@ -194,14 +191,12 @@ impl MssgCluster {
             .sum()
     }
 
-    /// The owner map published by a vertex-round-robin ingestion, if any.
-    pub fn owner_map(&self) -> Option<&Arc<GidMap<usize>>> {
-        self.owner_map.as_ref()
-    }
-
-    /// `true` when searches must broadcast fringes (edge granularity).
-    pub fn broadcast_fringe(&self) -> bool {
-        self.broadcast_fringe
+    /// Which node holds each vertex's adjacency: the one placement ingest
+    /// assigns from and BFS and components route by. A new cluster is placed
+    /// by `VertexHash` — also one reopened over stored data, since the
+    /// placement is not written to the nodes' disks.
+    pub fn placement(&self) -> &Declustering {
+        &self.placement
     }
 }
 

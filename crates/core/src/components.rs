@@ -15,12 +15,15 @@
 //!    local GraphDB and reports them to their hash owners, which hold the
 //!    label state.
 //! 2. Rounds: owners push the labels of recently-changed vertices to
-//!    wherever those vertices' adjacency lists live (locally under
-//!    vertex-hash declustering; broadcast otherwise), the storage nodes
-//!    expand them, and propose `min(label)` to each neighbour's owner.
+//!    wherever those vertices' adjacency lists live, by the cluster's
+//!    placement (the label's own node under vertex-hash declustering, the
+//!    first-come owner under vertex round-robin, every node under edge
+//!    granularity), the storage nodes expand them, and propose
+//!    `min(label)` to each neighbour's hash owner.
 //! 3. A round with zero label changes anywhere terminates the algorithm.
 
 use crate::cluster::{MssgCluster, SharedBackend};
+use crate::decluster::{hash_node, Declustering};
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use datacutter::superstep::{Peers, Phase};
@@ -46,8 +49,8 @@ pub struct ComponentsResult {
 
 /// Stored vertices, to their hash owners.
 pub(crate) const REGISTER: Phase = Phase::nth(0);
-/// (vertex, label) of every vertex whose label changed, to where its
-/// adjacency lives.
+/// (vertex, label) of every vertex whose label changed, to its owner in the
+/// placement, or to every copy where no one node owns it.
 pub(crate) const FRONTIER: Phase = Phase::nth(1);
 /// (neighbour, label) proposals, to the neighbour's hash owner.
 pub(crate) const PROPOSE: Phase = Phase::nth(2);
@@ -59,16 +62,14 @@ pub(crate) const KINDS: u64 = 8;
 /// ends on a marker from every peer, so a dead filter surfaces as a typed
 /// `Timeout` after the 120 s analysis deadline instead of a hang.
 pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
-    // Frontier labels can stay local only when storage placement equals
-    // the hash placement of label state.
-    let storage_is_hash = !cluster.broadcast_fringe() && cluster.owner_map().is_none();
+    let placement = cluster.placement().clone();
     let (copies, telemetry) = superstep::run(
         cluster,
         "components",
         KINDS,
         Some(superstep::DEADLINE),
         None,
-        move |peers, backend| propagate(peers, backend, storage_is_hash),
+        move |peers, backend| propagate(peers, backend, &placement),
     )?;
     let mut sizes: HashMap<u64, u64> = HashMap::new();
     let mut rounds = 0;
@@ -93,17 +94,18 @@ pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
 fn propagate(
     peers: &mut Peers<'_>,
     backend: &SharedBackend,
-    storage_is_hash: bool,
+    placement: &Declustering,
 ) -> Result<(HashMap<u64, u64>, u32)> {
     let p = peers.copies();
-    let hash_owner = |v: u64| (v % p as u64) as usize;
     // Pending records per owner, reused by every phase that routes by owner.
     let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
+    // Frontier records of vertices no one node owns, for every copy.
+    let mut everywhere: Vec<u64> = Vec::new();
 
     // ---- registration ----
     let local = backend.lock().local_vertices()?;
     for v in local {
-        batches[hash_owner(v.raw())].push(v.raw());
+        batches[hash_node(v, p)].push(v.raw());
     }
     // Labels of the vertices this processor owns (hash placement).
     let mut labels: GidMap<u64> = GidMap::default();
@@ -120,14 +122,22 @@ fn propagate(
     let mut adj = AdjBuffer::new();
     for round in 1..=superstep::MAX_ROUNDS {
         rounds = round;
-        // Phase A: the frontier goes to wherever adjacency lives — here,
-        // when the owner stores the adjacency too; everywhere otherwise.
-        // The barrier keeps rounds aligned either way.
-        if !storage_is_hash {
-            peers.send_all(FRONTIER.data, round, &frontier)?;
+        // Phase A: each record goes to where its vertex's adjacency lives —
+        // under vertex-hash declustering the label's own node, so nothing
+        // moves. The barrier keeps rounds aligned either way.
+        for record in frontier.chunks_exact(2) {
+            match placement.owner(Gid::from_raw(record[0])) {
+                Some(owner) => batches[owner].extend_from_slice(record),
+                None => everywhere.extend_from_slice(record),
+            }
+        }
+        let mut own = peers.scatter(FRONTIER.data, round, &mut batches)?;
+        if !everywhere.is_empty() {
+            peers.send_all(FRONTIER.data, round, &everywhere)?;
+            own.append(&mut everywhere);
         }
         to_expand.clear();
-        peers.finish::<2>(FRONTIER, round, &frontier, 0, |[v, label]| {
+        peers.finish::<2>(FRONTIER, round, &own, 0, |[v, label]| {
             to_expand.push((Gid::from_raw(v), label));
             Ok(())
         })?;
@@ -142,7 +152,7 @@ fn propagate(
                     // label[u] starts at u and only decreases, so a
                     // proposal ≥ u can never win — skip it at the source.
                     if label < u.raw() {
-                        batches[hash_owner(u.raw())].extend([u.raw(), label]);
+                        batches[hash_node(u, p)].extend([u.raw(), label]);
                     }
                 }
             }

@@ -9,6 +9,7 @@
 //! many nodes) and fold the totals into a histogram.
 
 use crate::cluster::MssgCluster;
+use crate::decluster::hash_node;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use datacutter::superstep::Phase;
@@ -58,7 +59,7 @@ pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
                 let mut db = backend.lock();
                 for v in db.local_vertices()? {
                     let deg = db.degree(v)? as u64;
-                    batches[(v.raw() % p as u64) as usize].extend([v.raw(), deg]);
+                    batches[hash_node(v, p)].extend([v.raw(), deg]);
                 }
             }
             // Sum partials for the vertices this processor hash-owns.

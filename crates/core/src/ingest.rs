@@ -10,11 +10,20 @@
 //!
 //! The source models the external data feed: it cuts the incoming edge
 //! stream into fixed-size *windows* ("blocks") and deals them round-robin
-//! to the front-end ingestion nodes. Each ingestion filter runs the
-//! declustering strategy over its windows and ships per-back-end batches
-//! of *directed* entries to the store filters, which append them to their
-//! local GraphDB instances. Varying the number of front-ends reproduces
-//! the Figure 5.3 experiment; varying back-ends, Figure 5.5.
+//! to the front-end ingestion nodes. Each ingestion filter places the two
+//! directed entries of every edge in its windows by the cluster's
+//! [`Declustering`] and ships per-back-end batches to the store filters,
+//! which append them to their local GraphDB instances. Varying the number
+//! of front-ends reproduces the Figure 5.3 experiment; varying back-ends,
+//! Figure 5.5.
+//!
+//! The placement is the cluster's, not one call's: the first ingest into an
+//! empty cluster fixes its kind, and every later one — a second stream, or
+//! a `resume` of a killed run — continues it. `VertexHash` and
+//! `EdgeRoundRobin` place an entry by its edge and stream position (window
+//! id × `window_edges` + offset), so any front-end can place any window.
+//! `VertexRoundRobin` hands each new vertex the next node in stream order;
+//! its first-come map lives in the cluster, and it runs on one front-end.
 //!
 //! There is one distribution path — the round-robin deal above — and one
 //! store path (DESIGN.md §10). Each store copy applies windows in
@@ -26,37 +35,31 @@
 //! before each `store_edges` call.
 
 use crate::cluster::MssgCluster;
+pub use crate::decluster::DeclusterKind;
 use crate::decluster::Declustering;
 use crate::telemetry::TelemetryReport;
 use datacutter::{DataBuffer, FaultPlan, Filter, FilterContext, GraphBuilder};
-use mssg_types::{Edge, Gid, Meta, Ontology, Result, TypedEdge, UNVISITED};
+use mssg_types::{Edge, Gid, GraphStorageError, Meta, Ontology, Result, TypedEdge, UNVISITED};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which declustering strategy the ingestion runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeclusterKind {
-    /// Vertex granularity, `GID % p` (globally known).
-    #[default]
-    VertexHash,
-    /// Vertex granularity, first-seen round-robin.
-    VertexRoundRobin,
-    /// Edge granularity round-robin.
-    EdgeRoundRobin,
-}
-
 /// Ingestion configuration.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
     /// Number of front-end ingestion nodes. The stored graph does not
-    /// depend on it: the stores apply windows in ascending id order.
+    /// depend on it: entries are placed by their stream position, and the
+    /// stores apply windows in ascending id order. `VertexRoundRobin`
+    /// places vertices in stream order and needs exactly one
+    /// (`Unsupported` otherwise).
     pub front_ends: usize,
     /// Edges per streaming window (thesis "blocks of a predetermined
     /// size, each of which fits into memory").
     pub window_edges: usize,
-    /// Declustering strategy.
+    /// The cluster's declustering. The first ingest into an empty cluster
+    /// fixes it; naming another on a cluster that stores entries is
+    /// `Unsupported`.
     pub declustering: DeclusterKind,
     /// Resume a killed-and-restarted ingestion: windows the checkpoint
     /// shows as already durably stored are skipped instead of duplicated
@@ -68,8 +71,6 @@ pub struct IngestOptions {
     /// before the run fails — see `GraphBuilder::supervise`. 0 (default)
     /// keeps the classic fail-stop behaviour.
     pub max_restarts: u32,
-    /// Base backoff between supervised restarts (doubles per attempt).
-    pub restart_backoff: Duration,
     /// Per-stream send/recv deadline; a dead filter then surfaces as a
     /// typed timeout error instead of a hang. `None` (default) blocks
     /// indefinitely.
@@ -86,7 +87,6 @@ impl Default for IngestOptions {
             declustering: DeclusterKind::VertexHash,
             resume: false,
             max_restarts: 0,
-            restart_backoff: Duration::from_millis(25),
             stream_timeout: None,
             fault_plan: None,
         }
@@ -142,13 +142,25 @@ pub fn ingest(
     );
     let p = cluster.nodes();
     let f = options.front_ends;
+    let kind = options.declustering;
+    if kind == DeclusterKind::VertexRoundRobin && f > 1 {
+        return Err(GraphStorageError::Unsupported(format!(
+            "VertexRoundRobin places vertices in stream order, on one front-end, not {f}"
+        )));
+    }
+    if kind != cluster.placement.kind() {
+        if cluster.total_entries() > 0 {
+            return Err(GraphStorageError::Unsupported(format!(
+                "a {kind:?} ingest into a cluster placed by {:?}",
+                cluster.placement.kind()
+            )));
+        }
+        cluster.placement = Declustering::new(kind, p);
+    }
     let io_before = cluster.io_snapshot();
-
-    let strategy = Arc::new(Mutex::new(match options.declustering {
-        DeclusterKind::VertexHash => Declustering::vertex_hash(p),
-        DeclusterKind::VertexRoundRobin => Declustering::vertex_round_robin(p),
-        DeclusterKind::EdgeRoundRobin => Declustering::edge_round_robin(p),
-    }));
+    // The run's copy of the placement, extended in place by
+    // `VertexRoundRobin`'s one front-end.
+    let placement = Arc::new(Mutex::new(cluster.placement.clone()));
 
     // Each store copy's cursor: the next window id it applies. A fresh
     // stream starts at window 0 whatever an earlier stream left behind; a
@@ -173,7 +185,9 @@ pub fn ingest(
     if let Some(plan) = &options.fault_plan {
         g.fault_plan(plan.clone());
     }
-    g.supervise(options.max_restarts, options.restart_backoff);
+    // Base backoff between supervised restarts (doubles per attempt).
+    const RESTART_BACKOFF: Duration = Duration::from_millis(25);
+    g.supervise(options.max_restarts, RESTART_BACKOFF);
     // Node layout: back-ends 0..p, front-ends p..p+f, source at p+f.
     let mut source_holder = Some(SourceFilter {
         edges: Box::new(edges),
@@ -185,11 +199,12 @@ pub fn ingest(
     let src = g.add_filter("source", vec![p + f], move |_| {
         Box::new(source_holder.take().expect("source filter built once"))
     })?;
-    let strat = Arc::clone(&strategy);
+    let shared = Arc::clone(&placement);
+    let window_edges = options.window_edges as u64;
     let ing = g.add_filter("ingest", (p..p + f).collect(), move |_| {
         Box::new(IngestFilter {
-            strategy: Arc::clone(&strat),
-            nodes: 0,
+            placement: Arc::clone(&shared),
+            window_edges,
         })
     })?;
     let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
@@ -218,7 +233,11 @@ pub fn ingest(
     g.expect_consumers(ing, "batches", p);
     g.connect(src, "windows", ing, "windows")?;
     g.connect(ing, "batches", store, "batches")?;
-    let report = g.run()?;
+    let report = g.run();
+    // What the run placed stays placed, whether or not it finished: a
+    // `resume` continues the first-come map a killed run left.
+    cluster.placement = placement.lock().clone();
+    let report = report?;
 
     // Every store filter has flushed its last batch and marked its
     // windows durable — a window-checkpoint boundary (DESIGN.md §6) — so
@@ -227,16 +246,6 @@ pub fn ingest(
     // half-ingested windows become visible only once a `resume` replay
     // completes the boundary.
     cluster.epoch_manager().bump();
-
-    // Publish round-robin ownership for later queries.
-    if options.declustering == DeclusterKind::VertexRoundRobin {
-        if let Declustering::VertexRoundRobin { owners, .. } = &*strategy.lock() {
-            cluster.owner_map = Some(Arc::new(owners.clone()));
-        }
-    } else {
-        cluster.owner_map = None;
-    }
-    cluster.broadcast_fringe = options.declustering == DeclusterKind::EdgeRoundRobin;
 
     let edges = *edge_count.lock();
     Ok(IngestReport {
@@ -281,18 +290,18 @@ impl Filter for SourceFilter {
 }
 
 struct IngestFilter {
-    strategy: Arc<Mutex<Declustering>>,
-    /// Back-end count, learned from the strategy at `init`.
-    nodes: usize,
+    /// The run's placement (see `ingest`).
+    placement: Arc<Mutex<Declustering>>,
+    window_edges: u64,
 }
 
 impl Filter for IngestFilter {
-    fn init(&mut self, _ctx: &mut FilterContext) -> Result<()> {
-        self.nodes = self.strategy.lock().nodes();
-        Ok(())
-    }
-
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
+        // A placement that is a function of the edge and its position is
+        // read from this copy's own snapshot, with no lock;
+        // `VertexRoundRobin`'s one copy extends the shared map.
+        let mut own = Some(self.placement.lock().clone())
+            .filter(|own| own.kind() != DeclusterKind::VertexRoundRobin);
         while let Some(window) = ctx.input("windows")?.recv()? {
             let w = window.tag;
             let _span = ctx
@@ -301,12 +310,18 @@ impl Filter for IngestFilter {
                 .span("ingest.window")
                 .with("edges", window.len() as u64 / 16)
                 .with("bytes", window.len() as u64);
-            let mut batches = vec![Vec::new(); self.nodes];
-            for e in window.try_edges()? {
-                for (node, entry) in self.strategy.lock().assign(e) {
+            let mut shared = None;
+            let placement = match own.as_mut() {
+                Some(own) => own,
+                None => &mut **shared.insert(self.placement.lock()),
+            };
+            let mut batches = vec![Vec::new(); placement.nodes()];
+            for (e, pos) in window.try_edges()?.zip(w * self.window_edges..) {
+                for (node, entry) in placement.assign(e, pos) {
                     batches[node].push(entry);
                 }
             }
+            drop(shared);
             // Every back-end hears every window id — including ones it got
             // no edges from — so each node's checkpoint watermark advances
             // over empty windows too.
@@ -453,12 +468,6 @@ pub fn ingest_typed(
     Ok(TypedIngestReport { report, rejected })
 }
 
-/// Convenience for tests and examples: where each vertex's adjacency can
-/// be found after a `VertexHash` ingestion.
-pub fn hash_owner(v: Gid, nodes: usize) -> usize {
-    (v.raw() % nodes as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,7 +499,8 @@ mod tests {
         // Each undirected edge became two directed entries.
         assert_eq!(cluster.total_entries(), 60);
         for v in 0..30u64 {
-            let owner = hash_owner(Gid::new(v), 3);
+            let owner = cluster.placement().owner(Gid::new(v)).unwrap();
+            assert_eq!(owner, v as usize % 3);
             let n = cluster.with_backend(owner, |db| db.neighbors(Gid::new(v)).unwrap());
             assert_eq!(n.len(), 2, "ring vertex {v} has two neighbours");
             for other in 0..3 {
@@ -518,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn vertex_rr_publishes_owner_map() {
+    fn vertex_rr_placement_names_each_owner() {
         let dir = tmpdir("rr");
         let mut cluster =
             MssgCluster::new(&dir, 4, BackendKind::HashMap, &BackendOptions::default()).unwrap();
@@ -527,15 +537,28 @@ mod tests {
             ..Default::default()
         };
         ingest(&mut cluster, ring(20).into_iter(), &opts).unwrap();
-        let owners = cluster
-            .owner_map()
-            .expect("RR ingestion publishes ownership");
-        assert_eq!(owners.len(), 20);
-        // The published map is truthful: the owner really holds the list.
-        for (v, &node) in owners.iter() {
-            let n = cluster.with_backend(node, |db| db.neighbors(*v).unwrap());
+        let placement = cluster.placement();
+        assert_eq!(placement.kind(), DeclusterKind::VertexRoundRobin);
+        // The placement is truthful: the owner really holds the list, and
+        // vertices were dealt round-robin as first seen.
+        for v in 0..20u64 {
+            let node = placement.owner(Gid::new(v)).unwrap();
+            assert_eq!(node, v as usize % 4, "vertex {v}");
+            let n = cluster.with_backend(node, |db| db.neighbors(Gid::new(v)).unwrap());
             assert_eq!(n.len(), 2);
         }
+        // The one front-end decides the first-come order.
+        let two = IngestOptions {
+            front_ends: 2,
+            ..opts
+        };
+        let err = ingest(&mut cluster, ring(20).into_iter(), &two).unwrap_err();
+        assert!(matches!(err, GraphStorageError::Unsupported(_)), "{err}");
+        assert_eq!(
+            cluster.total_entries(),
+            40,
+            "a refused ingest stores nothing"
+        );
     }
 
     #[test]
@@ -572,7 +595,7 @@ mod tests {
         let report_io = cluster.io_snapshot();
         assert!(report_io.block_writes > 0, "grDB must have hit the disk");
         for v in 0..16u64 {
-            let owner = hash_owner(Gid::new(v), 2);
+            let owner = cluster.placement().owner(Gid::new(v)).unwrap();
             let n = cluster.with_backend(owner, |db| db.neighbors(Gid::new(v)).unwrap());
             assert_eq!(n.len(), 2, "vertex {v}");
         }
@@ -679,7 +702,6 @@ mod tests {
     #[test]
     fn killed_ingestion_resumes_without_duplicates() {
         use datacutter::{FaultKind, FaultPlan};
-        use mssg_types::GraphStorageError;
         let dir = tmpdir("resume-kill");
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
@@ -749,7 +771,6 @@ mod tests {
     #[test]
     fn exhausted_restarts_surface_as_typed_error_not_hang() {
         use datacutter::{FaultKind, FaultPlan};
-        use mssg_types::GraphStorageError;
         let dir = tmpdir("exhaust");
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
@@ -821,7 +842,7 @@ mod tests {
                 assert_eq!(cluster.total_entries(), 2 * edges.len() as u64, "{input}");
                 (0..vertices)
                     .map(|v| {
-                        let owner = hash_owner(Gid::new(v), 3);
+                        let owner = cluster.placement().owner(Gid::new(v)).unwrap();
                         cluster.with_backend(owner, |db| db.neighbors(Gid::new(v)).unwrap())
                     })
                     .collect::<Vec<_>>()

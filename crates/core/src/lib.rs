@@ -9,8 +9,9 @@
 //! - [`cluster`] — [`MssgCluster`], the simulated cluster: one thread per
 //!   back-end node, each with its own GraphDB instance rooted in its own
 //!   directory,
-//! - [`decluster`] — the Ingestion service's clustering/declustering
-//!   strategies (vertex-hash, vertex-round-robin, edge-round-robin),
+//! - [`decluster`] — [`Declustering`], the cluster's one placement
+//!   (vertex-hash, vertex-round-robin or edge-round-robin): ingestion
+//!   assigns entries from it, and BFS and components route by it,
 //! - [`ingest`] — the streaming Ingestion service: windows of edges flow
 //!   from front-end filters to back-end store filters,
 //! - [`epoch`] — graph epochs: ingestion advances the cluster epoch at

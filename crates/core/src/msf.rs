@@ -22,6 +22,7 @@
 //! forest unique and testable against a sequential Kruskal oracle.
 
 use crate::cluster::{MssgCluster, SharedBackend};
+use crate::decluster::hash_node;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
 use datacutter::superstep::{Peers, Phase};
@@ -147,7 +148,6 @@ pub fn minimum_spanning_forest(cluster: &MssgCluster) -> Result<MsfResult> {
 fn boruvka(peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Option<Forest>> {
     let me = peers.me();
     let p = peers.copies();
-    let hash_owner = |c: u64| (c % p as u64) as usize;
 
     // ---- registration: replicate the vertex set everywhere ----
     let local = backend.lock().local_vertices()?;
@@ -195,7 +195,7 @@ fn boruvka(peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Option<Fore
             }
         }
         for (c, (w, a, b)) in best {
-            batches[hash_owner(c)].extend([c, w, a.raw(), b.raw()]);
+            batches[hash_node(Gid::from_raw(c), p)].extend([c, w, a.raw(), b.raw()]);
         }
         // Phase B: owners pick global winners per component.
         let mut winners: HashMap<u64, (u64, u64, u64)> = HashMap::new();

@@ -1,7 +1,7 @@
 //! Span tracing: RAII-guarded timed regions with Chrome trace-event JSON
 //! and flamegraph-folded export.
 
-use crate::json;
+use crate::cluster::{ClusterTelemetryReport, NodeTelemetry};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -279,67 +279,21 @@ impl Tracer {
     }
 
     /// Serializes every completed span as Chrome trace-event JSON —
-    /// loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
+    /// loadable in `chrome://tracing` or <https://ui.perfetto.dev>. It is
+    /// the merged cluster trace of one node, 0, at clock offset 0
+    /// ([`ClusterTelemetryReport::chrome_trace_json`]); a lone tracer holds
+    /// no sender spans, so it carries no flow events.
     pub fn chrome_trace_json(&self) -> String {
-        let (spans, threads) = match &self.inner {
-            None => (Vec::new(), HashMap::new()),
-            Some(inner) => (
-                inner.spans.lock().unwrap().clone(),
-                inner.threads.lock().unwrap().clone(),
-            ),
-        };
-        let mut out = String::with_capacity(256 + spans.len() * 128);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut threads: Vec<(u64, String)> = threads.into_iter().collect();
-        threads.sort();
-        for (tid, name) in &threads {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                json::escape(name)
-            )
-            .unwrap();
+        let mut report = ClusterTelemetryReport::new();
+        if self.is_enabled() {
+            let node = NodeTelemetry {
+                spans: self.finished_spans(),
+                threads: self.thread_names(),
+                ..Default::default()
+            };
+            report.add_node(node, 0);
         }
-        for s in &spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            // ts/dur are microseconds; keep nanosecond precision as
-            // fractional digits.
-            write!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":{},\
-                 \"ts\":{}.{:03},\"dur\":{}.{:03},\"args\":{{",
-                s.tid,
-                json::escape(&s.name),
-                s.start_ns / 1_000,
-                s.start_ns % 1_000,
-                s.dur_ns / 1_000,
-                s.dur_ns % 1_000,
-            )
-            .unwrap();
-            for (i, (k, v)) in s.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match v {
-                    FieldValue::U64(n) => write!(out, "{}:{n}", json::escape(k)).unwrap(),
-                    FieldValue::Str(t) => {
-                        write!(out, "{}:{}", json::escape(k), json::escape(t)).unwrap()
-                    }
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+        report.chrome_trace_json()
     }
 
     /// Flamegraph-folded dump: one `path total_self_nanoseconds` line per

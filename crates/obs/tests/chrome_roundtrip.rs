@@ -45,7 +45,11 @@ fn nested_and_interleaved_spans_produce_valid_chrome_json() {
         .iter()
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
         .collect();
-    assert_eq!(metadata.len(), 4, "one thread_name record per worker");
+    assert_eq!(
+        metadata.len(),
+        5,
+        "one process_name record, and one thread_name record per worker"
+    );
 
     // Every complete event carries name, ts, dur, tid; args hold the
     // fields we attached.

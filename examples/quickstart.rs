@@ -54,8 +54,12 @@ fn main() -> mssg::types::Result<()> {
         .collect();
     println!("query service says: {}", svc.run(&cluster, "bfs", &params)?);
 
-    // Direct storage access for one vertex, on its owning node.
-    let owner = mssg::core::ingest::hash_owner(Gid::new(0), cluster.nodes());
+    // Direct storage access for one vertex, on the node the cluster's
+    // placement says holds its adjacency.
+    let owner = cluster
+        .placement()
+        .owner(Gid::new(0))
+        .expect("vertex granularity: one node holds each list");
     let neighbours = cluster.with_backend(owner, |db| {
         use mssg::graphdb::GraphDbExt;
         db.neighbors(Gid::new(0))

@@ -173,19 +173,20 @@ proptest! {
         }
     }
 
-    /// The declustering strategies never lose or duplicate a directed
-    /// entry: the union over all nodes equals the input.
+    /// No declustering loses or duplicates a directed entry: the union
+    /// over all nodes equals the input.
     #[test]
     fn declustering_is_a_partition(edges in arb_edges(20, 200), nodes in 1usize..6) {
-        use mssg::core::decluster::Declustering;
-        for mut strategy in [
-            Declustering::vertex_hash(nodes),
-            Declustering::vertex_round_robin(nodes),
-            Declustering::edge_round_robin(nodes),
+        use mssg::core::decluster::{DeclusterKind, Declustering};
+        for kind in [
+            DeclusterKind::VertexHash,
+            DeclusterKind::VertexRoundRobin,
+            DeclusterKind::EdgeRoundRobin,
         ] {
+            let mut placement = Declustering::new(kind, nodes);
             let mut all: Vec<(usize, Edge)> = Vec::new();
-            for &e in &edges {
-                all.extend(strategy.assign(e));
+            for (&e, pos) in edges.iter().zip(0..) {
+                all.extend(placement.assign(e, pos));
             }
             prop_assert_eq!(all.len(), edges.len() * 2);
             prop_assert!(all.iter().all(|&(n, _)| n < nodes));
