@@ -107,15 +107,15 @@ pub struct BfsOptions {
     /// Per-stream send/recv deadline. A round ends on a marker from every
     /// peer, so a dead storage filter would otherwise hang the search
     /// forever; with the deadline it surfaces as a typed
-    /// `Timeout`/`FilterFailed` error instead.
-    /// Defaults to 120 s; `None` blocks indefinitely (classic semantics).
-    pub recv_timeout: Option<std::time::Duration>,
-    /// Deterministic fault plan for chaos testing the search pipeline.
+    /// `Timeout`/`FilterFailed` error instead. Defaults to 120 s.
+    pub recv_timeout: std::time::Duration,
+    /// Deterministic fault plan for chaos testing the search pipeline,
+    /// over the sites `bfs.{i}`.
     /// Note BFS filters are deliberately *not* supervised: a restarted
     /// peer would have lost its visited set, so mid-search crashes are
     /// fail-stop and the caller retries the whole (idempotent, read-only)
     /// search.
-    pub fault_plan: Option<datacutter::FaultPlan>,
+    pub fault_plan: Option<datacutter::FaultPlan<datacutter::FaultKind>>,
 }
 
 impl Default for BfsOptions {
@@ -124,7 +124,7 @@ impl Default for BfsOptions {
             mode: BfsMode::Standard,
             visited: VisitedKind::InMemory,
             db_filter: false,
-            recv_timeout: Some(superstep::DEADLINE),
+            recv_timeout: superstep::DEADLINE,
             fault_plan: None,
         }
     }
@@ -802,8 +802,8 @@ mod tests {
             g(0),
             g(12),
             &BfsOptions {
-                recv_timeout: Some(Duration::from_secs(2)),
-                fault_plan: Some(FaultPlan::new().inject("bfs", Some(1), 1, FaultKind::Panic)),
+                recv_timeout: Duration::from_secs(2),
+                fault_plan: Some(FaultPlan::new().inject("bfs.1", 1, FaultKind::Panic)),
                 ..Default::default()
             },
         )

@@ -67,7 +67,7 @@ pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
         cluster,
         "components",
         KINDS,
-        Some(superstep::DEADLINE),
+        superstep::DEADLINE,
         None,
         move |peers, backend| propagate(peers, backend, &placement),
     )?;

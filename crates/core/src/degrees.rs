@@ -49,7 +49,7 @@ pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
         cluster,
         "degrees",
         KINDS,
-        Some(superstep::DEADLINE),
+        superstep::DEADLINE,
         None,
         |peers, backend| {
             let p = peers.copies();

@@ -37,8 +37,9 @@
 use crate::cluster::MssgCluster;
 pub use crate::decluster::DeclusterKind;
 use crate::decluster::Declustering;
+use crate::superstep::DEADLINE;
 use crate::telemetry::TelemetryReport;
-use datacutter::{DataBuffer, FaultPlan, Filter, FilterContext, GraphBuilder};
+use datacutter::{DataBuffer, FaultKind, FaultPlan, Filter, FilterContext, GraphBuilder};
 use mssg_types::{Edge, Gid, GraphStorageError, Meta, Ontology, Result, TypedEdge, UNVISITED};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -61,22 +62,22 @@ pub struct IngestOptions {
     /// fixes it; naming another on a cluster that stores entries is
     /// `Unsupported`.
     pub declustering: DeclusterKind,
-    /// Resume a killed-and-restarted ingestion: windows the checkpoint
-    /// shows as already durably stored are skipped instead of duplicated
-    /// (counted in the `ingest.windows_skipped` metric). Only meaningful
-    /// when the *same* edge stream (and `window_edges`) is replayed into
-    /// the same cluster; off by default.
+    /// Resume a killed-and-restarted ingestion: the windows below each
+    /// node's watermark are already durably stored there and are skipped
+    /// instead of duplicated (counted in the `ingest.windows_skipped`
+    /// metric). Only meaningful when the *same* edge stream (and
+    /// `window_edges`) is replayed into the same cluster; off by default.
     pub resume: bool,
     /// Restart a crashed (panicked) filter copy up to this many times
     /// before the run fails — see `GraphBuilder::supervise`. 0 (default)
     /// keeps the classic fail-stop behaviour.
     pub max_restarts: u32,
-    /// Per-stream send/recv deadline; a dead filter then surfaces as a
-    /// typed timeout error instead of a hang. `None` (default) blocks
-    /// indefinitely.
-    pub stream_timeout: Option<Duration>,
-    /// Deterministic fault plan for chaos testing the pipeline.
-    pub fault_plan: Option<FaultPlan>,
+    /// Per-stream send/recv deadline; a dead filter surfaces as a typed
+    /// timeout error instead of a hang. Defaults to the analyses' 120 s.
+    pub stream_timeout: Duration,
+    /// Deterministic fault plan for chaos testing the pipeline, over the
+    /// sites `source.0`, `ingest.{i}` and `store.{i}`.
+    pub fault_plan: Option<FaultPlan<FaultKind>>,
 }
 
 impl Default for IngestOptions {
@@ -87,32 +88,26 @@ impl Default for IngestOptions {
             declustering: DeclusterKind::VertexHash,
             resume: false,
             max_restarts: 0,
-            stream_timeout: None,
+            stream_timeout: DEADLINE,
             fault_plan: None,
         }
     }
 }
 
-/// `Gid` tag reserved for ingestion-checkpoint metadata keys (tags 1–5
-/// belong to typed application payloads, 7 to `Gid::NIL`).
+/// `Gid` tag reserved for the ingestion checkpoint's metadata key (tags
+/// 1–5 belong to typed application payloads, 7 to `Gid::NIL`).
 const CKPT_TAG: u8 = 6;
-/// Metadata value marking a window as durably stored on a node.
-const CKPT_STORED: Meta = 1;
 
-/// Checkpoint key for window `w` (payload is `w + 1`; payload 0 is the
-/// watermark key).
-fn window_ckpt_gid(w: u64) -> Gid {
-    Gid::tagged(CKPT_TAG, w + 1)
-}
-
-/// Checkpoint key holding a node's watermark: the number of *contiguous*
-/// windows (from window 0) durably stored on that node.
+/// Checkpoint key holding a node's watermark: how many windows of the
+/// latest stream, from window 0, are durably stored on that node. Stores
+/// apply windows in ascending id order, so a node's durable windows are
+/// always such a prefix.
 fn watermark_gid() -> Gid {
     Gid::tagged(CKPT_TAG, 0)
 }
 
-/// Reads a node's ingestion watermark — how many contiguous windows (from
-/// the start of the stream) it has durably stored. The minimum across all
+/// Reads a node's ingestion watermark — how many windows (from the start
+/// of the latest stream) it has durably stored. The minimum across all
 /// nodes is the prefix a resumed ingestion can skip outright.
 pub fn ingest_watermark(db: &mut dyn graphdb::GraphDb) -> Result<u64> {
     let m = db.get_metadata(watermark_gid())?;
@@ -162,26 +157,27 @@ pub fn ingest(
     // `VertexRoundRobin`'s one front-end.
     let placement = Arc::new(Mutex::new(cluster.placement.clone()));
 
-    // Each store copy's cursor: the next window id it applies. A fresh
-    // stream starts at window 0 whatever an earlier stream left behind; a
-    // resumed run starts at the node's watermark, which ascending
-    // application keeps equal to the next id to apply. The source skips
-    // outright every window below the *minimum* watermark — all nodes
-    // already hold those.
+    // Each store copy's cursor: the next window id it applies. A resumed
+    // run starts at the node's watermark. A fresh stream starts at window
+    // 0 and first resets every watermark to 0, so a resume of *this*
+    // stream never trusts what an earlier one left behind. The source
+    // skips outright every window below the *minimum* watermark — all
+    // nodes already hold those.
     let cursors = if options.resume {
         (0..p)
             .map(|i| cluster.with_backend(i, |db| ingest_watermark(db)))
             .collect::<Result<Vec<_>>>()?
     } else {
+        for i in 0..p {
+            cluster.with_backend(i, |db| db.set_metadata(watermark_gid(), 0))?;
+        }
         vec![0; p]
     };
     let resume_from = cursors.iter().copied().min().unwrap_or(0);
 
     let mut g = GraphBuilder::new();
     g.telemetry(cluster.telemetry().clone());
-    if let Some(t) = options.stream_timeout {
-        g.stream_timeout(t);
-    }
+    g.stream_timeout(options.stream_timeout);
     if let Some(plan) = &options.fault_plan {
         g.fault_plan(plan.clone());
     }
@@ -208,7 +204,6 @@ pub fn ingest(
         })
     })?;
     let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
-    let resume = options.resume;
     // Built once per copy, outside the factory: a supervised restart
     // rebuilds the filter but hands it the same progress.
     let progress: Vec<_> = cursors
@@ -216,6 +211,7 @@ pub fn ingest(
         .map(|next| {
             Arc::new(Mutex::new(StoreProgress {
                 next,
+                durable: next,
                 ..Default::default()
             }))
         })
@@ -223,7 +219,6 @@ pub fn ingest(
     let store = g.add_filter("store", (0..p).collect(), move |i| {
         Box::new(StoreFilter {
             backend: backends[i].clone(),
-            resume,
             progress: Arc::clone(&progress[i]),
         })
     })?;
@@ -239,8 +234,8 @@ pub fn ingest(
     cluster.placement = placement.lock().clone();
     let report = report?;
 
-    // Every store filter has flushed its last batch and marked its
-    // windows durable — a window-checkpoint boundary (DESIGN.md §6) — so
+    // Every store filter has flushed its last batch and advanced its
+    // watermark — a window-checkpoint boundary (DESIGN.md §6) — so
     // the graph epoch advances. A failed run never reaches this line:
     // queries pinned to the old epoch keep their snapshot, and the
     // half-ingested windows become visible only once a `resume` replay
@@ -346,25 +341,24 @@ struct StoreProgress {
     next: u64,
     /// Windows that arrived ahead of `next`.
     early: BTreeMap<u64, DataBuffer>,
-    /// Entries applied to the batch but not yet stored…
+    /// Entries of the windows in `durable..next`, not yet stored.
     batch: Vec<Edge>,
-    /// …and the windows they came from, marked durable once they are.
-    marks: Vec<u64>,
+    /// The watermark last written: every window below it is stored.
+    durable: u64,
 }
 
 struct StoreFilter {
     backend: crate::cluster::SharedBackend,
-    resume: bool,
     progress: Arc<Mutex<StoreProgress>>,
 }
 
 impl StoreFilter {
-    /// Stores the accumulated batch, then durably marks its windows, then
-    /// advances the watermark. A window is never marked before its edges
-    /// are stored: a crash mid-batch leaves its windows unmarked, and a
-    /// `resume` replay re-stores exactly those.
+    /// Stores the accumulated batch, then advances the watermark to the
+    /// cursor. The watermark never passes a window before its edges are
+    /// stored: a crash mid-batch leaves it below them, and a `resume`
+    /// replay re-stores exactly those.
     fn flush_batch(&self, st: &mut StoreProgress) -> Result<()> {
-        if st.marks.is_empty() {
+        if st.durable == st.next {
             return Ok(());
         }
         let mut db = self.backend.lock();
@@ -372,16 +366,8 @@ impl StoreFilter {
             db.store_edges(&st.batch)?;
         }
         st.batch.clear();
-        for &w in &st.marks {
-            db.set_metadata(window_ckpt_gid(w), CKPT_STORED)?;
-        }
-        st.marks.clear();
-        // Advance the contiguous watermark past every marked window.
-        let mut wm = ingest_watermark(db.as_mut())?;
-        while db.get_metadata(window_ckpt_gid(wm))? == CKPT_STORED {
-            wm += 1;
-        }
-        db.set_metadata(watermark_gid(), wm as Meta)?;
+        db.set_metadata(watermark_gid(), st.next as Meta)?;
+        st.durable = st.next;
         Ok(())
     }
 }
@@ -401,20 +387,7 @@ impl Filter for StoreFilter {
             st.early.insert(buf.tag, buf);
             while let Some(window) = st.early.remove(&st.next) {
                 st.next += 1;
-                // Idempotent skip: a resumed run drops windows this node
-                // has already durably stored, making re-delivery harmless.
-                if self.resume
-                    && self
-                        .backend
-                        .lock()
-                        .get_metadata(window_ckpt_gid(window.tag))?
-                        == CKPT_STORED
-                {
-                    skipped.inc();
-                    continue;
-                }
                 st.batch.extend(window.try_edges()?);
-                st.marks.push(window.tag);
                 if st.batch.len() >= batch_entries {
                     self.flush_batch(st)?;
                 }
@@ -423,8 +396,8 @@ impl Filter for StoreFilter {
         // Stream end. A cleanly finished stream delivered every window, so
         // `early` is empty; after an abnormal teardown it may hold windows
         // above a gap. Those are *dropped*, never applied out of order:
-        // they are unmarked, so a resumed replay re-applies them in their
-        // proper place.
+        // they lie above the watermark, so a resumed replay re-applies them
+        // in their proper place.
         let mut guard = self.progress.lock();
         guard.early.clear();
         self.flush_batch(&mut guard)?;
@@ -709,7 +682,7 @@ mod tests {
         // (so it durably stored exactly 3 windows before "the node died").
         let opts = IngestOptions {
             window_edges: 10,
-            fault_plan: Some(FaultPlan::new().inject("store", Some(1), 4, FaultKind::Panic)),
+            fault_plan: Some(FaultPlan::new().inject("store.1", 4, FaultKind::Panic)),
             ..Default::default()
         };
         let err = ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap_err();
@@ -724,9 +697,9 @@ mod tests {
             3
         );
 
-        // Replay the same stream with `resume`: stored windows are skipped
-        // (idempotent), missing ones are stored — converging on exactly
-        // the fault-free result.
+        // Replay the same stream with `resume`: windows below each node's
+        // watermark are skipped, the rest are stored — converging on
+        // exactly the fault-free result.
         let opts = IngestOptions {
             window_edges: 10,
             resume: true,
@@ -744,7 +717,7 @@ mod tests {
 
     #[test]
     fn supervised_chaos_ingestion_converges() {
-        use datacutter::FaultPlan;
+        use datacutter::{FaultKind, FaultPlan};
         let dir = tmpdir("chaos");
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
@@ -755,8 +728,13 @@ mod tests {
         let opts = IngestOptions {
             window_edges: 8,
             max_restarts: 5,
-            fault_plan: Some(FaultPlan::new().panics(42, "store", 2, 3, 12)),
-            stream_timeout: Some(Duration::from_secs(30)),
+            fault_plan: Some(
+                FaultPlan::new()
+                    .inject("store.1", 2, FaultKind::Panic)
+                    .inject("store.0", 8, FaultKind::Panic)
+                    .inject("store.1", 11, FaultKind::Panic),
+            ),
+            stream_timeout: Duration::from_secs(30),
             ..Default::default()
         };
         let report = ingest(&mut cluster, ring(120).into_iter(), &opts).unwrap();
@@ -782,10 +760,10 @@ mod tests {
             max_restarts: 1,
             fault_plan: Some(
                 FaultPlan::new()
-                    .inject("store", Some(0), 2, FaultKind::Panic)
-                    .inject("store", Some(0), 3, FaultKind::Panic),
+                    .inject("store.0", 2, FaultKind::Panic)
+                    .inject("store.0", 3, FaultKind::Panic),
             ),
-            stream_timeout: Some(Duration::from_secs(30)),
+            stream_timeout: Duration::from_secs(30),
             ..Default::default()
         };
         let start = std::time::Instant::now();
@@ -814,7 +792,7 @@ mod tests {
         assert_eq!(cluster.total_entries(), 200);
         for i in 0..2 {
             let wm = cluster.with_backend(i, |db| ingest_watermark(db).unwrap());
-            assert_eq!(wm, 10, "deferred marks still cover every window");
+            assert_eq!(wm, 10, "the deferred flush still covers every window");
         }
     }
 
@@ -862,17 +840,17 @@ mod tests {
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::Grdb, &BackendOptions::default()).unwrap();
         // grDB's batch never fills before the crash, so nothing this copy
-        // received was flushed — and nothing may be marked durable.
+        // received was flushed — and the watermark may not pass any of it.
         let opts = IngestOptions {
             window_edges: 10,
-            fault_plan: Some(FaultPlan::new().inject("store", Some(1), 4, FaultKind::Panic)),
+            fault_plan: Some(FaultPlan::new().inject("store.1", 4, FaultKind::Panic)),
             ..Default::default()
         };
         ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap_err();
         assert_eq!(
             cluster.with_backend(1, |db| ingest_watermark(db).unwrap()),
             0,
-            "unflushed windows stay unmarked"
+            "unflushed windows stay above the watermark"
         );
         let retry = IngestOptions {
             window_edges: 10,

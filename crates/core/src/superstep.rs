@@ -11,7 +11,7 @@
 use crate::cluster::{MssgCluster, SharedBackend};
 use crate::telemetry::TelemetryReport;
 use datacutter::superstep::{Peers, PORT};
-use datacutter::{FaultPlan, Filter, FilterContext, GraphBuilder};
+use datacutter::{FaultKind, FaultPlan, Filter, FilterContext, GraphBuilder};
 use mssg_types::{GraphStorageError, Result};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -20,7 +20,8 @@ use std::time::Duration;
 /// Rounds after which a program gives up.
 pub(crate) const MAX_ROUNDS: u32 = 10_000;
 
-/// The stream deadline of an analysis that has no option for it.
+/// The stream deadline of every pipeline: what an analysis with no option
+/// for it uses, and what `BfsOptions` and `IngestOptions` default to.
 pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
 
 type Program<T> = dyn Fn(&mut Peers<'_>, &SharedBackend) -> Result<T> + Send + Sync;
@@ -32,8 +33,8 @@ pub(crate) fn run<T: Send + 'static>(
     cluster: &MssgCluster,
     name: &str,
     kinds: u64,
-    timeout: Option<Duration>,
-    fault_plan: Option<&FaultPlan>,
+    timeout: Duration,
+    fault_plan: Option<&FaultPlan<FaultKind>>,
     program: impl Fn(&mut Peers<'_>, &SharedBackend) -> Result<T> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, TelemetryReport)> {
     let p = cluster.nodes();
@@ -42,10 +43,8 @@ pub(crate) fn run<T: Send + 'static>(
     g.channel_capacity(8192);
     g.telemetry(cluster.telemetry().clone());
     // A barrier blocks on a marker from every peer: with the deadline a
-    // dead peer is a typed `Timeout`, without it a hang.
-    if let Some(t) = timeout {
-        g.stream_timeout(t);
-    }
+    // dead peer is a typed `Timeout`, not a hang.
+    g.stream_timeout(timeout);
     // Copies are not supervised: a restarted one would have lost its
     // state, so a crash fails the run and the caller repeats it.
     if let Some(plan) = fault_plan {
@@ -143,7 +142,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        let deadline = Some(Duration::from_secs(10));
+        let deadline = Duration::from_secs(10);
         for (what, kinds, phase, arity) in rows {
             // What copy 1 sends copy 0 in round 1: (fault, kind, words).
             let mut malformed = vec![

@@ -6,7 +6,7 @@
 //! one of these instead of an ad-hoc `(elapsed, net, io)` tuple, so
 //! experiment drivers can print, diff, and merge observations uniformly.
 
-use datacutter::{FaultEvent, FilterTiming, NetSnapshot, RestartEvent, RunReport};
+use datacutter::{FaultEvent, FaultKind, FilterTiming, NetSnapshot, RestartEvent, RunReport};
 use mssg_obs::MetricsSnapshot;
 use simio::IoSnapshot;
 use std::fmt;
@@ -31,7 +31,7 @@ pub struct TelemetryReport {
     /// (empty in a healthy or unsupervised run).
     pub restarts: Vec<RestartEvent>,
     /// Injected faults that fired during the run (chaos testing only).
-    pub faults: Vec<FaultEvent>,
+    pub faults: Vec<FaultEvent<FaultKind>>,
 }
 
 impl TelemetryReport {
@@ -88,11 +88,7 @@ impl fmt::Display for TelemetryReport {
             )?;
         }
         for e in &self.faults {
-            writeln!(
-                f,
-                "fault {}[{}] at op {}: {}",
-                e.filter, e.copy, e.at_op, e.kind
-            )?;
+            writeln!(f, "fault {} at op {}: {:?}", e.site, e.at, e.kind)?;
         }
         if !self.metrics.is_empty() {
             write!(f, "{}", self.metrics)?;

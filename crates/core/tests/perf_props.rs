@@ -55,7 +55,7 @@ proptest! {
 
     /// Parallel front-ends change *when* windows reach the stores, never
     /// *what* is stored or where — fault-free, and when a store copy is
-    /// killed mid-batch (its unflushed windows stay unmarked) and the same
+    /// killed mid-batch (its unflushed windows stay above the watermark) and the same
     /// stream is replayed with `resume`. `VertexRoundRobin` places vertices
     /// in stream order and refuses more than one front-end.
     #[test]
@@ -97,7 +97,7 @@ proptest! {
             for &front_ends in front_ends {
                 let mut killed = cluster(&format!("killed{front_ends}"));
                 let chaos = IngestOptions {
-                    fault_plan: Some(FaultPlan::new().inject("store", Some(1), op, FaultKind::Panic)),
+                    fault_plan: Some(FaultPlan::new().inject("store.1", op, FaultKind::Panic)),
                     ..options(kind, front_ends)
                 };
                 ingest(&mut killed, stream(), &chaos).unwrap_err();
@@ -114,23 +114,40 @@ proptest! {
 }
 
 /// Two different streams ingested back to back into one cluster both land
-/// in full: a fresh stream's windows count from 0 again, whatever
-/// watermark the previous stream left on the nodes, and the second stream
-/// continues the placement the first one fixed.
+/// in full: a fresh stream's windows count from 0 again and it resets the
+/// watermark the previous stream left on the nodes, so a second stream
+/// killed by a store-copy panic resumes from its own progress; and the
+/// second stream continues the placement the first one fixed.
 #[test]
 fn second_stream_into_the_same_cluster_is_stored_in_full() {
     for (name, kind, opts) in backends() {
         for front_ends in [1, 3] {
-            let dir = tmpdir(&format!("two-streams-{name}-{front_ends}"));
-            let mut cluster = MssgCluster::new(&dir, 3, kind, &opts).unwrap();
-            let hash = options(DeclusterKind::VertexHash, front_ends);
-            ingest(&mut cluster, chaos_stream(7, 200).into_iter(), &hash).unwrap();
-            ingest(&mut cluster, chaos_stream(11, 100).into_iter(), &hash).unwrap();
-            assert_eq!(
-                cluster.total_entries(),
-                2 * (200 + 100),
-                "{name}, {front_ends} front-end(s)"
-            );
+            for killed in [false, true] {
+                let dir = tmpdir(&format!("two-streams-{name}-{front_ends}-{killed}"));
+                let mut cluster = MssgCluster::new(&dir, 3, kind, &opts).unwrap();
+                let hash = options(DeclusterKind::VertexHash, front_ends);
+                ingest(&mut cluster, chaos_stream(7, 200).into_iter(), &hash).unwrap();
+                let second = || chaos_stream(11, 100).into_iter();
+                if killed {
+                    let chaos = IngestOptions {
+                        fault_plan: Some(FaultPlan::new().inject("store.1", 4, FaultKind::Panic)),
+                        ..hash.clone()
+                    };
+                    ingest(&mut cluster, second(), &chaos).unwrap_err();
+                    let retry = IngestOptions {
+                        resume: true,
+                        ..hash.clone()
+                    };
+                    ingest(&mut cluster, second(), &retry).unwrap();
+                } else {
+                    ingest(&mut cluster, second(), &hash).unwrap();
+                }
+                assert_eq!(
+                    cluster.total_entries(),
+                    2 * (200 + 100),
+                    "{name}, {front_ends} front-end(s), second stream killed: {killed}"
+                );
+            }
         }
     }
 

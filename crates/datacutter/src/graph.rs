@@ -4,7 +4,7 @@
 //! own queue, chosen per send (targeted, round-robin or broadcast). There
 //! is no shared work queue, so every stream can cross a process boundary.
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::filter::Filter;
 use crate::NodeId;
 use mssg_obs::Telemetry;
@@ -49,7 +49,7 @@ pub struct GraphBuilder {
     pub(crate) channel_capacity: usize,
     pub(crate) telemetry: Telemetry,
     pub(crate) stream_timeout: Option<Duration>,
-    pub(crate) fault_plan: Option<FaultPlan>,
+    pub(crate) fault_plan: Option<FaultPlan<FaultKind>>,
     pub(crate) max_restarts: u32,
     pub(crate) restart_backoff: Duration,
     /// Opt-in port declarations, keyed by filter index.
@@ -110,12 +110,12 @@ impl GraphBuilder {
         self
     }
 
-    /// Attaches a [`FaultPlan`]: the scheduled panics, send errors, and
-    /// stalls are injected at the planned port operations, and every fault
-    /// that fires is recorded in
+    /// Attaches a [`FaultPlan`] over the sites `"{filter}.{copy}"`: the
+    /// scheduled panics, send errors, and stalls are injected at the
+    /// planned port operations, and every fault that fires is recorded in
     /// [`RunReport::faults`](crate::RunReport::faults) and the
     /// `dc.faults_injected` counter.
-    pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
+    pub fn fault_plan(&mut self, plan: FaultPlan<FaultKind>) -> &mut Self {
         self.fault_plan = Some(plan);
         self
     }

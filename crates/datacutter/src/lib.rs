@@ -102,8 +102,11 @@
 //!   a clean error.
 //! - **Fault injection** ([`FaultPlan`], [`GraphBuilder::fault_plan`]):
 //!   deterministic, seed-driven panics, send errors, and stalls at
-//!   chosen port operations, for chaos testing the two mechanisms above.
-//!   Fired faults and restarts are audited in [`RunReport::faults`] /
+//!   chosen port operations of a copy's site `"{filter}.{copy}"`, for
+//!   chaos testing the two mechanisms above. The plan is the workspace's
+//!   one fault grammar, which the wire simulator and the model link in
+//!   `mssg-net` speak too (see [`fault`]). Fired faults and restarts are
+//!   audited in [`RunReport::faults`] /
 //!   [`RunReport::restarts`] and the `dc.faults_injected` / `dc.restarts`
 //!   counters.
 //!
@@ -126,7 +129,7 @@ pub mod transport;
 pub mod verify;
 
 pub use buffer::DataBuffer;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use filter::{Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
 pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};

@@ -2,7 +2,9 @@
 //! connects logical endpoints, and drives the filter lifecycle — the role
 //! DataCutter's runtime plays on a real cluster.
 
-use crate::fault::{panic_message, silence_injected_panics, CopyFaults, FaultEvent};
+use crate::fault::{
+    panic_message, silence_injected_panics, CopyFaults, FaultEvent, FaultKind, FaultLog,
+};
 use crate::filter::{Filter, FilterContext, InPort, OutPort, PortClocks};
 use crate::graph::{FilterFactory, GraphBuilder};
 use crate::netstats::{NetSnapshot, NetStats};
@@ -70,7 +72,7 @@ pub struct RunReport {
     pub restarts: Vec<RestartEvent>,
     /// Injected faults that actually fired (empty without a
     /// [`FaultPlan`](crate::FaultPlan)).
-    pub faults: Vec<FaultEvent>,
+    pub faults: Vec<FaultEvent<FaultKind>>,
 }
 
 /// Derives the deterministic endpoint table — one spec per consumer copy
@@ -277,27 +279,24 @@ fn run_with(
     // peer processes before any filter runs.
     transport.start()?;
 
-    // Attach per-copy fault-injection state wherever the plan targets a
-    // copy (the state is shared by all of the copy's ports and survives
-    // supervised restarts, so fired faults stay fired).
-    let fault_log: Arc<Mutex<Vec<FaultEvent>>> = Arc::new(Mutex::new(Vec::new()));
+    // Attach per-copy fault-injection state wherever the plan schedules a
+    // fault at a copy's site, `"{filter}.{copy}"` (the state is shared by
+    // all of the copy's ports and survives supervised restarts, so fired
+    // faults stay fired).
+    let mut fault_log = None;
     if let Some(plan) = &graph.fault_plan {
         silence_injected_panics();
-        let fault_counter = telemetry.metrics.counter("dc.faults_injected");
+        let log = fault_log.insert(FaultLog::new(
+            telemetry.metrics.counter("dc.faults_injected"),
+        ));
         for (fi, def) in graph.filters.iter().enumerate() {
             for (ci, slot) in contexts[fi].iter_mut().enumerate() {
                 let Some(ctx) = slot else { continue };
-                let specs = plan.for_copy(&def.name, ci);
-                if specs.is_empty() {
+                let site = plan.site(&format!("{}.{ci}", def.name), log);
+                if site.is_empty() {
                     continue;
                 }
-                let state = Arc::new(CopyFaults::new(
-                    def.name.clone(),
-                    ci,
-                    specs,
-                    Arc::clone(&fault_log),
-                    fault_counter.clone(),
-                ));
+                let state = Arc::new(CopyFaults::new(site));
                 for p in ctx.inputs.values_mut() {
                     p.faults = Some(Arc::clone(&state));
                 }
@@ -432,7 +431,7 @@ fn run_with(
         }
     }
     let restarts = restart_log.lock().unwrap().clone();
-    let faults = fault_log.lock().unwrap().clone();
+    let faults = fault_log.map(|log| log.events()).unwrap_or_default();
     Ok(RunReport {
         elapsed: start.elapsed(),
         net: stats.snapshot(),
@@ -704,7 +703,7 @@ mod tests {
         let sum = Arc::new(AtomicU64::new(0));
         let mut g = GraphBuilder::new();
         g.supervise(2, Duration::from_millis(1));
-        g.fault_plan(crate::FaultPlan::new().inject("c", Some(0), 3, crate::FaultKind::Panic));
+        g.fault_plan(crate::FaultPlan::new().inject("c.0", 3, crate::FaultKind::Panic));
         let p = g
             .add_filter("p", vec![0], |_| Box::new(Producer { count: 50 }))
             .unwrap();
@@ -726,7 +725,7 @@ mod tests {
         assert_eq!(report.restarts[0].attempt, 1);
         assert!(report.restarts[0].cause.contains("injected"));
         assert_eq!(report.faults.len(), 1);
-        assert_eq!(report.faults[0].kind, "panic");
+        assert_eq!(report.faults[0].kind, crate::FaultKind::Panic);
     }
 
     #[test]
@@ -735,8 +734,8 @@ mod tests {
         g.supervise(1, Duration::from_millis(1));
         g.fault_plan(
             crate::FaultPlan::new()
-                .inject("c", Some(0), 1, crate::FaultKind::Panic)
-                .inject("c", Some(0), 2, crate::FaultKind::Panic),
+                .inject("c.0", 1, crate::FaultKind::Panic)
+                .inject("c.0", 2, crate::FaultKind::Panic),
         );
         let p = g
             .add_filter("p", vec![0], |_| Box::new(Producer { count: 5 }))
@@ -762,7 +761,7 @@ mod tests {
     #[test]
     fn injected_send_error_is_fail_stop() {
         let mut g = GraphBuilder::new();
-        g.fault_plan(crate::FaultPlan::new().inject("p", Some(0), 3, crate::FaultKind::SendError));
+        g.fault_plan(crate::FaultPlan::new().inject("p.0", 3, crate::FaultKind::SendError));
         let p = g
             .add_filter("p", vec![0], |_| Box::new(Producer { count: 50 }))
             .unwrap();
@@ -785,8 +784,7 @@ mod tests {
     fn stalls_fire_and_are_audited() {
         let mut g = GraphBuilder::new();
         g.fault_plan(crate::FaultPlan::new().inject(
-            "p",
-            Some(0),
+            "p.0",
             1,
             crate::FaultKind::Stall(Duration::from_millis(5)),
         ));
@@ -803,7 +801,7 @@ mod tests {
         g.connect(p, "out", c, "in").unwrap();
         let report = g.run().unwrap();
         assert_eq!(report.faults.len(), 1);
-        assert!(report.faults[0].kind.starts_with("stall"));
+        assert!(matches!(report.faults[0].kind, crate::FaultKind::Stall(_)));
     }
 
     /// Holds an output port open without ever sending, then exits.

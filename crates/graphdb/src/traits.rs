@@ -52,13 +52,6 @@ pub trait GraphDb {
         Ok(())
     }
 
-    /// `true` if per-vertex point lookups are efficient. StreamDB returns
-    /// `false`: callers should batch through
-    /// [`expand_fringe`](GraphDb::expand_fringe).
-    fn supports_point_queries(&self) -> bool {
-        true
-    }
-
     /// How many directed entries the ingestion service should accumulate
     /// before one [`store_edges`](GraphDb::store_edges) call: the capacity
     /// of the engine's largest storage block, in adjacency words. 0 (the

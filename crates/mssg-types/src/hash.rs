@@ -3,8 +3,8 @@
 //!
 //! Digests, graph-topology signatures, the wire simulator's per-pipe fault
 //! schedules and result-cache keys are all FNV-1a over bytes; generator
-//! seeds and seeded fault plans (`datacutter::FaultPlan`, the wire
-//! simulator's `SimPlan`) are SplitMix64 streams. Each must be the same
+//! seeds and seeded fault plans (`datacutter::FaultPlan`, one stream per
+//! fault site) are SplitMix64 streams. Each must be the same
 //! value in every process and on every platform — so there is one
 //! definition of each, with a pinned test vector.
 

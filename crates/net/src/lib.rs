@@ -37,8 +37,8 @@ pub mod workload;
 
 pub use conn::{Conn, Listener};
 pub use launcher::{announce_and_gather, report_error, run_cluster, ClusterOutput};
-pub use model::{model_cluster, CreditAudit, LinkFaults};
-pub use sim::{run_workload_sim, SimConn, SimFault, SimFaultEvent, SimListener, SimNet, SimPlan};
+pub use model::{model_cluster, CreditAudit, LinkFault};
+pub use sim::{run_workload_sim, SimConn, SimFault, SimListener, SimNet};
 pub use tcp::{TcpOptions, TcpTransport};
 pub use wire::{Frame, FrameKind, FRAME_OVERHEAD, MAX_PAYLOAD};
 pub use workload::{run_inproc, run_tcp_localhost, WorkloadConfig, WorkloadReport};

@@ -31,8 +31,11 @@
 //!   and the scenarios pass none): a protocol state that would stall a
 //!   production node forever is *reported* as a model deadlock instead
 //!   of papered over by a timeout.
-//! - [`LinkFaults`] break the wire on purpose — negative controls
-//!   proving the exploration would catch a real implementation bug.
+//! - A [`FaultPlan<LinkFault>`] breaks the wire on purpose — negative
+//!   controls proving the exploration would catch a real implementation
+//!   bug. It is the workspace's one fault grammar (`datacutter::fault`):
+//!   sites are `"{from}->{to}:{frame kind}"` (`"1->0:Credit"`), ops count
+//!   that site's frames from 0, and each injection fires once.
 //!
 //! Build a cluster with [`model_cluster`] *inside* a `check` closure,
 //! run one model thread per node, then call
@@ -43,25 +46,42 @@
 
 use crate::tcp::{Link, Shared, TcpOptions, TcpTransport};
 use crate::wire::{Frame, FrameKind};
+use datacutter::fault::{Fault, FaultLog, FaultPlan, SiteFaults};
 use datacutter::NodeId;
-use mssg_types::Result;
+use mssg_types::{splitmix64, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Deliberate wire faults for negative controls: each must make the
-/// exploration fail (deadlock, credit leak, or typed transport death),
-/// proving the checker would catch the equivalent implementation bug.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LinkFaults {
-    /// CREDIT frames vanish on the wire — the producer window starves
-    /// and the run deadlocks (or, with window to spare, leaks).
-    pub drop_credit: bool,
-    /// CLOSE frames vanish on the wire — the consumer's merged stream
-    /// never disconnects and its final recv deadlocks.
-    pub drop_close: bool,
-    /// Every CREDIT frame arrives twice — the second copy lifts the
-    /// window above its capacity, which the receiver must refuse.
-    pub duplicate_credit: bool,
+/// What a model link does to one frame when a fault fires. Each negative
+/// control must make the exploration fail (deadlock, credit leak, or typed
+/// transport death), proving the checker would catch the equivalent
+/// implementation bug: a dropped CREDIT starves the producer window (or,
+/// with window to spare, leaks); a dropped CLOSE leaves the consumer's
+/// merged stream connected; a duplicated CREDIT lifts the window above
+/// its capacity, which the receiver must refuse.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkFault {
+    /// The frame vanishes on the wire.
+    Drop,
+    /// The frame arrives twice.
+    Duplicate,
+}
+
+impl Fault for LinkFault {
+    fn draw(rng: &mut u64) -> LinkFault {
+        match splitmix64(rng) % 2 {
+            0 => LinkFault::Drop,
+            _ => LinkFault::Duplicate,
+        }
+    }
+}
+
+/// One node's fault state: the plan, and per site the frames seen so far
+/// and what is left to fire. The scenarios read what a fault did from the
+/// exploration's report, so what fires is logged nowhere.
+struct NodeFaults {
+    plan: FaultPlan<LinkFault>,
+    sites: Mutex<HashMap<String, (u64, SiteFaults<LinkFault>)>>,
 }
 
 /// One node's outgoing wires: every node's protocol state, indexed by
@@ -73,21 +93,36 @@ type Wires = Arc<Mutex<Vec<Arc<Shared>>>>;
 struct ModelLink {
     from: NodeId,
     wires: Wires,
-    faults: LinkFaults,
+    /// `None` when the plan is empty: no per-frame work.
+    faults: Option<NodeFaults>,
 }
 
 impl ModelLink {
+    /// How many copies of a `kind` frame to `to` the wire delivers.
+    fn copies(&self, to: NodeId, kind: FrameKind) -> usize {
+        let Some(faults) = &self.faults else {
+            return 1;
+        };
+        let site = format!("{}->{to}:{kind:?}", self.from);
+        let mut sites = faults.sites.lock().unwrap();
+        let (frames, pending) = sites
+            .entry(site)
+            .or_insert_with_key(|site| (0, faults.plan.site(site, &FaultLog::default())));
+        let op = *frames;
+        *frames += 1;
+        match pending.fire(op, |_| true) {
+            None => 1,
+            Some(LinkFault::Drop) => 0,
+            Some(LinkFault::Duplicate) => 2,
+        }
+    }
+
     /// Delivers `frame` to node `to` inline, on the sending thread.
     /// Frames sent after this node's `finish` released its wires are
     /// dropped, like best-effort teardown traffic on a half-closed
     /// socket.
     fn carry(&self, to: NodeId, frame: Frame) {
-        let copies = match frame.kind {
-            FrameKind::Credit if self.faults.drop_credit => 0,
-            FrameKind::Close if self.faults.drop_close => 0,
-            FrameKind::Credit if self.faults.duplicate_credit => 2,
-            _ => 1,
-        };
+        let copies = self.copies(to, frame.kind);
         // The guard is released before dispatch: no `std` lock is held
         // across a scheduling point.
         let dst = self.wires.lock().unwrap().get(to).cloned();
@@ -172,10 +207,11 @@ impl TcpTransport {
 }
 
 /// Builds an `n_nodes`-node cluster of transports joined by model links,
-/// every wire established. Must be called inside a
+/// every wire established, breaking frames as `faults` schedules (pass
+/// `FaultPlan::new()` for clean wires). Must be called inside a
 /// [`mssg_modelcheck::check`] closure; run each returned transport on its
 /// own model thread, exactly like one process per node.
-pub fn model_cluster(n_nodes: usize, faults: LinkFaults) -> Vec<TcpTransport> {
+pub fn model_cluster(n_nodes: usize, faults: &FaultPlan<LinkFault>) -> Vec<TcpTransport> {
     let wires: Vec<Wires> = (0..n_nodes).map(|_| Wires::default()).collect();
     let nodes: Vec<TcpTransport> = wires
         .iter()
@@ -184,7 +220,10 @@ pub fn model_cluster(n_nodes: usize, faults: LinkFaults) -> Vec<TcpTransport> {
             let link = ModelLink {
                 from,
                 wires: Arc::clone(wires),
-                faults,
+                faults: (!faults.is_empty()).then(|| NodeFaults {
+                    plan: faults.clone(),
+                    sites: Mutex::default(),
+                }),
             };
             TcpTransport::over_link(
                 from,

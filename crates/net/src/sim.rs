@@ -11,13 +11,17 @@
 //!    clients runs in one process, and a chaos run is reproducible from
 //!    a single seed.
 //! 2. **Exact fault placement.** The pipe tracks wire-format frame
-//!    boundaries ([`wire::declared_frame_len`]), so a [`SimPlan`] can
-//!    inject a connection reset *at frame 3*, corrupt the length prefix
-//!    of frame 0 (the handshake HELLO), cut a frame after 7 bytes, or
-//!    stall a link past the read deadline — at a chosen offset, every
-//!    time.
-//! 3. **An audit.** Mirroring `datacutter::FaultPlan`, every injected
-//!    fault is recorded as a [`SimFaultEvent`]; the chaos harnesses
+//!    boundaries ([`wire::declared_frame_len`]), so a
+//!    [`FaultPlan<SimFault>`] can inject a connection reset *at frame 3*,
+//!    corrupt the length prefix of frame 0 (the handshake HELLO), cut a
+//!    frame after 7 bytes, or stall a link past the read deadline — at a
+//!    chosen offset, every time. The plan is the workspace's one fault
+//!    grammar (`datacutter::fault`): sites are directed pipe labels
+//!    (`"n0->n1"`), ops are 0-based frame indexes, and seeded chaos gives
+//!    each pipe its own stream, so a schedule never depends on thread
+//!    interleaving.
+//! 3. **An audit.** Every injected fault is recorded as a
+//!    [`FaultEvent<SimFault>`] ([`SimNet::audit`]); the chaos harnesses
 //!    assert that a run which diverged from the fault-free digest has a
 //!    non-empty audit, and that faults always surface as typed errors —
 //!    never a hang, never a panic.
@@ -31,14 +35,15 @@ use crate::conn::{Conn, Listener};
 use crate::tcp::TcpTransport;
 use crate::wire;
 use crate::workload::{self, WorkloadConfig, WorkloadReport};
+use datacutter::fault::{Fault, FaultEvent, FaultLog, FaultPlan, SiteFaults};
 use mssg_obs::{Counter, Telemetry};
-use mssg_types::{fnv1a, splitmix64, Result};
+use mssg_types::{splitmix64, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
-/// One wire-level fault a [`SimPlan`] can inject into a directed pipe.
+/// One wire-level fault a [`FaultPlan`] can inject into a directed pipe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimFault {
     /// Connection reset: the frame is not delivered and both directions
@@ -66,150 +71,18 @@ pub enum SimFault {
     Heal,
 }
 
-/// Audit record of one injected fault: which directed pipe, at which
-/// frame offset, what fired.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimFaultEvent {
-    /// Directed pipe label, e.g. `"n0->n1"` or `"serve#2->serve"`; a
-    /// node label for whole-node [`SimNet::partition`] /
-    /// [`SimNet::heal`].
-    pub dir: String,
-    /// 0-based index of the wire frame at whose start the fault fired.
-    pub frame: u64,
-    /// The fault that fired.
-    pub fault: SimFault,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Chaos {
-    fault_pct: u64,
-    max_frame: u64,
-}
-
-/// A seeded fault schedule for a [`SimNet`], mirroring
-/// `datacutter::FaultPlan`'s style: deterministic derivation from one
-/// seed, explicit injection for directed tests, and a full audit of
-/// everything that fired.
-///
-/// Chaos mode derives at most one fault per directed pipe: the pipe's
-/// label is hashed into the plan seed, and a xoshiro256** stream decides
-/// whether the pipe faults at all (`fault_pct`), at which frame offset
-/// (`0..=max_frame`), and which [`SimFault`] fires. Identical seed ⇒
-/// identical schedule, independent of thread interleaving.
-#[derive(Clone, Debug, Default)]
-pub struct SimPlan {
-    seed: u64,
-    chaos: Option<Chaos>,
-    injected: Vec<(String, u64, SimFault)>,
-    immune: Vec<String>,
-}
-
-impl SimPlan {
-    /// A plan that injects nothing — the fault-free baseline.
-    pub fn none() -> SimPlan {
-        SimPlan::default()
-    }
-
-    /// Seeded chaos at the default intensity (45% of pipes fault once,
-    /// within the first 12 frames).
-    pub fn chaos(seed: u64) -> SimPlan {
-        Self::chaos_with(seed, 45, 12)
-    }
-
-    /// Seeded chaos with explicit intensity: `fault_pct` percent of
-    /// directed pipes receive one fault, at a frame offset drawn from
-    /// `0..=max_frame`.
-    pub fn chaos_with(seed: u64, fault_pct: u64, max_frame: u64) -> SimPlan {
-        SimPlan {
-            seed,
-            chaos: Some(Chaos {
-                fault_pct: fault_pct.min(100),
-                max_frame,
-            }),
-            ..SimPlan::default()
+impl Fault for SimFault {
+    /// One of the six schedulable faults, uniformly: stalls of 5–40 ms,
+    /// partitions that heal after 10–40 ms, partial writes of 1–24 bytes.
+    fn draw(rng: &mut u64) -> SimFault {
+        match splitmix64(rng) % 6 {
+            0 => SimFault::Reset,
+            1 => SimFault::PartialWrite(1 + (splitmix64(rng) % 24) as usize),
+            2 => SimFault::CorruptLength,
+            3 => SimFault::CorruptKind,
+            4 => SimFault::Stall(Duration::from_millis(5 + splitmix64(rng) % 36)),
+            _ => SimFault::Partition(Some(Duration::from_millis(10 + splitmix64(rng) % 31))),
         }
-    }
-
-    /// Schedules `fault` on the directed pipe `dir` when its writer
-    /// begins frame `at_frame`. Directed tests use this for exact
-    /// placement (e.g. corrupt the HELLO at frame 0).
-    pub fn inject(mut self, dir: &str, at_frame: u64, fault: SimFault) -> SimPlan {
-        self.injected.push((dir.to_string(), at_frame, fault));
-        self
-    }
-
-    /// Exempts every pipe whose label contains `substr` from all faults
-    /// (chaos and injected). Harnesses use this to keep a verification
-    /// client clean while the rest of the cluster burns.
-    pub fn immune(mut self, substr: &str) -> SimPlan {
-        self.immune.push(substr.to_string());
-        self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The fault schedule for one directed pipe, ascending by frame.
-    fn faults_for(&self, dir: &str) -> Vec<(u64, SimFault)> {
-        if self.immune.iter().any(|m| dir.contains(m.as_str())) {
-            return Vec::new();
-        }
-        let mut out: Vec<(u64, SimFault)> = self
-            .injected
-            .iter()
-            .filter(|(d, _, _)| d == dir)
-            .map(|(_, at, f)| (*at, f.clone()))
-            .collect();
-        if let Some(chaos) = self.chaos {
-            let mut rng = Xoshiro256::seeded(self.seed ^ fnv1a(dir.as_bytes()));
-            if rng.next() % 100 < chaos.fault_pct {
-                let at = rng.next() % (chaos.max_frame + 1);
-                let fault = match rng.next() % 6 {
-                    0 => SimFault::Reset,
-                    1 => SimFault::PartialWrite(1 + (rng.next() % 24) as usize),
-                    2 => SimFault::CorruptLength,
-                    3 => SimFault::CorruptKind,
-                    4 => SimFault::Stall(Duration::from_millis(5 + rng.next() % 36)),
-                    _ => SimFault::Partition(Some(Duration::from_millis(10 + rng.next() % 31))),
-                };
-                out.push((at, fault));
-            }
-        }
-        out.sort_by_key(|(at, _)| *at);
-        out
-    }
-}
-
-/// xoshiro256** — the per-pipe chaos stream, seeded through SplitMix64
-/// as its authors prescribe.
-struct Xoshiro256 {
-    s: [u64; 4],
-}
-
-impl Xoshiro256 {
-    fn seeded(mut state: u64) -> Xoshiro256 {
-        Xoshiro256 {
-            s: [
-                splitmix64(&mut state),
-                splitmix64(&mut state),
-                splitmix64(&mut state),
-                splitmix64(&mut state),
-            ],
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        out
     }
 }
 
@@ -227,8 +100,8 @@ struct PipeState {
     /// Link reset: reads drain the buffer then error, writes error.
     reset: bool,
     stall: Option<Stall>,
-    /// Remaining scheduled faults, ascending by frame.
-    faults: Vec<(u64, SimFault)>,
+    /// The pipe's fault schedule; its ops are frame indexes.
+    faults: SiteFaults<SimFault>,
     /// 0-based index of the frame currently being written.
     frame_idx: u64,
     /// Byte offset within the current frame (0 = at a frame boundary).
@@ -252,7 +125,7 @@ struct Pipe {
 }
 
 impl Pipe {
-    fn new(dir: String, faults: Vec<(u64, SimFault)>) -> Pipe {
+    fn new(dir: String, faults: SiteFaults<SimFault>) -> Pipe {
         Pipe {
             dir,
             state: Mutex::new(PipeState {
@@ -279,15 +152,6 @@ impl Pipe {
 
     fn notify(&self) {
         self.cv.notify_all();
-    }
-}
-
-impl PipeState {
-    /// Pops the first fault due at or before the current frame.
-    fn due_fault(&mut self) -> Option<SimFault> {
-        let idx = self.frame_idx;
-        let pos = self.faults.iter().position(|(at, _)| *at <= idx)?;
-        Some(self.faults.remove(pos).1)
     }
 }
 
@@ -332,22 +196,18 @@ impl LinkConn {
 }
 
 struct NetInner {
-    plan: SimPlan,
-    audit: Mutex<Vec<SimFaultEvent>>,
+    plan: FaultPlan<SimFault>,
+    log: FaultLog<SimFault>,
     listeners: Mutex<HashMap<String, Arc<ListenerInner>>>,
     links: Mutex<Vec<Weak<LinkConn>>>,
     frames: Counter,
     bytes: Counter,
-    faults: Counter,
 }
 
 impl NetInner {
-    fn push_audit(&self, ev: SimFaultEvent) {
-        self.faults.inc();
-        self.audit
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ev);
+    fn pipe(&self, dir: String) -> Pipe {
+        let faults = self.plan.site(&dir, &self.log);
+        Pipe::new(dir, faults)
     }
 }
 
@@ -363,52 +223,41 @@ pub struct SimNet {
 
 impl SimNet {
     /// A simulator executing `plan`, with metrics discarded.
-    pub fn new(plan: SimPlan) -> SimNet {
+    pub fn new(plan: FaultPlan<SimFault>) -> SimNet {
         Self::with_telemetry(plan, Telemetry::disabled())
     }
 
     /// A simulator executing `plan`, counting `sim.frames` /
     /// `sim.bytes` / `sim.faults` into `telemetry`.
-    pub fn with_telemetry(plan: SimPlan, telemetry: Telemetry) -> SimNet {
+    pub fn with_telemetry(plan: FaultPlan<SimFault>, telemetry: Telemetry) -> SimNet {
         SimNet {
             inner: Arc::new(NetInner {
                 plan,
-                audit: Mutex::new(Vec::new()),
+                log: FaultLog::new(telemetry.metrics.counter("sim.faults")),
                 listeners: Mutex::new(HashMap::new()),
                 links: Mutex::new(Vec::new()),
                 frames: telemetry.metrics.counter("sim.frames"),
                 bytes: telemetry.metrics.counter("sim.bytes"),
-                faults: telemetry.metrics.counter("sim.faults"),
             }),
         }
     }
 
     /// Every fault injected so far, in firing order.
-    pub fn audit(&self) -> Vec<SimFaultEvent> {
-        self.inner
-            .audit
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    pub fn audit(&self) -> Vec<FaultEvent<SimFault>> {
+        self.inner.log.events()
     }
 
     /// Creates a virtual duplex link between endpoints labeled `a` and
     /// `b`; returns (`a`'s end, `b`'s end). The directed pipe labels —
-    /// `"{a}->{b}"` and `"{b}->{a}"` — are what [`SimPlan::inject`]
+    /// `"{a}->{b}"` and `"{b}->{a}"` — are the sites a [`FaultPlan`]
     /// addresses.
     pub fn link(&self, a: &str, b: &str) -> (SimConn, SimConn) {
         let link = Arc::new(LinkConn {
             a: a.to_string(),
             b: b.to_string(),
             pipes: [
-                Pipe::new(
-                    format!("{a}->{b}"),
-                    self.inner.plan.faults_for(&format!("{a}->{b}")),
-                ),
-                Pipe::new(
-                    format!("{b}->{a}"),
-                    self.inner.plan.faults_for(&format!("{b}->{a}")),
-                ),
+                self.inner.pipe(format!("{a}->{b}")),
+                self.inner.pipe(format!("{b}->{a}")),
             ],
         });
         self.inner
@@ -491,22 +340,14 @@ impl SimNet {
     /// [`SimFault::Partition`] with no heal time.
     pub fn partition(&self, node: &str) {
         self.for_links_of(node, |l| l.stall_both(None));
-        self.inner.push_audit(SimFaultEvent {
-            dir: node.to_string(),
-            frame: 0,
-            fault: SimFault::Partition(None),
-        });
+        self.inner.log.record(node, 0, SimFault::Partition(None));
     }
 
     /// Heals every live link touching endpoint label `node` (clears any
     /// stall, including chaos stalls). Audited as [`SimFault::Heal`].
     pub fn heal(&self, node: &str) {
         self.for_links_of(node, |l| l.clear_stall());
-        self.inner.push_audit(SimFaultEvent {
-            dir: node.to_string(),
-            frame: 0,
-            fault: SimFault::Heal,
-        });
+        self.inner.log.record(node, 0, SimFault::Heal);
     }
 
     fn for_links_of(&self, node: &str, f: impl Fn(&LinkConn)) {
@@ -639,12 +480,8 @@ impl ConnEnd {
         let mut action = None;
         for &byte in data {
             if st.frame_pos == 0 {
-                if let Some(fault) = st.due_fault() {
-                    self.net.push_audit(SimFaultEvent {
-                        dir: pipe.dir.clone(),
-                        frame: st.frame_idx,
-                        fault: fault.clone(),
-                    });
+                let frame = st.frame_idx;
+                if let Some(fault) = st.faults.fire(frame, |_| true) {
                     match fault {
                         SimFault::Reset => {
                             action = Some(CrossAction::Reset);
@@ -897,7 +734,7 @@ mod tests {
 
     #[test]
     fn bytes_round_trip_and_eof_propagates() {
-        let sim = SimNet::new(SimPlan::none());
+        let sim = SimNet::new(FaultPlan::new());
         let (mut a, mut b) = sim.link("l", "r");
         let frame = Frame::data(3, 7, &[1, 2, 3, 4]);
         write_frame(&mut a, &frame).unwrap();
@@ -909,21 +746,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_schedule_is_seed_deterministic() {
-        for seed in 0..200u64 {
-            let a = SimPlan::chaos(seed).faults_for("n0->n1");
-            let b = SimPlan::chaos(seed).faults_for("n0->n1");
-            assert_eq!(a, b);
-        }
-        // Different pipes on the same seed diverge for at least one seed.
-        assert!((0..50u64).any(|s| {
-            SimPlan::chaos(s).faults_for("n0->n1") != SimPlan::chaos(s).faults_for("n1->n0")
-        }));
-    }
-
-    #[test]
     fn corrupt_length_is_a_typed_corrupt_never_a_giant_alloc() {
-        let plan = SimPlan::none().inject("l->r", 0, SimFault::CorruptLength);
+        let plan = FaultPlan::new().inject("l->r", 0, SimFault::CorruptLength);
         let sim = SimNet::new(plan);
         let (mut a, mut b) = sim.link("l", "r");
         write_frame(&mut a, &Frame::data(0, 0, &[9; 32])).unwrap();
@@ -936,7 +760,7 @@ mod tests {
 
     #[test]
     fn reset_surfaces_as_net_error_and_partial_write_tears_the_frame() {
-        let plan = SimPlan::none().inject("l->r", 1, SimFault::PartialWrite(7));
+        let plan = FaultPlan::new().inject("l->r", 1, SimFault::PartialWrite(7));
         let sim = SimNet::new(plan);
         let (mut a, mut b) = sim.link("l", "r");
         write_frame(&mut a, &Frame::data(0, 0, &[1; 8])).unwrap();
@@ -949,12 +773,12 @@ mod tests {
         }
         let audit = sim.audit();
         assert_eq!(audit.len(), 1);
-        assert_eq!(audit[0].frame, 1);
+        assert_eq!(audit[0].at, 1);
     }
 
     #[test]
     fn stall_delays_but_delivers_and_deadline_turns_into_would_block() {
-        let plan = SimPlan::none().inject("l->r", 0, SimFault::Stall(Duration::from_millis(30)));
+        let plan = FaultPlan::new().inject("l->r", 0, SimFault::Stall(Duration::from_millis(30)));
         let sim = SimNet::new(plan);
         let (mut a, mut b) = sim.link("l", "r");
         write_frame(&mut a, &Frame::data(0, 0, &[5; 4])).unwrap();
@@ -966,7 +790,7 @@ mod tests {
         );
 
         // A forever-partition plus a read deadline = typed timeout.
-        let plan = SimPlan::none().inject("x->y", 0, SimFault::Partition(None));
+        let plan = FaultPlan::new().inject("x->y", 0, SimFault::Partition(None));
         let sim = SimNet::new(plan);
         let (mut x, y) = sim.link("x", "y");
         write_frame(&mut x, &Frame::data(0, 0, &[1])).unwrap();
@@ -981,7 +805,7 @@ mod tests {
 
     #[test]
     fn listener_accepts_connects_and_unblocks() {
-        let sim = SimNet::new(SimPlan::none());
+        let sim = SimNet::new(FaultPlan::new());
         let listener = sim.listen("svc");
         let mut client = sim.connect("svc").unwrap();
         let mut server = listener.accept_conn().unwrap();
@@ -998,7 +822,7 @@ mod tests {
 
     #[test]
     fn partition_and_heal_round_trip() {
-        let sim = SimNet::new(SimPlan::none());
+        let sim = SimNet::new(FaultPlan::new());
         let (mut a, mut b) = sim.link("n0", "n1");
         sim.partition("n0");
         write_frame(&mut a, &Frame::data(0, 0, &[1])).unwrap();
@@ -1011,7 +835,7 @@ mod tests {
             read_frame(&mut b).unwrap().is_some(),
             "healed link delivers"
         );
-        let kinds: Vec<_> = sim.audit().into_iter().map(|e| e.fault).collect();
+        let kinds: Vec<_> = sim.audit().into_iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![SimFault::Partition(None), SimFault::Heal]);
     }
 }

@@ -9,9 +9,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use datacutter::FaultPlan;
 use datacutter::{DataBuffer, EndpointSpec, NodeId, RecvOutcome, SendOutcome, Transport};
 use mssg_modelcheck::{check, check_config, spawn, Config};
-use mssg_net::{model_cluster, LinkFaults};
+use mssg_net::{model_cluster, LinkFault};
 
 fn spec(id: u64, node: NodeId, capacity: usize, remote: Vec<(NodeId, usize)>) -> EndpointSpec {
     EndpointSpec {
@@ -43,7 +44,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[test]
 fn two_node_credit_protocol_is_clean_in_every_schedule() {
     let report = check(|| {
-        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut cluster = model_cluster(2, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -95,7 +96,7 @@ fn early_endpoint_drop_refunds_credit_in_every_schedule() {
     let closed_seen = Arc::new(AtomicUsize::new(0));
     let closed_seen2 = Arc::clone(&closed_seen);
     let report = check(move || {
-        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut cluster = model_cluster(2, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -151,7 +152,7 @@ fn early_endpoint_drop_refunds_credit_in_every_schedule() {
 #[test]
 fn close_accounting_tracks_every_producer_copy() {
     let report = check(|| {
-        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut cluster = model_cluster(2, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -205,7 +206,7 @@ fn close_accounting_tracks_every_producer_copy() {
 #[test]
 fn local_and_remote_producers_share_one_endpoint() {
     let report = check(|| {
-        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut cluster = model_cluster(2, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());
@@ -272,7 +273,7 @@ fn three_node_barriers_and_stream_compose() {
         ..Config::default()
     };
     let report = check_config(config, || {
-        let mut cluster = model_cluster(3, LinkFaults::default());
+        let mut cluster = model_cluster(3, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap(); // node 2
         let mut bystander = cluster.pop().unwrap(); // node 1
         let mut producer = cluster.pop().unwrap(); // node 0
@@ -316,7 +317,7 @@ fn three_node_barriers_and_stream_compose() {
     );
 }
 
-/// Negative control: a wire that drops CREDIT frames starves a
+/// Negative control: a wire that drops the first CREDIT frame starves a
 /// capacity-1 window — *every* schedule must deadlock, or the
 /// exploration has lost the ability to catch flow-control leaks.
 #[test]
@@ -328,10 +329,7 @@ fn swallowed_credit_starves_the_window() {
     let report = check_config(config, || {
         let mut cluster = model_cluster(
             2,
-            LinkFaults {
-                drop_credit: true,
-                ..LinkFaults::default()
-            },
+            &FaultPlan::new().inject("1->0:Credit", 0, LinkFault::Drop),
         );
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
@@ -361,7 +359,7 @@ fn swallowed_credit_starves_the_window() {
     assert!(report.deadlocks > 0, "the control stopped firing");
 }
 
-/// Negative control: a wire that drops CLOSE frames leaves the merged
+/// Negative control: a wire that drops the CLOSE frame leaves the merged
 /// stream connected — the consumer's drain loop never sees `Closed` and
 /// every schedule must deadlock.
 #[test]
@@ -373,10 +371,7 @@ fn skipped_close_hangs_the_consumer() {
     let report = check_config(config, || {
         let mut cluster = model_cluster(
             2,
-            LinkFaults {
-                drop_close: true,
-                ..LinkFaults::default()
-            },
+            &FaultPlan::new().inject("0->1:Close", 0, LinkFault::Drop),
         );
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
@@ -403,7 +398,7 @@ fn skipped_close_hangs_the_consumer() {
     assert!(report.deadlocks > 0, "the control stopped firing");
 }
 
-/// Negative control: a link that delivers every CREDIT twice returns
+/// Negative control: a link that delivers the first CREDIT twice returns
 /// credit nobody spent. The producer node must refuse the excess grant
 /// and die with the typed violation in *every* schedule — its `finish`
 /// reports it and its audit refuses to call the node balanced.
@@ -412,10 +407,7 @@ fn duplicated_credit_kills_the_producer_node() {
     let report = check(|| {
         let mut cluster = model_cluster(
             2,
-            LinkFaults {
-                duplicate_credit: true,
-                ..LinkFaults::default()
-            },
+            &FaultPlan::new().inject("1->0:Credit", 0, LinkFault::Duplicate),
         );
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
@@ -467,10 +459,7 @@ fn leaked_credit_fails_the_audit() {
         check(|| {
             let mut cluster = model_cluster(
                 2,
-                LinkFaults {
-                    drop_credit: true,
-                    ..LinkFaults::default()
-                },
+                &FaultPlan::new().inject("1->0:Credit", 0, LinkFault::Drop),
             );
             let mut consumer = cluster.pop().unwrap();
             let mut producer = cluster.pop().unwrap();
@@ -513,7 +502,7 @@ fn try_recv_refunds_like_recv() {
     let recv_hits = Arc::new(AtomicUsize::new(0));
     let (try_hits2, recv_hits2) = (Arc::clone(&try_hits), Arc::clone(&recv_hits));
     let report = check(move || {
-        let mut cluster = model_cluster(2, LinkFaults::default());
+        let mut cluster = model_cluster(2, &FaultPlan::new());
         let mut consumer = cluster.pop().unwrap();
         let mut producer = cluster.pop().unwrap();
         let (audit_p, audit_c) = (producer.audit(), consumer.audit());

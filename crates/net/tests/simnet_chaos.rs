@@ -8,11 +8,18 @@
 //! `CHAOS_SEED=<n> cargo test -p mssg-net --test simnet_chaos -- one_seed --nocapture`;
 //! widen the sweep with `CHAOS_SEEDS=<count>`.
 
-use mssg_net::sim::{run_workload_sim, SimFault, SimFaultEvent, SimNet, SimPlan};
+use datacutter::{FaultEvent, FaultPlan};
+use mssg_net::sim::{run_workload_sim, SimFault, SimNet};
 use mssg_net::WorkloadConfig;
 use mssg_obs::Telemetry;
 use mssg_types::GraphStorageError;
 use std::time::Duration;
+
+/// The sweep's plan: 45 % of directed pipes fault once, within their
+/// first 12 frames.
+fn chaos(seed: u64) -> FaultPlan<SimFault> {
+    FaultPlan::chaos(seed, 45, 12)
+}
 
 fn chaos_cfg() -> WorkloadConfig {
     WorkloadConfig {
@@ -45,7 +52,10 @@ fn classify(outcome: &Result<u64, GraphStorageError>) -> String {
 
 /// Runs one seeded chaos plan under a watchdog. Panics (printing the
 /// seed) if the run wedges — the "never a hang" half of the invariant.
-fn run_seed(seed: u64, plan: SimPlan) -> (Result<u64, GraphStorageError>, Vec<SimFaultEvent>) {
+fn run_seed(
+    seed: u64,
+    plan: FaultPlan<SimFault>,
+) -> (Result<u64, GraphStorageError>, Vec<FaultEvent<SimFault>>) {
     let cfg = chaos_cfg();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -60,7 +70,7 @@ fn run_seed(seed: u64, plan: SimPlan) -> (Result<u64, GraphStorageError>, Vec<Si
 }
 
 fn baseline_digest() -> u64 {
-    let sim = SimNet::new(SimPlan::none());
+    let sim = SimNet::new(FaultPlan::new());
     run_workload_sim(&chaos_cfg(), &sim, Telemetry::disabled())
         .expect("fault-free run succeeds")
         .digest
@@ -68,7 +78,7 @@ fn baseline_digest() -> u64 {
 
 /// The full per-seed invariant check, shared by the sweep tests.
 fn check_seed(seed: u64, baseline: u64) {
-    let (first, audit) = run_seed(seed, SimPlan::chaos(seed));
+    let (first, audit) = run_seed(seed, chaos(seed));
     let classification = classify(&first);
     if let Ok(digest) = &first {
         assert_eq!(
@@ -89,7 +99,7 @@ fn check_seed(seed: u64, baseline: u64) {
         );
     }
     // Same seed, fresh simulator: the classification must reproduce.
-    let (second, audit2) = run_seed(seed, SimPlan::chaos(seed));
+    let (second, audit2) = run_seed(seed, chaos(seed));
     assert_eq!(
         classification,
         classify(&second),
@@ -138,15 +148,15 @@ fn faulting_seeds_audit_every_fired_fault() {
     // with sane frame offsets.
     let mut faulted = 0;
     for seed in 0..40 {
-        let (_, audit) = run_seed(seed, SimPlan::chaos(seed));
+        let (_, audit) = run_seed(seed, chaos(seed));
         if !audit.is_empty() {
             faulted += 1;
             for ev in &audit {
                 assert!(
-                    ev.frame <= 12,
+                    ev.at <= 12,
                     "seed {seed}: chaos fault outside the planned frame window: {ev:?}"
                 );
-                assert!(!ev.dir.is_empty());
+                assert!(!ev.site.is_empty());
             }
         }
     }
@@ -159,21 +169,21 @@ fn faulting_seeds_audit_every_fired_fault() {
 #[test]
 fn handshake_abort_is_a_typed_error() {
     // Reset at frame 0 of n0's HELLO to n1: the handshake itself dies.
-    let plan = SimPlan::none().inject("n0->n1", 0, SimFault::Reset);
+    let plan = FaultPlan::new().inject("n0->n1", 0, SimFault::Reset);
     let (outcome, audit) = run_seed(9_000, plan);
     assert!(
         matches!(outcome, Err(GraphStorageError::Net(_))),
         "want typed Net error from an aborted handshake, got {outcome:?}"
     );
     assert_eq!(audit.len(), 1);
-    assert_eq!(audit[0].dir, "n0->n1");
+    assert_eq!(audit[0].site, "n0->n1");
 }
 
 #[test]
 fn corrupted_length_lands_in_corrupt_not_a_panic() {
     // Corrupt the HELLO length prefix: the peer's decoder must refuse
     // with Corrupt before allocating (wire.rs clamps first).
-    let plan = SimPlan::none().inject("n1->n0", 0, SimFault::CorruptLength);
+    let plan = FaultPlan::new().inject("n1->n0", 0, SimFault::CorruptLength);
     let (outcome, audit) = run_seed(9_001, plan);
     assert!(
         matches!(outcome, Err(GraphStorageError::Corrupt(_))),
@@ -186,7 +196,7 @@ fn corrupted_length_lands_in_corrupt_not_a_panic() {
 fn corrupted_kind_lands_in_corrupt() {
     // n2's HELLO to node 0: node 0 reads it first and is joined first,
     // so the Corrupt it raises is the error the run reports.
-    let plan = SimPlan::none().inject("n2->n0", 0, SimFault::CorruptKind);
+    let plan = FaultPlan::new().inject("n2->n0", 0, SimFault::CorruptKind);
     let (outcome, _) = run_seed(9_002, plan);
     assert!(
         matches!(outcome, Err(GraphStorageError::Corrupt(_))),
@@ -198,7 +208,7 @@ fn corrupted_kind_lands_in_corrupt() {
 fn partial_write_torn_frame_is_a_typed_net_error() {
     // Deliver 9 bytes of a mid-run frame, then reset: the reader sees a
     // torn frame and must answer a typed Net error.
-    let plan = SimPlan::none().inject("n0->n1", 4, SimFault::PartialWrite(9));
+    let plan = FaultPlan::new().inject("n0->n1", 4, SimFault::PartialWrite(9));
     let (outcome, audit) = run_seed(9_003, plan);
     assert!(
         matches!(
@@ -215,7 +225,7 @@ fn unhealed_partition_times_out_instead_of_hanging() {
     // A partition that never heals, injected mid-ingest: the stream
     // deadline must convert the silence into a typed error within the
     // watchdog window.
-    let plan = SimPlan::none().inject("n0->n1", 3, SimFault::Partition(None));
+    let plan = FaultPlan::new().inject("n0->n1", 3, SimFault::Partition(None));
     let (outcome, audit) = run_seed(9_004, plan);
     assert!(outcome.is_err(), "partitioned run must fail: {outcome:?}");
     assert!(!audit.is_empty());
@@ -225,13 +235,13 @@ fn unhealed_partition_times_out_instead_of_hanging() {
 fn short_stall_and_healed_partition_preserve_the_digest() {
     let baseline = baseline_digest();
     // A stall much shorter than the stream deadline: timing noise only.
-    let plan = SimPlan::none().inject("n0->n1", 2, SimFault::Stall(Duration::from_millis(40)));
+    let plan = FaultPlan::new().inject("n0->n1", 2, SimFault::Stall(Duration::from_millis(40)));
     let (outcome, audit) = run_seed(9_005, plan);
     assert_eq!(outcome.expect("stalled run completes"), baseline);
     assert_eq!(audit.len(), 1);
 
     // A partition that heals well inside the deadline behaves the same.
-    let plan = SimPlan::none().inject(
+    let plan = FaultPlan::new().inject(
         "n1->n2",
         1,
         SimFault::Partition(Some(Duration::from_millis(60))),
@@ -244,7 +254,7 @@ fn short_stall_and_healed_partition_preserve_the_digest() {
 #[test]
 fn immune_pipes_never_fault() {
     for seed in 0..30 {
-        let plan = SimPlan::chaos(seed).immune("n0").immune("n1").immune("n2");
+        let plan = chaos(seed).immune("n0").immune("n1").immune("n2");
         let (outcome, audit) = run_seed(seed, plan);
         assert!(
             audit.is_empty(),

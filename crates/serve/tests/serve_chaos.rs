@@ -9,9 +9,10 @@
 //! `CHAOS_SEED=<n> cargo test -p mssg-serve --test serve_chaos -- one_seed --nocapture`;
 //! widen the sweep with `CHAOS_SEEDS=<count>`.
 
+use datacutter::{FaultEvent, FaultPlan};
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::{BackendKind, BackendOptions, MssgCluster};
-use mssg_net::sim::{SimFault, SimFaultEvent, SimNet, SimPlan};
+use mssg_net::sim::{SimFault, SimNet};
 use mssg_serve::{Client, Outcome, Query, ServeConfig, Server};
 use mssg_types::{Edge, Gid};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,8 +81,8 @@ fn build_cluster(seed: u64) -> MssgCluster {
 /// The chaos plan for one seed: seeded wire faults on the chaos clients'
 /// connections (both directions), first 6 frames, verification client
 /// immune.
-fn plan_for(seed: u64) -> SimPlan {
-    SimPlan::chaos_with(seed, 45, 5).immune(VERIFY_LABEL)
+fn plan_for(seed: u64) -> FaultPlan<SimFault> {
+    FaultPlan::chaos(seed, 45, 5).immune(VERIFY_LABEL)
 }
 
 /// One run's observable outcome: per-request classifications for the
@@ -94,7 +95,7 @@ struct RunOutcome {
     verified: Vec<String>,
 }
 
-fn run_once(seed: u64, plan: SimPlan) -> (RunOutcome, Vec<SimFaultEvent>) {
+fn run_once(seed: u64, plan: FaultPlan<SimFault>) -> (RunOutcome, Vec<FaultEvent<SimFault>>) {
     let sim = SimNet::new(plan);
     let server = Server::start_on(
         build_cluster(seed),
@@ -167,7 +168,7 @@ fn run_once(seed: u64, plan: SimPlan) -> (RunOutcome, Vec<SimFaultEvent>) {
 
 /// Runs one seeded plan under a watchdog; panics (naming the seed) on a
 /// hang or an in-run panic.
-fn run_seed(seed: u64, plan: SimPlan) -> (RunOutcome, Vec<SimFaultEvent>) {
+fn run_seed(seed: u64, plan: FaultPlan<SimFault>) -> (RunOutcome, Vec<FaultEvent<SimFault>>) {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(run_once(seed, plan));
@@ -184,7 +185,7 @@ fn run_seed(seed: u64, plan: SimPlan) -> (RunOutcome, Vec<SimFaultEvent>) {
 }
 
 fn baseline() -> RunOutcome {
-    let (outcome, audit) = run_seed(u64::MAX, SimPlan::none());
+    let (outcome, audit) = run_seed(u64::MAX, FaultPlan::new());
     assert!(audit.is_empty(), "fault-free baseline fired faults");
     assert_eq!(
         outcome.chaos.len(),
@@ -284,7 +285,7 @@ fn mid_request_reset_is_typed_and_ingest_still_proceeds() {
     // first request frame dies): typed error for that client, clean
     // answers for everyone else, and the post-chaos ingest inside
     // run_once proves no pin leaked.
-    let plan = SimPlan::none()
+    let plan = FaultPlan::new()
         .inject("serve#0->serve", 1, SimFault::Reset)
         .immune(VERIFY_LABEL);
     let (outcome, audit) = run_seed(77_000, plan);
@@ -303,7 +304,7 @@ fn corrupted_response_length_is_typed_never_a_client_panic() {
     // Corrupt the length prefix of the server's HELLO reply: the client
     // decoder must answer Corrupt (no allocation bomb), classified as a
     // handshake failure.
-    let plan = SimPlan::none()
+    let plan = FaultPlan::new()
         .inject("serve->serve#0", 0, SimFault::CorruptLength)
         .immune(VERIFY_LABEL);
     let (outcome, audit) = run_seed(77_001, plan);
@@ -316,7 +317,7 @@ fn stalled_link_delays_but_preserves_answers() {
     let base = baseline();
     // A stall far below every deadline: pure timing noise; all answers
     // (chaos clients included) match the fault-free run.
-    let plan = SimPlan::none()
+    let plan = FaultPlan::new()
         .inject(
             "serve#1->serve",
             2,
@@ -331,7 +332,7 @@ fn stalled_link_delays_but_preserves_answers() {
 #[test]
 fn partitioned_then_healed_client_preserves_answers() {
     let base = baseline();
-    let plan = SimPlan::none()
+    let plan = FaultPlan::new()
         .inject(
             "serve#2->serve",
             1,

@@ -12,9 +12,8 @@
 //! another set of vertices must post a request for all of the 'fringe'
 //! vertices at once, thereby allowing the database to only scan through its
 //! data once." Accordingly [`StreamDb::expand_fringe`] is the native
-//! operation (one sequential pass answers the whole fringe) and point
-//! queries, while correct, are advertised as unsupported via
-//! [`supports_point_queries`](graphdb::GraphDb::supports_point_queries).
+//! operation (one sequential pass answers the whole fringe) and a point
+//! query, while correct, costs a full scan.
 
 use graphdb::{GraphDb, MetaTable};
 use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, MetaOp, Result};
@@ -181,10 +180,6 @@ impl GraphDb for StreamDb {
         Ok(())
     }
 
-    fn supports_point_queries(&self) -> bool {
-        false
-    }
-
     fn flush(&mut self) -> Result<()> {
         self.write_pending()?;
         self.file.sync_data()?;
@@ -236,7 +231,6 @@ mod tests {
         let mut n = s.neighbors(g(1)).unwrap();
         n.sort_unstable();
         assert_eq!(n, vec![g(2), g(3)]);
-        assert!(!s.supports_point_queries());
     }
 
     #[test]
