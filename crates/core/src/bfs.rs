@@ -14,7 +14,8 @@
 //! connected.
 //!
 //! The search is a `superstep` program (DESIGN.md §10.6), one copy per
-//! back-end node with that node's GraphDB, and a round has two phases:
+//! back-end node with that node's GraphDB, run as a job on one of the
+//! cluster's resident engines, and a round has two phases:
 //!
 //! 1. **the level**: fringe batches to the vertices' owners, then a marker;
 //! 2. **the tally**: a marker with the number of fresh vertices the copy
@@ -96,7 +97,8 @@ pub struct BfsOptions {
     /// Algorithm variant.
     pub mode: BfsMode,
     /// Visited-structure choice (in memory, or Figures 5.8/5.9's external
-    /// one, kept under `<cluster dir>/scratch`).
+    /// one, kept under `<cluster dir>/scratch` in files of the engine
+    /// that runs the search).
     pub visited: VisitedKind,
     /// Push visited filtering down into the storage engine: locally
     /// visited vertices are marked in the GraphDB's per-vertex metadata
@@ -110,7 +112,8 @@ pub struct BfsOptions {
     /// `Timeout`/`FilterFailed` error instead. Defaults to 120 s.
     pub recv_timeout: std::time::Duration,
     /// Deterministic fault plan for chaos testing the search pipeline,
-    /// over the sites `bfs.{i}`.
+    /// over the sites `bfs.{i}`. A search with a plan, or with another
+    /// `recv_timeout` than the default, runs on an engine of its own.
     /// Note BFS filters are deliberately *not* supervised: a restarted
     /// peer would have lost its visited set, so mid-search crashes are
     /// fail-stop and the caller retries the whole (idempotent, read-only)
@@ -382,7 +385,9 @@ impl BfsFilter {
     fn run(&self, peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Outcome> {
         let me = peers.me();
         let open = |side: usize| {
-            let name = format!("visited-{me}-{side}");
+            // Concurrent searches run on distinct engines, each with files
+            // of its own.
+            let name = format!("visited-{}-{me}-{side}", superstep::engine());
             let stats = Arc::clone(&self.io_stats[me]);
             self.visited_kind.open(&self.scratch, &name, stats)
         };
@@ -1018,20 +1023,7 @@ mod tests {
         let mut below = xorshift(0x0016_5eed);
         let edges = skewed_edges(&mut below);
         let adjacency = adjacency_of(&edges);
-        // Distances from `source` over its whole component.
-        let reference = |source: u64| {
-            let mut dist = HashMap::from([(source, 0u32)]);
-            let mut queue = std::collections::VecDeque::from([source]);
-            while let Some(v) = queue.pop_front() {
-                for &u in adjacency.get(&v).into_iter().flatten() {
-                    if !dist.contains_key(&u) {
-                        dist.insert(u, dist[&v] + 1);
-                        queue.push_back(u);
-                    }
-                }
-            }
-            dist
-        };
+        let reference = |source: u64| distances(&adjacency, source);
         for routing in ROUTINGS {
             let cluster = |kind: BackendKind| {
                 let tag = format!("agree-{routing:?}-{}", kind.name());
@@ -1156,6 +1148,167 @@ mod tests {
         }
     }
 
+    /// Distances from `source` over its whole component.
+    fn distances(adjacency: &HashMap<u64, Vec<u64>>, source: u64) -> HashMap<u64, u32> {
+        let mut dist = HashMap::from([(source, 0u32)]);
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(v) = queue.pop_front() {
+            for &u in adjacency.get(&v).into_iter().flatten() {
+                if !dist.contains_key(&u) {
+                    dist.insert(u, dist[&v] + 1);
+                    queue.push_back(u);
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn one_engine_serves_every_search_of_a_cluster() {
+        let cluster = build_cluster(
+            "reuse",
+            3,
+            BackendKind::HashMap,
+            path_edges(20),
+            DeclusterKind::VertexHash,
+        );
+        for i in 0..200u64 {
+            let (source, dest) = (i % 7, 20 - i % 5);
+            let m = bfs(&cluster, g(source), g(dest), &BfsOptions::default()).unwrap();
+            assert_eq!(m.path_length, Some((dest - source) as u32));
+        }
+        assert_eq!(cluster.engines.started(), 1);
+    }
+
+    #[test]
+    fn back_to_back_searches_answer_as_the_reference_does() {
+        // A search that meets ends on FOUND, and the copy that sends it
+        // leaves its peers' last markers unread. The next search on the same
+        // engine must not count them: every search answers, scans and
+        // sends what it does alone.
+        let mut below = xorshift(0x0b2b);
+        let edges = skewed_edges(&mut below);
+        let adjacency = adjacency_of(&edges);
+        let pairs: Vec<(u64, u64)> = (0..40).map(|_| (below(300), below(300))).collect();
+        let cluster = build_cluster(
+            "b2b",
+            3,
+            BackendKind::HashMap,
+            edges,
+            DeclusterKind::VertexHash,
+        );
+        let mut first_pass = Vec::new();
+        for pass in 0..2 {
+            for (i, &(source, dest)) in pairs.iter().enumerate() {
+                let m = bfs(&cluster, g(source), g(dest), &BfsOptions::default()).unwrap();
+                let what = format!("pass {pass}: {source} -> {dest}");
+                let want = two_sided(&adjacency, source, dest);
+                assert_eq!((m.path_length, m.rounds, m.edges_scanned), want, "{what}");
+                let msgs = m.telemetry.net.total_msgs();
+                if pass == 0 {
+                    first_pass.push(msgs);
+                } else {
+                    assert_eq!(msgs, first_pass[i], "{what}: messages of this search alone");
+                }
+            }
+        }
+        assert_eq!(cluster.engines.started(), 1);
+    }
+
+    #[test]
+    fn each_search_reports_its_own_job() {
+        let cluster = build_cluster(
+            "perjob",
+            2,
+            BackendKind::HashMap,
+            path_edges(12),
+            DeclusterKind::VertexHash,
+        );
+        let a = bfs(&cluster, g(0), g(12), &BfsOptions::default()).unwrap();
+        let b = bfs(&cluster, g(0), g(12), &BfsOptions::default()).unwrap();
+        assert!(a.telemetry.net.total_msgs() > 0);
+        assert_eq!(b.telemetry.net.total_msgs(), a.telemetry.net.total_msgs());
+        assert_eq!(b.telemetry.net.total_bytes(), a.telemetry.net.total_bytes());
+        for t in [&a.telemetry, &b.telemetry] {
+            let copies = t.filter("bfs");
+            assert_eq!(copies.len(), 2);
+            assert!(copies
+                .iter()
+                .all(|c| c.total <= t.elapsed && c.busy() <= c.total));
+        }
+    }
+
+    #[test]
+    fn concurrent_searches_and_components_answer_as_the_oracles_do() {
+        // Four callers share one cluster, each on an engine of its own.
+        let mut below = xorshift(0xc0c0);
+        let edges = skewed_edges(&mut below);
+        let adjacency = adjacency_of(&edges);
+        let (components, vertices) = crate::components::tests::union_find_oracle(&edges);
+        for kind in [BackendKind::HashMap, BackendKind::Grdb] {
+            let tag = format!("concurrent-{}", kind.name());
+            let cluster = build_cluster(&tag, 3, kind, edges.clone(), DeclusterKind::VertexHash);
+            std::thread::scope(|scope| {
+                for caller in 0..4u64 {
+                    let (cluster, adjacency) = (&cluster, &adjacency);
+                    scope.spawn(move || {
+                        let mut below = xorshift(0x5eed + caller);
+                        for call in 0..12 {
+                            if (call + caller) % 4 == 0 {
+                                let cc = crate::connected_components(cluster).unwrap();
+                                assert_eq!(
+                                    (cc.components as usize, cc.vertices as usize),
+                                    (components, vertices)
+                                );
+                                continue;
+                            }
+                            let (source, dest) = (below(300), below(300));
+                            let m =
+                                bfs(cluster, g(source), g(dest), &BfsOptions::default()).unwrap();
+                            let want = distances(adjacency, source).get(&dest).copied();
+                            assert_eq!(m.path_length, want, "{source} -> {dest}");
+                        }
+                    });
+                }
+            });
+            assert!(cluster.engines.started() <= 4, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn concurrent_external_searches_keep_their_own_visited_files() {
+        // The external visited sets are files under the cluster's scratch
+        // directory: two searches at once must not share one.
+        let mut below = xorshift(0xe7e7);
+        let edges = skewed_edges(&mut below);
+        let adjacency = adjacency_of(&edges);
+        let cluster = build_cluster(
+            "extconc",
+            2,
+            BackendKind::Grdb,
+            edges,
+            DeclusterKind::VertexHash,
+        );
+        let options = BfsOptions {
+            visited: VisitedKind::External,
+            ..Default::default()
+        };
+        std::thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let (cluster, adjacency, options) = (&cluster, &adjacency, &options);
+                scope.spawn(move || {
+                    let mut below = xorshift(0xface + caller);
+                    for _ in 0..10 {
+                        let (source, dest) = (below(300), below(300));
+                        let m = bfs(cluster, g(source), g(dest), options).unwrap();
+                        let want = distances(adjacency, source).get(&dest).copied();
+                        assert_eq!(m.path_length, want, "{source} -> {dest}");
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn level_spans_cover_every_round() {
         let dir = tmpdir("spans");
@@ -1188,9 +1341,14 @@ mod tests {
             );
         }
         // Every level span carries its frontier size and nests under the
-        // runtime's per-copy span.
+        // engine copy's job span, inside the runtime's per-copy span.
         assert!(levels.iter().all(|s| s.field_u64("frontier").is_some()));
-        assert!(levels.iter().all(|s| s.path == "filter.run;bfs.level"));
+        assert!(levels
+            .iter()
+            .all(|s| s.path == "filter.run;superstep.job;bfs.level"));
+        let jobs: Vec<_> = spans.iter().filter(|s| s.name == "superstep.job").collect();
+        assert_eq!(jobs.len(), 2, "one job span per copy");
+        assert!(jobs.iter().all(|s| s.field_u64("job") == Some(1)));
         // The unified report has the per-copy breakdown too.
         assert_eq!(m.telemetry.filter("bfs").len(), 2);
     }

@@ -9,6 +9,7 @@
 use crate::backend::{open_backend, BackendKind, BackendOptions};
 use crate::decluster::{DeclusterKind, Declustering};
 use crate::epoch::EpochManager;
+use crate::superstep::Engines;
 use crate::telemetry::TelemetryReport;
 use datacutter::RunReport;
 use graphdb::GraphDb;
@@ -26,6 +27,9 @@ pub type SharedBackend = Arc<Mutex<Box<dyn GraphDb + Send>>>;
 
 /// The MSSG cluster: back-end storage nodes and their databases.
 pub struct MssgCluster {
+    /// Idle resident engines the analyses run on (`superstep`). Declared
+    /// first, so a dropped cluster stops them before its backends go.
+    pub(crate) engines: Engines,
     backends: Vec<SharedBackend>,
     stats: Vec<Arc<IoStats>>,
     kind: BackendKind,
@@ -64,6 +68,7 @@ impl MssgCluster {
             stats.push(node_stats);
         }
         Ok(MssgCluster {
+            engines: Engines::new(),
             backends,
             stats,
             kind,
@@ -76,8 +81,10 @@ impl MssgCluster {
 
     /// Attaches a telemetry bundle: every subsequent service run (ingest,
     /// BFS, components, …) emits spans into its tracer and records metrics
-    /// into its registry. Disabled by default.
+    /// into its registry. Disabled by default. Idle engines, which carry
+    /// the old bundle, are stopped; the next analysis starts one.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.engines.shut_down();
         self.telemetry = telemetry;
     }
 

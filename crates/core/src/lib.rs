@@ -23,9 +23,10 @@
 //! - [`bfs`] — parallel out-of-core BFS (Algorithm 1) and its pipelined
 //!   variant (Algorithm 2), implemented as DataCutter filter graphs around
 //!   one per-level kernel (scan, filter, route),
-//! - `superstep` (crate-private) — the one `peers` pipeline [`bfs`],
-//!   [`components`], [`msf`] and [`degrees`] run on, as programs over
-//!   `datacutter::superstep`'s round protocol,
+//! - `superstep` (crate-private) — the resident engines [`bfs`],
+//!   [`components`], [`msf`] and [`degrees`] run on as jobs: each
+//!   cluster's `peers` pipelines, kept up between calls, running programs
+//!   over `datacutter::superstep`'s round protocol,
 //! - [`query`] — the Query service: a registry of analyses executable by
 //!   name,
 //! - [`telemetry`] — [`TelemetryReport`], the unified per-run observation

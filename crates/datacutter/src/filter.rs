@@ -2,7 +2,7 @@
 
 use crate::buffer::DataBuffer;
 use crate::fault::CopyFaults;
-use crate::netstats::NetStats;
+use crate::netstats::{NetSnapshot, NetStats};
 use crate::transport::{RecvOutcome, RxEndpoint, SendOutcome, TxEndpoint};
 use crate::NodeId;
 use mssg_obs::{Histogram, Telemetry};
@@ -23,6 +23,30 @@ pub(crate) struct PortClocks {
     pub(crate) blocked_send_ns: AtomicU64,
     /// Wall time of the whole filter lifecycle, set once by the runtime.
     pub(crate) total_ns: AtomicU64,
+}
+
+/// What one filter copy has done so far in its run: the time its ports
+/// spent parked and the traffic it sent. A copy that runs one job after
+/// another diffs two readings ([`CopyUsage::since`]) to account one job.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CopyUsage {
+    /// Time blocked inside `InPort::recv`.
+    pub blocked_recv: Duration,
+    /// Time blocked inside `OutPort` sends.
+    pub blocked_send: Duration,
+    /// Messages and bytes this copy sent.
+    pub sent: NetSnapshot,
+}
+
+impl CopyUsage {
+    /// What was done between `earlier` and this reading.
+    pub fn since(&self, earlier: &CopyUsage) -> CopyUsage {
+        CopyUsage {
+            blocked_recv: self.blocked_recv.saturating_sub(earlier.blocked_recv),
+            blocked_send: self.blocked_send.saturating_sub(earlier.blocked_send),
+            sent: self.sent.since(&earlier.sent),
+        }
+    }
 }
 
 /// A processing component. The runtime calls `init`, then `process`, then
@@ -79,7 +103,8 @@ impl InPort {
             RecvOutcome::Failed(e) => Err(e),
         };
         if let (Some(clocks), Some(start)) = (&self.clocks, start) {
-            // racecheck: timing counter, read only after the runtime joins.
+            // racecheck: timing counter, read on this copy's thread (`usage`)
+            // or after the runtime joins.
             clocks
                 .blocked_recv_ns
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -175,7 +200,8 @@ impl OutPort {
             SendOutcome::Failed(e) => Err(e),
         };
         if let (Some(clocks), Some(start)) = (&self.clocks, start) {
-            // racecheck: timing counter, read only after the runtime joins.
+            // racecheck: timing counter, read on this copy's thread (`usage`)
+            // or after the runtime joins.
             clocks
                 .blocked_send_ns
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -230,6 +256,10 @@ pub struct FilterContext {
     pub(crate) inputs: HashMap<String, InPort>,
     pub(crate) outputs: HashMap<String, OutPort>,
     pub(crate) telemetry: Telemetry,
+    /// The copy's blocked-time clocks, shared with its ports.
+    pub(crate) clocks: Arc<PortClocks>,
+    /// What the copy's out ports sent.
+    pub(crate) sent: Arc<NetStats>,
 }
 
 impl FilterContext {
@@ -238,6 +268,17 @@ impl FilterContext {
     /// enabled [`Telemetry`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// This copy's port clocks and sent traffic, so far in the run.
+    pub fn usage(&self) -> CopyUsage {
+        // racecheck: timing counters of this copy, read on its own thread.
+        let ns = |clock: &AtomicU64| Duration::from_nanos(clock.load(Ordering::Relaxed));
+        CopyUsage {
+            blocked_recv: ns(&self.clocks.blocked_recv_ns),
+            blocked_send: ns(&self.clocks.blocked_send_ns),
+            sent: self.sent.snapshot(),
+        }
     }
 
     /// Looks up an input port by name.
@@ -279,6 +320,8 @@ impl FilterContext {
                 .map(|(k, v)| (k.clone(), v.clone_port()))
                 .collect(),
             telemetry: self.telemetry.clone(),
+            clocks: Arc::clone(&self.clocks),
+            sent: Arc::clone(&self.sent),
         }
     }
 }

@@ -64,7 +64,10 @@
 //! all-to-all: tagged messages, a per-phase barrier that stashes early
 //! messages, and checked record decoding. `mssg-core`'s analyses and
 //! `mssg-net`'s distributed workload both run on it, so the exchange that
-//! crosses process boundaries is the one the analyses use.
+//! crosses process boundaries is the one the analyses use. Copies may run
+//! one program after another as numbered jobs, each dropping the messages
+//! of any other, and [`FilterContext::usage`] lets a copy account each job
+//! on its own.
 //!
 //! ## Static verification
 //!
@@ -130,7 +133,7 @@ pub mod verify;
 
 pub use buffer::DataBuffer;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use filter::{Filter, FilterContext, InPort, OutPort};
+pub use filter::{CopyUsage, Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
 pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};
 pub use runtime::{run_node, FilterTiming, RestartEvent, RunReport};

@@ -171,15 +171,21 @@ fn run_with(
             return Err(GraphStorageError::Verify(errs.remove(0)));
         }
     }
-    let stats = NetStats::new();
     let telemetry = graph.telemetry.clone();
     let is_local = |node: NodeId| only_node.is_none_or(|n| n == node);
 
     let plans = plan_endpoints(&graph, only_node);
 
     // Build per-copy contexts (local copies only), each with its own
-    // blocked-time clocks.
+    // blocked-time clocks and sent-traffic counters.
     let nfilters = graph.filters.len();
+    let per_copy = |fi: usize| 0..graph.filters[fi].placement.len();
+    let clocks: Vec<Vec<Arc<PortClocks>>> = (0..nfilters)
+        .map(|fi| per_copy(fi).map(|_| Arc::default()).collect())
+        .collect();
+    let stats: Vec<Vec<Arc<NetStats>>> = (0..nfilters)
+        .map(|fi| per_copy(fi).map(|_| NetStats::new()).collect())
+        .collect();
     let mut contexts: Vec<Vec<Option<FilterContext>>> = (0..nfilters)
         .map(|fi| {
             let placement = &graph.filters[fi].placement;
@@ -194,15 +200,10 @@ fn run_with(
                         inputs: HashMap::new(),
                         outputs: HashMap::new(),
                         telemetry: telemetry.clone(),
+                        clocks: Arc::clone(&clocks[fi][ci]),
+                        sent: Arc::clone(&stats[fi][ci]),
                     })
                 })
-                .collect()
-        })
-        .collect();
-    let clocks: Vec<Vec<Arc<PortClocks>>> = (0..nfilters)
-        .map(|fi| {
-            (0..graph.filters[fi].placement.len())
-                .map(|_| Arc::new(PortClocks::default()))
                 .collect()
         })
         .collect();
@@ -265,7 +266,7 @@ fn run_with(
                     senders,
                     my_node: ctx.node,
                     rr: ctx.copy_index, // Stagger round-robin across copies.
-                    stats: Arc::clone(&stats),
+                    stats: Arc::clone(&stats[s.from][ci]),
                     clocks: Some(Arc::clone(&clocks[s.from][ci])),
                     queue_depth: queue_depth.clone(),
                     timeout: graph.stream_timeout,
@@ -413,11 +414,13 @@ fn run_with(
         return Err(errors.swap_remove(root));
     }
     let mut filters = Vec::new();
+    let mut net = NetSnapshot::default();
     for (fi, def) in graph.filters.iter().enumerate() {
         for (ci, &node) in def.placement.iter().enumerate() {
             if !is_local(node) {
                 continue;
             }
+            net = net.merged(&stats[fi][ci].snapshot());
             let c = &clocks[fi][ci];
             // racecheck: timing counters read after every writer joined.
             filters.push(FilterTiming {
@@ -434,7 +437,7 @@ fn run_with(
     let faults = fault_log.map(|log| log.events()).unwrap_or_default();
     Ok(RunReport {
         elapsed: start.elapsed(),
-        net: stats.snapshot(),
+        net,
         filters,
         restarts,
         faults,

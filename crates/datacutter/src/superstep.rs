@@ -12,6 +12,13 @@
 //! that crosses a process boundary is the one the analyses ship.
 //!
 //! A copy sends itself nothing: what it owns it handles in place.
+//!
+//! Copies may run one program after another on the same streams, as
+//! `mssg-core`'s resident engines do. Each run is a *job* with a number
+//! that every message carries in its tag, and a copy drops any message
+//! of another job unread: a job that ends early (BFS's `FOUND`) may leave
+//! its peers' last markers in the input, and the next job must not count
+//! them. A one-shot pipeline is job 0.
 
 use crate::{DataBuffer, FilterContext};
 use mssg_obs::Telemetry;
@@ -22,9 +29,16 @@ use std::ops::ControlFlow;
 /// The port a program's copies exchange messages on, in and out.
 pub const PORT: &str = "peers";
 
-/// Message tag: `[kind: 8 bits][round: 32 bits][sender: 24 bits]`.
-pub fn tag(kind: u64, round: u32, sender: usize) -> u64 {
-    (kind << 56) | ((round as u64) << 24) | sender as u64
+/// The most copies a program may have: the sender field's range.
+pub const MAX_COPIES: usize = 1 << 12;
+
+/// Message tag: `[kind: 8 bits][round: 32 bits][job: 12 bits][sender: 12
+/// bits]`. Only the low 12 bits of the job number are carried. That is
+/// enough: a copy reads a peer's messages in the order they were sent, so
+/// the leftovers of one job are read (and dropped) by the first barrier of
+/// the next.
+pub fn tag(kind: u64, round: u32, job: u32, sender: usize) -> u64 {
+    (kind << 56) | ((round as u64) << 24) | (job_bits(job) << 12) | sender as u64
 }
 
 fn tag_kind(t: u64) -> u64 {
@@ -33,6 +47,14 @@ fn tag_kind(t: u64) -> u64 {
 
 fn tag_round(t: u64) -> u32 {
     ((t >> 24) & 0xffff_ffff) as u32
+}
+
+fn tag_job(t: u64) -> u64 {
+    (t >> 12) & 0xfff
+}
+
+fn job_bits(job: u32) -> u64 {
+    job as u64 & 0xfff
 }
 
 /// One phase of a program: the kind of its record messages and the kind
@@ -71,24 +93,26 @@ pub enum Barrier<B> {
 /// messages of phases it has not reached.
 struct Inbox {
     kinds: u64,
+    job: u32,
     done: usize,
     sum: u64,
     stash: Vec<DataBuffer>,
 }
 
 impl Inbox {
-    fn new(kinds: u64) -> Inbox {
+    fn new(kinds: u64, job: u32) -> Inbox {
         Inbox {
             kinds,
+            job,
             done: 0,
             sum: 0,
             stash: Vec::new(),
         }
     }
 
-    /// Takes one message at a copy in `phase` of `round`: that phase's
-    /// marker is counted, its records go to `on_data`, everything else
-    /// waits in the stash.
+    /// Takes one message at a copy in `phase` of `round`: a message of
+    /// another job is dropped, that phase's marker is counted, its records
+    /// go to `on_data`, everything else waits in the stash.
     fn accept<B>(
         &mut self,
         phase: Phase,
@@ -96,6 +120,9 @@ impl Inbox {
         msg: DataBuffer,
         on_data: &mut impl FnMut(&DataBuffer) -> Result<ControlFlow<B>>,
     ) -> Result<ControlFlow<B>> {
+        if tag_job(msg.tag) != job_bits(self.job) {
+            return Ok(ControlFlow::Continue(()));
+        }
         let (kind, of_round) = (tag_kind(msg.tag), tag_round(msg.tag));
         if kind >= self.kinds {
             return Err(GraphStorageError::corrupt(format!(
@@ -122,13 +149,20 @@ pub struct Peers<'a> {
 }
 
 impl<'a> Peers<'a> {
-    /// The exchange of the copy `ctx` belongs to, for a program whose
-    /// messages are of kinds `0..kinds`; any other kind is `Corrupt`.
-    pub fn new(ctx: &'a mut FilterContext, kinds: u64) -> Peers<'a> {
-        Peers {
-            ctx,
-            inbox: Inbox::new(kinds),
+    /// The exchange of the copy `ctx` belongs to, in job `job`, for a
+    /// program whose messages are of kinds `0..kinds`; any other kind is
+    /// `Corrupt`. A program of more than [`MAX_COPIES`] copies is refused.
+    pub fn new(ctx: &'a mut FilterContext, kinds: u64, job: u32) -> Result<Peers<'a>> {
+        if ctx.copies > MAX_COPIES {
+            return Err(GraphStorageError::Unsupported(format!(
+                "{} copies; a superstep program has at most {MAX_COPIES}",
+                ctx.copies
+            )));
         }
+        Ok(Peers {
+            ctx,
+            inbox: Inbox::new(kinds, job),
+        })
     }
 
     /// This copy's index.
@@ -149,14 +183,14 @@ impl<'a> Peers<'a> {
     /// Sends `words` to the peer `to`.
     pub fn send(&mut self, to: usize, kind: u64, round: u32, words: &[u64]) -> Result<()> {
         debug_assert_ne!(to, self.me(), "a copy sends itself nothing");
-        let buf = DataBuffer::from_words(tag(kind, round, self.me()), words);
+        let buf = DataBuffer::from_words(self.tag(kind, round), words);
         self.post(to, buf)
     }
 
     /// Sends `words` to every peer, as one shared buffer.
     pub fn send_all(&mut self, kind: u64, round: u32, words: &[u64]) -> Result<()> {
         let me = self.me();
-        let buf = DataBuffer::from_words(tag(kind, round, me), words);
+        let buf = DataBuffer::from_words(self.tag(kind, round), words);
         for to in (0..self.copies()).filter(|&to| to != me) {
             self.post(to, buf.clone())?;
         }
@@ -174,6 +208,10 @@ impl<'a> Peers<'a> {
             }
         }
         Ok(std::mem::take(&mut batches[me]))
+    }
+
+    fn tag(&self, kind: u64, round: u32) -> u64 {
+        tag(kind, round, self.inbox.job, self.me())
     }
 
     fn post(&mut self, to: usize, buf: DataBuffer) -> Result<()> {
@@ -315,7 +353,7 @@ mod tests {
     impl<T: Send> Filter for Copy<T> {
         fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
             let me = ctx.copy_index;
-            let result = (self.program)(&mut Peers::new(ctx, 2))?;
+            let result = (self.program)(&mut Peers::new(ctx, 2, 0)?)?;
             self.results.lock()[me] = Some(result);
             Ok(())
         }
@@ -350,7 +388,7 @@ mod tests {
         for (kinds, phase) in [(2, Phase::nth(0)), (3, Phase::nth(0)), (4, Phase::nth(1))] {
             for arity in [1, 2, 4] {
                 let what = format!("{kinds} kinds, phase {phase:?}, {arity}-word records");
-                let mut inbox = Inbox::new(kinds);
+                let mut inbox = Inbox::new(kinds, 0);
                 let delivered = Cell::new(0);
                 let mut read = |msg: &DataBuffer| {
                     delivered.set(match arity {
@@ -360,13 +398,13 @@ mod tests {
                     });
                     Ok(ControlFlow::<()>::Continue(()))
                 };
-                let (data, done) = (tag(phase.data, 1, 1), tag(phase.done, 1, 1));
+                let (data, done) = (tag(phase.data, 1, 0, 1), tag(phase.done, 1, 0, 1));
                 let mut malformed = vec![
                     ("0-byte marker", DataBuffer::control(done)),
                     ("2-word marker", DataBuffer::from_words(done, &[0, 0])),
                     ("7-byte marker", DataBuffer::new(done, vec![0; 7])),
                     ("7-byte records", DataBuffer::new(data, vec![0; 7])),
-                    ("unknown kind", DataBuffer::control(tag(kinds, 1, 1))),
+                    ("unknown kind", DataBuffer::control(tag(kinds, 1, 0, 1))),
                 ];
                 if arity > 1 {
                     // Whole words are not enough: they must be whole records.
@@ -400,10 +438,46 @@ mod tests {
         }
         // BFS's FOUND carries the vertex where the sides met, one word.
         for words in [&[][..], &[3, 3]] {
-            let found = DataBuffer::from_words(tag(2, 1, 1), words);
+            let found = DataBuffer::from_words(tag(2, 1, 0, 1), words);
             let err = one_word(&found).unwrap_err();
             assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn messages_of_another_job_are_dropped_unread() {
+        const PHASE: Phase = Phase::nth(0);
+        let mut inbox = Inbox::new(2, 7);
+        let mut read = |_: &DataBuffer| Ok(ControlFlow::<()>::Continue(()));
+        // Leftovers of other jobs — a marker, a record, a marker of a later
+        // round, an unknown kind and a malformed marker — are neither
+        // counted, nor stashed, nor decoded.
+        for job in [0, 6, 8] {
+            let msgs = [
+                DataBuffer::from_words(tag(PHASE.done, 1, job, 1), &[5]),
+                DataBuffer::from_words(tag(PHASE.data, 1, job, 1), &[9]),
+                DataBuffer::from_words(tag(PHASE.done, 2, job, 1), &[5]),
+                DataBuffer::control(tag(9, 1, job, 1)),
+                DataBuffer::new(tag(PHASE.done, 1, job, 1), vec![0; 7]),
+            ];
+            for msg in msgs {
+                let mut never = |_: &DataBuffer| -> Result<ControlFlow<()>> {
+                    panic!("a record of job {job} reached the handler")
+                };
+                assert!(inbox
+                    .accept(PHASE, 1, msg, &mut never)
+                    .unwrap()
+                    .is_continue());
+            }
+        }
+        assert_eq!((inbox.done, inbox.sum, inbox.stash.len()), (0, 0, 0));
+        // The job's own marker counts; tags carry the number mod 4096.
+        let own = DataBuffer::from_words(tag(PHASE.done, 1, 7 + 4096, 1), &[5]);
+        assert!(inbox
+            .accept(PHASE, 1, own, &mut read)
+            .unwrap()
+            .is_continue());
+        assert_eq!((inbox.done, inbox.sum), (1, 5));
     }
 
     #[test]

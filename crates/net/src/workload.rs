@@ -275,7 +275,7 @@ impl Filter for Store {
         let ingest = t0.elapsed();
 
         let t1 = Instant::now();
-        let (levels, rounds) = self.bfs(&mut Peers::new(ctx, KINDS))?;
+        let (levels, rounds) = self.bfs(&mut Peers::new(ctx, KINDS, 0)?)?;
         let bfs = t1.elapsed();
 
         // Ship owned levels in canonical (sorted) order, then stats.
@@ -694,11 +694,11 @@ mod tests {
         for (what, msg) in [
             (
                 "a 7-byte candidate payload",
-                DataBuffer::new(superstep::tag(ROUND.data, 0, 1), vec![0; 7]),
+                DataBuffer::new(superstep::tag(ROUND.data, 0, 0, 1), vec![0; 7]),
             ),
             (
                 "an unknown peers kind",
-                DataBuffer::control(superstep::tag(KINDS, 0, 1)),
+                DataBuffer::control(superstep::tag(KINDS, 0, 0, 1)),
             ),
         ] {
             let mut g = graph();

@@ -51,6 +51,7 @@ pub const SPANS: &[&str] = &[
     "net.handshake",
     "net.telemetry_ship",
     "serve.execute",
+    "superstep.job",
 ];
 
 /// Prefixes of dynamically constructed names (the lint cannot check
