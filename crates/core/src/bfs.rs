@@ -114,10 +114,8 @@ pub struct BfsOptions {
     /// Deterministic fault plan for chaos testing the search pipeline,
     /// over the sites `bfs.{i}`. A search with a plan, or with another
     /// `recv_timeout` than the default, runs on an engine of its own.
-    /// Note BFS filters are deliberately *not* supervised: a restarted
-    /// peer would have lost its visited set, so mid-search crashes are
-    /// fail-stop and the caller retries the whole (idempotent, read-only)
-    /// search.
+    /// A mid-search crash fails the search, and the caller retries the
+    /// whole (idempotent, read-only) search.
     pub fault_plan: Option<datacutter::FaultPlan<datacutter::FaultKind>>,
 }
 

@@ -62,16 +62,14 @@ pub struct IngestOptions {
     /// fixes it; naming another on a cluster that stores entries is
     /// `Unsupported`.
     pub declustering: DeclusterKind,
-    /// Resume a killed-and-restarted ingestion: the windows below each
-    /// node's watermark are already durably stored there and are skipped
-    /// instead of duplicated (counted in the `ingest.windows_skipped`
-    /// metric). Only meaningful when the *same* edge stream (and
-    /// `window_edges`) is replayed into the same cluster; off by default.
+    /// Complete a failed ingestion by replaying its stream: the windows
+    /// below each node's watermark are already durably stored there and
+    /// are skipped instead of duplicated (counted in the
+    /// `ingest.windows_skipped` metric). A `window_edges` other than the
+    /// one the failed stream recorded is refused with `Unsupported`
+    /// before anything runs. Replaying the *same* edge stream is the
+    /// caller's contract: the cluster cannot check it. Off by default.
     pub resume: bool,
-    /// Restart a crashed (panicked) filter copy up to this many times
-    /// before the run fails — see `GraphBuilder::supervise`. 0 (default)
-    /// keeps the classic fail-stop behaviour.
-    pub max_restarts: u32,
     /// Per-stream send/recv deadline; a dead filter surfaces as a typed
     /// timeout error instead of a hang. Defaults to the analyses' 120 s.
     pub stream_timeout: Duration,
@@ -87,7 +85,6 @@ impl Default for IngestOptions {
             window_edges: 4096,
             declustering: DeclusterKind::VertexHash,
             resume: false,
-            max_restarts: 0,
             stream_timeout: DEADLINE,
             fault_plan: None,
         }
@@ -104,6 +101,13 @@ const CKPT_TAG: u8 = 6;
 /// always such a prefix.
 fn watermark_gid() -> Gid {
     Gid::tagged(CKPT_TAG, 0)
+}
+
+/// Checkpoint key holding the window size of the latest stream on a node,
+/// written beside the watermark when the stream starts. A resume must cut
+/// the stream the same way, or the watermark counts other windows.
+fn window_gid() -> Gid {
+    Gid::tagged(CKPT_TAG, 1)
 }
 
 /// Reads a node's ingestion watermark — how many windows (from the start
@@ -138,6 +142,16 @@ pub fn ingest(
     let p = cluster.nodes();
     let f = options.front_ends;
     let kind = options.declustering;
+    // The window size is recorded in the checkpoint as metadata.
+    let window = Meta::try_from(options.window_edges)
+        .ok()
+        .filter(|&w| w != UNVISITED)
+        .ok_or_else(|| {
+            GraphStorageError::Unsupported(format!(
+                "a window of {} edges exceeds the checkpoint's range",
+                options.window_edges
+            ))
+        })?;
     if kind == DeclusterKind::VertexRoundRobin && f > 1 {
         return Err(GraphStorageError::Unsupported(format!(
             "VertexRoundRobin places vertices in stream order, on one front-end, not {f}"
@@ -157,22 +171,32 @@ pub fn ingest(
     // `VertexRoundRobin`'s one front-end.
     let placement = Arc::new(Mutex::new(cluster.placement.clone()));
 
-    // Each store copy's cursor: the next window id it applies. A resumed
-    // run starts at the node's watermark. A fresh stream starts at window
-    // 0 and first resets every watermark to 0, so a resume of *this*
-    // stream never trusts what an earlier one left behind. The source
-    // skips outright every window below the *minimum* watermark — all
-    // nodes already hold those.
-    let cursors = if options.resume {
-        (0..p)
-            .map(|i| cluster.with_backend(i, |db| ingest_watermark(db)))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        for i in 0..p {
-            cluster.with_backend(i, |db| db.set_metadata(watermark_gid(), 0))?;
-        }
-        vec![0; p]
-    };
+    // Each store copy's cursor: the next window id it applies. A fresh
+    // stream starts at window 0: it resets every watermark to 0 and
+    // records its window size, so a resume of *this* stream never trusts
+    // what an earlier one left behind. A resumed run starts at the node's
+    // watermark, and is refused before anything runs if a node recorded
+    // another window size (a node that recorded none resumes as it is).
+    let mut cursors = vec![0; p];
+    for (i, cursor) in cursors.iter_mut().enumerate() {
+        cluster.with_backend(i, |db| {
+            if !options.resume {
+                db.set_metadata(watermark_gid(), 0)?;
+                return db.set_metadata(window_gid(), window);
+            }
+            let recorded = db.get_metadata(window_gid())?;
+            if recorded != UNVISITED && recorded != window {
+                return Err(GraphStorageError::Unsupported(format!(
+                    "a resume with {window}-edge windows of a stream node {i} cut into \
+                     {recorded}-edge windows"
+                )));
+            }
+            *cursor = ingest_watermark(db)?;
+            Ok(())
+        })?;
+    }
+    // The source skips outright every window below the *minimum*
+    // watermark — all nodes already hold those.
     let resume_from = cursors.iter().copied().min().unwrap_or(0);
 
     let mut g = GraphBuilder::new();
@@ -181,9 +205,6 @@ pub fn ingest(
     if let Some(plan) = &options.fault_plan {
         g.fault_plan(plan.clone());
     }
-    // Base backoff between supervised restarts (doubles per attempt).
-    const RESTART_BACKOFF: Duration = Duration::from_millis(25);
-    g.supervise(options.max_restarts, RESTART_BACKOFF);
     // Node layout: back-ends 0..p, front-ends p..p+f, source at p+f.
     let mut source_holder = Some(SourceFilter {
         edges: Box::new(edges),
@@ -204,22 +225,14 @@ pub fn ingest(
         })
     })?;
     let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
-    // Built once per copy, outside the factory: a supervised restart
-    // rebuilds the filter but hands it the same progress.
-    let progress: Vec<_> = cursors
-        .into_iter()
-        .map(|next| {
-            Arc::new(Mutex::new(StoreProgress {
-                next,
-                durable: next,
-                ..Default::default()
-            }))
-        })
-        .collect();
     let store = g.add_filter("store", (0..p).collect(), move |i| {
         Box::new(StoreFilter {
             backend: backends[i].clone(),
-            progress: Arc::clone(&progress[i]),
+            progress: StoreProgress {
+                next: cursors[i],
+                durable: cursors[i],
+                ..Default::default()
+            },
         })
     })?;
     g.declare_ports(src, &[], &["windows"]);
@@ -329,12 +342,7 @@ impl Filter for IngestFilter {
     }
 }
 
-/// One store copy's place in the window sequence. It lives outside the
-/// filter incarnation (see `ingest`), so a supervised restart neither
-/// loses a window the crashed incarnation had absorbed nor applies one
-/// twice. Injected crashes fire at `recv` boundaries, before the next
-/// buffer is popped, and the lock is never held across a `recv` — a new
-/// incarnation always finds this state at a window boundary.
+/// One store copy's place in the window sequence.
 #[derive(Default)]
 struct StoreProgress {
     /// The next window id to apply.
@@ -349,7 +357,7 @@ struct StoreProgress {
 
 struct StoreFilter {
     backend: crate::cluster::SharedBackend,
-    progress: Arc<Mutex<StoreProgress>>,
+    progress: StoreProgress,
 }
 
 impl StoreFilter {
@@ -357,7 +365,8 @@ impl StoreFilter {
     /// cursor. The watermark never passes a window before its edges are
     /// stored: a crash mid-batch leaves it below them, and a `resume`
     /// replay re-stores exactly those.
-    fn flush_batch(&self, st: &mut StoreProgress) -> Result<()> {
+    fn flush_batch(&mut self) -> Result<()> {
+        let st = &mut self.progress;
         if st.durable == st.next {
             return Ok(());
         }
@@ -377,19 +386,17 @@ impl Filter for StoreFilter {
         let skipped = ctx.telemetry().metrics.counter("ingest.windows_skipped");
         let batch_entries = self.backend.lock().store_batch_entries();
         while let Some(buf) = ctx.input("batches")?.recv()? {
-            let mut guard = self.progress.lock();
-            let st = &mut *guard;
-            if buf.tag < st.next {
+            if buf.tag < self.progress.next {
                 // Below a resumed node's durable prefix.
                 skipped.inc();
                 continue;
             }
-            st.early.insert(buf.tag, buf);
-            while let Some(window) = st.early.remove(&st.next) {
-                st.next += 1;
-                st.batch.extend(window.try_edges()?);
-                if st.batch.len() >= batch_entries {
-                    self.flush_batch(st)?;
+            self.progress.early.insert(buf.tag, buf);
+            while let Some(window) = self.progress.early.remove(&self.progress.next) {
+                self.progress.next += 1;
+                self.progress.batch.extend(window.try_edges()?);
+                if self.progress.batch.len() >= batch_entries {
+                    self.flush_batch()?;
                 }
             }
         }
@@ -398,9 +405,8 @@ impl Filter for StoreFilter {
         // above a gap. Those are *dropped*, never applied out of order:
         // they lie above the watermark, so a resumed replay re-applies them
         // in their proper place.
-        let mut guard = self.progress.lock();
-        guard.early.clear();
-        self.flush_batch(&mut guard)?;
+        self.progress.early.clear();
+        self.flush_batch()?;
         self.backend.lock().flush()
     }
 }
@@ -678,8 +684,8 @@ mod tests {
         let dir = tmpdir("resume-kill");
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        // Unsupervised run, store copy 1 panics at its 4th port operation
-        // (so it durably stored exactly 3 windows before "the node died").
+        // Store copy 1 panics at its 4th port operation (so it durably
+        // stored exactly 3 windows before "the node died").
         let opts = IngestOptions {
             window_edges: 10,
             fault_plan: Some(FaultPlan::new().inject("store.1", 4, FaultKind::Panic)),
@@ -716,64 +722,42 @@ mod tests {
     }
 
     #[test]
-    fn supervised_chaos_ingestion_converges() {
+    fn resume_with_another_window_size_is_refused() {
         use datacutter::{FaultKind, FaultPlan};
-        let dir = tmpdir("chaos");
+        let dir = tmpdir("resume-window");
         let mut cluster =
             MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        // Three injected store-copy panics, each absorbed by a supervised
-        // restart. Panics fire at recv boundaries (before the buffer is
-        // popped), so the restarted incarnation re-receives the window and
-        // nothing is lost or duplicated.
-        let opts = IngestOptions {
-            window_edges: 8,
-            max_restarts: 5,
-            fault_plan: Some(
-                FaultPlan::new()
-                    .inject("store.1", 2, FaultKind::Panic)
-                    .inject("store.0", 8, FaultKind::Panic)
-                    .inject("store.1", 11, FaultKind::Panic),
-            ),
-            stream_timeout: Duration::from_secs(30),
-            ..Default::default()
-        };
-        let report = ingest(&mut cluster, ring(120).into_iter(), &opts).unwrap();
-        assert_eq!(report.edges, 120);
-        assert_eq!(cluster.total_entries(), 240, "same result as fault-free");
-        assert_eq!(report.telemetry.faults.len(), 3, "all three faults fired");
-        assert_eq!(report.telemetry.restarts.len(), 3, "one restart each");
-        assert_eq!(report.telemetry.metrics.counters["dc.restarts"], 3);
-        assert_eq!(report.telemetry.metrics.counters["dc.faults_injected"], 3);
-    }
-
-    #[test]
-    fn exhausted_restarts_surface_as_typed_error_not_hang() {
-        use datacutter::{FaultKind, FaultPlan};
-        let dir = tmpdir("exhaust");
-        let mut cluster =
-            MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap();
-        // Two panics against the same copy but only one restart allowed:
-        // the second crash exhausts the budget and must fail the run with
-        // a typed error well inside the stream timeout.
         let opts = IngestOptions {
             window_edges: 10,
-            max_restarts: 1,
-            fault_plan: Some(
-                FaultPlan::new()
-                    .inject("store.0", 2, FaultKind::Panic)
-                    .inject("store.0", 3, FaultKind::Panic),
-            ),
-            stream_timeout: Duration::from_secs(30),
+            fault_plan: Some(FaultPlan::new().inject("store.1", 4, FaultKind::Panic)),
             ..Default::default()
         };
-        let start = std::time::Instant::now();
-        let err = ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap_err();
-        assert!(
-            matches!(err, GraphStorageError::FilterFailed(_)),
-            "got: {err}"
+        ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap_err();
+        let partial = cluster.total_entries();
+        assert!(partial < 200, "the killed run must be incomplete");
+
+        // Window ids of 7-edge windows name other edges than the 10-edge
+        // windows the watermarks count: refused, nothing stored.
+        let other = IngestOptions {
+            window_edges: 7,
+            resume: true,
+            ..Default::default()
+        };
+        let err = ingest(&mut cluster, ring(100).into_iter(), &other).unwrap_err();
+        assert!(matches!(err, GraphStorageError::Unsupported(_)), "{err}");
+        assert_eq!(
+            cluster.total_entries(),
+            partial,
+            "a refused resume stores nothing"
         );
-        assert!(err.to_string().contains("after 1 restart"), "{err}");
-        assert!(start.elapsed() < Duration::from_secs(30), "no hang");
+
+        let same = IngestOptions {
+            window_edges: 10,
+            resume: true,
+            ..Default::default()
+        };
+        ingest(&mut cluster, ring(100).into_iter(), &same).unwrap();
+        assert_eq!(cluster.total_entries(), 200, "converged, no duplicates");
     }
 
     #[test]

@@ -113,7 +113,6 @@ pub(crate) fn run<T: Send + 'static>(
         elapsed,
         net,
         filters,
-        restarts: Vec::new(),
         faults,
     };
     Ok((results, cluster.telemetry_report(report, &io_before)))
@@ -216,8 +215,7 @@ impl Engine {
         // A barrier blocks on a marker from every peer: with the deadline a
         // dead peer is a typed `Timeout`, not a hang.
         g.stream_timeout(timeout);
-        // Copies are not supervised: a restarted one would have lost its
-        // state, so a crash fails the engine and the caller repeats the job.
+        // A crashed copy fails the engine, and the caller repeats the job.
         if let Some(plan) = fault_plan {
             g.fault_plan(plan.clone());
         }
@@ -234,8 +232,8 @@ impl Engine {
                 replies: reply_tx,
             }));
         }
-        // The runtime builds each copy once (no supervision), so each end
-        // moves into its copy: a copy that exits drops its reply sender.
+        // The runtime builds each copy once, so each end moves into its
+        // copy: a copy that exits drops its reply sender.
         let filter = g.add_filter(name, (0..p).collect(), move |i| {
             Box::new(ends[i].take().expect("one copy per node"))
         })?;

@@ -6,7 +6,7 @@
 //! one of these instead of an ad-hoc `(elapsed, net, io)` tuple, so
 //! experiment drivers can print, diff, and merge observations uniformly.
 
-use datacutter::{FaultEvent, FaultKind, FilterTiming, NetSnapshot, RestartEvent, RunReport};
+use datacutter::{FaultEvent, FaultKind, FilterTiming, NetSnapshot, RunReport};
 use mssg_obs::MetricsSnapshot;
 use simio::IoSnapshot;
 use std::fmt;
@@ -27,9 +27,6 @@ pub struct TelemetryReport {
     /// Empty unless the run was handed an enabled
     /// [`Telemetry`](mssg_obs::Telemetry).
     pub metrics: MetricsSnapshot,
-    /// Supervised filter-copy restarts that occurred during the run
-    /// (empty in a healthy or unsupervised run).
-    pub restarts: Vec<RestartEvent>,
     /// Injected faults that fired during the run (chaos testing only).
     pub faults: Vec<FaultEvent<FaultKind>>,
 }
@@ -44,7 +41,6 @@ impl TelemetryReport {
             net: run.net,
             filters: run.filters,
             metrics,
-            restarts: run.restarts,
             faults: run.faults,
         }
     }
@@ -80,13 +76,6 @@ impl fmt::Display for TelemetryReport {
                 t.blocked_send
             )?;
         }
-        for r in &self.restarts {
-            writeln!(
-                f,
-                "restart {}[{}] attempt {}: {}",
-                r.filter, r.copy, r.attempt, r.cause
-            )?;
-        }
         for e in &self.faults {
             writeln!(f, "fault {} at op {}: {:?}", e.site, e.at, e.kind)?;
         }
@@ -117,12 +106,6 @@ mod tests {
                 blocked_recv: Duration::from_millis(1),
                 blocked_send: Duration::from_millis(1),
             }],
-            restarts: vec![RestartEvent {
-                filter: "f".into(),
-                copy: 0,
-                attempt: 1,
-                cause: "injected".into(),
-            }],
             faults: Vec::new(),
         };
         let report = TelemetryReport::from_run(
@@ -139,8 +122,6 @@ mod tests {
         assert_eq!(report.filter("f").len(), 1);
         assert_eq!(report.total_busy(), Duration::from_millis(2));
         assert!(report.filter("missing").is_empty());
-        assert_eq!(report.restarts.len(), 1);
-        assert!(report.to_string().contains("restart f[0] attempt 1"));
     }
 
     #[test]

@@ -27,11 +27,9 @@
 //! place's [`FaultLog`], which is the audit, and counted.
 //!
 //! In the filter runtime a panic applies only at a receive boundary —
-//! before the next buffer is popped — so a supervised restart re-receives
-//! the buffer and no message is lost to the crash itself. Send errors
-//! apply only to sends; stalls to either. A copy's op counter and its
-//! fired faults survive a supervised restart: the restarted incarnation
-//! does not replay its predecessor's faults.
+//! before the next buffer is popped — and fails the run (the crash a
+//! `resume` recovers from). Send errors apply only to sends; stalls to
+//! either. One op counter per copy is shared by all of its ports.
 
 use mssg_types::{fnv1a, splitmix64, GraphStorageError, Result};
 use std::fmt::Debug;
@@ -47,9 +45,9 @@ pub trait Fault: Clone + Debug + Send + 'static {
 /// What a filter copy's injection point does when it fires.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The filter copy panics, modelling a crashed process. Fires at a
-    /// message-receive boundary (before the buffer is popped), so a
-    /// supervised restart loses no in-flight message.
+    /// The filter copy panics, modelling a crashed process: the run fails
+    /// with a typed `FilterFailed`. Fires at a message-receive boundary
+    /// (before the buffer is popped).
     Panic,
     /// The send fails with a typed [`GraphStorageError::Fault`], modelling
     /// a dropped connection. The message is *not* delivered.
@@ -295,8 +293,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One filter copy's injection state: its port-op counter and its site's
-/// schedule, shared by all the copy's ports and kept across supervised
-/// restarts.
+/// schedule, shared by all the copy's ports.
 pub(crate) struct CopyFaults {
     state: Mutex<(u64, SiteFaults<FaultKind>)>,
 }

@@ -125,17 +125,6 @@ impl InPort {
         }
         out
     }
-
-    /// A fresh port on the same endpoint, for a restarted incarnation.
-    pub(crate) fn clone_port(&self) -> InPort {
-        InPort {
-            name: self.name.clone(),
-            rx: self.rx.clone_endpoint(),
-            clocks: self.clocks.clone(),
-            timeout: self.timeout,
-            faults: self.faults.clone(),
-        }
-    }
 }
 
 /// Sending end of a logical stream: one endpoint per consumer copy.
@@ -226,23 +215,6 @@ impl OutPort {
         }
         Ok(())
     }
-
-    /// A fresh port on the same endpoints, for a restarted incarnation.
-    /// Endpoint clones share close identity, so a restart never closes a
-    /// stream the original still holds.
-    pub(crate) fn clone_port(&self) -> OutPort {
-        OutPort {
-            name: self.name.clone(),
-            senders: self.senders.iter().map(|s| s.clone_endpoint()).collect(),
-            my_node: self.my_node,
-            rr: self.rr,
-            stats: Arc::clone(&self.stats),
-            clocks: self.clocks.clone(),
-            queue_depth: self.queue_depth.clone(),
-            timeout: self.timeout,
-            faults: self.faults.clone(),
-        }
-    }
 }
 
 /// Per-instance execution context handed to every [`Filter`] callback.
@@ -299,30 +271,6 @@ impl FilterContext {
     /// filters drain before this one finishes.
     pub fn close_output(&mut self, name: &str) {
         self.outputs.remove(name);
-    }
-
-    /// A pristine context on the same channels — what the supervisor hands
-    /// a restarted incarnation (ports closed by the previous incarnation
-    /// via `close_output` come back open).
-    pub(crate) fn clone_ports(&self) -> FilterContext {
-        FilterContext {
-            copy_index: self.copy_index,
-            copies: self.copies,
-            node: self.node,
-            inputs: self
-                .inputs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone_port()))
-                .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone_port()))
-                .collect(),
-            telemetry: self.telemetry.clone(),
-            clocks: Arc::clone(&self.clocks),
-            sent: Arc::clone(&self.sent),
-        }
     }
 }
 

@@ -50,8 +50,6 @@ pub struct GraphBuilder {
     pub(crate) telemetry: Telemetry,
     pub(crate) stream_timeout: Option<Duration>,
     pub(crate) fault_plan: Option<FaultPlan<FaultKind>>,
-    pub(crate) max_restarts: u32,
-    pub(crate) restart_backoff: Duration,
     /// Opt-in port declarations, keyed by filter index.
     pub(crate) decls: HashMap<usize, PortDecls>,
     /// Declared per-copy send windows, keyed by (filter, out_port):
@@ -66,8 +64,8 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// An empty graph with the default stream capacity (1024 buffers),
-    /// disabled telemetry, no stream timeouts, no fault plan, and no
-    /// supervision (a failed copy fails the run, as DataCutter's did).
+    /// disabled telemetry, no stream timeouts and no fault plan. A failed
+    /// copy fails the run, as DataCutter's did.
     pub fn new() -> GraphBuilder {
         GraphBuilder {
             filters: Vec::new(),
@@ -76,8 +74,6 @@ impl GraphBuilder {
             telemetry: Telemetry::disabled(),
             stream_timeout: None,
             fault_plan: None,
-            max_restarts: 0,
-            restart_backoff: Duration::from_millis(25),
             decls: HashMap::new(),
             windows: HashMap::new(),
             expected_consumers: HashMap::new(),
@@ -120,27 +116,8 @@ impl GraphBuilder {
         self
     }
 
-    /// Supervises filter copies: a copy that *panics* is rebuilt from its
-    /// factory and restarted — up to `max_restarts` times per copy, with
-    /// exponential backoff starting at `backoff` — before the run fails
-    /// with a typed
-    /// [`GraphStorageError::FilterFailed`](mssg_types::GraphStorageError::FilterFailed).
-    /// Restarts are recorded in
-    /// [`RunReport::restarts`](crate::RunReport::restarts) and the
-    /// `dc.restarts` counter.
-    ///
-    /// Restart re-delivers nothing the crashed incarnation had already
-    /// consumed, and errors *returned* by a filter are fail-stop (they
-    /// propagate immediately, like an unsupervised run) — see the crate's
-    /// "Fault tolerance" section for the exact guarantees.
-    pub fn supervise(&mut self, max_restarts: u32, backoff: Duration) -> &mut Self {
-        self.max_restarts = max_restarts;
-        self.restart_backoff = backoff;
-        self
-    }
-
     /// Adds a filter with one transparent copy per placement entry.
-    /// `factory(i)` builds the `i`-th copy.
+    /// `factory(i)` builds the `i`-th copy, once, when the run starts.
     ///
     /// Rejects duplicate filter names and empty placements with a typed
     /// [`VerifyError`] — silently shadowing an existing filter was the

@@ -84,20 +84,14 @@
 //!
 //! ## Fault tolerance
 //!
-//! The classic DataCutter runtime is fail-stop: one dead filter copy
-//! poisons the whole run. This substrate layers three opt-in mechanisms
-//! on top (all off by default, preserving the classic semantics):
+//! The runtime is fail-stop, like the classic DataCutter one: a copy that
+//! panics or returns an error fails the run, and [`GraphBuilder::run`]
+//! reports the root cause — a panic as a typed `FilterFailed` naming the
+//! copy and its panic. Recovery is the application's, by re-running: the
+//! ingestion checkpoint in `mssg-core` resumes a failed stream from each
+//! node's window watermark. Two opt-in mechanisms keep failures prompt
+//! and testable:
 //!
-//! - **Supervision** ([`GraphBuilder::supervise`]): a copy that *panics*
-//!   is rebuilt from its factory and restarted, up to `max_restarts`
-//!   times per copy with exponential backoff. Because a supervised copy's
-//!   channel endpoints are kept open across the crash, a restarted
-//!   incarnation resumes the same streams; whatever the dead incarnation
-//!   had already consumed is *not* re-delivered (at-most-once within a
-//!   run — the ingestion checkpoint in `mssg-core` upgrades this to
-//!   at-least-once across runs). Errors a filter *returns* stay
-//!   fail-stop. Once the budget is spent, [`GraphBuilder::run`] fails
-//!   with a typed `FilterFailed` error naming the copy and its panic.
 //! - **Stream timeouts** ([`GraphBuilder::stream_timeout`]): every
 //!   blocking send/recv gains a deadline; exceeding it fails the
 //!   operation with a typed `Timeout` error instead of hanging — the
@@ -106,12 +100,10 @@
 //! - **Fault injection** ([`FaultPlan`], [`GraphBuilder::fault_plan`]):
 //!   deterministic, seed-driven panics, send errors, and stalls at
 //!   chosen port operations of a copy's site `"{filter}.{copy}"`, for
-//!   chaos testing the two mechanisms above. The plan is the workspace's
-//!   one fault grammar, which the wire simulator and the model link in
-//!   `mssg-net` speak too (see [`fault`]). Fired faults and restarts are
-//!   audited in [`RunReport::faults`] /
-//!   [`RunReport::restarts`] and the `dc.faults_injected` / `dc.restarts`
-//!   counters.
+//!   chaos testing. The plan is the workspace's one fault grammar, which
+//!   the wire simulator and the model link in `mssg-net` speak too (see
+//!   [`fault`]). Fired faults are audited in [`RunReport::faults`] and
+//!   the `dc.faults_injected` counter.
 //!
 //! See DESIGN.md §"Failure model" for what is and is not guaranteed.
 //!
@@ -136,7 +128,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use filter::{CopyUsage, Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
 pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};
-pub use runtime::{run_node, FilterTiming, RestartEvent, RunReport};
+pub use runtime::{run_node, FilterTiming, RunReport};
 pub use transport::{
     ChannelRx, ChannelTx, EndpointSpec, InProc, RecvOutcome, RxEndpoint, SendOutcome, Transport,
     TxEndpoint,

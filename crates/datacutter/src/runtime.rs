@@ -6,16 +6,16 @@ use crate::fault::{
     panic_message, silence_injected_panics, CopyFaults, FaultEvent, FaultKind, FaultLog,
 };
 use crate::filter::{Filter, FilterContext, InPort, OutPort, PortClocks};
-use crate::graph::{FilterFactory, GraphBuilder};
+use crate::graph::GraphBuilder;
 use crate::netstats::{NetSnapshot, NetStats};
 use crate::transport::{EndpointSpec, InProc, Transport};
 use crate::NodeId;
-use mssg_obs::{Counter, Tracer};
+use mssg_obs::Tracer;
 use mssg_types::{GraphStorageError, Result};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Where one filter copy spent its run: busy computing, parked on a
@@ -44,20 +44,6 @@ impl FilterTiming {
     }
 }
 
-/// An audit record of one supervised restart, collected into
-/// [`RunReport::restarts`].
-#[derive(Clone, Debug)]
-pub struct RestartEvent {
-    /// Filter name.
-    pub filter: String,
-    /// Copy index that crashed and was restarted.
-    pub copy: usize,
-    /// Restart number for this copy (1 = first restart).
-    pub attempt: u32,
-    /// The panic message of the crashed incarnation.
-    pub cause: String,
-}
-
 /// Outcome of a completed graph run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -67,9 +53,6 @@ pub struct RunReport {
     pub net: NetSnapshot,
     /// Per-filter-copy time breakdown (busy vs. blocked on recv/send).
     pub filters: Vec<FilterTiming>,
-    /// Supervised restarts that happened during the run (empty without
-    /// [`GraphBuilder::supervise`] or without crashes).
-    pub restarts: Vec<RestartEvent>,
     /// Injected faults that actually fired (empty without a
     /// [`FaultPlan`](crate::FaultPlan)).
     pub faults: Vec<FaultEvent<FaultKind>>,
@@ -282,8 +265,7 @@ fn run_with(
 
     // Attach per-copy fault-injection state wherever the plan schedules a
     // fault at a copy's site, `"{filter}.{copy}"` (the state is shared by
-    // all of the copy's ports and survives supervised restarts, so fired
-    // faults stay fired).
+    // all of the copy's ports).
     let mut fault_log = None;
     if let Some(plan) = &graph.fault_plan {
         silence_injected_panics();
@@ -308,51 +290,23 @@ fn run_with(
         }
     }
 
-    // Share each filter's factory so a supervised copy can be rebuilt
-    // from its own thread after a crash.
-    let factories: Vec<Arc<Mutex<FilterFactory>>> = graph
-        .filters
-        .iter_mut()
-        .map(|def| {
-            let dummy: FilterFactory =
-                Box::new(|_| -> Box<dyn Filter> { unreachable!("factory already taken") });
-            Arc::new(Mutex::new(std::mem::replace(&mut def.factory, dummy)))
-        })
-        .collect();
-
-    // Spawn one supervisor thread per filter copy; each drives the filter
-    // lifecycle, restarting crashed incarnations while budget remains.
-    let restart_log: Arc<Mutex<Vec<RestartEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let restart_counter = telemetry.metrics.counter("dc.restarts");
+    // Build each local copy from its factory on the caller's thread (a
+    // factory panic propagates), then run its lifecycle on its own thread.
     let start = Instant::now();
     let mut handles = Vec::new();
-    for (fi, def) in graph.filters.iter().enumerate() {
+    for (fi, def) in graph.filters.iter_mut().enumerate() {
         for (ci, slot) in std::mem::take(&mut contexts[fi]).into_iter().enumerate() {
             let Some(ctx) = slot else { continue };
             let name = format!("{}.{}", def.name, ci);
-            // Build the first incarnation on the caller's thread, like the
-            // unsupervised runtime did (a factory panic here propagates).
-            let first = {
-                let mut factory = factories[fi].lock().unwrap_or_else(|p| p.into_inner());
-                factory(ci)
-            };
-            let sup = Supervisor {
-                factory: Arc::clone(&factories[fi]),
-                filter: def.name.clone(),
-                copy: ci,
-                node: def.placement[ci],
-                max_restarts: graph.max_restarts,
-                backoff: graph.restart_backoff,
-                tracer: telemetry.tracer.clone(),
-                restart_log: Arc::clone(&restart_log),
-                restart_counter: restart_counter.clone(),
-            };
+            let filter = (def.factory)(ci);
+            let filter_name = def.name.clone();
+            let tracer = telemetry.tracer.clone();
             let copy_clocks = Arc::clone(&clocks[fi][ci]);
             let handle = std::thread::Builder::new()
                 .name(name.clone())
                 .spawn(move || -> Result<()> {
                     let started = Instant::now();
-                    let result = sup.run(first, ctx);
+                    let result = run_copy(filter, ctx, &filter_name, &tracer);
                     // racecheck: timing slot; the thread join below is the
                     // happens-before edge to whoever reads it.
                     copy_clocks
@@ -373,7 +327,7 @@ fn run_with(
         match handle.join() {
             Ok(Ok(())) => {}
             Ok(Err(e)) => errors.push(e),
-            // Unreachable: the supervisor catches filter panics. Kept as a
+            // Unreachable: `run_copy` catches filter panics. Kept as a
             // backstop so a runtime bug still surfaces as an error.
             Err(_) => errors.push(GraphStorageError::FilterFailed(format!(
                 "filter {name} panicked"
@@ -433,134 +387,42 @@ fn run_with(
             });
         }
     }
-    let restarts = restart_log.lock().unwrap().clone();
     let faults = fault_log.map(|log| log.events()).unwrap_or_default();
     Ok(RunReport {
         elapsed: start.elapsed(),
         net,
         filters,
-        restarts,
         faults,
     })
 }
 
-/// Drives one filter copy's lifecycle, restarting crashed incarnations.
-struct Supervisor {
-    factory: Arc<Mutex<FilterFactory>>,
-    filter: String,
-    copy: usize,
-    node: NodeId,
-    max_restarts: u32,
-    backoff: Duration,
-    tracer: Tracer,
-    restart_log: Arc<Mutex<Vec<RestartEvent>>>,
-    restart_counter: Counter,
-}
-
-impl Supervisor {
-    /// Runs init → process → finalize, restarting on panic while budget
-    /// remains.
-    ///
-    /// Semantics, pinned for the failure-model doc:
-    /// - Only *panics* are retried: an error a filter returns is a
-    ///   deterministic, deliberate outcome and fails the run immediately
-    ///   (fail-stop), exactly like an unsupervised run.
-    /// - Every non-final attempt runs on cloned ports, so the copy's
-    ///   channel endpoints stay open across the crash and a restarted
-    ///   incarnation resumes the same streams; nothing the crashed
-    ///   incarnation already consumed is re-delivered.
-    /// - The final allowed attempt takes ownership of the ports, so once
-    ///   the budget is spent (or with no supervision at all) endpoint
-    ///   lifetimes match the classic runtime exactly — including
-    ///   `close_output`-then-drain protocols.
-    fn run(&self, first: Box<dyn Filter>, ctx: FilterContext) -> Result<()> {
-        let mut attempt: u32 = 0;
-        let mut template = Some(ctx);
-        let mut prebuilt = Some(first);
-        loop {
-            let last = attempt >= self.max_restarts;
-            let mut ctx = if last {
-                template.take().expect("context template present")
-            } else {
-                template
-                    .as_ref()
-                    .expect("context template present")
-                    .clone_ports()
-            };
-            let mut filter = match prebuilt.take() {
-                Some(f) => f,
-                None => {
-                    let factory = &self.factory;
-                    let copy = self.copy;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let mut f = factory.lock().unwrap_or_else(|p| p.into_inner());
-                        f(copy)
-                    })) {
-                        Ok(f) => f,
-                        // A factory that cannot rebuild the copy (e.g. a
-                        // one-shot source) ends supervision immediately.
-                        Err(payload) => {
-                            return Err(GraphStorageError::FilterFailed(format!(
-                                "filter {}.{}: factory panicked during restart: {}",
-                                self.filter,
-                                self.copy,
-                                panic_message(payload.as_ref())
-                            )));
-                        }
-                    }
-                }
-            };
-            let outcome = {
-                let _span = self
-                    .tracer
-                    .span("filter.run")
-                    .with_str("filter", &self.filter)
-                    .with("copy", self.copy as u64)
-                    .with("node", self.node as u64)
-                    .with("attempt", attempt as u64);
-                catch_unwind(AssertUnwindSafe(|| {
-                    filter.init(&mut ctx)?;
-                    filter.process(&mut ctx)?;
-                    filter.finalize(&mut ctx)
-                }))
-            };
-            match outcome {
-                Ok(Ok(())) => return Ok(()),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    let cause = panic_message(payload.as_ref());
-                    if last {
-                        let after = if attempt > 0 {
-                            format!(" (after {attempt} restarts)")
-                        } else {
-                            String::new()
-                        };
-                        return Err(GraphStorageError::FilterFailed(format!(
-                            "filter {}.{} panicked{after}: {cause}",
-                            self.filter, self.copy
-                        )));
-                    }
-                    attempt += 1;
-                    self.restart_counter.inc();
-                    drop(
-                        self.tracer
-                            .span("filter.restart")
-                            .with_str("filter", &self.filter)
-                            .with("copy", self.copy as u64)
-                            .with("attempt", attempt as u64),
-                    );
-                    self.restart_log.lock().unwrap().push(RestartEvent {
-                        filter: self.filter.clone(),
-                        copy: self.copy,
-                        attempt,
-                        cause,
-                    });
-                    // Exponential backoff, capped at 64× the base.
-                    std::thread::sleep(self.backoff.saturating_mul(1 << (attempt - 1).min(6)));
-                }
-            }
-        }
-    }
+/// Runs one filter copy's init → process → finalize inside its
+/// `filter.run` span. A panic fails the copy (and with it the run) with a
+/// typed `FilterFailed` naming the copy and the panic; a returned error
+/// propagates as it is.
+fn run_copy(
+    mut filter: Box<dyn Filter>,
+    mut ctx: FilterContext,
+    name: &str,
+    tracer: &Tracer,
+) -> Result<()> {
+    let _span = tracer
+        .span("filter.run")
+        .with_str("filter", name)
+        .with("copy", ctx.copy_index as u64)
+        .with("node", ctx.node as u64);
+    catch_unwind(AssertUnwindSafe(|| {
+        filter.init(&mut ctx)?;
+        filter.process(&mut ctx)?;
+        filter.finalize(&mut ctx)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(GraphStorageError::FilterFailed(format!(
+            "filter {name}.{} panicked: {}",
+            ctx.copy_index,
+            panic_message(payload.as_ref())
+        )))
+    })
 }
 
 #[cfg(test)]
@@ -702,46 +564,17 @@ mod tests {
     }
 
     #[test]
-    fn supervised_copy_restarts_after_injected_panic() {
-        let sum = Arc::new(AtomicU64::new(0));
+    fn panicking_copy_fails_the_run_ahead_of_its_peers() {
+        // The consumer panics at its third receive; the producer, still
+        // sending, then fails with "consumer hung up". The run reports the
+        // crash, not the cascade, and well inside the stream deadline.
+        let deadline = Duration::from_secs(10);
         let mut g = GraphBuilder::new();
-        g.supervise(2, Duration::from_millis(1));
+        g.channel_capacity(2);
+        g.stream_timeout(deadline);
         g.fault_plan(crate::FaultPlan::new().inject("c.0", 3, crate::FaultKind::Panic));
         let p = g
-            .add_filter("p", vec![0], |_| Box::new(Producer { count: 50 }))
-            .unwrap();
-        let sum2 = Arc::clone(&sum);
-        let c = g
-            .add_filter("c", vec![1], move |_| {
-                Box::new(Collector {
-                    sum: Arc::clone(&sum2),
-                })
-            })
-            .unwrap();
-        g.connect(p, "out", c, "in").unwrap();
-        let report = g.run().unwrap();
-        // The panic fires at a recv boundary, before the buffer is popped,
-        // so the restarted incarnation loses nothing.
-        assert_eq!(sum.load(Ordering::Relaxed), (0..50).sum::<u64>());
-        assert_eq!(report.restarts.len(), 1);
-        assert_eq!(report.restarts[0].filter, "c");
-        assert_eq!(report.restarts[0].attempt, 1);
-        assert!(report.restarts[0].cause.contains("injected"));
-        assert_eq!(report.faults.len(), 1);
-        assert_eq!(report.faults[0].kind, crate::FaultKind::Panic);
-    }
-
-    #[test]
-    fn restarts_exhausted_surface_typed_error() {
-        let mut g = GraphBuilder::new();
-        g.supervise(1, Duration::from_millis(1));
-        g.fault_plan(
-            crate::FaultPlan::new()
-                .inject("c.0", 1, crate::FaultKind::Panic)
-                .inject("c.0", 2, crate::FaultKind::Panic),
-        );
-        let p = g
-            .add_filter("p", vec![0], |_| Box::new(Producer { count: 5 }))
+            .add_filter("p", vec![0], |_| Box::new(Producer { count: 1000 }))
             .unwrap();
         let c = g
             .add_filter("c", vec![1], |_| {
@@ -751,14 +584,15 @@ mod tests {
             })
             .unwrap();
         g.connect(p, "out", c, "in").unwrap();
-        let err = g.run().unwrap_err();
-        match &err {
+        let start = Instant::now();
+        match g.run().unwrap_err() {
             GraphStorageError::FilterFailed(m) => {
-                assert!(m.contains("panicked"), "got: {m}");
-                assert!(m.contains("after 1 restarts"), "got: {m}");
+                assert!(m.contains("filter c.0 panicked"), "got: {m}");
+                assert!(m.contains("injected"), "got: {m}");
             }
             other => panic!("expected FilterFailed, got {other:?}"),
         }
+        assert!(start.elapsed() < deadline, "took {:?}", start.elapsed());
     }
 
     #[test]

@@ -60,9 +60,6 @@ pub trait RxEndpoint: Send {
 
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<DataBuffer>;
-
-    /// A second handle on the same endpoint (for supervised restarts).
-    fn clone_endpoint(&self) -> Box<dyn RxEndpoint>;
 }
 
 /// Sending half of one logical stream endpoint, as held by an `OutPort`
@@ -82,11 +79,6 @@ pub trait TxEndpoint: Send {
     /// Current occupancy of the destination queue (in-flight buffers for
     /// socket transports) — the backpressure sample.
     fn queue_len(&self) -> usize;
-
-    /// A second handle on the same endpoint (for supervised restarts).
-    /// Clones share the endpoint's close identity: the stream closes when
-    /// the last clone drops, so a restart never double-closes.
-    fn clone_endpoint(&self) -> Box<dyn TxEndpoint>;
 }
 
 /// One logical stream endpoint: the receive queue of one consumer copy's
@@ -128,8 +120,7 @@ impl EndpointSpec {
 /// `finish` after every local filter has joined.
 pub trait Transport {
     /// Creates the receive side of `spec`. Called exactly once per local
-    /// endpoint; the runtime clones the returned handle for supervised
-    /// restarts.
+    /// endpoint.
     fn open_endpoint(&mut self, spec: &EndpointSpec) -> Result<Box<dyn RxEndpoint>>;
 
     /// Creates one producer copy's send handle onto `spec`. Called once
@@ -229,12 +220,6 @@ impl RxEndpoint for ChannelRx {
     fn try_recv(&self) -> Option<DataBuffer> {
         self.rx.try_recv().ok()
     }
-
-    fn clone_endpoint(&self) -> Box<dyn RxEndpoint> {
-        Box::new(ChannelRx {
-            rx: self.rx.clone(),
-        })
-    }
 }
 
 /// [`TxEndpoint`] over a crossbeam sender.
@@ -276,13 +261,6 @@ impl TxEndpoint for ChannelTx {
 
     fn queue_len(&self) -> usize {
         self.tx.len()
-    }
-
-    fn clone_endpoint(&self) -> Box<dyn TxEndpoint> {
-        Box::new(ChannelTx {
-            tx: self.tx.clone(),
-            dst: self.dst,
-        })
     }
 }
 

@@ -114,40 +114,6 @@ impl GraphStorageError {
     pub fn corrupt(msg: impl Into<String>) -> Self {
         GraphStorageError::Corrupt(msg.into())
     }
-
-    /// `true` if retrying the operation could plausibly succeed
-    /// (transient I/O), `false` for logical errors.
-    ///
-    /// The match is deliberately exhaustive — no `_` arm — so that
-    /// adding a variant without deciding its retry class is a compile
-    /// error (and the `error-classification` lint in `xtask` enforces
-    /// that each variant is named here).
-    pub fn is_transient(&self) -> bool {
-        match self {
-            GraphStorageError::Io(e) => {
-                matches!(
-                    e.kind(),
-                    io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-                )
-            }
-            // Injected faults, timeouts, lost peer connections, and dead
-            // node processes model transient infrastructure trouble: the
-            // same operation retried (or the run re-launched) can succeed.
-            GraphStorageError::Fault(_)
-            | GraphStorageError::Timeout(_)
-            | GraphStorageError::Net(_)
-            | GraphStorageError::NodeFailed { .. } => true,
-            // Logical/permanent: retrying the same operation re-derives
-            // the same failure.
-            GraphStorageError::Corrupt(_)
-            | GraphStorageError::InvalidVertex(_)
-            | GraphStorageError::CapacityExceeded(_)
-            | GraphStorageError::Unsupported(_)
-            | GraphStorageError::Query(_)
-            | GraphStorageError::FilterFailed(_)
-            | GraphStorageError::Verify(_) => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,25 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_classification() {
-        let t = GraphStorageError::from(io::Error::from(io::ErrorKind::Interrupted));
-        assert!(t.is_transient());
-        let p = GraphStorageError::from(io::Error::from(io::ErrorKind::NotFound));
-        assert!(!p.is_transient());
-        assert!(!GraphStorageError::corrupt("x").is_transient());
-        assert!(GraphStorageError::Timeout("recv on peers".into()).is_transient());
-        assert!(GraphStorageError::Fault("injected send error".into()).is_transient());
-        assert!(GraphStorageError::Net("connection to node 2 lost".into()).is_transient());
-        assert!(!GraphStorageError::FilterFailed("store.1 panicked".into()).is_transient());
-        assert!(GraphStorageError::NodeFailed {
-            node: 1,
-            code: Some(3),
-            detail: "boom".into()
-        }
-        .is_transient());
-    }
-
-    #[test]
     fn node_failed_reports_the_exit_code() {
         let e = GraphStorageError::NodeFailed {
             node: 2,
@@ -210,13 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn verify_errors_are_permanent_and_keep_structure() {
+    fn verify_errors_keep_structure() {
         use crate::verify::VerifyError;
         let e = GraphStorageError::from(VerifyError::UnconnectedInPort {
             filter: "bfs".into(),
             port: "peers".into(),
         });
-        assert!(!e.is_transient(), "a bad topology never fixes itself");
         assert!(e.to_string().contains("bfs.peers"));
         use std::error::Error as _;
         assert!(e.source().is_some(), "structured cause is preserved");

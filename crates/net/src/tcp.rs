@@ -31,13 +31,12 @@
 //!
 //! ## Close accounting
 //!
-//! Every producer copy's send handle has one close identity (clones for
-//! supervised restarts share it, so a restart never double-closes); its
-//! last drop sends CLOSE. The consumer counts expected closes per
-//! producer node and hangs up the merged stream when all arrive —
-//! mirroring how dropping every in-process sender disconnects a
-//! channel. A consumer that quits early broadcasts EP_CLOSED so remote
-//! producers observe "consumer hung up" just like a dropped receiver.
+//! Every producer copy holds one send handle per endpoint, and dropping
+//! it sends CLOSE. The consumer counts expected closes per producer node
+//! and hangs up the merged stream when all arrive — mirroring how
+//! dropping every in-process sender disconnects a channel. A consumer
+//! that quits early broadcasts EP_CLOSED so remote producers observe
+//! "consumer hung up" just like a dropped receiver.
 //!
 //! ## Failure mapping
 //!
@@ -817,12 +816,10 @@ impl Transport for TcpTransport {
             },
         );
         Ok(Box::new(NetRx {
-            inner: Arc::new(RxInner {
-                stream,
-                rx: demux_rx,
-                peers,
-                shared: Arc::clone(&self.shared),
-            }),
+            stream,
+            rx: demux_rx,
+            peers,
+            shared: Arc::clone(&self.shared),
         }))
     }
 
@@ -847,12 +844,10 @@ impl Transport for TcpTransport {
                 .or_insert_with(|| Arc::new(CreditCell::new(spec.capacity as u64))),
         );
         Ok(Box::new(TcpTx {
-            inner: Arc::new(TxInner {
-                stream,
-                dst: spec.node,
-                cell,
-                shared: Arc::clone(&self.shared),
-            }),
+            stream,
+            dst: spec.node,
+            cell,
+            shared: Arc::clone(&self.shared),
         }))
     }
 
@@ -1234,7 +1229,7 @@ fn reap_if_gone(shared: &Shared, stream: u32) {
 
 /// Receive endpoint over the credit-bounded demux queue that merges
 /// every producer node's frames.
-struct RxInner {
+struct NetRx {
     stream: u32,
     rx: Arc<Receiver<Demuxed>>,
     /// Producer nodes, told EP_CLOSED when this endpoint drops.
@@ -1242,11 +1237,7 @@ struct RxInner {
     shared: Arc<Shared>,
 }
 
-struct NetRx {
-    inner: Arc<RxInner>,
-}
-
-impl RxInner {
+impl NetRx {
     fn producers_closed(&self) -> bool {
         let routes = self.shared.routes.lock().unwrap();
         routes.get(&self.stream).is_some_and(Route::all_closed)
@@ -1269,34 +1260,27 @@ impl RxInner {
 
 impl RxEndpoint for NetRx {
     fn recv(&self, timeout: Option<Duration>) -> RecvOutcome {
-        let inner = &self.inner;
         let popped = match timeout {
-            None => inner.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(limit) => inner.rx.recv_timeout(limit),
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(limit) => self.rx.recv_timeout(limit),
         };
         match popped {
-            Ok(item) => RecvOutcome::Buf(inner.took(item)),
+            Ok(item) => RecvOutcome::Buf(self.took(item)),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            Err(RecvTimeoutError::Disconnected) if inner.producers_closed() => RecvOutcome::Closed,
+            Err(RecvTimeoutError::Disconnected) if self.producers_closed() => RecvOutcome::Closed,
             // Disconnected with CLOSEs outstanding: the transport failed,
             // which drops every demux sender to wake its receiver.
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Failed(inner.shared.failure()),
+            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Failed(self.shared.failure()),
         }
     }
 
     fn try_recv(&self) -> Option<DataBuffer> {
-        let item = self.inner.rx.try_recv().ok()?;
-        Some(self.inner.took(item))
-    }
-
-    fn clone_endpoint(&self) -> Box<dyn RxEndpoint> {
-        Box::new(NetRx {
-            inner: Arc::clone(&self.inner),
-        })
+        let item = self.rx.try_recv().ok()?;
+        Some(self.took(item))
     }
 }
 
-impl Drop for RxInner {
+impl Drop for NetRx {
     fn drop(&mut self) {
         // The consumer endpoint is gone (normally at end of run, possibly
         // early). Stop routing to it, refund the credit of every frame
@@ -1319,20 +1303,16 @@ impl Drop for RxInner {
     }
 }
 
-/// One producer copy's handle onto a stream. Clones share the close
-/// identity: CLOSE goes on the wire when the last clone drops.
-struct TxInner {
+/// One producer copy's handle onto a stream: CLOSE goes on the wire when
+/// it drops.
+struct TcpTx {
     stream: u32,
     dst: NodeId,
     cell: Arc<CreditCell>,
     shared: Arc<Shared>,
 }
 
-struct TcpTx {
-    inner: Arc<TxInner>,
-}
-
-impl Drop for TxInner {
+impl Drop for TcpTx {
     fn drop(&mut self) {
         let _ = self
             .shared
@@ -1342,29 +1322,28 @@ impl Drop for TxInner {
 
 impl TxEndpoint for TcpTx {
     fn send(&self, buf: DataBuffer, timeout: Option<Duration>) -> SendOutcome {
-        let inner = &self.inner;
-        match inner.cell.acquire(timeout, &inner.shared.credit_stalls) {
+        match self.cell.acquire(timeout, &self.shared.credit_stalls) {
             Acquire::Got => {}
             Acquire::TimedOut => return SendOutcome::TimedOut,
             Acquire::Closed => return SendOutcome::Closed,
-            Acquire::Dead => return SendOutcome::Failed(inner.shared.failure()),
+            Acquire::Dead => return SendOutcome::Failed(self.shared.failure()),
         }
-        let span = inner.shared.telemetry.tracer.current_span_id();
-        match inner.shared.send_data(inner.dst, inner.stream, span, buf) {
+        let span = self.shared.telemetry.tracer.current_span_id();
+        match self.shared.send_data(self.dst, self.stream, span, buf) {
             Ok(()) => SendOutcome::Sent,
             Err(e) => {
-                inner.shared.fail(e.to_string());
+                self.shared.fail(e.to_string());
                 SendOutcome::Failed(e)
             }
         }
     }
 
     fn dst_node(&self) -> NodeId {
-        self.inner.dst
+        self.dst
     }
 
     fn wire_bytes(&self, payload_len: usize) -> u64 {
-        if self.inner.dst == self.inner.shared.my_node {
+        if self.dst == self.shared.my_node {
             // Loopback is a memory copy: exactly the payload.
             payload_len as u64
         } else {
@@ -1373,13 +1352,7 @@ impl TxEndpoint for TcpTx {
     }
 
     fn queue_len(&self) -> usize {
-        self.inner.cell.in_flight()
-    }
-
-    fn clone_endpoint(&self) -> Box<dyn TxEndpoint> {
-        Box::new(TcpTx {
-            inner: Arc::clone(&self.inner),
-        })
+        self.cell.in_flight()
     }
 }
 

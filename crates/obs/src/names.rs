@@ -10,7 +10,6 @@
 /// Counter names.
 pub const COUNTERS: &[&str] = &[
     "dc.faults_injected",
-    "dc.restarts",
     "ingest.windows",
     "ingest.windows_skipped",
     "net.bytes",
@@ -43,7 +42,6 @@ pub const HISTOGRAMS: &[&str] = &["ingest.window_edges", "serve.latency_us", "se
 pub const SPANS: &[&str] = &[
     "bfs.level",
     "bfs.round",
-    "filter.restart",
     "filter.run",
     "ingest.shard",
     "ingest.window",

@@ -5,19 +5,14 @@
 //!
 //! - **`filter-unwrap`** — no `.unwrap()` / `.expect(` inside an
 //!   `impl Filter for …` block (outside `#[cfg(test)]` regions). A panic
-//!   in a filter copy either kills the whole run (classic semantics) or
-//!   burns a supervised restart; filters must return errors through
-//!   their `Result` interface instead.
+//!   in a filter copy fails the whole run with an opaque `FilterFailed`;
+//!   filters must return typed errors through their `Result` interface
+//!   instead.
 //! - **`untimed-recv`** — a source file in `crates/core`, `crates/bench`,
 //!   or `examples/` that calls `.recv()` on a stream must also configure
 //!   `stream_timeout` somewhere in the same file. An untimed recv in a
-//!   graph whose peer can die (supervision, fault plans) hangs forever
+//!   graph whose peer can die (a crash, a fault plan) hangs forever
 //!   instead of surfacing a typed `Timeout`.
-//! - **`error-classification`** — every `GraphStorageError` variant must
-//!   be named in the body of `is_transient`, and that match must not use
-//!   a `_` arm. Retry loops (supervised ingestion, bench harnesses) key
-//!   off this classification; an unclassified variant silently inherits
-//!   whatever the wildcard does.
 //! - **`wire-alloc`** — in `crates/net/`, an allocation
 //!   (`Vec::with_capacity(n)`, `vec![x; n]`) whose size involves an
 //!   integer decoded off the wire (`from_le_bytes`) must be preceded by
@@ -166,7 +161,6 @@ pub fn run(args: &[String]) -> ExitCode {
             check_metric_names(&rel, &text, reg, &mut violations);
         }
     }
-    check_error_classification(&root, &mut violations);
     check_shared_mut_escape(&shared_fields, &race_allow, &mut violations);
 
     let mut reported = 0usize;
@@ -455,11 +449,11 @@ fn check_filter_unwrap(rel: &str, text: &str, out: &mut Vec<Violation>) {
     }
 }
 
-/// Directories whose graphs run supervised / under fault plans, where a
-/// blocking `.recv()` with no stream deadline can hang forever.
+/// Directories whose graphs run under fault plans, where a blocking
+/// `.recv()` with no stream deadline can hang forever.
 const TIMED_RECV_SCOPES: [&str; 3] = ["crates/core/", "crates/bench/", "examples/"];
 
-/// Flags files in supervised-graph territory that call `.recv()` without
+/// Flags files in those directories that call `.recv()` without
 /// configuring `stream_timeout` anywhere in the same file.
 fn check_untimed_recv(rel: &str, text: &str, out: &mut Vec<Violation>) {
     if !TIMED_RECV_SCOPES.iter().any(|s| rel.starts_with(s)) {
@@ -1040,138 +1034,6 @@ fn check_metric_names(rel: &str, text: &str, reg: &NameRegistry, out: &mut Vec<V
     }
 }
 
-/// Checks that `is_transient` names every `GraphStorageError` variant and
-/// has no `_` arm.
-fn check_error_classification(root: &Path, out: &mut Vec<Violation>) {
-    let rel = "crates/mssg-types/src/error.rs";
-    let path = root.join(rel);
-    let Ok(text) = fs::read_to_string(&path) else {
-        out.push(Violation {
-            rule: "error-classification",
-            path: rel.to_string(),
-            line: 1,
-            message: "cannot read the GraphStorageError definition".to_string(),
-        });
-        return;
-    };
-    let variants = enum_variants(&text, "enum GraphStorageError");
-    if variants.is_empty() {
-        out.push(Violation {
-            rule: "error-classification",
-            path: rel.to_string(),
-            line: 1,
-            message: "found no variants of enum GraphStorageError".to_string(),
-        });
-        return;
-    }
-    let Some((body, body_line)) = fn_body(&text, "fn is_transient") else {
-        out.push(Violation {
-            rule: "error-classification",
-            path: rel.to_string(),
-            line: 1,
-            message: "GraphStorageError::is_transient is missing".to_string(),
-        });
-        return;
-    };
-    for (name, line) in &variants {
-        if !body.contains(&format!("GraphStorageError::{name}")) {
-            out.push(Violation {
-                rule: "error-classification",
-                path: rel.to_string(),
-                line: *line,
-                message: format!(
-                    "variant `{name}` is not classified transient/permanent in \
-                     is_transient — name it explicitly"
-                ),
-            });
-        }
-    }
-    for (off, raw) in body.lines().enumerate() {
-        let code = strip_code(raw);
-        let t = code.trim_start();
-        if t.starts_with("_ =>") || t.starts_with("_ |") || t.contains("| _ ") {
-            out.push(Violation {
-                rule: "error-classification",
-                path: rel.to_string(),
-                line: body_line + off,
-                message: "wildcard arm in is_transient — it silently classifies \
-                          future variants; name each variant instead"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Top-level variant names of the enum whose declaration contains
-/// `marker`, with their 1-based line numbers.
-fn enum_variants(text: &str, marker: &str) -> Vec<(String, usize)> {
-    let mut variants = Vec::new();
-    let mut depth = 0usize;
-    let mut in_enum = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let code = strip_code(raw);
-        if !in_enum && code.contains(marker) {
-            in_enum = true;
-            depth = 0;
-        }
-        if in_enum {
-            // Variants sit at depth 1, as `Name`, `Name(..)`, or `Name {`.
-            if depth == 1 {
-                let t = code.trim();
-                let name: String = t.chars().take_while(|c| c.is_alphanumeric()).collect();
-                if !name.is_empty() && name.chars().next().is_some_and(|c| c.is_uppercase()) {
-                    variants.push((name, idx + 1));
-                }
-            }
-            for c in code.chars() {
-                match c {
-                    '{' | '(' => depth += 1,
-                    '}' | ')' => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            return variants;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    variants
-}
-
-/// The brace-balanced body of the function whose signature contains
-/// `marker`, plus the 1-based line number where the body starts.
-fn fn_body(text: &str, marker: &str) -> Option<(String, usize)> {
-    let lines: Vec<&str> = text.lines().collect();
-    let start = lines.iter().position(|l| strip_code(l).contains(marker))?;
-    let mut depth = 0i64;
-    let mut body = String::new();
-    let mut entered = false;
-    for (idx, raw) in lines.iter().enumerate().skip(start) {
-        let code = strip_code(raw);
-        if entered {
-            body.push_str(&code);
-            body.push('\n');
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if entered && depth <= 0 {
-            return Some((body, start + 2));
-        }
-        let _ = idx;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1239,36 +1101,9 @@ mod tests {
         v.clear();
         check_untimed_recv("crates/core/src/x.rs", good, &mut v);
         assert!(v.is_empty());
-        // Outside the supervised scopes the rule does not apply.
+        // Outside those directories the rule does not apply.
         check_untimed_recv("crates/datacutter/src/x.rs", bad, &mut v);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn enum_variants_and_wildcards_are_detected() {
-        let src = r#"
-pub enum GraphStorageError {
-    Io(io::Error),
-    Corrupt(String),
-    Timeout { after: u64 },
-}
-impl GraphStorageError {
-    pub fn is_transient(&self) -> bool {
-        match self {
-            GraphStorageError::Io(_) => true,
-            GraphStorageError::Timeout { .. } => true,
-            _ => false,
-        }
-    }
-}
-"#;
-        let vars = enum_variants(src, "enum GraphStorageError");
-        let names: Vec<_> = vars.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["Io", "Corrupt", "Timeout"]);
-        let (body, _) = fn_body(src, "fn is_transient").expect("body");
-        assert!(body.contains("GraphStorageError::Io"));
-        assert!(!body.contains("GraphStorageError::Corrupt"));
-        assert!(body.lines().any(|l| l.trim_start().starts_with("_ =>")));
     }
 
     #[test]
