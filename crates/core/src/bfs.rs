@@ -70,7 +70,7 @@ use crate::telemetry::TelemetryReport;
 use crate::visited::{VisitedKind, VisitedSet};
 use datacutter::superstep::{one_word, records, Barrier, Peers, Phase};
 use datacutter::DataBuffer;
-use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
+use mssg_types::{AdjBuffer, Gid, Meta, MetaOp, Result, UNVISITED};
 use simio::IoStats;
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -104,19 +104,11 @@ pub struct BfsOptions {
     /// visited vertices are marked in the GraphDB's per-vertex metadata
     /// word, and fringe expansion asks for "neighbours whose metadata ≠
     /// visited" — the fused `getAdjacencyListUsingMetadata` path of
-    /// Listing 3.1. Reduces routed traffic; results are identical.
+    /// Listing 3.1. Reduces routed traffic; results are identical. A
+    /// search's marks are its own and are cleared however it ends; a
+    /// search running beside another may find some of its marks cleared,
+    /// which costs scanned entries, never answers.
     pub db_filter: bool,
-    /// Per-stream send/recv deadline. A round ends on a marker from every
-    /// peer, so a dead storage filter would otherwise hang the search
-    /// forever; with the deadline it surfaces as a typed
-    /// `Timeout`/`FilterFailed` error instead. Defaults to 120 s.
-    pub recv_timeout: std::time::Duration,
-    /// Deterministic fault plan for chaos testing the search pipeline,
-    /// over the sites `bfs.{i}`. A search with a plan, or with another
-    /// `recv_timeout` than the default, runs on an engine of its own.
-    /// A mid-search crash fails the search, and the caller retries the
-    /// whole (idempotent, read-only) search.
-    pub fault_plan: Option<datacutter::FaultPlan<datacutter::FaultKind>>,
 }
 
 impl Default for BfsOptions {
@@ -125,16 +117,9 @@ impl Default for BfsOptions {
             mode: BfsMode::Standard,
             visited: VisitedKind::InMemory,
             db_filter: false,
-            recv_timeout: superstep::DEADLINE,
-            fault_plan: None,
         }
     }
 }
-
-/// Metadata words the `db_filter` mode writes for locally-visited vertices,
-/// by side. A vertex holds one at a time: the sides' visited sets are
-/// disjoint until they meet, and the search ends there.
-const MARKS: [mssg_types::Meta; 2] = [1, 2];
 
 /// Measurements from one search.
 #[derive(Clone, Debug)]
@@ -210,14 +195,9 @@ pub fn bfs(
         mode: options.mode,
         db_filter: options.db_filter,
     };
-    let (copies, telemetry) = superstep::run(
-        cluster,
-        "bfs",
-        KINDS,
-        options.recv_timeout,
-        options.fault_plan.as_ref(),
-        move |peers, backend| search.run(peers, backend),
-    )?;
+    let (copies, telemetry) = superstep::run(cluster, "bfs", KINDS, move |peers, backend| {
+        search.run(peers, backend)
+    })?;
 
     let met = copies.iter().find_map(|c| c.met);
     let rounds = copies.iter().map(|c| c.rounds).max().unwrap_or(0);
@@ -248,16 +228,56 @@ struct BfsFilter {
     db_filter: bool,
 }
 
+/// The `db_filter` marks of one copy's search: the metadata words of its
+/// two sides, and the vertices it marked in its node's engine. Dropping it
+/// — the search done, failed, aborted or panicking — restores those
+/// vertices to `UNVISITED`, so the next search starts from level[v] = ∞,
+/// as Algorithm 1 requires.
+struct Marks {
+    db: SharedBackend,
+    /// By side. A vertex holds one at a time: the sides' visited sets are
+    /// disjoint until they meet, and the search ends there.
+    words: [Meta; 2],
+    marked: Vec<Gid>,
+}
+
+impl Marks {
+    /// Searches that run at once run on distinct engines, so marks named
+    /// after the engine are never shared; none is `UNVISITED`.
+    fn new(db: SharedBackend) -> Marks {
+        let base = (superstep::engine() % (1 << 29)) as Meta * 2;
+        Marks {
+            db,
+            words: [base + 1, base + 2],
+            marked: Vec::new(),
+        }
+    }
+
+    /// Restores every marked vertex to `UNVISITED`.
+    fn clear(&mut self) -> Result<()> {
+        let mut db = self.db.lock();
+        for v in self.marked.drain(..) {
+            db.set_metadata(v, UNVISITED)?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Marks {
+    fn drop(&mut self) {
+        // A search that ends well has cleared its marks and reported any
+        // error doing so; one that failed reports its own.
+        let _ = self.clear();
+    }
+}
+
 /// One processor's state across the rounds of a search. What a side owns
 /// is indexed by it: 0 grows from the source, 1 from the destination.
 struct Traversal {
     me: usize,
     visited: [Box<dyn VisitedSet>; 2],
-    /// The engine to mark visited vertices in (`db_filter`), if any.
-    mark_db: Option<SharedBackend>,
-    /// Vertices `mark_db` was told of; reset after the search so the next
-    /// one starts from level[v] = ∞, as Algorithm 1 requires.
-    marked: Vec<Gid>,
+    /// What `db_filter` marked in the engine, if it is on.
+    marks: Option<Marks>,
     /// Scratch: what the last `visit_new` call found fresh.
     fresh: Vec<Gid>,
     /// Scratch: the vertices of the fringe message being received.
@@ -275,12 +295,12 @@ impl Traversal {
     /// and, under `db_filter`, marks them in the engine.
     fn book_fresh(&mut self, side: usize) -> Result<()> {
         self.visited_count += self.fresh.len() as u64;
-        if let Some(db) = &self.mark_db {
-            let mut db = db.lock();
+        if let Some(marks) = &mut self.marks {
+            let mut db = marks.db.lock();
             for &v in &self.fresh {
-                db.set_metadata(v, MARKS[side])?;
+                db.set_metadata(v, marks.words[side])?;
             }
-            self.marked.extend_from_slice(&self.fresh);
+            marks.marked.extend_from_slice(&self.fresh);
         }
         Ok(())
     }
@@ -392,8 +412,7 @@ impl BfsFilter {
         let mut t = Traversal {
             me,
             visited: [open(0)?, open(1)?],
-            mark_db: self.db_filter.then(|| backend.clone()),
-            marked: Vec::new(),
+            marks: self.db_filter.then(|| Marks::new(backend.clone())),
             fresh: Vec::new(),
             incoming: Vec::new(),
             next: Vec::new(),
@@ -440,12 +459,12 @@ impl BfsFilter {
                 .with("level", round as u64)
                 .with("side", side as u64)
                 .with("frontier", frontiers[side].len() as u64);
-            let (meta, op) = if self.db_filter {
-                // The engine filters out neighbours visited here on this
-                // side while its blocks are hot (Listing 3.1's fused path).
-                (MARKS[side], MetaOp::NotEqual)
-            } else {
-                (0, MetaOp::Ignore)
+            // Under `db_filter` the engine filters out neighbours visited
+            // here on this side while its blocks are hot (Listing 3.1's
+            // fused path).
+            let (meta, op) = match &t.marks {
+                Some(marks) => (marks.words[side], MetaOp::NotEqual),
+                None => (0, MetaOp::Ignore),
             };
 
             // ---- the level: expansion ----
@@ -466,7 +485,6 @@ impl BfsFilter {
             match peers.barrier(LEVEL, round, &mut |msg| t.receive(msg, side))? {
                 Barrier::Complete(_) => {}
                 Barrier::Stopped(never) => match never {},
-                Barrier::PeerLeft => return Err(peers_left(round)),
             }
             // Visited hits this level (local marks from any peer's fringe).
             level_span.record("visited", t.visited_count - visited_at_level_start);
@@ -488,7 +506,6 @@ impl BfsFilter {
                     met = Some(meet);
                     break;
                 }
-                Barrier::PeerLeft => return Err(peers_left(round)),
             }
             if sizes[side] == 0 {
                 break; // The side ran out: the ends are not connected.
@@ -498,12 +515,8 @@ impl BfsFilter {
             round += 1;
         }
 
-        // Per-query cleanup: restore level[v] = ∞ in the engine metadata.
-        if let Some(db) = &t.mark_db {
-            let mut db = db.lock();
-            for &v in &t.marked {
-                db.set_metadata(v, mssg_types::UNVISITED)?;
-            }
+        if let Some(marks) = &mut t.marks {
+            marks.clear()?;
         }
         Ok(Outcome {
             met,
@@ -512,12 +525,6 @@ impl BfsFilter {
             rounds: round.min(superstep::MAX_ROUNDS),
         })
     }
-}
-
-/// A barrier whose input closed: every peer exited before its marker, which
-/// no copy does in a search that is still running.
-fn peers_left(round: u32) -> GraphStorageError {
-    GraphStorageError::Net(format!("BFS peers exited before round {round} ended"))
 }
 
 #[cfg(test)]
@@ -784,9 +791,82 @@ mod tests {
         assert_eq!(a.path_length, Some(12));
     }
 
+    /// A node's GraphDB that dies at its `dies_at`-th fringe expansion, as
+    /// a storage filter that crashes mid-search does.
+    struct DiesMidSearch {
+        db: SharedBackend,
+        expansions: usize,
+        dies_at: usize,
+    }
+
+    impl graphdb::GraphDb for DiesMidSearch {
+        fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
+            self.db.lock().store_edges(edges)
+        }
+        fn get_metadata(&mut self, v: Gid) -> Result<Meta> {
+            self.db.lock().get_metadata(v)
+        }
+        fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()> {
+            self.db.lock().set_metadata(v, meta)
+        }
+        fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
+            self.db.lock().adjacency(v, out, meta, op)
+        }
+        fn expand_fringe(
+            &mut self,
+            fringe: &[Gid],
+            out: &mut AdjBuffer,
+            meta: Meta,
+            op: MetaOp,
+        ) -> Result<()> {
+            self.expansions += 1;
+            assert!(self.expansions < self.dies_at, "the storage filter died");
+            self.db.lock().expand_fringe(fringe, out, meta, op)
+        }
+        fn local_vertices(&mut self) -> Result<Vec<Gid>> {
+            self.db.lock().local_vertices()
+        }
+        fn stored_entries(&self) -> u64 {
+            self.db.lock().stored_entries()
+        }
+        fn backend_name(&self) -> &'static str {
+            "dies mid-search"
+        }
+    }
+
+    /// Runs the search of `source` → `dest` with copy 1's storage filter
+    /// dying at its `dies_at`-th expansion.
+    fn search_where_copy_1_dies(
+        cluster: &MssgCluster,
+        dest: u64,
+        options: &BfsOptions,
+        dies_at: usize,
+    ) -> Result<()> {
+        let search = BfsFilter {
+            visited_kind: options.visited,
+            scratch: cluster.dir().join("scratch"),
+            io_stats: (0..2).map(|i| cluster.io_stats(i)).collect(),
+            placement: cluster.placement().clone(),
+            ends: [g(0), g(dest)],
+            mode: options.mode,
+            db_filter: options.db_filter,
+        };
+        superstep::run(cluster, "bfs", KINDS, move |peers, backend| {
+            if peers.me() != 1 {
+                return search.run(peers, backend);
+            }
+            let dying: Box<dyn graphdb::GraphDb + Send> = Box::new(DiesMidSearch {
+                db: backend.clone(),
+                expansions: 0,
+                dies_at,
+            });
+            search.run(peers, &Arc::new(parking_lot::Mutex::new(dying)))
+        })
+        .map(drop)
+    }
+
     #[test]
     fn dead_storage_filter_is_a_typed_error_not_a_hang() {
-        use datacutter::{FaultKind, FaultPlan};
         use mssg_types::GraphStorageError;
         let cluster = build_cluster(
             "deadpeer",
@@ -795,38 +875,82 @@ mod tests {
             path_edges(12),
             DeclusterKind::VertexHash,
         );
-        // Kill one BFS storage filter on its first port operation. The
-        // surviving peer blocks waiting for that peer's ROUND_DONE, which
-        // would classically hang forever; the stream deadline turns it
-        // into a typed error instead.
+        // One BFS storage filter dies mid-search while its peer waits at a
+        // barrier for its marker: the search fails at once, with the crash.
         let start = std::time::Instant::now();
-        let err = bfs(
-            &cluster,
-            g(0),
-            g(12),
-            &BfsOptions {
-                recv_timeout: Duration::from_secs(2),
-                fault_plan: Some(FaultPlan::new().inject("bfs.1", 1, FaultKind::Panic)),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = search_where_copy_1_dies(&cluster, 12, &BfsOptions::default(), 2).unwrap_err();
         assert!(
-            matches!(
-                err,
-                GraphStorageError::FilterFailed(_) | GraphStorageError::Timeout(_)
-            ),
+            matches!(err, GraphStorageError::FilterFailed(_)),
             "got: {err}"
         );
+        assert!(err.to_string().contains("died"), "got: {err}");
         assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "search must give up quickly, took {:?}",
+            start.elapsed() < Duration::from_secs(1),
+            "search must give up at once, took {:?}",
             start.elapsed()
         );
-        // The search is read-only and idempotent: simply retrying without
-        // the fault succeeds.
+        // The search is read-only and idempotent: simply retrying succeeds.
         let ok = bfs(&cluster, g(0), g(12), &BfsOptions::default()).unwrap();
         assert_eq!(ok.path_length, Some(12));
+    }
+
+    #[test]
+    fn a_failed_db_filter_search_leaves_no_marks() {
+        let cluster = build_cluster(
+            "dbf-failed",
+            2,
+            BackendKind::HashMap,
+            path_edges(12),
+            DeclusterKind::VertexHash,
+        );
+        let filter_on = BfsOptions {
+            db_filter: true,
+            ..Default::default()
+        };
+        for dies_at in 1..=4 {
+            assert!(search_where_copy_1_dies(&cluster, 12, &filter_on, dies_at).is_err());
+            for options in [&filter_on, &BfsOptions::default()] {
+                let m = bfs(&cluster, g(0), g(12), options).unwrap();
+                assert_eq!(
+                    m.path_length,
+                    Some(12),
+                    "after dying at {dies_at}, {options:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_db_filter_searches_answer_as_alone() {
+        // Two callers mark the same engines at once; neither may take the
+        // other's marks for its own.
+        let cluster = build_cluster(
+            "dbf-concurrent",
+            2,
+            BackendKind::HashMap,
+            path_edges(40),
+            DeclusterKind::VertexHash,
+        );
+        let filter_on = BfsOptions {
+            db_filter: true,
+            ..Default::default()
+        };
+        std::thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let (cluster, filter_on) = (&cluster, &filter_on);
+                scope.spawn(move || {
+                    for i in 0..100u64 {
+                        let (source, dest) = ((i + caller) % 10, 40 - (i * 7 + caller) % 10);
+                        let m = bfs(cluster, g(source), g(dest), filter_on).unwrap();
+                        assert_eq!(
+                            m.path_length,
+                            Some((dest - source) as u32),
+                            "{source} -> {dest}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

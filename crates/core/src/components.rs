@@ -59,18 +59,15 @@ pub(crate) const APPLIED: Phase = Phase::nth(3);
 pub(crate) const KINDS: u64 = 8;
 
 /// Runs connected components over the cluster's stored graph. Every phase
-/// ends on a marker from every peer, so a dead filter surfaces as a typed
-/// `Timeout` after the 120 s analysis deadline instead of a hang.
+/// ends on a marker from every peer: a copy that fails aborts the job on
+/// the others at once, and one that wedges is a typed `Timeout` at the
+/// 120 s engine deadline, not a hang.
 pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
     let placement = cluster.placement().clone();
-    let (copies, telemetry) = superstep::run(
-        cluster,
-        "components",
-        KINDS,
-        superstep::DEADLINE,
-        None,
-        move |peers, backend| propagate(peers, backend, &placement),
-    )?;
+    let (copies, telemetry) =
+        superstep::run(cluster, "components", KINDS, move |peers, backend| {
+            propagate(peers, backend, &placement)
+        })?;
     let mut sizes: HashMap<u64, u64> = HashMap::new();
     let mut rounds = 0;
     for (labelled, copy_rounds) in copies {

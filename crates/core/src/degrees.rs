@@ -45,33 +45,26 @@ pub(crate) const KINDS: u64 = 2;
 
 /// Computes the degree distribution of the stored graph.
 pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
-    let (copies, telemetry) = superstep::run(
-        cluster,
-        "degrees",
-        KINDS,
-        superstep::DEADLINE,
-        None,
-        |peers, backend| {
-            let p = peers.copies();
-            // Measure the local partition.
-            let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
-            {
-                let mut db = backend.lock();
-                for v in db.local_vertices()? {
-                    let deg = db.degree(v)? as u64;
-                    batches[hash_node(v, p)].extend([v.raw(), deg]);
-                }
+    let (copies, telemetry) = superstep::run(cluster, "degrees", KINDS, |peers, backend| {
+        let p = peers.copies();
+        // Measure the local partition.
+        let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
+        {
+            let mut db = backend.lock();
+            for v in db.local_vertices()? {
+                let deg = db.degree(v)? as u64;
+                batches[hash_node(v, p)].extend([v.raw(), deg]);
             }
-            // Sum partials for the vertices this processor hash-owns.
-            let mut owned: HashMap<u64, u64> = HashMap::new();
-            let own = peers.scatter(PARTIALS.data, 0, &mut batches)?;
-            peers.finish::<2>(PARTIALS, 0, &own, 0, |[v, partial]| {
-                *owned.entry(v).or_insert(0) += partial;
-                Ok(())
-            })?;
-            Ok(owned)
-        },
-    )?;
+        }
+        // Sum partials for the vertices this processor hash-owns.
+        let mut owned: HashMap<u64, u64> = HashMap::new();
+        let own = peers.scatter(PARTIALS.data, 0, &mut batches)?;
+        peers.finish::<2>(PARTIALS, 0, &own, 0, |[v, partial]| {
+            *owned.entry(v).or_insert(0) += partial;
+            Ok(())
+        })?;
+        Ok(owned)
+    })?;
 
     // A vertex has one hash owner, so the copies' tables are disjoint.
     let degrees = || copies.iter().flat_map(|owned| owned.values().copied());

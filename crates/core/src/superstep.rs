@@ -14,15 +14,13 @@
 //! for its next job, runs it and replies on a channel of its own. The
 //! cluster keeps its idle engines ([`Engines`]). A call takes one, or
 //! starts one, and hands it back after a successful job, so concurrent
-//! calls never share an engine. A call with another stream deadline than
-//! [`DEADLINE`], or with a fault plan, gets an engine that serves it alone
-//! and is named after its program, so fault sites (`bfs.{i}`) and the
-//! port operations they count are those of that one call.
+//! calls never share an engine.
 //!
 //! Every message carries its job's number, and a copy drops messages of
 //! any other job: a job that ends early leaves no marker the next job
-//! could count. A job that fails ends its engine — the failed copy returns
-//! the error, which ends the pipeline's run, and the call reports the
+//! could count. A job that fails ends its engine at once: the failed copy
+//! aborts the job on every peer ([`Peers::run`]) and returns its error,
+//! which ends the pipeline's run, and the call reports that error — the
 //! run's root cause. A failed engine never serves again.
 
 use crate::cluster::{MssgCluster, SharedBackend};
@@ -30,8 +28,7 @@ use crate::telemetry::TelemetryReport;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use datacutter::superstep::{Peers, PORT};
 use datacutter::{
-    CopyUsage, FaultKind, FaultPlan, Filter, FilterContext, FilterTiming, GraphBuilder,
-    NetSnapshot, RunReport,
+    CopyUsage, Filter, FilterContext, FilterTiming, GraphBuilder, NetSnapshot, RunReport,
 };
 use mssg_types::{GraphStorageError, Result};
 use parking_lot::Mutex;
@@ -44,8 +41,9 @@ use std::time::{Duration, Instant};
 /// Rounds after which a program gives up.
 pub(crate) const MAX_ROUNDS: u32 = 10_000;
 
-/// The stream deadline of every pipeline: what an analysis with no option
-/// for it uses, and what `BfsOptions` and `IngestOptions` default to.
+/// The stream deadline of every pipeline: the engines', and what
+/// `IngestOptions` defaults to. It ends the part of a copy whose peer
+/// wedged without failing.
 pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
 
 /// What an engine's copies run: a program whose result its closure has
@@ -60,8 +58,6 @@ pub(crate) fn run<T: Send + 'static>(
     cluster: &MssgCluster,
     name: &str,
     kinds: u64,
-    timeout: Duration,
-    fault_plan: Option<&FaultPlan<FaultKind>>,
     program: impl Fn(&mut Peers<'_>, &SharedBackend) -> Result<T> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, TelemetryReport)> {
     let p = cluster.nodes();
@@ -72,26 +68,18 @@ pub(crate) fn run<T: Send + 'static>(
         slots.lock()[peers.me()] = Some(result);
         Ok(())
     });
-    // A pooled engine serves every program, so it is not named after one.
-    let resident = timeout == DEADLINE && fault_plan.is_none();
-    let filter = if resident { "superstep" } else { name };
-    let mut engine = match resident.then(|| cluster.engines.take()).flatten() {
+    let mut engine = match cluster.engines.take() {
         Some(engine) => engine,
-        None => Engine::start(cluster, filter, timeout, fault_plan)?,
+        None => Engine::start(cluster)?,
     };
     let io_before = cluster.io_snapshot();
     let started = Instant::now();
     let Some(replies) = engine.submit(name, kinds, job) else {
         // A copy failed, which ended the run: its error says why.
-        return Err(engine.shut_down().err().unwrap_or_else(|| no_result(name)));
+        return Err(engine.shut_down().unwrap_or_else(|| no_result(name)));
     };
     let elapsed = started.elapsed();
-    let faults = if resident {
-        cluster.engines.put(engine);
-        Vec::new()
-    } else {
-        engine.shut_down()?.faults
-    };
+    cluster.engines.put(engine);
     let results: Option<Vec<T>> = std::mem::take(&mut *results.lock()).into_iter().collect();
     let results = results.ok_or_else(|| no_result(name))?;
     let filters = replies
@@ -113,7 +101,7 @@ pub(crate) fn run<T: Send + 'static>(
         elapsed,
         net,
         filters,
-        faults,
+        faults: Vec::new(),
     };
     Ok((results, cluster.telemetry_report(report, &io_before)))
 }
@@ -199,26 +187,18 @@ struct Engine {
 
 impl Engine {
     /// Builds the pipeline over `cluster`'s backends, with its telemetry
-    /// and the stream deadline `timeout`, and starts it.
-    fn start(
-        cluster: &MssgCluster,
-        name: &str,
-        timeout: Duration,
-        fault_plan: Option<&FaultPlan<FaultKind>>,
-    ) -> Result<Engine> {
+    /// and the stream deadline [`DEADLINE`], and starts it.
+    fn start(cluster: &MssgCluster) -> Result<Engine> {
         let p = cluster.nodes();
         // racecheck: a counter that numbers engines; it orders no memory.
         let number = cluster.engines.started.fetch_add(1, Ordering::Relaxed) + 1;
         let mut g = GraphBuilder::new();
         g.channel_capacity(8192);
         g.telemetry(cluster.telemetry().clone());
-        // A barrier blocks on a marker from every peer: with the deadline a
-        // dead peer is a typed `Timeout`, not a hang.
-        g.stream_timeout(timeout);
-        // A crashed copy fails the engine, and the caller repeats the job.
-        if let Some(plan) = fault_plan {
-            g.fault_plan(plan.clone());
-        }
+        // A barrier blocks on a marker from every peer. A peer that fails
+        // aborts the job; with the deadline, one that wedges is a typed
+        // `Timeout`, not a hang.
+        g.stream_timeout(DEADLINE);
         let (mut jobs, mut replies, mut ends) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..p {
             let (job_tx, job_rx) = bounded(1);
@@ -234,7 +214,7 @@ impl Engine {
         }
         // The runtime builds each copy once, so each end moves into its
         // copy: a copy that exits drops its reply sender.
-        let filter = g.add_filter(name, (0..p).collect(), move |i| {
+        let filter = g.add_filter("superstep", (0..p).collect(), move |i| {
             Box::new(ends[i].take().expect("one copy per node"))
         })?;
         g.declare_ports(filter, &[PORT], &[PORT]);
@@ -277,17 +257,14 @@ impl Engine {
         self.replies.iter().map(|copy| copy.recv().ok()).collect()
     }
 
-    /// Stops the copies and waits for them: the pipeline's report, or the
-    /// error that ended it — by the runtime's root-cause order.
-    fn shut_down(&mut self) -> Result<RunReport> {
+    /// Stops the copies and waits for them: the error that ended the
+    /// pipeline's run, if one did — by the runtime's root-cause order.
+    fn shut_down(&mut self) -> Option<GraphStorageError> {
         self.jobs.clear();
-        match self.run.take().map(JoinHandle::join) {
-            Some(Ok(outcome)) => outcome,
-            Some(Err(_)) => Err(GraphStorageError::FilterFailed(
+        match self.run.take()?.join() {
+            Ok(outcome) => outcome.err(),
+            Err(_) => Some(GraphStorageError::FilterFailed(
                 "a superstep engine's runtime panicked".into(),
-            )),
-            None => Err(GraphStorageError::Unsupported(
-                "the superstep engine was already shut down".into(),
             )),
         }
     }
@@ -295,9 +272,7 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if self.run.is_some() {
-            let _ = self.shut_down();
-        }
+        self.shut_down();
     }
 }
 
@@ -323,8 +298,8 @@ impl Filter for Processor {
                     .span("superstep.job")
                     .with_str("program", &job.name)
                     .with("job", job.number as u64);
-                let mut peers = Peers::new(ctx, job.kinds, job.number)?;
-                (job.program)(&mut peers, &self.backend)?;
+                Peers::new(ctx, job.kinds, job.number)?
+                    .run(|peers| (job.program)(peers, &self.backend))?;
             }
             let done = Done {
                 total: started.elapsed(),
@@ -344,7 +319,6 @@ mod tests {
     use crate::backend::{BackendKind, BackendOptions};
     use crate::{bfs, components, degrees, msf};
     use datacutter::superstep::Phase;
-    use datacutter::{FaultKind, FaultPlan};
 
     /// Ends round 1 of `phase` as a program reading `arity`-word records
     /// does; returns how many records arrived and the summed count.
@@ -383,61 +357,80 @@ mod tests {
             ("msf winner", msf::KINDS, msf::WINNER, 4),
             ("degrees partials", deg::KINDS, deg::PARTIALS, 2),
         ];
-        let cluster = cluster("rows");
-        let deadline = DEADLINE;
-        let mut failed = 0;
-        for (what, kinds, phase, arity) in rows {
-            // What copy 1 sends copy 0 in round 1: (fault, kind, words).
-            let mut malformed = vec![
-                ("0-word marker", phase.done, vec![]),
-                ("2-word marker", phase.done, vec![5, 5]),
-                ("unknown kind", kinds, vec![]),
-            ];
-            if arity > 1 {
-                // Whole words are not enough: they must be whole records.
-                malformed.push(("ragged records", phase.data, vec![3; arity + 1]));
-            }
-            for (fault, kind, words) in malformed {
-                let err = run(&cluster, "rows", kinds, deadline, None, move |peers, _| {
-                    if peers.me() == 1 {
-                        return peers.send(0, kind, 1, &words);
-                    }
-                    finish_round(peers, phase, arity, 0).map(drop)
-                })
-                .unwrap_err();
-                assert!(
-                    matches!(err, GraphStorageError::Corrupt(_)),
-                    "{what}, {fault}: {err}"
-                );
-                failed += 1;
-                // Well formed, copy 1's two records and its count arrive —
-                // on a new engine: the failed one was not kept.
-                let (got, _) = run(&cluster, "rows", kinds, deadline, None, move |peers, _| {
-                    let me = peers.me();
-                    if me == 1 {
-                        peers.send(0, phase.data, 1, &vec![3; 2 * arity])?;
-                    }
-                    finish_round(peers, phase, arity, 5 * me as u64)
-                })
-                .unwrap();
-                assert_eq!(got, [(2, 5), (0, 5)], "{what}, after {fault}");
-                assert_eq!(cluster.engines.started(), failed + 1, "{what}, {fault}");
+        for nodes in [2, 3] {
+            let cluster = cluster(&format!("rows-{nodes}"), nodes);
+            let mut failed = 0;
+            for (what, kinds, phase, arity) in rows {
+                // What copy 1 does in round 1 while its peers wait at the
+                // phase's barrier: send copy 0 a malformed (kind, words),
+                // or fail.
+                let mut inputs = vec![
+                    ("0-word marker", Some((phase.done, vec![]))),
+                    ("2-word marker", Some((phase.done, vec![5, 5]))),
+                    ("unknown kind", Some((kinds, vec![]))),
+                    ("copy 1 fails", None),
+                ];
+                if arity > 1 {
+                    // Whole words are not enough: they must be whole records.
+                    let ragged = (phase.data, vec![3; arity + 1]);
+                    inputs.push(("ragged records", Some(ragged)));
+                }
+                for (fault, malformed) in inputs {
+                    let fails = malformed.is_none();
+                    let started = Instant::now();
+                    let err = run(&cluster, "rows", kinds, move |peers, _| {
+                        if peers.me() != 1 {
+                            return finish_round(peers, phase, arity, 0).map(drop);
+                        }
+                        match &malformed {
+                            Some((kind, words)) => peers.send(0, *kind, 1, words),
+                            None => Err(GraphStorageError::corrupt("copy 1's own error")),
+                        }
+                    })
+                    .unwrap_err();
+                    let what = format!("{what}, {fault}, p = {nodes}: {err}");
+                    assert!(matches!(err, GraphStorageError::Corrupt(_)), "{what}");
+                    assert_eq!(err.to_string().contains("copy 1's own"), fails, "{what}");
+                    // Every peer's part ended at once, not at the deadline.
+                    assert!(started.elapsed() < Duration::from_secs(1), "{what}");
+                    failed += 1;
+                    // Well formed, copy 1's two records and every count
+                    // arrive — on a new engine: the failed one was not kept.
+                    let (got, _) = run(&cluster, "rows", kinds, move |peers, _| {
+                        let me = peers.me();
+                        if me == 1 {
+                            peers.send(0, phase.data, 1, &vec![3; 2 * arity])?;
+                        }
+                        finish_round(peers, phase, arity, 5 * me as u64)
+                    })
+                    .unwrap();
+                    let sum = 5 * (0..nodes as u64).sum::<u64>();
+                    let want: Vec<_> = (0..nodes).map(|me| (2 * (me == 0) as usize, sum)).collect();
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(cluster.engines.started(), failed + 1, "{what}");
+                }
             }
         }
     }
 
-    fn cluster(tag: &str) -> MssgCluster {
+    fn cluster(tag: &str, nodes: usize) -> MssgCluster {
         let dir = std::env::temp_dir().join(format!("core-superstep-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        MssgCluster::new(&dir, 2, BackendKind::HashMap, &BackendOptions::default()).unwrap()
+        MssgCluster::new(
+            &dir,
+            nodes,
+            BackendKind::HashMap,
+            &BackendOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn a_job_never_counts_what_an_earlier_job_left_unread() {
         const PHASE: Phase = Phase::nth(0);
-        let cluster = cluster("isolation");
+        let cluster = cluster("isolation", 2);
         // Job 1: copy 1 sends copy 0 a round-1 marker copy 0 never reads.
-        run(&cluster, "leave", 2, DEADLINE, None, |peers, _| {
+        run(&cluster, "leave", 2, |peers, _| {
             if peers.me() == 1 {
                 peers.send(0, PHASE.done, 1, &[100])?;
             }
@@ -447,7 +440,7 @@ mod tests {
         // Job 2, on the same engine: round 1 again, and each copy's count
         // is summed once.
         for _ in 0..3 {
-            let (sums, _) = run(&cluster, "count", 2, DEADLINE, None, |peers, _| {
+            let (sums, _) = run(&cluster, "count", 2, |peers, _| {
                 let count = peers.me() as u64 + 1;
                 peers.finish::<1>(PHASE, 1, &[], count, |_| Ok(()))
             })
@@ -460,49 +453,33 @@ mod tests {
     #[test]
     fn a_failed_job_ends_its_engine_and_the_next_call_succeeds() {
         const PHASE: Phase = Phase::nth(0);
-        let cluster = cluster("failure");
+        let cluster = cluster("failure", 2);
         let sum = |cluster: &MssgCluster| {
-            let (sums, _) = run(cluster, "count", 2, DEADLINE, None, |peers, _| {
+            let (sums, _) = run(cluster, "count", 2, |peers, _| {
                 peers.finish::<1>(PHASE, 1, &[], 1, |_| Ok(()))
             })
             .unwrap();
             sums
         };
         assert_eq!(sum(&cluster), [2, 2]);
-        // A program that panics on a resident engine.
-        let err = run(&cluster, "panics", 2, DEADLINE, None, |peers, _| {
+        // Copy 1 panics while copy 0 waits for its marker: the call ends
+        // at once, with the panic.
+        let started = Instant::now();
+        let err = run(&cluster, "panics", 2, |peers, _| {
             assert_eq!(peers.me(), 0, "copy 1 fails");
-            Ok(())
+            peers.finish::<1>(PHASE, 1, &[], 1, |_| Ok(()))
         })
         .unwrap_err();
         assert!(matches!(err, GraphStorageError::FilterFailed(_)), "{err}");
+        assert!(err.to_string().contains("copy 1 fails"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!((sum(&cluster), cluster.engines.started()), (vec![2, 2], 2));
-        // An injected panic, on an engine of the call's own: the peer
-        // waiting on the dead copy's marker gives up at the call's deadline.
-        let plan = FaultPlan::new().inject("chaos.1", 1, FaultKind::Panic);
-        let err = run(
-            &cluster,
-            "chaos",
-            2,
-            Duration::from_secs(2),
-            Some(&plan),
-            |peers, _| peers.finish::<1>(PHASE, 1, &[], 1, |_| Ok(())),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GraphStorageError::FilterFailed(_) | GraphStorageError::Timeout(_)
-            ),
-            "{err}"
-        );
-        assert_eq!((sum(&cluster), cluster.engines.started()), (vec![2, 2], 3));
     }
 
     #[test]
     fn dropping_a_cluster_stops_its_idle_engine() {
-        let cluster = cluster("drop");
-        run(&cluster, "idle", 1, DEADLINE, None, |_, _| Ok(())).unwrap();
+        let cluster = cluster("drop", 2);
+        run(&cluster, "idle", 1, |_, _| Ok(())).unwrap();
         assert_eq!(cluster.engines.started(), 1);
         let started = std::time::Instant::now();
         drop(cluster);

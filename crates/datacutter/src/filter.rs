@@ -180,7 +180,7 @@ impl OutPort {
         let start = self.clocks.as_ref().map(|_| Instant::now());
         let sent: Result<()> = match sender.send(buf, self.timeout) {
             SendOutcome::Sent => Ok(()),
-            SendOutcome::Closed => Err(GraphStorageError::Unsupported("consumer hung up".into())),
+            SendOutcome::Closed => Err(hung_up("consumer")),
             SendOutcome::TimedOut => Err(GraphStorageError::Timeout(format!(
                 "send on output port {:?} gave up after {:?}",
                 self.name,
@@ -215,6 +215,17 @@ impl OutPort {
         }
         Ok(())
     }
+}
+
+/// The error of a copy that stopped only because another one did (its
+/// consumer exited, or a peer aborted the job); the runtime ranks it last.
+pub(crate) fn hung_up(who: &str) -> GraphStorageError {
+    GraphStorageError::Unsupported(format!("{who} hung up"))
+}
+
+/// Whether `err` is [`hung_up`]'s.
+pub(crate) fn is_hung_up(err: &GraphStorageError) -> bool {
+    matches!(err, GraphStorageError::Unsupported(m) if m.ends_with("hung up"))
 }
 
 /// Per-instance execution context handed to every [`Filter`] callback.

@@ -5,7 +5,7 @@
 use crate::fault::{
     panic_message, silence_injected_panics, CopyFaults, FaultEvent, FaultKind, FaultLog,
 };
-use crate::filter::{Filter, FilterContext, InPort, OutPort, PortClocks};
+use crate::filter::{is_hung_up, Filter, FilterContext, InPort, OutPort, PortClocks};
 use crate::graph::GraphBuilder;
 use crate::netstats::{NetSnapshot, NetStats};
 use crate::transport::{EndpointSpec, InProc, Transport};
@@ -319,9 +319,8 @@ fn run_with(
         }
     }
 
-    // Collect outcomes. When several copies fail, prefer a root-cause
-    // error (a crashed or faulted filter) over the secondary "hung up" /
-    // timeout errors its death cascades through the graph.
+    // Collect outcomes. When several copies fail, the run reports the
+    // root cause (`root_cause`), not the errors it cascades into.
     let mut errors: Vec<GraphStorageError> = Vec::new();
     for (name, handle) in handles {
         match handle.join() {
@@ -341,30 +340,7 @@ fn run_with(
     if errors.is_empty() {
         finish?;
     }
-    if !errors.is_empty() {
-        // A "hung up" error can only arise after a peer died, a lost
-        // connection is itself a root cause, and a timeout is what kills
-        // the first filter of a wedged graph — so crash > transport
-        // failure > timeout > disconnect-cascade as the reported cause.
-        let root = errors
-            .iter()
-            .position(|e| {
-                matches!(
-                    e,
-                    GraphStorageError::FilterFailed(_) | GraphStorageError::Fault(_)
-                )
-            })
-            .or_else(|| {
-                errors
-                    .iter()
-                    .position(|e| matches!(e, GraphStorageError::Net(_)))
-            })
-            .or_else(|| {
-                errors
-                    .iter()
-                    .position(|e| matches!(e, GraphStorageError::Timeout(_)))
-            })
-            .unwrap_or(0);
+    if let Some((root, _)) = errors.iter().enumerate().min_by_key(|(_, e)| root_cause(e)) {
         return Err(errors.swap_remove(root));
     }
     let mut filters = Vec::new();
@@ -394,6 +370,21 @@ fn run_with(
         filters,
         faults,
     })
+}
+
+/// Where `err` stands among the errors of one failed run, root causes
+/// first: a crash or an injected fault; any other error a copy returns (a
+/// corrupt message, a store's I/O error); a lost connection; a timeout,
+/// which is what ends the first copy of a wedged graph; and last a copy
+/// that hung up, which only happens after another copy stopped.
+fn root_cause(err: &GraphStorageError) -> u8 {
+    match err {
+        GraphStorageError::FilterFailed(_) | GraphStorageError::Fault(_) => 0,
+        GraphStorageError::Net(_) => 2,
+        GraphStorageError::Timeout(_) => 3,
+        err if is_hung_up(err) => 4,
+        _ => 1,
+    }
 }
 
 /// Runs one filter copy's init → process → finalize inside its
@@ -593,6 +584,33 @@ mod tests {
             other => panic!("expected FilterFailed, got {other:?}"),
         }
         assert!(start.elapsed() < deadline, "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn a_copys_own_error_outranks_the_hang_up_it_causes() {
+        // The consumer fails after one receive, with an error that is not
+        // a crash; the producer, still sending, then fails with "consumer
+        // hung up". The run reports the consumer's error.
+        struct FailsAfterOne;
+        impl Filter for FailsAfterOne {
+            fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
+                ctx.input("in")?.recv()?;
+                Err(GraphStorageError::corrupt("the consumer's own error"))
+            }
+        }
+        let mut g = GraphBuilder::new();
+        g.channel_capacity(2);
+        let p = g
+            .add_filter("p", vec![0], |_| Box::new(Producer { count: 1000 }))
+            .unwrap();
+        let c = g
+            .add_filter("c", vec![1], |_| Box::new(FailsAfterOne))
+            .unwrap();
+        g.connect(p, "out", c, "in").unwrap();
+        match g.run().unwrap_err() {
+            GraphStorageError::Corrupt(m) => assert!(m.contains("own error"), "got: {m}"),
+            other => panic!("expected the consumer's Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,18 +19,27 @@
 //! of another job unread: a job that ends early (BFS's `FOUND`) may leave
 //! its peers' last markers in the input, and the next job must not count
 //! them. A one-shot pipeline is job 0.
+//! A copy that fails its job tells every peer, which ends theirs at once
+//! ([`Peers::run`]).
 
+use crate::filter::{hung_up, is_hung_up};
 use crate::{DataBuffer, FilterContext};
 use mssg_obs::Telemetry;
 use mssg_types::{GraphStorageError, Result};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 /// The port a program's copies exchange messages on, in and out.
 pub const PORT: &str = "peers";
 
 /// The most copies a program may have: the sender field's range.
 pub const MAX_COPIES: usize = 1 << 12;
+
+/// The kind of the message a failing copy sends its peers: its job is
+/// over. No program may use it for a phase.
+pub const ABORT: u64 = 0xff;
 
 /// Message tag: `[kind: 8 bits][round: 32 bits][job: 12 bits][sender: 12
 /// bits]`. Only the low 12 bits of the job number are carried. That is
@@ -83,10 +92,6 @@ pub enum Barrier<B> {
     Complete(u64),
     /// The handler ended the program (BFS: a peer met the other side).
     Stopped(B),
-    /// The input closed: every peer has exited. Over in-process channels a
-    /// copy's own sender keeps its input open, and a peer that left
-    /// without its marker is reported by the stream deadline instead.
-    PeerLeft,
 }
 
 /// What has arrived at a copy: the markers of the phase it is in, and the
@@ -111,8 +116,9 @@ impl Inbox {
     }
 
     /// Takes one message at a copy in `phase` of `round`: a message of
-    /// another job is dropped, that phase's marker is counted, its records
-    /// go to `on_data`, everything else waits in the stash.
+    /// another job is dropped, an abort ends the job, that phase's marker
+    /// is counted, its records go to `on_data`, everything else waits in
+    /// the stash.
     fn accept<B>(
         &mut self,
         phase: Phase,
@@ -124,6 +130,13 @@ impl Inbox {
             return Ok(ControlFlow::Continue(()));
         }
         let (kind, of_round) = (tag_kind(msg.tag), tag_round(msg.tag));
+        if kind == ABORT {
+            let failed = msg.tag & 0xfff;
+            let job = self.job;
+            return Err(hung_up(&format!(
+                "copy {failed} failed job {job}, and its peer"
+            )));
+        }
         if kind >= self.kinds {
             return Err(GraphStorageError::corrupt(format!(
                 "unknown message kind {kind}"
@@ -163,6 +176,32 @@ impl<'a> Peers<'a> {
             ctx,
             inbox: Inbox::new(kinds, job),
         })
+    }
+
+    /// Runs `program` as this copy's part of the job. If it fails — returns
+    /// an error or panics — every peer is sent an [`ABORT`] before the
+    /// failure goes on as it was; a copy that stopped because a peer had
+    /// failed tells nobody.
+    pub fn run<T>(&mut self, program: impl FnOnce(&mut Peers<'a>) -> Result<T>) -> Result<T> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| program(self)));
+        let failed = match &outcome {
+            Ok(Ok(_)) => false,
+            Ok(Err(err)) => !is_hung_up(err),
+            Err(_panic) => true,
+        };
+        if failed {
+            // A control message on the endpoints themselves, not program
+            // traffic, and it does not wait: a peer whose input is full is
+            // not at a barrier, and is not told.
+            let abort = DataBuffer::control(self.tag(ABORT, 0));
+            let senders = self.ctx.outputs.get(PORT).map_or(&[][..], |p| &p.senders);
+            for (to, peer) in senders.iter().enumerate() {
+                if to != self.ctx.copy_index {
+                    let _ = peer.send(abort.clone(), Some(Duration::ZERO));
+                }
+            }
+        }
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// This copy's index.
@@ -242,7 +281,9 @@ impl<'a> Peers<'a> {
 
     /// Blocks until every peer's marker for `phase` of `round` is in,
     /// handing that phase's record messages to `on_data` as they arrive —
-    /// first the ones that came early and waited in the stash.
+    /// first the ones that came early and waited in the stash. A peer's
+    /// [`ABORT`] ends it; so does an input that closes, every peer gone, as
+    /// a `Net` error. In process a copy's own sender keeps its input open.
     pub fn barrier<B>(
         &mut self,
         phase: Phase,
@@ -256,7 +297,9 @@ impl<'a> Peers<'a> {
         }
         while self.inbox.done + 1 < self.copies() {
             let Some(msg) = self.ctx.input(PORT)?.recv()? else {
-                return Ok(Barrier::PeerLeft);
+                return Err(GraphStorageError::Net(format!(
+                    "peers exited before round {round} ended"
+                )));
             };
             if let ControlFlow::Break(b) = self.inbox.accept(phase, round, msg, on_data)? {
                 return Ok(Barrier::Stopped(b));
@@ -269,8 +312,7 @@ impl<'a> Peers<'a> {
     /// Ends a phase whose records are `N` words: tells every peer this
     /// copy is done, with `count`; hands `on_record` this copy's `own`
     /// records and then every peer's, until their markers are in; returns
-    /// the counts of all `p` copies, summed. A peer that has left is a
-    /// `Net` error: over sockets that is a lost connection.
+    /// the counts of all `p` copies, summed.
     pub fn finish<const N: usize>(
         &mut self,
         phase: Phase,
@@ -292,9 +334,6 @@ impl<'a> Peers<'a> {
         match self.barrier(phase, round, &mut on_data)? {
             Barrier::Complete(sum) => Ok(sum.saturating_add(count)),
             Barrier::Stopped(never) => match never {},
-            Barrier::PeerLeft => Err(GraphStorageError::Net(format!(
-                "peers exited before round {round} ended"
-            ))),
         }
     }
 }
@@ -353,7 +392,7 @@ mod tests {
     impl<T: Send> Filter for Copy<T> {
         fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
             let me = ctx.copy_index;
-            let result = (self.program)(&mut Peers::new(ctx, 2, 0)?)?;
+            let result = Peers::new(ctx, 2, 0)?.run(|peers| (self.program)(peers))?;
             self.results.lock()[me] = Some(result);
             Ok(())
         }
@@ -450,8 +489,8 @@ mod tests {
         let mut inbox = Inbox::new(2, 7);
         let mut read = |_: &DataBuffer| Ok(ControlFlow::<()>::Continue(()));
         // Leftovers of other jobs — a marker, a record, a marker of a later
-        // round, an unknown kind and a malformed marker — are neither
-        // counted, nor stashed, nor decoded.
+        // round, an unknown kind, a malformed marker and an abort — are
+        // neither counted, nor stashed, nor decoded, nor end this job.
         for job in [0, 6, 8] {
             let msgs = [
                 DataBuffer::from_words(tag(PHASE.done, 1, job, 1), &[5]),
@@ -459,6 +498,7 @@ mod tests {
                 DataBuffer::from_words(tag(PHASE.done, 2, job, 1), &[5]),
                 DataBuffer::control(tag(9, 1, job, 1)),
                 DataBuffer::new(tag(PHASE.done, 1, job, 1), vec![0; 7]),
+                DataBuffer::control(tag(ABORT, 0, job, 1)),
             ];
             for msg in msgs {
                 let mut never = |_: &DataBuffer| -> Result<ControlFlow<()>> {
@@ -478,6 +518,66 @@ mod tests {
             .unwrap()
             .is_continue());
         assert_eq!((inbox.done, inbox.sum), (1, 5));
+    }
+
+    #[test]
+    fn an_abort_ends_its_job_in_any_phase_and_round() {
+        let mut never =
+            |_: &DataBuffer| -> Result<ControlFlow<()>> { panic!("an abort reached the handler") };
+        for (phase, round) in [(Phase::nth(0), 1), (Phase::nth(1), 1), (Phase::nth(0), 9)] {
+            // Whatever the copy has taken in so far, and whatever round
+            // the abort names.
+            let mut inbox = Inbox::new(4, 7);
+            let marker = DataBuffer::from_words(tag(phase.done, round, 7, 2), &[5]);
+            assert!(inbox
+                .accept(phase, round, marker, &mut never)
+                .unwrap()
+                .is_continue());
+            let abort = DataBuffer::control(tag(ABORT, 0, 7, 1));
+            let err = inbox.accept(phase, round, abort, &mut never).unwrap_err();
+            assert!(is_hung_up(&err), "{err}");
+            assert!(err.to_string().contains("copy 1 failed job 7"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_failed_copy_ends_its_peers_part_at_once() {
+        const PHASE: Phase = Phase::nth(0);
+        // Copy 1 fails — an error, or a panic — while copy 0 waits for its
+        // marker, in a barrier or in `poll`. The run reports copy 1's own
+        // failure, long before the 2 s deadline.
+        for panics in [false, true] {
+            for polls in [false, true] {
+                let started = Instant::now();
+                let err = run_pair(move |peers| {
+                    if peers.me() == 1 {
+                        assert!(!panics, "copy 1 panics");
+                        return Err(GraphStorageError::corrupt("copy 1's own error"));
+                    }
+                    if polls {
+                        let mut read = |_: &DataBuffer| Ok(ControlFlow::<()>::Continue(()));
+                        while started.elapsed() < Duration::from_secs(2)
+                            && peers.poll(PHASE, 1, &mut read)?.is_continue()
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                    peers.finish::<1>(PHASE, 1, &[], 0, |_| Ok(()))
+                })
+                .unwrap_err();
+                let what = format!("panics: {panics}, polls: {polls}: {err}");
+                match &err {
+                    GraphStorageError::FilterFailed(m) => {
+                        assert!(panics && m.contains("copy 1 panics"), "{what}")
+                    }
+                    GraphStorageError::Corrupt(m) => {
+                        assert!(!panics && m.contains("own error"), "{what}")
+                    }
+                    _ => panic!("{what}"),
+                }
+                assert!(started.elapsed() < Duration::from_secs(1), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -503,8 +603,9 @@ mod tests {
         assert_eq!(seen[0], [vec![], vec![7]]);
         assert_eq!(seen[1], [vec![], vec![]]);
 
-        // Copy 1 leaves without its marker. In process, copy 0's own
-        // sender keeps its input open, so the deadline reports it.
+        // Copy 1 leaves without its marker, and without failing. In
+        // process, copy 0's own sender keeps its input open, so the
+        // deadline reports it.
         let start = Instant::now();
         let err = run_pair(|peers| {
             if peers.me() == 0 {
