@@ -13,9 +13,9 @@
 //!   whole execution, promising the serving layer that everything it
 //!   reads belongs to that epoch;
 //! - an updater **registers** before mutating ([`EpochManager::begin_update`]),
-//!   which blocks until every pin drains — and blocks *new* pins until
-//!   the update finishes (writer priority, so a steady query stream can
-//!   never starve ingestion);
+//!   which blocks until every pin drains or its deadline passes — and
+//!   blocks *new* pins until the update finishes (writer priority, so a
+//!   steady query stream can never starve ingestion);
 //! - completed checkpoint boundaries **bump** the counter
 //!   ([`EpochManager::bump`]); [`crate::ingest::ingest`] does this
 //!   automatically after its final flush.
@@ -93,35 +93,20 @@ impl EpochManager {
     /// holding the returned guard; drop it when the mutation — including
     /// its [`bump`](EpochManager::bump) — is complete.
     ///
+    /// If in-flight pins have not drained within `timeout`, the
+    /// registration is rolled back (new pins unblock) and a typed
+    /// [`Timeout`](mssg_types::GraphStorageError::Timeout) comes back
+    /// instead of waiting forever. This is the serving plane's guard
+    /// against a leaked pin — a worker stuck writing to a dead client, a
+    /// panicked analysis, any bug that keeps a pin alive — turning
+    /// "ingestion hangs forever" into an error the operator can see and
+    /// retry.
+    ///
     /// # Panics
     /// Panics if an update is already registered: updates must be
     /// serialized by the caller (the serving layer runs one ingestion at
     /// a time; batch callers hold `&mut MssgCluster`).
-    pub fn begin_update(&self) -> EpochUpdate<'_> {
-        let mut s = self.lock();
-        assert!(!s.updating, "concurrent epoch updates are not supported");
-        s.updating = true;
-        while s.pins > 0 {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        EpochUpdate { mgr: self }
-    }
-
-    /// [`begin_update`](EpochManager::begin_update) with a drain
-    /// deadline: if in-flight pins have not drained within `timeout`, the
-    /// registration is rolled back (new pins unblock) and a typed
-    /// [`Timeout`](mssg_types::GraphStorageError::Timeout) comes back
-    /// instead of waiting forever.
-    ///
-    /// This is the serving plane's guard against a leaked pin — a worker
-    /// stuck writing to a dead client, a panicked analysis, any bug that
-    /// keeps a pin alive — turning "ingestion hangs forever" into an
-    /// error the operator can see and retry.
-    ///
-    /// # Panics
-    /// Panics if an update is already registered, exactly like
-    /// [`begin_update`](EpochManager::begin_update).
-    pub fn begin_update_timeout(
+    pub fn begin_update(
         &self,
         timeout: std::time::Duration,
     ) -> mssg_types::Result<EpochUpdate<'_>> {
@@ -232,7 +217,8 @@ mod tests {
         let m2 = Arc::clone(&m);
         let obs2 = Arc::clone(&observed);
         let updater = std::thread::spawn(move || {
-            let update = m2.begin_update(); // blocks until the pin drops
+            // Blocks until the pin drops.
+            let update = m2.begin_update(Duration::from_secs(10)).unwrap();
             obs2.store(m2.pinned(), Ordering::SeqCst);
             m2.bump();
             drop(update);
@@ -254,7 +240,7 @@ mod tests {
     fn update_timeout_rolls_back_and_unblocks_pins() {
         let m = EpochManager::new();
         let stuck = m.pin(); // a pin that never drains
-        let outcome = m.begin_update_timeout(Duration::from_millis(50));
+        let outcome = m.begin_update(Duration::from_millis(50));
         assert!(
             matches!(outcome, Err(mssg_types::GraphStorageError::Timeout(_))),
             "pin held; the gate must time out"
@@ -265,7 +251,7 @@ mod tests {
         let late = m.pin();
         drop((stuck, late));
         let update = m
-            .begin_update_timeout(Duration::from_millis(50))
+            .begin_update(Duration::from_millis(50))
             .expect("no pins held");
         drop(update);
     }

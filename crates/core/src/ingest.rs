@@ -67,8 +67,10 @@ pub struct IngestOptions {
     /// are skipped instead of duplicated (counted in the
     /// `ingest.windows_skipped` metric). A `window_edges` other than the
     /// one the failed stream recorded is refused with `Unsupported`
-    /// before anything runs. Replaying the *same* edge stream is the
-    /// caller's contract: the cluster cannot check it. Off by default.
+    /// before anything runs, and so is a resume on a reopened cluster:
+    /// the watermarks are GraphDB metadata, kept in memory. Replaying the
+    /// *same* edge stream is the caller's contract: the cluster cannot
+    /// check it. Off by default.
     pub resume: bool,
     /// Per-stream send/recv deadline; a dead filter surfaces as a typed
     /// timeout error instead of a hang. Defaults to the analyses' 120 s.
@@ -176,7 +178,10 @@ pub fn ingest(
     // records its window size, so a resume of *this* stream never trusts
     // what an earlier one left behind. A resumed run starts at the node's
     // watermark, and is refused before anything runs if a node recorded
-    // another window size (a node that recorded none resumes as it is).
+    // another window size, or stores entries but recorded none: the
+    // checkpoint is metadata, which a reopen does not keep, so its
+    // watermark would replay the stream from window 0. (An empty node
+    // that recorded none resumes as it is.)
     let mut cursors = vec![0; p];
     for (i, cursor) in cursors.iter_mut().enumerate() {
         cluster.with_backend(i, |db| {
@@ -185,6 +190,12 @@ pub fn ingest(
                 return db.set_metadata(window_gid(), window);
             }
             let recorded = db.get_metadata(window_gid())?;
+            if recorded == UNVISITED && db.stored_entries() > 0 {
+                return Err(GraphStorageError::Unsupported(format!(
+                    "a resume on node {i}, which stores entries but no checkpoint \
+                     (reopened since its stream ran)"
+                )));
+            }
             if recorded != UNVISITED && recorded != window {
                 return Err(GraphStorageError::Unsupported(format!(
                     "a resume with {window}-edge windows of a stream node {i} cut into \

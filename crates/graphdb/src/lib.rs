@@ -17,8 +17,10 @@
 //! - [`ArrayDb`] — the compressed-adjacency-list (CSR) backend (§4.1.1),
 //! - [`HashMapDb`] — the hash-table-of-adjacency-lists backend (§4.1.2),
 //! - [`MetaTable`] — the shared in-memory per-vertex metadata store,
-//! - [`chunk`] — the 8 KB adjacency-list chunking shared by the MySQL and
-//!   BerkeleyDB adapters (§4.1.3, Figure 4.3).
+//! - [`chunk`] — the record-store adapter the MySQL and BerkeleyDB engines
+//!   share: 8 KB adjacency chunks behind one [`chunk::ChunkedGraphDb`]
+//!   (§4.1.3–§4.1.4, Figure 4.3),
+//! - [`group_by_source`] — the one way an engine groups a batch by source.
 
 pub mod array;
 pub mod chunk;
@@ -29,4 +31,4 @@ pub mod traits;
 pub use array::ArrayDb;
 pub use hashmap::HashMapDb;
 pub use meta_table::MetaTable;
-pub use traits::{GraphDb, GraphDbExt};
+pub use traits::{group_by_source, GraphDb, GraphDbExt};

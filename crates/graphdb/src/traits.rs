@@ -1,6 +1,6 @@
 //! The `GraphDb` trait — Rust rendering of thesis Listing 3.1.
 
-use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
 
 /// The GraphDB service interface.
 ///
@@ -115,6 +115,23 @@ pub trait GraphDbExt: GraphDb {
 }
 
 impl<T: GraphDb + ?Sized> GraphDbExt for T {}
+
+/// Groups a batch's entries by source vertex, so an engine walks each
+/// vertex's storage once per batch. Groups come in the order their source
+/// first appears, each with its entries in batch order, so a given stream
+/// always lays out the same files.
+pub fn group_by_source(edges: &[Edge]) -> Vec<(Gid, Vec<Gid>)> {
+    let mut index: GidMap<usize> = GidMap::default();
+    let mut groups: Vec<(Gid, Vec<Gid>)> = Vec::new();
+    for e in edges {
+        let i = *index.entry(e.src).or_insert_with(|| {
+            groups.push((e.src, Vec::new()));
+            groups.len() - 1
+        });
+        groups[i].1.push(e.dst);
+    }
+    groups
+}
 
 #[cfg(test)]
 mod tests {

@@ -2,10 +2,9 @@
 
 use crate::config::{GrdbConfig, WORD};
 use crate::store::GrdbStore;
-use graphdb::{GraphDb, MetaTable};
+use graphdb::{group_by_source, GraphDb, MetaTable};
 use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
 use simio::IoStats;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -39,24 +38,13 @@ impl GrdbGraphDb {
 impl GraphDb for GrdbGraphDb {
     fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
         // Group by source so each vertex's chain is walked to its tail
-        // once per batch instead of once per edge. Groups keep the batch's
-        // first-appearance order and per-vertex edge order, so the
-        // resulting physical layout is deterministic for a given stream.
+        // once per batch instead of once per edge.
         match edges {
             [] => Ok(()),
             [e] => self.store.append_neighbour(e.src, e.dst),
             _ => {
-                let mut index: HashMap<Gid, usize> = HashMap::new();
-                let mut groups: Vec<(Gid, Vec<Gid>)> = Vec::new();
-                for e in edges {
-                    let i = *index.entry(e.src).or_insert_with(|| {
-                        groups.push((e.src, Vec::new()));
-                        groups.len() - 1
-                    });
-                    groups[i].1.push(e.dst);
-                }
-                for (src, dsts) in &groups {
-                    self.store.append_neighbours(*src, dsts)?;
+                for (src, dsts) in group_by_source(edges) {
+                    self.store.append_neighbours(src, &dsts)?;
                 }
                 Ok(())
             }

@@ -1,19 +1,17 @@
 //! The BerkeleyDB-style GraphDB adapter — thesis §4.1.4.
 //!
 //! "The chunking technique used in the MySQL implementation is also used
-//! here": each vertex's adjacency list is stored as a sequence of 8 KB
-//! binary chunks in the record store, keyed by `(vertex, chunk_no)`. A
-//! per-vertex directory record holds the chunk count so appends touch only
-//! the last chunk.
+//! here": [`BdbGraphDb`] supplies B-tree records to the shared
+//! [`ChunkedGraphDb`], which stores each vertex's adjacency list as 8 KB
+//! binary chunks plus a directory record holding the chunk count.
 //!
 //! Key layout (big-endian so B-tree order clusters a vertex's records):
 //! `[vertex u64 BE][chunk u32 BE]`, with chunk `0xFFFF_FFFF` reserved for
-//! the directory record.
+//! the directory record, whose value is the count as a `u32 BE`.
 
 use crate::store::{KvOptions, KvStore};
-use graphdb::chunk;
-use graphdb::{GraphDb, MetaTable};
-use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, MetaOp, Result};
+use graphdb::chunk::{ChunkRecords, ChunkedGraphDb, CHUNK_BYTES};
+use mssg_types::{Gid, GraphStorageError, Result};
 use simio::IoStats;
 use std::path::Path;
 use std::sync::Arc;
@@ -21,12 +19,13 @@ use std::sync::Arc;
 /// Directory record chunk number.
 const DIR_CHUNK: u32 = u32::MAX;
 
-/// GraphDB backend over the B-tree record store with 8 KB chunking.
+/// BerkeleyDB's records: chunks and directories in one B-tree.
 pub struct BdbGraphDb {
     store: KvStore,
-    chunk_bytes: usize,
-    meta: MetaTable,
-    entries: u64,
+}
+
+fn is_dir(key: &[u8]) -> bool {
+    key.len() == 12 && key[8..] == DIR_CHUNK.to_be_bytes()
 }
 
 fn record_key(v: Gid, chunk_no: u32) -> [u8; 12] {
@@ -37,163 +36,82 @@ fn record_key(v: Gid, chunk_no: u32) -> [u8; 12] {
 }
 
 impl BdbGraphDb {
-    /// Opens a backend at `path` with the thesis' default 8 KB chunks.
-    pub fn open(path: &Path, options: KvOptions, stats: Arc<IoStats>) -> Result<BdbGraphDb> {
-        BdbGraphDb::with_chunk_bytes(path, options, stats, chunk::CHUNK_BYTES)
-    }
-
-    /// Opens with an explicit chunk size (tests use small chunks to force
-    /// multi-chunk lists cheaply).
-    pub fn with_chunk_bytes(
+    /// Opens the GraphDB stored at `path`, with the thesis' 8 KB chunks.
+    pub fn open(
         path: &Path,
         options: KvOptions,
         stats: Arc<IoStats>,
-        chunk_bytes: usize,
-    ) -> Result<BdbGraphDb> {
-        assert!(chunk_bytes >= 12, "chunk size too small");
+    ) -> Result<ChunkedGraphDb<BdbGraphDb>> {
         let store = KvStore::open(path, options, stats)?;
-        Ok(BdbGraphDb {
-            store,
-            chunk_bytes,
-            meta: MetaTable::new(),
-            entries: 0,
-        })
-    }
-
-    /// Buffer-pool statistics of the underlying store.
-    pub fn cache_stats(&self) -> simio::CacheStats {
-        self.store.cache_stats()
-    }
-
-    fn chunk_count(&mut self, v: Gid) -> Result<u32> {
-        match self.store.get(&record_key(v, DIR_CHUNK))? {
-            Some(bytes) => {
-                let arr: [u8; 4] = bytes
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| GraphStorageError::corrupt("bad directory record"))?;
-                Ok(u32::from_be_bytes(arr))
-            }
-            None => Ok(0),
-        }
-    }
-
-    fn set_chunk_count(&mut self, v: Gid, n: u32) -> Result<()> {
-        self.store
-            .put(&record_key(v, DIR_CHUNK), &n.to_be_bytes())?;
-        Ok(())
-    }
-
-    /// Appends a group of neighbours to one vertex, reading and writing
-    /// the tail chunk once per group — the same batching a careful
-    /// BerkeleyDB client (and the MySQL adapter) performs.
-    fn append_group(&mut self, v: Gid, neighbours: &[Gid]) -> Result<()> {
-        let count = self.chunk_count(v)?;
-        let mut tail: Option<Vec<u8>> = if count > 0 {
-            Some(
-                self.store
-                    .get(&record_key(v, count - 1))?
-                    .ok_or_else(|| GraphStorageError::corrupt("missing tail chunk"))?,
-            )
-        } else {
-            None
-        };
-        let mut new_count = count;
-        let mut tail_dirty = false;
-        for &u in neighbours {
-            let fits = match &tail {
-                Some(t) => chunk::has_room(t, self.chunk_bytes)?,
-                None => false,
-            };
-            if fits {
-                chunk::append_entry(tail.as_mut().expect("checked"), u, self.chunk_bytes)?;
-                tail_dirty = true;
-            } else {
-                if let Some(t) = tail.take() {
-                    if tail_dirty {
-                        self.store.put(&record_key(v, new_count - 1), &t)?;
-                    }
-                }
-                tail = Some(chunk::encode(&[u], self.chunk_bytes).remove(0));
-                tail_dirty = true;
-                new_count += 1;
-            }
-        }
-        if let Some(t) = tail {
-            if tail_dirty {
-                self.store.put(&record_key(v, new_count - 1), &t)?;
-            }
-        }
-        if new_count != count {
-            self.set_chunk_count(v, new_count)?;
-        }
-        Ok(())
+        ChunkedGraphDb::open(BdbGraphDb { store }, CHUNK_BYTES)
     }
 }
 
-impl GraphDb for BdbGraphDb {
-    fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
-        // Group by source to amortise directory and tail-chunk lookups.
-        let mut groups: std::collections::HashMap<Gid, Vec<Gid>> = std::collections::HashMap::new();
-        for e in edges {
-            groups.entry(e.src).or_default().push(e.dst);
-            self.entries += 1;
-        }
-        for (v, ns) in groups {
-            self.append_group(v, &ns)?;
-        }
+impl ChunkRecords for BdbGraphDb {
+    fn read_dir(&mut self, v: Gid) -> Result<u32> {
+        let Some(bytes) = self.store.get(&record_key(v, DIR_CHUNK))? else {
+            return Ok(0);
+        };
+        let arr = bytes
+            .try_into()
+            .map_err(|_| GraphStorageError::corrupt("bad directory record"))?;
+        Ok(u32::from_be_bytes(arr))
+    }
+
+    fn write_dir(&mut self, v: Gid, count: u32, _new: bool) -> Result<()> {
+        self.store
+            .put(&record_key(v, DIR_CHUNK), &count.to_be_bytes())?;
         Ok(())
     }
 
-    fn get_metadata(&mut self, v: Gid) -> Result<Meta> {
-        Ok(self.meta.get(v))
+    fn read_chunk(&mut self, v: Gid, c: u32) -> Result<Option<Vec<u8>>> {
+        self.store.get(&record_key(v, c))
     }
 
-    fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()> {
-        self.meta.set(v, meta);
-        Ok(())
-    }
-
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        let count = self.chunk_count(v)?;
-        let mut neighbours = Vec::new();
-        for c in 0..count {
+    fn read_chunks(&mut self, v: Gid, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        for c in 0..self.read_dir(v)? {
             let bytes = self
-                .store
-                .get(&record_key(v, c))?
+                .read_chunk(v, c)?
                 .ok_or_else(|| GraphStorageError::corrupt(format!("missing chunk {c}")))?;
-            chunk::decode_into(&bytes, &mut neighbours)?;
-        }
-        for u in neighbours {
-            if op.admits(self.meta.get(u), meta) {
-                out.push(u);
-            }
+            f(&bytes)?;
         }
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<()> {
-        self.store.flush()
+    fn write_chunk(&mut self, v: Gid, c: u32, data: &[u8], _new: bool) -> Result<()> {
+        self.store.put(&record_key(v, c), data)?;
+        Ok(())
     }
 
-    fn local_vertices(&mut self) -> Result<Vec<Gid>> {
-        // Directory records mark each stored vertex: key = [v BE][0xFFFFFFFF].
+    fn vertices(&mut self) -> Result<Vec<Gid>> {
         let mut vs = Vec::new();
         self.store.for_each_range(None, None, &mut |k, _| {
-            if k.len() == 12 && k[8..] == DIR_CHUNK.to_be_bytes() {
-                let raw = u64::from_be_bytes(k[..8].try_into().unwrap());
-                vs.push(Gid::from_raw(raw));
+            if is_dir(k) {
+                vs.push(Gid::from_raw(u64::from_be_bytes(
+                    k[..8].try_into().unwrap(),
+                )));
             }
             true
         })?;
         Ok(vs)
     }
 
-    fn stored_entries(&self) -> u64 {
-        self.entries
+    fn for_each_chunk(&mut self, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let mut failed = Ok(());
+        self.store.for_each_range(None, None, &mut |k, value| {
+            if !is_dir(k) {
+                failed = f(&value);
+            }
+            failed.is_ok()
+        })?;
+        failed
     }
 
-    fn backend_name(&self) -> &'static str {
+    fn flush(&mut self) -> Result<()> {
+        self.store.flush()
+    }
+
+    fn name(&self) -> &'static str {
         "BerkeleyDB"
     }
 }
@@ -201,18 +119,28 @@ impl GraphDb for BdbGraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdb::GraphDbExt;
+    use graphdb::{GraphDb, GraphDbExt, HashMapDb};
+    use mssg_types::Edge;
 
     fn g(v: u64) -> Gid {
         Gid::new(v)
     }
 
-    fn db(tag: &str, chunk_bytes: usize) -> BdbGraphDb {
+    fn path(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("kvdb-graph-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
-        let p = d.join(tag);
+        d.join(tag)
+    }
+
+    fn open(p: &Path, chunk_bytes: usize) -> ChunkedGraphDb<BdbGraphDb> {
+        let store = KvStore::open(p, KvOptions::default(), IoStats::new()).unwrap();
+        ChunkedGraphDb::open(BdbGraphDb { store }, chunk_bytes).unwrap()
+    }
+
+    fn db(tag: &str, chunk_bytes: usize) -> ChunkedGraphDb<BdbGraphDb> {
+        let p = path(tag);
         let _ = std::fs::remove_file(&p);
-        BdbGraphDb::with_chunk_bytes(&p, KvOptions::default(), IoStats::new(), chunk_bytes).unwrap()
+        open(&p, chunk_bytes)
     }
 
     #[test]
@@ -220,11 +148,11 @@ mod tests {
         let mut b = db("small.db", 8192);
         b.store_edges(&[Edge::of(1, 2), Edge::of(1, 3), Edge::of(4, 1)])
             .unwrap();
-        let mut n = b.neighbors(g(1)).unwrap();
-        n.sort_unstable();
-        assert_eq!(n, vec![g(2), g(3)]);
+        assert_eq!(b.neighbors(g(1)).unwrap(), vec![g(2), g(3)]);
         assert_eq!(b.neighbors(g(4)).unwrap(), vec![g(1)]);
         assert_eq!(b.stored_entries(), 3);
+        assert_eq!(b.local_vertices().unwrap(), vec![g(1), g(4)]);
+        assert!(b.neighbors(g(9)).unwrap().is_empty());
     }
 
     #[test]
@@ -234,62 +162,27 @@ mod tests {
         let edges: Vec<Edge> = (0..10).map(|i| Edge::of(7, 100 + i)).collect();
         b.store_edges(&edges).unwrap();
         let n = b.neighbors(g(7)).unwrap();
-        assert_eq!(n.len(), 10);
         assert_eq!(n, (0..10).map(|i| g(100 + i)).collect::<Vec<_>>());
-        assert_eq!(b.chunk_count(g(7)).unwrap(), 4);
+        assert_eq!(b.records().read_dir(g(7)).unwrap(), 4);
     }
 
     #[test]
-    fn unknown_vertex_empty() {
-        let mut b = db("unknown.db", 8192);
-        assert!(b.neighbors(g(9)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn metadata_filtering() {
-        let mut b = db("meta.db", 8192);
-        b.store_edges(&[Edge::of(0, 1), Edge::of(0, 2)]).unwrap();
-        b.set_metadata(g(1), 3).unwrap();
-        let mut out = AdjBuffer::new();
-        b.adjacency(g(0), &mut out, 3, MetaOp::Equal).unwrap();
-        assert_eq!(out.as_slice(), &[g(1)]);
-    }
-
-    #[test]
-    fn interleaved_vertices() {
-        let mut b = db("interleaved.db", 28);
-        // Alternate appends across vertices to exercise tail-chunk reuse.
-        for i in 0..12u64 {
-            b.store_edges(&[Edge::of(i % 3, 50 + i)]).unwrap();
-        }
-        for v in 0..3u64 {
-            let n = b.neighbors(g(v)).unwrap();
-            assert_eq!(n.len(), 4, "vertex {v}");
-            assert!(n.iter().all(|u| (u.raw() - 50) % 3 == v));
-        }
-    }
-
-    #[test]
-    fn persistence() {
-        let d = std::env::temp_dir().join(format!("kvdb-graph-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("persist.db");
+    fn reopen_keeps_lists_and_count() {
+        let p = path("persist.db");
         let _ = std::fs::remove_file(&p);
         {
-            let mut b =
-                BdbGraphDb::with_chunk_bytes(&p, KvOptions::default(), IoStats::new(), 28).unwrap();
+            let mut b = open(&p, 28);
             let edges: Vec<Edge> = (0..20).map(|i| Edge::of(5, i)).collect();
             b.store_edges(&edges).unwrap();
             b.flush().unwrap();
         }
-        let mut b =
-            BdbGraphDb::with_chunk_bytes(&p, KvOptions::default(), IoStats::new(), 28).unwrap();
+        let mut b = open(&p, 28);
+        assert_eq!(b.stored_entries(), 20);
         assert_eq!(b.neighbors(g(5)).unwrap().len(), 20);
     }
 
     #[test]
     fn agrees_with_hashmap_reference() {
-        use graphdb::HashMapDb;
         let mut b = db("agree.db", 28);
         let mut h = HashMapDb::new();
         let mut x = 7u64;
@@ -298,17 +191,18 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let e = Edge::of(x % 25, (x >> 16) % 25);
-            edges.push(e);
+            edges.push(Edge::of(x % 25, (x >> 16) % 25));
         }
-        b.store_edges(&edges).unwrap();
-        h.store_edges(&edges).unwrap();
+        for batch in edges.chunks(37) {
+            b.store_edges(batch).unwrap();
+            h.store_edges(batch).unwrap();
+        }
         for v in 0..25u64 {
-            let mut nb = b.neighbors(g(v)).unwrap();
-            let mut nh = h.neighbors(g(v)).unwrap();
-            nb.sort_unstable();
-            nh.sort_unstable();
-            assert_eq!(nb, nh, "vertex {v}");
+            assert_eq!(
+                b.neighbors(g(v)).unwrap(),
+                h.neighbors(g(v)).unwrap(),
+                "vertex {v}"
+            );
         }
     }
 }

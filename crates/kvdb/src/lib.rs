@@ -5,16 +5,17 @@
 //! a transactional-database-free, SQL-free, embeddable record store whose
 //! access path is a B-tree of fixed-size pages behind a block cache. The
 //! MSSG prototype stores each vertex's adjacency list in 8 KB chunks keyed
-//! by `(vertex, chunk_no)`; [`BdbGraphDb`] reproduces that adapter on top of
-//! the generic [`KvStore`].
+//! by `(vertex, chunk_no)`; [`BdbGraphDb`] supplies those records from the
+//! generic [`KvStore`] to the chunked adapter the MySQL engine shares
+//! (`graphdb::chunk`).
 //!
 //! Layout:
 //! - [`page`] — on-disk page format (leaf / internal / overflow / meta),
 //! - [`pager`] — page allocation, free list, block cache integration,
 //! - [`tree`] — B-tree search / insert / split / delete / scan,
 //! - [`store`] — the public [`KvStore`] API,
-//! - [`graph`] — the [`BdbGraphDb`] GraphDB adapter with the thesis' 8 KB
-//!   chunking.
+//! - [`graph`] — [`BdbGraphDb`], the B-tree records of the shared 8 KB
+//!   chunked GraphDB adapter.
 //!
 //! The `minisql` crate reuses [`KvStore`] as its secondary-index engine, so
 //! the MySQL-substitute's index path and the BerkeleyDB-substitute share

@@ -1,5 +1,6 @@
 //! The MySQL-style GraphDB adapter — thesis §4.1.3.
 //!
+//! [`MySqlGraphDb`] supplies SQL rows to the shared [`ChunkedGraphDb`].
 //! Adjacency lists are stored in the exact table of Figure 4.3:
 //!
 //! ```sql
@@ -9,46 +10,35 @@
 //!
 //! where `data` is an 8 KB binary chunk of the adjacency list and `chunk`
 //! is the bookkeeping column that splits oversized lists across rows. A
-//! reserved row `chunk = -1` holds the list's chunk count so appends touch
-//! only the tail chunk.
+//! reserved row `chunk = -1` holds the list's chunk count (an `i64 LE`
+//! blob), the adapter's directory.
 //!
 //! Every operation goes through [`Database::execute`] with real SQL text —
 //! lexing, parsing, planning, index lookup, heap fetch — so this backend
-//! pays the full relational toll the thesis measured MySQL paying.
-//! `store_edges` groups a batch by source vertex to amortise the tail
-//! lookup, the same batching a careful JDBC client would do.
+//! pays the full relational toll the thesis measured MySQL paying. A
+//! vertex's adjacency read is one `SELECT … ORDER BY chunk`.
 
 use crate::engine::Database;
 use crate::value::Value;
-use graphdb::chunk;
-use graphdb::{GraphDb, MetaTable};
-use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, MetaOp, Result};
+use graphdb::chunk::{ChunkRecords, ChunkedGraphDb, CHUNK_BYTES};
+use mssg_types::{Gid, GraphStorageError, Result};
 use simio::IoStats;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// GraphDB backend over the mini-SQL engine.
+/// MySQL's records: the rows of the `adj` table.
 pub struct MySqlGraphDb {
     db: Database,
-    chunk_bytes: usize,
-    meta: MetaTable,
-    entries: u64,
 }
 
 impl MySqlGraphDb {
-    /// Opens the backend in `dir` with the thesis' 8 KB chunks.
-    pub fn open(dir: &Path, stats: Arc<IoStats>) -> Result<MySqlGraphDb> {
-        MySqlGraphDb::with_chunk_bytes(dir, stats, chunk::CHUNK_BYTES)
+    /// Opens the GraphDB stored in `dir`, with the thesis' 8 KB chunks.
+    pub fn open(dir: &Path, stats: Arc<IoStats>) -> Result<ChunkedGraphDb<MySqlGraphDb>> {
+        ChunkedGraphDb::open(MySqlGraphDb::records(dir, stats)?, CHUNK_BYTES)
     }
 
-    /// Opens with an explicit chunk size (tests shrink it to force
-    /// multi-row lists cheaply).
-    pub fn with_chunk_bytes(
-        dir: &Path,
-        stats: Arc<IoStats>,
-        chunk_bytes: usize,
-    ) -> Result<MySqlGraphDb> {
+    /// Opens the `adj` table in `dir`, creating it on first use.
+    fn records(dir: &Path, stats: Arc<IoStats>) -> Result<MySqlGraphDb> {
         let mut db = Database::open(dir, stats)?;
         let create = db.execute(
             "CREATE TABLE adj (vertex BIGINT, chunk BIGINT, data BLOB, \
@@ -61,12 +51,7 @@ impl MySqlGraphDb {
             Err(GraphStorageError::Query(m)) if m.contains("already exists") => {}
             Err(e) => return Err(e),
         }
-        Ok(MySqlGraphDb {
-            db,
-            chunk_bytes,
-            meta: MetaTable::new(),
-            entries: 0,
-        })
+        Ok(MySqlGraphDb { db })
     }
 
     /// SQL statements issued so far (the relational-overhead counter).
@@ -74,167 +59,82 @@ impl MySqlGraphDb {
         self.db.statements_executed()
     }
 
-    fn chunk_count(&mut self, v: Gid) -> Result<i64> {
-        let rs = self.db.execute(
+    /// Inserts or updates the row `(v, chunk)`.
+    fn write_row(&mut self, v: Gid, chunk: i64, data: &[u8], new: bool) -> Result<()> {
+        let (vertex, chunk, data) = (
+            Value::Int(v.raw() as i64),
+            Value::Int(chunk),
+            Value::Blob(data.to_vec()),
+        );
+        if new {
+            self.db
+                .execute("INSERT INTO adj VALUES (?, ?, ?)", &[vertex, chunk, data])?;
+        } else {
+            self.db.execute(
+                "UPDATE adj SET data = ? WHERE vertex = ? AND chunk = ?",
+                &[data, vertex, chunk],
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Runs a one-column `SELECT data …`, returning its blobs.
+    fn blobs(&mut self, sql: &str, params: &[Value]) -> Result<Vec<Vec<u8>>> {
+        let rs = self.db.execute(sql, params)?;
+        rs.rows
+            .into_iter()
+            .map(|mut row| match row.swap_remove(0) {
+                Value::Blob(b) => Ok(b),
+                other => Err(GraphStorageError::corrupt(format!(
+                    "non-blob chunk {other}"
+                ))),
+            })
+            .collect()
+    }
+}
+
+impl ChunkRecords for MySqlGraphDb {
+    fn read_dir(&mut self, v: Gid) -> Result<u32> {
+        let rows = self.blobs(
             "SELECT data FROM adj WHERE vertex = ? AND chunk = -1",
             &[Value::Int(v.raw() as i64)],
         )?;
-        match rs.rows.first() {
-            Some(row) => {
-                let b = row[0].as_blob()?;
-                let arr: [u8; 8] = b
-                    .try_into()
-                    .map_err(|_| GraphStorageError::corrupt("bad chunk-count row"))?;
-                Ok(i64::from_le_bytes(arr))
-            }
+        match rows.first() {
+            Some(b) => b
+                .as_slice()
+                .try_into()
+                .ok()
+                .and_then(|arr| u32::try_from(i64::from_le_bytes(arr)).ok())
+                .ok_or_else(|| GraphStorageError::corrupt("bad chunk-count row")),
             None => Ok(0),
         }
     }
 
-    fn set_chunk_count(&mut self, v: Gid, n: i64, existed: bool) -> Result<()> {
-        let params = [
-            Value::Blob(n.to_le_bytes().to_vec()),
-            Value::Int(v.raw() as i64),
-        ];
-        if existed {
-            self.db.execute(
-                "UPDATE adj SET data = ? WHERE vertex = ? AND chunk = -1",
-                &params,
-            )?;
-        } else {
-            self.db.execute(
-                "INSERT INTO adj VALUES (?, -1, ?)",
-                &[params[1].clone(), params[0].clone()],
-            )?;
-        }
-        Ok(())
+    fn write_dir(&mut self, v: Gid, count: u32, new: bool) -> Result<()> {
+        self.write_row(v, -1, &i64::from(count).to_le_bytes(), new)
     }
 
-    fn read_chunk(&mut self, v: Gid, c: i64) -> Result<Option<Vec<u8>>> {
-        let rs = self.db.execute(
+    fn read_chunk(&mut self, v: Gid, c: u32) -> Result<Option<Vec<u8>>> {
+        let rows = self.blobs(
             "SELECT data FROM adj WHERE vertex = ? AND chunk = ?",
-            &[Value::Int(v.raw() as i64), Value::Int(c)],
+            &[Value::Int(v.raw() as i64), Value::Int(i64::from(c))],
         )?;
-        Ok(rs.rows.into_iter().next().map(|mut r| match r.remove(0) {
-            Value::Blob(b) => b,
-            _ => Vec::new(),
-        }))
+        Ok(rows.into_iter().next())
     }
 
-    /// Appends a group of neighbours to one vertex, touching the tail
-    /// chunk once.
-    fn append_group(&mut self, v: Gid, neighbours: &[Gid]) -> Result<()> {
-        let count = self.chunk_count(v)?;
-        let had_dir = count > 0;
-        let mut tail: Option<Vec<u8>> = if count > 0 {
-            self.read_chunk(v, count - 1)?
-        } else {
-            None
-        };
-        let mut new_count = count;
-        let mut pending = neighbours.iter().copied();
-        let mut next = pending.next();
-        while let Some(u) = next {
-            match tail.as_mut() {
-                Some(t) if chunk::has_room(t, self.chunk_bytes)? => {
-                    chunk::append_entry(t, u, self.chunk_bytes)?;
-                    next = pending.next();
-                }
-                Some(t) => {
-                    // Tail full: write it back and start a fresh chunk.
-                    let data = std::mem::take(t);
-                    self.write_chunk(v, new_count - 1, &data, true)?;
-                    tail = Some(chunk::encode(&[u], self.chunk_bytes).remove(0));
-                    new_count += 1;
-                    self.write_chunk(v, new_count - 1, tail.as_ref().unwrap(), false)?;
-                    next = pending.next();
-                }
-                None => {
-                    tail = Some(chunk::encode(&[u], self.chunk_bytes).remove(0));
-                    new_count += 1;
-                    self.write_chunk(v, new_count - 1, tail.as_ref().unwrap(), false)?;
-                    next = pending.next();
-                }
-            }
-        }
-        if let Some(t) = tail {
-            self.write_chunk(v, new_count - 1, &t, true)?;
-        }
-        if new_count != count || !had_dir {
-            self.set_chunk_count(v, new_count, had_dir)?;
-        }
-        Ok(())
-    }
-
-    fn write_chunk(&mut self, v: Gid, c: i64, data: &[u8], update: bool) -> Result<()> {
-        if update {
-            self.db.execute(
-                "UPDATE adj SET data = ? WHERE vertex = ? AND chunk = ?",
-                &[
-                    Value::Blob(data.to_vec()),
-                    Value::Int(v.raw() as i64),
-                    Value::Int(c),
-                ],
-            )?;
-        } else {
-            self.db.execute(
-                "INSERT INTO adj VALUES (?, ?, ?)",
-                &[
-                    Value::Int(v.raw() as i64),
-                    Value::Int(c),
-                    Value::Blob(data.to_vec()),
-                ],
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl GraphDb for MySqlGraphDb {
-    fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
-        // Group by source to amortise tail-chunk lookups within the batch.
-        let mut groups: HashMap<Gid, Vec<Gid>> = HashMap::new();
-        for e in edges {
-            groups.entry(e.src).or_default().push(e.dst);
-            self.entries += 1;
-        }
-        for (v, ns) in groups {
-            self.append_group(v, &ns)?;
-        }
-        Ok(())
-    }
-
-    fn get_metadata(&mut self, v: Gid) -> Result<Meta> {
-        Ok(self.meta.get(v))
-    }
-
-    fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()> {
-        self.meta.set(v, meta);
-        Ok(())
-    }
-
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        let rs = self.db.execute(
+    fn read_chunks(&mut self, v: Gid, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let rows = self.blobs(
             "SELECT data FROM adj WHERE vertex = ? AND chunk >= 0 ORDER BY chunk",
             &[Value::Int(v.raw() as i64)],
         )?;
-        let mut neighbours = Vec::new();
-        for row in &rs.rows {
-            chunk::decode_into(row[0].as_blob()?, &mut neighbours)?;
-        }
-        for u in neighbours {
-            if op.admits(self.meta.get(u), meta) {
-                out.push(u);
-            }
-        }
-        Ok(())
+        rows.iter().try_for_each(|b| f(b))
     }
 
-    fn flush(&mut self) -> Result<()> {
-        self.db.flush()
+    fn write_chunk(&mut self, v: Gid, c: u32, data: &[u8], new: bool) -> Result<()> {
+        self.write_row(v, i64::from(c), data, new)
     }
 
-    fn local_vertices(&mut self) -> Result<Vec<Gid>> {
+    fn vertices(&mut self) -> Result<Vec<Gid>> {
         let rs = self.db.execute(
             "SELECT vertex FROM adj WHERE chunk = -1 ORDER BY vertex",
             &[],
@@ -245,11 +145,16 @@ impl GraphDb for MySqlGraphDb {
             .collect()
     }
 
-    fn stored_entries(&self) -> u64 {
-        self.entries
+    fn for_each_chunk(&mut self, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let rows = self.blobs("SELECT data FROM adj WHERE chunk >= 0", &[])?;
+        rows.iter().try_for_each(|b| f(b))
     }
 
-    fn backend_name(&self) -> &'static str {
+    fn flush(&mut self) -> Result<()> {
+        self.db.flush()
+    }
+
+    fn name(&self) -> &'static str {
         "MySQL"
     }
 }
@@ -257,96 +162,87 @@ impl GraphDb for MySqlGraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdb::GraphDbExt;
+    use graphdb::{GraphDb, GraphDbExt, HashMapDb};
+    use mssg_types::Edge;
 
     fn g(v: u64) -> Gid {
         Gid::new(v)
     }
 
-    fn db(tag: &str, chunk_bytes: usize) -> MySqlGraphDb {
+    fn dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("minisql-graph-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        MySqlGraphDb::with_chunk_bytes(&d, IoStats::new(), chunk_bytes).unwrap()
+        d
+    }
+
+    fn open(d: &Path, chunk_bytes: usize) -> ChunkedGraphDb<MySqlGraphDb> {
+        ChunkedGraphDb::open(
+            MySqlGraphDb::records(d, IoStats::new()).unwrap(),
+            chunk_bytes,
+        )
+        .unwrap()
     }
 
     #[test]
     fn store_and_read() {
-        let mut m = db("basic", 8192);
+        let mut m = open(&dir("basic"), 8192);
         m.store_edges(&[Edge::of(1, 2), Edge::of(1, 3), Edge::of(4, 1)])
             .unwrap();
-        let mut n = m.neighbors(g(1)).unwrap();
-        n.sort_unstable();
-        assert_eq!(n, vec![g(2), g(3)]);
+        assert_eq!(m.neighbors(g(1)).unwrap(), vec![g(2), g(3)]);
         assert_eq!(m.neighbors(g(4)).unwrap(), vec![g(1)]);
-    }
-
-    #[test]
-    fn multi_chunk_lists() {
-        let mut m = db("chunks", 28); // 3 entries per chunk
-        let edges: Vec<Edge> = (0..10).map(|i| Edge::of(7, 100 + i)).collect();
-        m.store_edges(&edges).unwrap();
-        let n = m.neighbors(g(7)).unwrap();
-        assert_eq!(n, (0..10).map(|i| g(100 + i)).collect::<Vec<_>>());
-        assert_eq!(m.chunk_count(g(7)).unwrap(), 4);
-    }
-
-    #[test]
-    fn incremental_batches_share_tail() {
-        let mut m = db("incr", 28);
-        m.store_edges(&[Edge::of(5, 1)]).unwrap();
-        m.store_edges(&[Edge::of(5, 2)]).unwrap();
-        m.store_edges(&[Edge::of(5, 3), Edge::of(5, 4)]).unwrap();
-        assert_eq!(m.neighbors(g(5)).unwrap(), vec![g(1), g(2), g(3), g(4)]);
-        assert_eq!(m.chunk_count(g(5)).unwrap(), 2);
-    }
-
-    #[test]
-    fn unknown_vertex_empty() {
-        let mut m = db("unknown", 8192);
+        assert_eq!(m.local_vertices().unwrap(), vec![g(1), g(4)]);
         assert!(m.neighbors(g(42)).unwrap().is_empty());
     }
 
     #[test]
-    fn metadata_filtering() {
-        let mut m = db("meta", 8192);
-        m.store_edges(&[Edge::of(0, 1), Edge::of(0, 2)]).unwrap();
-        m.set_metadata(g(2), 9).unwrap();
-        let mut out = AdjBuffer::new();
-        m.adjacency(g(0), &mut out, 9, MetaOp::NotEqual).unwrap();
-        assert_eq!(out.as_slice(), &[g(1)]);
+    fn multi_chunk_lists() {
+        let mut m = open(&dir("chunks"), 28); // 3 entries per chunk
+        let edges: Vec<Edge> = (0..10).map(|i| Edge::of(7, 100 + i)).collect();
+        m.store_edges(&edges).unwrap();
+        let n = m.neighbors(g(7)).unwrap();
+        assert_eq!(n, (0..10).map(|i| g(100 + i)).collect::<Vec<_>>());
+        assert_eq!(m.records().read_dir(g(7)).unwrap(), 4);
     }
 
     #[test]
     fn sql_overhead_is_paid() {
-        let mut m = db("overhead", 8192);
-        let before = m.statements_executed();
+        let mut m = open(&dir("overhead"), 8192);
+        let before = m.records().statements_executed();
         m.store_edges(&[Edge::of(1, 2)]).unwrap();
+        // Directory lookup, chunk insert, directory insert.
+        assert_eq!(m.records().statements_executed() - before, 3);
+        m.store_edges(&[Edge::of(1, 3)]).unwrap();
+        // Directory lookup, tail read, tail update.
+        assert_eq!(m.records().statements_executed() - before, 6);
         m.neighbors(g(1)).unwrap();
-        // At minimum: count lookup + insert + count write + select.
-        assert!(m.statements_executed() - before >= 4);
+        assert_eq!(
+            m.records().statements_executed() - before,
+            7,
+            "one SELECT per read"
+        );
     }
 
     #[test]
-    fn persistence() {
-        let d = std::env::temp_dir().join(format!("minisql-graph-{}-persist", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+    fn reopen_keeps_lists_and_count() {
+        let d = dir("persist");
         {
-            let mut m = MySqlGraphDb::with_chunk_bytes(&d, IoStats::new(), 28).unwrap();
+            let mut m = open(&d, 28);
             m.store_edges(&(0..9).map(|i| Edge::of(3, i)).collect::<Vec<_>>())
                 .unwrap();
             m.flush().unwrap();
         }
-        let mut m = MySqlGraphDb::with_chunk_bytes(&d, IoStats::new(), 28).unwrap();
+        let mut m = open(&d, 28);
+        assert_eq!(m.stored_entries(), 9);
         assert_eq!(m.neighbors(g(3)).unwrap().len(), 9);
         // Appends continue correctly after reopen.
         m.store_edges(&[Edge::of(3, 99)]).unwrap();
         assert_eq!(m.neighbors(g(3)).unwrap().len(), 10);
+        assert_eq!(m.stored_entries(), 10);
     }
 
     #[test]
     fn agrees_with_hashmap_reference() {
-        use graphdb::HashMapDb;
-        let mut m = db("agree", 28);
+        let mut m = open(&dir("agree"), 28);
         let mut h = HashMapDb::new();
         let mut x = 77u64;
         let mut edges = Vec::new();
@@ -362,11 +258,11 @@ mod tests {
             h.store_edges(batch).unwrap();
         }
         for v in 0..15u64 {
-            let mut nm = m.neighbors(g(v)).unwrap();
-            let mut nh = h.neighbors(g(v)).unwrap();
-            nm.sort_unstable();
-            nh.sort_unstable();
-            assert_eq!(nm, nh, "vertex {v}");
+            assert_eq!(
+                m.neighbors(g(v)).unwrap(),
+                h.neighbors(g(v)).unwrap(),
+                "vertex {v}"
+            );
         }
     }
 }

@@ -19,8 +19,9 @@
 //! - [`catalog`] — persistent table/index metadata,
 //! - [`engine`] — planner + executor ([`Database`]), choosing index point /
 //!   range scans over full scans when the WHERE clause allows,
-//! - [`graph`] — [`MySqlGraphDb`], the GraphDB adapter that issues real SQL
-//!   through the whole stack for every store and lookup.
+//! - [`graph`] — [`MySqlGraphDb`], the `adj` table's rows as records of the
+//!   chunked GraphDB adapter BerkeleyDB shares (`graphdb::chunk`); every
+//!   store and lookup issues real SQL through the whole stack.
 //!
 //! Indexes reuse the `kvdb` B-tree — as in the real world, where both
 //! BerkeleyDB and InnoDB are B-tree engines at heart.

@@ -54,14 +54,13 @@ pub struct ServeConfig {
     pub exec_floor_ms: u64,
     /// Per-connection write deadline, milliseconds. A client that stops
     /// reading cannot wedge a worker forever: the blocked response write
-    /// fails, the response is dropped, and the slot is freed. 0 means
-    /// unbounded.
+    /// fails, the response is dropped, and the slot is freed. Must be
+    /// positive.
     pub write_timeout_ms: u64,
     /// Deadline for the epoch update gate during [`Server::ingest`],
     /// milliseconds: if in-flight query pins do not drain in time the
     /// ingest fails with a typed `Timeout` instead of blocking forever
-    /// behind a leaked pin. 0 means unbounded (the classic
-    /// `begin_update`).
+    /// behind a leaked pin. Must be positive.
     pub update_gate_ms: u64,
 }
 
@@ -95,8 +94,8 @@ struct Shared {
     adm: Admission<Job>,
     telemetry: Telemetry,
     exec_floor: Duration,
-    write_timeout: Option<Duration>,
-    update_gate: Option<Duration>,
+    write_timeout: Duration,
+    update_gate: Duration,
 }
 
 /// A running query server. Dropping it shuts the listener and workers
@@ -131,6 +130,12 @@ impl Server {
         config: &ServeConfig,
         listener: Arc<dyn Listener>,
     ) -> Result<Server> {
+        if config.write_timeout_ms == 0 || config.update_gate_ms == 0 {
+            return Err(GraphStorageError::Unsupported(
+                "a serving deadline of 0 ms: write_timeout_ms and update_gate_ms must be positive"
+                    .into(),
+            ));
+        }
         let addr = SocketAddr::from(([127, 0, 0, 1], 0));
         let telemetry = cluster.telemetry().clone();
         let epoch = Arc::clone(cluster.epoch_manager());
@@ -142,10 +147,8 @@ impl Server {
             adm: Admission::new(config.slots, config.queue_depth, config.retry_after_ms),
             telemetry,
             exec_floor: Duration::from_millis(config.exec_floor_ms),
-            write_timeout: (config.write_timeout_ms > 0)
-                .then(|| Duration::from_millis(config.write_timeout_ms)),
-            update_gate: (config.update_gate_ms > 0)
-                .then(|| Duration::from_millis(config.update_gate_ms)),
+            write_timeout: Duration::from_millis(config.write_timeout_ms),
+            update_gate: Duration::from_millis(config.update_gate_ms),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let workers = (0..config.slots.max(1))
@@ -212,10 +215,7 @@ impl Server {
         edges: impl Iterator<Item = Edge> + Send + 'static,
         options: &IngestOptions,
     ) -> Result<IngestReport> {
-        let update = match self.shared.update_gate {
-            Some(gate) => self.shared.epoch.begin_update_timeout(gate)?,
-            None => self.shared.epoch.begin_update(),
-        };
+        let update = self.shared.epoch.begin_update(self.shared.update_gate)?;
         let mut cluster = self.shared.cluster.write();
         let report = ingest(&mut cluster, edges, options)?;
         // Eagerly drop the now-stale cached results; lazily they would
@@ -292,7 +292,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: Box<dyn Conn>) -> Result<(
     // A dead or wedged client must not hold a worker hostage on a
     // blocked response write (its epoch pin is already released before
     // the write, but the slot matters too).
-    let _ = write_half.set_write_deadline(shared.write_timeout);
+    let _ = write_half.set_write_deadline(Some(shared.write_timeout));
     let writer = Arc::new(Mutex::new(write_half));
     let client = shared.adm.register();
     shared

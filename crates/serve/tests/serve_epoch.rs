@@ -202,7 +202,7 @@ fn dropped_client_mid_request_cannot_block_begin_update() {
     // typed failure, not a hung test.
     let started = Instant::now();
     let update = mgr
-        .begin_update_timeout(Duration::from_secs(10))
+        .begin_update(Duration::from_secs(10))
         .expect("a dropped client must never leak its epoch pin");
     drop(update);
     assert!(
@@ -242,4 +242,25 @@ fn ingest_gate_times_out_typed_on_a_held_pin_then_recovers() {
         .ingest(std::iter::once(Edge::of(0, 41)), &IngestOptions::default())
         .expect("gate rolled back; a drained update proceeds");
     assert_eq!(server.epoch(), 2, "seed ingest plus ours");
+}
+
+/// Both serving deadlines are always on: a 0 is refused at start, typed.
+#[test]
+fn zero_deadlines_are_refused_at_start() {
+    for config in [
+        ServeConfig {
+            update_gate_ms: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            write_timeout_ms: 0,
+            ..ServeConfig::default()
+        },
+    ] {
+        let outcome = Server::start(chain_cluster("zero", 3), &config);
+        assert!(
+            matches!(outcome, Err(GraphStorageError::Unsupported(_))),
+            "{config:?}"
+        );
+    }
 }

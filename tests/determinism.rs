@@ -8,7 +8,7 @@ use mssg::core::{connected_components, BackendKind, BackendOptions, MssgCluster}
 use mssg::graphgen::generate::{BarabasiAlbert, Rmat};
 use mssg::graphgen::{degree_stats, GraphPreset, Xoshiro256};
 use mssg::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mssg-det-{}-{tag}", std::process::id()));
@@ -98,5 +98,93 @@ fn components_identical_across_runs_and_backends() {
             w[0].0,
             w[1].0
         );
+    }
+}
+
+/// Every file under `dir`, by relative path, with its bytes.
+fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(d) = todo.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                todo.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A disk engine's files are a function of the stream: a batch is laid
+/// out in one order, not a hash table's.
+#[test]
+fn identical_ingests_write_identical_files() {
+    let w = GraphPreset::PubMedS.workload(16384, 11);
+    for kind in [
+        BackendKind::Grdb,
+        BackendKind::BerkeleyDb,
+        BackendKind::MySql,
+        BackendKind::StreamDb,
+    ] {
+        let build = |run: u32| {
+            let dir = tmpdir(&format!("files-{}-{run}", kind.name()));
+            {
+                let mut cluster =
+                    MssgCluster::new(&dir, 1, kind, &BackendOptions::default()).unwrap();
+                ingest(&mut cluster, w.edge_stream(), &IngestOptions::default()).unwrap();
+                cluster.flush_all().unwrap();
+            }
+            files(&dir)
+        };
+        let first = build(0);
+        assert!(!first.is_empty(), "{}", kind.name());
+        for run in 1..3 {
+            let again = build(run);
+            assert_eq!(
+                first.iter().map(|f| &f.0).collect::<Vec<_>>(),
+                again.iter().map(|f| &f.0).collect::<Vec<_>>(),
+                "{}",
+                kind.name()
+            );
+            for (a, b) in first.iter().zip(&again) {
+                assert!(
+                    a.1 == b.1,
+                    "{}: {:?} differs in run {run}",
+                    kind.name(),
+                    a.0
+                );
+            }
+        }
+    }
+}
+
+/// Identical BerkeleyDB builds read the same blocks for the same searches.
+#[test]
+fn bdb_block_reads_repeat_across_builds() {
+    let w = GraphPreset::PubMedS.workload(2048, 11);
+    let options = BackendOptions {
+        cache_blocks: 16,
+        ..BackendOptions::default()
+    };
+    let reads = |run: u32| {
+        let dir = tmpdir(&format!("bdb-reads-{run}"));
+        let mut cluster = MssgCluster::new(&dir, 1, BackendKind::BerkeleyDb, &options).unwrap();
+        ingest(&mut cluster, w.edge_stream(), &IngestOptions::default()).unwrap();
+        cluster.reset_io();
+        for q in 0..20u64 {
+            let (s, d) = (q * 7 % w.vertices(), (q * 131 + 50) % w.vertices());
+            bfs(&cluster, Gid::new(s), Gid::new(d), &BfsOptions::default()).unwrap();
+        }
+        cluster.io_snapshot().block_reads
+    };
+    let first = reads(0);
+    assert!(first > 0, "the searches must miss the small cache");
+    for run in 1..3 {
+        assert_eq!(reads(run), first, "build {run}");
     }
 }

@@ -2,11 +2,12 @@
 //! shutdown and reopen — each engine's files are its source of truth.
 
 use mssg::core::bfs::{bfs, BfsOptions};
-use mssg::core::ingest::{ingest, IngestOptions};
+use mssg::core::ingest::{ingest, DeclusterKind, IngestOptions};
 use mssg::core::{BackendKind, BackendOptions, MssgCluster};
 use mssg::graphdb::GraphDbExt;
 use mssg::graphgen::GraphPreset;
 use mssg::prelude::*;
+use mssg::types::GraphStorageError;
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -32,6 +33,7 @@ fn cluster_data_survives_reopen() {
     for kind in DURABLE {
         let dir = tmpdir(&format!("reopen-{}", kind.name()));
         let degrees_before: Vec<usize>;
+        let entries_before: u64;
         {
             let mut cluster = MssgCluster::new(&dir, 3, kind, &BackendOptions::default()).unwrap();
             ingest(
@@ -48,10 +50,18 @@ fn cluster_data_survives_reopen() {
                         .sum()
                 })
                 .collect();
+            entries_before = cluster.total_entries();
         } // Cluster dropped: all handles closed.
 
-        // Reopen over the same directories; the data must still be there.
-        let cluster = MssgCluster::new(&dir, 3, kind, &BackendOptions::default()).unwrap();
+        // Reopen over the same directories; the data must still be there,
+        // and counted.
+        let mut cluster = MssgCluster::new(&dir, 3, kind, &BackendOptions::default()).unwrap();
+        assert_eq!(
+            cluster.total_entries(),
+            entries_before,
+            "{}: entry count changed across reopen",
+            kind.name()
+        );
         for (v, &want) in degrees_before.iter().enumerate() {
             let got: usize = (0..3)
                 .map(|n| cluster.with_backend(n, |db| db.degree(Gid::new(v as u64)).unwrap()))
@@ -63,6 +73,62 @@ fn cluster_data_survives_reopen() {
                 kind.name()
             );
         }
+        // The stored entries were placed by `VertexHash`: another
+        // placement on top of them would route searches wrongly.
+        let other = IngestOptions {
+            declustering: DeclusterKind::EdgeRoundRobin,
+            ..IngestOptions::default()
+        };
+        let err = ingest(&mut cluster, std::iter::once(Edge::of(0, 1)), &other).unwrap_err();
+        assert!(
+            matches!(err, GraphStorageError::Unsupported(_)),
+            "{}: {err}",
+            kind.name()
+        );
+        assert_eq!(cluster.total_entries(), entries_before, "{}", kind.name());
+    }
+}
+
+/// Ingest's checkpoint (watermark and window size) is metadata, which a
+/// reopen does not keep: a `resume` after a reopen would replay the
+/// stream from window 0 and store it twice, so it is refused.
+#[test]
+fn resume_after_reopen_is_refused() {
+    let edges: Vec<Edge> = (0..200)
+        .map(|i| Edge::of(i % 37, (i * 7 + 1) % 101))
+        .collect();
+    for kind in DURABLE {
+        let dir = tmpdir(&format!("resume-{}", kind.name()));
+        {
+            let mut cluster = MssgCluster::new(&dir, 2, kind, &BackendOptions::default()).unwrap();
+            ingest(
+                &mut cluster,
+                edges.clone().into_iter(),
+                &IngestOptions::default(),
+            )
+            .unwrap();
+            cluster.flush_all().unwrap();
+            assert_eq!(cluster.total_entries(), 400, "{}", kind.name());
+        }
+        let mut cluster = MssgCluster::new(&dir, 2, kind, &BackendOptions::default()).unwrap();
+        let resume = IngestOptions {
+            resume: true,
+            ..IngestOptions::default()
+        };
+        let err = ingest(&mut cluster, edges.clone().into_iter(), &resume).unwrap_err();
+        assert!(
+            matches!(err, GraphStorageError::Unsupported(_)),
+            "{}: {err}",
+            kind.name()
+        );
+        let degree_sum: usize = (0..101u64)
+            .map(|v| {
+                (0..2)
+                    .map(|n| cluster.with_backend(n, |db| db.degree(Gid::new(v)).unwrap()))
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(degree_sum, 400, "{}: nothing stored twice", kind.name());
     }
 }
 
