@@ -619,67 +619,6 @@ pub fn ablation_db_filter(cfg: &ExpConfig) -> Result<Table> {
     Ok(t)
 }
 
-/// Ablation (beyond the paper): grDB bulk loading via external sort — a
-/// stream sorted by source vertex turns grDB's random level-0 writes into
-/// a sequential sweep (the ingestion-side analogue of §4.2's
-/// sort-by-file-offset proposal).
-pub fn ablation_bulk_load(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
-        format!(
-            "Ablation — grDB bulk load via external sort, PubMed-S (1/{})",
-            cfg.scale
-        ),
-        &[
-            "Backend",
-            "Front-ends",
-            "Back-ends",
-            "Edges",
-            "Time",
-            "Edges/s",
-            "Blk writes",
-            "Modeled I/O",
-        ],
-    );
-    let w = preset(GraphPreset::PubMedS, cfg.scale, cfg.seed);
-    for (label, sorted) in [("grDB (stream order)", false), ("grDB (sorted)", true)] {
-        let dir = fresh_dir(&cfg.root, &format!("bulk-{sorted}"));
-        // A deliberately small block cache: the effect under test is the
-        // access *pattern*, which a big write-back cache would absorb at
-        // bench scale.
-        let opts_small_cache = BackendOptions {
-            cache_blocks: 8,
-            ..Default::default()
-        };
-        let mut cluster =
-            mssg_core::MssgCluster::new(&dir, cfg.nodes, BackendKind::Grdb, &opts_small_cache)?;
-        cluster.set_telemetry(cfg.telemetry.clone());
-        let opts = IngestOptions::default();
-        let report = if sorted {
-            let scratch = dir.join("sort-scratch");
-            let stream = graphgen::external_sort_edges(w.edge_stream(), &scratch, 1 << 20)?
-                .map(|r| r.expect("sorted run readable"));
-            mssg_core::ingest::ingest(&mut cluster, stream, &opts)?
-        } else {
-            mssg_core::ingest::ingest(&mut cluster, w.edge_stream(), &opts)?
-        };
-        let rate = report.edges as f64 / report.telemetry.elapsed.as_secs_f64().max(1e-9);
-        let modeled = simio::DiskCostModel::sata_2006().modeled_time(&report.telemetry.io);
-        t.row(vec![
-            label.to_string(),
-            "1".to_string(),
-            cfg.nodes.to_string(),
-            fmt_count(report.edges),
-            fmt_duration(report.telemetry.elapsed),
-            fmt_rate(rate),
-            fmt_count(report.telemetry.io.block_writes),
-            fmt_duration(modeled),
-        ]);
-        drop(cluster);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    Ok(t)
-}
-
 /// Ablation (beyond the paper): grDB level geometry — the thesis suggests
 /// `d_ℓ = 2^(2^ℓ)`-style exponential schedules; this compares the published
 /// six-level schedule against a shallow and a steep alternative.
@@ -790,7 +729,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ablation_pipeline", ablation_pipeline),
         ("ablation_decluster", ablation_decluster),
         ("ablation_db_filter", ablation_db_filter),
-        ("ablation_bulk_load", ablation_bulk_load),
         ("ablation_grdb_geometry", ablation_grdb_geometry),
     ]
 }

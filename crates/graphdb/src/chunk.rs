@@ -214,11 +214,11 @@ impl<R: ChunkRecords> ChunkedGraphDb<R> {
 
 impl<R: ChunkRecords> GraphDb for ChunkedGraphDb<R> {
     fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
-        for (v, ns) in group_by_source(edges) {
-            self.append_group(v, &ns)?;
+        group_by_source(edges, |v, ns| {
+            self.append_group(v, ns)?;
             self.entries += ns.len() as u64;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn get_metadata(&mut self, v: Gid) -> Result<Meta> {

@@ -20,7 +20,9 @@
 //! - [`chunk`] — the record-store adapter the MySQL and BerkeleyDB engines
 //!   share: 8 KB adjacency chunks behind one [`chunk::ChunkedGraphDb`]
 //!   (§4.1.3–§4.1.4, Figure 4.3),
-//! - [`group_by_source`] — the one way an engine groups a batch by source.
+//! - [`group_by_source`] — the one way an engine groups a batch by source:
+//!   sources in ascending order (file order for grDB's level 0), each
+//!   source's entries in batch order.
 
 pub mod array;
 pub mod chunk;

@@ -1,6 +1,6 @@
 //! The `GraphDb` trait — Rust rendering of thesis Listing 3.1.
 
-use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
 
 /// The GraphDB service interface.
 ///
@@ -117,20 +117,25 @@ pub trait GraphDbExt: GraphDb {
 impl<T: GraphDb + ?Sized> GraphDbExt for T {}
 
 /// Groups a batch's entries by source vertex, so an engine walks each
-/// vertex's storage once per batch. Groups come in the order their source
-/// first appears, each with its entries in batch order, so a given stream
+/// vertex's storage once per batch: calls `each` with every source and its
+/// run of destinations. Sources come in ascending order — file order for
+/// an engine that addresses a vertex by its id, so one batch is one sweep
+/// over the files — and each run keeps its entries in batch order, so a
+/// vertex's neighbours are stored in stream order and a given stream
 /// always lays out the same files.
-pub fn group_by_source(edges: &[Edge]) -> Vec<(Gid, Vec<Gid>)> {
-    let mut index: GidMap<usize> = GidMap::default();
-    let mut groups: Vec<(Gid, Vec<Gid>)> = Vec::new();
-    for e in edges {
-        let i = *index.entry(e.src).or_insert_with(|| {
-            groups.push((e.src, Vec::new()));
-            groups.len() - 1
-        });
-        groups[i].1.push(e.dst);
+pub fn group_by_source(
+    edges: &[Edge],
+    mut each: impl FnMut(Gid, &[Gid]) -> Result<()>,
+) -> Result<()> {
+    let mut sorted = edges.to_vec();
+    sorted.sort_by_key(|e| e.src); // Stable: a run keeps batch order.
+    let dsts: Vec<Gid> = sorted.iter().map(|e| e.dst).collect();
+    let mut at = 0;
+    for run in sorted.chunk_by(|a, b| a.src == b.src) {
+        each(run[0].src, &dsts[at..at + run.len()])?;
+        at += run.len();
     }
-    groups
+    Ok(())
 }
 
 #[cfg(test)]
@@ -232,5 +237,56 @@ mod tests {
         assert_eq!(db.stored_entries(), 1);
         // Ext methods resolve through the blanket impl for ?Sized.
         assert_eq!(db.neighbors(Gid::new(1)).unwrap(), vec![Gid::new(2)]);
+    }
+
+    /// The grouping of `edges` as a `BTreeMap`: ascending sources, each
+    /// with its destinations in batch order.
+    fn reference(edges: &[Edge]) -> Vec<(Gid, Vec<Gid>)> {
+        let mut m: std::collections::BTreeMap<Gid, Vec<Gid>> = Default::default();
+        for e in edges {
+            m.entry(e.src).or_default().push(e.dst);
+        }
+        m.into_iter().collect()
+    }
+
+    fn grouped(edges: &[Edge]) -> Vec<(Gid, Vec<Gid>)> {
+        let mut out = Vec::new();
+        group_by_source(edges, |v, ns| {
+            out.push((v, ns.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn group_by_source_sorts_sources_and_keeps_batch_order() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let shuffled: Vec<Edge> = (0..500)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                Edge::of(x % 37, (x >> 20) % 11)
+            })
+            .collect();
+        let cases = [
+            shuffled,
+            // Repeated sources, repeated entries, descending ids.
+            vec![
+                Edge::of(9, 1),
+                Edge::of(2, 5),
+                Edge::of(9, 1),
+                Edge::of(0, 3),
+                Edge::of(2, 4),
+                Edge::of(9, 0),
+                Edge::of(2, 5),
+            ],
+            vec![Edge::of(4, 4)],
+            Vec::new(),
+        ];
+        for edges in &cases {
+            assert_eq!(grouped(edges), reference(edges), "{edges:?}");
+        }
     }
 }

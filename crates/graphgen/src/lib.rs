@@ -23,13 +23,11 @@
 
 pub mod alias;
 pub mod edgeio;
-pub mod extsort;
 pub mod generate;
 pub mod presets;
 pub mod rng;
 pub mod stats;
 
-pub use extsort::external_sort_edges;
 pub use generate::{BarabasiAlbert, ChungLu, ChungLuConfig, ErdosRenyi, Rmat};
 pub use presets::{GraphPreset, Workload};
 pub use rng::Xoshiro256;

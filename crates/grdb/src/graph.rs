@@ -37,18 +37,9 @@ impl GrdbGraphDb {
 
 impl GraphDb for GrdbGraphDb {
     fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
-        // Group by source so each vertex's chain is walked to its tail
-        // once per batch instead of once per edge.
-        match edges {
-            [] => Ok(()),
-            [e] => self.store.append_neighbour(e.src, e.dst),
-            _ => {
-                for (src, dsts) in group_by_source(edges) {
-                    self.store.append_neighbours(src, &dsts)?;
-                }
-                Ok(())
-            }
-        }
+        // One chain walk per source, in ascending source order: level 0 is
+        // addressed by vertex id, so the batch is one sweep in file order.
+        group_by_source(edges, |src, dsts| self.store.append_neighbours(src, dsts))
     }
 
     /// A batch the size of the largest block spans many ingest windows,

@@ -30,10 +30,22 @@
 //! compacted later by a background [`GrdbStore::defragment`]. Both are
 //! implemented and selectable via [`GrowthPolicy`]; a bench ablates them.
 //!
+//! # Write path
+//!
+//! [`GrdbStore::append_neighbours`] walks a vertex's chain to its tail once
+//! and writes each run of entries that fits the tail sub-block under one
+//! block access; growth past a full tail is the same step whatever the
+//! batch size, so batching never changes a chain. [`GrdbGraphDb`]'s
+//! `store_edges` hands it a batch through [`graphdb::group_by_source`], in
+//! ascending source order: level 0 is addressed by vertex id, so a batch
+//! is one sweep over level 0 in file order — the write-side twin of the
+//! read path's sorted waves — and each vertex keeps its stream order.
+//!
 //! # Block cache
 //!
 //! All block I/O goes through the instance's block cache
-//! ([`simio::BlockCache`]) — the "block cache component". Capacity 0
+//! ([`simio::EngineCache`], a [`simio::BlockCache`] hashed by
+//! `GidHasher`) — the "block cache component". Capacity 0
 //! reproduces the Figure 5.2 cache-off configuration. The cache is 2Q: a
 //! block enters probation and only a second reference protects it, so the
 //! one-touch blocks of a level's waves leave first and the blocks point

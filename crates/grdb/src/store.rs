@@ -6,7 +6,7 @@ use crate::layout::{
     decode_slot, occupancy, pointer_target, pointer_word, read_slot, sub_position, write_slot, Slot,
 };
 use mssg_types::{Gid, GraphStorageError, Result};
-use simio::{BlockCache, CacheKey, IoStats, MultiFile};
+use simio::{CacheKey, EngineCache, IoStats, MultiFile};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ const META_MAGIC: u32 = 0x6772_4231; // "grB1"
 ///
 /// let mut store = GrdbStore::open(&dir, GrdbConfig::tiny(), IoStats::new()).unwrap();
 /// for u in 0..9 {
-///     store.append_neighbour(Gid::new(7), Gid::new(100 + u)).unwrap();
+///     store.append_neighbours(Gid::new(7), &[Gid::new(100 + u)]).unwrap();
 /// }
 /// let mut adj = Vec::new();
 /// store.read_adjacency(Gid::new(7), &mut adj).unwrap();
@@ -38,7 +38,7 @@ const META_MAGIC: u32 = 0x6772_4231; // "grB1"
 pub struct GrdbStore {
     config: GrdbConfig,
     files: Vec<MultiFile>,
-    cache: BlockCache,
+    cache: EngineCache,
     /// Next unallocated sub-block per level (level 0 allocates by vertex).
     next_sub: Vec<u64>,
     /// Recycled sub-blocks per level.
@@ -70,7 +70,7 @@ impl GrdbStore {
             )?);
         }
         let n = config.levels.len();
-        let cache = BlockCache::new(config.cache_blocks);
+        let cache = EngineCache::with_hasher(config.cache_blocks);
         let mut store = GrdbStore {
             config,
             files,
@@ -172,12 +172,23 @@ impl GrdbStore {
         })?
     }
 
-    /// Writes one slot of a sub-block in place.
-    fn write_sub_slot(&mut self, level: usize, s: u64, idx: usize, slot: Slot) -> Result<()> {
+    /// Writes `slots` into consecutive slots of a sub-block from `idx` on,
+    /// in place and under one block access.
+    fn write_sub_slots(
+        &mut self,
+        level: usize,
+        s: u64,
+        idx: usize,
+        slots: impl IntoIterator<Item = Slot>,
+    ) -> Result<()> {
         let lc = *self.level(level);
         let (block, off) = sub_position(s, lc.k(), lc.sub_bytes());
         self.with_block(level, block, true, |buf| {
-            write_slot(&mut buf[off..off + lc.sub_bytes()], idx, slot)
+            let sub = &mut buf[off..off + lc.sub_bytes()];
+            slots
+                .into_iter()
+                .enumerate()
+                .try_for_each(|(i, slot)| write_slot(sub, idx + i, slot))
         })?
     }
 
@@ -216,61 +227,20 @@ impl GrdbStore {
 
     // ---- public graph operations ----
 
-    /// Appends one neighbour to vertex `v`'s adjacency list.
-    pub fn append_neighbour(&mut self, v: Gid, u: Gid) -> Result<()> {
-        if !v.is_vertex() || !u.is_vertex() {
-            return Err(GraphStorageError::InvalidVertex(format!(
-                "tagged word passed as vertex: {v:?} -> {u:?}"
-            )));
-        }
-        self.ensure_level0(v)?;
-        let mut level = 0usize;
-        let mut sub = v.raw();
-        let mut prev: Option<(usize, u64)> = None;
-        loop {
-            let d = self.level(level).d as usize;
-            let (occ, last) = self.sub_meta(level, sub)?;
-            if occ < d {
-                self.write_sub_slot(level, sub, occ, Slot::Entry(u))?;
-                self.entries += 1;
-                return Ok(());
-            }
-            // Full: the last slot is either a pointer (follow) or an entry
-            // (grow the chain).
-            match last {
-                Slot::Pointer { level: nl, sub: ns } => {
-                    prev = Some((level, sub));
-                    level = nl as usize;
-                    sub = ns;
-                }
-                Slot::Entry(displaced) => {
-                    self.grow_chain(level, sub, displaced, u, prev)?;
-                    self.entries += 1;
-                    return Ok(());
-                }
-                Slot::Empty => unreachable!("occupancy said the slot is used"),
-            }
-        }
-    }
-
-    /// Appends a batch of neighbours to vertex `v`'s adjacency list in one
-    /// chain walk. Equivalent to calling [`GrdbStore::append_neighbour`]
-    /// once per entry — same resulting layout, same order — but the chain
-    /// is walked to its tail once and the cursor advanced in place, so a
-    /// size-B batch onto a length-L chain costs O(L + B) sub-block
-    /// accesses instead of O(L × B).
+    /// Appends neighbours to vertex `v`'s adjacency list, in order. The
+    /// chain is walked to its tail once and the cursor advanced in place:
+    /// each run that fits the tail sub-block is written under one block
+    /// access, and growth past a full tail (Link or Move) is the same step
+    /// whatever the batch size, so a list lays out the same files however
+    /// its entries were batched. A size-B batch onto a length-L chain costs
+    /// O(L + B) sub-block accesses.
     pub fn append_neighbours(&mut self, v: Gid, us: &[Gid]) -> Result<()> {
         if us.is_empty() {
             return Ok(());
         }
-        if !v.is_vertex() {
+        if let Some(g) = std::iter::once(&v).chain(us).find(|g| !g.is_vertex()) {
             return Err(GraphStorageError::InvalidVertex(format!(
-                "tagged word passed as vertex: {v:?}"
-            )));
-        }
-        if let Some(u) = us.iter().find(|u| !u.is_vertex()) {
-            return Err(GraphStorageError::InvalidVertex(format!(
-                "tagged word passed as vertex: {v:?} -> {u:?}"
+                "tagged word passed as vertex: {g:?} (appending to {v:?})"
             )));
         }
         self.ensure_level0(v)?;
@@ -282,47 +252,43 @@ impl GrdbStore {
         loop {
             let d = self.level(level).d as usize;
             let (o, last) = self.sub_meta(level, sub)?;
-            if o < d {
-                occ = o;
-                break;
-            }
+            occ = o;
             match last {
-                Slot::Pointer { level: nl, sub: ns } => {
+                Slot::Pointer { level: nl, sub: ns } if o == d => {
                     prev = Some((level, sub));
                     level = nl as usize;
                     sub = ns;
                 }
-                Slot::Entry(_) => {
-                    occ = o;
-                    break;
-                }
-                Slot::Empty => unreachable!("occupancy said the slot is used"),
+                _ => break,
             }
         }
-        // Advance the cursor per entry, growing in place when the tail
-        // fills — each step touches only the (cached) tail block.
-        for &u in us {
+        let mut rest = us;
+        while !rest.is_empty() {
             let d = self.level(level).d as usize;
             if occ < d {
-                self.write_sub_slot(level, sub, occ, Slot::Entry(u))?;
-                occ += 1;
-            } else {
-                let displaced = match self.sub_meta(level, sub)?.1 {
-                    Slot::Entry(g) => g,
-                    _ => unreachable!("the cursor tail never ends in a pointer"),
-                };
-                let (nl, ns, no, moved) = self.grow_chain(level, sub, displaced, u, prev)?;
-                if !moved {
-                    // Link left a pointer behind: the old tail is now the
-                    // new tail's predecessor. (Move redirected the old
-                    // predecessor instead, so `prev` stays.)
-                    prev = Some((level, sub));
-                }
-                level = nl;
-                sub = ns;
-                occ = no;
+                let (run, after) = rest.split_at((d - occ).min(rest.len()));
+                self.write_sub_slots(level, sub, occ, run.iter().map(|&g| Slot::Entry(g)))?;
+                occ += run.len();
+                self.entries += run.len() as u64;
+                rest = after;
+                continue;
             }
+            let displaced = match self.sub_meta(level, sub)?.1 {
+                Slot::Entry(g) => g,
+                _ => unreachable!("the cursor tail never ends in a pointer"),
+            };
+            let (nl, ns, no, moved) = self.grow_chain(level, sub, displaced, rest[0], prev)?;
+            if !moved {
+                // Link left a pointer behind: the old tail is now the new
+                // tail's predecessor. (Move redirected the old predecessor
+                // instead, so `prev` stays.)
+                prev = Some((level, sub));
+            }
+            level = nl;
+            sub = ns;
+            occ = no;
             self.entries += 1;
+            rest = &rest[1..];
         }
         Ok(())
     }
@@ -362,14 +328,14 @@ impl GrdbStore {
             self.write_sub(target, new_sub, &up)?;
             let (plevel, psub) = prev.expect("checked");
             let pd = self.level(plevel).d as usize;
-            self.write_sub_slot(
+            self.write_sub_slots(
                 plevel,
                 psub,
                 pd - 1,
-                Slot::Pointer {
+                [Slot::Pointer {
                     level: target as u8,
                     sub: new_sub,
-                },
+                }],
             )?;
             self.free_sub(level, sub);
             Ok((target, new_sub, d + 1, true))
@@ -382,14 +348,14 @@ impl GrdbStore {
             write_slot(&mut fresh, 0, Slot::Entry(displaced))?;
             write_slot(&mut fresh, 1, Slot::Entry(new))?;
             self.write_sub(target, new_sub, &fresh)?;
-            self.write_sub_slot(
+            self.write_sub_slots(
                 level,
                 sub,
                 d - 1,
-                Slot::Pointer {
+                [Slot::Pointer {
                     level: target as u8,
                     sub: new_sub,
-                },
+                }],
             )?;
             Ok((target, new_sub, 2, false))
         }
@@ -776,8 +742,8 @@ mod tests {
     #[test]
     fn low_degree_stays_in_level0() {
         let mut s = store("inline");
-        s.append_neighbour(g(3), g(10)).unwrap();
-        s.append_neighbour(g(3), g(11)).unwrap();
+        s.append_neighbours(g(3), &[g(10)]).unwrap();
+        s.append_neighbours(g(3), &[g(11)]).unwrap();
         let mut adj = Vec::new();
         s.read_adjacency(g(3), &mut adj).unwrap();
         assert_eq!(adj, vec![g(10), g(11)]);
@@ -791,7 +757,7 @@ mod tests {
         // that vertex in level 1" — with the displaced entry moved there.
         let mut s = store("spill");
         for u in 10..13u64 {
-            s.append_neighbour(g(0), g(u)).unwrap();
+            s.append_neighbours(g(0), &[g(u)]).unwrap();
         }
         let mut adj = Vec::new();
         s.read_adjacency(g(0), &mut adj).unwrap();
@@ -807,7 +773,7 @@ mod tests {
     fn vertex_zero_neighbour_zero() {
         // The +1 slot bias must keep vertex 0 storable and distinct.
         let mut s = store("zero");
-        s.append_neighbour(g(0), g(0)).unwrap();
+        s.append_neighbours(g(0), &[g(0)]).unwrap();
         let mut adj = Vec::new();
         s.read_adjacency(g(0), &mut adj).unwrap();
         assert_eq!(adj, vec![g(0)]);
@@ -816,7 +782,7 @@ mod tests {
     #[test]
     fn unknown_vertex_reads_empty() {
         let mut s = store("unknown");
-        s.append_neighbour(g(1), g(2)).unwrap();
+        s.append_neighbours(g(1), &[g(2)]).unwrap();
         let mut adj = Vec::new();
         s.read_adjacency(g(9999), &mut adj).unwrap();
         assert!(adj.is_empty());
@@ -832,7 +798,7 @@ mod tests {
         let mut s = store("hub");
         let n = 40u64; // tiny config: single-pass capacity is 12.
         for u in 0..n {
-            s.append_neighbour(g(5), g(100 + u)).unwrap();
+            s.append_neighbours(g(5), &[g(100 + u)]).unwrap();
         }
         let mut adj = Vec::new();
         s.read_adjacency(g(5), &mut adj).unwrap();
@@ -852,7 +818,7 @@ mod tests {
         let mut s = store("many");
         for v in 0..50u64 {
             for u in 0..(v % 7 + 1) {
-                s.append_neighbour(g(v), g(1000 + v * 10 + u)).unwrap();
+                s.append_neighbours(g(v), &[g(1000 + v * 10 + u)]).unwrap();
             }
         }
         for v in 0..50u64 {
@@ -875,8 +841,8 @@ mod tests {
         let mut mv = GrdbStore::open(&dir, cfg, IoStats::new()).unwrap();
         let mut ln = store("move-link-contrast");
         for u in 0..8u64 {
-            mv.append_neighbour(g(1), g(50 + u)).unwrap();
-            ln.append_neighbour(g(1), g(50 + u)).unwrap();
+            mv.append_neighbours(g(1), &[g(50 + u)]).unwrap();
+            ln.append_neighbours(g(1), &[g(50 + u)]).unwrap();
         }
         for s in [&mut mv, &mut ln] {
             let mut adj = Vec::new();
@@ -893,7 +859,7 @@ mod tests {
         // hops where a single level-2 sub-block (d=8) would do.
         let mut s = store("defrag");
         for u in 0..7u64 {
-            s.append_neighbour(g(1), g(50 + u)).unwrap();
+            s.append_neighbours(g(1), &[g(50 + u)]).unwrap();
         }
         let fragmented = s.chain_length(g(1)).unwrap();
         assert_eq!(fragmented, 3, "link policy should fragment");
@@ -913,7 +879,7 @@ mod tests {
         let mut s = store("defragall");
         for v in 0..5u64 {
             for u in 0..7u64 {
-                s.append_neighbour(g(v), g(u)).unwrap();
+                s.append_neighbours(g(v), &[g(u)]).unwrap();
             }
         }
         let rewritten = s.defragment_all().unwrap();
@@ -934,7 +900,7 @@ mod tests {
         cfg.growth = GrowthPolicy::Move;
         let mut s = GrdbStore::open(&dir, cfg, IoStats::new()).unwrap();
         for u in 0..8u64 {
-            s.append_neighbour(g(1), g(u)).unwrap();
+            s.append_neighbours(g(1), &[g(u)]).unwrap();
         }
         assert_eq!(
             s.free[1].len(),
@@ -943,7 +909,7 @@ mod tests {
         );
         let next1_before = s.next_sub[1];
         for u in 0..3u64 {
-            s.append_neighbour(g(2), g(u)).unwrap();
+            s.append_neighbours(g(2), &[g(u)]).unwrap();
         }
         assert_eq!(
             s.next_sub[1], next1_before,
@@ -961,7 +927,7 @@ mod tests {
         {
             let mut s = GrdbStore::open(&dir, GrdbConfig::tiny(), IoStats::new()).unwrap();
             for u in 0..20u64 {
-                s.append_neighbour(g(7), g(u)).unwrap();
+                s.append_neighbours(g(7), &[g(u)]).unwrap();
             }
             s.flush().unwrap();
         }
@@ -971,7 +937,7 @@ mod tests {
         s.read_adjacency(g(7), &mut adj).unwrap();
         assert_eq!(adj, (0..20).map(g).collect::<Vec<_>>());
         // Appends continue cleanly after reopen.
-        s.append_neighbour(g(7), g(99)).unwrap();
+        s.append_neighbours(g(7), &[g(99)]).unwrap();
         assert_eq!(s.degree(g(7)).unwrap(), 21);
     }
 
@@ -980,7 +946,7 @@ mod tests {
         let dir = fresh_dir("mismatch");
         {
             let mut s = GrdbStore::open(&dir, GrdbConfig::tiny(), IoStats::new()).unwrap();
-            s.append_neighbour(g(0), g(1)).unwrap();
+            s.append_neighbours(g(0), &[g(1)]).unwrap();
             s.flush().unwrap();
         }
         let mut other = GrdbConfig::tiny();
@@ -997,7 +963,7 @@ mod tests {
         cfg.cache_blocks = 0;
         let mut s = GrdbStore::open(&dir, cfg, IoStats::new()).unwrap();
         for u in 0..15u64 {
-            s.append_neighbour(g(2), g(u)).unwrap();
+            s.append_neighbours(g(2), &[g(u)]).unwrap();
         }
         let mut adj = Vec::new();
         s.read_adjacency(g(2), &mut adj).unwrap();
@@ -1007,7 +973,7 @@ mod tests {
     #[test]
     fn cache_hits_on_hot_vertex() {
         let mut s = store("hot");
-        s.append_neighbour(g(1), g(2)).unwrap();
+        s.append_neighbours(g(1), &[g(2)]).unwrap();
         let mut adj = Vec::new();
         for _ in 0..50 {
             adj.clear();
@@ -1023,7 +989,7 @@ mod tests {
         // L2 (5).
         let mut s = store("fig34");
         for u in 0..9u64 {
-            s.append_neighbour(g(4), g(20 + u)).unwrap();
+            s.append_neighbours(g(4), &[g(20 + u)]).unwrap();
         }
         assert_eq!(s.chain_length(g(4)).unwrap(), 3);
         let mut adj = Vec::new();
@@ -1034,45 +1000,73 @@ mod tests {
     #[test]
     fn tagged_vertex_rejected() {
         let mut s = store("tagged");
-        assert!(s.append_neighbour(Gid::tagged(1, 5), g(0)).is_err());
-        assert!(s.append_neighbour(g(0), Gid::tagged(2, 5)).is_err());
+        assert!(s.append_neighbours(Gid::tagged(1, 5), &[g(0)]).is_err());
+        assert!(s.append_neighbours(g(0), &[Gid::tagged(2, 5)]).is_err());
         assert!(s
             .append_neighbours(g(0), &[g(1), Gid::tagged(2, 5)])
             .is_err());
     }
 
+    /// Every file of a flushed instance, by name.
+    fn files_of(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn batched_append_is_layout_identical() {
-        // Batched appends must produce the same chains as one-at-a-time
+        // Batched appends must write the same files as one-at-a-time
         // appends — across spill boundaries, under both growth policies,
-        // and when batches land on an already-fragmented chain.
+        // and when batches land on an already-fragmented chain whose
+        // growth interleaves with another vertex's.
+        let us: Vec<Gid> = (0..40u64).map(|u| g(100 + u)).collect();
         for growth in [GrowthPolicy::Link, GrowthPolicy::Move] {
-            for batch in [1usize, 2, 3, 5, 40] {
-                let mut cfg = GrdbConfig::tiny();
-                cfg.growth = growth;
-                let tag_a = format!("batch-a-{growth:?}-{batch}");
-                let tag_b = format!("batch-b-{growth:?}-{batch}");
-                let mut one =
-                    GrdbStore::open(&fresh_dir(&tag_a), cfg.clone(), IoStats::new()).unwrap();
-                let mut many = GrdbStore::open(&fresh_dir(&tag_b), cfg, IoStats::new()).unwrap();
-                let us: Vec<Gid> = (0..40u64).map(|u| g(100 + u)).collect();
+            let mut cfg = GrdbConfig::tiny();
+            cfg.growth = growth;
+            // Each vertex takes `batch` entries in turn, in one call or
+            // one call per entry.
+            let build = |batch: usize, per_entry: bool| {
+                let dir = fresh_dir(&format!("batch-{growth:?}-{batch}-{per_entry}"));
+                let mut s = GrdbStore::open(&dir, cfg.clone(), IoStats::new()).unwrap();
                 for chunk in us.chunks(batch) {
-                    for &u in chunk {
-                        one.append_neighbour(g(5), u).unwrap();
+                    for v in [g(5), g(6)] {
+                        if per_entry {
+                            for u in chunk {
+                                s.append_neighbours(v, std::slice::from_ref(u)).unwrap();
+                            }
+                        } else {
+                            s.append_neighbours(v, chunk).unwrap();
+                        }
                     }
-                    many.append_neighbours(g(5), chunk).unwrap();
                 }
+                s.flush().unwrap();
+                (s, files_of(&dir))
+            };
+            for batch in 1..=us.len() {
+                let (mut one, one_files) = build(batch, true);
+                let (mut many, many_files) = build(batch, false);
                 assert_eq!(one.entries(), many.entries());
-                assert_eq!(
-                    one.chain_length(g(5)).unwrap(),
-                    many.chain_length(g(5)).unwrap(),
-                    "{growth:?} batch={batch}"
+                for v in [g(5), g(6)] {
+                    assert_eq!(
+                        one.chain_length(v).unwrap(),
+                        many.chain_length(v).unwrap(),
+                        "{growth:?} batch={batch}"
+                    );
+                    let mut b = Vec::new();
+                    many.read_adjacency(v, &mut b).unwrap();
+                    assert_eq!(b, us, "{growth:?} batch={batch}");
+                }
+                assert!(
+                    one_files == many_files,
+                    "{growth:?} batch={batch}: files differ from one-at-a-time appends"
                 );
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                one.read_adjacency(g(5), &mut a).unwrap();
-                many.read_adjacency(g(5), &mut b).unwrap();
-                assert_eq!(a, b, "{growth:?} batch={batch}");
-                assert_eq!(a, us);
             }
         }
     }

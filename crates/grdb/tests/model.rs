@@ -1,6 +1,7 @@
-//! Model-based property tests for grDB: arbitrary append sequences with
-//! defragmentation interleaved at random points, checked against a plain
-//! in-memory model, across geometries (tiny multi-level/multi-file, and
+//! Model-based property tests for grDB: arbitrary append sequences and
+//! multi-source batches (through `GraphDb::store_edges`, which applies a
+//! batch in ascending source order) with defragmentation and reopens
+//! interleaved at random points, checked against a plain in-memory model, across geometries (tiny multi-level/multi-file, and
 //! the thesis geometry) — and whole-fringe expansion checked against
 //! per-vertex lookups on the same model.
 
@@ -30,6 +31,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
 enum Op {
     /// Append neighbour `u` to vertex `v`.
     Append { v: u64, u: u64 },
+    /// Store a batch of `(v, u)` entries in one `store_edges` call: its
+    /// sources come in no order and repeat.
+    Batch { edges: Vec<(u64, u64)> },
     /// Defragment vertex `v`.
     Defrag { v: u64 },
     /// Defragment everything.
@@ -41,6 +45,8 @@ enum Op {
 fn arb_op(max_v: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         8 => (0..max_v, 0..max_v).prop_map(|(v, u)| Op::Append { v, u }),
+        2 => prop::collection::vec((0..max_v, 0..max_v), 2..40)
+            .prop_map(|edges| Op::Batch { edges }),
         1 => (0..max_v).prop_map(|v| Op::Defrag { v }),
         1 => Just(Op::DefragAll),
         1 => Just(Op::Reopen),
@@ -49,36 +55,52 @@ fn arb_op(max_v: u64) -> impl Strategy<Value = Op> {
 
 fn check_model(cfg: GrdbConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
     let dir = fresh_dir("ops");
-    let mut store = GrdbStore::open(&dir, cfg.clone(), IoStats::new()).unwrap();
+    let mut db = GrdbGraphDb::open(&dir, cfg.clone(), IoStats::new()).unwrap();
     let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
     for op in ops {
-        match op {
-            Op::Append { v, u } => {
-                store.append_neighbour(Gid::new(v), Gid::new(u)).unwrap();
+        // The vertices the op touched, spot-checked after it to catch
+        // corruption early.
+        let touched: Vec<u64> = match &op {
+            &Op::Append { v, u } => {
+                db.store()
+                    .append_neighbours(Gid::new(v), &[Gid::new(u)])
+                    .unwrap();
                 model.entry(v).or_default().push(u);
+                vec![v]
             }
-            Op::Defrag { v } => {
-                store.defragment(Gid::new(v)).unwrap();
+            Op::Batch { edges } => {
+                let batch: Vec<Edge> = edges.iter().map(|&(v, u)| Edge::of(v, u)).collect();
+                db.store_edges(&batch).unwrap();
+                for &(v, u) in edges {
+                    model.entry(v).or_default().push(u);
+                }
+                edges.iter().map(|&(v, _)| v).collect()
+            }
+            &Op::Defrag { v } => {
+                db.store().defragment(Gid::new(v)).unwrap();
+                vec![v]
             }
             Op::DefragAll => {
-                store.defragment_all().unwrap();
+                db.store().defragment_all().unwrap();
+                Vec::new()
             }
             Op::Reopen => {
-                store.flush().unwrap();
-                drop(store);
-                store = GrdbStore::open(&dir, cfg.clone(), IoStats::new()).unwrap();
+                db.flush().unwrap();
+                drop(db);
+                db = GrdbGraphDb::open(&dir, cfg.clone(), IoStats::new()).unwrap();
+                Vec::new()
             }
-        }
-        // Spot-check one vertex after every op to catch corruption early.
-        if let Op::Append { v, .. } | Op::Defrag { v } = op {
+        };
+        for v in touched {
             let mut adj = Vec::new();
-            store.read_adjacency(Gid::new(v), &mut adj).unwrap();
+            db.store().read_adjacency(Gid::new(v), &mut adj).unwrap();
             let got: Vec<u64> = adj.iter().map(|g| g.raw()).collect();
             let want = model.get(&v).cloned().unwrap_or_default();
             prop_assert_eq!(&got, &want, "vertex {} after {:?}", v, op);
         }
     }
     // Full check at the end.
+    let store = db.store();
     for (v, want) in &model {
         let mut adj = Vec::new();
         store.read_adjacency(Gid::new(*v), &mut adj).unwrap();
@@ -235,7 +257,7 @@ fn heavy_hub_through_all_levels_with_reopen() {
     let mut expected = Vec::new();
     for i in 0..500u64 {
         store
-            .append_neighbour(Gid::new(3), Gid::new(1000 + i))
+            .append_neighbours(Gid::new(3), &[Gid::new(1000 + i)])
             .unwrap();
         expected.push(1000 + i);
         if i % 97 == 0 {

@@ -1,6 +1,6 @@
 //! Page allocation and caching.
 //!
-//! The pager owns the store's [`BlockFile`] and its [`BlockCache`] (the
+//! The pager owns the store's [`BlockFile`] and its [`EngineCache`] (the
 //! BerkeleyDB-style buffer pool, the same 2Q cache grDB runs: a page a
 //! lookup re-reads outlives pages a scan touches once). All tree code goes
 //! through [`Pager::read_page`] / [`Pager::write_page`]; the cache is
@@ -10,7 +10,7 @@
 
 use crate::page::Page;
 use mssg_types::{GraphStorageError, Result};
-use simio::{BlockCache, BlockFile, CacheKey, IoStats};
+use simio::{BlockFile, CacheKey, EngineCache, IoStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ const SPACE: u32 = 0;
 /// Page manager: file + cache + meta page + free list.
 pub struct Pager {
     file: BlockFile,
-    cache: BlockCache,
+    cache: EngineCache,
     page_size: usize,
     /// In-memory copy of the meta page; persisted on flush.
     pub(crate) root: u64,
@@ -38,7 +38,7 @@ impl Pager {
         stats: Arc<IoStats>,
     ) -> Result<Pager> {
         let mut file = BlockFile::open(path, page_size, stats)?;
-        let cache = BlockCache::new(cache_pages);
+        let cache = EngineCache::with_hasher(cache_pages);
         if file.len_blocks() == 0 {
             // Fresh store: meta page + empty leaf root.
             let mut pager = Pager {

@@ -15,7 +15,7 @@
 //! fixed up.
 
 use mssg_types::{GraphStorageError, Result};
-use simio::{BlockCache, BlockFile, CacheKey, IoStats};
+use simio::{BlockFile, CacheKey, EngineCache, IoStats};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ impl RowId {
 /// A heap file of slotted pages.
 pub struct HeapFile {
     file: BlockFile,
-    cache: BlockCache,
+    cache: EngineCache,
     page_size: usize,
     /// Insert hint: the page most recently appended to.
     last_page: u64,
@@ -72,7 +72,7 @@ impl HeapFile {
         let last_page = file.len_blocks().saturating_sub(1);
         Ok(HeapFile {
             file,
-            cache: BlockCache::new(cache_pages),
+            cache: EngineCache::with_hasher(cache_pages),
             page_size,
             last_page,
         })

@@ -7,6 +7,12 @@
 //! ([`CacheKey`]), where *space* distinguishes independent block spaces
 //! (e.g. grDB levels, or a B-tree's page file).
 //!
+//! The key hasher is a type parameter, `std`'s SipHash by default. A block
+//! engine's keys are its own block numbers, never a client's, so the
+//! engines run [`EngineCache`], hashed by [`GidHasher`] (a multiply and
+//! two folds a probe; see `mssg_types::gidmap`). A cache keyed by bytes a
+//! client sends — the serving plane's result cache — keeps the default.
+//!
 //! The thesis leaves the replacement policy open (§3.4.1); this cache runs
 //! one, a segmented LRU (2Q). A new entry enters a probationary segment and
 //! only a re-reference promotes it into the protected segment, which is
@@ -21,9 +27,11 @@
 //! zero gives the exact "cache disabled" behaviour used by the Figure 5.2
 //! reproduction: every insert is immediately evicted, every lookup misses.
 
+use mssg_types::gidmap::GidHasher;
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Identifies a cached block: an engine-chosen space id plus a block index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -40,6 +48,10 @@ impl CacheKey {
         CacheKey { space, block }
     }
 }
+
+/// The cache a block engine runs: blocks keyed by [`CacheKey`], hashed by
+/// [`GidHasher`] (see the module docs).
+pub type EngineCache = BlockCache<CacheKey, Vec<u8>, BuildHasherDefault<GidHasher>>;
 
 /// An entry pushed out of the cache. `dirty` entries must be written back
 /// by the caller.
@@ -107,9 +119,9 @@ struct Frame<K, V> {
 /// assert_eq!(evicted.key, CacheKey::new(0, 2));
 /// assert!(evicted.dirty, "dirty victims must be written back by the caller");
 /// ```
-pub struct BlockCache<K = CacheKey, V = Vec<u8>> {
+pub struct BlockCache<K = CacheKey, V = Vec<u8>, S = RandomState> {
     capacity: usize,
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, S>,
     /// One frame per resident entry; a full cache reuses the victim's.
     frames: Vec<Frame<K, V>>,
     /// Most-recently-used end of each segment's list.
@@ -122,11 +134,19 @@ pub struct BlockCache<K = CacheKey, V = Vec<u8>> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> BlockCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` entries, hashed by
+    /// SipHash.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity)
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone, S: BuildHasher + Default> BlockCache<K, V, S> {
+    /// Creates a cache holding at most `capacity` entries, hashed by `S`.
+    pub fn with_hasher(capacity: usize) -> Self {
         BlockCache {
             capacity,
-            map: HashMap::new(),
+            map: HashMap::default(),
             frames: Vec::new(),
             heads: [NIL; 2],
             tails: [NIL; 2],
@@ -332,7 +352,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BlockCache<K, V> {
     }
 }
 
-impl<K, V> std::fmt::Debug for BlockCache<K, V> {
+impl<K, V, S> std::fmt::Debug for BlockCache<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
             .field("capacity", &self.capacity)

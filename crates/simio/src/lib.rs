@@ -18,7 +18,9 @@
 //! [`BlockFile`] (a file of fixed-size blocks), [`MultiFile`] (a logical
 //! block space split across many files of at most `M` bytes, as grDB
 //! requires), and [`BlockCache`] (the "block cache component" of grDB, a
-//! scan-resistant 2Q cache every engine and the serving plane share).
+//! scan-resistant 2Q cache every engine and the serving plane share; the
+//! engines run it as [`EngineCache`], keyed by block and hashed without
+//! SipHash).
 
 pub mod blockfile;
 pub mod cache;
@@ -27,7 +29,7 @@ pub mod multifile;
 pub mod stats;
 
 pub use blockfile::BlockFile;
-pub use cache::{BlockCache, CacheKey, CacheStats, Evicted};
+pub use cache::{BlockCache, CacheKey, CacheStats, EngineCache, Evicted};
 pub use costmodel::DiskCostModel;
 pub use multifile::MultiFile;
 pub use stats::{IoSnapshot, IoStats};

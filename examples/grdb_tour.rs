@@ -37,12 +37,12 @@ fn main() -> mssg::types::Result<()> {
     println!("\ningesting: 1000 low-degree vertices and one 50,000-neighbour hub...");
     for v in 1..=1000u64 {
         for u in 0..(v % 3 + 1) {
-            store.append_neighbour(Gid::new(v), Gid::new(2000 + u))?;
+            store.append_neighbours(Gid::new(v), &[Gid::new(2000 + u)])?;
         }
     }
     let hub = Gid::new(0);
     for u in 0..50_000u64 {
-        store.append_neighbour(hub, Gid::new(10_000 + u))?;
+        store.append_neighbours(hub, &[Gid::new(10_000 + u)])?;
     }
     store.flush()?;
     println!(
@@ -84,7 +84,7 @@ fn main() -> mssg::types::Result<()> {
     cfg2.growth = GrowthPolicy::Move;
     let mut mv = GrdbStore::open(&dir2, cfg2, IoStats::new())?;
     for u in 0..50_000u64 {
-        mv.append_neighbour(hub, Gid::new(10_000 + u))?;
+        mv.append_neighbours(hub, &[Gid::new(10_000 + u)])?;
     }
     println!(
         "\nsame hub under Move growth: chain of {} sub-blocks (copies up on every\nlevel crossing instead of linking)",

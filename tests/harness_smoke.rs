@@ -53,7 +53,6 @@ fn experiment_registry_is_complete() {
         "ablation_pipeline",
         "ablation_decluster",
         "ablation_db_filter",
-        "ablation_bulk_load",
         "ablation_grdb_geometry",
     ] {
         assert!(names.contains(&ablation), "missing {ablation}");
