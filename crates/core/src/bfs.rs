@@ -809,19 +809,10 @@ mod tests {
         fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()> {
             self.db.lock().set_metadata(v, meta)
         }
-        fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-            self.db.lock().adjacency(v, out, meta, op)
-        }
-        fn expand_fringe(
-            &mut self,
-            fringe: &[Gid],
-            out: &mut AdjBuffer,
-            meta: Meta,
-            op: MetaOp,
-        ) -> Result<()> {
+        fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
             self.expansions += 1;
             assert!(self.expansions < self.dies_at, "the storage filter died");
-            self.db.lock().expand_fringe(fringe, out, meta, op)
+            self.db.lock().read_fringe(fringe, out)
         }
         fn local_vertices(&mut self) -> Result<Vec<Gid>> {
             self.db.lock().local_vertices()

@@ -25,12 +25,30 @@ use std::sync::Arc;
 /// during a run; the mutex makes that safe, not concurrent.
 pub type SharedBackend = Arc<Mutex<Box<dyn GraphDb + Send>>>;
 
+/// One node's ingest checkpoint: job state of the latest stream, kept
+/// beside the node's GraphDB rather than in it, and in memory only — a
+/// reopened cluster starts without one.
+#[derive(Debug, Default)]
+pub(crate) struct Checkpoint {
+    /// How many windows of the latest stream, from window 0, are durably
+    /// stored on the node. Stores apply windows in ascending id order, so
+    /// a node's durable windows are always such a prefix.
+    pub(crate) watermark: u64,
+    /// The window size the latest stream was cut into; `None` until a
+    /// stream starts. A resume must cut the stream the same way, or the
+    /// watermark counts other windows.
+    pub(crate) window: Option<usize>,
+}
+
 /// The MSSG cluster: back-end storage nodes and their databases.
 pub struct MssgCluster {
     /// Idle resident engines the analyses run on (`superstep`). Declared
     /// first, so a dropped cluster stops them before its backends go.
     pub(crate) engines: Engines,
     backends: Vec<SharedBackend>,
+    /// Each node's ingest checkpoint, shared with the store copy that
+    /// advances it (`ingest`).
+    pub(crate) checkpoints: Vec<Arc<Mutex<Checkpoint>>>,
     stats: Vec<Arc<IoStats>>,
     kind: BackendKind,
     dir: PathBuf,
@@ -70,6 +88,7 @@ impl MssgCluster {
         Ok(MssgCluster {
             engines: Engines::new(),
             backends,
+            checkpoints: (0..nodes).map(|_| Arc::default()).collect(),
             stats,
             kind,
             dir: dir.to_path_buf(),
@@ -160,6 +179,13 @@ impl MssgCluster {
     pub fn with_backend<T>(&self, i: usize, f: impl FnOnce(&mut (dyn GraphDb + Send)) -> T) -> T {
         let mut guard = self.backends[i].lock();
         f(guard.as_mut())
+    }
+
+    /// Node `i`'s ingestion watermark — how many windows (from the start
+    /// of the latest stream) it has durably stored. The minimum across all
+    /// nodes is the prefix a resumed ingestion can skip outright.
+    pub fn ingest_watermark(&self, i: usize) -> u64 {
+        self.checkpoints[i].lock().watermark
     }
 
     /// Node `i`'s I/O statistics handle.

@@ -34,17 +34,16 @@
 //! ([`GraphDb::store_batch_entries`](graphdb::GraphDb::store_batch_entries))
 //! before each `store_edges` call.
 
-use crate::cluster::MssgCluster;
+use crate::cluster::{Checkpoint, MssgCluster};
 pub use crate::decluster::DeclusterKind;
 use crate::decluster::Declustering;
 use crate::superstep::DEADLINE;
 use crate::telemetry::TelemetryReport;
 use datacutter::{DataBuffer, FaultKind, FaultPlan, Filter, FilterContext, GraphBuilder};
-use mssg_types::{Edge, Gid, GraphStorageError, Meta, Ontology, Result, TypedEdge, UNVISITED};
+use mssg_types::{Edge, GraphStorageError, Ontology, Result, TypedEdge};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Ingestion configuration.
 #[derive(Clone, Debug)]
@@ -68,13 +67,10 @@ pub struct IngestOptions {
     /// `ingest.windows_skipped` metric). A `window_edges` other than the
     /// one the failed stream recorded is refused with `Unsupported`
     /// before anything runs, and so is a resume on a reopened cluster:
-    /// the watermarks are GraphDB metadata, kept in memory. Replaying the
+    /// the watermarks are the cluster's, kept in memory. Replaying the
     /// *same* edge stream is the caller's contract: the cluster cannot
     /// check it. Off by default.
     pub resume: bool,
-    /// Per-stream send/recv deadline; a dead filter surfaces as a typed
-    /// timeout error instead of a hang. Defaults to the analyses' 120 s.
-    pub stream_timeout: Duration,
     /// Deterministic fault plan for chaos testing the pipeline, over the
     /// sites `source.0`, `ingest.{i}` and `store.{i}`.
     pub fault_plan: Option<FaultPlan<FaultKind>>,
@@ -87,37 +83,9 @@ impl Default for IngestOptions {
             window_edges: 4096,
             declustering: DeclusterKind::VertexHash,
             resume: false,
-            stream_timeout: DEADLINE,
             fault_plan: None,
         }
     }
-}
-
-/// `Gid` tag reserved for the ingestion checkpoint's metadata key (tags
-/// 1–5 belong to typed application payloads, 7 to `Gid::NIL`).
-const CKPT_TAG: u8 = 6;
-
-/// Checkpoint key holding a node's watermark: how many windows of the
-/// latest stream, from window 0, are durably stored on that node. Stores
-/// apply windows in ascending id order, so a node's durable windows are
-/// always such a prefix.
-fn watermark_gid() -> Gid {
-    Gid::tagged(CKPT_TAG, 0)
-}
-
-/// Checkpoint key holding the window size of the latest stream on a node,
-/// written beside the watermark when the stream starts. A resume must cut
-/// the stream the same way, or the watermark counts other windows.
-fn window_gid() -> Gid {
-    Gid::tagged(CKPT_TAG, 1)
-}
-
-/// Reads a node's ingestion watermark — how many windows (from the start
-/// of the latest stream) it has durably stored. The minimum across all
-/// nodes is the prefix a resumed ingestion can skip outright.
-pub fn ingest_watermark(db: &mut dyn graphdb::GraphDb) -> Result<u64> {
-    let m = db.get_metadata(watermark_gid())?;
-    Ok(if m == UNVISITED { 0 } else { m as u64 })
 }
 
 /// Outcome of an ingestion run.
@@ -144,16 +112,6 @@ pub fn ingest(
     let p = cluster.nodes();
     let f = options.front_ends;
     let kind = options.declustering;
-    // The window size is recorded in the checkpoint as metadata.
-    let window = Meta::try_from(options.window_edges)
-        .ok()
-        .filter(|&w| w != UNVISITED)
-        .ok_or_else(|| {
-            GraphStorageError::Unsupported(format!(
-                "a window of {} edges exceeds the checkpoint's range",
-                options.window_edges
-            ))
-        })?;
     if kind == DeclusterKind::VertexRoundRobin && f > 1 {
         return Err(GraphStorageError::Unsupported(format!(
             "VertexRoundRobin places vertices in stream order, on one front-end, not {f}"
@@ -179,32 +137,35 @@ pub fn ingest(
     // what an earlier one left behind. A resumed run starts at the node's
     // watermark, and is refused before anything runs if a node recorded
     // another window size, or stores entries but recorded none: the
-    // checkpoint is metadata, which a reopen does not keep, so its
-    // watermark would replay the stream from window 0. (An empty node
-    // that recorded none resumes as it is.)
+    // checkpoint lives in the cluster's memory, which a reopen does not
+    // keep, so its watermark would replay the stream from window 0. (An
+    // empty node that recorded none resumes as it is.)
+    let window = options.window_edges;
     let mut cursors = vec![0; p];
     for (i, cursor) in cursors.iter_mut().enumerate() {
-        cluster.with_backend(i, |db| {
-            if !options.resume {
-                db.set_metadata(watermark_gid(), 0)?;
-                return db.set_metadata(window_gid(), window);
-            }
-            let recorded = db.get_metadata(window_gid())?;
-            if recorded == UNVISITED && db.stored_entries() > 0 {
+        let mut checkpoint = cluster.checkpoints[i].lock();
+        if !options.resume {
+            *checkpoint = Checkpoint {
+                watermark: 0,
+                window: Some(window),
+            };
+            continue;
+        }
+        match checkpoint.window {
+            None if cluster.with_backend(i, |db| db.stored_entries()) > 0 => {
                 return Err(GraphStorageError::Unsupported(format!(
                     "a resume on node {i}, which stores entries but no checkpoint \
                      (reopened since its stream ran)"
                 )));
             }
-            if recorded != UNVISITED && recorded != window {
+            Some(recorded) if recorded != window => {
                 return Err(GraphStorageError::Unsupported(format!(
                     "a resume with {window}-edge windows of a stream node {i} cut into \
                      {recorded}-edge windows"
                 )));
             }
-            *cursor = ingest_watermark(db)?;
-            Ok(())
-        })?;
+            _ => *cursor = checkpoint.watermark,
+        }
     }
     // The source skips outright every window below the *minimum*
     // watermark — all nodes already hold those.
@@ -212,7 +173,7 @@ pub fn ingest(
 
     let mut g = GraphBuilder::new();
     g.telemetry(cluster.telemetry().clone());
-    g.stream_timeout(options.stream_timeout);
+    g.stream_timeout(DEADLINE);
     if let Some(plan) = &options.fault_plan {
         g.fault_plan(plan.clone());
     }
@@ -236,9 +197,11 @@ pub fn ingest(
         })
     })?;
     let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
+    let checkpoints = cluster.checkpoints.clone();
     let store = g.add_filter("store", (0..p).collect(), move |i| {
         Box::new(StoreFilter {
             backend: backends[i].clone(),
+            checkpoint: checkpoints[i].clone(),
             progress: StoreProgress {
                 next: cursors[i],
                 durable: cursors[i],
@@ -368,6 +331,8 @@ struct StoreProgress {
 
 struct StoreFilter {
     backend: crate::cluster::SharedBackend,
+    /// The node's checkpoint, whose watermark this copy advances.
+    checkpoint: Arc<Mutex<Checkpoint>>,
     progress: StoreProgress,
 }
 
@@ -386,7 +351,7 @@ impl StoreFilter {
             db.store_edges(&st.batch)?;
         }
         st.batch.clear();
-        db.set_metadata(watermark_gid(), st.next as Meta)?;
+        self.checkpoint.lock().watermark = st.next;
         st.durable = st.next;
         Ok(())
     }
@@ -463,6 +428,7 @@ mod tests {
     use super::*;
     use crate::backend::{BackendKind, BackendOptions};
     use graphdb::GraphDbExt;
+    use mssg_types::Gid;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("core-ingest-{}-{tag}", std::process::id()));
@@ -670,7 +636,7 @@ mod tests {
         ingest(&mut cluster, ring(60).into_iter(), &opts).unwrap();
         assert_eq!(cluster.total_entries(), 120);
         for i in 0..2 {
-            let wm = cluster.with_backend(i, |db| ingest_watermark(db).unwrap());
+            let wm = cluster.ingest_watermark(i);
             assert_eq!(wm, 6, "node {i} stored all 6 windows contiguously");
         }
 
@@ -709,10 +675,7 @@ mod tests {
         );
         let partial = cluster.total_entries();
         assert!(partial < 200, "the killed run must be incomplete");
-        assert_eq!(
-            cluster.with_backend(1, |db| ingest_watermark(db).unwrap()),
-            3
-        );
+        assert_eq!(cluster.ingest_watermark(1), 3);
 
         // Replay the same stream with `resume`: windows below each node's
         // watermark are skipped, the rest are stored — converging on
@@ -727,7 +690,7 @@ mod tests {
         assert_eq!(cluster.total_entries(), 200, "converged, no duplicates");
         assert!(report.telemetry.metrics.counters["ingest.windows_skipped"] > 0);
         for i in 0..2 {
-            let wm = cluster.with_backend(i, |db| ingest_watermark(db).unwrap());
+            let wm = cluster.ingest_watermark(i);
             assert_eq!(wm, 10);
         }
     }
@@ -786,7 +749,7 @@ mod tests {
         assert_eq!(report.edges, 100);
         assert_eq!(cluster.total_entries(), 200);
         for i in 0..2 {
-            let wm = cluster.with_backend(i, |db| ingest_watermark(db).unwrap());
+            let wm = cluster.ingest_watermark(i);
             assert_eq!(wm, 10, "the deferred flush still covers every window");
         }
     }
@@ -843,7 +806,7 @@ mod tests {
         };
         ingest(&mut cluster, ring(100).into_iter(), &opts).unwrap_err();
         assert_eq!(
-            cluster.with_backend(1, |db| ingest_watermark(db).unwrap()),
+            cluster.ingest_watermark(1),
             0,
             "unflushed windows stay above the watermark"
         );

@@ -51,7 +51,6 @@ fn killed_store_copies_resume_to_the_fault_free_graph() {
                 window_edges: 8,
                 resume,
                 fault_plan: Some(FaultPlan::new().inject(site, at, FaultKind::Panic)),
-                stream_timeout: Duration::from_secs(30),
                 ..Default::default()
             };
             match ingest(&mut cluster, ring(120).into_iter(), &opts) {
@@ -79,8 +78,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// The headline guarantee: chaos in, either the exact fault-free
-    /// result or a typed error out — bounded by the stream timeout, so a
-    /// dead filter can never hang the run. Half the ingest and store
+    /// result or a typed error out — fail-stop, so a dead filter fails
+    /// the run at once and can never hang it. Half the ingest and store
     /// copies fault once in their first 24 port operations; the source
     /// is immune.
     #[test]
@@ -94,7 +93,6 @@ proptest! {
             let opts = IngestOptions {
                 front_ends: 2,
                 window_edges: 8,
-                stream_timeout: Duration::from_secs(20),
                 fault_plan: Some(FaultPlan::chaos(seed, 50, 24).immune("source")),
                 ..Default::default()
             };

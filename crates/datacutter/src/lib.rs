@@ -16,9 +16,9 @@
 //! ordering, backpressure, and the communication structure, which is what
 //! the algorithms actually observe. What a thread pool cannot preserve is
 //! the *cost* of remote messages, so every send is classified local/remote
-//! and counted in [`NetStats`]; [`NetworkCostModel`] converts the counts
-//! into modeled network time (per-message latency + bandwidth), mirroring
-//! how `simio` treats disk I/O. See DESIGN.md §2.
+//! and counted in [`NetStats`], whose message and byte counts every run
+//! reports. Wire time itself is measured, not modeled: `mssg-net` runs the
+//! same graphs over TCP. See DESIGN.md §2.
 //!
 //! ## Shape of an application
 //!
@@ -127,7 +127,7 @@ pub use buffer::DataBuffer;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use filter::{CopyUsage, Filter, FilterContext, InPort, OutPort};
 pub use graph::{FilterHandle, GraphBuilder};
-pub use netstats::{NetSnapshot, NetStats, NetworkCostModel};
+pub use netstats::{NetSnapshot, NetStats};
 pub use runtime::{run_node, FilterTiming, RunReport};
 pub use transport::{
     ChannelRx, ChannelTx, EndpointSpec, InProc, RecvOutcome, RxEndpoint, SendOutcome, Transport,

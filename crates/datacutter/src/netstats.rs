@@ -1,11 +1,10 @@
-//! Network accounting and cost model — the communication-side counterpart
+//! Network accounting — the communication-side counterpart
 //! of `simio`'s disk accounting.
 
 use crate::NodeId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shared message counters, split by locality. Sends between filter
 /// instances placed on the same node are memory copies (DataCutter
@@ -110,43 +109,6 @@ impl fmt::Display for NetSnapshot {
     }
 }
 
-/// Latency/bandwidth network model for converting [`NetSnapshot`]s into
-/// modeled communication time. Local messages are free.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetworkCostModel {
-    /// Per-message latency (the MPI/TCP round-trip setup cost).
-    pub latency: Duration,
-    /// Link bandwidth in bytes per second.
-    pub bandwidth_bytes_per_sec: f64,
-}
-
-impl NetworkCostModel {
-    /// Switched gigabit Ethernet as on the thesis' evaluation cluster:
-    /// ~80 µs message latency, ~110 MB/s sustained.
-    pub fn gigabit_2006() -> NetworkCostModel {
-        NetworkCostModel {
-            latency: Duration::from_micros(80),
-            bandwidth_bytes_per_sec: 110.0 * 1024.0 * 1024.0,
-        }
-    }
-
-    /// Modeled time for the remote traffic in a snapshot.
-    pub fn modeled_time(&self, net: &NetSnapshot) -> Duration {
-        let transfer = if self.bandwidth_bytes_per_sec.is_finite() {
-            Duration::from_secs_f64(net.remote_bytes as f64 / self.bandwidth_bytes_per_sec)
-        } else {
-            Duration::ZERO
-        };
-        self.latency * (net.remote_msgs as u32) + transfer
-    }
-}
-
-impl Default for NetworkCostModel {
-    fn default() -> Self {
-        NetworkCostModel::gigabit_2006()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +124,6 @@ mod tests {
         assert_eq!(snap.local_bytes, 100);
         assert_eq!(snap.remote_msgs, 2);
         assert_eq!(snap.remote_bytes, 250);
-    }
-
-    #[test]
-    fn model_charges_remote_only() {
-        let m = NetworkCostModel::gigabit_2006();
-        let local_only = NetSnapshot {
-            local_msgs: 1000,
-            local_bytes: 1 << 30,
-            ..Default::default()
-        };
-        assert_eq!(m.modeled_time(&local_only), Duration::ZERO);
-        let remote = NetSnapshot {
-            remote_msgs: 1000,
-            remote_bytes: 0,
-            ..Default::default()
-        };
-        assert_eq!(m.modeled_time(&remote), Duration::from_micros(80) * 1000);
     }
 
     #[test]

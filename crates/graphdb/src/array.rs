@@ -17,7 +17,7 @@
 
 use crate::meta_table::MetaTable;
 use crate::traits::GraphDb;
-use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, Result};
 
 /// CSR in-memory backend.
 #[derive(Default)]
@@ -123,14 +123,11 @@ impl GraphDb for ArrayDb {
         Ok(())
     }
 
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
         self.ensure_built();
         let csr = self.csr.as_ref().expect("built above");
-        // Split borrows: read neighbours from csr, metadata from the table.
-        for &u in csr.neighbours(v) {
-            if op.admits(self.meta.get(u), meta) {
-                out.push(u);
-            }
+        for &v in fringe {
+            out.extend_from_slice(csr.neighbours(v));
         }
         Ok(())
     }
@@ -197,27 +194,6 @@ mod tests {
         let mut db = ArrayDb::new();
         db.store_edges(&[Edge::of(0, 1)]).unwrap();
         assert!(db.neighbors(g(50)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn metadata_filtering() {
-        let mut db = ArrayDb::new();
-        db.store_edges(&[Edge::of(0, 1), Edge::of(0, 2), Edge::of(0, 3)])
-            .unwrap();
-        db.set_metadata(g(1), 5).unwrap();
-        db.set_metadata(g(2), 7).unwrap();
-        // g(3) stays UNVISITED.
-        let mut out = AdjBuffer::new();
-        db.adjacency(g(0), &mut out, 5, MetaOp::Equal).unwrap();
-        assert_eq!(out.as_slice(), &[g(1)]);
-        out.clear();
-        db.adjacency(g(0), &mut out, 5, MetaOp::NotEqual).unwrap();
-        assert_eq!(out.len(), 2);
-        out.clear();
-        db.adjacency(g(0), &mut out, 6, MetaOp::Greater).unwrap();
-        let mut got = out.take();
-        got.sort_unstable();
-        assert_eq!(got, vec![g(2), g(3)]); // 7 > 6 and UNVISITED > 6
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `(CHUNK_BYTES - 4) / 8` entries.
 
 use crate::{group_by_source, GraphDb, MetaTable};
-use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, Result};
 
 /// The thesis' standard chunk size.
 pub const CHUNK_BYTES: usize = 8 * 1024;
@@ -46,8 +46,9 @@ pub fn encode(neighbours: &[Gid], chunk_bytes: usize) -> Vec<Vec<u8>> {
     chunks
 }
 
-/// Appends the contents of one chunk to `out`.
-pub fn decode_into(chunk: &[u8], out: &mut Vec<Gid>) -> Result<()> {
+/// Appends the contents of one chunk to `out` (a `Vec<Gid>` or an
+/// [`AdjBuffer`]).
+pub fn decode_into(chunk: &[u8], out: &mut impl Extend<Gid>) -> Result<()> {
     if chunk.len() < 4 {
         return Err(GraphStorageError::corrupt("chunk shorter than its header"));
     }
@@ -59,12 +60,11 @@ pub fn decode_into(chunk: &[u8], out: &mut Vec<Gid>) -> Result<()> {
             chunk.len()
         )));
     }
-    out.reserve(count);
-    for i in 0..count {
-        let off = 4 + i * 8;
-        let word = u64::from_le_bytes(chunk[off..off + 8].try_into().unwrap());
-        out.push(Gid::from_raw(word));
-    }
+    out.extend(
+        chunk[4..need]
+            .chunks_exact(8)
+            .map(|w| Gid::from_raw(u64::from_le_bytes(w.try_into().unwrap()))),
+    );
     Ok(())
 }
 
@@ -230,14 +230,9 @@ impl<R: ChunkRecords> GraphDb for ChunkedGraphDb<R> {
         Ok(())
     }
 
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        let mut neighbours = Vec::new();
-        self.records
-            .read_chunks(v, &mut |c| decode_into(c, &mut neighbours))?;
-        for u in neighbours {
-            if op.admits(self.meta.get(u), meta) {
-                out.push(u);
-            }
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
+        for &v in fringe {
+            self.records.read_chunks(v, &mut |c| decode_into(c, out))?;
         }
         Ok(())
     }
@@ -352,20 +347,6 @@ mod tests {
             assert_eq!(db.neighbors(Gid::new(v)).unwrap(), want, "vertex {v}");
         }
         assert_eq!(db.local_vertices().unwrap(), gs(3));
-    }
-
-    #[test]
-    fn adjacency_filters_by_neighbour_metadata() {
-        let mut db = mem();
-        db.store_edges(&[Edge::of(0, 1), Edge::of(0, 2)]).unwrap();
-        db.set_metadata(Gid::new(1), 3).unwrap();
-        let mut out = AdjBuffer::new();
-        db.adjacency(Gid::new(0), &mut out, 3, MetaOp::Equal)
-            .unwrap();
-        assert_eq!(out.as_slice(), &[Gid::new(1)]);
-        db.adjacency(Gid::new(9), &mut out, 3, MetaOp::Ignore)
-            .unwrap();
-        assert_eq!(out.len(), 1, "an unknown vertex adds nothing");
     }
 
     #[test]

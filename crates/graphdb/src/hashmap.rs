@@ -8,7 +8,7 @@
 
 use crate::meta_table::MetaTable;
 use crate::traits::GraphDb;
-use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, GidMap, Meta, Result};
 
 /// Hash-map-of-adjacency-lists in-memory backend.
 #[derive(Default)]
@@ -48,22 +48,10 @@ impl GraphDb for HashMapDb {
         Ok(())
     }
 
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        // Take the list out briefly so we can consult `self.meta` without
-        // aliasing; lists are put back untouched.
-        let Some(ns) = self.adj.get(&v) else {
-            return Ok(());
-        };
-        if matches!(op, MetaOp::Ignore) {
-            out.extend_from_slice(ns);
-            return Ok(());
-        }
-        // Filtered path: the borrow of `ns` (immutable) and `self.meta`
-        // (immutable via MetaTable::get) can coexist.
-        let meta_table = &self.meta;
-        for &u in ns {
-            if op.admits(meta_table.get(u), meta) {
-                out.push(u);
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
+        for v in fringe {
+            if let Some(ns) = self.adj.get(v) {
+                out.extend_from_slice(ns);
             }
         }
         Ok(())
@@ -118,16 +106,6 @@ mod tests {
     fn unknown_vertex_empty() {
         let mut db = HashMapDb::new();
         assert!(db.neighbors(g(1)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn metadata_filtering() {
-        let mut db = HashMapDb::new();
-        db.store_edges(&[Edge::of(0, 1), Edge::of(0, 2)]).unwrap();
-        db.set_metadata(g(1), 1).unwrap();
-        let mut out = AdjBuffer::new();
-        db.adjacency(g(0), &mut out, 1, MetaOp::NotEqual).unwrap();
-        assert_eq!(out.as_slice(), &[g(2)]);
     }
 
     #[test]

@@ -10,13 +10,23 @@
 //! node, and return the **empty set** for vertices stored elsewhere, which
 //! is exactly what lets Algorithm 1 handle all distribution cases uniformly.
 //!
+//! The metadata filter of Listing 3.1 is written once, in the trait: an
+//! engine implements one unfiltered read,
+//! [`read_fringe`](GraphDb::read_fringe), and keeps one metadata word per
+//! vertex; [`adjacency`](GraphDb::adjacency) and
+//! [`expand_fringe`](GraphDb::expand_fringe) are provided methods that call
+//! it and drop the neighbours whose word the `MetaOp` rejects. So every
+//! engine filters identically, and none probes metadata under
+//! `MetaOp::Ignore`.
+//!
 //! This crate provides:
 //! - [`GraphDb`] — the trait (Listing 3.1, plus the batch
 //!   [`expand_fringe`](GraphDb::expand_fringe) entry point that StreamDB
 //!   needs, per thesis §4.1.5),
 //! - [`ArrayDb`] — the compressed-adjacency-list (CSR) backend (§4.1.1),
 //! - [`HashMapDb`] — the hash-table-of-adjacency-lists backend (§4.1.2),
-//! - [`MetaTable`] — the shared in-memory per-vertex metadata store,
+//! - [`MetaTable`] — the in-memory per-vertex metadata word every engine
+//!   keeps, and nothing else,
 //! - [`chunk`] — the record-store adapter the MySQL and BerkeleyDB engines
 //!   share: 8 KB adjacency chunks behind one [`chunk::ChunkedGraphDb`]
 //!   (§4.1.3–§4.1.4, Figure 4.3),

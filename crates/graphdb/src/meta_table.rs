@@ -6,7 +6,8 @@
 //! a hash map from vertex id to the 32-bit metadata word, defaulting to
 //! [`UNVISITED`]. Every backend embeds one, so metadata behaviour is
 //! identical across engines and the benchmarks measure only the adjacency
-//! storage.
+//! storage. It holds vertex words only: job state such as ingest's
+//! checkpoint is the cluster's, not the graph's.
 
 use mssg_types::{Gid, GidMap, Meta, UNVISITED};
 

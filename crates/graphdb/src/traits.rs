@@ -13,7 +13,9 @@ use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
 ///   case without special-casing.
 /// - The metadata filter compares each *neighbour's* metadata word against
 ///   the `meta` argument under `op` (so a BFS fringe expansion can ask the
-///   engine for "neighbours not yet at this level" while the block is hot).
+///   engine for "neighbours not yet at this level"). It is written once,
+///   here: an engine supplies the unfiltered [`read_fringe`](GraphDb::read_fringe)
+///   and its metadata words, and the provided reads filter what it appended.
 /// - Metadata of a vertex never seen defaults to
 ///   [`UNVISITED`](mssg_types::UNVISITED).
 pub trait GraphDb {
@@ -28,17 +30,26 @@ pub trait GraphDb {
     /// Writes the metadata word of `v`.
     fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()>;
 
+    /// Appends to `out` every stored neighbour of every vertex in `fringe`,
+    /// unfiltered; a vertex listed twice contributes twice, and unknown
+    /// vertices contribute nothing. A one-vertex fringe appends its list
+    /// in insertion order.
+    ///
+    /// This is the one read an engine implements. StreamDB answers it with
+    /// a single scan of its edge log — the thesis' Active-Disk-style design
+    /// requires search algorithms to "post a request for all of the fringe
+    /// vertices at once" — and grDB with one block-ordered pass.
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()>;
+
     /// Appends to `out` every neighbour `u` of `v` whose metadata satisfies
     /// `op` against `meta`. Unknown vertices contribute nothing.
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()>;
+    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
+        self.expand_fringe(std::slice::from_ref(&v), out, meta, op)
+    }
 
     /// Expands a whole fringe at once: appends the filtered neighbours of
-    /// every vertex in `fringe` to `out`.
-    ///
-    /// The default implementation loops over point lookups. StreamDB
-    /// overrides it with a single scan of its edge log — the thesis'
-    /// Active-Disk-style design requires search algorithms to "post a
-    /// request for all of the fringe vertices at once".
+    /// every vertex in `fringe` to `out`, in [`read_fringe`](GraphDb::read_fringe)'s
+    /// order. Metadata is read only when `op` compares it.
     fn expand_fringe(
         &mut self,
         fringe: &[Gid],
@@ -46,9 +57,20 @@ pub trait GraphDb {
         meta: Meta,
         op: MetaOp,
     ) -> Result<()> {
-        for &v in fringe {
-            self.adjacency(v, out, meta, op)?;
+        let start = out.len();
+        self.read_fringe(fringe, out)?;
+        if op == MetaOp::Ignore {
+            return Ok(());
         }
+        let mut kept = start;
+        for i in start..out.len() {
+            let u = out.as_slice()[i];
+            if op.admits(self.get_metadata(u)?, meta) {
+                out.as_mut_slice()[kept] = u;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
         Ok(())
     }
 
@@ -170,16 +192,9 @@ mod tests {
             Ok(())
         }
 
-        fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-            let neighbours = match self.adj.get(&v) {
-                Some(ns) => ns.clone(),
-                None => return Ok(()),
-            };
-            for u in neighbours {
-                let m = self.meta.get(&u).copied().unwrap_or(mssg_types::UNVISITED);
-                if op.admits(m, meta) {
-                    out.push(u);
-                }
+        fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
+            for v in fringe {
+                out.extend_from_slice(self.adj.get(v).map_or(&[], Vec::as_slice));
             }
             Ok(())
         }
@@ -199,17 +214,24 @@ mod tests {
         }
     }
 
+    /// The filter compacts only the tail a call appended: what `out`
+    /// held before stays, even where `op` would reject it.
     #[test]
-    fn default_expand_fringe_loops_point_queries() {
+    fn expand_fringe_filters_only_what_it_appended() {
         let mut db = ToyDb::default();
-        db.store_edges(&[Edge::of(0, 1), Edge::of(0, 2), Edge::of(3, 4)])
-            .unwrap();
+        db.store_edges(&[
+            Edge::of(0, 1),
+            Edge::of(0, 2),
+            Edge::of(3, 1),
+            Edge::of(3, 4),
+        ])
+        .unwrap();
+        db.set_metadata(Gid::new(1), 5).unwrap();
         let mut out = AdjBuffer::new();
-        db.expand_fringe(&[Gid::new(0), Gid::new(3)], &mut out, 0, MetaOp::Ignore)
+        out.push(Gid::new(1));
+        db.expand_fringe(&[Gid::new(0), Gid::new(3)], &mut out, 5, MetaOp::NotEqual)
             .unwrap();
-        let mut got = out.take();
-        got.sort_unstable();
-        assert_eq!(got, vec![Gid::new(1), Gid::new(2), Gid::new(4)]);
+        assert_eq!(out.as_slice(), &[Gid::new(1), Gid::new(2), Gid::new(4)]);
     }
 
     #[test]

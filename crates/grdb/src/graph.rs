@@ -3,7 +3,7 @@
 use crate::config::{GrdbConfig, WORD};
 use crate::store::GrdbStore;
 use graphdb::{group_by_source, GraphDb, MetaTable};
-use mssg_types::{AdjBuffer, Edge, Gid, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, Meta, Result};
 use simio::IoStats;
 use std::path::Path;
 use std::sync::Arc;
@@ -63,31 +63,12 @@ impl GraphDb for GrdbGraphDb {
         Ok(())
     }
 
-    /// A point lookup is a one-vertex fringe: same routine, and the list
-    /// comes back in insertion order.
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        self.expand_fringe(&[v], out, meta, op)
-    }
-
     /// One block-ordered, merged pass over the whole fringe
-    /// ([`GrdbStore::expand`]), decoded straight into `out`. Neighbour
-    /// metadata is looked up only when `op` compares it.
-    fn expand_fringe(
-        &mut self,
-        fringe: &[Gid],
-        out: &mut AdjBuffer,
-        meta: Meta,
-        op: MetaOp,
-    ) -> Result<()> {
-        if matches!(op, MetaOp::Ignore) {
-            return self.store.expand(fringe, |u| out.push(u));
-        }
-        let table = &self.meta;
-        self.store.expand(fringe, |u| {
-            if op.admits(table.get(u), meta) {
-                out.push(u);
-            }
-        })
+    /// ([`GrdbStore::expand`]), decoded straight into `out`. A point lookup
+    /// is a one-vertex fringe: same routine, and the list comes back in
+    /// insertion order.
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
+        self.store.expand(fringe, |u| out.push(u))
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -141,19 +122,6 @@ mod tests {
         n.sort_unstable();
         assert_eq!(n, vec![g(2), g(3)]);
         assert_eq!(db.stored_entries(), 3);
-    }
-
-    #[test]
-    fn metadata_filtering() {
-        let mut db = db("meta");
-        db.store_edges(&[Edge::of(0, 1), Edge::of(0, 2), Edge::of(0, 3)])
-            .unwrap();
-        db.set_metadata(g(2), 7).unwrap();
-        let mut out = AdjBuffer::new();
-        db.adjacency(g(0), &mut out, 7, MetaOp::NotEqual).unwrap();
-        let mut got = out.take();
-        got.sort_unstable();
-        assert_eq!(got, vec![g(1), g(3)]);
     }
 
     #[test]

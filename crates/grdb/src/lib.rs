@@ -59,7 +59,7 @@
 //! into file order, with requests that share a block served by one block
 //! access and decoded in place — the thesis' §4.2 future work ("sorting
 //! the pre-fetch disk accesses by file offsets"), FlashGraph's sorted and
-//! merged request list. [`GrdbGraphDb`]'s `expand_fringe` decodes straight
+//! merged request list. [`GrdbGraphDb`]'s `read_fringe` decodes straight
 //! into the caller's buffer; a point lookup is the same routine on a
 //! one-vertex fringe and returns the list in insertion order.
 //!

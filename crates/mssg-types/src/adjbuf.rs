@@ -45,6 +45,12 @@ impl AdjBuffer {
         self.items.clear();
     }
 
+    /// Keeps the first `len` vertices and drops the rest.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        self.items.truncate(len);
+    }
+
     /// Number of vertices currently stored.
     #[inline]
     pub fn len(&self) -> usize {

@@ -11,14 +11,15 @@
 //! cites: "any search algorithm which needs the adjacent vertices to
 //! another set of vertices must post a request for all of the 'fringe'
 //! vertices at once, thereby allowing the database to only scan through its
-//! data once." Accordingly [`StreamDb::expand_fringe`] is the native
-//! operation (one sequential pass answers the whole fringe) and a point
-//! query, while correct, costs a full scan.
+//! data once." Accordingly a fringe read
+//! ([`read_fringe`](GraphDb::read_fringe)) is the native operation (one
+//! sequential pass answers the whole fringe) and a point query, while
+//! correct, costs a full scan.
 
 use graphdb::{GraphDb, MetaTable};
-use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, MetaOp, Result};
+use mssg_types::{AdjBuffer, Edge, Gid, GraphStorageError, Meta, Result};
 use simio::IoStats;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -151,33 +152,20 @@ impl GraphDb for StreamDb {
         Ok(())
     }
 
-    /// Point query: answered by a full scan. Correct, but the whole point
-    /// of the design is to avoid this — use
-    /// [`expand_fringe`](GraphDb::expand_fringe).
-    fn adjacency(&mut self, v: Gid, out: &mut AdjBuffer, meta: Meta, op: MetaOp) -> Result<()> {
-        self.expand_fringe(&[v], out, meta, op)
-    }
-
     /// The native operation: one sequential scan answers every fringe
-    /// vertex at once.
-    fn expand_fringe(
-        &mut self,
-        fringe: &[Gid],
-        out: &mut AdjBuffer,
-        meta: Meta,
-        op: MetaOp,
-    ) -> Result<()> {
-        let fringe_set: HashSet<Gid> = fringe.iter().copied().collect();
-        let meta_table = std::mem::take(&mut self.meta);
-        let mut hits = Vec::new();
+    /// vertex at once. A point query is a one-vertex fringe, so it costs
+    /// the same full scan — the whole point of the design is to ask for
+    /// the fringe at once.
+    fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
+        let mut times: HashMap<Gid, usize> = HashMap::new();
+        for &v in fringe {
+            *times.entry(v).or_default() += 1;
+        }
         self.scan(&mut |e| {
-            if fringe_set.contains(&e.src) && op.admits(meta_table.get(e.dst), meta) {
-                hits.push(e.dst);
+            for _ in 0..times.get(&e.src).copied().unwrap_or(0) {
+                out.push(e.dst);
             }
-        })?;
-        self.meta = meta_table;
-        out.extend_from_slice(&hits);
-        Ok(())
+        })
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -210,6 +198,7 @@ impl GraphDb for StreamDb {
 mod tests {
     use super::*;
     use graphdb::GraphDbExt;
+    use mssg_types::MetaOp;
 
     fn g(v: u64) -> Gid {
         Gid::new(v)
@@ -255,17 +244,6 @@ mod tests {
             delta.block_reads, 3,
             "one sequential pass regardless of fringe size"
         );
-    }
-
-    #[test]
-    fn metadata_filter_applies() {
-        let mut s = db("meta.log");
-        s.store_edges(&[Edge::of(0, 1), Edge::of(0, 2)]).unwrap();
-        s.set_metadata(g(1), 5).unwrap();
-        let mut out = AdjBuffer::new();
-        s.expand_fringe(&[g(0)], &mut out, 5, MetaOp::NotEqual)
-            .unwrap();
-        assert_eq!(out.as_slice(), &[g(2)]);
     }
 
     #[test]

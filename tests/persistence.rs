@@ -89,9 +89,10 @@ fn cluster_data_survives_reopen() {
     }
 }
 
-/// Ingest's checkpoint (watermark and window size) is metadata, which a
-/// reopen does not keep: a `resume` after a reopen would replay the
-/// stream from window 0 and store it twice, so it is refused.
+/// Ingest's checkpoint (watermark and window size) is `MssgCluster` state
+/// in memory, which a reopen does not keep: a `resume` after a reopen
+/// would replay the stream from window 0 and store it twice, so it is
+/// refused.
 #[test]
 fn resume_after_reopen_is_refused() {
     let edges: Vec<Edge> = (0..200)
@@ -190,6 +191,76 @@ fn stream_log_grows_across_sessions() {
             len,
             (round + 1) * 2 * 16,
             "log must accumulate across sessions"
+        );
+    }
+}
+
+/// Ingest keeps its checkpoint in the cluster, not in the engines: after a
+/// clean ingest, and after a kill and a `resume`, every engine's metadata
+/// word reads `UNVISITED` — of every stored vertex and of the tagged keys
+/// `Gid::tagged(6, 0)` and `Gid::tagged(6, 1)` — while the cluster's
+/// watermarks count the stored windows.
+#[test]
+fn ingest_writes_no_engine_metadata() {
+    use mssg::datacutter::{FaultKind, FaultPlan};
+    let ring = || (0..100u64).map(|i| Edge::of(i, (i + 1) % 100));
+    let window = |resume, fault_plan| IngestOptions {
+        window_edges: 10,
+        resume,
+        fault_plan,
+        ..IngestOptions::default()
+    };
+    let no_metadata = |cluster: &MssgCluster, kind: BackendKind| {
+        for n in 0..cluster.nodes() {
+            cluster.with_backend(n, |db| {
+                let mut vs = db.local_vertices().unwrap();
+                vs.extend([Gid::tagged(6, 0), Gid::tagged(6, 1)]);
+                for v in vs {
+                    assert_eq!(
+                        db.get_metadata(v).unwrap(),
+                        UNVISITED,
+                        "{} {v:?}",
+                        kind.name()
+                    );
+                }
+            });
+        }
+    };
+    for kind in BackendKind::ALL {
+        let mut cluster = MssgCluster::new(
+            &tmpdir(&format!("no-meta-{}", kind.name())),
+            2,
+            kind,
+            &BackendOptions::default(),
+        )
+        .unwrap();
+        ingest(&mut cluster, ring(), &window(false, None)).unwrap();
+        no_metadata(&cluster, kind);
+        assert_eq!(
+            [cluster.ingest_watermark(0), cluster.ingest_watermark(1)],
+            [10, 10]
+        );
+
+        // Store copy 1 dies at its 4th port operation: three windows are
+        // stored, unless the engine batches past them (grDB).
+        let mut cluster = MssgCluster::new(
+            &tmpdir(&format!("no-meta-kill-{}", kind.name())),
+            2,
+            kind,
+            &BackendOptions::default(),
+        )
+        .unwrap();
+        let kill = FaultPlan::new().inject("store.1", 4, FaultKind::Panic);
+        ingest(&mut cluster, ring(), &window(false, Some(kill))).unwrap_err();
+        let stored = if kind == BackendKind::Grdb { 0 } else { 3 };
+        assert_eq!(cluster.ingest_watermark(1), stored, "{}", kind.name());
+        no_metadata(&cluster, kind);
+        ingest(&mut cluster, ring(), &window(true, None)).unwrap();
+        assert_eq!(cluster.total_entries(), 200, "{}", kind.name());
+        no_metadata(&cluster, kind);
+        assert_eq!(
+            [cluster.ingest_watermark(0), cluster.ingest_watermark(1)],
+            [10, 10]
         );
     }
 }

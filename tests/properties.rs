@@ -62,27 +62,86 @@ fn oracle_bfs(edges: &[Edge], source: Gid, dest: Gid) -> Option<u32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
-    /// Every out-of-core engine returns exactly the adjacency lists the
-    /// in-memory reference returns, for arbitrary edge batches.
+    /// Every other engine returns exactly the adjacency lists the
+    /// in-memory reference returns, for arbitrary edge batches — filtered
+    /// by arbitrary per-vertex words under any `MetaOp`, one vertex at a
+    /// time and as a fringe with repeats. Vertices 24..30 are never
+    /// stored.
     #[test]
-    fn storage_engines_match_reference(edges in arb_edges(24, 300)) {
+    fn storage_engines_match_reference(
+        edges in arb_edges(24, 300),
+        words in prop::collection::vec(0..5 as Meta, 30),
+        code in -2i8..3,
+        meta in 0..5 as Meta,
+        fringe in prop::collection::vec(0u64..30, 0..16),
+    ) {
+        // Word 4 is left unset, and reads UNVISITED; `meta` 4 compares
+        // against UNVISITED.
+        let words: Vec<Option<Meta>> = words.into_iter().map(|w| Some(w).filter(|&w| w < 4)).collect();
+        let meta = if meta == 4 { UNVISITED } else { meta };
+        let op = MetaOp::from_code(code).unwrap();
+        let word = |u: &Gid| words[u.index()].unwrap_or(UNVISITED);
+        let fringe: Vec<Gid> = fringe.into_iter().map(Gid::new).collect();
+        let sorted = |mut vs: Vec<Gid>| {
+            vs.sort_unstable();
+            vs
+        };
+        let expand = |db: &mut dyn GraphDb, fringe: &[Gid], op| {
+            let mut out = AdjBuffer::new();
+            db.expand_fringe(fringe, &mut out, meta, op).unwrap();
+            out.take()
+        };
+        let adjacency = |db: &mut dyn GraphDb, v, op| {
+            let mut out = AdjBuffer::new();
+            db.adjacency(v, &mut out, meta, op).unwrap();
+            out.take()
+        };
         let mut reference = HashMapDb::new();
         reference.store_edges(&edges).unwrap();
+        for (v, w) in words.iter().enumerate() {
+            if let Some(w) = *w {
+                reference.set_metadata(Gid::new(v as u64), w).unwrap();
+            }
+        }
         for kind in [BackendKind::Grdb, BackendKind::BerkeleyDb, BackendKind::MySql,
                      BackendKind::StreamDb, BackendKind::Array] {
-            let dir = tmpdir(&format!("engines-{}", kind.name()));
+            let name = kind.name();
+            let dir = tmpdir(&format!("engines-{name}"));
             let mut db = mssg::core::backend::open_backend(
                 kind, &dir, &BackendOptions::default(), mssg::simio::IoStats::new(),
             ).unwrap();
             db.store_edges(&edges).unwrap();
             db.flush().unwrap();
-            for v in 0..24u64 {
-                let mut got = db.neighbors(Gid::new(v)).unwrap();
-                let mut want = reference.neighbors(Gid::new(v)).unwrap();
-                got.sort_unstable();
-                want.sort_unstable();
-                prop_assert_eq!(got, want, "{} vertex {}", kind.name(), v);
+            for (v, w) in words.iter().enumerate() {
+                if let Some(w) = *w {
+                    db.set_metadata(Gid::new(v as u64), w).unwrap();
+                }
             }
+            for v in (0..30u64).map(Gid::new) {
+                prop_assert_eq!(db.get_metadata(v).unwrap(), word(&v), "{} word of {:?}", name, v);
+                let all = adjacency(db.as_mut(), v, MetaOp::Ignore);
+                let kept = adjacency(db.as_mut(), v, op);
+                prop_assert_eq!(
+                    sorted(kept.clone()), sorted(adjacency(&mut reference, v, op)),
+                    "{} {:?} of {:?}", name, op, v
+                );
+                let want: Vec<Gid> = all.into_iter().filter(|u| op.admits(word(u), meta)).collect();
+                prop_assert_eq!(kept, want, "{} {:?} of {:?} drops in order", name, op, v);
+            }
+            let all = expand(db.as_mut(), &fringe, MetaOp::Ignore);
+            let kept = expand(db.as_mut(), &fringe, op);
+            prop_assert_eq!(
+                sorted(kept.clone()), sorted(expand(&mut reference, &fringe, op)),
+                "{} {:?} of fringe {:?}", name, op, &fringe
+            );
+            let want: Vec<Gid> = all.into_iter().filter(|u| op.admits(word(u), meta)).collect();
+            prop_assert_eq!(kept, want, "{} {:?} of fringe drops in order", name, op);
+            // An unknown vertex adds nothing, and leaves what `out` held.
+            let mut out = AdjBuffer::new();
+            out.push(Gid::new(7));
+            db.adjacency(Gid::new(29), &mut out, meta, MetaOp::Ignore).unwrap();
+            db.expand_fringe(&[Gid::new(24), Gid::new(29)], &mut out, meta, op).unwrap();
+            prop_assert_eq!(out.as_slice(), &[Gid::new(7)], "{}", name);
         }
     }
 
