@@ -79,6 +79,15 @@ fn param_u64(params: &QueryParams, key: &str) -> Result<u64> {
         .map_err(|_| GraphStorageError::Query(format!("parameter {key:?} is not an integer")))
 }
 
+fn param_gid(params: &QueryParams, key: &str) -> Result<Gid> {
+    let raw = param_u64(params, key)?;
+    Gid::try_new(raw).ok_or_else(|| {
+        GraphStorageError::Query(format!(
+            "parameter {key:?} = {raw} overflows the 61-bit vertex id space"
+        ))
+    })
+}
+
 /// Result of a [`k_hop`] neighborhood expansion.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KHopResult {
@@ -135,8 +144,10 @@ pub fn k_hop(cluster: &MssgCluster, source: Gid, k: u32) -> Result<KHopResult> {
 }
 
 fn run_khop_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
-    let source = Gid::new(param_u64(params, "source")?);
-    let k = param_u64(params, "k")? as u32;
+    let source = param_gid(params, "source")?;
+    let k = param_u64(params, "k")?;
+    let k = u32::try_from(k)
+        .map_err(|_| GraphStorageError::Query(format!("parameter \"k\" = {k} exceeds u32")))?;
     let r = k_hop(cluster, source, k)?;
     Ok(format!(
         "vertices={} edges_scanned={}",
@@ -146,8 +157,8 @@ fn run_khop_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<Stri
 }
 
 fn run_bfs_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
-    let source = Gid::new(param_u64(params, "source")?);
-    let dest = Gid::new(param_u64(params, "dest")?);
+    let source = param_gid(params, "source")?;
+    let dest = param_gid(params, "dest")?;
     let metrics = bfs(cluster, source, dest, &BfsOptions::default())?;
     Ok(match metrics.path_length {
         Some(len) => format!(
@@ -191,7 +202,7 @@ fn run_msf_analysis(cluster: &MssgCluster, _params: &QueryParams) -> Result<Stri
 
 fn run_degree_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
     use graphdb::GraphDbExt;
-    let v = Gid::new(param_u64(params, "vertex")?);
+    let v = param_gid(params, "vertex")?;
     let mut total = 0usize;
     for i in 0..cluster.nodes() {
         total += cluster.with_backend(i, |db| db.degree(v))?;
@@ -303,6 +314,21 @@ mod tests {
         assert!(svc
             .run(&c, "bfs", &params(&[("source", "x"), ("dest", "1")]))
             .is_err());
+        // An id past 61 bits, and a hop bound past 32, are refused, not
+        // a panic and not a truncated k.
+        let tagged = (1u64 << 61).to_string();
+        let tagged = tagged.as_str();
+        for (name, p) in [
+            ("bfs", params(&[("source", tagged), ("dest", "1")])),
+            ("khop", params(&[("source", tagged), ("k", "1")])),
+            ("degree", params(&[("vertex", tagged)])),
+            ("khop", params(&[("source", "5"), ("k", "4294967298")])),
+        ] {
+            assert!(
+                matches!(svc.run(&c, name, &p), Err(GraphStorageError::Query(_))),
+                "{name} {p:?}"
+            );
+        }
     }
 
     #[test]

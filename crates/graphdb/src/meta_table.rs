@@ -49,11 +49,6 @@ impl MetaTable {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Resets every vertex to [`UNVISITED`] (a new query starting).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 #[cfg(test)]
@@ -81,17 +76,6 @@ mod tests {
         t.set(Gid::new(1), UNVISITED);
         assert_eq!(t.get(Gid::new(1)), UNVISITED);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_all() {
-        let mut t = MetaTable::new();
-        for i in 0..10 {
-            t.set(Gid::new(i), i as Meta);
-        }
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.get(Gid::new(3)), UNVISITED);
     }
 
     #[test]

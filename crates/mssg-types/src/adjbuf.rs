@@ -75,13 +75,6 @@ impl AdjBuffer {
         &mut self.items
     }
 
-    /// Sorts and removes duplicate vertices in place. Storage engines that
-    /// keep fragmented adjacency lists use this to canonicalise output.
-    pub fn sort_dedup(&mut self) {
-        self.items.sort_unstable();
-        self.items.dedup();
-    }
-
     /// Current capacity, exposed for tests asserting reuse.
     pub fn capacity(&self) -> usize {
         self.items.capacity()
@@ -149,13 +142,6 @@ mod tests {
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap);
-    }
-
-    #[test]
-    fn sort_dedup_canonicalises() {
-        let mut b: AdjBuffer = [5, 1, 3, 1, 5, 2].into_iter().map(g).collect();
-        b.sort_dedup();
-        assert_eq!(b.as_slice(), &[g(1), g(2), g(3), g(5)]);
     }
 
     #[test]

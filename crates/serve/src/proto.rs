@@ -91,15 +91,15 @@ impl Query {
             .ok_or_else(|| GraphStorageError::Corrupt("query missing an opcode".into()))?;
         let q = match op {
             Self::OP_BFS => Query::Bfs {
-                source: Gid::new(read_u64(operands, 0, "bfs.source")?),
-                dest: Gid::new(read_u64(operands, 8, "bfs.dest")?),
+                source: read_gid(operands, 0, "bfs.source")?,
+                dest: read_gid(operands, 8, "bfs.dest")?,
             },
             Self::OP_KHOP => Query::KHop {
-                source: Gid::new(read_u64(operands, 0, "khop.source")?),
+                source: read_gid(operands, 0, "khop.source")?,
                 k: read_u32(operands, 8, "khop.k")?,
             },
             Self::OP_DEGREE => Query::Degree {
-                vertex: Gid::new(read_u64(operands, 0, "degree.vertex")?),
+                vertex: read_gid(operands, 0, "degree.vertex")?,
             },
             Self::OP_COMPONENTS => Query::Components,
             other => {
@@ -241,6 +241,17 @@ fn read_u64(bytes: &[u8], at: usize, what: &str) -> Result<u64> {
         .ok_or_else(|| GraphStorageError::Corrupt(format!("{what}: payload too short")))
 }
 
+/// A vertex id off the wire: a word with a tag bit set is corrupt, not a
+/// panic in the connection's reader.
+fn read_gid(bytes: &[u8], at: usize, what: &str) -> Result<Gid> {
+    let raw = read_u64(bytes, at, what)?;
+    Gid::try_new(raw).ok_or_else(|| {
+        GraphStorageError::Corrupt(format!(
+            "{what}: {raw:#x} overflows the 61-bit vertex id space"
+        ))
+    })
+}
+
 fn read_u32(bytes: &[u8], at: usize, what: &str) -> Result<u32> {
     bytes
         .get(at..at + 4)
@@ -299,6 +310,17 @@ mod tests {
         extra.push(0);
         assert!(Query::decode(&extra).is_err());
         assert!(Query::decode(&[]).is_err());
+        // A vertex id with a tag bit set is corrupt, in every id operand.
+        let tagged = Gid::tagged(1, 0).raw().to_le_bytes();
+        let q = all_queries();
+        for (q, at) in [(&q[0], 2), (&q[0], 10), (&q[1], 2), (&q[2], 2)] {
+            let mut e = q.encode();
+            e[at..at + 8].copy_from_slice(&tagged);
+            assert!(
+                matches!(Query::decode(&e), Err(GraphStorageError::Corrupt(_))),
+                "{q:?} with a tagged id at byte {at}"
+            );
+        }
     }
 
     #[test]

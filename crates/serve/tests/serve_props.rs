@@ -101,19 +101,18 @@ proptest! {
     }
 }
 
-/// Any well-formed query (gids stay inside the 56-bit id space so the
-/// re-encode check in `Query::decode` is an identity).
+/// Any well-formed query, its ids drawn from the whole 61-bit id space.
 fn arb_query() -> impl Strategy<Value = Query> {
     prop_oneof![
-        (0u64..(1 << 56), 0u64..(1 << 56)).prop_map(|(s, d)| Query::Bfs {
+        (0..=Gid::MAX.raw(), 0..=Gid::MAX.raw()).prop_map(|(s, d)| Query::Bfs {
             source: Gid::new(s),
             dest: Gid::new(d),
         }),
-        (0u64..(1 << 56), any::<u32>()).prop_map(|(s, k)| Query::KHop {
+        (0..=Gid::MAX.raw(), any::<u32>()).prop_map(|(s, k)| Query::KHop {
             source: Gid::new(s),
             k,
         }),
-        (0u64..(1 << 56)).prop_map(|v| Query::Degree {
+        (0..=Gid::MAX.raw()).prop_map(|v| Query::Degree {
             vertex: Gid::new(v),
         }),
         Just(Query::Components),

@@ -210,7 +210,7 @@ pub fn run(args: &[String]) -> ExitCode {
 
 /// Walks up from this crate's manifest dir to the directory whose
 /// `Cargo.toml` declares `[workspace]`.
-fn repo_root() -> Option<PathBuf> {
+pub(crate) fn repo_root() -> Option<PathBuf> {
     let start = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     for dir in start.ancestors() {
         let manifest = dir.join("Cargo.toml");
@@ -1225,7 +1225,11 @@ pub const SPANS: &[&str] = &["e.f"];
     }
 
     fn load_allowlist_from(text: &str) -> Result<Vec<AllowEntry>, String> {
-        let dir = std::env::temp_dir().join(format!("xtask-allow-{}", std::process::id()));
+        // One directory per call: tests run in parallel, and a shared one
+        // is removed under a sibling test's feet.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!("xtask-allow-{}-{call}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("lint.allow");
         fs::write(&path, text).unwrap();
