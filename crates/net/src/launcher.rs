@@ -26,6 +26,11 @@ pub const ADDR_PREFIX: &str = "MSSG-NODE-ADDR";
 /// Stdout marker a child prints before a non-zero exit.
 pub const ERROR_PREFIX: &str = "MSSG-NODE-ERROR";
 
+/// How long the launcher waits, once every stdout has closed with an
+/// address missing, for a child's exit to become reapable. A child's
+/// stdout can close before its exit status is visible to `try_wait`.
+const EXIT_GRACE: Duration = Duration::from_secs(5);
+
 /// What a completed cluster run left behind.
 #[derive(Debug)]
 pub struct ClusterOutput {
@@ -134,7 +139,16 @@ pub fn run_cluster_with(
             Ok((i, line)) => handle_line(i, line, &mut addrs, &mut lines, &mut errors, on_line)?,
             Err(RecvTimeoutError::Timeout) => check_early_exits(&mut reaper, &addrs, &errors)?,
             Err(RecvTimeoutError::Disconnected) => {
-                check_early_exits(&mut reaper, &addrs, &errors)?;
+                // EOF is not the terminal signal, the exit is: poll for
+                // it, inside the deadline, before giving the code up.
+                let until = (Instant::now() + EXIT_GRACE).min(started + deadline);
+                loop {
+                    check_early_exits(&mut reaper, &addrs, &errors)?;
+                    if Instant::now() >= until {
+                        break;
+                    }
+                    thread::sleep(Duration::from_millis(20));
+                }
                 return Err(GraphStorageError::Net(
                     "every node closed stdout before announcing an address".into(),
                 ));
@@ -329,6 +343,20 @@ mod tests {
         let err = run_cluster(vec![sh(wedged)], Duration::from_millis(1500)).unwrap_err();
         assert!(start.elapsed() < Duration::from_secs(30), "launcher hung");
         assert!(err.to_string().contains("deadline"), "got: {err}");
+    }
+
+    #[test]
+    fn an_exit_reaped_after_stdout_closes_keeps_its_code() {
+        // Stdout closes 300 ms before the exit: EOF alone must not lose
+        // the code.
+        let dead = r#"exec >&-; sleep 0.3; exit 7"#;
+        let start = Instant::now();
+        let err = run_cluster(vec![sh(dead)], Duration::from_secs(120)).unwrap_err();
+        assert!(start.elapsed() < Duration::from_secs(30));
+        assert!(
+            matches!(err, GraphStorageError::NodeFailed { code: Some(7), .. }),
+            "the exit after EOF carries its code: {err:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! The serving frontend must not melt under a flood from one client, and
 //! must say *no* in a typed way instead of queueing unboundedly. The
-//! [`Admission`] controller enforces both properties:
+//! [`Admission`] controller enforces both properties for the queries that
+//! execute; a result-cache hit is answered by its connection's reader
+//! and never reaches it:
 //!
 //! - at most `slots` queries execute concurrently (workers block in
 //!   [`Admission::next`] until a slot frees);

@@ -14,6 +14,7 @@ use crate::proto::{Query, Reject, ResponseBody};
 use mssg_net::wire::{read_frame, write_frame};
 use mssg_net::{Conn, Frame, FrameKind};
 use mssg_types::{GraphStorageError, Result};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -91,7 +92,9 @@ impl RetryPolicy {
 
 /// A connected serving client.
 pub struct Client {
-    stream: Box<dyn Conn>,
+    /// Reads go through the buffer, so an answer's length prefix, header
+    /// and payload take one read; writes go to the stream underneath.
+    stream: BufReader<Box<dyn Conn>>,
     next_id: u32,
 }
 
@@ -125,8 +128,8 @@ impl Client {
         stream
             .set_write_deadline(Some(timeout))
             .map_err(GraphStorageError::Io)?;
-        let mut stream = stream;
-        write_frame(&mut stream, &Frame::hello(u32::MAX, 0, 0, 0))
+        let mut stream = BufReader::new(stream);
+        write_frame(stream.get_mut(), &Frame::hello(u32::MAX, 0, 0, 0))
             .map_err(GraphStorageError::Io)?;
         let reply = read_frame(&mut stream)?
             .ok_or_else(|| GraphStorageError::Net("server closed during handshake".into()))?;
@@ -153,7 +156,7 @@ impl Client {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let frame = Frame::serve(FrameKind::Request, id, &query.encode())?;
-        write_frame(&mut self.stream, &frame).map_err(GraphStorageError::Io)?;
+        write_frame(self.stream.get_mut(), &frame).map_err(GraphStorageError::Io)?;
         Ok(id)
     }
 

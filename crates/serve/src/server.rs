@@ -4,18 +4,29 @@
 //! Threading model:
 //!
 //! - one **accept** thread hands each connection to a per-connection
-//!   **reader** thread (handshake, decode, submit/reject);
-//! - `slots` **worker** threads pull admitted jobs from the
+//!   **reader** thread (handshake, decode, cache lookup, submit/reject).
+//!   The reader answers a result-cache hit itself, through the
+//!   connection's shared writer: a hit takes no slot and is never queued
+//!   or rejected;
+//! - `slots` **worker** threads pull admitted misses from the
 //!   [`Admission`] controller (round-robin fair across clients), execute
-//!   them pinned to the current epoch, and write the response through
-//!   the connection's shared writer.
+//!   them pinned to the current epoch, cache the result, and write the
+//!   response through the connection's shared writer. Slots bound
+//!   executions, not requests.
+//!
+//! Each request is looked up in the cache once, by its reader, and
+//! counted there as one hit or one miss; the worker that executes a miss
+//! inserts its result without looking again. A disabled cache
+//! (`cache_capacity: 0`) sends every request to admission.
 //!
 //! Lock order (deadlock freedom): a query takes its epoch pin *before*
 //! the cluster read lock; ingestion takes the epoch update gate
 //! ([`EpochManager::begin_update`]) *before* the cluster write lock.
 //! Pins are not held across the write lock and the update gate is not
 //! held across read locks, so the two planes can only wait on each
-//! other in one direction at a time.
+//! other in one direction at a time. A reader's cache lookup takes no
+//! pin, so it never waits on the update gate; an execution's pin is not
+//! held across the response write.
 //!
 //! [`EpochManager::begin_update`]: mssg_core::EpochManager::begin_update
 
@@ -29,6 +40,7 @@ use mssg_net::{Conn, Frame, FrameKind, Listener};
 use mssg_obs::Telemetry;
 use mssg_types::{Edge, GraphStorageError, Result};
 use parking_lot::RwLock;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,7 +50,8 @@ use std::time::{Duration, Instant};
 /// Serving knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Queries executing concurrently (worker threads).
+    /// Queries executing concurrently (worker threads). A cache hit is
+    /// answered by its connection's reader and takes no slot.
     pub slots: usize,
     /// Queued queries allowed per client before typed rejection.
     pub queue_depth: usize,
@@ -82,6 +95,10 @@ impl Default for ServeConfig {
 struct Job {
     id: u32,
     query: Query,
+    /// The request payload, which is `query.encode()` (`Query::decode`
+    /// accepts only the canonical encoding): the result-cache key the
+    /// reader missed on.
+    key: Vec<u8>,
     writer: Arc<Mutex<Box<dyn Conn>>>,
     queued_at: Instant,
 }
@@ -289,9 +306,9 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: Box<dyn Conn>) -> Result<(
     hello.parse_hello()?;
     write_frame(&mut stream, &Frame::hello(0, 0, 0, 0)).map_err(GraphStorageError::Io)?;
     let write_half = stream.try_clone_conn().map_err(GraphStorageError::Io)?;
-    // A dead or wedged client must not hold a worker hostage on a
-    // blocked response write (its epoch pin is already released before
-    // the write, but the slot matters too).
+    // A dead or wedged client must not hold a worker (or its own reader)
+    // hostage on a blocked response write; epoch pins are already
+    // released before any write, but the slot matters too.
     let _ = write_half.set_write_deadline(Some(shared.write_timeout));
     let writer = Arc::new(Mutex::new(write_half));
     let client = shared.adm.register();
@@ -300,7 +317,9 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: Box<dyn Conn>) -> Result<(
         .metrics
         .gauge("serve.clients")
         .set(shared.adm.clients() as i64);
-    let outcome = read_requests(shared, &mut stream, client, &writer);
+    // Buffered after the handshake: a request's length prefix, header
+    // and payload usually arrive together and take one read.
+    let outcome = read_requests(shared, &mut BufReader::new(stream), client, &writer);
     shared.adm.deregister(client);
     shared
         .telemetry
@@ -312,10 +331,11 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: Box<dyn Conn>) -> Result<(
 
 fn read_requests(
     shared: &Arc<Shared>,
-    stream: &mut Box<dyn Conn>,
+    stream: &mut impl Read,
     client: ClientId,
     writer: &Arc<Mutex<Box<dyn Conn>>>,
 ) -> Result<()> {
+    let metrics = &shared.telemetry.metrics;
     while let Some(frame) = read_frame(stream)? {
         if frame.kind != FrameKind::Request {
             return Err(GraphStorageError::Net(format!(
@@ -324,23 +344,60 @@ fn read_requests(
             )));
         }
         let query = Query::decode(&frame.payload)?;
-        shared.telemetry.metrics.counter("serve.requests").inc();
+        metrics.counter("serve.requests").inc();
+        let started = Instant::now();
+        if let Some(body) = lookup(shared, &frame.payload) {
+            metrics
+                .histogram("serve.latency_us")
+                .record(started.elapsed().as_micros() as u64);
+            respond(writer, FrameKind::Response, frame.stream, &body.encode())?;
+            continue;
+        }
         let job = Job {
             id: frame.stream,
             query,
+            key: frame.payload,
             writer: Arc::clone(writer),
             queued_at: Instant::now(),
         };
         if let Err(over) = shared.adm.submit(client, job) {
-            shared.telemetry.metrics.counter("serve.overloaded").inc();
+            metrics.counter("serve.overloaded").inc();
             let reject = Reject::Overloaded {
                 retry_after_ms: over.retry_after_ms,
             };
-            let frame = Frame::serve(FrameKind::Reject, frame.stream, &reject.encode())?;
-            write_frame(&mut *lock(writer), &frame).map_err(GraphStorageError::Io)?;
+            respond(writer, FrameKind::Reject, frame.stream, &reject.encode())?;
         }
     }
     Ok(())
+}
+
+/// Writes one serving frame through a connection's shared writer.
+fn respond(writer: &Mutex<Box<dyn Conn>>, kind: FrameKind, id: u32, payload: &[u8]) -> Result<()> {
+    let frame = Frame::serve(kind, id, payload)?;
+    write_frame(&mut *lock(writer), &frame).map_err(GraphStorageError::Io)
+}
+
+/// The cached answer to `key` at the current epoch, counted as one hit
+/// or one miss. It takes no epoch pin, so a lookup never waits out an
+/// ingest: the cache holds only entries computed at its own epoch and
+/// [`Server::ingest`] drains it after the bump, so a hit while an update
+/// is in progress is still a correct answer for the epoch it is stamped
+/// with, and a lookup that races the bump misses and goes to a worker,
+/// which pins.
+fn lookup(shared: &Shared, key: &[u8]) -> Option<ResponseBody> {
+    let epoch = shared.epoch.current();
+    let result = lock(&shared.cache).get(epoch, key).map(str::to_owned);
+    let metrics = &shared.telemetry.metrics;
+    let Some(result) = result else {
+        metrics.counter("serve.cache.misses").inc();
+        return None;
+    };
+    metrics.counter("serve.cache.hits").inc();
+    Some(ResponseBody {
+        epoch,
+        cached: true,
+        result,
+    })
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -356,41 +413,33 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A panicking analysis must not kill the worker (the pool would
         // shrink until admission deadlocks); it answers a typed error
         // body instead. The epoch pin is dropped during unwind.
-        let body =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job.query)))
-                .unwrap_or_else(|panic| ResponseBody {
-                    epoch: shared.epoch.current(),
-                    cached: false,
-                    result: format!("error: query panicked: {}", panic_label(&panic)),
-                });
+        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(shared, &job.query, &job.key)
+        }))
+        .unwrap_or_else(|panic| ResponseBody {
+            epoch: shared.epoch.current(),
+            cached: false,
+            result: format!("error: query panicked: {}", panic_label(&panic)),
+        });
         metrics
             .histogram("serve.latency_us")
             .record(started.elapsed().as_micros() as u64);
-        if let Ok(frame) = Frame::serve(FrameKind::Response, job.id, &body.encode()) {
-            // A client that vanished mid-query just loses its response.
-            let _ = write_frame(&mut *lock(&job.writer), &frame);
-        }
+        // A client that vanished mid-query just loses its response.
+        let _ = respond(&job.writer, FrameKind::Response, job.id, &body.encode());
     }
 }
 
-/// Runs one query pinned to the current epoch, through the result cache.
-fn execute(shared: &Arc<Shared>, query: &Query) -> ResponseBody {
+/// Runs a query the cache missed, pinned to the current epoch, and
+/// caches its result under `key` at that epoch. The reader has already
+/// counted the miss, so there is no second lookup: if an ingest moved
+/// the epoch on since, the query simply runs on the newer graph.
+fn execute(shared: &Arc<Shared>, query: &Query, key: &[u8]) -> ResponseBody {
     let _span = shared.telemetry.tracer.span("serve.execute");
     // Pin first, then read-lock: the graph cannot advance past a
     // checkpoint boundary until this pin drops, so the cache key and
     // everything the analysis reads agree on the epoch.
     let pin = shared.epoch.pin();
     let epoch = pin.epoch();
-    let key = query.encode();
-    if let Some(result) = lock(&shared.cache).get(epoch, &key).map(str::to_owned) {
-        shared.telemetry.metrics.counter("serve.cache.hits").inc();
-        return ResponseBody {
-            epoch,
-            cached: true,
-            result,
-        };
-    }
-    shared.telemetry.metrics.counter("serve.cache.misses").inc();
     if !shared.exec_floor.is_zero() {
         std::thread::sleep(shared.exec_floor); // pin stays held: see ServeConfig
     }
@@ -401,7 +450,7 @@ fn execute(shared: &Arc<Shared>, query: &Query) -> ResponseBody {
     drop(cluster);
     match run {
         Ok(result) => {
-            lock(&shared.cache).insert(epoch, &key, &result);
+            lock(&shared.cache).insert(epoch, key, &result);
             ResponseBody {
                 epoch,
                 cached: false,

@@ -5,7 +5,7 @@
 
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::{BackendKind, BackendOptions, MssgCluster};
-use mssg_serve::{Client, Query, ServeConfig, Server};
+use mssg_serve::{Client, Outcome, Query, Reject, ServeConfig, Server};
 use mssg_types::{Edge, Gid, GraphStorageError};
 use std::time::{Duration, Instant};
 
@@ -210,6 +210,72 @@ fn dropped_client_mid_request_cannot_block_begin_update() {
         "gate opened only at the deadline"
     );
     assert_eq!(mgr.pinned(), 0);
+}
+
+/// A burst sent while an update holds the epoch gate is still answered
+/// or rejected at once, not left in the socket: the reader's cache
+/// lookup takes no pin, so hits are answered (at the epoch their entry
+/// was computed at) and misses queue up to `queue_depth` or are refused
+/// typed, while the worker that took the first miss waits on the gate.
+#[test]
+fn burst_during_a_held_update_gate_is_answered_or_rejected() {
+    let config = ServeConfig {
+        slots: 1,
+        queue_depth: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(chain_cluster("gate-burst", 20), &config).unwrap();
+    let mgr = server.epoch_manager();
+    let mut client = Client::connect_with_timeout(server.addr(), Duration::from_secs(3)).unwrap();
+    let hot = Query::Degree {
+        vertex: Gid::new(5),
+    };
+    let cold = client.request(&hot).unwrap().into_answer().unwrap();
+    assert!(!cold.cached);
+
+    let update = mgr.begin_update(Duration::from_secs(10)).unwrap();
+    let mut hits = Vec::new();
+    for _ in 0..3 {
+        hits.push(client.send(&hot).unwrap());
+    }
+    let misses: Vec<u32> = (10..16)
+        .map(|v| {
+            client
+                .send(&Query::Degree {
+                    vertex: Gid::new(v),
+                })
+                .unwrap()
+        })
+        .collect();
+    // At most one miss is taken by the worker and two are queued, so at
+    // least three are rejected: nine requests, at least six frames back
+    // before the gate opens. A reader stuck on the gate times out here.
+    let mut replies = Vec::new();
+    for _ in 0..6 {
+        replies.push(client.recv().expect("a reply while the gate is held"));
+    }
+    drop(update);
+    while replies.len() < hits.len() + misses.len() {
+        replies.push(client.recv().unwrap());
+    }
+
+    let mut answered = Vec::new();
+    let mut rejected = Vec::new();
+    for (id, outcome) in replies {
+        match outcome {
+            Outcome::Answer(body) => answered.push((id, body)),
+            Outcome::Rejected(Reject::Overloaded { .. }) => rejected.push(id),
+        }
+    }
+    assert!(rejected.len() >= 3 && rejected.iter().all(|id| misses.contains(id)));
+    for id in &hits {
+        let (_, body) = answered.iter().find(|(got, _)| got == id).unwrap();
+        assert!(body.cached, "request {id} should have hit");
+        assert_eq!((body.epoch, body.result.as_str()), (1, "degree=2"));
+    }
+    for (id, body) in &answered {
+        assert!(hits.contains(id) || (misses.contains(id) && !body.cached));
+    }
 }
 
 /// The server-level guard for the same class of bug: even if a pin

@@ -3,8 +3,10 @@
 
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::{BackendKind, BackendOptions, MssgCluster};
+use mssg_obs::Telemetry;
 use mssg_serve::{Client, Outcome, Query, Reject, ServeConfig, Server};
 use mssg_types::{Edge, Gid};
+use std::time::{Duration, Instant};
 
 /// A cluster holding the chain 0–1–…–n, ingested (epoch 1).
 fn chain_cluster(tag: &str, n: u64) -> MssgCluster {
@@ -80,6 +82,83 @@ fn repeated_queries_hit_the_cache() {
     let stats = server.cache_stats();
     assert_eq!(stats.hits, 2);
     assert_eq!(stats.misses, 1);
+}
+
+/// A hit is answered by its connection's reader: it neither takes the
+/// only slot nor waits behind the query that holds it.
+#[test]
+fn a_cache_hit_does_not_wait_for_a_busy_slot() {
+    let config = ServeConfig {
+        slots: 1,
+        exec_floor_ms: 300,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(chain_cluster("busy-slot", 10), &config).unwrap();
+    let q = Query::Degree {
+        vertex: Gid::new(5),
+    };
+    let mut a = Client::connect(server.addr()).unwrap();
+    let cold = a.request(&q).unwrap().into_answer().unwrap();
+    assert!(!cold.cached);
+    // B's distinct query holds the only slot for the 300 ms floor.
+    let mut b = Client::connect(server.addr()).unwrap();
+    b.send(&Query::Degree {
+        vertex: Gid::new(6),
+    })
+    .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    let warm = a.request(&q).unwrap().into_answer().unwrap();
+    let waited = started.elapsed();
+    assert!(warm.cached, "the second ask is a hit");
+    assert_eq!(warm.result, cold.result);
+    assert!(
+        waited < Duration::from_millis(150),
+        "a hit waited {waited:?} behind the busy slot"
+    );
+    let (_, busy) = b.recv().unwrap();
+    let busy = busy.into_answer().unwrap();
+    assert_eq!((busy.cached, busy.result.as_str()), (false, "degree=2"));
+    let stats = server.cache_stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        3,
+        "one lookup per request: {stats:?}"
+    );
+}
+
+/// A hit answered on the reader is still a request, a cache hit and a
+/// timed service; only executions are queued.
+#[test]
+fn reader_hits_are_counted_and_timed() {
+    let telemetry = Telemetry::enabled();
+    let mut cluster = chain_cluster("telemetry", 10);
+    cluster.set_telemetry(telemetry.clone());
+    let server = Server::start(cluster, &ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let asks = [3u64, 3, 4, 3, 4, 5];
+    for v in asks {
+        let q = Query::Degree {
+            vertex: Gid::new(v),
+        };
+        client.request(&q).unwrap().into_answer().unwrap();
+    }
+    let stats = server.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (3, 3));
+    let metrics = &telemetry.metrics;
+    assert_eq!(metrics.counter("serve.cache.hits").get(), stats.hits);
+    assert_eq!(metrics.counter("serve.cache.misses").get(), stats.misses);
+    assert_eq!(metrics.counter("serve.requests").get(), asks.len() as u64);
+    assert_eq!(
+        metrics.histogram("serve.latency_us").snapshot().count,
+        asks.len() as u64,
+        "every answered request records its service time"
+    );
+    assert_eq!(
+        metrics.histogram("serve.queue_us").snapshot().count,
+        stats.misses,
+        "only executions wait in the queue"
+    );
 }
 
 #[test]

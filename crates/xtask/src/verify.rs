@@ -153,6 +153,17 @@ const GROUPS: &[Group] = &[
         runs: &["-p mssg-serve --test serve_smoke"],
     },
     Group {
+        name: "serve-plane",
+        why: "Serving in process: protocol round trips, a cache hit answered without a slot \
+              and counted once, typed overload, fair queues, epoch snapshots, codec and \
+              retry properties",
+        runs: &[
+            "-p mssg-serve --lib --test serve_roundtrip --test serve_epoch --test serve_props",
+            "-p mssg-serve --test serve_roundtrip -- a_cache_hit_does_not_wait_for_a_busy_slot \
+             repeated_queries_hit_the_cache",
+        ],
+    },
+    Group {
         name: "transport",
         why: "Transport unit tests (sockets, credit flow, handshake, close, peer death, \
               loopback): seconds, so a broken dispatch fails before protocol-model",
