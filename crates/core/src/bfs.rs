@@ -1467,6 +1467,30 @@ mod tests {
     }
 
     #[test]
+    fn search_metrics_need_enabled_telemetry() {
+        let mut cluster = build_cluster(
+            "metrics",
+            2,
+            BackendKind::Grdb,
+            path_edges(6),
+            DeclusterKind::VertexHash,
+        );
+        // Telemetry off: no snapshot, so no registry and no block-cache
+        // gauges in the report.
+        let m = bfs(&cluster, g(0), g(6), &BfsOptions::default()).unwrap();
+        assert_eq!(m.path_length, Some(6));
+        assert!(m.telemetry.metrics.is_empty(), "{}", m.telemetry.metrics);
+        // Telemetry on: the report carries the block cache's counters.
+        cluster.set_telemetry(mssg_obs::Telemetry::enabled());
+        let m = bfs(&cluster, g(0), g(6), &BfsOptions::default()).unwrap();
+        assert!(
+            m.telemetry.metrics.gauges.contains_key("grdb.cache.hits"),
+            "{}",
+            m.telemetry.metrics
+        );
+    }
+
+    #[test]
     fn single_node_cluster_works() {
         let cluster = build_cluster(
             "single",

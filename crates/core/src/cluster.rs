@@ -13,7 +13,7 @@ use crate::superstep::Engines;
 use crate::telemetry::TelemetryReport;
 use datacutter::RunReport;
 use graphdb::GraphDb;
-use mssg_obs::Telemetry;
+use mssg_obs::{MetricsSnapshot, Telemetry};
 use mssg_types::Result;
 use parking_lot::Mutex;
 use simio::{IoSnapshot, IoStats};
@@ -125,15 +125,27 @@ impl MssgCluster {
         self.epoch.current()
     }
 
-    /// Folds a substrate run report with the cluster's disk-I/O delta
-    /// since `io_before` and the current metrics snapshot.
+    /// Folds a search's run report with the cluster's disk-I/O delta since
+    /// `io_before` and, if the cluster's telemetry is enabled, a
+    /// [`metrics_snapshot`](MssgCluster::metrics_snapshot). A search with
+    /// telemetry off locks no backend for it and snapshots nothing.
     pub(crate) fn telemetry_report(
         &self,
         run: RunReport,
         io_before: &simio::IoSnapshot,
     ) -> TelemetryReport {
-        // Publish the block-cache counters as gauges (cumulative values,
-        // `set` rather than `add`, so repeated service runs stay truthful).
+        let metrics = if self.telemetry.is_enabled() {
+            self.metrics_snapshot()
+        } else {
+            MetricsSnapshot::default()
+        };
+        TelemetryReport::from_run(run, self.io_snapshot().since(io_before), metrics)
+    }
+
+    /// The metrics registry, with the block-cache counters published as
+    /// gauges first (cumulative values, `set` rather than `add`, so
+    /// repeated service runs stay truthful).
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut cache = (0u64, 0u64, 0u64);
         let mut cached_backend = false;
         for b in &self.backends {
@@ -142,17 +154,13 @@ impl MssgCluster {
                 cache = (cache.0 + h, cache.1 + m, cache.2 + e);
             }
         }
+        let metrics = &self.telemetry.metrics;
         if cached_backend {
-            let metrics = &self.telemetry.metrics;
             metrics.gauge("grdb.cache.hits").set(cache.0 as i64);
             metrics.gauge("grdb.cache.misses").set(cache.1 as i64);
             metrics.gauge("grdb.cache.evictions").set(cache.2 as i64);
         }
-        TelemetryReport::from_run(
-            run,
-            self.io_snapshot().since(io_before),
-            self.telemetry.metrics.snapshot(),
-        )
+        metrics.snapshot()
     }
 
     /// Number of back-end nodes.

@@ -230,9 +230,12 @@ pub fn ingest(
     cluster.epoch_manager().bump();
 
     let edges = *edge_count.lock();
+    // An ingest's report always carries the registry, telemetry on or
+    // off: a `resume` reports the windows it skipped there.
+    let io = cluster.io_snapshot().since(&io_before);
     Ok(IngestReport {
         edges,
-        telemetry: cluster.telemetry_report(report, &io_before),
+        telemetry: TelemetryReport::from_run(report, io, cluster.metrics_snapshot()),
     })
 }
 

@@ -24,8 +24,9 @@ pub struct TelemetryReport {
     /// Per-filter-copy busy/blocked breakdown.
     pub filters: Vec<FilterTiming>,
     /// Metrics-registry snapshot (queue depths, service counters, …).
-    /// Empty unless the run was handed an enabled
-    /// [`Telemetry`](mssg_obs::Telemetry).
+    /// A search's is empty unless the cluster's
+    /// [`Telemetry`](mssg_obs::Telemetry) is enabled; an ingest's is always
+    /// taken, since `resume` reports its skipped windows there.
     pub metrics: MetricsSnapshot,
     /// Injected faults that fired during the run (chaos testing only).
     pub faults: Vec<FaultEvent<FaultKind>>,

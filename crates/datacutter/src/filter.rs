@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 /// runtime subtracts them from the copy's wall time to get busy time.
 #[derive(Debug, Default)]
 pub(crate) struct PortClocks {
-    /// Time blocked inside `InPort::recv`.
+    /// Time blocked inside `InPort::recv`, a barrier's poll included.
     pub(crate) blocked_recv_ns: AtomicU64,
     /// Time blocked inside `OutPort` sends.
     pub(crate) blocked_send_ns: AtomicU64,
@@ -30,7 +30,8 @@ pub(crate) struct PortClocks {
 /// another diffs two readings ([`CopyUsage::since`]) to account one job.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CopyUsage {
-    /// Time blocked inside `InPort::recv`.
+    /// Time blocked inside `InPort::recv`; a superstep barrier's poll
+    /// before it parks counts here too.
     pub blocked_recv: Duration,
     /// Time blocked inside `OutPort` sends.
     pub blocked_send: Duration,
@@ -88,11 +89,21 @@ impl InPort {
     /// itself fails (a lost peer connection over sockets); an injected
     /// fault may panic or stall here.
     pub fn recv(&self) -> Result<Option<DataBuffer>> {
+        self.recv_after_poll(Duration::ZERO)
+    }
+
+    /// [`recv`](InPort::recv) that first polls the input for up to `poll`,
+    /// yielding the CPU between tries, and parks only if nothing came. The
+    /// poll is blocked time on the copy's clock, and the fault tick fires
+    /// once, as in `recv`. A superstep barrier waits this way (DESIGN.md
+    /// §10.6).
+    pub(crate) fn recv_after_poll(&self, poll: Duration) -> Result<Option<DataBuffer>> {
         if let Some(f) = &self.faults {
             f.tick(false)?;
         }
-        let start = self.clocks.as_ref().map(|_| Instant::now());
-        let got = match self.rx.recv(self.timeout) {
+        let start = Instant::now();
+        let polled = self.poll_for(start, poll);
+        let got = match polled.map_or_else(|| self.rx.recv(self.timeout), RecvOutcome::Buf) {
             RecvOutcome::Buf(buf) => Ok(Some(buf)),
             RecvOutcome::Closed => Ok(None),
             RecvOutcome::TimedOut => Err(GraphStorageError::Timeout(format!(
@@ -102,7 +113,7 @@ impl InPort {
             ))),
             RecvOutcome::Failed(e) => Err(e),
         };
-        if let (Some(clocks), Some(start)) = (&self.clocks, start) {
+        if let Some(clocks) = &self.clocks {
             // racecheck: timing counter, read on this copy's thread (`usage`)
             // or after the runtime joins.
             clocks
@@ -110,6 +121,23 @@ impl InPort {
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         got
+    }
+
+    /// The first buffer to arrive within `poll` of `start`, if any; a zero
+    /// budget takes nothing.
+    fn poll_for(&self, start: Instant, poll: Duration) -> Option<DataBuffer> {
+        if poll.is_zero() {
+            return None;
+        }
+        loop {
+            if let Some(buf) = self.rx.try_recv() {
+                return Some(buf);
+            }
+            if start.elapsed() >= poll {
+                return None;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Non-blocking receive.

@@ -37,7 +37,7 @@ use mssg_core::ingest::{ingest, IngestOptions, IngestReport};
 use mssg_core::{EpochManager, MssgCluster, QueryParams, QueryService};
 use mssg_net::wire::{read_frame, write_frame};
 use mssg_net::{Conn, Frame, FrameKind, Listener};
-use mssg_obs::Telemetry;
+use mssg_obs::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry};
 use mssg_types::{Edge, GraphStorageError, Result};
 use parking_lot::RwLock;
 use std::io::{BufReader, Read};
@@ -103,6 +103,34 @@ struct Job {
     queued_at: Instant,
 }
 
+/// The serving plane's metrics, looked up once at start: a request
+/// touches their atomics, never the registry's lock.
+struct ServeMetrics {
+    requests: Counter,
+    overloaded: Counter,
+    hits: Counter,
+    misses: Counter,
+    clients: Gauge,
+    inflight: Gauge,
+    latency_us: Histogram,
+    queue_us: Histogram,
+}
+
+impl ServeMetrics {
+    fn new(registry: &MetricsRegistry) -> ServeMetrics {
+        ServeMetrics {
+            requests: registry.counter("serve.requests"),
+            overloaded: registry.counter("serve.overloaded"),
+            hits: registry.counter("serve.cache.hits"),
+            misses: registry.counter("serve.cache.misses"),
+            clients: registry.gauge("serve.clients"),
+            inflight: registry.gauge("serve.inflight"),
+            latency_us: registry.histogram("serve.latency_us"),
+            queue_us: registry.histogram("serve.queue_us"),
+        }
+    }
+}
+
 struct Shared {
     cluster: RwLock<MssgCluster>,
     epoch: Arc<EpochManager>,
@@ -110,6 +138,7 @@ struct Shared {
     cache: Mutex<ResultCache>,
     adm: Admission<Job>,
     telemetry: Telemetry,
+    metrics: ServeMetrics,
     exec_floor: Duration,
     write_timeout: Duration,
     update_gate: Duration,
@@ -162,6 +191,7 @@ impl Server {
             svc: QueryService::new(),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             adm: Admission::new(config.slots, config.queue_depth, config.retry_after_ms),
+            metrics: ServeMetrics::new(&telemetry.metrics),
             telemetry,
             exec_floor: Duration::from_millis(config.exec_floor_ms),
             write_timeout: Duration::from_millis(config.write_timeout_ms),
@@ -312,20 +342,12 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: Box<dyn Conn>) -> Result<(
     let _ = write_half.set_write_deadline(Some(shared.write_timeout));
     let writer = Arc::new(Mutex::new(write_half));
     let client = shared.adm.register();
-    shared
-        .telemetry
-        .metrics
-        .gauge("serve.clients")
-        .set(shared.adm.clients() as i64);
+    shared.metrics.clients.set(shared.adm.clients() as i64);
     // Buffered after the handshake: a request's length prefix, header
     // and payload usually arrive together and take one read.
     let outcome = read_requests(shared, &mut BufReader::new(stream), client, &writer);
     shared.adm.deregister(client);
-    shared
-        .telemetry
-        .metrics
-        .gauge("serve.clients")
-        .set(shared.adm.clients() as i64);
+    shared.metrics.clients.set(shared.adm.clients() as i64);
     outcome
 }
 
@@ -335,7 +357,7 @@ fn read_requests(
     client: ClientId,
     writer: &Arc<Mutex<Box<dyn Conn>>>,
 ) -> Result<()> {
-    let metrics = &shared.telemetry.metrics;
+    let metrics = &shared.metrics;
     while let Some(frame) = read_frame(stream)? {
         if frame.kind != FrameKind::Request {
             return Err(GraphStorageError::Net(format!(
@@ -344,11 +366,11 @@ fn read_requests(
             )));
         }
         let query = Query::decode(&frame.payload)?;
-        metrics.counter("serve.requests").inc();
+        metrics.requests.inc();
         let started = Instant::now();
         if let Some(body) = lookup(shared, &frame.payload) {
             metrics
-                .histogram("serve.latency_us")
+                .latency_us
                 .record(started.elapsed().as_micros() as u64);
             respond(writer, FrameKind::Response, frame.stream, &body.encode())?;
             continue;
@@ -361,7 +383,7 @@ fn read_requests(
             queued_at: Instant::now(),
         };
         if let Err(over) = shared.adm.submit(client, job) {
-            metrics.counter("serve.overloaded").inc();
+            metrics.overloaded.inc();
             let reject = Reject::Overloaded {
                 retry_after_ms: over.retry_after_ms,
             };
@@ -387,12 +409,11 @@ fn respond(writer: &Mutex<Box<dyn Conn>>, kind: FrameKind, id: u32, payload: &[u
 fn lookup(shared: &Shared, key: &[u8]) -> Option<ResponseBody> {
     let epoch = shared.epoch.current();
     let result = lock(&shared.cache).get(epoch, key).map(str::to_owned);
-    let metrics = &shared.telemetry.metrics;
     let Some(result) = result else {
-        metrics.counter("serve.cache.misses").inc();
+        shared.metrics.misses.inc();
         return None;
     };
-    metrics.counter("serve.cache.hits").inc();
+    shared.metrics.hits.inc();
     Some(ResponseBody {
         epoch,
         cached: true,
@@ -402,13 +423,11 @@ fn lookup(shared: &Shared, key: &[u8]) -> Option<ResponseBody> {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some((job, _slot)) = shared.adm.next() {
-        let metrics = &shared.telemetry.metrics;
+        let metrics = &shared.metrics;
         metrics
-            .histogram("serve.queue_us")
+            .queue_us
             .record(job.queued_at.elapsed().as_micros() as u64);
-        metrics
-            .gauge("serve.inflight")
-            .set(shared.adm.inflight() as i64);
+        metrics.inflight.set(shared.adm.inflight() as i64);
         let started = Instant::now();
         // A panicking analysis must not kill the worker (the pool would
         // shrink until admission deadlocks); it answers a typed error
@@ -422,7 +441,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             result: format!("error: query panicked: {}", panic_label(&panic)),
         });
         metrics
-            .histogram("serve.latency_us")
+            .latency_us
             .record(started.elapsed().as_micros() as u64);
         // A client that vanished mid-query just loses its response.
         let _ = respond(&job.writer, FrameKind::Response, job.id, &body.encode());

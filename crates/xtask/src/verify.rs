@@ -82,13 +82,18 @@ const GROUPS: &[Group] = &[
         name: "superstep-engine",
         why: "Round protocol and resident engines: every analysis phase against malformed \
               messages, one engine per cluster reused, no job reads another's leftovers, a \
-              failing copy aborts its job on every peer in under a second, concurrent \
-              callers answer as the oracles do",
+              failing copy aborts its job on every peer in under a second, a barrier polls \
+              briefly and then parks with the wait booked as blocked time, concurrent \
+              callers answer as the oracles do, a search's report snapshots metrics only \
+              with telemetry on",
         runs: &[
-            "-p datacutter --lib -- superstep::",
+            "-p datacutter --lib -- superstep:: \
+             superstep::tests::a_barrier_wait_parks_after_its_poll_and_is_blocked_time \
+             superstep::tests::a_message_that_arrives_during_the_poll_keeps_the_protocol",
             "-p mssg-core --lib -- superstep:: bfs::tests::one_engine bfs::tests::back_to_back \
              bfs::tests::each_search bfs::tests::concurrent_ bfs::tests::dead_storage_filter \
-             bfs::tests::a_failed_db_filter bfs::tests::db_filter_equivalent",
+             bfs::tests::a_failed_db_filter bfs::tests::db_filter_equivalent \
+             bfs::tests::search_metrics_need_enabled_telemetry",
         ],
     },
     Group {
