@@ -27,8 +27,8 @@
 //!   [`components`], [`msf`] and [`degrees`] run on as jobs: each
 //!   cluster's `peers` pipelines, kept up between calls, running programs
 //!   over `datacutter::superstep`'s round protocol,
-//! - [`query`] — the Query service: a registry of analyses executable by
-//!   name,
+//! - [`query`] — the Query service: [`Query`], one variant per analysis,
+//!   run by [`Query::run`]; [`QueryService`] runs one by name,
 //! - [`telemetry`] — [`TelemetryReport`], the unified per-run observation
 //!   record every service returns (wall time, disk and message traffic,
 //!   per-filter breakdowns, metrics snapshot).
@@ -56,6 +56,6 @@ pub use degrees::{degree_distribution, DegreeReport};
 pub use epoch::{EpochManager, EpochPin, EpochUpdate};
 pub use ingest::{ingest_typed, IngestOptions, IngestReport, TypedIngestReport};
 pub use msf::{minimum_spanning_forest, MsfResult};
-pub use query::{k_hop, KHopResult, QueryParams, QueryService};
+pub use query::{k_hop, KHopResult, Query, QueryParams, QueryService};
 pub use telemetry::TelemetryReport;
 pub use visited::VisitedKind;

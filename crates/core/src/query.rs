@@ -1,10 +1,10 @@
-//! The Query service (thesis §3.3).
-//!
-//! "All implemented data analysis techniques are registered with the system
-//! and can be queried by the user." [`QueryService`] is that registry: a
-//! named table of analyses, each a function from a parameter struct to a
-//! serialisable result. BFS relationship analysis (§4.2) is pre-registered;
-//! applications add their own with [`QueryService::register`].
+//! The Query service (thesis §3.3): "all implemented data analysis
+//! techniques are registered with the system and can be queried by the
+//! user". The registry is closed at compile time, like the six backends:
+//! [`Query`] has one variant per analysis, [`Query::run`] executes one and
+//! `encode`/`decode` are its wire form. [`QueryService::run`] is the one
+//! string entry, a parse into a [`Query`] (plus `degree_distribution` and
+//! `msf`, which have no variant yet).
 
 use crate::bfs::{bfs, BfsOptions};
 use crate::cluster::MssgCluster;
@@ -12,75 +12,250 @@ use crate::components::connected_components;
 use crate::degrees::degree_distribution;
 use crate::msf::minimum_spanning_forest;
 use crate::visited::{PagedBitmap, VisitedSet};
+use graphdb::GraphDbExt;
 use mssg_types::{AdjBuffer, Gid, GraphStorageError, MetaOp, Result};
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
-/// Parameters of a registered analysis, as key/value strings (the thin
-/// waist a user-facing front end would marshal into).
+/// Version byte leading every serving-plane payload, [`Query`]'s and
+/// `mssg-serve`'s.
+pub const ENCODING_VERSION: u8 = 2;
+
+/// One query a client can ask of an MSSG deployment.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Query {
+    /// Shortest path length from `source` to `dest` (BFS).
+    Bfs {
+        /// Search source vertex.
+        source: Gid,
+        /// Search destination vertex.
+        dest: Gid,
+    },
+    /// Every vertex within `k` hops of `source`.
+    KHop {
+        /// Expansion source vertex.
+        source: Gid,
+        /// Hop bound.
+        k: u32,
+    },
+    /// Total degree of `vertex` across the cluster.
+    Degree {
+        /// The vertex to look up.
+        vertex: Gid,
+    },
+    /// Connected-component count over the whole graph.
+    Components,
+}
+
+impl Query {
+    const OP_BFS: u8 = 1;
+    const OP_KHOP: u8 = 2;
+    const OP_DEGREE: u8 = 3;
+    const OP_COMPONENTS: u8 = 4;
+
+    /// Executes the query on `cluster`: the answer text a client is served.
+    pub fn run(&self, cluster: &MssgCluster) -> Result<String> {
+        match *self {
+            Query::Bfs { source, dest } => {
+                let metrics = bfs(cluster, source, dest, &BfsOptions::default())?;
+                Ok(match metrics.path_length {
+                    Some(len) => format!(
+                        "path_length={len} rounds={} edges_scanned={}",
+                        metrics.rounds, metrics.edges_scanned
+                    ),
+                    None => "unreachable".to_string(),
+                })
+            }
+            Query::KHop { source, k } => {
+                let r = k_hop(cluster, source, k)?;
+                Ok(format!(
+                    "vertices={} edges_scanned={}",
+                    r.vertices.len(),
+                    r.edges_scanned
+                ))
+            }
+            Query::Degree { vertex } => {
+                let mut total = 0usize;
+                for i in 0..cluster.nodes() {
+                    total += cluster.with_backend(i, |db| db.degree(vertex))?;
+                }
+                Ok(format!("degree={total}"))
+            }
+            Query::Components => {
+                let r = connected_components(cluster)?;
+                Ok(format!(
+                    "components={} vertices={} largest={} rounds={}",
+                    r.components, r.vertices, r.largest, r.rounds
+                ))
+            }
+        }
+    }
+
+    /// The wire encoding: `[version][op][operands LE]`.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = vec![ENCODING_VERSION];
+        match self {
+            Query::Bfs { source, dest } => {
+                out.push(Self::OP_BFS);
+                out.extend_from_slice(&source.raw().to_le_bytes());
+                out.extend_from_slice(&dest.raw().to_le_bytes());
+            }
+            Query::KHop { source, k } => {
+                out.push(Self::OP_KHOP);
+                out.extend_from_slice(&source.raw().to_le_bytes());
+                out.extend_from_slice(&k.to_le_bytes());
+            }
+            Query::Degree { vertex } => {
+                out.push(Self::OP_DEGREE);
+                out.extend_from_slice(&vertex.raw().to_le_bytes());
+            }
+            Query::Components => out.push(Self::OP_COMPONENTS),
+        }
+        out
+    }
+
+    /// Decodes an encoded query, validating version, opcode, and length.
+    /// Only the canonical encoding is accepted, so a decoded query's
+    /// `encode()` equals `bytes`.
+    pub fn decode(bytes: &[u8]) -> Result<Query> {
+        let (&op, operands) = versioned(bytes, "query")?
+            .split_first()
+            .ok_or_else(|| GraphStorageError::Corrupt("query missing an opcode".into()))?;
+        let q = match op {
+            Self::OP_BFS => Query::Bfs {
+                source: read_gid(operands, 0, "bfs.source")?,
+                dest: read_gid(operands, 8, "bfs.dest")?,
+            },
+            Self::OP_KHOP => Query::KHop {
+                source: read_gid(operands, 0, "khop.source")?,
+                k: u32::from_le_bytes(bytes_at(operands, 8, "khop.k")?),
+            },
+            Self::OP_DEGREE => Query::Degree {
+                vertex: read_gid(operands, 0, "degree.vertex")?,
+            },
+            Self::OP_COMPONENTS => Query::Components,
+            other => {
+                return Err(GraphStorageError::Corrupt(format!(
+                    "unknown query opcode {other:#x}"
+                )))
+            }
+        };
+        if q.encode() != bytes {
+            return Err(GraphStorageError::Corrupt(
+                "query payload has trailing or missing bytes".into(),
+            ));
+        }
+        Ok(q)
+    }
+}
+
+/// The bytes after a serving-plane payload's version byte: another
+/// [`ENCODING_VERSION`] is a typed `Unsupported`, an empty payload `Corrupt`.
+pub fn versioned<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
+    match bytes.split_first() {
+        Some((&ENCODING_VERSION, rest)) => Ok(rest),
+        Some((version, _)) => Err(GraphStorageError::Unsupported(format!(
+            "{what} encoding v{version} (this end speaks v{ENCODING_VERSION})"
+        ))),
+        None => Err(GraphStorageError::Corrupt(format!("empty {what} payload"))),
+    }
+}
+
+/// The `N` bytes at `bytes[at..]` (a little-endian operand), or a typed
+/// `Corrupt` naming `what`.
+pub fn bytes_at<const N: usize>(bytes: &[u8], at: usize, what: &str) -> Result<[u8; N]> {
+    bytes
+        .get(at..at + N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| GraphStorageError::Corrupt(format!("{what}: payload too short")))
+}
+
+/// A vertex id off the wire: a word with a tag bit set is corrupt, not a
+/// panic in the connection's reader.
+fn read_gid(bytes: &[u8], at: usize, what: &str) -> Result<Gid> {
+    let raw = u64::from_le_bytes(bytes_at(bytes, at, what)?);
+    Gid::try_new(raw).ok_or_else(|| {
+        GraphStorageError::Corrupt(format!(
+            "{what}: {raw:#x} overflows the 61-bit vertex id space"
+        ))
+    })
+}
+
+/// Parameters of a named analysis, as key/value strings (the thin waist
+/// a user-facing front end would marshal into).
 pub type QueryParams = BTreeMap<String, String>;
 
-/// A registered analysis.
-pub type Analysis = Box<dyn Fn(&MssgCluster, &QueryParams) -> Result<String> + Send + Sync>;
-
-/// The analysis registry.
-pub struct QueryService {
-    analyses: BTreeMap<String, Analysis>,
-}
+/// The Query service's string entry: analyses by name.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct QueryService;
 
 impl QueryService {
-    /// A service with the built-in analyses registered: `bfs` (path search)
-    /// and `degree` (local degree lookup).
+    /// The service; it holds nothing.
     pub fn new() -> QueryService {
-        let mut svc = QueryService {
-            analyses: BTreeMap::new(),
-        };
-        svc.register("bfs", Box::new(run_bfs_analysis));
-        svc.register("components", Box::new(run_components_analysis));
-        svc.register("degree", Box::new(run_degree_analysis));
-        svc.register("degree_distribution", Box::new(run_degree_distribution));
-        svc.register("khop", Box::new(run_khop_analysis));
-        svc.register("msf", Box::new(run_msf_analysis));
-        svc
+        QueryService
     }
 
-    /// Registers (or replaces) an analysis under `name`.
-    pub fn register(&mut self, name: &str, analysis: Analysis) {
-        self.analyses.insert(name.to_string(), analysis);
-    }
-
-    /// Names of the registered analyses.
-    pub fn registered(&self) -> Vec<&str> {
-        self.analyses.keys().map(String::as_str).collect()
-    }
-
-    /// Runs the analysis `name` with `params` against `cluster`.
+    /// Runs the analysis `name` with `params` against `cluster`: `bfs`
+    /// (`source`, `dest`), `khop` (`source`, `k`), `degree` (`vertex`),
+    /// `components`, and the parameterless `degree_distribution` and `msf`.
     pub fn run(&self, cluster: &MssgCluster, name: &str, params: &QueryParams) -> Result<String> {
-        let analysis = self.analyses.get(name).ok_or_else(|| {
-            GraphStorageError::Query(format!(
-                "no analysis {name:?} registered (have: {:?})",
-                self.registered()
-            ))
-        })?;
-        analysis(cluster, params)
+        let query = match name {
+            "bfs" => Query::Bfs {
+                source: param_gid(params, "source")?,
+                dest: param_gid(params, "dest")?,
+            },
+            "khop" => Query::KHop {
+                source: param_gid(params, "source")?,
+                k: param(params, "k")?,
+            },
+            "degree" => Query::Degree {
+                vertex: param_gid(params, "vertex")?,
+            },
+            "components" => Query::Components,
+            "degree_distribution" => {
+                let r = degree_distribution(cluster)?;
+                return Ok(format!(
+                    "vertices={} max_degree={} avg_degree={:.2} powerlaw={}",
+                    r.vertices,
+                    r.max_degree,
+                    r.avg_degree,
+                    r.powerlaw_exponent
+                        .map_or("n/a".to_string(), |b| format!("{b:.2}"))
+                ));
+            }
+            "msf" => {
+                let r = minimum_spanning_forest(cluster)?;
+                return Ok(format!(
+                    "forest_edges={} total_weight={} components={} rounds={}",
+                    r.edges.len(),
+                    r.total_weight,
+                    r.components,
+                    r.rounds
+                ));
+            }
+            other => {
+                return Err(GraphStorageError::Query(format!(
+                    "no analysis {other:?} (have: bfs, components, degree, \
+                     degree_distribution, khop, msf)"
+                )))
+            }
+        };
+        query.run(cluster)
     }
 }
 
-impl Default for QueryService {
-    fn default() -> Self {
-        QueryService::new()
-    }
-}
-
-fn param_u64(params: &QueryParams, key: &str) -> Result<u64> {
-    params
+fn param<T: FromStr>(params: &QueryParams, key: &str) -> Result<T> {
+    let raw = params
         .get(key)
-        .ok_or_else(|| GraphStorageError::Query(format!("missing parameter {key:?}")))?
-        .parse()
-        .map_err(|_| GraphStorageError::Query(format!("parameter {key:?} is not an integer")))
+        .ok_or_else(|| GraphStorageError::Query(format!("missing parameter {key:?}")))?;
+    raw.parse().map_err(|_| {
+        let want = std::any::type_name::<T>();
+        GraphStorageError::Query(format!("parameter {key:?} = {raw:?} is not a {want}"))
+    })
 }
 
 fn param_gid(params: &QueryParams, key: &str) -> Result<Gid> {
-    let raw = param_u64(params, key)?;
+    let raw = param(params, key)?;
     Gid::try_new(raw).ok_or_else(|| {
         GraphStorageError::Query(format!(
             "parameter {key:?} = {raw} overflows the 61-bit vertex id space"
@@ -143,73 +318,6 @@ pub fn k_hop(cluster: &MssgCluster, source: Gid, k: u32) -> Result<KHopResult> {
     })
 }
 
-fn run_khop_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
-    let source = param_gid(params, "source")?;
-    let k = param_u64(params, "k")?;
-    let k = u32::try_from(k)
-        .map_err(|_| GraphStorageError::Query(format!("parameter \"k\" = {k} exceeds u32")))?;
-    let r = k_hop(cluster, source, k)?;
-    Ok(format!(
-        "vertices={} edges_scanned={}",
-        r.vertices.len(),
-        r.edges_scanned
-    ))
-}
-
-fn run_bfs_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
-    let source = param_gid(params, "source")?;
-    let dest = param_gid(params, "dest")?;
-    let metrics = bfs(cluster, source, dest, &BfsOptions::default())?;
-    Ok(match metrics.path_length {
-        Some(len) => format!(
-            "path_length={len} rounds={} edges_scanned={}",
-            metrics.rounds, metrics.edges_scanned
-        ),
-        None => "unreachable".to_string(),
-    })
-}
-
-fn run_components_analysis(cluster: &MssgCluster, _params: &QueryParams) -> Result<String> {
-    let r = connected_components(cluster)?;
-    Ok(format!(
-        "components={} vertices={} largest={} rounds={}",
-        r.components, r.vertices, r.largest, r.rounds
-    ))
-}
-
-fn run_degree_distribution(cluster: &MssgCluster, _params: &QueryParams) -> Result<String> {
-    let r = degree_distribution(cluster)?;
-    Ok(format!(
-        "vertices={} max_degree={} avg_degree={:.2} powerlaw={}",
-        r.vertices,
-        r.max_degree,
-        r.avg_degree,
-        r.powerlaw_exponent
-            .map_or("n/a".to_string(), |b| format!("{b:.2}"))
-    ))
-}
-
-fn run_msf_analysis(cluster: &MssgCluster, _params: &QueryParams) -> Result<String> {
-    let r = minimum_spanning_forest(cluster)?;
-    Ok(format!(
-        "forest_edges={} total_weight={} components={} rounds={}",
-        r.edges.len(),
-        r.total_weight,
-        r.components,
-        r.rounds
-    ))
-}
-
-fn run_degree_analysis(cluster: &MssgCluster, params: &QueryParams) -> Result<String> {
-    use graphdb::GraphDbExt;
-    let v = param_gid(params, "vertex")?;
-    let mut total = 0usize;
-    for i in 0..cluster.nodes() {
-        total += cluster.with_backend(i, |db| db.degree(v))?;
-    }
-    Ok(format!("degree={total}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,22 +340,6 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect()
-    }
-
-    #[test]
-    fn builtins_registered() {
-        let svc = QueryService::new();
-        assert_eq!(
-            svc.registered(),
-            vec![
-                "bfs",
-                "components",
-                "degree",
-                "degree_distribution",
-                "khop",
-                "msf"
-            ]
-        );
     }
 
     #[test]
@@ -377,13 +469,105 @@ mod tests {
     }
 
     #[test]
-    fn custom_analysis_registration() {
-        let c = cluster("custom");
-        let mut svc = QueryService::new();
-        svc.register(
-            "node_count",
-            Box::new(|cluster, _| Ok(format!("nodes={}", cluster.nodes()))),
-        );
-        assert_eq!(svc.run(&c, "node_count", &params(&[])).unwrap(), "nodes=2");
+    fn typed_and_string_paths_agree() {
+        let c = cluster("agree");
+        let svc = QueryService::new();
+        for (query, name, p) in [
+            (
+                Query::Bfs {
+                    source: Gid::new(0),
+                    dest: Gid::new(4),
+                },
+                "bfs",
+                params(&[("source", "0"), ("dest", "4")]),
+            ),
+            (
+                Query::KHop {
+                    source: Gid::new(5),
+                    k: 2,
+                },
+                "khop",
+                params(&[("source", "5"), ("k", "2")]),
+            ),
+            (
+                Query::Degree {
+                    vertex: Gid::new(5),
+                },
+                "degree",
+                params(&[("vertex", "5")]),
+            ),
+            (Query::Components, "components", params(&[])),
+        ] {
+            assert_eq!(
+                svc.run(&c, name, &p).unwrap(),
+                query.run(&c).unwrap(),
+                "{query:?}"
+            );
+        }
+    }
+
+    fn all_queries() -> Vec<Query> {
+        vec![
+            Query::Bfs {
+                source: Gid::new(7),
+                dest: Gid::new(999),
+            },
+            Query::KHop {
+                source: Gid::new(0),
+                k: 3,
+            },
+            Query::Degree {
+                vertex: Gid::new(u64::MAX >> 8),
+            },
+            Query::Components,
+        ]
+    }
+
+    #[test]
+    fn queries_round_trip() {
+        for q in all_queries() {
+            assert_eq!(Query::decode(&q.encode()).unwrap(), q, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn version_opcode_and_length_are_validated() {
+        let mut wrong_version = Query::Components.encode();
+        wrong_version[0] = 9;
+        assert!(matches!(
+            Query::decode(&wrong_version),
+            Err(GraphStorageError::Unsupported(_))
+        ));
+        // The previous encoding's requests are refused, typed.
+        assert!(matches!(
+            Query::decode(&[1, 4]),
+            Err(GraphStorageError::Unsupported(_))
+        ));
+        assert!(matches!(
+            Query::decode(&[ENCODING_VERSION, 0xEE]),
+            Err(GraphStorageError::Corrupt(_))
+        ));
+        // Truncated operands and trailing garbage are both corrupt.
+        let bfs = Query::Bfs {
+            source: Gid::new(1),
+            dest: Gid::new(2),
+        }
+        .encode();
+        assert!(Query::decode(&bfs[..bfs.len() - 1]).is_err());
+        let mut extra = bfs.clone();
+        extra.push(0);
+        assert!(Query::decode(&extra).is_err());
+        assert!(Query::decode(&[]).is_err());
+        // A vertex id with a tag bit set is corrupt, in every id operand.
+        let tagged = Gid::tagged(1, 0).raw().to_le_bytes();
+        let q = all_queries();
+        for (q, at) in [(&q[0], 2), (&q[0], 10), (&q[1], 2), (&q[2], 2)] {
+            let mut e = q.encode();
+            e[at..at + 8].copy_from_slice(&tagged);
+            assert!(
+                matches!(Query::decode(&e), Err(GraphStorageError::Corrupt(_))),
+                "{q:?} with a tagged id at byte {at}"
+            );
+        }
     }
 }

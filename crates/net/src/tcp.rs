@@ -1154,10 +1154,12 @@ fn dispatch(shared: &Shared, peer: NodeId, frame: Frame) -> std::result::Result<
         FrameKind::Hello => Err(format!("unexpected HELLO from node {peer} after handshake")),
         // Serving-plane frames belong on client connections to an
         // `mssg-serve` frontend, never on an inter-node transport link.
-        FrameKind::Request | FrameKind::Response | FrameKind::Reject => Err(format!(
-            "serving-plane {:?} frame from node {peer} on a transport link",
-            frame.kind
-        )),
+        FrameKind::Request | FrameKind::Response | FrameKind::Reject | FrameKind::Failed => {
+            Err(format!(
+                "serving-plane {:?} frame from node {peer} on a transport link",
+                frame.kind
+            ))
+        }
     }
 }
 

@@ -81,6 +81,9 @@ pub enum FrameKind {
     /// Typed admission rejection (`Overloaded { retry_after }`): same
     /// request id, payload carries the reject code and retry hint.
     Reject = 12,
+    /// Typed execution failure: same request id, payload carries the
+    /// failure kind and message. Never cached, never retried.
+    Failed = 13,
 }
 
 impl FrameKind {
@@ -98,6 +101,7 @@ impl FrameKind {
             10 => Some(FrameKind::Request),
             11 => Some(FrameKind::Response),
             12 => Some(FrameKind::Reject),
+            13 => Some(FrameKind::Failed),
             _ => None,
         }
     }
@@ -156,13 +160,13 @@ impl Frame {
         }
     }
 
-    /// A serving-plane frame (`Request`/`Response`/`Reject`) carrying
+    /// A serving-plane frame (`Request`/`Response`/`Reject`/`Failed`) carrying
     /// `payload` for request `id`. Payloads above [`MAX_PAYLOAD`] are
     /// refused up front, mirroring [`Frame::telemetry`].
     pub fn serve(kind: FrameKind, id: u32, payload: &[u8]) -> Result<Frame> {
         debug_assert!(matches!(
             kind,
-            FrameKind::Request | FrameKind::Response | FrameKind::Reject
+            FrameKind::Request | FrameKind::Response | FrameKind::Reject | FrameKind::Failed
         ));
         if payload.len() > MAX_PAYLOAD {
             return Err(GraphStorageError::Corrupt(format!(
@@ -581,7 +585,12 @@ mod tests {
 
     #[test]
     fn serve_frames_round_trip_and_bound_payloads() {
-        for kind in [FrameKind::Request, FrameKind::Response, FrameKind::Reject] {
+        for kind in [
+            FrameKind::Request,
+            FrameKind::Response,
+            FrameKind::Reject,
+            FrameKind::Failed,
+        ] {
             let f = Frame::serve(kind, 42, b"query-bytes").unwrap();
             let back = read_frame(&mut Cursor::new(f.encode())).unwrap().unwrap();
             assert_eq!(back, f);

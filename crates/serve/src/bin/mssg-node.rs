@@ -31,7 +31,7 @@
 //!     Drives a serving node with C concurrent clients, each issuing R
 //!     degree/k-hop queries over a span of N vertices (bursting B
 //!     requests at a time), and prints
-//!     `MSSG-QUERY-RESULT ok=… overloaded=… cached=…`.
+//!     `MSSG-QUERY-RESULT ok=… overloaded=… failed=… cached=…`.
 //! ```
 //!
 //! Workload flags: `--nodes N --vertices V --extra-edges E --seed S
@@ -443,9 +443,9 @@ fn query(args: &[String]) -> Result<()> {
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
-            std::thread::spawn(move || -> Result<(u64, u64, u64)> {
+            std::thread::spawn(move || -> Result<[u64; 4]> {
                 let mut client = Client::connect(addr.as_str())?;
-                let (mut ok, mut overloaded, mut cached) = (0u64, 0u64, 0u64);
+                let [mut ok, mut overloaded, mut failed, mut cached] = [0u64; 4];
                 let mut sent = 0usize;
                 while sent < requests {
                     let n = burst.min(requests - sent);
@@ -465,23 +465,25 @@ fn query(args: &[String]) -> Result<()> {
                                 cached += body.cached as u64;
                             }
                             Outcome::Rejected(_) => overloaded += 1,
+                            Outcome::Failed(_) => failed += 1,
                         }
                     }
                     sent += n;
                 }
-                Ok((ok, overloaded, cached))
+                Ok([ok, overloaded, failed, cached])
             })
         })
         .collect();
-    let (mut ok, mut overloaded, mut cached) = (0u64, 0u64, 0u64);
+    let mut totals = [0u64; 4];
     for w in workers {
-        let (o, r, c) = w
+        let counts = w
             .join()
             .map_err(|_| GraphStorageError::Net("query client thread panicked".into()))??;
-        ok += o;
-        overloaded += r;
-        cached += c;
+        for (total, n) in totals.iter_mut().zip(counts) {
+            *total += n;
+        }
     }
-    println!("MSSG-QUERY-RESULT ok={ok} overloaded={overloaded} cached={cached}");
+    let [ok, overloaded, failed, cached] = totals;
+    println!("MSSG-QUERY-RESULT ok={ok} overloaded={overloaded} failed={failed} cached={cached}");
     Ok(())
 }

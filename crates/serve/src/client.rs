@@ -10,7 +10,7 @@
 //! [`Client::handshake_over`] accepts a caller-supplied stream — the
 //! deterministic wire simulator's `SimNet::connect` in the chaos tests.
 
-use crate::proto::{Query, Reject, ResponseBody};
+use crate::proto::{Failure, Query, Reject, ResponseBody};
 use mssg_net::wire::{read_frame, write_frame};
 use mssg_net::{Conn, Frame, FrameKind};
 use mssg_types::{GraphStorageError, Result};
@@ -25,16 +25,21 @@ pub enum Outcome {
     Answer(ResponseBody),
     /// The query was refused at admission.
     Rejected(Reject),
+    /// The query was admitted and its execution failed.
+    Failed(Failure),
 }
 
 impl Outcome {
-    /// The response body, or an error if the query was rejected.
+    /// The response body, or an error if the query was rejected or failed.
     pub fn into_answer(self) -> Result<ResponseBody> {
         match self {
             Outcome::Answer(body) => Ok(body),
             Outcome::Rejected(Reject::Overloaded { retry_after_ms }) => Err(
                 GraphStorageError::Net(format!("server overloaded; retry in {retry_after_ms}ms")),
             ),
+            Outcome::Failed(Failure { kind, message }) => Err(GraphStorageError::Query(format!(
+                "served query failed ({kind:?}): {message}"
+            ))),
         }
     }
 }
@@ -137,7 +142,7 @@ impl Client {
         Ok(Client { stream, next_id: 1 })
     }
 
-    /// Sends `query` and blocks for the server's answer or rejection.
+    /// Sends `query` and blocks for the server's answer, rejection or failure.
     pub fn request(&mut self, query: &Query) -> Result<Outcome> {
         let id = self.send(query)?;
         let (got, outcome) = self.recv()?;
@@ -160,9 +165,9 @@ impl Client {
         Ok(id)
     }
 
-    /// Blocks for the next answer or rejection, whichever request it
-    /// belongs to. Responses to a burst may arrive out of send order
-    /// (rejections come back immediately; answers when executed).
+    /// Blocks for the next outcome, whichever request it belongs to.
+    /// Responses to a burst may arrive out of send order (rejections come
+    /// back immediately; answers and failures when executed).
     pub fn recv(&mut self) -> Result<(u32, Outcome)> {
         let reply = read_frame(&mut self.stream)?.ok_or_else(|| {
             GraphStorageError::Net("server closed with a request outstanding".into())
@@ -170,6 +175,7 @@ impl Client {
         let outcome = match reply.kind {
             FrameKind::Response => Outcome::Answer(ResponseBody::decode(&reply.payload)?),
             FrameKind::Reject => Outcome::Rejected(Reject::decode(&reply.payload)?),
+            FrameKind::Failed => Outcome::Failed(Failure::decode(&reply.payload)?),
             other => {
                 return Err(GraphStorageError::Net(format!(
                     "{other:?} frame in answer to a request"
@@ -179,10 +185,10 @@ impl Client {
         Ok((reply.stream, outcome))
     }
 
-    /// Sends `query`, retrying after the server's hinted backoff when it
-    /// is overloaded, up to `attempts` tries under the default
-    /// [`RetryPolicy`] bounds (cumulative backoff capped at 2s; a 0ms
-    /// hint still sleeps ≥ 1ms, never busy-loops).
+    /// Sends `query`, retrying after the server's hinted backoff when it is
+    /// overloaded (never after a failure), up to `attempts` tries under the
+    /// default [`RetryPolicy`] bounds (cumulative backoff capped at 2s; a
+    /// 0ms hint still sleeps ≥ 1ms, never busy-loops).
     pub fn request_with_retry(&mut self, query: &Query, attempts: u32) -> Result<ResponseBody> {
         self.request_with_policy(
             query,
@@ -206,7 +212,6 @@ impl Client {
         let mut last_hint = 0;
         for attempt in 0..attempts {
             match self.request(query)? {
-                Outcome::Answer(body) => return Ok(body),
                 Outcome::Rejected(Reject::Overloaded { retry_after_ms }) => {
                     last_hint = retry_after_ms;
                     if attempt + 1 == attempts {
@@ -223,6 +228,7 @@ impl Client {
                     waited += pause;
                     std::thread::sleep(pause);
                 }
+                done => return done.into_answer(),
             }
         }
         Err(GraphStorageError::Net(format!(

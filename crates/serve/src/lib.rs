@@ -7,14 +7,14 @@
 //! keeps feeding the graph:
 //!
 //! - [`proto`] — the client wire protocol: versioned [`Query`] /
-//!   [`ResponseBody`] / [`Reject`] encodings riding the `mssg-net`
-//!   framing's `Request` / `Response` / `Reject` frame kinds;
+//!   [`ResponseBody`] / [`Reject`] / [`Failure`] encodings riding the
+//!   `mssg-net` framing's `Request` / `Response` / `Reject` / `Failed` kinds;
 //! - [`admission`] — bounded in-flight slots, per-client fair queues,
 //!   and typed `Overloaded { retry_after }` rejection;
 //! - [`server`] — the epoch-snapshot executor: every admitted query is
 //!   pinned to a consistent graph epoch (ingestion advances the epoch at
 //!   window-checkpoint boundaries), so a query never observes a
-//!   half-applied ingestion;
+//!   half-applied ingestion; a failed execution answers a typed [`Failure`];
 //! - [`cache`] — the result cache, keyed by the encoded query on
 //!   `simio`'s scan-resistant 2Q cache, invalidated wholesale when the
 //!   epoch advances;
@@ -33,5 +33,5 @@ pub mod server;
 pub use admission::{Admission, ClientId, Overloaded, SlotGuard};
 pub use cache::{ResultCache, ResultCacheStats};
 pub use client::{Client, Outcome, RetryPolicy};
-pub use proto::{Query, Reject, ResponseBody, ENCODING_VERSION};
+pub use proto::{Failure, FailureKind, Query, Reject, ResponseBody, ENCODING_VERSION};
 pub use server::{ServeConfig, Server};

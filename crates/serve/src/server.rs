@@ -10,8 +10,10 @@
 //!   or rejected;
 //! - `slots` **worker** threads pull admitted misses from the
 //!   [`Admission`] controller (round-robin fair across clients), execute
-//!   them pinned to the current epoch, cache the result, and write the
-//!   response through the connection's shared writer. Slots bound
+//!   them with [`Query::run`] pinned to the current epoch, cache the
+//!   result, and write the response through the connection's shared
+//!   writer. An execution that fails or panics is answered with a typed
+//!   [`Failure`] frame instead, which is never cached. Slots bound
 //!   executions, not requests.
 //!
 //! Each request is looked up in the cache once, by its reader, and
@@ -32,9 +34,9 @@
 
 use crate::admission::{Admission, ClientId};
 use crate::cache::{ResultCache, ResultCacheStats};
-use crate::proto::{Query, Reject, ResponseBody};
+use crate::proto::{Failure, FailureKind, Query, Reject, ResponseBody};
 use mssg_core::ingest::{ingest, IngestOptions, IngestReport};
-use mssg_core::{EpochManager, MssgCluster, QueryParams, QueryService};
+use mssg_core::{EpochManager, MssgCluster};
 use mssg_net::wire::{read_frame, write_frame};
 use mssg_net::{Conn, Frame, FrameKind, Listener};
 use mssg_obs::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry};
@@ -134,7 +136,6 @@ impl ServeMetrics {
 struct Shared {
     cluster: RwLock<MssgCluster>,
     epoch: Arc<EpochManager>,
-    svc: QueryService,
     cache: Mutex<ResultCache>,
     adm: Admission<Job>,
     telemetry: Telemetry,
@@ -188,7 +189,6 @@ impl Server {
         let shared = Arc::new(Shared {
             cluster: RwLock::new(cluster),
             epoch,
-            svc: QueryService::new(),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             adm: Admission::new(config.slots, config.queue_depth, config.retry_after_ms),
             metrics: ServeMetrics::new(&telemetry.metrics),
@@ -430,29 +430,34 @@ fn worker_loop(shared: &Arc<Shared>) {
         metrics.inflight.set(shared.adm.inflight() as i64);
         let started = Instant::now();
         // A panicking analysis must not kill the worker (the pool would
-        // shrink until admission deadlocks); it answers a typed error
-        // body instead. The epoch pin is dropped during unwind.
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // shrink until admission deadlocks); it answers a typed failure
+        // instead. The epoch pin is dropped during unwind.
+        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute(shared, &job.query, &job.key)
         }))
-        .unwrap_or_else(|panic| ResponseBody {
-            epoch: shared.epoch.current(),
-            cached: false,
-            result: format!("error: query panicked: {}", panic_label(&panic)),
+        .unwrap_or_else(|panic| {
+            Err(Failure {
+                kind: FailureKind::Panicked,
+                message: format!("query panicked: {}", panic_label(&panic)),
+            })
         });
         metrics
             .latency_us
             .record(started.elapsed().as_micros() as u64);
         // A client that vanished mid-query just loses its response.
-        let _ = respond(&job.writer, FrameKind::Response, job.id, &body.encode());
+        let _ = match reply {
+            Ok(body) => respond(&job.writer, FrameKind::Response, job.id, &body.encode()),
+            Err(failure) => respond(&job.writer, FrameKind::Failed, job.id, &failure.encode()),
+        };
     }
 }
 
 /// Runs a query the cache missed, pinned to the current epoch, and
 /// caches its result under `key` at that epoch. The reader has already
 /// counted the miss, so there is no second lookup: if an ingest moved
-/// the epoch on since, the query simply runs on the newer graph.
-fn execute(shared: &Arc<Shared>, query: &Query, key: &[u8]) -> ResponseBody {
+/// the epoch on since, the query simply runs on the newer graph. A
+/// failed execution answers its [`Failure`] and caches nothing.
+fn execute(shared: &Arc<Shared>, query: &Query, key: &[u8]) -> Result<ResponseBody, Failure> {
     let _span = shared.telemetry.tracer.span("serve.execute");
     // Pin first, then read-lock: the graph cannot advance past a
     // checkpoint boundary until this pin drops, so the cache key and
@@ -462,28 +467,15 @@ fn execute(shared: &Arc<Shared>, query: &Query, key: &[u8]) -> ResponseBody {
     if !shared.exec_floor.is_zero() {
         std::thread::sleep(shared.exec_floor); // pin stays held: see ServeConfig
     }
-    let cluster = shared.cluster.read();
-    let run = shared
-        .svc
-        .run(&cluster, analysis_name(query), &analysis_params(query));
-    drop(cluster);
-    match run {
-        Ok(result) => {
-            lock(&shared.cache).insert(epoch, key, &result);
-            ResponseBody {
-                epoch,
-                cached: false,
-                result,
-            }
-        }
-        // Execution errors answer the request (the client is waiting)
-        // but are never cached.
-        Err(e) => ResponseBody {
-            epoch,
-            cached: false,
-            result: format!("error: {e}"),
-        },
-    }
+    let result = query
+        .run(&shared.cluster.read())
+        .map_err(|e| Failure::of(&e))?;
+    lock(&shared.cache).insert(epoch, key, &result);
+    Ok(ResponseBody {
+        epoch,
+        cached: false,
+        result,
+    })
 }
 
 fn panic_label(panic: &Box<dyn std::any::Any + Send>) -> &str {
@@ -494,32 +486,4 @@ fn panic_label(panic: &Box<dyn std::any::Any + Send>) -> &str {
     } else {
         "opaque panic payload"
     }
-}
-
-fn analysis_name(query: &Query) -> &'static str {
-    match query {
-        Query::Bfs { .. } => "bfs",
-        Query::KHop { .. } => "khop",
-        Query::Degree { .. } => "degree",
-        Query::Components => "components",
-    }
-}
-
-fn analysis_params(query: &Query) -> QueryParams {
-    let mut p = QueryParams::new();
-    match query {
-        Query::Bfs { source, dest } => {
-            p.insert("source".into(), source.raw().to_string());
-            p.insert("dest".into(), dest.raw().to_string());
-        }
-        Query::KHop { source, k } => {
-            p.insert("source".into(), source.raw().to_string());
-            p.insert("k".into(), k.to_string());
-        }
-        Query::Degree { vertex } => {
-            p.insert("vertex".into(), vertex.raw().to_string());
-        }
-        Query::Components => {}
-    }
-    p
 }

@@ -128,6 +128,7 @@ fn run_once(seed: u64, plan: FaultPlan<SimFault>) -> (RunOutcome, Vec<FaultEvent
             match client.request(q) {
                 Ok(Outcome::Answer(body)) => chaos.push(format!("ok:{}", body.result)),
                 Ok(Outcome::Rejected(_)) => chaos.push("rej".to_string()),
+                Ok(Outcome::Failed(failure)) => chaos.push(format!("failed:{:?}", failure.kind)),
                 Err(_) => {
                     chaos.push("err".to_string());
                     break; // the connection is gone; next client

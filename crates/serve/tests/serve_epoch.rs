@@ -265,6 +265,7 @@ fn burst_during_a_held_update_gate_is_answered_or_rejected() {
         match outcome {
             Outcome::Answer(body) => answered.push((id, body)),
             Outcome::Rejected(Reject::Overloaded { .. }) => rejected.push(id),
+            Outcome::Failed(failure) => panic!("request {id} failed: {failure:?}"),
         }
     }
     assert!(rejected.len() >= 3 && rejected.iter().all(|id| misses.contains(id)));

@@ -2,42 +2,20 @@
 //!
 //! 1. Cache transparency: for any interleaving of queries and
 //!    epoch-advancing ingestions, the result-cache path answers
-//!    byte-identically to direct (uncached) execution. The cache may
+//!    byte-identically to direct (uncached) `Query::run`. The cache may
 //!    only change *when* a result is computed, never *what* it is.
 //! 2. Retry termination: for any sequence of server backoff hints, the
 //!    client's cumulative sleep stays under the policy cap and every
 //!    individual sleep is strictly positive (a `0` hint can't busy-loop).
-//! 3. Decoder hostility: every `serve::proto` decoder answers arbitrary,
+//! 3. Decoder hostility: every serving-plane decoder answers arbitrary,
 //!    truncated, or bit-flipped bytes with a typed error — never a panic.
 
 use mssg_core::ingest::{ingest, IngestOptions};
-use mssg_core::{BackendKind, BackendOptions, MssgCluster, QueryService};
-use mssg_serve::{Query, Reject, ResponseBody, ResultCache, RetryPolicy};
+use mssg_core::{BackendKind, BackendOptions, MssgCluster};
+use mssg_serve::{Failure, FailureKind, Query, Reject, ResponseBody, ResultCache, RetryPolicy};
 use mssg_types::{Edge, Gid, GraphStorageError};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn analysis(query: &Query) -> (&'static str, BTreeMap<String, String>) {
-    let mut p = BTreeMap::new();
-    match query {
-        Query::Bfs { source, dest } => {
-            p.insert("source".into(), source.raw().to_string());
-            p.insert("dest".into(), dest.raw().to_string());
-            ("bfs", p)
-        }
-        Query::KHop { source, k } => {
-            p.insert("source".into(), source.raw().to_string());
-            p.insert("k".into(), k.to_string());
-            ("khop", p)
-        }
-        Query::Degree { vertex } => {
-            p.insert("vertex".into(), vertex.raw().to_string());
-            ("degree", p)
-        }
-        Query::Components => ("components", p),
-    }
-}
 
 proptest! {
     // Each case runs real ingestions; keep the count modest.
@@ -60,7 +38,6 @@ proptest! {
             &IngestOptions::default(),
         )
         .unwrap();
-        let svc = QueryService::new();
         let mut cache = ResultCache::new(16);
         for (step, &(v, shape)) in picks.iter().enumerate() {
             // Every 5th step is an epoch-advancing ingestion of one new
@@ -80,14 +57,13 @@ proptest! {
                 2 => Query::Bfs { source: Gid::new(v), dest: Gid::new((v * 7) % 16) },
                 _ => Query::Components,
             };
-            let (name, params) = analysis(&query);
-            let uncached = svc.run(&cluster, name, &params).unwrap();
+            let uncached = query.run(&cluster).unwrap();
             let epoch = cluster.epoch();
             let key = query.encode();
             let via_cache = match cache.get(epoch, &key) {
                 Some(hit) => hit.to_string(),
                 None => {
-                    let computed = svc.run(&cluster, name, &params).unwrap();
+                    let computed = query.run(&cluster).unwrap();
                     cache.insert(epoch, &key, &computed);
                     computed
                 }
@@ -117,6 +93,23 @@ fn arb_query() -> impl Strategy<Value = Query> {
         }),
         Just(Query::Components),
     ]
+}
+
+/// Any failure: every kind, any message.
+fn arb_failure() -> impl Strategy<Value = Failure> {
+    (
+        prop_oneof![
+            Just(FailureKind::Storage),
+            Just(FailureKind::Invalid),
+            Just(FailureKind::Engine),
+            Just(FailureKind::Panicked),
+        ],
+        prop::collection::vec(any::<u8>(), 0..48),
+    )
+        .prop_map(|(kind, text)| Failure {
+            kind,
+            message: String::from_utf8_lossy(&text).into_owned(),
+        })
 }
 
 fn assert_typed(outcome: mssg_types::Result<()>, what: &str) -> Result<(), TestCaseError> {
@@ -183,6 +176,7 @@ proptest! {
         cached in any::<bool>(),
         text in prop::collection::vec(any::<u8>(), 0..64),
         retry_after_ms in any::<u32>(),
+        failure in arb_failure(),
     ) {
         prop_assert_eq!(Query::decode(&query.encode()).unwrap(), query);
         let body = ResponseBody {
@@ -193,6 +187,7 @@ proptest! {
         prop_assert_eq!(ResponseBody::decode(&body.encode()).unwrap(), body);
         let reject = Reject::Overloaded { retry_after_ms };
         prop_assert_eq!(Reject::decode(&reject.encode()).unwrap(), reject);
+        prop_assert_eq!(Failure::decode(&failure.encode()).unwrap(), failure);
     }
 
     // Satellite: decoder fuzz. Arbitrary byte soup into every proto
@@ -204,6 +199,7 @@ proptest! {
         assert_typed(Query::decode(&soup).map(|_| ()), "query")?;
         assert_typed(ResponseBody::decode(&soup).map(|_| ()), "response")?;
         assert_typed(Reject::decode(&soup).map(|_| ()), "reject")?;
+        assert_typed(Failure::decode(&soup).map(|_| ()), "failure")?;
     }
 
     // Near-valid hostility: take a real encoding, then truncate it or
@@ -216,6 +212,7 @@ proptest! {
         cached in any::<bool>(),
         text in prop::collection::vec(any::<u8>(), 0..48),
         retry_after_ms in any::<u32>(),
+        failure in arb_failure(),
         pick in any::<u64>(),
         bit in 0u8..8,
         truncate in any::<bool>(),
@@ -229,6 +226,7 @@ proptest! {
             ("query", query.encode()),
             ("response", body.encode()),
             ("reject", Reject::Overloaded { retry_after_ms }.encode()),
+            ("failure", failure.encode()),
         ];
         for (what, enc) in encodings {
             let mut enc = enc;
@@ -241,7 +239,8 @@ proptest! {
             let outcome = match what {
                 "query" => Query::decode(&enc).map(|_| ()),
                 "response" => ResponseBody::decode(&enc).map(|_| ()),
-                _ => Reject::decode(&enc).map(|_| ()),
+                "reject" => Reject::decode(&enc).map(|_| ()),
+                _ => Failure::decode(&enc).map(|_| ()),
             };
             assert_typed(outcome, what)?;
         }

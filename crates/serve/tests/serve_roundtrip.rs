@@ -4,7 +4,9 @@
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::{BackendKind, BackendOptions, MssgCluster};
 use mssg_obs::Telemetry;
-use mssg_serve::{Client, Outcome, Query, Reject, ServeConfig, Server};
+use mssg_serve::{
+    Client, FailureKind, Outcome, Query, Reject, ResultCacheStats, ServeConfig, Server,
+};
 use mssg_types::{Edge, Gid};
 use std::time::{Duration, Instant};
 
@@ -194,6 +196,7 @@ fn burst_past_the_queue_allowance_is_rejected_typed() {
                 assert!(retry_after_ms > 0, "hint must be actionable");
                 rejected += 1;
             }
+            Outcome::Failed(failure) => panic!("a degree lookup failed: {failure:?}"),
         }
     }
     assert!(
@@ -282,4 +285,72 @@ fn protocol_violations_close_the_connection_not_the_server() {
         .into_answer()
         .unwrap();
     assert_eq!(body.result, "degree=2");
+}
+
+/// An execution that fails reaches its client as a typed failure, is
+/// never cached, and leaves the worker serving. The failure is a grDB
+/// block file truncated under a cold block cache, so every read of it
+/// fails the same way.
+#[test]
+fn a_failed_execution_is_a_typed_failure_and_is_not_cached() {
+    let dir = std::env::temp_dir().join(format!("serve-rt-failed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || MssgCluster::new(&dir, 1, BackendKind::Grdb, &BackendOptions::default());
+    {
+        let mut c = open().unwrap();
+        ingest(
+            &mut c,
+            (0..10).map(|i| Edge::of(i, i + 1)),
+            &IngestOptions::default(),
+        )
+        .unwrap();
+        c.flush_all().unwrap();
+    }
+    // Reopened, the cluster has read no block yet.
+    let cluster = open().unwrap();
+    let level0 = dir.join("node-0").join("grdb").join("level0.0000");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&level0)
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    let config = ServeConfig {
+        slots: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cluster, &config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let q = Query::Degree {
+        vertex: Gid::new(5),
+    };
+    for ask in 1..=2 {
+        match client.request(&q).unwrap() {
+            Outcome::Failed(failure) => {
+                assert_eq!(failure.kind, FailureKind::Storage, "ask {ask}: {failure:?}")
+            }
+            other => panic!("ask {ask}: a truncated block file answered {other:?}"),
+        }
+        // Each ask misses and executes: the failure was not cached.
+        assert_eq!(
+            server.cache_stats(),
+            ResultCacheStats {
+                hits: 0,
+                misses: ask,
+                invalidations: 0
+            }
+        );
+    }
+    // The one worker lives on: a query that reads no block is answered.
+    let body = client
+        .request(&Query::KHop {
+            source: Gid::new(5),
+            k: 0,
+        })
+        .unwrap()
+        .into_answer()
+        .unwrap();
+    assert_eq!(body.result, "vertices=1 edges_scanned=0");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

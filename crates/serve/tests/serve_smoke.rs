@@ -87,6 +87,7 @@ impl Drop for ServeProc {
 struct QueryTally {
     ok: u64,
     overloaded: u64,
+    failed: u64,
     cached: u64,
 }
 
@@ -114,6 +115,7 @@ fn run_queries(addr: &str, extra: &[&str]) -> std::thread::JoinHandle<QueryTally
         QueryTally {
             ok: field("ok"),
             overloaded: field("overloaded"),
+            failed: field("failed"),
             cached: field("cached"),
         }
     })
@@ -137,8 +139,10 @@ fn low_load_sees_zero_overloaded() {
         let t = p.join().expect("query process thread");
         total.ok += t.ok;
         total.overloaded += t.overloaded;
+        total.failed += t.failed;
         total.cached += t.cached;
     }
+    assert_eq!(total.failed, 0, "no query fails to execute: {total:?}");
     assert_eq!(total.overloaded, 0, "no rejections at low load: {total:?}");
     assert_eq!(total.ok, 2 * 4 * 12);
     assert!(
@@ -188,8 +192,10 @@ fn single_slot_rejects_bursts_typed() {
         let t = p.join().expect("query process thread");
         total.ok += t.ok;
         total.overloaded += t.overloaded;
+        total.failed += t.failed;
         total.cached += t.cached;
     }
+    assert_eq!(total.failed, 0, "no query fails to execute: {total:?}");
     assert!(
         total.overloaded >= 1,
         "slots=1 + depth 1 + 4-deep bursts must reject: {total:?}"

@@ -160,12 +160,12 @@ const GROUPS: &[Group] = &[
     Group {
         name: "serve-plane",
         why: "Serving in process: protocol round trips, a cache hit answered without a slot \
-              and counted once, typed overload, fair queues, epoch snapshots, codec and \
-              retry properties",
+              and counted once, a failed execution answered as a typed failure and never \
+              cached, typed overload, fair queues, epoch snapshots, codec and retry properties",
         runs: &[
             "-p mssg-serve --lib --test serve_roundtrip --test serve_epoch --test serve_props",
             "-p mssg-serve --test serve_roundtrip -- a_cache_hit_does_not_wait_for_a_busy_slot \
-             repeated_queries_hit_the_cache",
+             repeated_queries_hit_the_cache a_failed_execution_is_a_typed_failure_and_is_not_cached",
         ],
     },
     Group {

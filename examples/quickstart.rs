@@ -6,7 +6,7 @@
 //! ```
 
 use mssg::core::ingest::{ingest, IngestOptions};
-use mssg::core::query::QueryService;
+use mssg::core::query::Query;
 use mssg::core::{BackendKind, BackendOptions, BfsOptions, MssgCluster};
 use mssg::prelude::*;
 
@@ -46,13 +46,12 @@ fn main() -> mssg::types::Result<()> {
     );
     assert_eq!(metrics.path_length, Some(2), "alice-frank-erin");
 
-    // The same analysis through the Query service registry.
-    let svc = QueryService::new();
-    let params = [("source", "1"), ("dest", "4")]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    println!("query service says: {}", svc.run(&cluster, "bfs", &params)?);
+    // The same analysis as a typed query: what a served client asks.
+    let query = Query::Bfs {
+        source: Gid::new(1),
+        dest: Gid::new(4),
+    };
+    println!("query service says: {}", query.run(&cluster)?);
 
     // Direct storage access for one vertex, on the node the cluster's
     // placement says holds its adjacency.
