@@ -165,9 +165,12 @@ impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
         let mut s = self.mgr.lock();
         s.pins -= 1;
-        let drained = s.pins == 0;
+        // Only `begin_update` waits for the pins to drain, and it sets
+        // `updating` under the lock before it waits; without one, a
+        // notify would be a system call that wakes nobody.
+        let wake = s.pins == 0 && s.updating;
         drop(s);
-        if drained {
+        if wake {
             self.mgr.cv.notify_all();
         }
     }
@@ -234,6 +237,32 @@ mod tests {
         updater.join().unwrap();
         assert_eq!(observed.load(Ordering::SeqCst), 0, "pins drained first");
         assert_eq!(reader.join().unwrap(), 1, "reader waited out the update");
+    }
+
+    #[test]
+    fn an_update_wakes_when_its_last_pin_drops_and_not_before() {
+        let m = Arc::new(EpochManager::new());
+        let (first, second) = (m.pin(), m.pin());
+        let updated = Arc::new(AtomicU64::new(0));
+        let (m2, updated2) = (Arc::clone(&m), Arc::clone(&updated));
+        let updater = std::thread::spawn(move || {
+            // Its deadline is far off: only the last pin's drop wakes it.
+            let update = m2.begin_update(Duration::from_secs(30)).unwrap();
+            updated2.store(1, Ordering::SeqCst);
+            drop(update);
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        drop(first);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(updated.load(Ordering::SeqCst), 0, "one pin still held");
+        let dropped = std::time::Instant::now();
+        drop(second);
+        updater.join().unwrap();
+        assert_eq!(updated.load(Ordering::SeqCst), 1);
+        assert!(
+            dropped.elapsed() < Duration::from_secs(5),
+            "woken by the drop"
+        );
     }
 
     #[test]

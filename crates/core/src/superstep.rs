@@ -28,7 +28,7 @@ use crate::telemetry::TelemetryReport;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use datacutter::superstep::{Peers, PORT};
 use datacutter::{
-    CopyUsage, Filter, FilterContext, FilterTiming, GraphBuilder, NetSnapshot, RunReport,
+    poll, CopyUsage, Filter, FilterContext, FilterTiming, GraphBuilder, NetSnapshot, RunReport,
 };
 use mssg_types::{GraphStorageError, Result};
 use parking_lot::Mutex;
@@ -252,9 +252,13 @@ impl Engine {
             };
             copy.send(job).ok()?;
         }
-        // A copy that fails exits without a reply, and its channel
-        // disconnects: this wait ends as the copy's does.
-        self.replies.iter().map(|copy| copy.recv().ok()).collect()
+        // Polled first: a copy's reply mostly lands within the poll. A copy
+        // that fails exits without a reply, and its channel disconnects:
+        // this wait ends as the copy's does, polling or parked.
+        self.replies
+            .iter()
+            .map(|copy| poll::recv(copy).ok())
+            .collect()
     }
 
     /// Stops the copies and waits for them: the error that ended the
@@ -288,8 +292,10 @@ impl Filter for Processor {
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
         ENGINE.with(|engine| engine.set(self.engine));
         // The idle wait has no deadline: an engine waits for its next job
-        // as long as it lives, and stops when its job senders drop.
-        while let Ok(job) = self.jobs.recv() {
+        // as long as it lives, and stops when its job senders drop. It
+        // polls first: a closed loop's next job follows its reply by a few
+        // µs, and a longer gap costs one poll and then a parked wait.
+        while let Ok(job) = poll::recv(&self.jobs) {
             let (started, before) = (Instant::now(), ctx.usage());
             {
                 let _span = ctx
@@ -474,6 +480,33 @@ mod tests {
         assert!(err.to_string().contains("copy 1 fails"), "{err}");
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!((sum(&cluster), cluster.engines.started()), (vec![2, 2], 2));
+    }
+
+    /// CPU time this thread has run, from the scheduler's own account.
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+        let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+        Duration::from_nanos(ns.expect("a run time in ns"))
+    }
+
+    #[test]
+    fn an_idle_engine_parks_after_its_poll() {
+        // Each copy reads its CPU clock as the last step of one job and
+        // the first step of the next, 50 ms later. A copy polls for its
+        // next job only briefly and then parks: it burns almost no CPU
+        // over the gap.
+        let cluster = cluster("idle-cpu", 2);
+        let (ends, _) = run(&cluster, "before", 1, |_, _| Ok(thread_cpu())).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let (starts, _) = run(&cluster, "after", 1, |_, _| Ok(thread_cpu())).unwrap();
+        assert_eq!(cluster.engines.started(), 1, "both jobs ran on one engine");
+        for (copy, (end, start)) in ends.iter().zip(&starts).enumerate() {
+            let cpu = *start - *end;
+            assert!(
+                cpu < Duration::from_millis(2),
+                "copy {copy}: {cpu:?} of CPU over a 50 ms idle gap"
+            );
+        }
     }
 
     #[test]

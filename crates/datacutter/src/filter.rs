@@ -3,6 +3,7 @@
 use crate::buffer::DataBuffer;
 use crate::fault::CopyFaults;
 use crate::netstats::{NetSnapshot, NetStats};
+use crate::poll::poll_then_park;
 use crate::transport::{RecvOutcome, RxEndpoint, SendOutcome, TxEndpoint};
 use crate::NodeId;
 use mssg_obs::{Histogram, Telemetry};
@@ -89,21 +90,29 @@ impl InPort {
     /// itself fails (a lost peer connection over sockets); an injected
     /// fault may panic or stall here.
     pub fn recv(&self) -> Result<Option<DataBuffer>> {
-        self.recv_after_poll(Duration::ZERO)
+        self.wait(false)
     }
 
-    /// [`recv`](InPort::recv) that first polls the input for up to `poll`,
-    /// yielding the CPU between tries, and parks only if nothing came. The
-    /// poll is blocked time on the copy's clock, and the fault tick fires
-    /// once, as in `recv`. A superstep barrier waits this way (DESIGN.md
-    /// §10.6).
-    pub(crate) fn recv_after_poll(&self, poll: Duration) -> Result<Option<DataBuffer>> {
+    /// [`recv`](InPort::recv) that first polls the input and parks only if
+    /// nothing came ([`poll_then_park`]). The poll is blocked time on the
+    /// copy's clock, and the fault tick fires once, as in `recv`. A
+    /// superstep barrier waits this way (DESIGN.md §10.6).
+    pub(crate) fn recv_after_poll(&self) -> Result<Option<DataBuffer>> {
+        self.wait(true)
+    }
+
+    fn wait(&self, poll: bool) -> Result<Option<DataBuffer>> {
         if let Some(f) = &self.faults {
             f.tick(false)?;
         }
         let start = Instant::now();
-        let polled = self.poll_for(start, poll);
-        let got = match polled.map_or_else(|| self.rx.recv(self.timeout), RecvOutcome::Buf) {
+        let park = || self.rx.recv(self.timeout);
+        let outcome = if poll {
+            poll_then_park(|| self.rx.try_recv().map(RecvOutcome::Buf), park)
+        } else {
+            park()
+        };
+        let got = match outcome {
             RecvOutcome::Buf(buf) => Ok(Some(buf)),
             RecvOutcome::Closed => Ok(None),
             RecvOutcome::TimedOut => Err(GraphStorageError::Timeout(format!(
@@ -121,23 +130,6 @@ impl InPort {
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         got
-    }
-
-    /// The first buffer to arrive within `poll` of `start`, if any; a zero
-    /// budget takes nothing.
-    fn poll_for(&self, start: Instant, poll: Duration) -> Option<DataBuffer> {
-        if poll.is_zero() {
-            return None;
-        }
-        loop {
-            if let Some(buf) = self.rx.try_recv() {
-                return Some(buf);
-            }
-            if start.elapsed() >= poll {
-                return None;
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Non-blocking receive.

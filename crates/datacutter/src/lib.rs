@@ -118,6 +118,7 @@ pub mod fault;
 pub mod filter;
 pub mod graph;
 pub mod netstats;
+pub mod poll;
 pub mod runtime;
 pub mod superstep;
 pub mod transport;

@@ -37,12 +37,6 @@ pub const PORT: &str = "peers";
 /// The most copies a program may have: the sender field's range.
 pub const MAX_COPIES: usize = 1 << 12;
 
-/// How long a copy at a [`barrier`](Peers::barrier) polls its input before
-/// it parks (DESIGN.md §10.6): long enough that on a small search a running
-/// peer's marker mostly lands within it, so the peer need not wake this
-/// copy. Of 20, 50 and 100 µs, 100 served searches best.
-const BARRIER_POLL: Duration = Duration::from_micros(100);
-
 /// The kind of the message a failing copy sends its peers: its job is
 /// over. No program may use it for a phase.
 pub const ABORT: u64 = 0xff;
@@ -288,7 +282,7 @@ impl<'a> Peers<'a> {
     /// Blocks until every peer's marker for `phase` of `round` is in,
     /// handing that phase's record messages to `on_data` as they arrive —
     /// first the ones that came early and waited in the stash. Each wait
-    /// polls for `BARRIER_POLL` before it parks. A peer's
+    /// polls before it parks ([`crate::poll`]). A peer's
     /// [`ABORT`] ends it; so does an input that closes, every peer gone, as
     /// a `Net` error. In process a copy's own sender keeps its input open.
     pub fn barrier<B>(
@@ -303,7 +297,7 @@ impl<'a> Peers<'a> {
             }
         }
         while self.inbox.done + 1 < self.copies() {
-            let Some(msg) = self.ctx.input(PORT)?.recv_after_poll(BARRIER_POLL)? else {
+            let Some(msg) = self.ctx.input(PORT)?.recv_after_poll()? else {
                 return Err(GraphStorageError::Net(format!(
                     "peers exited before round {round} ended"
                 )));

@@ -76,6 +76,10 @@ pub struct Report {
     /// scheduler resolved the race as "timed out". Greater than zero
     /// proves the notify-vs-expiry edge was actually explored.
     pub notified_expiries: usize,
+    /// Number of `notify_one` calls (summed over all schedules) that found
+    /// no thread waiting. Outside the model each is a system call that
+    /// wakes nobody.
+    pub lost_notifies: usize,
     /// `true` when the DFS enumerated every schedule; `false` when a
     /// non-[`exhaustive`](Config::exhaustive) run stopped at its
     /// execution budget with alternatives still unexplored.
@@ -210,6 +214,9 @@ pub(crate) struct ExecState {
     /// Wakes resolved as "notify arrived after the deadline → report
     /// timeout" in this execution (see [`Report::notified_expiries`]).
     notified_expiries: usize,
+    /// `notify_one` calls that found no waiter in this execution (see
+    /// [`Report::lost_notifies`]).
+    lost_notifies: usize,
 }
 
 pub(crate) struct ExecShared {
@@ -271,6 +278,7 @@ impl ExecState {
             obj_vc: HashMap::new(),
             cells: Vec::new(),
             notified_expiries: 0,
+            lost_notifies: 0,
         }
     }
 
@@ -532,6 +540,7 @@ pub(crate) fn notify_one(exec: &ExecShared, me: usize, cond: usize) {
     }
     let mut st = lock_state(exec);
     if st.conds[cond].is_empty() {
+        st.lost_notifies += 1;
         st.trace.push(format!("T{me}: notify_one C{cond} (lost)"));
         return;
     }
@@ -872,6 +881,7 @@ where
     let mut executions = 0usize;
     let mut deadlocks = 0usize;
     let mut notified_expiries = 0usize;
+    let mut lost_notifies = 0usize;
     loop {
         if executions >= config.max_executions && !config.exhaustive {
             // Budget spent with alternatives left: bounded coverage.
@@ -879,6 +889,7 @@ where
                 executions,
                 deadlocks,
                 notified_expiries,
+                lost_notifies,
                 complete: false,
             };
         }
@@ -929,6 +940,7 @@ where
         }
         let st = lock_state(&exec);
         notified_expiries += st.notified_expiries;
+        lost_notifies += st.lost_notifies;
         match st.outcome {
             Outcome::Done => {}
             Outcome::Deadlock => {
@@ -957,6 +969,7 @@ where
                 executions,
                 deadlocks,
                 notified_expiries,
+                lost_notifies,
                 complete: true,
             };
         };

@@ -83,14 +83,15 @@ const GROUPS: &[Group] = &[
         why: "Round protocol and resident engines: every analysis phase against malformed \
               messages, one engine per cluster reused, no job reads another's leftovers, a \
               failing copy aborts its job on every peer in under a second, a barrier polls \
-              briefly and then parks with the wait booked as blocked time, concurrent \
-              callers answer as the oracles do, a search's report snapshots metrics only \
-              with telemetry on",
+              briefly and then parks with the wait booked as blocked time, an idle engine \
+              polls for its next job briefly and then parks, concurrent callers answer as \
+              the oracles do, a search's report snapshots metrics only with telemetry on",
         runs: &[
             "-p datacutter --lib -- superstep:: \
              superstep::tests::a_barrier_wait_parks_after_its_poll_and_is_blocked_time \
              superstep::tests::a_message_that_arrives_during_the_poll_keeps_the_protocol",
-            "-p mssg-core --lib -- superstep:: bfs::tests::one_engine bfs::tests::back_to_back \
+            "-p mssg-core --lib -- superstep:: superstep::tests::an_idle_engine_parks_after_its_poll \
+             bfs::tests::one_engine bfs::tests::back_to_back \
              bfs::tests::each_search bfs::tests::concurrent_ bfs::tests::dead_storage_filter \
              bfs::tests::a_failed_db_filter bfs::tests::db_filter_equivalent \
              bfs::tests::search_metrics_need_enabled_telemetry",
@@ -182,8 +183,13 @@ const GROUPS: &[Group] = &[
     Group {
         name: "channel-model",
         why: "The vendored channel, model-checked: delivery, timeouts that terminate, \
-              disconnects that wake, a deadlock negative control",
-        runs: &["--test modelcheck_channel"],
+              disconnects that wake, parked-waiter counts that lose no wake-up and leave \
+              no signal to nobody, a deadlock negative control",
+        runs: &[
+            "--test modelcheck_channel",
+            "--test modelcheck_channel -- two_parked_receivers_are_each_woken_by_a_send \
+             a_parked_sender_is_freed_by_try_recv an_expired_recv_timeout_leaves_no_count_behind",
+        ],
     },
     Group {
         name: "race-corpus",

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, RecvError, RecvTimeoutError, SendTimeoutError, TryRecvError};
 use mssg_modelcheck::shim::Mutex;
-use mssg_modelcheck::{check, check_config, spawn, Config};
+use mssg_modelcheck::{check, check_config, spawn, Config, Report};
 
 #[test]
 fn spsc_fifo_through_a_full_buffer() {
@@ -51,18 +51,25 @@ fn mpsc_two_producers_deliver_everything() {
     assert!(report.executions >= 2);
 }
 
-#[test]
-fn spmc_each_message_delivered_exactly_once() {
-    // Two consumers share one queue. Exactly-once delivery is the
-    // channel-level statement of "no double-free of a slot": no schedule
-    // hands the same message to both consumers or drops one on the floor.
-    let report = check(|| {
-        let (tx, rx) = bounded::<u32>(2);
+/// Two consumers share one queue of capacity `cap`, and one producer
+/// sends them 1 and 2; every schedule must deliver each exactly once.
+fn two_consumers_two_sends(cap: usize) -> Report {
+    check(move || {
+        let (tx, rx) = bounded::<u32>(cap);
         let rx2 = rx.clone();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let (s1, s2) = (Arc::clone(&seen), Arc::clone(&seen));
-        let a = spawn(move || s1.lock().unwrap().push(rx.recv().unwrap()));
-        let b = spawn(move || s2.lock().unwrap().push(rx2.recv().unwrap()));
+        // Each receives before it takes the `seen` lock: a consumer that
+        // held it across `recv` would keep the other from ever reaching
+        // the channel while it waits.
+        let a = spawn(move || {
+            let v = rx.recv().unwrap();
+            s1.lock().unwrap().push(v);
+        });
+        let b = spawn(move || {
+            let v = rx2.recv().unwrap();
+            s2.lock().unwrap().push(v);
+        });
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         a.join();
@@ -70,7 +77,15 @@ fn spmc_each_message_delivered_exactly_once() {
         let mut got = seen.lock().unwrap().clone();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2], "each message exactly once");
-    });
+    })
+}
+
+#[test]
+fn spmc_each_message_delivered_exactly_once() {
+    // Exactly-once delivery is the channel-level statement of "no
+    // double-free of a slot": no schedule hands the same message to both
+    // consumers or drops one on the floor.
+    let report = two_consumers_two_sends(2);
     assert!(report.executions >= 2);
 }
 
@@ -165,6 +180,61 @@ fn recv_timeout_observes_disconnect_or_expiry_but_never_hangs() {
         t.join();
     });
     assert!(report.executions >= 2);
+}
+
+// The channel counts the threads parked on each condvar and signals only
+// a counted one. The next three scenarios check that count: a waiter the
+// count misses is a lost wakeup (a deadlock here), and a count a waiter
+// leaves behind is a signal that wakes nobody (`Report::lost_notifies`).
+
+#[test]
+fn two_parked_receivers_are_each_woken_by_a_send() {
+    // Both receivers may park before either send: each send must then
+    // signal one of them, and the second send must still see the other
+    // counted, whichever woke first. With one slot the producer may park
+    // too, between the two sends.
+    let report = two_consumers_two_sends(1);
+    assert!(report.complete && report.executions >= 2);
+    assert_eq!(report.deadlocks, 0);
+}
+
+#[test]
+fn a_parked_sender_is_freed_by_try_recv() {
+    // The sender may park on the full channel before the receiver takes
+    // the first message with `try_recv`, which must then signal it: the
+    // receiver's blocking `recv` waits on the sender's second message.
+    let report = check(|| {
+        let (tx, rx) = bounded::<u32>(1);
+        tx.send(1).unwrap();
+        let t = spawn(move || tx.send(2).unwrap());
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.recv(), Ok(2));
+        t.join();
+    });
+    assert!(report.complete && report.executions >= 2);
+    assert_eq!(report.deadlocks, 0);
+}
+
+#[test]
+fn an_expired_recv_timeout_leaves_no_count_behind() {
+    // The expired wait must leave the count as it found it: a later
+    // blocking `recv` that parks is still counted and woken by the send,
+    // and a send that finds it not yet parked signals nobody.
+    let report = check(|| {
+        let (tx, rx) = bounded::<u32>(1);
+        let tx2 = tx.clone();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        let t = spawn(move || tx2.send(7).unwrap());
+        assert_eq!(rx.recv(), Ok(7));
+        t.join();
+        drop(tx);
+    });
+    assert!(report.complete && report.executions >= 2);
+    assert_eq!(report.deadlocks, 0);
+    assert_eq!(report.lost_notifies, 0, "a signal to nobody");
 }
 
 #[test]
