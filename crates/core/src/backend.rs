@@ -72,11 +72,6 @@ impl BackendKind {
             BackendKind::Grdb => "grDB",
         }
     }
-
-    /// `true` for the disk-backed engines.
-    pub fn is_out_of_core(self) -> bool {
-        !matches!(self, BackendKind::Array | BackendKind::HashMap)
-    }
 }
 
 /// Backend tuning shared by the benchmark harness.
@@ -172,9 +167,6 @@ mod tests {
 
     #[test]
     fn kind_properties() {
-        assert!(!BackendKind::Array.is_out_of_core());
-        assert!(!BackendKind::HashMap.is_out_of_core());
-        assert!(BackendKind::Grdb.is_out_of_core());
         assert_eq!(BackendKind::ALL.len(), 6);
         assert_eq!(BackendKind::FIGURE_FIVE.len(), 5);
     }

@@ -50,12 +50,6 @@ impl TelemetryReport {
     pub fn filter(&self, name: &str) -> Vec<&FilterTiming> {
         self.filters.iter().filter(|t| t.filter == name).collect()
     }
-
-    /// Total busy time across all filter copies (the run's aggregate
-    /// compute, excluding time parked on channels).
-    pub fn total_busy(&self) -> Duration {
-        self.filters.iter().map(FilterTiming::busy).sum()
-    }
 }
 
 impl fmt::Display for TelemetryReport {
@@ -121,7 +115,6 @@ mod tests {
         assert_eq!(report.io.block_reads, 7);
         assert_eq!(report.net.local_msgs, 2);
         assert_eq!(report.filter("f").len(), 1);
-        assert_eq!(report.total_busy(), Duration::from_millis(2));
         assert!(report.filter("missing").is_empty());
     }
 

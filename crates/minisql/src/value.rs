@@ -48,16 +48,6 @@ impl Value {
         }
     }
 
-    /// Extracts blob bytes.
-    pub fn as_blob(&self) -> Result<&[u8]> {
-        match self {
-            Value::Blob(b) => Ok(b),
-            other => Err(GraphStorageError::Query(format!(
-                "expected blob, got {other}"
-            ))),
-        }
-    }
-
     /// SQL comparison; NULL compares as unknown (`None`).
     pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
         match (self, other) {
@@ -232,6 +222,5 @@ mod tests {
         assert!(Value::Null.fits(ColType::Blob));
         assert_eq!(Value::Int(3).as_int().unwrap(), 3);
         assert!(Value::Blob(vec![]).as_int().is_err());
-        assert_eq!(Value::Blob(vec![9]).as_blob().unwrap(), &[9]);
     }
 }

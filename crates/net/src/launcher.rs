@@ -69,20 +69,7 @@ impl Drop for Reaper {
 /// Runs one `Command` per node to completion. Commands are spawned with
 /// piped stdin/stdout (stderr is inherited, so child diagnostics reach
 /// the terminal); see the module docs for the stdio protocol.
-pub fn run_cluster(commands: Vec<Command>, deadline: Duration) -> Result<ClusterOutput> {
-    run_cluster_with(commands, deadline, &mut |_, _| {})
-}
-
-/// [`run_cluster`] with a live observer: `on_line(node, line)` fires for
-/// every post-address stdout line *as it arrives*, before the run
-/// completes. This is how the launcher echoes heartbeat progress lines
-/// while the cluster is still working; the same lines also land in the
-/// returned [`ClusterOutput`].
-pub fn run_cluster_with(
-    mut commands: Vec<Command>,
-    deadline: Duration,
-    on_line: &mut dyn FnMut(usize, &str),
-) -> Result<ClusterOutput> {
+pub fn run_cluster(mut commands: Vec<Command>, deadline: Duration) -> Result<ClusterOutput> {
     let n = commands.len();
     if n == 0 {
         return Err(GraphStorageError::Unsupported(
@@ -136,7 +123,7 @@ pub fn run_cluster_with(
             return Err(overtime("waiting for node addresses"));
         }
         match line_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((i, line)) => handle_line(i, line, &mut addrs, &mut lines, &mut errors, on_line)?,
+            Ok((i, line)) => handle_line(i, line, &mut addrs, &mut lines, &mut errors),
             Err(RecvTimeoutError::Timeout) => check_early_exits(&mut reaper, &addrs, &errors)?,
             Err(RecvTimeoutError::Disconnected) => {
                 // EOF is not the terminal signal, the exit is: poll for
@@ -173,7 +160,7 @@ pub fn run_cluster_with(
     let mut statuses: Vec<Option<std::process::ExitStatus>> = vec![None; n];
     loop {
         while let Ok((i, line)) = line_rx.try_recv() {
-            handle_line(i, line, &mut addrs, &mut lines, &mut errors, on_line)?;
+            handle_line(i, line, &mut addrs, &mut lines, &mut errors);
         }
         for (i, child) in reaper.children.iter_mut().enumerate() {
             if statuses[i].is_none() {
@@ -192,7 +179,7 @@ pub fn run_cluster_with(
     }
     // Late lines can still be in flight after the last exit.
     while let Ok((i, line)) = line_rx.recv_timeout(Duration::from_millis(200)) {
-        handle_line(i, line, &mut addrs, &mut lines, &mut errors, on_line)?;
+        handle_line(i, line, &mut addrs, &mut lines, &mut errors);
     }
 
     for (i, status) in statuses.iter().enumerate() {
@@ -219,20 +206,16 @@ fn handle_line(
     addrs: &mut [Option<String>],
     lines: &mut [Vec<String>],
     errors: &mut [Option<String>],
-    on_line: &mut dyn FnMut(usize, &str),
-) -> Result<()> {
+) {
     if let Some(addr) = line.strip_prefix(ADDR_PREFIX) {
         addrs[i] = Some(addr.trim().to_string());
-    } else if let Some(msg) = line.strip_prefix(ERROR_PREFIX) {
+        return;
+    }
+    if let Some(msg) = line.strip_prefix(ERROR_PREFIX) {
         // Remember the report; the exit status decides whether it's fatal.
         errors[i] = Some(msg.trim().to_string());
-        on_line(i, &line);
-        lines[i].push(line);
-    } else {
-        on_line(i, &line);
-        lines[i].push(line);
     }
-    Ok(())
+    lines[i].push(line);
 }
 
 /// A child that exits before announcing its address (or reporting an

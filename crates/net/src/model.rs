@@ -23,7 +23,7 @@
 //! exchange exceeds 2M schedules with reader threads, and sits in the
 //! hundreds without).
 //!
-//! - There is no handshake, and no reader or heartbeat threads: clusters
+//! - There is no handshake, and no reader threads: clusters
 //!   start past HELLO with all wires established, and frames are Rust
 //!   values, so the wire *format* is out of scope — [`crate::wire`] has
 //!   its own round-trip suite.

@@ -66,12 +66,11 @@ use datacutter::{
     Transport, TxEndpoint,
 };
 use mssg_modelcheck::shim;
-use mssg_obs::{Counter, Heartbeat, NodeTelemetry, Telemetry};
+use mssg_obs::{Counter, NodeTelemetry, Telemetry};
 use mssg_types::{GraphStorageError, Result};
 use std::collections::{HashMap, HashSet};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -94,18 +93,11 @@ pub struct TcpOptions {
     /// for per-peer offset estimation.
     pub telemetry: Telemetry,
     /// Run-wide trace id, carried in the HELLO; every process of a run
-    /// must agree (0 = tracing off, also validated).
-    pub trace_id: u64,
-    /// When set, a background thread pushes a heartbeat frame to node 0
-    /// this often while the run is in flight.
-    pub heartbeat_period: Option<Duration>,
-    /// Ship this node's [`NodeTelemetry`] to node 0 during `finish`
+    /// must agree (0 = tracing off, also validated). A nonzero id also
+    /// ships this node's [`NodeTelemetry`] to node 0 during `finish`
     /// (before BYE, so FIFO ordering guarantees arrival). Node 0 itself
     /// collects reports; see [`TcpTransport::collected_reports`].
-    pub ship_telemetry: bool,
-    /// On node 0, print one `MSSG-NODE-HB …` line per heartbeat (local
-    /// and remote) so the launcher can surface live progress.
-    pub print_heartbeats: bool,
+    pub trace_id: u64,
 }
 
 impl Default for TcpOptions {
@@ -115,9 +107,6 @@ impl Default for TcpOptions {
             dial_timeout: Duration::from_secs(10),
             telemetry: Telemetry::disabled(),
             trace_id: 0,
-            heartbeat_period: None,
-            ship_telemetry: false,
-            print_heartbeats: false,
         }
     }
 }
@@ -340,21 +329,14 @@ pub(crate) struct Shared {
     pub(crate) credits: Mutex<HashMap<u32, Arc<CreditCell>>>,
     ctrl: shim::Mutex<Ctrl>,
     ctrl_cv: shim::Condvar,
-    /// The node's telemetry bundle: frame spans, heartbeat sampling,
-    /// and the report captured at `finish` all read from here.
+    /// The node's telemetry bundle: frame spans and the report captured
+    /// at `finish` both read from here.
     telemetry: Telemetry,
     frames: Counter,
     bytes: Counter,
     credit_stalls: Counter,
     /// Serialized `NodeTelemetry` payloads received from peers (node 0).
     reports_from: Mutex<Vec<(NodeId, Vec<u8>)>>,
-    /// Heartbeats observed so far: remote ones on node 0, plus this
-    /// node's own samples.
-    heartbeats: Mutex<Vec<Heartbeat>>,
-    /// Stops the heartbeat thread at `finish`/drop.
-    hb_stop: AtomicBool,
-    /// Print `MSSG-NODE-HB` lines as heartbeats arrive (node 0 only).
-    print_heartbeats: bool,
 }
 
 impl Shared {
@@ -455,21 +437,6 @@ impl Shared {
         self.dead()
             .unwrap_or_else(|| GraphStorageError::Net("transport failed".into()))
     }
-
-    fn record_heartbeat(&self, hb: Heartbeat) {
-        if self.print_heartbeats {
-            println!(
-                "MSSG-NODE-HB node={} windows={} bytes={} stalls={} qd={} at_ms={}",
-                hb.node,
-                hb.windows,
-                hb.bytes,
-                hb.credit_stalls,
-                hb.queue_depth,
-                hb.at_ns / 1_000_000
-            );
-        }
-        self.heartbeats.lock().unwrap().push(hb);
-    }
 }
 
 /// [`Transport`] carrying streams between one OS process per node over
@@ -486,7 +453,7 @@ pub struct TcpTransport {
     /// Estimated `peer_clock − our_clock` per peer, from handshake RTT
     /// midpoints (tracer-epoch nanoseconds; 0 when tracing is off).
     clock_offsets: HashMap<NodeId, i64>,
-    heartbeat_period: Option<Duration>,
+    /// [`TcpOptions::trace_id`] is nonzero: ship telemetry at `finish`.
     ship_telemetry: bool,
     /// Master senders of purely local endpoints, dropped at `start`
     /// exactly like `InProc`.
@@ -662,9 +629,6 @@ impl TcpTransport {
             bytes: telemetry.metrics.counter("net.bytes"),
             credit_stalls: telemetry.metrics.counter("net.credit_stalls"),
             reports_from: Mutex::new(Vec::new()),
-            heartbeats: Mutex::new(Vec::new()),
-            hb_stop: AtomicBool::new(false),
-            print_heartbeats: opts.print_heartbeats,
         });
         TcpTransport {
             shared,
@@ -672,8 +636,7 @@ impl TcpTransport {
             n_nodes,
             io_timeout,
             clock_offsets,
-            heartbeat_period: opts.heartbeat_period,
-            ship_telemetry: opts.ship_telemetry,
+            ship_telemetry: opts.trace_id != 0,
             masters: HashMap::new(),
         }
     }
@@ -718,12 +681,6 @@ impl TcpTransport {
     /// its timeline when merging the cluster trace.
     pub fn clock_offsets(&self) -> &HashMap<NodeId, i64> {
         &self.clock_offsets
-    }
-
-    /// Heartbeats observed so far: this node's own samples plus (on
-    /// node 0) every peer's pushed samples.
-    pub fn heartbeats(&self) -> Vec<Heartbeat> {
-        self.shared.heartbeats.lock().unwrap().clone()
     }
 
     /// Telemetry reports shipped by peers (meaningful on node 0 after
@@ -861,21 +818,10 @@ impl Transport for TcpTransport {
                 .send_frame(peer, Frame::control(FrameKind::Ready, 0))?;
         }
         let want = self.n_nodes - 1;
-        self.await_ctrl("the READY barrier", |c| c.ready_from.len() == want, false)?;
-        if let Some(period) = self.heartbeat_period {
-            let shared = Arc::clone(&self.shared);
-            thread::Builder::new()
-                .name(format!("net-hb-{}", self.my_node))
-                .spawn(move || heartbeat_loop(&shared, period))
-                .map_err(GraphStorageError::Io)?;
-        }
-        Ok(())
+        self.await_ctrl("the READY barrier", |c| c.ready_from.len() == want, false)
     }
 
     fn finish(&mut self) -> Result<()> {
-        // racecheck: advisory stop flag — no data is published through it,
-        // the heartbeat thread only polls it to exit.
-        self.shared.hb_stop.store(true, Ordering::Relaxed);
         // Ship this node's telemetry to node 0 before BYE: FIFO ordering
         // on the connection means node 0's BYE wait also collects every
         // report. Best-effort — a dead connection already surfaces below.
@@ -995,45 +941,6 @@ fn handshake(
     Ok((peer, offset))
 }
 
-/// Periodically samples this node's progress counters and pushes a
-/// heartbeat to node 0 (or records it locally on node 0) until the run
-/// finishes or the transport dies.
-fn heartbeat_loop(shared: &Shared, period: Duration) {
-    let metrics = &shared.telemetry.metrics;
-    let windows = metrics.counter("ingest.windows");
-    loop {
-        thread::sleep(period);
-        // racecheck: advisory stop flag, see finish() — exit may lag a beat.
-        if shared.hb_stop.load(Ordering::Relaxed) || shared.dead().is_some() {
-            return;
-        }
-        // Median queue depth across every port queue the runtime samples.
-        let snap = metrics.snapshot();
-        let queue_depth = snap
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with("dc.queue_depth."))
-            .fold(mssg_obs::HistogramSnapshot::default(), |acc, (_, h)| {
-                acc.merged(h)
-            })
-            .quantile_bound(0.5);
-        let hb = Heartbeat {
-            node: shared.my_node as u32,
-            windows: windows.get(),
-            bytes: shared.bytes.get(),
-            credit_stalls: shared.credit_stalls.get(),
-            queue_depth,
-            at_ns: shared.telemetry.tracer.now_ns(),
-        };
-        if shared.my_node == 0 {
-            shared.record_heartbeat(hb);
-        } else if shared.send_frame(0, Frame::heartbeat(&hb)).is_err() {
-            // The connection is going away; the reader side reports it.
-            return;
-        }
-    }
-}
-
 fn reader_loop(shared: &Shared, peer: NodeId, mut stream: Box<dyn Conn>) {
     loop {
         match read_frame(&mut stream) {
@@ -1143,12 +1050,6 @@ fn dispatch(shared: &Shared, peer: NodeId, frame: Frame) -> std::result::Result<
                 .lock()
                 .unwrap()
                 .push((peer, frame.payload));
-            Ok(())
-        }
-        FrameKind::Heartbeat => {
-            let hb = frame.parse_heartbeat().map_err(|e| e.to_string())?;
-            shared.telemetry.metrics.counter("net.heartbeats").inc();
-            shared.record_heartbeat(hb);
             Ok(())
         }
         FrameKind::Hello => Err(format!("unexpected HELLO from node {peer} after handshake")),

@@ -23,7 +23,6 @@
 //!
 //! [`EndpointSpec::id`]: datacutter::EndpointSpec
 
-use mssg_obs::Heartbeat;
 use mssg_types::{GraphStorageError, Result};
 use std::io::{ErrorKind, Read, Write};
 
@@ -32,7 +31,7 @@ pub const MAGIC: u32 = 0x4D53_5347;
 
 /// Wire protocol version; bumped on any incompatible format change.
 /// v2 added the span-id header field, the HELLO trace-context extension,
-/// and the `Telemetry`/`Heartbeat` frame kinds.
+/// and the `Telemetry` frame kind.
 pub const VERSION: u16 = 2;
 
 /// Hard ceiling on a frame's payload (64 MiB) — far above any
@@ -68,9 +67,8 @@ pub enum FrameKind {
     /// A node's serialized `NodeTelemetry` report, shipped to node 0 at
     /// shutdown (sent before BYE so FIFO ordering guarantees arrival).
     Telemetry = 8,
-    /// Periodic progress sample (windows, bytes, stalls) pushed to
-    /// node 0 while a run is in flight.
-    Heartbeat = 9,
+    // Kind 9 is unassigned (it decodes as corruption); the kinds after it
+    // keep their numbers, which are the bytes on the wire.
     /// A client query on a serving connection (`mssg-serve`). The
     /// `stream` field carries the client's request id; the payload is a
     /// versioned query encoding (`mssg_serve::proto`).
@@ -97,7 +95,6 @@ impl FrameKind {
             6 => Some(FrameKind::Ready),
             7 => Some(FrameKind::Bye),
             8 => Some(FrameKind::Telemetry),
-            9 => Some(FrameKind::Heartbeat),
             10 => Some(FrameKind::Request),
             11 => Some(FrameKind::Response),
             12 => Some(FrameKind::Reject),
@@ -269,45 +266,6 @@ impl Frame {
             tag: 0,
             span: 0,
             payload: report_json.to_vec(),
-        })
-    }
-
-    /// A heartbeat frame. The sender's node id travels in the `stream`
-    /// field (heartbeats are connection-level, so the field is free).
-    pub fn heartbeat(hb: &Heartbeat) -> Frame {
-        let mut payload = Vec::with_capacity(40);
-        payload.extend_from_slice(&hb.windows.to_le_bytes());
-        payload.extend_from_slice(&hb.bytes.to_le_bytes());
-        payload.extend_from_slice(&hb.credit_stalls.to_le_bytes());
-        payload.extend_from_slice(&hb.queue_depth.to_le_bytes());
-        payload.extend_from_slice(&hb.at_ns.to_le_bytes());
-        Frame {
-            kind: FrameKind::Heartbeat,
-            stream: hb.node,
-            tag: 0,
-            span: 0,
-            payload,
-        }
-    }
-
-    /// Decodes a HEARTBEAT payload.
-    pub fn parse_heartbeat(&self) -> Result<Heartbeat> {
-        if self.kind != FrameKind::Heartbeat || self.payload.len() != 40 {
-            return Err(GraphStorageError::Corrupt(format!(
-                "expected a 40-byte HEARTBEAT, got {:?} with {} bytes",
-                self.kind,
-                self.payload.len()
-            )));
-        }
-        let p = &self.payload;
-        let u = |r: std::ops::Range<usize>| u64::from_le_bytes(p[r].try_into().unwrap());
-        Ok(Heartbeat {
-            node: self.stream,
-            windows: u(0..8),
-            bytes: u(8..16),
-            credit_stalls: u(16..24),
-            queue_depth: u(24..32),
-            at_ns: u(32..40),
         })
     }
 
@@ -557,28 +515,6 @@ mod tests {
         enc[4] = 0xEE;
         assert!(matches!(
             read_frame(&mut Cursor::new(enc)),
-            Err(GraphStorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn heartbeat_round_trips() {
-        let hb = Heartbeat {
-            node: 2,
-            windows: 120,
-            bytes: 1 << 20,
-            credit_stalls: 3,
-            queue_depth: 8,
-            at_ns: 987_654_321,
-        };
-        let f = Frame::heartbeat(&hb);
-        let back = read_frame(&mut Cursor::new(f.encode())).unwrap().unwrap();
-        assert_eq!(back.parse_heartbeat().unwrap(), hb);
-        // A truncated heartbeat payload is corruption, not a panic.
-        let mut short = f.clone();
-        short.payload.pop();
-        assert!(matches!(
-            short.parse_heartbeat(),
             Err(GraphStorageError::Corrupt(_))
         ));
     }

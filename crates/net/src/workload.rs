@@ -54,10 +54,6 @@ pub struct WorkloadConfig {
     /// `process::exit(113)` after ingesting this many blocks. Only
     /// meaningful in multi-process runs.
     pub die_at: Option<(usize, u64)>,
-    /// Chaos knob: `(store copy, millis)` — that store copy sleeps this
-    /// long after every ingested block, making it a straggler without
-    /// changing the result. Exercised by the straggler-detection smoke.
-    pub stall: Option<(usize, u64)>,
 }
 
 impl Default for WorkloadConfig {
@@ -70,7 +66,6 @@ impl Default for WorkloadConfig {
             block: 512,
             stream_timeout: Duration::from_secs(20),
             die_at: None,
-            stall: None,
         }
     }
 }
@@ -217,11 +212,6 @@ impl Store {
                 // SIGKILLed or crashed peer would. Peers must turn the
                 // silence into a typed error, never a hang.
                 std::process::exit(113);
-            }
-            if let Some((c, ms)) = self.cfg.stall {
-                if c == copy {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
             }
         }
         Ok(edges)

@@ -99,9 +99,11 @@ proptest! {
     #[test]
     fn corrupted_kind_bytes_never_misparse(
         payload in prop::collection::vec(any::<u8>(), 0..64),
-        // Kinds 1..=12 are assigned (transport 1-9, serving plane 10-12);
-        // everything else must be refused as Corrupt.
-        bad_kind in any::<u8>().prop_filter("unassigned kind", |k| !(1..=12).contains(k)),
+        // Kinds 1..=8 (transport) and 10..=13 (serving plane) are
+        // assigned; everything else, 9 included, must be refused as Corrupt.
+        bad_kind in any::<u8>().prop_filter("unassigned kind", |k| {
+            !(1..=8).contains(k) && !(10..=13).contains(k)
+        }),
     ) {
         let mut enc = Frame::data(1, 2, &payload).encode();
         enc[4] = bad_kind; // kind byte lives right after the length word
@@ -154,9 +156,9 @@ proptest! {
         stream in any::<u32>(),
         tag in any::<u64>(),
     ) {
-        // parse_hello / parse_heartbeat / parse_credit on a frame whose
-        // payload is arbitrary bytes: a typed error or a successful
-        // parse, never a panic.
+        // parse_hello / parse_credit on a frame whose payload is
+        // arbitrary bytes: a typed error or a successful parse, never a
+        // panic.
         let frame = Frame {
             kind: FrameKind::Hello,
             stream,
@@ -166,7 +168,6 @@ proptest! {
         };
         for outcome in [
             frame.parse_hello().map(|_| ()),
-            frame.parse_heartbeat().map(|_| ()),
             frame.parse_credit().map(|_| ()),
         ] {
             if let Err(e) = outcome {
@@ -194,22 +195,6 @@ proptest! {
         prop_assert_eq!(back.span, span);
         prop_assert_eq!(&back.payload, &report);
     }
-
-    #[test]
-    fn heartbeat_frames_roundtrip(
-        node in any::<u32>(),
-        windows in any::<u64>(),
-        bytes in any::<u64>(),
-        credit_stalls in any::<u64>(),
-        queue_depth in any::<u64>(),
-        at_ns in any::<u64>(),
-    ) {
-        let hb = mssg_obs::Heartbeat { node, windows, bytes, credit_stalls, queue_depth, at_ns };
-        let frame = Frame::heartbeat(&hb);
-        let back = read_frame(&mut Cursor::new(frame.encode())).unwrap().unwrap();
-        prop_assert_eq!(back.kind, FrameKind::Heartbeat);
-        prop_assert_eq!(back.parse_heartbeat().unwrap(), hb);
-    }
 }
 
 #[test]
@@ -224,6 +209,16 @@ fn oversized_telemetry_reports_are_rejected_as_corrupt() {
         other => panic!("oversized report gave {other:?}"),
     }
     assert!(Frame::telemetry(&vec![0u8; 1024]).is_ok());
+}
+
+#[test]
+fn unassigned_kind_nine_is_refused_as_corrupt() {
+    let mut enc = Frame::data(1, 2, b"payload").encode();
+    enc[4] = 9;
+    match read_frame(&mut Cursor::new(enc)) {
+        Err(GraphStorageError::Corrupt(m)) => assert!(m.contains("kind"), "msg: {m}"),
+        other => panic!("kind 9 gave {other:?}"),
+    }
 }
 
 #[test]

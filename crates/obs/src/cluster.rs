@@ -1,6 +1,5 @@
 //! Cluster-wide telemetry: per-node report serialization, clock-offset
-//! rebasing, merged Chrome traces with one process lane per node, and
-//! heartbeat-based straggler detection.
+//! rebasing, and merged Chrome traces with one process lane per node.
 //!
 //! A distributed run produces one [`NodeTelemetry`] per process (spans,
 //! cross-node flow edges, thread names, metrics). Non-root nodes
@@ -295,14 +294,6 @@ impl ClusterTelemetryReport {
         self.nodes.iter().map(|n| n.telemetry.spans.len()).sum()
     }
 
-    /// Per-node `(node id, metrics)` pairs, in insertion order.
-    pub fn node_metrics(&self) -> Vec<(u32, &MetricsSnapshot)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.telemetry.node, &n.telemetry.metrics))
-            .collect()
-    }
-
     /// Cluster-wide metrics: every node's snapshot folded together with
     /// [`MetricsSnapshot::merged`] (counters and gauges sum, histograms
     /// merge bucketwise).
@@ -461,130 +452,6 @@ impl ClusterTelemetryReport {
     }
 }
 
-/// One heartbeat sample, pushed periodically by every node while a run
-/// is in flight.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Heartbeat {
-    /// Sending node.
-    pub node: u32,
-    /// Cumulative windows ingested (the `ingest.windows` counter).
-    pub windows: u64,
-    /// Cumulative wire bytes moved (the `net.bytes` counter).
-    pub bytes: u64,
-    /// Cumulative credit stalls (the `net.credit_stalls` counter).
-    pub credit_stalls: u64,
-    /// Median queue depth across the node's port queues at sample time.
-    pub queue_depth: u64,
-    /// Sample time, nanoseconds since the sending node's tracer epoch.
-    pub at_ns: u64,
-}
-
-/// Tuning for [`detect_stragglers`].
-#[derive(Clone, Copy, Debug)]
-pub struct StragglerConfig {
-    /// A node is flagged when its window rate falls below this fraction
-    /// of the cluster median rate.
-    pub min_fraction: f64,
-}
-
-impl Default for StragglerConfig {
-    fn default() -> Self {
-        StragglerConfig { min_fraction: 0.5 }
-    }
-}
-
-/// Per-node ingest progress derived from heartbeats.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeProgress {
-    /// Node id.
-    pub node: u32,
-    /// Total windows the node reported ingesting.
-    pub windows: u64,
-    /// Windows per second, measured to the first heartbeat at which the
-    /// node's window count stopped growing.
-    pub rate_per_sec: f64,
-    /// `true` if the node's rate fell below the configured fraction of
-    /// the cluster median.
-    pub straggler: bool,
-}
-
-/// Result of [`detect_stragglers`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StragglerReport {
-    /// Median window rate across nodes that reported heartbeats.
-    pub median_rate: f64,
-    /// Per-node progress, sorted by node id.
-    pub nodes: Vec<NodeProgress>,
-}
-
-impl StragglerReport {
-    /// Nodes flagged as stragglers.
-    pub fn stragglers(&self) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .filter(|n| n.straggler)
-            .map(|n| n.node)
-            .collect()
-    }
-}
-
-/// Flags nodes whose ingest window rate fell below
-/// `cfg.min_fraction × median` of the cluster.
-///
-/// A node's rate is `max windows ÷ time at which that maximum was first
-/// observed` — cumulative rather than differential, so a node that
-/// finished ingesting before its first heartbeat still gets credit for
-/// its full throughput instead of a misleading zero delta.
-pub fn detect_stragglers(heartbeats: &[Heartbeat], cfg: &StragglerConfig) -> StragglerReport {
-    // Earliest heartbeat per node at which its max window count appears.
-    let mut per_node: HashMap<u32, (u64, u64)> = HashMap::new(); // node -> (windows, at_ns)
-    for hb in heartbeats {
-        let entry = per_node.entry(hb.node).or_insert((hb.windows, hb.at_ns));
-        if hb.windows > entry.0 {
-            *entry = (hb.windows, hb.at_ns);
-        } else if hb.windows == entry.0 {
-            entry.1 = entry.1.min(hb.at_ns);
-        }
-    }
-    let mut nodes: Vec<NodeProgress> = per_node
-        .into_iter()
-        .map(|(node, (windows, at_ns))| {
-            let rate = if at_ns == 0 {
-                0.0
-            } else {
-                windows as f64 / (at_ns as f64 / 1e9)
-            };
-            NodeProgress {
-                node,
-                windows,
-                rate_per_sec: rate,
-                straggler: false,
-            }
-        })
-        .collect();
-    nodes.sort_by_key(|n| n.node);
-    if nodes.is_empty() {
-        return StragglerReport::default();
-    }
-    let mut rates: Vec<f64> = nodes.iter().map(|n| n.rate_per_sec).collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    let mid = rates.len() / 2;
-    let median = if rates.len() % 2 == 1 {
-        rates[mid]
-    } else {
-        (rates[mid - 1] + rates[mid]) / 2.0
-    };
-    if median > 0.0 {
-        for n in &mut nodes {
-            n.straggler = n.rate_per_sec < cfg.min_fraction * median;
-        }
-    }
-    StragglerReport {
-        median_rate: median,
-        nodes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,12 +505,6 @@ mod tests {
         }
         let merged = cluster.merged_metrics();
         assert_eq!(merged.counters["net.bytes"], 1000);
-        let per_node: u64 = cluster
-            .node_metrics()
-            .iter()
-            .map(|(_, m)| m.counters["net.bytes"])
-            .sum();
-        assert_eq!(merged.counters["net.bytes"], per_node);
     }
 
     #[test]
@@ -752,73 +613,5 @@ mod tests {
         );
         assert_eq!(starts[0].get("pid").unwrap().as_f64(), Some(0.0));
         assert_eq!(finishes[0].get("pid").unwrap().as_f64(), Some(1.0));
-    }
-
-    #[test]
-    fn straggler_detection_flags_slow_node() {
-        let mut hbs = Vec::new();
-        // Nodes 0 and 2 ingest 60 windows in 100 ms; node 1 takes 1 s.
-        for node in [0u32, 2] {
-            hbs.push(Heartbeat {
-                node,
-                windows: 60,
-                at_ns: 100_000_000,
-                ..Default::default()
-            });
-            // Later heartbeats with no progress must not dilute the rate.
-            hbs.push(Heartbeat {
-                node,
-                windows: 60,
-                at_ns: 1_000_000_000,
-                ..Default::default()
-            });
-        }
-        hbs.push(Heartbeat {
-            node: 1,
-            windows: 6,
-            at_ns: 100_000_000,
-            ..Default::default()
-        });
-        hbs.push(Heartbeat {
-            node: 1,
-            windows: 60,
-            at_ns: 1_000_000_000,
-            ..Default::default()
-        });
-        let report = detect_stragglers(&hbs, &StragglerConfig::default());
-        assert_eq!(report.nodes.len(), 3);
-        assert_eq!(report.stragglers(), vec![1]);
-        assert!(report.median_rate > 0.0);
-    }
-
-    #[test]
-    fn straggler_detection_handles_empty_and_uniform_input() {
-        let report = detect_stragglers(&[], &StragglerConfig::default());
-        assert!(report.nodes.is_empty());
-        assert_eq!(report.median_rate, 0.0);
-
-        // All nodes equal: nobody is a straggler.
-        let hbs: Vec<Heartbeat> = (0..3)
-            .map(|node| Heartbeat {
-                node,
-                windows: 10,
-                at_ns: 1_000_000_000,
-                ..Default::default()
-            })
-            .collect();
-        let report = detect_stragglers(&hbs, &StragglerConfig::default());
-        assert!(report.stragglers().is_empty());
-
-        // Zero-progress cluster: median 0, nobody flagged.
-        let hbs: Vec<Heartbeat> = (0..3)
-            .map(|node| Heartbeat {
-                node,
-                at_ns: 1_000_000_000,
-                ..Default::default()
-            })
-            .collect();
-        assert!(detect_stragglers(&hbs, &StragglerConfig::default())
-            .stragglers()
-            .is_empty());
     }
 }

@@ -36,10 +36,7 @@ pub mod metrics;
 pub mod names;
 pub mod span;
 
-pub use cluster::{
-    detect_stragglers, ClusterTelemetryReport, Heartbeat, NodeTelemetry, StragglerConfig,
-    StragglerReport,
-};
+pub use cluster::{ClusterTelemetryReport, NodeTelemetry};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::{FieldValue, FlowRecord, SpanGuard, SpanRecord, Tracer};
 

@@ -158,41 +158,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket where the cumulative count first reaches
-    /// `q` (0.0..=1.0) of all observations; 0 when empty. A coarse
-    /// (power-of-two) quantile.
-    ///
-    /// Edge cases are pinned down: `q` is clamped to `[0, 1]` (NaN maps
-    /// to 0), `q = 0` answers the first non-empty bucket, `q = 1` the
-    /// last non-empty bucket, and a snapshot whose `count` exceeds the
-    /// bucket sums (possible after merging hostile or torn input) still
-    /// answers the last non-empty bucket instead of inventing a bucket
-    /// that was never observed.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        let mut last_nonempty = None;
-        for (i, n) in self.buckets.iter().enumerate() {
-            if *n > 0 {
-                last_nonempty = Some(i);
-            }
-            cum = cum.saturating_add(*n);
-            if cum >= target {
-                return Histogram::bucket_bounds(i).1;
-            }
-        }
-        // count said there were more observations than the buckets hold;
-        // the last occupied bucket is the best truthful answer.
-        match last_nonempty {
-            Some(i) => Histogram::bucket_bounds(i).1,
-            None => 0,
-        }
-    }
-
     /// Bucketwise sum of two snapshots. Handles mismatched bucket
     /// lengths (shorter snapshot is zero-extended) and saturates instead
     /// of overflowing on adversarial inputs.
@@ -407,8 +372,6 @@ mod tests {
         assert_eq!(s.buckets[4], 1); // {8..15}
         assert_eq!(s.buckets[11], 1); // {1024..2047}
         assert!((s.mean() - 1050.0 / 9.0).abs() < 1e-9);
-        assert_eq!(s.quantile_bound(0.5), 3);
-        assert_eq!(s.quantile_bound(1.0), 2047);
     }
 
     #[test]
@@ -472,45 +435,6 @@ mod tests {
         assert_eq!(m.count, u64::MAX);
         assert_eq!(m.sum, u64::MAX);
         assert_eq!(m.buckets[0], u64::MAX);
-    }
-
-    #[test]
-    fn quantile_bound_extremes() {
-        let h = Histogram::default();
-        for v in [1, 2, 2, 1024] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        // q=0 answers the first non-empty bucket, q=1 the last.
-        assert_eq!(s.quantile_bound(0.0), 1);
-        assert_eq!(s.quantile_bound(1.0), 2047);
-        // Out-of-range and NaN inputs clamp rather than panic.
-        assert_eq!(s.quantile_bound(-3.0), 1);
-        assert_eq!(s.quantile_bound(7.5), 2047);
-        assert_eq!(s.quantile_bound(f64::NAN), 1);
-        // Empty snapshot answers 0 for every q.
-        let empty = HistogramSnapshot::default();
-        assert_eq!(empty.quantile_bound(0.0), 0);
-        assert_eq!(empty.quantile_bound(1.0), 0);
-    }
-
-    #[test]
-    fn quantile_bound_with_inconsistent_count() {
-        // A (hostile or torn) snapshot whose count exceeds the bucket
-        // sums must answer from an occupied bucket, not bucket 64.
-        let s = HistogramSnapshot {
-            buckets: vec![0, 2, 1],
-            count: 100,
-            sum: 8,
-        };
-        assert_eq!(s.quantile_bound(1.0), 3);
-        // All-empty buckets but a nonzero count: nothing observed, so 0.
-        let s = HistogramSnapshot {
-            buckets: Vec::new(),
-            count: 5,
-            sum: 0,
-        };
-        assert_eq!(s.quantile_bound(0.5), 0);
     }
 
     #[test]

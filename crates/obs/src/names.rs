@@ -15,7 +15,6 @@ pub const COUNTERS: &[&str] = &[
     "net.bytes",
     "net.credit_stalls",
     "net.frames",
-    "net.heartbeats",
     "net.telemetry_reports",
     "serve.cache.hits",
     "serve.cache.misses",

@@ -35,23 +35,19 @@
 //! ```
 //!
 //! Workload flags: `--nodes N --vertices V --extra-edges E --seed S
-//! --block B --timeout-secs T --die-at COPY:BLOCKS --stall-at COPY:MS`.
+//! --block B --timeout-secs T --die-at COPY:BLOCKS`.
 //!
-//! Cluster-telemetry flags (launch mode): `--cluster-trace PATH` writes
-//! one merged Chrome trace with a process lane per node, with remote
-//! timestamps rebased onto node 0's clock; `--heartbeat-millis N` turns
-//! on periodic progress heartbeats (echoed live as `MSSG-NODE-HB`
-//! lines); `--straggler-fraction F` flags nodes whose ingest rate falls
-//! below `F ×` the cluster median (default 0.5).
+//! Cluster telemetry (launch mode): `--cluster-trace PATH` turns it on,
+//! prints per-node `MSSG-NODE-TELEM` and merged `MSSG-NODE-CLUSTER`
+//! lines, and writes one merged Chrome trace with a process lane per
+//! node, with remote timestamps rebased onto node 0's clock.
 
 use mssg_core::ingest::{ingest, IngestOptions};
 use mssg_core::{BackendKind, BackendOptions, MssgCluster};
-use mssg_net::launcher::{self, run_cluster_with};
+use mssg_net::launcher::{self, run_cluster};
 use mssg_net::tcp::{TcpOptions, TcpTransport};
 use mssg_net::workload::{self, WorkloadConfig, WorkloadReport};
-use mssg_obs::{
-    detect_stragglers, ClusterTelemetryReport, NodeTelemetry, StragglerConfig, Telemetry,
-};
+use mssg_obs::{ClusterTelemetryReport, NodeTelemetry, Telemetry};
 use mssg_serve::{Client, Outcome, Query, ServeConfig, Server};
 use mssg_types::{Edge, Gid, GraphStorageError, Result};
 use std::io::BufRead;
@@ -69,9 +65,9 @@ fn main() -> ExitCode {
         eprintln!("modes: launch | worker --node I | inproc | serve | query --addr A");
         eprintln!(
             "workload flags: --nodes N --vertices V --extra-edges E --seed S \
-             --block B --timeout-secs T --die-at COPY:BLOCKS --stall-at COPY:MS; \
-             launch adds --deadline-secs N --cluster-trace PATH --heartbeat-millis N \
-             --straggler-fraction F; serve takes --backend-nodes N --vertices V --slots S \
+             --block B --timeout-secs T --die-at COPY:BLOCKS; \
+             launch adds --deadline-secs N --cluster-trace PATH; \
+             serve takes --backend-nodes N --vertices V --slots S \
              --queue-depth D --cache CAP --retry-ms MS --exec-floor-ms F; query takes \
              --addr A --clients C --requests R --burst B --k K --span N"
         );
@@ -145,26 +141,20 @@ fn workload_config(args: &[String]) -> Result<WorkloadConfig> {
         cfg.stream_timeout = Duration::from_secs(t);
     }
     if let Some(spec) = flag::<String>(args, "--die-at")? {
-        cfg.die_at = Some(copy_pair(&spec, "--die-at", "COPY:BLOCKS")?);
-    }
-    if let Some(spec) = flag::<String>(args, "--stall-at")? {
-        cfg.stall = Some(copy_pair(&spec, "--stall-at", "COPY:MS")?);
+        cfg.die_at = Some(die_at(&spec)?);
     }
     Ok(cfg)
 }
 
-/// Parses a `COPY:NUMBER` chaos-knob spec.
-fn copy_pair(spec: &str, name: &str, shape: &str) -> Result<(usize, u64)> {
-    let (copy, num) = spec.split_once(':').ok_or_else(|| {
-        GraphStorageError::Unsupported(format!("{name} wants {shape}, got {spec:?}"))
-    })?;
+/// Parses the `--die-at COPY:BLOCKS` fault-knob spec.
+fn die_at(spec: &str) -> Result<(usize, u64)> {
+    let bad = |what: &str| GraphStorageError::Unsupported(format!("--die-at {what} in {spec:?}"));
+    let (copy, blocks) = spec
+        .split_once(':')
+        .ok_or_else(|| bad("wants COPY:BLOCKS"))?;
     Ok((
-        copy.parse().map_err(|_| {
-            GraphStorageError::Unsupported(format!("{name} copy: cannot parse {copy:?}"))
-        })?,
-        num.parse().map_err(|_| {
-            GraphStorageError::Unsupported(format!("{name} value: cannot parse {num:?}"))
-        })?,
+        copy.parse().map_err(|_| bad("cannot parse COPY"))?,
+        blocks.parse().map_err(|_| bad("cannot parse BLOCKS"))?,
     ))
 }
 
@@ -189,11 +179,9 @@ fn launch(args: &[String]) -> Result<()> {
     let cfg = workload_config(args)?;
     let deadline = Duration::from_secs(flag(args, "--deadline-secs")?.unwrap_or(120));
     let cluster_trace: Option<String> = flag(args, "--cluster-trace")?;
-    let telemetry_on =
-        cluster_trace.is_some() || flag::<u64>(args, "--heartbeat-millis")?.is_some();
     // One run-wide trace id, checked by every handshake: a stale worker
     // from a previous launch cannot join (and corrupt) this run's trace.
-    let trace_id = if telemetry_on {
+    let trace_id = if cluster_trace.is_some() {
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
@@ -223,9 +211,6 @@ fn launch(args: &[String]) -> Result<()> {
                 "--block",
                 "--timeout-secs",
                 "--die-at",
-                "--stall-at",
-                "--heartbeat-millis",
-                "--straggler-fraction",
             ] {
                 if let Some(pos) = args.iter().position(|a| a == carry) {
                     if let Some(value) = args.get(pos + 1) {
@@ -236,19 +221,10 @@ fn launch(args: &[String]) -> Result<()> {
             cmd
         })
         .collect();
-    // Echo heartbeat progress live; everything else prints at the end in
-    // per-node order.
-    let out = run_cluster_with(commands, deadline, &mut |_, line| {
-        if line.starts_with("MSSG-NODE-HB") {
-            println!("{line}");
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-        }
-    })?;
-    // Surface the workers' reports as our own output.
+    let out = run_cluster(commands, deadline)?;
+    // Surface the workers' reports as our own output, in per-node order.
     for line in out.lines.iter().flatten() {
-        if !line.starts_with("MSSG-NODE-HB") {
-            println!("{line}");
-        }
+        println!("{line}");
     }
     Ok(())
 }
@@ -271,8 +247,6 @@ fn worker(args: &[String]) -> Result<()> {
         )));
     }
     let trace_id: u64 = flag(args, "--trace-id")?.unwrap_or(0);
-    let heartbeat_millis: Option<u64> = flag(args, "--heartbeat-millis")?;
-    let straggler_fraction: f64 = flag(args, "--straggler-fraction")?.unwrap_or(0.5);
     let cluster_trace: Option<String> = flag(args, "--cluster-trace")?;
     let telemetry = if trace_id != 0 {
         Telemetry::enabled()
@@ -286,19 +260,11 @@ fn worker(args: &[String]) -> Result<()> {
         dial_timeout: cfg.stream_timeout,
         telemetry: telemetry.clone(),
         trace_id,
-        heartbeat_period: heartbeat_millis.map(Duration::from_millis),
-        ship_telemetry: trace_id != 0,
-        print_heartbeats: node == 0,
     };
     let mut transport = TcpTransport::establish(node, listener, &peers, topology, opts)?;
     let report = workload::run_node(&cfg, node, &mut transport, telemetry.clone())?;
     if node == 0 && trace_id != 0 {
-        print_cluster_telemetry(
-            &transport,
-            &telemetry,
-            straggler_fraction,
-            cluster_trace.as_deref(),
-        )?;
+        print_cluster_telemetry(&transport, &telemetry, cluster_trace.as_deref())?;
     }
     if let Some(report) = report {
         print_report(&report);
@@ -307,12 +273,11 @@ fn worker(args: &[String]) -> Result<()> {
 }
 
 /// Node 0's end-of-run duty: merge its own telemetry with every shipped
-/// peer report, print per-node and cluster summary lines, flag
-/// stragglers, and (when asked) write the merged Chrome trace.
+/// peer report, print per-node and cluster summary lines, and (when
+/// asked) write the merged Chrome trace.
 fn print_cluster_telemetry(
     transport: &TcpTransport,
     telemetry: &Telemetry,
-    straggler_fraction: f64,
     cluster_trace: Option<&str>,
 ) -> Result<()> {
     let mut reports = vec![NodeTelemetry::capture(0, telemetry)];
@@ -336,27 +301,12 @@ fn print_cluster_telemetry(
     let merged = cluster.merged_metrics();
     let merged_counter = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
     println!(
-        "MSSG-NODE-CLUSTER nodes={} spans={} windows={} bytes={} heartbeats={}",
+        "MSSG-NODE-CLUSTER nodes={} spans={} windows={} bytes={}",
         cluster.node_count(),
         cluster.span_count(),
         merged_counter("ingest.windows"),
         merged_counter("net.bytes"),
-        merged_counter("net.heartbeats"),
     );
-    let stragglers = detect_stragglers(
-        &transport.heartbeats(),
-        &StragglerConfig {
-            min_fraction: straggler_fraction,
-        },
-    );
-    for progress in &stragglers.nodes {
-        if progress.straggler {
-            println!(
-                "MSSG-NODE-STRAGGLER node={} rate={:.1} median={:.1}",
-                progress.node, progress.rate_per_sec, stragglers.median_rate,
-            );
-        }
-    }
     if let Some(path) = cluster_trace {
         std::fs::write(path, cluster.chrome_trace_json()).map_err(GraphStorageError::Io)?;
     }

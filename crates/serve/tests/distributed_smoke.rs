@@ -114,8 +114,6 @@ fn telemetry_launch_merges_reports_and_writes_one_cluster_trace() {
         "128",
         "--cluster-trace",
         trace_path.to_str().unwrap(),
-        "--heartbeat-millis",
-        "50",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "launch failed:\n{stdout}");
@@ -146,12 +144,6 @@ fn telemetry_launch_merges_reports_and_writes_one_cluster_trace() {
         "merged net.bytes is not the per-node sum"
     );
 
-    // A healthy uniform run flags nobody.
-    assert!(
-        !stdout.contains("MSSG-NODE-STRAGGLER"),
-        "healthy run flagged a straggler:\n{stdout}"
-    );
-
     // The merged trace parses (via the mssg-obs JSON parser) and carries
     // span events in all three process lanes, none before t=0.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
@@ -176,38 +168,6 @@ fn telemetry_launch_merges_reports_and_writes_one_cluster_trace() {
         vec![0, 1, 2],
         "trace lanes missing a node"
     );
-}
-
-/// Straggler detection: a store copy artificially stalled during ingest
-/// must be flagged against the cluster-median window rate.
-#[test]
-fn stalled_node_is_flagged_as_a_straggler() {
-    let out = launch_output(&[
-        "--block",
-        "64",
-        "--heartbeat-millis",
-        "40",
-        "--straggler-fraction",
-        "0.5",
-        "--stall-at",
-        "1:25",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "launch failed:\n{stdout}");
-    assert!(
-        stdout.contains("MSSG-NODE-HB"),
-        "no live heartbeat lines:\n{stdout}"
-    );
-    let stragglers: Vec<&str> = stdout
-        .lines()
-        .filter(|l| l.starts_with("MSSG-NODE-STRAGGLER"))
-        .collect();
-    assert_eq!(
-        stragglers.len(),
-        1,
-        "exactly the stalled node is flagged:\n{stdout}"
-    );
-    assert_eq!(field(stragglers[0], "node"), 1, "wrong node flagged");
 }
 
 /// The never-hang guarantee: one store copy calls `process::exit` midway

@@ -42,20 +42,6 @@ impl DiskCostModel {
         }
     }
 
-    /// Cost of a single access: one optional seek plus a transfer.
-    pub fn access_cost(&self, bytes: u64, seek: bool) -> Duration {
-        let transfer = if self.bandwidth_bytes_per_sec.is_finite() {
-            Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
-        } else {
-            Duration::ZERO
-        };
-        if seek {
-            self.seek_latency + transfer
-        } else {
-            transfer
-        }
-    }
-
     /// Total modeled time for an interval of I/O activity.
     pub fn modeled_time(&self, io: &IoSnapshot) -> Duration {
         let bytes = io.bytes_read + io.bytes_written;
@@ -87,7 +73,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.modeled_time(&io), Duration::ZERO);
-        assert_eq!(m.access_cost(4096, true), Duration::ZERO);
     }
 
     #[test]
@@ -117,13 +102,5 @@ mod tests {
         let t = m.modeled_time(&io);
         // 50 MB at 50 MB/s ≈ 1 s.
         assert!((t.as_secs_f64() - 1.0).abs() < 0.01, "got {t:?}");
-    }
-
-    #[test]
-    fn access_cost_adds_seek() {
-        let m = DiskCostModel::sata_2006();
-        let with = m.access_cost(4096, true);
-        let without = m.access_cost(4096, false);
-        assert_eq!(with - without, m.seek_latency);
     }
 }

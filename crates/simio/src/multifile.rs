@@ -91,11 +91,6 @@ impl MultiFile {
         self.len_blocks
     }
 
-    /// Number of file segments currently backing the space.
-    pub fn segment_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Maximum blocks per segment (the thesis' `N_ℓ = M / B_ℓ`).
     pub fn blocks_per_file(&self) -> u64 {
         self.blocks_per_file
@@ -196,7 +191,6 @@ mod tests {
             assert_eq!(g, i);
             mf.write_block(g, &[i as u8; 16]).unwrap();
         }
-        assert_eq!(mf.segment_count(), 3);
         assert_eq!(mf.len_blocks(), 5);
         let mut buf = [0u8; 16];
         for i in 0..5u64 {
@@ -218,7 +212,6 @@ mod tests {
         }
         let mut mf = MultiFile::open(&dir, "x", 8, 16, IoStats::new()).unwrap();
         assert_eq!(mf.len_blocks(), 7);
-        assert_eq!(mf.segment_count(), 4);
         let mut buf = [0u8; 8];
         mf.read_block(6, &mut buf).unwrap();
         assert_eq!(buf, [6u8; 8]);

@@ -128,11 +128,6 @@ impl IoSnapshot {
             syncs: self.syncs + other.syncs,
         }
     }
-
-    /// Total block operations (reads + writes).
-    pub fn block_ops(&self) -> u64 {
-        self.block_reads + self.block_writes
-    }
 }
 
 impl fmt::Display for IoSnapshot {
@@ -169,7 +164,6 @@ mod tests {
         assert_eq!(snap.bytes_written, 8192);
         assert_eq!(snap.seeks, 1);
         assert_eq!(snap.syncs, 1);
-        assert_eq!(snap.block_ops(), 3);
     }
 
     #[test]

@@ -286,16 +286,22 @@ fn load_racecheck_allow(path: &Path) -> Result<Vec<(String, usize)>, String> {
     Ok(entries)
 }
 
-/// All first-party `.rs` files: `crates/**` (minus `xtask` itself — its
-/// rule tables quote the patterns it searches for), `examples/**`,
+/// All first-party `.rs` files, sorted: `crates/**`, `examples/**`,
 /// `tests/**`, and `src/**`. Vendored stand-ins are third-party code and
 /// exempt from project policy.
-fn rust_sources(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn first_party_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for top in ["crates", "examples", "tests", "src"] {
         walk(&root.join(top), &mut out);
     }
     out.sort();
+    out
+}
+
+/// The files the lint checks: [`first_party_sources`] minus `xtask`
+/// itself, whose rule tables quote the patterns it searches for.
+fn rust_sources(root: &Path) -> Vec<PathBuf> {
+    let mut out = first_party_sources(root);
     out.retain(|p| !rel_path(root, p).starts_with("crates/xtask/"));
     out
 }
@@ -318,7 +324,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn rel_path(root: &Path, file: &Path) -> String {
+pub(crate) fn rel_path(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
         .unwrap_or(file)
         .components()

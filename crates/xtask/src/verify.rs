@@ -148,10 +148,8 @@ const GROUPS: &[Group] = &[
     },
     Group {
         name: "cluster-telemetry",
-        why: "The merged cluster trace and the straggler chaos run, with their output",
-        runs: &[
-            "-p mssg-serve --test distributed_smoke -- --nocapture telemetry_launch stalled_node",
-        ],
+        why: "The merged cluster trace, with its output",
+        runs: &["-p mssg-serve --test distributed_smoke -- --nocapture telemetry_launch"],
     },
     Group {
         name: "serve-smoke",
@@ -201,6 +199,12 @@ const GROUPS: &[Group] = &[
         why: "The shipping TcpTransport explored over the model link (~3 min; schedule \
               counts on stdout)",
         runs: &["-p mssg-net --test protocol_model -- --nocapture"],
+    },
+    Group {
+        name: "xtask",
+        why: "The tooling's own tests: lint rules on fixed input, this table against CI, the \
+              loc split between non-test and test lines",
+        runs: &["-p xtask -- lint:: verify:: loc::tests::loc_splits_at_the_first_cfg_test"],
     },
     Group {
         name: "graph-verifier",
