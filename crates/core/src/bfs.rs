@@ -67,7 +67,7 @@ use crate::cluster::{MssgCluster, SharedBackend};
 use crate::decluster::Declustering;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
-use crate::visited::{VisitedKind, VisitedSet};
+use crate::visited::{ExternalVisited, PagedBitmap, VisitedKind, VisitedSet};
 use datacutter::superstep::{one_word, records, Barrier, Peers, Phase};
 use datacutter::DataBuffer;
 use mssg_types::{AdjBuffer, Gid, Meta, MetaOp, Result, UNVISITED};
@@ -195,9 +195,10 @@ pub fn bfs(
         mode: options.mode,
         db_filter: options.db_filter,
     };
-    let (copies, telemetry) = superstep::run(cluster, "bfs", KINDS, move |peers, backend| {
-        search.run(peers, backend)
-    })?;
+    let (copies, telemetry) =
+        superstep::run(cluster, "bfs", KINDS, move |peers, backend, scratch| {
+            search.run(peers, backend, scratch)
+        })?;
 
     let met = copies.iter().find_map(|c| c.met);
     let rounds = copies.iter().map(|c| c.rounds).max().unwrap_or(0);
@@ -228,28 +229,46 @@ struct BfsFilter {
     db_filter: bool,
 }
 
+/// What an engine copy keeps between searches and lends to each
+/// (DESIGN.md §10.5): both sides' in-memory visited sets, the level
+/// kernel's vectors, both frontiers, the adjacency buffer and the
+/// `db_filter` marks. A search resets what it uses when it starts, so
+/// nothing of an earlier search is read; a warm search allocates only its
+/// messages. The external visited sets are files of their own search.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    visited: [PagedBitmap; 2],
+    fresh: Vec<Gid>,
+    incoming: Vec<Gid>,
+    next: Vec<Gid>,
+    batches: Vec<Vec<u64>>,
+    frontiers: [Vec<Gid>; 2],
+    adj: AdjBuffer,
+    marked: Vec<Gid>,
+}
+
 /// The `db_filter` marks of one copy's search: the metadata words of its
 /// two sides, and the vertices it marked in its node's engine. Dropping it
 /// — the search done, failed, aborted or panicking — restores those
 /// vertices to `UNVISITED`, so the next search starts from level[v] = ∞,
 /// as Algorithm 1 requires.
-struct Marks {
+struct Marks<'s> {
     db: SharedBackend,
     /// By side. A vertex holds one at a time: the sides' visited sets are
     /// disjoint until they meet, and the search ends there.
     words: [Meta; 2],
-    marked: Vec<Gid>,
+    marked: &'s mut Vec<Gid>,
 }
 
-impl Marks {
+impl Marks<'_> {
     /// Searches that run at once run on distinct engines, so marks named
     /// after the engine are never shared; none is `UNVISITED`.
-    fn new(db: SharedBackend) -> Marks {
+    fn new(db: SharedBackend, marked: &mut Vec<Gid>) -> Marks<'_> {
         let base = (superstep::engine() % (1 << 29)) as Meta * 2;
         Marks {
             db,
             words: [base + 1, base + 2],
-            marked: Vec::new(),
+            marked,
         }
     }
 
@@ -263,7 +282,7 @@ impl Marks {
     }
 }
 
-impl Drop for Marks {
+impl Drop for Marks<'_> {
     fn drop(&mut self) {
         // A search that ends well has cleared its marks and reported any
         // error doing so; one that failed reports its own.
@@ -271,36 +290,37 @@ impl Drop for Marks {
     }
 }
 
-/// One processor's state across the rounds of a search. What a side owns
-/// is indexed by it: 0 grows from the source, 1 from the destination.
-struct Traversal {
+/// One processor's state across the rounds of a search, on its copy's
+/// [`Scratch`]. What a side owns is indexed by it: 0 grows from the
+/// source, 1 from the destination.
+struct Traversal<'s> {
     me: usize,
-    visited: [Box<dyn VisitedSet>; 2],
+    visited: [&'s mut dyn VisitedSet; 2],
     /// What `db_filter` marked in the engine, if it is on.
-    marks: Option<Marks>,
+    marks: Option<Marks<'s>>,
     /// Scratch: what the last `visit_new` call found fresh.
-    fresh: Vec<Gid>,
+    fresh: &'s mut Vec<Gid>,
     /// Scratch: the vertices of the fringe message being received.
-    incoming: Vec<Gid>,
+    incoming: &'s mut Vec<Gid>,
     /// The expanding side's next frontier: fresh vertices this copy owns.
-    next: Vec<Gid>,
+    next: &'s mut Vec<Gid>,
     /// Pending fringe words per destination; the last is the broadcast
     /// batch.
-    batches: Vec<Vec<u64>>,
+    batches: &'s mut Vec<Vec<u64>>,
     visited_count: u64,
 }
 
-impl Traversal {
+impl Traversal<'_> {
     /// Books the vertices in `fresh` as visited on `side` here: counts them
     /// and, under `db_filter`, marks them in the engine.
     fn book_fresh(&mut self, side: usize) -> Result<()> {
         self.visited_count += self.fresh.len() as u64;
         if let Some(marks) = &mut self.marks {
             let mut db = marks.db.lock();
-            for &v in &self.fresh {
+            for &v in self.fresh.iter() {
                 db.set_metadata(v, marks.words[side])?;
             }
-            marks.marked.extend_from_slice(&self.fresh);
+            marks.marked.extend_from_slice(self.fresh);
         }
         Ok(())
     }
@@ -312,9 +332,9 @@ impl Traversal {
         self.incoming
             .extend(records::<1>(msg)?.map(|[v]| Gid::from_raw(v)));
         self.fresh.clear();
-        self.visited[side].visit_new(&self.incoming, &mut self.fresh)?;
+        self.visited[side].visit_new(self.incoming, self.fresh)?;
         self.book_fresh(side)?;
-        self.next.extend_from_slice(&self.fresh);
+        self.next.extend_from_slice(self.fresh);
         Ok(ControlFlow::Continue(()))
     }
 }
@@ -338,7 +358,7 @@ impl BfsFilter {
         };
         for slice in candidates.chunks(chunk) {
             t.fresh.clear();
-            t.visited[side].visit_new(slice, &mut t.fresh)?;
+            t.visited[side].visit_new(slice, t.fresh)?;
             self.route_fresh(peers, t, round, side)?;
             if pipelined {
                 peers.poll(LEVEL, round, &mut |msg| t.receive(msg, side))?;
@@ -399,28 +419,62 @@ impl BfsFilter {
         Ok(())
     }
 
-    /// One copy's search over its node's `backend`.
-    fn run(&self, peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Outcome> {
+    /// One copy's search over its node's `backend`, on the copy's
+    /// `scratch`.
+    fn run(
+        &self,
+        peers: &mut Peers<'_>,
+        backend: &SharedBackend,
+        scratch: &mut Scratch,
+    ) -> Result<Outcome> {
         let me = peers.me();
-        let open = |side: usize| {
-            // Concurrent searches run on distinct engines, each with files
-            // of its own.
-            let name = format!("visited-{}-{me}-{side}", superstep::engine());
-            let stats = Arc::clone(&self.io_stats[me]);
-            self.visited_kind.open(&self.scratch, &name, stats)
+        let Scratch {
+            visited: [visited_0, visited_1],
+            fresh,
+            incoming,
+            next,
+            batches,
+            frontiers,
+            adj,
+            marked,
+        } = scratch;
+        let mut external: [ExternalVisited; 2];
+        let visited: [&mut dyn VisitedSet; 2] = match self.visited_kind {
+            VisitedKind::InMemory => {
+                visited_0.reset();
+                visited_1.reset();
+                [visited_0, visited_1]
+            }
+            VisitedKind::External => {
+                std::fs::create_dir_all(&self.scratch)?;
+                let open = |side: usize| {
+                    // Concurrent searches run on distinct engines, each
+                    // with files of its own.
+                    let name = format!("visited-{}-{me}-{side}.db", superstep::engine());
+                    let stats = Arc::clone(&self.io_stats[me]);
+                    ExternalVisited::create(&self.scratch.join(name), stats)
+                };
+                external = [open(0)?, open(1)?];
+                let [external_0, external_1] = &mut external;
+                [external_0, external_1]
+            }
         };
+        // A search that ended at a meet left its next frontier.
+        next.clear();
+        for frontier in frontiers.iter_mut() {
+            frontier.clear();
+        }
+        batches.resize_with(peers.copies() + 1, Vec::new);
         let mut t = Traversal {
             me,
-            visited: [open(0)?, open(1)?],
-            marks: self.db_filter.then(|| Marks::new(backend.clone())),
-            fresh: Vec::new(),
-            incoming: Vec::new(),
-            next: Vec::new(),
-            batches: vec![Vec::new(); peers.copies() + 1],
+            visited,
+            marks: self.db_filter.then(|| Marks::new(backend.clone(), marked)),
+            fresh,
+            incoming,
+            next,
+            batches,
             visited_count: 0,
         };
-        let mut frontiers: [Vec<Gid>; 2] = Default::default();
-        let mut adj = AdjBuffer::new();
         let mut edges_scanned = 0u64;
         let mut met: Option<Gid> = None;
         let mut round: u32 = 1;
@@ -433,7 +487,7 @@ impl BfsFilter {
             let owner = self.placement.owner(end);
             if owner.is_none_or(|owner| owner == me) {
                 t.fresh.clear();
-                t.visited[side].visit_new(&[end], &mut t.fresh)?;
+                t.visited[side].visit_new(&[end], t.fresh)?;
                 t.book_fresh(side)?;
                 frontiers[side].push(end);
             }
@@ -472,7 +526,7 @@ impl BfsFilter {
                 adj.clear();
                 backend
                     .lock()
-                    .expand_fringe(&frontiers[side], &mut adj, meta, op)?;
+                    .expand_fringe(&frontiers[side], adj, meta, op)?;
                 edges_scanned += adj.len() as u64;
                 self.expand_slice(peers, &mut t, round, side, adj.as_slice())?;
             }
@@ -490,7 +544,7 @@ impl BfsFilter {
             level_span.record("visited", t.visited_count - visited_at_level_start);
 
             // ---- the tally ----
-            if let Some(meet) = t.visited[1 - side].first_visited(&t.next)? {
+            if let Some(meet) = t.visited[1 - side].first_visited(t.next)? {
                 peers.send_all(TALLY.data, round, &[meet.raw()])?;
                 met = Some(meet);
                 break;
@@ -510,7 +564,7 @@ impl BfsFilter {
             if sizes[side] == 0 {
                 break; // The side ran out: the ends are not connected.
             }
-            std::mem::swap(&mut frontiers[side], &mut t.next);
+            std::mem::swap(&mut frontiers[side], t.next);
             t.next.clear();
             round += 1;
         }
@@ -842,16 +896,16 @@ mod tests {
             mode: options.mode,
             db_filter: options.db_filter,
         };
-        superstep::run(cluster, "bfs", KINDS, move |peers, backend| {
+        superstep::run(cluster, "bfs", KINDS, move |peers, backend, scratch| {
             if peers.me() != 1 {
-                return search.run(peers, backend);
+                return search.run(peers, backend, scratch);
             }
             let dying: Box<dyn graphdb::GraphDb + Send> = Box::new(DiesMidSearch {
                 db: backend.clone(),
                 expansions: 0,
                 dies_at,
             });
-            search.run(peers, &Arc::new(parking_lot::Mutex::new(dying)))
+            search.run(peers, &Arc::new(parking_lot::Mutex::new(dying)), scratch)
         })
         .map(drop)
     }
@@ -1324,6 +1378,43 @@ mod tests {
                     assert_eq!(msgs, first_pass[i], "{what}: messages of this search alone");
                 }
             }
+        }
+        assert_eq!(cluster.engines.started(), 1);
+    }
+
+    #[test]
+    fn a_reused_engine_answers_as_a_fresh_cluster_does() {
+        // An engine's copies keep their scratch from search to search: a
+        // search after a larger one, in another mode, under the engine's
+        // filter, or in memory after an external one, answers, scans,
+        // visits and sends what it does on a cluster of its own.
+        let mut below = xorshift(0x5c7a);
+        let edges = skewed_edges(&mut below);
+        let build = |tag: &str| {
+            let edges = edges.clone();
+            build_cluster(
+                tag,
+                3,
+                BackendKind::HashMap,
+                edges,
+                DeclusterKind::VertexHash,
+            )
+        };
+        let counts = |m: &SearchMetrics| {
+            let net = &m.telemetry.net;
+            let visits = (m.rounds, m.edges_scanned, m.vertices_visited);
+            (m.path_length, visits, net.total_msgs(), net.total_bytes())
+        };
+        let cluster = build("reused");
+        let variants = variants();
+        for i in 0..12 {
+            let source = below(300);
+            let dest = if i % 3 == 2 { 1001 } else { below(300) };
+            let opts = &variants[i % variants.len()];
+            let what = format!("search {i}: {source} -> {dest} under {opts:?}");
+            let alone = bfs(&build(&format!("alone-{i}")), g(source), g(dest), opts).unwrap();
+            let reused = bfs(&cluster, g(source), g(dest), opts).unwrap();
+            assert_eq!(counts(&reused), counts(&alone), "{what}");
         }
         assert_eq!(cluster.engines.started(), 1);
     }

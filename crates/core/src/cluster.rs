@@ -9,6 +9,7 @@
 use crate::backend::{open_backend, BackendKind, BackendOptions};
 use crate::decluster::{DeclusterKind, Declustering};
 use crate::epoch::EpochManager;
+use crate::query::HopScratch;
 use crate::superstep::Engines;
 use crate::telemetry::TelemetryReport;
 use datacutter::RunReport;
@@ -45,6 +46,8 @@ pub struct MssgCluster {
     /// Idle resident engines the analyses run on (`superstep`). Declared
     /// first, so a dropped cluster stops them before its backends go.
     pub(crate) engines: Engines,
+    /// Idle scratch of the front end's k-hop expansions (`query::k_hop`).
+    pub(crate) hops: Mutex<Vec<HopScratch>>,
     backends: Vec<SharedBackend>,
     /// Each node's ingest checkpoint, shared with the store copy that
     /// advances it (`ingest`).
@@ -87,6 +90,7 @@ impl MssgCluster {
         }
         Ok(MssgCluster {
             engines: Engines::new(),
+            hops: Mutex::new(Vec::new()),
             backends,
             checkpoints: (0..nodes).map(|_| Arc::default()).collect(),
             stats,

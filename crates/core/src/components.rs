@@ -65,7 +65,7 @@ pub(crate) const KINDS: u64 = 8;
 pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
     let placement = cluster.placement().clone();
     let (copies, telemetry) =
-        superstep::run(cluster, "components", KINDS, move |peers, backend| {
+        superstep::run(cluster, "components", KINDS, move |peers, backend, _| {
             propagate(peers, backend, &placement)
         })?;
     let mut sizes: HashMap<u64, u64> = HashMap::new();

@@ -45,7 +45,7 @@ pub(crate) const KINDS: u64 = 2;
 
 /// Computes the degree distribution of the stored graph.
 pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
-    let (copies, telemetry) = superstep::run(cluster, "degrees", KINDS, |peers, backend| {
+    let (copies, telemetry) = superstep::run(cluster, "degrees", KINDS, |peers, backend, _| {
         let p = peers.copies();
         // Measure the local partition.
         let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];

@@ -125,7 +125,9 @@ struct Forest {
 
 /// Computes the minimum spanning forest of the stored graph.
 pub fn minimum_spanning_forest(cluster: &MssgCluster) -> Result<MsfResult> {
-    let (copies, telemetry) = superstep::run(cluster, "msf", KINDS, boruvka)?;
+    let (copies, telemetry) = superstep::run(cluster, "msf", KINDS, |peers, backend, _| {
+        boruvka(peers, backend)
+    })?;
     let forest = copies.into_iter().flatten().next().unwrap_or_default();
     Ok(MsfResult {
         total_weight: forest.edges.iter().map(|&(w, _)| w as u128).sum(),

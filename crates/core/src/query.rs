@@ -278,6 +278,17 @@ pub struct KHopResult {
     pub edges_scanned: u64,
 }
 
+/// What a k-hop expansion works in: the visited set, the vertices reached
+/// so far — level by level, so the last level is the fringe — and the
+/// adjacency buffer. The cluster keeps idle ones, and an expansion takes
+/// one and hands it back, so a warm expansion allocates only its answer.
+#[derive(Default)]
+pub(crate) struct HopScratch {
+    visited: PagedBitmap,
+    reached: Vec<Gid>,
+    adj: AdjBuffer,
+}
+
 /// The k-hop neighborhood of `source`: every vertex reachable in at most
 /// `k` hops. A level-synchronous expansion on the front end from the
 /// pieces BFS's level kernel is made of: per level, one `expand_fringe` of
@@ -286,29 +297,33 @@ pub struct KHopResult {
 /// vertex's list across nodes, so the union is required) — filtered
 /// through one visited set into the next fringe.
 pub fn k_hop(cluster: &MssgCluster, source: Gid, k: u32) -> Result<KHopResult> {
-    let mut visited = PagedBitmap::new();
-    let mut vertices = Vec::new();
-    visited.visit_new(&[source], &mut vertices)?;
-    let mut fringe: Vec<Gid> = vec![source];
-    let mut next: Vec<Gid> = Vec::new();
-    let mut adj = AdjBuffer::new();
+    let mut scratch = cluster.hops.lock().pop().unwrap_or_default();
+    let HopScratch {
+        visited,
+        reached,
+        adj,
+    } = &mut scratch;
+    visited.reset();
+    reached.clear();
+    visited.visit_new(&[source], reached)?;
+    let mut fringe = 0..reached.len();
     let mut edges_scanned = 0u64;
     for _ in 0..k {
         for node in 0..cluster.nodes() {
             adj.clear();
             cluster.with_backend(node, |db| {
-                db.expand_fringe(&fringe, &mut adj, 0, MetaOp::Ignore)
+                db.expand_fringe(&reached[fringe.clone()], adj, 0, MetaOp::Ignore)
             })?;
             edges_scanned += adj.len() as u64;
-            visited.visit_new(adj.as_slice(), &mut next)?;
+            visited.visit_new(adj.as_slice(), reached)?;
         }
-        if next.is_empty() {
+        if reached.len() == fringe.end {
             break;
         }
-        vertices.extend_from_slice(&next);
-        fringe.clear();
-        std::mem::swap(&mut fringe, &mut next);
+        fringe = fringe.end..reached.len();
     }
+    let mut vertices = reached.to_vec();
+    cluster.hops.lock().push(scratch);
     vertices.sort_unstable();
     Ok(KHopResult {
         source,
@@ -449,6 +464,27 @@ mod tests {
         // k = 0 never expands, present or not.
         let r0 = k_hop(&c, Gid::new(5), 0).unwrap();
         assert_eq!(r0.vertices, vec![Gid::new(5)]);
+    }
+
+    #[test]
+    fn khop_after_a_larger_expansion_returns_only_its_own_neighbourhood() {
+        // Every expansion reuses the one scratch the cluster keeps, and
+        // answers as an expansion on a cluster of its own does.
+        let c = cluster("khop-reuse");
+        let expansions = [(0, 10), (5, 1), (10, 3), (9999, 2), (5, 2), (2, 0)];
+        for (i, (source, k)) in expansions.into_iter().enumerate() {
+            let r = k_hop(&c, Gid::new(source), k).unwrap();
+            let want: Vec<Gid> = match source {
+                0..=10 => (source.saturating_sub(k as u64)..=(source + k as u64).min(10))
+                    .map(Gid::new)
+                    .collect(),
+                _ => vec![Gid::new(source)],
+            };
+            assert_eq!(r.vertices, want, "k_hop({source}, {k})");
+            let alone = k_hop(&cluster(&format!("khop-alone-{i}")), Gid::new(source), k).unwrap();
+            assert_eq!(r, alone, "k_hop({source}, {k})");
+        }
+        assert_eq!(c.hops.lock().len(), 1, "one scratch, reused");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! which ends the pipeline's run, and the call reports that error — the
 //! run's root cause. A failed engine never serves again.
 
+use crate::bfs::Scratch;
 use crate::cluster::{MssgCluster, SharedBackend};
 use crate::telemetry::TelemetryReport;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -48,23 +49,24 @@ pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
 
 /// What an engine's copies run: a program whose result its closure has
 /// already put in the copy's slot.
-type Program = dyn Fn(&mut Peers<'_>, &SharedBackend) -> Result<()> + Send + Sync;
+type Program = dyn Fn(&mut Peers<'_>, &SharedBackend, &mut Scratch) -> Result<()> + Send + Sync;
 
 /// Runs `program` on every back-end node, the copies joined all-to-all,
 /// and returns what each copy computed, by copy index, with the report of
 /// this job alone. `kinds` is how many message kinds the program uses
-/// (`0..kinds`).
+/// (`0..kinds`). Each copy lends the program its [`Scratch`]; a program
+/// that uses it resets what it takes.
 pub(crate) fn run<T: Send + 'static>(
     cluster: &MssgCluster,
     name: &str,
     kinds: u64,
-    program: impl Fn(&mut Peers<'_>, &SharedBackend) -> Result<T> + Send + Sync + 'static,
+    program: impl Fn(&mut Peers<'_>, &SharedBackend, &mut Scratch) -> Result<T> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, TelemetryReport)> {
     let p = cluster.nodes();
     let results = Arc::new(Mutex::new((0..p).map(|_| None).collect::<Vec<_>>()));
     let slots = Arc::clone(&results);
-    let job: Arc<Program> = Arc::new(move |peers, backend| {
-        let result = program(peers, backend)?;
+    let job: Arc<Program> = Arc::new(move |peers, backend, scratch| {
+        let result = program(peers, backend, scratch)?;
         slots.lock()[peers.me()] = Some(result);
         Ok(())
     });
@@ -150,13 +152,6 @@ impl Engines {
         let idle = std::mem::take(&mut *self.idle.lock());
         drop(idle);
     }
-
-    /// How many engines this cluster has started.
-    #[cfg(test)]
-    pub(crate) fn started(&self) -> u64 {
-        // racecheck: a count, read after the calls that started engines.
-        self.started.load(Ordering::Relaxed)
-    }
 }
 
 /// One job, as each copy receives it.
@@ -207,6 +202,7 @@ impl Engine {
             replies.push(reply_rx);
             ends.push(Some(Processor {
                 backend: cluster.backend(i),
+                scratch: Scratch::default(),
                 engine: number,
                 jobs: job_rx,
                 replies: reply_tx,
@@ -283,6 +279,8 @@ impl Drop for Engine {
 /// One copy of an engine: it runs jobs until the engine is stopped.
 struct Processor {
     backend: SharedBackend,
+    /// What the copy lends each job; it goes with a failed engine.
+    scratch: Scratch,
     engine: u64,
     jobs: Receiver<Job>,
     replies: Sender<Done>,
@@ -305,7 +303,7 @@ impl Filter for Processor {
                     .with_str("program", &job.name)
                     .with("job", job.number as u64);
                 Peers::new(ctx, job.kinds, job.number)?
-                    .run(|peers| (job.program)(peers, &self.backend))?;
+                    .run(|peers| (job.program)(peers, &self.backend, &mut self.scratch))?;
             }
             let done = Done {
                 total: started.elapsed(),
@@ -325,6 +323,14 @@ mod tests {
     use crate::backend::{BackendKind, BackendOptions};
     use crate::{bfs, components, degrees, msf};
     use datacutter::superstep::Phase;
+
+    impl Engines {
+        /// How many engines this cluster has started.
+        pub(crate) fn started(&self) -> u64 {
+            // racecheck: a count, read after the calls that started engines.
+            self.started.load(Ordering::Relaxed)
+        }
+    }
 
     /// Ends round 1 of `phase` as a program reading `arity`-word records
     /// does; returns how many records arrived and the summed count.
@@ -384,7 +390,7 @@ mod tests {
                 for (fault, malformed) in inputs {
                     let fails = malformed.is_none();
                     let started = Instant::now();
-                    let err = run(&cluster, "rows", kinds, move |peers, _| {
+                    let err = run(&cluster, "rows", kinds, move |peers, _, _| {
                         if peers.me() != 1 {
                             return finish_round(peers, phase, arity, 0).map(drop);
                         }
@@ -402,7 +408,7 @@ mod tests {
                     failed += 1;
                     // Well formed, copy 1's two records and every count
                     // arrive — on a new engine: the failed one was not kept.
-                    let (got, _) = run(&cluster, "rows", kinds, move |peers, _| {
+                    let (got, _) = run(&cluster, "rows", kinds, move |peers, _, _| {
                         let me = peers.me();
                         if me == 1 {
                             peers.send(0, phase.data, 1, &vec![3; 2 * arity])?;
@@ -436,7 +442,7 @@ mod tests {
         const PHASE: Phase = Phase::nth(0);
         let cluster = cluster("isolation", 2);
         // Job 1: copy 1 sends copy 0 a round-1 marker copy 0 never reads.
-        run(&cluster, "leave", 2, |peers, _| {
+        run(&cluster, "leave", 2, |peers, _, _| {
             if peers.me() == 1 {
                 peers.send(0, PHASE.done, 1, &[100])?;
             }
@@ -446,7 +452,7 @@ mod tests {
         // Job 2, on the same engine: round 1 again, and each copy's count
         // is summed once.
         for _ in 0..3 {
-            let (sums, _) = run(&cluster, "count", 2, |peers, _| {
+            let (sums, _) = run(&cluster, "count", 2, |peers, _, _| {
                 let count = peers.me() as u64 + 1;
                 peers.finish::<1>(PHASE, 1, &[], count, |_| Ok(()))
             })
@@ -461,7 +467,7 @@ mod tests {
         const PHASE: Phase = Phase::nth(0);
         let cluster = cluster("failure", 2);
         let sum = |cluster: &MssgCluster| {
-            let (sums, _) = run(cluster, "count", 2, |peers, _| {
+            let (sums, _) = run(cluster, "count", 2, |peers, _, _| {
                 peers.finish::<1>(PHASE, 1, &[], 1, |_| Ok(()))
             })
             .unwrap();
@@ -471,7 +477,7 @@ mod tests {
         // Copy 1 panics while copy 0 waits for its marker: the call ends
         // at once, with the panic.
         let started = Instant::now();
-        let err = run(&cluster, "panics", 2, |peers, _| {
+        let err = run(&cluster, "panics", 2, |peers, _, _| {
             assert_eq!(peers.me(), 0, "copy 1 fails");
             peers.finish::<1>(PHASE, 1, &[], 1, |_| Ok(()))
         })
@@ -496,9 +502,9 @@ mod tests {
         // next job only briefly and then parks: it burns almost no CPU
         // over the gap.
         let cluster = cluster("idle-cpu", 2);
-        let (ends, _) = run(&cluster, "before", 1, |_, _| Ok(thread_cpu())).unwrap();
+        let (ends, _) = run(&cluster, "before", 1, |_, _, _| Ok(thread_cpu())).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        let (starts, _) = run(&cluster, "after", 1, |_, _| Ok(thread_cpu())).unwrap();
+        let (starts, _) = run(&cluster, "after", 1, |_, _, _| Ok(thread_cpu())).unwrap();
         assert_eq!(cluster.engines.started(), 1, "both jobs ran on one engine");
         for (copy, (end, start)) in ends.iter().zip(&starts).enumerate() {
             let cpu = *start - *end;
@@ -512,7 +518,7 @@ mod tests {
     #[test]
     fn dropping_a_cluster_stops_its_idle_engine() {
         let cluster = cluster("drop", 2);
-        run(&cluster, "idle", 1, |_, _| Ok(())).unwrap();
+        run(&cluster, "idle", 1, |_, _, _| Ok(())).unwrap();
         assert_eq!(cluster.engines.started(), 1);
         let started = std::time::Instant::now();
         drop(cluster);

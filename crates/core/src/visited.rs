@@ -31,8 +31,18 @@
 //! alone in its page, as with uniformly random 61-bit ids — is one page and
 //! one hash-directory entry per vertex, under
 //! [`WORST_CASE_BYTES_PER_VERTEX`]; the direct table adds at most
-//! 4 × `DIRECT_PAGES` bytes (256 KiB) to a search, and only as far as the
+//! 6 × `DIRECT_PAGES` bytes (384 KiB: the table, and the list of the
+//! entries a search set) to each of a copy's sets, and only as far as the
 //! highest low page it touches.
+//!
+//! A bitmap outlives its search: an engine copy keeps one per side and
+//! [`PagedBitmap::reset`]s it for the next search. A reset keeps the pages
+//! and the direct table and clears only the directory entries the last
+//! search set; a page is zeroed when a search first touches it. A search
+//! therefore costs O(the pages it touches), however many the set holds.
+//! Pages of the hashed directory are dropped at a reset, so what a set
+//! keeps is bounded by the direct range (4 MiB of pages). The external set
+//! is a file per search and is not kept.
 //!
 //! Page size was chosen by measurement (`query_qps` @ mem-hashmap, with a
 //! hash-only directory and a remembered last page): 64 B and 512 B pages
@@ -104,14 +114,23 @@ type Page = [u64; PAGE_WORDS];
 /// module docs).
 #[derive(Default)]
 pub struct PagedBitmap {
+    /// The pages this search uses, `pages[..used]`, then zeroed or stale
+    /// ones an earlier search left, kept for reuse.
     pages: Vec<Page>,
+    used: usize,
     /// The page directory. Both halves hold a page's index into `pages`
     /// plus one: `direct[n]` for page number `n < DIRECT_PAGES` (0: no page
-    /// yet; as long as the highest such page touched), `hashed` beyond.
+    /// yet; as long as the highest such page ever touched), `hashed`
+    /// beyond.
     direct: Vec<u32>,
     hashed: HashMap<u64, u32, BuildHasherDefault<GidHasher>>,
+    /// The entries of `direct` this search set, which a reset clears.
+    touched: Vec<u16>,
     len: u64,
 }
+
+// `touched` holds a direct page number in 16 bits.
+const _: () = assert!(DIRECT_PAGES <= 1 << 16);
 
 impl PagedBitmap {
     /// An empty set.
@@ -119,7 +138,28 @@ impl PagedBitmap {
         PagedBitmap::default()
     }
 
-    /// Page `number`, allocated zeroed on first touch.
+    /// Empties the set for the next search, keeping its pages and direct
+    /// table; the hashed directory and its pages are dropped. Costs
+    /// O(the low pages the last search touched).
+    pub fn reset(&mut self) {
+        for &number in &self.touched {
+            self.direct[number as usize] = 0;
+        }
+        self.touched.clear();
+        if !self.hashed.is_empty() {
+            self.hashed = HashMap::default();
+            // Without hashed pages a search uses at most DIRECT_PAGES.
+            if self.pages.len() > DIRECT_PAGES as usize {
+                self.pages.truncate(DIRECT_PAGES as usize);
+                self.pages.shrink_to_fit();
+            }
+        }
+        self.used = 0;
+        self.len = 0;
+    }
+
+    /// Page `number`, zeroed on this search's first touch: a kept page,
+    /// or a new one.
     #[inline]
     fn page(&mut self, number: u64) -> &mut Page {
         let entry = if number < DIRECT_PAGES {
@@ -132,9 +172,15 @@ impl PagedBitmap {
             self.hashed.entry(number).or_insert(0)
         };
         if *entry == 0 {
-            self.pages.push([0; PAGE_WORDS]);
-            *entry =
-                u32::try_from(self.pages.len()).expect("fewer than 2^32 bitmap pages (256 GiB)");
+            match self.pages.get_mut(self.used) {
+                Some(page) => *page = [0; PAGE_WORDS],
+                None => self.pages.push([0; PAGE_WORDS]),
+            }
+            self.used += 1;
+            if number < DIRECT_PAGES {
+                self.touched.push(number as u16);
+            }
+            *entry = u32::try_from(self.used).expect("fewer than 2^32 bitmap pages (256 GiB)");
         }
         &mut self.pages[*entry as usize - 1]
     }
@@ -227,29 +273,6 @@ impl VisitedSet for ExternalVisited {
     }
 }
 
-impl VisitedKind {
-    /// Opens a visited structure for a search; the external one is the
-    /// file `<name>.db` in `scratch_dir`, so `name` must be unique among the
-    /// structures open there.
-    pub fn open(
-        self,
-        scratch_dir: &Path,
-        name: &str,
-        stats: Arc<IoStats>,
-    ) -> Result<Box<dyn VisitedSet>> {
-        Ok(match self {
-            VisitedKind::InMemory => Box::new(PagedBitmap::new()),
-            VisitedKind::External => {
-                std::fs::create_dir_all(scratch_dir)?;
-                Box::new(ExternalVisited::create(
-                    &scratch_dir.join(format!("{name}.db")),
-                    stats,
-                )?)
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +299,7 @@ mod tests {
     fn heap_bytes(vs: &PagedBitmap) -> usize {
         vs.pages.capacity() * PAGE_BYTES
             + vs.direct.capacity() * 4
+            + vs.touched.capacity() * 2
             + vs.hashed.capacity() * 8 / 7 * 17
     }
 
@@ -325,16 +349,6 @@ mod tests {
         }
         let vs = ExternalVisited::create(&path, IoStats::new()).unwrap();
         assert!(vs.is_empty(), "create() must start a fresh query state");
-    }
-
-    #[test]
-    fn kind_factory() {
-        let dir = std::env::temp_dir().join(format!("core-visited-{}-f", std::process::id()));
-        for kind in [VisitedKind::InMemory, VisitedKind::External] {
-            let mut vs = kind.open(&dir, "factory", IoStats::new()).unwrap();
-            assert_eq!(visit(vs.as_mut(), &[9, 9]), [9]);
-            assert_eq!(vs.len(), 1);
-        }
     }
 
     #[test]
@@ -406,12 +420,67 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_search_after_a_large_one_zeroes_only_its_own_pages() {
+        let mut vs = PagedBitmap::new();
+        let large: Vec<u64> = (0..1 << 20).step_by(7).collect();
+        visit(&mut vs, &large);
+        let held = vs.pages.len();
+        assert_eq!((vs.used, vs.touched.len()), (held, held));
+        vs.reset();
+        assert!(vs.is_empty());
+        assert_eq!((vs.used, vs.touched.len()), (0, 0), "nothing in use");
+        assert!(vs.direct.iter().all(|&entry| entry == 0));
+        // Three ids in two pages: two pages handed out and zeroed, and the
+        // large search's pages kept, not reallocated.
+        let page = (PAGE_BYTES * 8) as u64;
+        assert_eq!(visit(&mut vs, &[3, 5 * page, 3, 7]), [3, 5 * page, 7]);
+        assert_eq!((vs.used, vs.touched.len(), vs.pages.len()), (2, 2, held));
+        assert_eq!(first_visited(&mut vs, &[page, 14, 7]), Some(7));
+    }
+
+    #[test]
+    fn a_reset_drops_the_hashed_directory() {
+        let mut vs = PagedBitmap::new();
+        let high: Vec<u64> = (0..DIRECT_PAGES + 100)
+            .map(|i| (1 << 40) + i * 512)
+            .collect();
+        visit(&mut vs, &high);
+        assert!(vs.pages.len() > DIRECT_PAGES as usize);
+        vs.reset();
+        assert_eq!(vs.hashed.capacity(), 0);
+        assert!(
+            vs.pages.capacity() <= DIRECT_PAGES as usize,
+            "bounded by the direct range"
+        );
+        assert_eq!(first_visited(&mut vs, &high[..4]), None);
+        assert_eq!(visit(&mut vs, &high[..2]), high[..2]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64 })]
 
         #[test]
         fn bitmap_matches_hashset_model(batches in batches()) {
             check_against_model(&mut PagedBitmap::new(), &batches);
+        }
+
+        #[test]
+        fn a_reset_set_is_a_fresh_set(
+            searches in prop::collection::vec(batches(), 1..6),
+        ) {
+            // One set across searches, reset between them, answers each
+            // search as a new set would, and holds no more pages than the
+            // largest search used.
+            let mut vs = PagedBitmap::new();
+            let mut largest = 0;
+            for batches in &searches {
+                vs.reset();
+                prop_assert_eq!(vs.len(), 0);
+                check_against_model(&mut vs, batches);
+                largest = largest.max(vs.used);
+                prop_assert_eq!(vs.pages.len(), largest);
+            }
         }
 
         #[test]

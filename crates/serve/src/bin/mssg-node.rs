@@ -106,6 +106,31 @@ fn main() -> ExitCode {
     }
 }
 
+/// The workload flags, which `launch` hands on to its workers.
+const WORKLOAD_FLAGS: &[&str] = &[
+    "--nodes",
+    "--vertices",
+    "--extra-edges",
+    "--seed",
+    "--block",
+    "--timeout-secs",
+    "--die-at",
+];
+
+/// Refuses `args` unless each is a `--flag value` pair whose flag is in
+/// one of `flags`: a misspelt or removed flag is an error, not ignored.
+fn takes(args: &[String], flags: &[&[&str]]) -> Result<()> {
+    for pair in args.chunks(2) {
+        let name = pair[0].as_str();
+        if !flags.iter().any(|group| group.contains(&name)) {
+            return Err(GraphStorageError::Unsupported(format!(
+                "unknown argument {name:?} (see --help)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// One `--flag value` pair out of `args`, parsed.
 fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>> {
     let Some(pos) = args.iter().position(|a| a == name) else {
@@ -176,6 +201,10 @@ fn print_report(report: &WorkloadReport) {
 }
 
 fn launch(args: &[String]) -> Result<()> {
+    takes(
+        args,
+        &[WORKLOAD_FLAGS, &["--deadline-secs", "--cluster-trace"]],
+    )?;
     let cfg = workload_config(args)?;
     let deadline = Duration::from_secs(flag(args, "--deadline-secs")?.unwrap_or(120));
     let cluster_trace: Option<String> = flag(args, "--cluster-trace")?;
@@ -203,15 +232,7 @@ fn launch(args: &[String]) -> Result<()> {
                     cmd.arg("--cluster-trace").arg(path);
                 }
             }
-            for carry in [
-                "--nodes",
-                "--vertices",
-                "--extra-edges",
-                "--seed",
-                "--block",
-                "--timeout-secs",
-                "--die-at",
-            ] {
+            for &carry in WORKLOAD_FLAGS {
                 if let Some(pos) = args.iter().position(|a| a == carry) {
                     if let Some(value) = args.get(pos + 1) {
                         cmd.arg(carry).arg(value);
@@ -230,6 +251,10 @@ fn launch(args: &[String]) -> Result<()> {
 }
 
 fn worker(args: &[String]) -> Result<()> {
+    takes(
+        args,
+        &[WORKLOAD_FLAGS, &["--node", "--trace-id", "--cluster-trace"]],
+    )?;
     let cfg = workload_config(args)?;
     let node: usize = flag(args, "--node")?
         .ok_or_else(|| GraphStorageError::Unsupported("worker mode needs --node I".into()))?;
@@ -314,6 +339,7 @@ fn print_cluster_telemetry(
 }
 
 fn inproc(args: &[String]) -> Result<()> {
+    takes(args, &[WORKLOAD_FLAGS])?;
     let cfg = workload_config(args)?;
     let report = workload::run_inproc(&cfg, Telemetry::disabled())?;
     print_report(&report);
@@ -324,6 +350,18 @@ fn inproc(args: &[String]) -> Result<()> {
 /// closes (the stdio contract mirrors the launcher's: the parent learns
 /// the address from `MSSG-SERVE-ADDR`, and closing our stdin stops us).
 fn serve(args: &[String]) -> Result<()> {
+    takes(
+        args,
+        &[&[
+            "--backend-nodes",
+            "--vertices",
+            "--slots",
+            "--queue-depth",
+            "--cache",
+            "--retry-ms",
+            "--exec-floor-ms",
+        ]],
+    )?;
     let backend_nodes: usize = flag(args, "--backend-nodes")?.unwrap_or(2);
     let vertices: u64 = flag(args, "--vertices")?.unwrap_or(1000);
     let mut config = ServeConfig::default();
@@ -382,6 +420,17 @@ fn serve(args: &[String]) -> Result<()> {
 
 /// Drives a serving node with concurrent clients and tallies outcomes.
 fn query(args: &[String]) -> Result<()> {
+    takes(
+        args,
+        &[&[
+            "--addr",
+            "--clients",
+            "--requests",
+            "--burst",
+            "--k",
+            "--span",
+        ]],
+    )?;
     let addr: String = flag(args, "--addr")?.ok_or_else(|| {
         GraphStorageError::Unsupported("query mode needs --addr HOST:PORT".into())
     })?;

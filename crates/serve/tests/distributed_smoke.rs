@@ -205,3 +205,23 @@ fn killed_peer_yields_typed_error_not_a_hang() {
         started.elapsed()
     );
 }
+
+#[test]
+fn every_mode_refuses_an_unknown_flag() {
+    let workload = ["--nodes", "2", "--vertices", "100", "--extra-edges", "100"];
+    for mode in ["launch", "worker", "inproc", "serve", "query"] {
+        let flags: &[&str] = match mode {
+            "serve" | "query" => &[],
+            _ => &workload,
+        };
+        let out = Command::new(BIN)
+            .arg(mode)
+            .args(flags)
+            .args(["--bogus", "1"])
+            .output()
+            .expect("mssg-node runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{mode} accepted --bogus");
+        assert!(stderr.contains("--bogus"), "{mode}: {stderr}");
+    }
+}

@@ -66,11 +66,17 @@ const GROUPS: &[Group] = &[
     },
     Group {
         name: "bfs-kernel",
-        why: "BFS level kernel: visited sets against a HashSet model, the GidMap hasher's bits, \
-              every routing × mode against a reference BFS, exact two-sided counts, no \
-              message from a copy to itself in any analysis or the distributed workload",
+        why: "BFS level kernel: visited sets against a HashSet model, a reset set is a fresh \
+              one and a search zeroes only the pages it touches, a k-hop expansion on reused \
+              scratch returns only its own neighbourhood, the GidMap hasher's bits, every \
+              routing × mode against a reference BFS, exact two-sided counts, no message from \
+              a copy to itself in any analysis or the distributed workload",
         runs: &[
             "-p mssg-core --lib -- visited:: \
+             visited::tests::a_reset_set_is_a_fresh_set \
+             visited::tests::a_search_after_a_large_one_zeroes_only_its_own_pages \
+             visited::tests::a_reset_drops_the_hashed_directory \
+             query::tests::khop_after_a_larger_expansion_returns_only_its_own_neighbourhood \
              bfs::tests::grdb_and_hashmap_clusters_answer_identically \
              bfs::tests::two_sided_counts_match_the_reference \
              bfs::tests::no_program_sends_to_itself",
@@ -85,16 +91,19 @@ const GROUPS: &[Group] = &[
               failing copy aborts its job on every peer in under a second, a barrier polls \
               briefly and then parks with the wait booked as blocked time, an idle engine \
               polls for its next job briefly and then parks, concurrent callers answer as \
-              the oracles do, a search's report snapshots metrics only with telemetry on",
+              the oracles do, a search on an engine's kept scratch answers as on a fresh \
+              cluster, a warm search's copies allocate only its messages and a warm k-hop \
+              only its answer, a search's report snapshots metrics only with telemetry on",
         runs: &[
             "-p datacutter --lib -- superstep:: \
              superstep::tests::a_barrier_wait_parks_after_its_poll_and_is_blocked_time \
              superstep::tests::a_message_that_arrives_during_the_poll_keeps_the_protocol",
             "-p mssg-core --lib -- superstep:: superstep::tests::an_idle_engine_parks_after_its_poll \
-             bfs::tests::one_engine bfs::tests::back_to_back \
+             bfs::tests::one_engine bfs::tests::back_to_back bfs::tests::a_reused_engine \
              bfs::tests::each_search bfs::tests::concurrent_ bfs::tests::dead_storage_filter \
              bfs::tests::a_failed_db_filter bfs::tests::db_filter_equivalent \
              bfs::tests::search_metrics_need_enabled_telemetry",
+            "--test warm_allocs -- warm_queries_allocate_only_their_messages_and_answers",
         ],
     },
     Group {
@@ -143,7 +152,8 @@ const GROUPS: &[Group] = &[
     },
     Group {
         name: "distributed-smoke",
-        why: "A 3-process localhost ingest → BFS through mssg-node matches the in-process run",
+        why: "A 3-process localhost ingest → BFS through mssg-node matches the in-process run, \
+              and every mssg-node mode refuses an unknown flag",
         runs: &["-p mssg-serve --test distributed_smoke"],
     },
     Group {
