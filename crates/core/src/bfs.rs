@@ -63,7 +63,7 @@
 //! chunks (lines 16–27 of the listing), overlapping communication with the
 //! remaining expansion.
 
-use crate::cluster::{MssgCluster, SharedBackend};
+use crate::cluster::{MssgCluster, Node};
 use crate::decluster::Declustering;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
@@ -71,11 +71,9 @@ use crate::visited::{ExternalVisited, PagedBitmap, VisitedKind, VisitedSet};
 use datacutter::superstep::{one_word, records, Barrier, Peers, Phase};
 use datacutter::DataBuffer;
 use mssg_types::{AdjBuffer, Gid, Meta, MetaOp, Result, UNVISITED};
-use simio::IoStats;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which algorithm variant to run.
@@ -97,8 +95,8 @@ pub struct BfsOptions {
     /// Algorithm variant.
     pub mode: BfsMode,
     /// Visited-structure choice (in memory, or Figures 5.8/5.9's external
-    /// one, kept under `<cluster dir>/scratch` in files of the engine
-    /// that runs the search).
+    /// one, kept by each copy under its node's `<node dir>/scratch` in
+    /// files of the engine that runs the search).
     pub visited: VisitedKind,
     /// Push visited filtering down into the storage engine: locally
     /// visited vertices are marked in the GraphDB's per-vertex metadata
@@ -176,7 +174,6 @@ pub fn bfs(
     dest: Gid,
     options: &BfsOptions,
 ) -> Result<SearchMetrics> {
-    let p = cluster.nodes();
     if source == dest {
         return Ok(SearchMetrics {
             path_length: Some(0),
@@ -188,16 +185,14 @@ pub fn bfs(
     }
     let search = BfsFilter {
         visited_kind: options.visited,
-        scratch: cluster.dir().join("scratch"),
-        io_stats: (0..p).map(|i| cluster.io_stats(i)).collect(),
         placement: cluster.placement().clone(),
         ends: [source, dest],
         mode: options.mode,
         db_filter: options.db_filter,
     };
     let (copies, telemetry) =
-        superstep::run(cluster, "bfs", KINDS, move |peers, backend, scratch| {
-            search.run(peers, backend, scratch)
+        superstep::run(cluster, "bfs", KINDS, move |peers, node, scratch| {
+            search.run(peers, node, scratch)
         })?;
 
     let met = copies.iter().find_map(|c| c.met);
@@ -217,9 +212,6 @@ pub fn bfs(
 /// The search every copy of the `bfs` filter runs.
 struct BfsFilter {
     visited_kind: VisitedKind,
-    scratch: PathBuf,
-    /// Per node, for the external visited structure's I/O accounting.
-    io_stats: Vec<Arc<IoStats>>,
     /// A snapshot of the cluster's placement: where each vertex's
     /// adjacency lives, or `None` where every node holds part of it.
     placement: Declustering,
@@ -230,13 +222,17 @@ struct BfsFilter {
 }
 
 /// What an engine copy keeps between searches and lends to each
-/// (DESIGN.md §10.5): both sides' in-memory visited sets, the level
-/// kernel's vectors, both frontiers, the adjacency buffer and the
-/// `db_filter` marks. A search resets what it uses when it starts, so
-/// nothing of an earlier search is read; a warm search allocates only its
-/// messages. The external visited sets are files of their own search.
+/// (DESIGN.md §10.5): the number of its engine, both sides' in-memory
+/// visited sets, the level kernel's vectors, both frontiers, the adjacency
+/// buffer and the `db_filter` marks. A search resets what it uses when it
+/// starts, so nothing of an earlier search is read; a warm search
+/// allocates only its messages. The external visited sets are files of
+/// their own search.
 #[derive(Default)]
 pub(crate) struct Scratch {
+    /// What the search names its marks and its files by: concurrent
+    /// searches run on distinct engines, so they never share one.
+    engine: u64,
     visited: [PagedBitmap; 2],
     fresh: Vec<Gid>,
     incoming: Vec<Gid>,
@@ -247,26 +243,36 @@ pub(crate) struct Scratch {
     marked: Vec<Gid>,
 }
 
+impl Scratch {
+    /// An empty scratch for a copy of engine number `engine`.
+    pub(crate) fn new(engine: u64) -> Scratch {
+        Scratch {
+            engine,
+            ..Scratch::default()
+        }
+    }
+}
+
 /// The `db_filter` marks of one copy's search: the metadata words of its
 /// two sides, and the vertices it marked in its node's engine. Dropping it
 /// — the search done, failed, aborted or panicking — restores those
 /// vertices to `UNVISITED`, so the next search starts from level[v] = ∞,
 /// as Algorithm 1 requires.
 struct Marks<'s> {
-    db: SharedBackend,
+    node: &'s Node,
     /// By side. A vertex holds one at a time: the sides' visited sets are
     /// disjoint until they meet, and the search ends there.
     words: [Meta; 2],
     marked: &'s mut Vec<Gid>,
 }
 
-impl Marks<'_> {
+impl<'s> Marks<'s> {
     /// Searches that run at once run on distinct engines, so marks named
     /// after the engine are never shared; none is `UNVISITED`.
-    fn new(db: SharedBackend, marked: &mut Vec<Gid>) -> Marks<'_> {
-        let base = (superstep::engine() % (1 << 29)) as Meta * 2;
+    fn new(node: &'s Node, engine: u64, marked: &'s mut Vec<Gid>) -> Marks<'s> {
+        let base = (engine % (1 << 29)) as Meta * 2;
         Marks {
-            db,
+            node,
             words: [base + 1, base + 2],
             marked,
         }
@@ -274,7 +280,7 @@ impl Marks<'_> {
 
     /// Restores every marked vertex to `UNVISITED`.
     fn clear(&mut self) -> Result<()> {
-        let mut db = self.db.lock();
+        let mut db = self.node.db();
         for v in self.marked.drain(..) {
             db.set_metadata(v, UNVISITED)?;
         }
@@ -316,7 +322,7 @@ impl Traversal<'_> {
     fn book_fresh(&mut self, side: usize) -> Result<()> {
         self.visited_count += self.fresh.len() as u64;
         if let Some(marks) = &mut self.marks {
-            let mut db = marks.db.lock();
+            let mut db = marks.node.db();
             for &v in self.fresh.iter() {
                 db.set_metadata(v, marks.words[side])?;
             }
@@ -419,16 +425,12 @@ impl BfsFilter {
         Ok(())
     }
 
-    /// One copy's search over its node's `backend`, on the copy's
+    /// One copy's search over its `node`'s GraphDB, on the copy's
     /// `scratch`.
-    fn run(
-        &self,
-        peers: &mut Peers<'_>,
-        backend: &SharedBackend,
-        scratch: &mut Scratch,
-    ) -> Result<Outcome> {
+    fn run(&self, peers: &mut Peers<'_>, node: &Node, scratch: &mut Scratch) -> Result<Outcome> {
         let me = peers.me();
         let Scratch {
+            engine,
             visited: [visited_0, visited_1],
             fresh,
             incoming,
@@ -446,13 +448,11 @@ impl BfsFilter {
                 [visited_0, visited_1]
             }
             VisitedKind::External => {
-                std::fs::create_dir_all(&self.scratch)?;
+                let dir = node.dir.join("scratch");
+                std::fs::create_dir_all(&dir)?;
                 let open = |side: usize| {
-                    // Concurrent searches run on distinct engines, each
-                    // with files of its own.
-                    let name = format!("visited-{}-{me}-{side}.db", superstep::engine());
-                    let stats = Arc::clone(&self.io_stats[me]);
-                    ExternalVisited::create(&self.scratch.join(name), stats)
+                    let name = format!("visited-{engine}-{side}.db");
+                    ExternalVisited::create(&dir.join(name), Arc::clone(&node.stats))
                 };
                 external = [open(0)?, open(1)?];
                 let [external_0, external_1] = &mut external;
@@ -468,7 +468,7 @@ impl BfsFilter {
         let mut t = Traversal {
             me,
             visited,
-            marks: self.db_filter.then(|| Marks::new(backend.clone(), marked)),
+            marks: self.db_filter.then(|| Marks::new(node, *engine, marked)),
             fresh,
             incoming,
             next,
@@ -524,9 +524,7 @@ impl BfsFilter {
             // ---- the level: expansion ----
             if !frontiers[side].is_empty() {
                 adj.clear();
-                backend
-                    .lock()
-                    .expand_fringe(&frontiers[side], adj, meta, op)?;
+                node.db().expand_fringe(&frontiers[side], adj, meta, op)?;
                 edges_scanned += adj.len() as u64;
                 self.expand_slice(peers, &mut t, round, side, adj.as_slice())?;
             }
@@ -588,6 +586,7 @@ mod tests {
     use crate::ingest::{ingest, DeclusterKind, IngestOptions};
     use mssg_types::Edge;
     use std::collections::{HashMap, HashSet};
+    use std::path::PathBuf;
     use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -848,31 +847,31 @@ mod tests {
     /// A node's GraphDB that dies at its `dies_at`-th fringe expansion, as
     /// a storage filter that crashes mid-search does.
     struct DiesMidSearch {
-        db: SharedBackend,
+        node: Arc<Node>,
         expansions: usize,
         dies_at: usize,
     }
 
     impl graphdb::GraphDb for DiesMidSearch {
         fn store_edges(&mut self, edges: &[Edge]) -> Result<()> {
-            self.db.lock().store_edges(edges)
+            self.node.db().store_edges(edges)
         }
         fn get_metadata(&mut self, v: Gid) -> Result<Meta> {
-            self.db.lock().get_metadata(v)
+            self.node.db().get_metadata(v)
         }
         fn set_metadata(&mut self, v: Gid, meta: Meta) -> Result<()> {
-            self.db.lock().set_metadata(v, meta)
+            self.node.db().set_metadata(v, meta)
         }
         fn read_fringe(&mut self, fringe: &[Gid], out: &mut AdjBuffer) -> Result<()> {
             self.expansions += 1;
             assert!(self.expansions < self.dies_at, "the storage filter died");
-            self.db.lock().read_fringe(fringe, out)
+            self.node.db().read_fringe(fringe, out)
         }
         fn local_vertices(&mut self) -> Result<Vec<Gid>> {
-            self.db.lock().local_vertices()
+            self.node.db().local_vertices()
         }
         fn stored_entries(&self) -> u64 {
-            self.db.lock().stored_entries()
+            self.node.db().stored_entries()
         }
         fn backend_name(&self) -> &'static str {
             "dies mid-search"
@@ -889,23 +888,22 @@ mod tests {
     ) -> Result<()> {
         let search = BfsFilter {
             visited_kind: options.visited,
-            scratch: cluster.dir().join("scratch"),
-            io_stats: (0..2).map(|i| cluster.io_stats(i)).collect(),
             placement: cluster.placement().clone(),
             ends: [g(0), g(dest)],
             mode: options.mode,
             db_filter: options.db_filter,
         };
-        superstep::run(cluster, "bfs", KINDS, move |peers, backend, scratch| {
+        let victim = Arc::clone(&cluster.members[1]);
+        superstep::run(cluster, "bfs", KINDS, move |peers, node, scratch| {
             if peers.me() != 1 {
-                return search.run(peers, backend, scratch);
+                return search.run(peers, node, scratch);
             }
-            let dying: Box<dyn graphdb::GraphDb + Send> = Box::new(DiesMidSearch {
-                db: backend.clone(),
+            let dying = Box::new(DiesMidSearch {
+                node: Arc::clone(&victim),
                 expansions: 0,
                 dies_at,
             });
-            search.run(peers, &Arc::new(parking_lot::Mutex::new(dying)), scratch)
+            search.run(peers, &Node::beside(node, dying), scratch)
         })
         .map(drop)
     }
@@ -1481,7 +1479,7 @@ mod tests {
 
     #[test]
     fn concurrent_external_searches_keep_their_own_visited_files() {
-        // The external visited sets are files under the cluster's scratch
+        // The external visited sets are files under each node's scratch
         // directory: two searches at once must not share one.
         let mut below = xorshift(0xe7e7);
         let edges = skewed_edges(&mut below);

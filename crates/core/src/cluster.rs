@@ -1,10 +1,10 @@
 //! The simulated MSSG cluster.
 //!
 //! A cluster is `p` back-end logical nodes (threads when a service is
-//! running), each owning one GraphDB instance rooted in its own directory —
-//! its "local disk" — plus per-node I/O statistics. Nothing is shared
-//! between nodes except messages, mirroring the distributed-memory target
-//! (DESIGN.md §2).
+//! running), each a [`Node`]: one GraphDB instance rooted in its own
+//! directory — its "local disk" — with its ingest checkpoint and its I/O
+//! statistics. Nothing is shared between nodes except messages, mirroring
+//! the distributed-memory target (DESIGN.md §2).
 
 use crate::backend::{open_backend, BackendKind, BackendOptions};
 use crate::decluster::{DeclusterKind, Declustering};
@@ -12,19 +12,15 @@ use crate::epoch::EpochManager;
 use crate::query::HopScratch;
 use crate::superstep::Engines;
 use crate::telemetry::TelemetryReport;
+use datacutter::superstep::MAX_COPIES;
 use datacutter::RunReport;
 use graphdb::GraphDb;
 use mssg_obs::{MetricsSnapshot, Telemetry};
-use mssg_types::Result;
-use parking_lot::Mutex;
+use mssg_types::{GraphStorageError, Result};
+use parking_lot::{Mutex, MutexGuard};
 use simio::{IoSnapshot, IoStats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// A back-end node's GraphDB, shareable with the filter threads that run
-/// services over it. Only the filter placed on the owning node touches it
-/// during a run; the mutex makes that safe, not concurrent.
-pub type SharedBackend = Arc<Mutex<Box<dyn GraphDb + Send>>>;
 
 /// One node's ingest checkpoint: job state of the latest stream, kept
 /// beside the node's GraphDB rather than in it, and in memory only — a
@@ -41,6 +37,42 @@ pub(crate) struct Checkpoint {
     pub(crate) window: Option<usize>,
 }
 
+/// A back-end node: its GraphDB, its ingest checkpoint, its disk-I/O
+/// statistics and its directory. Every filter copy placed on the node — an
+/// ingest store copy, a superstep engine copy — holds it by `Arc` and
+/// reaches the node's state only through it. Every reader and writer of
+/// the GraphDB — those copies, and the front end's reads — takes its lock.
+pub struct Node {
+    db: Mutex<Box<dyn GraphDb + Send>>,
+    /// Advanced by the node's store copy (`ingest`).
+    pub(crate) checkpoint: Mutex<Checkpoint>,
+    /// Every disk access of the node's GraphDB and its copies' files.
+    pub(crate) stats: Arc<IoStats>,
+    /// Its local disk: its GraphDB's files, and its copies' scratch files
+    /// under `scratch/`.
+    pub(crate) dir: PathBuf,
+}
+
+impl Node {
+    /// Opens a node of `kind` storage rooted at `dir`: the only code that
+    /// opens a node's files.
+    pub fn open(dir: &Path, kind: BackendKind, options: &BackendOptions) -> Result<Node> {
+        let stats = IoStats::new();
+        let db = open_backend(kind, dir, options, Arc::clone(&stats))?;
+        Ok(Node {
+            db: Mutex::new(db),
+            checkpoint: Mutex::default(),
+            stats,
+            dir: dir.to_path_buf(),
+        })
+    }
+
+    /// The node's GraphDB, locked.
+    pub fn db(&self) -> MutexGuard<'_, Box<dyn GraphDb + Send>> {
+        self.db.lock()
+    }
+}
+
 /// The MSSG cluster: back-end storage nodes and their databases.
 pub struct MssgCluster {
     /// Idle resident engines the analyses run on (`superstep`). Declared
@@ -48,11 +80,8 @@ pub struct MssgCluster {
     pub(crate) engines: Engines,
     /// Idle scratch of the front end's k-hop expansions (`query::k_hop`).
     pub(crate) hops: Mutex<Vec<HopScratch>>,
-    backends: Vec<SharedBackend>,
-    /// Each node's ingest checkpoint, shared with the store copy that
-    /// advances it (`ingest`).
-    pub(crate) checkpoints: Vec<Arc<Mutex<Checkpoint>>>,
-    stats: Vec<Arc<IoStats>>,
+    /// The back-end nodes, shared with the copies placed on them.
+    pub(crate) members: Vec<Arc<Node>>,
     kind: BackendKind,
     dir: PathBuf,
     /// Where every vertex and entry lives: fixed by the first ingest into
@@ -67,33 +96,26 @@ pub struct MssgCluster {
 
 impl MssgCluster {
     /// Creates a cluster of `nodes` back-ends with `kind` storage, rooted
-    /// at `dir/node-<i>/`.
+    /// at `dir/node-<i>/`. A count outside `1..=MAX_COPIES` — more than a
+    /// superstep program runs on — is `Unsupported`, before any node opens.
     pub fn new(
         dir: &Path,
         nodes: usize,
         kind: BackendKind,
         options: &BackendOptions,
     ) -> Result<MssgCluster> {
-        assert!(nodes > 0, "cluster needs at least one back-end node");
-        let mut backends = Vec::with_capacity(nodes);
-        let mut stats = Vec::with_capacity(nodes);
-        for i in 0..nodes {
-            let node_stats = IoStats::new();
-            let db = open_backend(
-                kind,
-                &dir.join(format!("node-{i}")),
-                options,
-                Arc::clone(&node_stats),
-            )?;
-            backends.push(Arc::new(Mutex::new(db)));
-            stats.push(node_stats);
+        if !(1..=MAX_COPIES).contains(&nodes) {
+            return Err(GraphStorageError::Unsupported(format!(
+                "a cluster of {nodes} back-end nodes (a superstep program runs on 1 to {MAX_COPIES})"
+            )));
         }
+        let members = (0..nodes)
+            .map(|i| Node::open(&dir.join(format!("node-{i}")), kind, options).map(Arc::new))
+            .collect::<Result<_>>()?;
         Ok(MssgCluster {
             engines: Engines::new(),
             hops: Mutex::new(Vec::new()),
-            backends,
-            checkpoints: (0..nodes).map(|_| Arc::default()).collect(),
-            stats,
+            members,
             kind,
             dir: dir.to_path_buf(),
             placement: Declustering::new(DeclusterKind::default(), nodes),
@@ -152,8 +174,8 @@ impl MssgCluster {
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut cache = (0u64, 0u64, 0u64);
         let mut cached_backend = false;
-        for b in &self.backends {
-            if let Some((h, m, e)) = b.lock().cache_counters() {
+        for node in &self.members {
+            if let Some((h, m, e)) = node.db().cache_counters() {
                 cached_backend = true;
                 cache = (cache.0 + h, cache.1 + m, cache.2 + e);
             }
@@ -169,7 +191,7 @@ impl MssgCluster {
 
     /// Number of back-end nodes.
     pub fn nodes(&self) -> usize {
-        self.backends.len()
+        self.members.len()
     }
 
     /// The storage engine in use.
@@ -182,57 +204,46 @@ impl MssgCluster {
         &self.dir
     }
 
-    /// Shared handle to node `i`'s backend.
-    pub fn backend(&self, i: usize) -> SharedBackend {
-        Arc::clone(&self.backends[i])
-    }
-
     /// Runs a closure against node `i`'s backend.
     pub fn with_backend<T>(&self, i: usize, f: impl FnOnce(&mut (dyn GraphDb + Send)) -> T) -> T {
-        let mut guard = self.backends[i].lock();
-        f(guard.as_mut())
+        f(self.members[i].db().as_mut())
     }
 
     /// Node `i`'s ingestion watermark — how many windows (from the start
     /// of the latest stream) it has durably stored. The minimum across all
     /// nodes is the prefix a resumed ingestion can skip outright.
     pub fn ingest_watermark(&self, i: usize) -> u64 {
-        self.checkpoints[i].lock().watermark
-    }
-
-    /// Node `i`'s I/O statistics handle.
-    pub fn io_stats(&self, i: usize) -> Arc<IoStats> {
-        Arc::clone(&self.stats[i])
+        self.members[i].checkpoint.lock().watermark
     }
 
     /// Aggregate I/O snapshot across all nodes.
     pub fn io_snapshot(&self) -> IoSnapshot {
-        self.stats
+        self.members
             .iter()
-            .map(|s| s.snapshot())
+            .map(|node| node.stats.snapshot())
             .fold(IoSnapshot::default(), |acc, s| acc.merged(&s))
     }
 
     /// Resets every node's I/O counters (between experiment phases).
     pub fn reset_io(&self) {
-        for s in &self.stats {
-            s.reset();
+        for node in &self.members {
+            node.stats.reset();
         }
     }
 
     /// Flushes every backend to disk.
     pub fn flush_all(&self) -> Result<()> {
-        for b in &self.backends {
-            b.lock().flush()?;
+        for node in &self.members {
+            node.db().flush()?;
         }
         Ok(())
     }
 
     /// Total directed adjacency entries stored across the cluster.
     pub fn total_entries(&self) -> u64 {
-        self.backends
+        self.members
             .iter()
-            .map(|b| b.lock().stored_entries())
+            .map(|node| node.db().stored_entries())
             .sum()
     }
 
@@ -249,6 +260,18 @@ impl MssgCluster {
 mod tests {
     use super::*;
     use mssg_types::{Edge, Gid};
+
+    impl Node {
+        /// A node over `db`, with `like`'s statistics and directory.
+        pub(crate) fn beside(like: &Node, db: Box<dyn GraphDb + Send>) -> Node {
+            Node {
+                db: Mutex::new(db),
+                checkpoint: Mutex::default(),
+                stats: Arc::clone(&like.stats),
+                dir: like.dir.clone(),
+            }
+        }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("core-cluster-{}-{tag}", std::process::id()));
@@ -270,6 +293,17 @@ mod tests {
         });
         assert!(n2.is_empty());
         assert_eq!(cluster.total_entries(), 2);
+    }
+
+    #[test]
+    fn node_counts_past_the_engines_bound_open_nothing() {
+        let dir = tmpdir("bounds");
+        for nodes in [0, MAX_COPIES + 1] {
+            let cluster =
+                MssgCluster::new(&dir, nodes, BackendKind::Grdb, &BackendOptions::default());
+            let refused = matches!(cluster, Err(GraphStorageError::Unsupported(_)));
+            assert!(refused && !dir.exists(), "{nodes} nodes");
+        }
     }
 
     #[test]

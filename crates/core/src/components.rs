@@ -22,7 +22,7 @@
 //!    `min(label)` to each neighbour's hash owner.
 //! 3. A round with zero label changes anywhere terminates the algorithm.
 
-use crate::cluster::{MssgCluster, SharedBackend};
+use crate::cluster::{MssgCluster, Node};
 use crate::decluster::{hash_node, Declustering};
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
@@ -65,8 +65,8 @@ pub(crate) const KINDS: u64 = 8;
 pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
     let placement = cluster.placement().clone();
     let (copies, telemetry) =
-        superstep::run(cluster, "components", KINDS, move |peers, backend, _| {
-            propagate(peers, backend, &placement)
+        superstep::run(cluster, "components", KINDS, move |peers, node, _| {
+            propagate(peers, node, &placement)
         })?;
     let mut sizes: HashMap<u64, u64> = HashMap::new();
     let mut rounds = 0;
@@ -90,7 +90,7 @@ pub fn connected_components(cluster: &MssgCluster) -> Result<ComponentsResult> {
 /// under each label, and the rounds it ran.
 fn propagate(
     peers: &mut Peers<'_>,
-    backend: &SharedBackend,
+    node: &Node,
     placement: &Declustering,
 ) -> Result<(HashMap<u64, u64>, u32)> {
     let p = peers.copies();
@@ -100,7 +100,7 @@ fn propagate(
     let mut everywhere: Vec<u64> = Vec::new();
 
     // ---- registration ----
-    let local = backend.lock().local_vertices()?;
+    let local = node.db().local_vertices()?;
     for v in local {
         batches[hash_node(v, p)].push(v.raw());
     }
@@ -141,7 +141,7 @@ fn propagate(
 
         // Phase B: expand against local storage and propose labels.
         {
-            let mut db = backend.lock();
+            let mut db = node.db();
             for &(v, label) in &to_expand {
                 adj.clear();
                 db.adjacency(v, &mut adj, 0, MetaOp::Ignore)?;

@@ -45,12 +45,12 @@ pub(crate) const KINDS: u64 = 2;
 
 /// Computes the degree distribution of the stored graph.
 pub fn degree_distribution(cluster: &MssgCluster) -> Result<DegreeReport> {
-    let (copies, telemetry) = superstep::run(cluster, "degrees", KINDS, |peers, backend, _| {
+    let (copies, telemetry) = superstep::run(cluster, "degrees", KINDS, |peers, node, _| {
         let p = peers.copies();
         // Measure the local partition.
         let mut batches: Vec<Vec<u64>> = vec![Vec::new(); p];
         {
-            let mut db = backend.lock();
+            let mut db = node.db();
             for v in db.local_vertices()? {
                 let deg = db.degree(v)? as u64;
                 batches[hash_node(v, p)].extend([v.raw(), deg]);

@@ -34,7 +34,7 @@
 //! ([`GraphDb::store_batch_entries`](graphdb::GraphDb::store_batch_entries))
 //! before each `store_edges` call.
 
-use crate::cluster::{Checkpoint, MssgCluster};
+use crate::cluster::{Checkpoint, MssgCluster, Node};
 pub use crate::decluster::DeclusterKind;
 use crate::decluster::Declustering;
 use crate::superstep::DEADLINE;
@@ -137,22 +137,25 @@ pub fn ingest(
     // what an earlier one left behind. A resumed run starts at the node's
     // watermark, and is refused before anything runs if a node recorded
     // another window size, or stores entries but recorded none: the
-    // checkpoint lives in the cluster's memory, which a reopen does not
+    // checkpoint lives in its node's memory, which a reopen does not
     // keep, so its watermark would replay the stream from window 0. (An
     // empty node that recorded none resumes as it is.)
     let window = options.window_edges;
-    let mut cursors = vec![0; p];
-    for (i, cursor) in cursors.iter_mut().enumerate() {
-        let mut checkpoint = cluster.checkpoints[i].lock();
-        if !options.resume {
-            *checkpoint = Checkpoint {
-                watermark: 0,
-                window: Some(window),
-            };
-            continue;
-        }
-        match checkpoint.window {
-            None if cluster.with_backend(i, |db| db.stored_entries()) > 0 => {
+    let mut stores = Vec::with_capacity(p);
+    // The source skips outright every window below the *minimum*
+    // watermark — all nodes already hold those.
+    let mut resume_from = u64::MAX;
+    for (i, node) in cluster.members.iter().enumerate() {
+        let mut checkpoint = node.checkpoint.lock();
+        let cursor = match checkpoint.window {
+            _ if !options.resume => {
+                *checkpoint = Checkpoint {
+                    watermark: 0,
+                    window: Some(window),
+                };
+                0
+            }
+            None if node.db().stored_entries() > 0 => {
                 return Err(GraphStorageError::Unsupported(format!(
                     "a resume on node {i}, which stores entries but no checkpoint \
                      (reopened since its stream ran)"
@@ -164,12 +167,18 @@ pub fn ingest(
                      {recorded}-edge windows"
                 )));
             }
-            _ => *cursor = checkpoint.watermark,
-        }
+            _ => checkpoint.watermark,
+        };
+        resume_from = resume_from.min(cursor);
+        stores.push(Some(StoreFilter {
+            node: Arc::clone(node),
+            progress: StoreProgress {
+                next: cursor,
+                durable: cursor,
+                ..Default::default()
+            },
+        }));
     }
-    // The source skips outright every window below the *minimum*
-    // watermark — all nodes already hold those.
-    let resume_from = cursors.iter().copied().min().unwrap_or(0);
 
     let mut g = GraphBuilder::new();
     g.telemetry(cluster.telemetry().clone());
@@ -196,18 +205,9 @@ pub fn ingest(
             window_edges,
         })
     })?;
-    let backends: Vec<_> = (0..p).map(|i| cluster.backend(i)).collect();
-    let checkpoints = cluster.checkpoints.clone();
+    // The runtime builds each copy once, so each store moves into its copy.
     let store = g.add_filter("store", (0..p).collect(), move |i| {
-        Box::new(StoreFilter {
-            backend: backends[i].clone(),
-            checkpoint: checkpoints[i].clone(),
-            progress: StoreProgress {
-                next: cursors[i],
-                durable: cursors[i],
-                ..Default::default()
-            },
-        })
+        Box::new(stores[i].take().expect("one store copy per node"))
     })?;
     g.declare_ports(src, &[], &["windows"]);
     g.declare_ports(ing, &["windows"], &["batches"]);
@@ -333,9 +333,9 @@ struct StoreProgress {
 }
 
 struct StoreFilter {
-    backend: crate::cluster::SharedBackend,
-    /// The node's checkpoint, whose watermark this copy advances.
-    checkpoint: Arc<Mutex<Checkpoint>>,
+    /// The copy's node: its GraphDB, and the checkpoint whose watermark
+    /// this copy advances.
+    node: Arc<Node>,
     progress: StoreProgress,
 }
 
@@ -349,12 +349,12 @@ impl StoreFilter {
         if st.durable == st.next {
             return Ok(());
         }
-        let mut db = self.backend.lock();
+        let mut db = self.node.db();
         if !st.batch.is_empty() {
             db.store_edges(&st.batch)?;
         }
         st.batch.clear();
-        self.checkpoint.lock().watermark = st.next;
+        self.node.checkpoint.lock().watermark = st.next;
         st.durable = st.next;
         Ok(())
     }
@@ -363,7 +363,7 @@ impl StoreFilter {
 impl Filter for StoreFilter {
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
         let skipped = ctx.telemetry().metrics.counter("ingest.windows_skipped");
-        let batch_entries = self.backend.lock().store_batch_entries();
+        let batch_entries = self.node.db().store_batch_entries();
         while let Some(buf) = ctx.input("batches")?.recv()? {
             if buf.tag < self.progress.next {
                 // Below a resumed node's durable prefix.
@@ -386,7 +386,7 @@ impl Filter for StoreFilter {
         // in their proper place.
         self.progress.early.clear();
         self.flush_batch()?;
-        self.backend.lock().flush()
+        self.node.db().flush()
     }
 }
 

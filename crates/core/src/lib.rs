@@ -7,8 +7,8 @@
 //! - [`backend`] — the GraphDB service registry: open any of the six
 //!   storage engines behind one enum,
 //! - [`cluster`] — [`MssgCluster`], the simulated cluster: one thread per
-//!   back-end node, each with its own GraphDB instance rooted in its own
-//!   directory,
+//!   back-end [`Node`], which owns its GraphDB instance rooted in its own
+//!   directory, its ingest checkpoint and its I/O statistics,
 //! - [`decluster`] — [`Declustering`], the cluster's one placement
 //!   (vertex-hash, vertex-round-robin or edge-round-robin): ingestion
 //!   assigns entries from it, and BFS and components route by it,
@@ -49,7 +49,7 @@ pub mod visited;
 
 pub use backend::{BackendKind, BackendOptions};
 pub use bfs::{BfsMode, BfsOptions, SearchMetrics};
-pub use cluster::MssgCluster;
+pub use cluster::{MssgCluster, Node};
 pub use components::{connected_components, ComponentsResult};
 pub use decluster::Declustering;
 pub use degrees::{degree_distribution, DegreeReport};

@@ -21,7 +21,7 @@
 //! Ties are broken lexicographically on `(weight, u, v)`, making the
 //! forest unique and testable against a sequential Kruskal oracle.
 
-use crate::cluster::{MssgCluster, SharedBackend};
+use crate::cluster::{MssgCluster, Node};
 use crate::decluster::hash_node;
 use crate::superstep;
 use crate::telemetry::TelemetryReport;
@@ -125,9 +125,8 @@ struct Forest {
 
 /// Computes the minimum spanning forest of the stored graph.
 pub fn minimum_spanning_forest(cluster: &MssgCluster) -> Result<MsfResult> {
-    let (copies, telemetry) = superstep::run(cluster, "msf", KINDS, |peers, backend, _| {
-        boruvka(peers, backend)
-    })?;
+    let (copies, telemetry) =
+        superstep::run(cluster, "msf", KINDS, |peers, node, _| boruvka(peers, node))?;
     let forest = copies.into_iter().flatten().next().unwrap_or_default();
     Ok(MsfResult {
         total_weight: forest.edges.iter().map(|&(w, _)| w as u128).sum(),
@@ -140,12 +139,12 @@ pub fn minimum_spanning_forest(cluster: &MssgCluster) -> Result<MsfResult> {
 }
 
 /// One copy's Borůvka; copy 0 returns the forest.
-fn boruvka(peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Option<Forest>> {
+fn boruvka(peers: &mut Peers<'_>, node: &Node) -> Result<Option<Forest>> {
     let me = peers.me();
     let p = peers.copies();
 
     // ---- registration: replicate the vertex set everywhere ----
-    let local = backend.lock().local_vertices()?;
+    let local = node.db().local_vertices()?;
     let words: Vec<u64> = local.iter().map(|g| g.raw()).collect();
     let mut uf = MinUnionFind::default();
     peers.send_all(REGISTER.data, 0, &words)?;
@@ -157,7 +156,7 @@ fn boruvka(peers: &mut Peers<'_>, backend: &SharedBackend) -> Result<Option<Fore
 
     // Cache the local adjacency once: Borůvka re-scans edges each round.
     let local_edges: Vec<(Gid, Gid)> = {
-        let mut db = backend.lock();
+        let mut db = node.db();
         let mut adj = AdjBuffer::new();
         let mut out = Vec::new();
         for &v in &local {

@@ -76,8 +76,8 @@ impl Query {
             }
             Query::Degree { vertex } => {
                 let mut total = 0usize;
-                for i in 0..cluster.nodes() {
-                    total += cluster.with_backend(i, |db| db.degree(vertex))?;
+                for node in &cluster.members {
+                    total += node.db().degree(vertex)?;
                 }
                 Ok(format!("degree={total}"))
             }
@@ -309,11 +309,10 @@ pub fn k_hop(cluster: &MssgCluster, source: Gid, k: u32) -> Result<KHopResult> {
     let mut fringe = 0..reached.len();
     let mut edges_scanned = 0u64;
     for _ in 0..k {
-        for node in 0..cluster.nodes() {
+        for node in &cluster.members {
             adj.clear();
-            cluster.with_backend(node, |db| {
-                db.expand_fringe(&reached[fringe.clone()], adj, 0, MetaOp::Ignore)
-            })?;
+            node.db()
+                .expand_fringe(&reached[fringe.clone()], adj, 0, MetaOp::Ignore)?;
             edges_scanned += adj.len() as u64;
             visited.visit_new(adj.as_slice(), reached)?;
         }

@@ -5,11 +5,11 @@
 //! distribution are bulk-synchronous programs over
 //! [`datacutter::superstep`]: `p` copies of one filter, one per back-end
 //! node, joined all-to-all, exchanging tagged records and markers phase by
-//! phase. A program is a function from a [`Peers`] and its node's GraphDB
-//! to that copy's share of the result, and [`run`] runs it as a *job* on an
-//! engine.
+//! phase. A program is a function from a [`Peers`], its copy's [`Node`]
+//! and its copy's [`Scratch`] to that copy's share of the result, and
+//! [`run`] runs it as a *job* on an engine.
 //!
-//! An engine is that all-to-all pipeline over the cluster's backends,
+//! An engine is that all-to-all pipeline over the cluster's nodes,
 //! built and verified once, whose copies stay up between jobs: each waits
 //! for its next job, runs it and replies on a channel of its own. The
 //! cluster keeps its idle engines ([`Engines`]). A call takes one, or
@@ -24,7 +24,7 @@
 //! run's root cause. A failed engine never serves again.
 
 use crate::bfs::Scratch;
-use crate::cluster::{MssgCluster, SharedBackend};
+use crate::cluster::{MssgCluster, Node};
 use crate::telemetry::TelemetryReport;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use datacutter::superstep::{Peers, PORT};
@@ -33,7 +33,6 @@ use datacutter::{
 };
 use mssg_types::{GraphStorageError, Result};
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,24 +48,24 @@ pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
 
 /// What an engine's copies run: a program whose result its closure has
 /// already put in the copy's slot.
-type Program = dyn Fn(&mut Peers<'_>, &SharedBackend, &mut Scratch) -> Result<()> + Send + Sync;
+type Program = dyn Fn(&mut Peers<'_>, &Node, &mut Scratch) -> Result<()> + Send + Sync;
 
 /// Runs `program` on every back-end node, the copies joined all-to-all,
 /// and returns what each copy computed, by copy index, with the report of
 /// this job alone. `kinds` is how many message kinds the program uses
-/// (`0..kinds`). Each copy lends the program its [`Scratch`]; a program
-/// that uses it resets what it takes.
+/// (`0..kinds`). Each copy lends the program its node and its [`Scratch`];
+/// a program that uses the scratch resets what it takes.
 pub(crate) fn run<T: Send + 'static>(
     cluster: &MssgCluster,
-    name: &str,
+    name: &'static str,
     kinds: u64,
-    program: impl Fn(&mut Peers<'_>, &SharedBackend, &mut Scratch) -> Result<T> + Send + Sync + 'static,
+    program: impl Fn(&mut Peers<'_>, &Node, &mut Scratch) -> Result<T> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, TelemetryReport)> {
     let p = cluster.nodes();
     let results = Arc::new(Mutex::new((0..p).map(|_| None).collect::<Vec<_>>()));
     let slots = Arc::clone(&results);
-    let job: Arc<Program> = Arc::new(move |peers, backend, scratch| {
-        let result = program(peers, backend, scratch)?;
+    let job: Arc<Program> = Arc::new(move |peers, node, scratch| {
+        let result = program(peers, node, scratch)?;
         slots.lock()[peers.me()] = Some(result);
         Ok(())
     });
@@ -112,18 +111,6 @@ fn no_result(name: &str) -> GraphStorageError {
     GraphStorageError::Unsupported(format!("a {name} copy finished without a result"))
 }
 
-thread_local! {
-    /// The engine whose copy runs on this thread.
-    static ENGINE: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The number of the engine whose copy is running the calling program:
-/// what a program names the scratch files it keeps by, so that concurrent
-/// engines never share one.
-pub(crate) fn engine() -> u64 {
-    ENGINE.with(Cell::get)
-}
-
 /// A cluster's idle engines.
 pub(crate) struct Engines {
     idle: Mutex<Vec<Engine>>,
@@ -157,7 +144,7 @@ impl Engines {
 /// One job, as each copy receives it.
 struct Job {
     number: u32,
-    name: Arc<str>,
+    name: &'static str,
     kinds: u64,
     program: Arc<Program>,
 }
@@ -181,7 +168,7 @@ struct Engine {
 }
 
 impl Engine {
-    /// Builds the pipeline over `cluster`'s backends, with its telemetry
+    /// Builds the pipeline over `cluster`'s nodes, with its telemetry
     /// and the stream deadline [`DEADLINE`], and starts it.
     fn start(cluster: &MssgCluster) -> Result<Engine> {
         let p = cluster.nodes();
@@ -195,15 +182,14 @@ impl Engine {
         // `Timeout`, not a hang.
         g.stream_timeout(DEADLINE);
         let (mut jobs, mut replies, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..p {
+        for node in &cluster.members {
             let (job_tx, job_rx) = bounded(1);
             let (reply_tx, reply_rx) = bounded(1);
             jobs.push(job_tx);
             replies.push(reply_rx);
             ends.push(Some(Processor {
-                backend: cluster.backend(i),
-                scratch: Scratch::default(),
-                engine: number,
+                node: Arc::clone(node),
+                scratch: Scratch::new(number),
                 jobs: job_rx,
                 replies: reply_tx,
             }));
@@ -236,13 +222,17 @@ impl Engine {
 
     /// Runs `program` as the next job on every copy and waits for every
     /// copy's reply; `None` once a copy has failed.
-    fn submit(&mut self, name: &str, kinds: u64, program: Arc<Program>) -> Option<Vec<Done>> {
+    fn submit(
+        &mut self,
+        name: &'static str,
+        kinds: u64,
+        program: Arc<Program>,
+    ) -> Option<Vec<Done>> {
         self.submitted = self.submitted.wrapping_add(1);
-        let name: Arc<str> = Arc::from(name);
         for copy in &self.jobs {
             let job = Job {
                 number: self.submitted,
-                name: Arc::clone(&name),
+                name,
                 kinds,
                 program: Arc::clone(&program),
             };
@@ -278,17 +268,15 @@ impl Drop for Engine {
 
 /// One copy of an engine: it runs jobs until the engine is stopped.
 struct Processor {
-    backend: SharedBackend,
+    node: Arc<Node>,
     /// What the copy lends each job; it goes with a failed engine.
     scratch: Scratch,
-    engine: u64,
     jobs: Receiver<Job>,
     replies: Sender<Done>,
 }
 
 impl Filter for Processor {
     fn process(&mut self, ctx: &mut FilterContext) -> Result<()> {
-        ENGINE.with(|engine| engine.set(self.engine));
         // The idle wait has no deadline: an engine waits for its next job
         // as long as it lives, and stops when its job senders drop. It
         // polls first: a closed loop's next job follows its reply by a few
@@ -300,10 +288,10 @@ impl Filter for Processor {
                     .telemetry()
                     .tracer
                     .span("superstep.job")
-                    .with_str("program", &job.name)
+                    .with_str("program", job.name)
                     .with("job", job.number as u64);
                 Peers::new(ctx, job.kinds, job.number)?
-                    .run(|peers| (job.program)(peers, &self.backend, &mut self.scratch))?;
+                    .run(|peers| (job.program)(peers, &self.node, &mut self.scratch))?;
             }
             let done = Done {
                 total: started.elapsed(),

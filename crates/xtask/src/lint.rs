@@ -34,7 +34,8 @@
 //!   latent race the vector-clock detector cannot model.
 //! - **`shared-mut-escape`** — a field of a `Filter`-implementing type
 //!   whose type smuggles shared mutability (`Arc<Mutex<…>>`,
-//!   `Arc<RwLock<…>>`, `UnsafeCell<…>`, `SharedBackend`) must be
+//!   `Arc<RwLock<…>>`, `UnsafeCell<…>`, or `Arc<Node>`, a back-end
+//!   node's handle with its locked GraphDB and checkpoint) must be
 //!   registered in the repo-root `racecheck.allow` as `Type::field`.
 //!   Filters are single-threaded by contract; a shared-mutable field is
 //!   a deliberate escape hatch that the race-audit inventory must list,
@@ -724,8 +725,7 @@ fn check_gid_hash(rel: &str, text: &str, out: &mut Vec<Violation>) {
 }
 
 /// Field types that smuggle shared mutability into a struct.
-const SHARED_MUT_PATTERNS: [&str; 4] =
-    ["Arc<Mutex<", "Arc<RwLock<", "UnsafeCell<", "SharedBackend"];
+const SHARED_MUT_PATTERNS: [&str; 4] = ["Arc<Mutex<", "Arc<RwLock<", "UnsafeCell<", "Arc<Node>"];
 
 /// Cross-file inventory for the `shared-mut-escape` rule: which types
 /// implement `Filter`, and which struct fields have shared-mutable
@@ -1342,7 +1342,7 @@ struct Db {
         let src = r#"
 pub struct CcFilter {
     outcome: Arc<Mutex<Option<u64>>>,
-    backend: SharedBackend,
+    backend: Arc<RwLock<Box<dyn GraphDb>>>,
     scratch: Vec<u64>,
 }
 impl Filter for CcFilter {
@@ -1368,6 +1368,32 @@ struct Helper {
         );
         assert_eq!(v[0].rule, "shared-mut-escape");
         assert!(v[0].message.contains("CcFilter::backend"));
+    }
+
+    #[test]
+    fn shared_mut_escape_flags_an_unregistered_node_field() {
+        // A copy's node handle locks its GraphDB and its checkpoint inside.
+        let src = "struct StoreFilter {\n    node: Arc<Node>,\n    next: u64,\n}\n\
+                   impl Filter for StoreFilter {\n    fn process(&mut self) {}\n}\n";
+        let mut inv = SharedMutInventory::default();
+        collect_shared_mut("crates/core/src/ingest.rs", src, &mut inv);
+        let mut v = Vec::new();
+        check_shared_mut_escape(&inv, &[], &mut v);
+        assert_eq!(v.len(), 1, "{:?}", inv.fields);
+        assert_eq!(v[0].rule, "shared-mut-escape");
+        assert!(
+            v[0].message.contains("StoreFilter::node"),
+            "{}",
+            v[0].message
+        );
+        // Registered, it passes.
+        v.clear();
+        check_shared_mut_escape(&inv, &[("StoreFilter::node".to_string(), 1)], &mut v);
+        assert!(
+            v.is_empty(),
+            "{:?}",
+            v.iter().map(|v| &v.message).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -92,8 +92,10 @@ const GROUPS: &[Group] = &[
               briefly and then parks with the wait booked as blocked time, an idle engine \
               polls for its next job briefly and then parks, concurrent callers answer as \
               the oracles do, a search on an engine's kept scratch answers as on a fresh \
-              cluster, a warm search's copies allocate only its messages and a warm k-hop \
-              only its answer, a search's report snapshots metrics only with telemetry on",
+              cluster, a warm search's copies allocate only its messages, its caller at most \
+              8 times and a warm k-hop only its answer, a search's report snapshots metrics \
+              only with telemetry on, a cluster of 0 or more than MAX_COPIES nodes is \
+              refused before any node opens",
         runs: &[
             "-p datacutter --lib -- superstep:: \
              superstep::tests::a_barrier_wait_parks_after_its_poll_and_is_blocked_time \
@@ -102,7 +104,8 @@ const GROUPS: &[Group] = &[
              bfs::tests::one_engine bfs::tests::back_to_back bfs::tests::a_reused_engine \
              bfs::tests::each_search bfs::tests::concurrent_ bfs::tests::dead_storage_filter \
              bfs::tests::a_failed_db_filter bfs::tests::db_filter_equivalent \
-             bfs::tests::search_metrics_need_enabled_telemetry",
+             bfs::tests::search_metrics_need_enabled_telemetry \
+             cluster::tests::node_counts_past_the_engines_bound_open_nothing",
             "--test warm_allocs -- warm_queries_allocate_only_their_messages_and_answers",
         ],
     },

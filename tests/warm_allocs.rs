@@ -2,8 +2,10 @@
 //! allocator, which is why this is its own test binary. A search's engine
 //! copies keep their scratch between jobs, so on threads other than the
 //! caller a warm search allocates only the messages it sends: a message is
-//! a `Vec` and its `Arc`. A k-hop expansion takes its scratch from the
-//! cluster, so on its caller it allocates only its answer's vector.
+//! a `Vec` and its `Arc`. On its caller a warm search allocates a fixed
+//! few times, for its job, its result slots and its report: at most
+//! [`CALLER_BOUND`]. A k-hop expansion takes its scratch from the cluster,
+//! so on its caller it allocates only its answer's vector.
 //!
 //! The graph is PubMed-S ÷1024 on two HashMap back-ends; every query runs
 //! once to warm up, then once measured.
@@ -18,6 +20,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const NODES: u64 = 2;
+
+/// The most a warm search allocates on its caller.
+const CALLER_BOUND: u64 = 8;
 
 /// Allocations and reallocations on every thread, and their bytes.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -136,6 +141,11 @@ fn warm_queries_allocate_only_their_messages_and_answers() {
             others.0 <= 2 * sent + NODES,
             "{source:?} -> {dest:?}: the copies allocated {} times for {sent} messages",
             others.0
+        );
+        assert!(
+            mine.0 <= CALLER_BOUND,
+            "{source:?} -> {dest:?}: the caller allocated {} times",
+            mine.0
         );
         msgs += sent;
         copies = (copies.0 + others.0, copies.1 + others.1);
