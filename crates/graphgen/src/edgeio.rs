@@ -1,18 +1,10 @@
-//! Edge-list file formats.
-//!
-//! The thesis' ingestion experiments stream ASCII edge lists in and note
-//! that the back-end output format is binary ("the output format is more
-//! efficient than the ingestion node format … the output format is binary,
-//! while the input data is ASCII", Figure 5.5 discussion). Both formats are
-//! implemented so the harness can reproduce that asymmetry:
-//!
-//! - **ASCII**: one `src dst\n` pair per line, `#`-prefixed comment lines
-//!   ignored.
-//! - **Binary**: 16-byte little-endian records (see [`Edge::to_bytes`]).
+//! Edge-list files: one `src dst\n` pair per line, `#`-prefixed comment
+//! lines ignored — the ASCII format the thesis' ingestion experiments
+//! stream in.
 
 use mssg_types::{Edge, Gid, GraphStorageError, Result};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Writes an edge stream as ASCII, returning the number of edges written.
@@ -102,62 +94,6 @@ impl<R: BufRead> Iterator for AsciiEdgeReader<R> {
     }
 }
 
-/// Writes an edge stream as 16-byte binary records.
-pub fn write_binary(path: &Path, edges: impl Iterator<Item = Edge>) -> Result<u64> {
-    let mut w = BufWriter::new(File::create(path)?);
-    let mut count = 0u64;
-    for e in edges {
-        w.write_all(&e.to_bytes())?;
-        count += 1;
-    }
-    w.flush()?;
-    Ok(count)
-}
-
-/// Streaming reader for binary edge lists.
-pub struct BinaryEdgeReader<R: Read> {
-    reader: R,
-}
-
-impl BinaryEdgeReader<BufReader<File>> {
-    /// Opens a binary edge-list file.
-    pub fn open(path: &Path) -> Result<Self> {
-        Ok(BinaryEdgeReader {
-            reader: BufReader::new(File::open(path)?),
-        })
-    }
-}
-
-impl<R: Read> BinaryEdgeReader<R> {
-    /// Wraps any reader.
-    pub fn new(reader: R) -> Self {
-        BinaryEdgeReader { reader }
-    }
-}
-
-impl<R: Read> Iterator for BinaryEdgeReader<R> {
-    type Item = Result<Edge>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut buf = [0u8; 16];
-        let mut filled = 0;
-        while filled < 16 {
-            match self.reader.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return None,
-                Ok(0) => {
-                    return Some(Err(GraphStorageError::corrupt(
-                        "binary edge file truncated mid-record",
-                    )))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Some(Err(e.into())),
-            }
-        }
-        Some(Ok(Edge::from_bytes(&buf)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,21 +120,6 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(back, edges);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let p = tmpfile("b.bin");
-        let edges = sample_edges();
-        write_binary(&p, edges.iter().copied()).unwrap();
-        let back: Vec<Edge> = BinaryEdgeReader::open(&p)
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(back, edges);
-        // Binary is exactly 16 bytes per edge — the efficiency the thesis
-        // credits StreamDB's output format with.
-        assert_eq!(std::fs::metadata(&p).unwrap().len(), 48);
     }
 
     #[test]
@@ -229,33 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn binary_detects_truncation() {
-        let mut bytes = Edge::of(1, 2).to_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 7]); // half a record
-        let r: Result<Vec<Edge>> = BinaryEdgeReader::new(Cursor::new(bytes)).collect();
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn empty_files() {
         let p = tmpfile("empty.txt");
         write_ascii(&p, std::iter::empty()).unwrap();
         assert_eq!(AsciiEdgeReader::open(&p).unwrap().count(), 0);
-        let q = tmpfile("empty.bin");
-        write_binary(&q, std::iter::empty()).unwrap();
-        assert_eq!(BinaryEdgeReader::open(&q).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn ascii_larger_than_binary() {
-        // Sanity check of the format-size asymmetry the thesis mentions.
-        let edges: Vec<Edge> = (0..1000)
-            .map(|i| Edge::of(i + 1_000_000_000, i + 2_000_000_000))
-            .collect();
-        let pa = tmpfile("size.txt");
-        let pb = tmpfile("size.bin");
-        write_ascii(&pa, edges.iter().copied()).unwrap();
-        write_binary(&pb, edges.iter().copied()).unwrap();
-        assert!(std::fs::metadata(&pa).unwrap().len() > std::fs::metadata(&pb).unwrap().len());
     }
 }

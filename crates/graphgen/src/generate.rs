@@ -13,11 +13,6 @@
 //! - [`BarabasiAlbert`]: classic preferential attachment, the construction
 //!   the scale-free literature the thesis cites (Barabási & Albert 1999)
 //!   introduced.
-//!
-//! An [`ErdosRenyi`] G(n, m) generator is included as the *non*-scale-free
-//! baseline: the thesis' chapter 2 motivates scale-free modelling by how
-//! badly ER fits real graphs, and tests use it to check that the degree
-//! statistics machinery distinguishes the two.
 
 use crate::alias::AliasTable;
 use crate::rng::Xoshiro256;
@@ -238,44 +233,6 @@ impl Iterator for BarabasiAlbert {
         }
         self.pending.reverse();
         self.pending.pop()
-    }
-}
-
-/// Erdős–Rényi G(n, m): `m` uniformly random non-loop edges. The
-/// non-scale-free baseline.
-pub struct ErdosRenyi {
-    n: u64,
-    remaining: u64,
-    rng: Xoshiro256,
-}
-
-impl ErdosRenyi {
-    /// `n` vertices, `m` edges.
-    pub fn new(n: u64, m: u64, seed: u64) -> ErdosRenyi {
-        assert!(n >= 2, "need at least two vertices");
-        ErdosRenyi {
-            n,
-            remaining: m,
-            rng: Xoshiro256::seeded(seed),
-        }
-    }
-}
-
-impl Iterator for ErdosRenyi {
-    type Item = Edge;
-
-    fn next(&mut self) -> Option<Edge> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        loop {
-            let a = self.rng.next_below(self.n);
-            let b = self.rng.next_below(self.n);
-            if a != b {
-                return Some(Edge::of(a, b));
-            }
-        }
     }
 }
 
@@ -536,20 +493,5 @@ mod tests {
     #[should_panic(expected = "bad quadrant probabilities")]
     fn rmat_rejects_bad_probabilities() {
         let _ = Rmat::new(8, 10, 0.5, 0.5, 0.2, 0);
-    }
-
-    #[test]
-    fn er_flat_degrees() {
-        let edges: Vec<Edge> = ErdosRenyi::new(2000, 20_000, 17).collect();
-        assert_eq!(edges.len(), 20_000);
-        let stats = degree_stats(edges.into_iter(), 2000);
-        // ER max degree stays within a small factor of the mean — the
-        // contrast with the scale-free generators above.
-        assert!(
-            (stats.max_degree as f64) < 3.0 * stats.avg_degree,
-            "max {} vs avg {}",
-            stats.max_degree,
-            stats.avg_degree
-        );
     }
 }

@@ -18,8 +18,8 @@
 //!   scale knob,
 //! - [`stats`] — degree statistics matching Table 5.1's columns plus a
 //!   power-law exponent fit,
-//! - [`edgeio`] — ASCII and binary edge-list readers/writers (the ingestion
-//!   experiments stream ASCII in and store binary, as the thesis notes).
+//! - [`edgeio`] — the ASCII edge-list reader and writer the ingestion
+//!   experiments stream from.
 
 pub mod alias;
 pub mod edgeio;
@@ -28,7 +28,7 @@ pub mod presets;
 pub mod rng;
 pub mod stats;
 
-pub use generate::{BarabasiAlbert, ChungLu, ChungLuConfig, ErdosRenyi, Rmat};
+pub use generate::{BarabasiAlbert, ChungLu, ChungLuConfig, Rmat};
 pub use presets::{GraphPreset, Workload};
 pub use rng::Xoshiro256;
 pub use stats::{degree_stats, DegreeStats};

@@ -64,23 +64,10 @@ impl Xoshiro256 {
         }
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli draw with probability `p`.
-    #[inline]
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 
     /// Forks a statistically independent generator by copying the state and
@@ -176,20 +163,6 @@ mod tests {
                 "bucket count {c} too far from {expected}"
             );
         }
-    }
-
-    #[test]
-    fn next_range_inclusive() {
-        let mut r = Xoshiro256::seeded(3);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..10_000 {
-            let v = r.next_range(5, 8);
-            assert!((5..=8).contains(&v));
-            seen_lo |= v == 5;
-            seen_hi |= v == 8;
-        }
-        assert!(seen_lo && seen_hi);
     }
 
     #[test]

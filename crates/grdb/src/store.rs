@@ -709,8 +709,13 @@ impl GrdbStore {
             self.next_sub[i] = u64_at(&mut pos)?;
         }
         for i in 0..nlevels {
-            let n = u64_at(&mut pos)? as usize;
-            let mut list = Vec::with_capacity(n);
+            let n = u64_at(&mut pos)?;
+            if n > (bytes.len() - pos) as u64 / 8 {
+                return Err(GraphStorageError::corrupt(format!(
+                    "level {i} free list of {n} sub-blocks exceeds grdb.meta"
+                )));
+            }
+            let mut list = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 list.push(u64_at(&mut pos)?);
             }
@@ -939,6 +944,30 @@ mod tests {
         // Appends continue cleanly after reopen.
         s.append_neighbours(g(7), &[g(99)]).unwrap();
         assert_eq!(s.degree(g(7)).unwrap(), 21);
+    }
+
+    #[test]
+    fn a_free_list_count_past_the_file_is_corrupt() {
+        let dir = fresh_dir("free-count");
+        {
+            let mut s = GrdbStore::open(&dir, GrdbConfig::tiny(), IoStats::new()).unwrap();
+            s.append_neighbours(g(0), &[g(1)]).unwrap();
+            s.flush().unwrap();
+        }
+        // magic, level count, (d, B) per level, entries, next_sub per
+        // level, then level 0's free-list count.
+        let levels = GrdbConfig::tiny().levels.len();
+        let at = 4 + 4 + levels * 12 + 8 + levels * 8;
+        let meta = dir.join("grdb.meta");
+        let mut bytes = std::fs::read(&meta).unwrap();
+        assert_eq!(bytes[at..at + 8], 0u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&meta, &bytes).unwrap();
+        let reopened = GrdbStore::open(&dir, GrdbConfig::tiny(), IoStats::new());
+        assert!(
+            matches!(reopened, Err(GraphStorageError::Corrupt(_))),
+            "a free-list count larger than grdb.meta must be Corrupt"
+        );
     }
 
     #[test]

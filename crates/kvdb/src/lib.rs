@@ -17,7 +17,7 @@
 //! - [`graph`] — [`BdbGraphDb`], the B-tree records of the shared 8 KB
 //!   chunked GraphDB adapter.
 //!
-//! The `minisql` crate reuses [`KvStore`] as its secondary-index engine, so
+//! The `minisql` crate reuses [`KvStore`] as its primary-key index, so
 //! the MySQL-substitute's index path and the BerkeleyDB-substitute share
 //! one B-tree implementation — mirroring how both real systems are built on
 //! B-trees.

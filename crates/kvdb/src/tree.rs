@@ -330,9 +330,12 @@ pub fn read_value(pager: &mut Pager, value: &LeafValue) -> Result<Vec<u8>> {
             first_page,
             total_len,
         } => {
-            let mut out = Vec::with_capacity(*total_len as usize);
+            // The length is read off disk: size the buffer no larger than
+            // the file could hold, and stop once the chain outruns it.
+            let file_bytes = pager.pages.saturating_mul(pager.page_size() as u64);
+            let mut out = Vec::with_capacity((*total_len).min(file_bytes) as usize);
             let mut page_id = *first_page;
-            while page_id != 0 {
+            while page_id != 0 && out.len() as u64 <= *total_len {
                 match pager.read_page(page_id)? {
                     Page::Overflow { next, data } => {
                         out.extend_from_slice(&data);
@@ -416,6 +419,22 @@ mod tests {
         assert_eq!(get(&mut p, b"hello").unwrap(), Some(b"world".to_vec()));
         assert_eq!(get(&mut p, b"nope").unwrap(), None);
         assert_eq!(p.len, 1);
+    }
+
+    #[test]
+    fn an_overflow_length_past_the_chain_is_corrupt() {
+        let mut p = pager("overflow-len.db", 256);
+        // A chain of its own, read with a length no file can hold.
+        let (first_page, total_len) = write_overflow(&mut p, &[7u8; 1000]).unwrap();
+        assert_eq!(total_len, 1000);
+        for first_page in [0, first_page] {
+            let value = LeafValue::Overflow {
+                first_page,
+                total_len: u64::MAX,
+            };
+            let got = read_value(&mut p, &value);
+            assert!(matches!(got, Err(GraphStorageError::Corrupt(_))), "{got:?}");
+        }
     }
 
     #[test]

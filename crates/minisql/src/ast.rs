@@ -1,83 +1,47 @@
 //! Abstract syntax for the supported SQL subset.
 
-use crate::value::{ColType, Value};
+use crate::catalog::TableDef;
+use std::cmp::Ordering;
 
 /// A parsed statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Statement {
     /// `CREATE TABLE name (col type, ..., PRIMARY KEY (col, ...))`
-    CreateTable {
-        /// Table name.
-        name: String,
-        /// Column definitions in declaration order.
-        columns: Vec<ColumnDef>,
-        /// Primary-key column names (may be empty).
-        primary_key: Vec<String>,
-    },
-    /// `CREATE INDEX name ON table (col, ...)`
-    CreateIndex {
-        /// Index name.
-        name: String,
-        /// Table the index covers.
-        table: String,
-        /// Indexed column names.
-        columns: Vec<String>,
-    },
-    /// `INSERT INTO table VALUES (expr, ...), (expr, ...), ...`
+    CreateTable(TableDef),
+    /// `INSERT INTO table VALUES (expr, ...)`
     Insert {
         /// Target table.
         table: String,
-        /// Rows of literal/placeholder expressions.
-        rows: Vec<Vec<Scalar>>,
+        /// One literal/placeholder expression per column.
+        row: Vec<Scalar>,
     },
-    /// `SELECT cols | COUNT(*) FROM table [WHERE conj] [ORDER BY col]
-    /// [LIMIT n]`
+    /// `SELECT col FROM table WHERE conj [ORDER BY col]`
     Select {
-        /// Projected column names, or empty for `*`.
-        columns: Vec<String>,
-        /// `COUNT(*)` instead of a column projection.
-        count_star: bool,
+        /// The projected column.
+        column: String,
         /// Source table.
         table: String,
         /// Conjunction of simple predicates.
         predicates: Vec<Predicate>,
         /// Optional ordering column (ascending).
         order_by: Option<String>,
-        /// Optional row-count cap.
-        limit: Option<u64>,
     },
-    /// `UPDATE table SET col = expr, ... [WHERE conj]`
+    /// `UPDATE table SET col = expr WHERE conj`
     Update {
         /// Target table.
         table: String,
-        /// Assignments.
-        sets: Vec<(String, Scalar)>,
-        /// Conjunction of simple predicates.
-        predicates: Vec<Predicate>,
-    },
-    /// `DELETE FROM table [WHERE conj]`
-    Delete {
-        /// Target table.
-        table: String,
+        /// The assigned column and its new value.
+        set: (String, Scalar),
         /// Conjunction of simple predicates.
         predicates: Vec<Predicate>,
     },
 }
 
-/// A column definition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ColumnDef {
-    /// Column name.
-    pub name: String,
-    /// Column type.
-    pub col_type: ColType,
-}
-
-/// A scalar expression: a literal or a `?` placeholder.
+/// A scalar expression: an integer literal or a `?` placeholder.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Scalar {
-    /// Literal value.
-    Literal(Value),
+    /// Integer literal.
+    Int(i64),
     /// `?` placeholder, resolved from the parameter list at execution.
     Param(usize),
 }
@@ -87,33 +51,16 @@ pub enum Scalar {
 pub enum CmpOp {
     /// `=`
     Eq,
-    /// `<>` / `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
     /// `>=`
     Ge,
 }
 
 impl CmpOp {
-    /// Evaluates the operator over an ordering (SQL three-valued logic:
-    /// `None` ordering means the predicate is unknown → false).
-    pub fn eval(self, ord: Option<std::cmp::Ordering>) -> bool {
-        use std::cmp::Ordering::*;
-        match ord {
-            None => false,
-            Some(o) => match self {
-                CmpOp::Eq => o == Equal,
-                CmpOp::Ne => o != Equal,
-                CmpOp::Lt => o == Less,
-                CmpOp::Le => o != Greater,
-                CmpOp::Gt => o == Greater,
-                CmpOp::Ge => o != Less,
-            },
+    /// Evaluates the operator over `lhs.cmp(rhs)`.
+    pub fn eval(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ge => ord != Ordering::Less,
         }
     }
 }
@@ -132,32 +79,11 @@ pub struct Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Ordering;
 
     #[test]
     fn cmp_op_truth_table() {
-        let lt = Some(Ordering::Less);
-        let eq = Some(Ordering::Equal);
-        let gt = Some(Ordering::Greater);
-        assert!(CmpOp::Eq.eval(eq) && !CmpOp::Eq.eval(lt));
-        assert!(CmpOp::Ne.eval(lt) && !CmpOp::Ne.eval(eq));
-        assert!(CmpOp::Lt.eval(lt) && !CmpOp::Lt.eval(eq));
-        assert!(CmpOp::Le.eval(lt) && CmpOp::Le.eval(eq) && !CmpOp::Le.eval(gt));
-        assert!(CmpOp::Gt.eval(gt) && !CmpOp::Gt.eval(eq));
-        assert!(CmpOp::Ge.eval(gt) && CmpOp::Ge.eval(eq) && !CmpOp::Ge.eval(lt));
-    }
-
-    #[test]
-    fn null_comparison_is_false() {
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            assert!(!op.eval(None), "{op:?} on NULL must be false");
-        }
+        use Ordering::*;
+        assert!(CmpOp::Eq.eval(Equal) && !CmpOp::Eq.eval(Less) && !CmpOp::Eq.eval(Greater));
+        assert!(CmpOp::Ge.eval(Greater) && CmpOp::Ge.eval(Equal) && !CmpOp::Ge.eval(Less));
     }
 }

@@ -1,32 +1,35 @@
-//! Persistent table and index metadata.
+//! Persistent table metadata.
 //!
-//! The catalog is a small binary file in the database directory, rewritten
-//! after every DDL statement. Format (little-endian):
+//! A database holds one table, the one the MySQL backend's `adj` needs.
+//! Its definition is a small binary file in the database directory,
+//! written by `CREATE TABLE`; no file means no table yet. Format
+//! (little-endian):
 //!
 //! ```text
-//! [magic u32][table_count u32] tables*
-//! table: [name][col_count u32] cols* [pk_count u32] pk_col_idx*
-//!        [index_count u32] indexes*
+//! [magic u32][name][col_count u32] cols* [pk_count u32] pk_col_idx*
 //! col:   [name][type u8]
-//! index: [name][col_count u32] col_idx*
 //! name:  [len u32][utf8 bytes]
 //! ```
+//!
+//! The decoder checks every count against the bytes left before it
+//! allocates, and every key column against the column list, so a damaged
+//! file is a typed `Corrupt` error.
 
-use crate::ast::ColumnDef;
 use crate::value::ColType;
 use mssg_types::{GraphStorageError, Result};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-const MAGIC: u32 = 0x6d73_7131; // "msq1"
+/// "msq2". A catalog in the earlier "msq1" layout, which listed tables
+/// and their secondary indexes, is refused as corrupt rather than misread.
+const MAGIC: u32 = 0x6d73_7132;
 
-/// A secondary (or primary) index definition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexDef {
-    /// Index name (unique per table).
+/// A column definition.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ColumnDef {
+    /// Column name.
     pub name: String,
-    /// Indexed columns, as indices into the table's column list.
-    pub columns: Vec<usize>,
+    /// Column type.
+    pub col_type: ColType,
 }
 
 /// A table definition.
@@ -36,10 +39,8 @@ pub struct TableDef {
     pub name: String,
     /// Columns in declaration order.
     pub columns: Vec<ColumnDef>,
-    /// Primary-key columns as column indices (empty = no PK).
+    /// Primary-key columns as column indices (never empty; all `BIGINT`).
     pub primary_key: Vec<usize>,
-    /// Secondary indexes.
-    pub indexes: Vec<IndexDef>,
 }
 
 impl TableDef {
@@ -52,179 +53,115 @@ impl TableDef {
                 GraphStorageError::Query(format!("no column {name:?} in table {:?}", self.name))
             })
     }
-
-    /// `true` if the table declares a primary key.
-    pub fn has_primary_key(&self) -> bool {
-        !self.primary_key.is_empty()
-    }
 }
 
-/// The database catalog: every table, persisted to `catalog.bin`.
-#[derive(Debug, Default)]
+/// The database catalog: its one table, persisted to `catalog.bin`.
+#[derive(Debug)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableDef>,
+    table: Option<TableDef>,
     path: PathBuf,
 }
 
 impl Catalog {
-    /// Loads the catalog from `dir`, or starts empty if absent.
+    /// Loads the catalog from `dir`, or starts with no table if absent.
     pub fn open(dir: &Path) -> Result<Catalog> {
         let path = dir.join("catalog.bin");
-        if !path.exists() {
-            return Ok(Catalog {
-                tables: BTreeMap::new(),
-                path,
-            });
-        }
-        let bytes = std::fs::read(&path)?;
-        let mut c = Catalog {
-            tables: BTreeMap::new(),
-            path,
+        let table = if path.exists() {
+            Some(decode(&std::fs::read(&path)?)?)
+        } else {
+            None
         };
-        c.decode(&bytes)?;
-        Ok(c)
+        Ok(Catalog { table, path })
     }
 
-    /// Looks a table up (case-insensitive, like MySQL on most platforms).
+    /// Looks the table up by name (case-insensitive, like MySQL on most
+    /// platforms).
     pub fn table(&self, name: &str) -> Result<&TableDef> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
+        self.table
+            .as_ref()
+            .filter(|t| t.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| GraphStorageError::Query(format!("no such table {name:?}")))
     }
 
-    /// Mutable lookup.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut TableDef> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
-            .ok_or_else(|| GraphStorageError::Query(format!("no such table {name:?}")))
-    }
-
-    /// All table definitions.
-    pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
-        self.tables.values()
-    }
-
-    /// Registers a new table and persists.
+    /// Registers the database's table and persists it; a database that
+    /// already has its table refuses a second.
     pub fn create_table(&mut self, def: TableDef) -> Result<()> {
-        let key = def.name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
+        if let Some(t) = &self.table {
             return Err(GraphStorageError::Query(format!(
                 "table {:?} already exists",
-                def.name
+                t.name
             )));
         }
-        self.tables.insert(key, def);
-        self.save()
-    }
-
-    /// Adds a secondary index to a table and persists.
-    pub fn create_index(&mut self, table: &str, index: IndexDef) -> Result<()> {
-        let t = self.table_mut(table)?;
-        if t.indexes
-            .iter()
-            .any(|i| i.name.eq_ignore_ascii_case(&index.name))
-        {
-            return Err(GraphStorageError::Query(format!(
-                "index {:?} already exists on {table:?}",
-                index.name
-            )));
-        }
-        t.indexes.push(index);
-        self.save()
-    }
-
-    fn save(&self) -> Result<()> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        for t in self.tables.values() {
-            write_name(&mut out, &t.name);
-            out.extend_from_slice(&(t.columns.len() as u32).to_le_bytes());
-            for c in &t.columns {
-                write_name(&mut out, &c.name);
-                out.push(match c.col_type {
-                    ColType::BigInt => 0,
-                    ColType::Blob => 1,
-                });
-            }
-            out.extend_from_slice(&(t.primary_key.len() as u32).to_le_bytes());
-            for &i in &t.primary_key {
-                out.extend_from_slice(&(i as u32).to_le_bytes());
-            }
-            out.extend_from_slice(&(t.indexes.len() as u32).to_le_bytes());
-            for idx in &t.indexes {
-                write_name(&mut out, &idx.name);
-                out.extend_from_slice(&(idx.columns.len() as u32).to_le_bytes());
-                for &i in &idx.columns {
-                    out.extend_from_slice(&(i as u32).to_le_bytes());
-                }
-            }
+        write_name(&mut out, &def.name);
+        out.extend_from_slice(&(def.columns.len() as u32).to_le_bytes());
+        for c in &def.columns {
+            write_name(&mut out, &c.name);
+            out.push(match c.col_type {
+                ColType::BigInt => 0,
+                ColType::Blob => 1,
+            });
+        }
+        out.extend_from_slice(&(def.primary_key.len() as u32).to_le_bytes());
+        for &i in &def.primary_key {
+            out.extend_from_slice(&(i as u32).to_le_bytes());
         }
         // Write-then-rename for crash consistency.
         let tmp = self.path.with_extension("tmp");
         std::fs::write(&tmp, &out)?;
         std::fs::rename(&tmp, &self.path)?;
+        self.table = Some(def);
         Ok(())
     }
+}
 
-    fn decode(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut pos = 0usize;
-        let magic = read_u32(bytes, &mut pos)?;
-        if magic != MAGIC {
-            return Err(GraphStorageError::corrupt("catalog has bad magic"));
-        }
-        let ntables = read_u32(bytes, &mut pos)?;
-        for _ in 0..ntables {
-            let name = read_name(bytes, &mut pos)?;
-            let ncols = read_u32(bytes, &mut pos)?;
-            let mut columns = Vec::with_capacity(ncols as usize);
-            for _ in 0..ncols {
-                let cname = read_name(bytes, &mut pos)?;
-                let ty = match read_u8(bytes, &mut pos)? {
-                    0 => ColType::BigInt,
-                    1 => ColType::Blob,
-                    t => {
-                        return Err(GraphStorageError::corrupt(format!(
-                            "catalog column type {t}"
-                        )))
-                    }
-                };
-                columns.push(ColumnDef {
-                    name: cname,
-                    col_type: ty,
-                });
-            }
-            let npk = read_u32(bytes, &mut pos)?;
-            let mut primary_key = Vec::with_capacity(npk as usize);
-            for _ in 0..npk {
-                primary_key.push(read_u32(bytes, &mut pos)? as usize);
-            }
-            let nidx = read_u32(bytes, &mut pos)?;
-            let mut indexes = Vec::with_capacity(nidx as usize);
-            for _ in 0..nidx {
-                let iname = read_name(bytes, &mut pos)?;
-                let nic = read_u32(bytes, &mut pos)?;
-                let mut cols = Vec::with_capacity(nic as usize);
-                for _ in 0..nic {
-                    cols.push(read_u32(bytes, &mut pos)? as usize);
-                }
-                indexes.push(IndexDef {
-                    name: iname,
-                    columns: cols,
-                });
-            }
-            self.tables.insert(
-                name.to_ascii_lowercase(),
-                TableDef {
-                    name,
-                    columns,
-                    primary_key,
-                    indexes,
-                },
-            );
-        }
-        Ok(())
+fn decode(bytes: &[u8]) -> Result<TableDef> {
+    let mut r = Reader { bytes, pos: 0 };
+    if r.u32()? != MAGIC {
+        return Err(GraphStorageError::corrupt("catalog has bad magic"));
     }
+    let name = r.name()?;
+    // A column is at least a name length and a type byte.
+    let ncols = r.count(5)?;
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let name = r.name()?;
+        let col_type = match r.u8()? {
+            0 => ColType::BigInt,
+            1 => ColType::Blob,
+            t => {
+                return Err(GraphStorageError::corrupt(format!(
+                    "catalog column type {t}"
+                )))
+            }
+        };
+        columns.push(ColumnDef { name, col_type });
+    }
+    let nkey = r.count(4)?;
+    let mut primary_key = Vec::with_capacity(nkey);
+    for _ in 0..nkey {
+        let i = r.u32()? as usize;
+        if columns.get(i).map(|c| c.col_type) != Some(ColType::BigInt) {
+            return Err(GraphStorageError::corrupt(format!(
+                "catalog key column {i} of table {name:?} is not a BIGINT column"
+            )));
+        }
+        primary_key.push(i);
+    }
+    if primary_key.is_empty() {
+        return Err(GraphStorageError::corrupt(format!(
+            "catalog table {name:?} has no primary key"
+        )));
+    }
+    if r.pos != bytes.len() {
+        return Err(GraphStorageError::corrupt("trailing bytes after catalog"));
+    }
+    Ok(TableDef {
+        name,
+        columns,
+        primary_key,
+    })
 }
 
 fn write_name(out: &mut Vec<u8>, s: &str) {
@@ -232,31 +169,48 @@ fn write_name(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_u8(b: &[u8], pos: &mut usize) -> Result<u8> {
-    let v = *b
-        .get(*pos)
-        .ok_or_else(|| GraphStorageError::corrupt("catalog truncated"))?;
-    *pos += 1;
-    Ok(v)
+/// A cursor over the catalog's bytes; running off the end is `Corrupt`.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn read_u32(b: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = *pos + 4;
-    let s = b
-        .get(*pos..end)
-        .ok_or_else(|| GraphStorageError::corrupt("catalog truncated"))?;
-    *pos = end;
-    Ok(u32::from_le_bytes(s.try_into().unwrap()))
-}
+impl Reader<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
+        let s = self
+            .bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..n))
+            .ok_or_else(|| GraphStorageError::corrupt("catalog truncated"))?;
+        self.pos += n;
+        Ok(s)
+    }
 
-fn read_name(b: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_u32(b, pos)? as usize;
-    let end = *pos + len;
-    let s = b
-        .get(*pos..end)
-        .ok_or_else(|| GraphStorageError::corrupt("catalog truncated"))?;
-    *pos = end;
-    String::from_utf8(s.to_vec()).map_err(|_| GraphStorageError::corrupt("catalog name not UTF-8"))
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    /// A count of items that take at least `min_bytes` each, refused when
+    /// the bytes left cannot hold that many.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.bytes.len() - self.pos) / min_bytes {
+            return Err(GraphStorageError::corrupt(format!(
+                "catalog count {n} exceeds the bytes left"
+            )));
+        }
+        Ok(n)
+    }
+
+    fn name(&mut self) -> Result<String> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| GraphStorageError::corrupt("catalog name not UTF-8"))
+    }
 }
 
 #[cfg(test)]
@@ -288,8 +242,11 @@ mod tests {
                 },
             ],
             primary_key: vec![0, 1],
-            indexes: vec![],
         }
+    }
+
+    fn is_corrupt(r: Result<Catalog>) -> bool {
+        matches!(r, Err(GraphStorageError::Corrupt(_)))
     }
 
     #[test]
@@ -301,57 +258,43 @@ mod tests {
         assert_eq!(t.columns.len(), 3);
         assert_eq!(t.column_index("Chunk").unwrap(), 1);
         assert!(t.column_index("nope").is_err());
-        assert!(t.has_primary_key());
     }
 
     #[test]
-    fn duplicate_table_rejected() {
+    fn duplicate_and_second_tables_rejected() {
         let dir = tmpdir("dup");
         let mut c = Catalog::open(&dir).unwrap();
         c.create_table(adj_table()).unwrap();
         assert!(c.create_table(adj_table()).is_err());
+        let other = TableDef {
+            name: "other".into(),
+            ..adj_table()
+        };
+        assert!(c.create_table(other).is_err());
+        assert!(c.table("other").is_err());
+        assert_eq!(
+            Catalog::open(&dir).unwrap().table("adj").unwrap(),
+            &adj_table()
+        );
     }
 
     #[test]
     fn persistence_roundtrip() {
         let dir = tmpdir("persist");
-        {
-            let mut c = Catalog::open(&dir).unwrap();
-            c.create_table(adj_table()).unwrap();
-            c.create_index(
-                "adj",
-                IndexDef {
-                    name: "iv".into(),
-                    columns: vec![0],
-                },
-            )
+        Catalog::open(&dir)
+            .unwrap()
+            .create_table(adj_table())
             .unwrap();
-        }
         let c = Catalog::open(&dir).unwrap();
-        let t = c.table("adj").unwrap();
-        assert_eq!(t.primary_key, vec![0, 1]);
-        assert_eq!(t.indexes.len(), 1);
-        assert_eq!(t.indexes[0].columns, vec![0]);
-        assert_eq!(t.columns[2].col_type, ColType::Blob);
-    }
-
-    #[test]
-    fn duplicate_index_rejected() {
-        let dir = tmpdir("dupidx");
-        let mut c = Catalog::open(&dir).unwrap();
-        c.create_table(adj_table()).unwrap();
-        let idx = IndexDef {
-            name: "iv".into(),
-            columns: vec![0],
-        };
-        c.create_index("adj", idx.clone()).unwrap();
-        assert!(c.create_index("adj", idx).is_err());
+        assert_eq!(c.table("adj").unwrap(), &adj_table());
     }
 
     #[test]
     fn missing_table_errors() {
         let dir = tmpdir("missing");
-        let c = Catalog::open(&dir).unwrap();
+        let mut c = Catalog::open(&dir).unwrap();
+        assert!(c.table("ghost").is_err());
+        c.create_table(adj_table()).unwrap();
         assert!(c.table("ghost").is_err());
     }
 
@@ -359,6 +302,45 @@ mod tests {
     fn corrupt_catalog_detected() {
         let dir = tmpdir("corrupt");
         std::fs::write(dir.join("catalog.bin"), b"garbage!").unwrap();
-        assert!(Catalog::open(&dir).is_err());
+        assert!(is_corrupt(Catalog::open(&dir)));
+    }
+
+    #[test]
+    fn catalog_with_an_index_list_is_refused() {
+        // The layout that carried secondary indexes began "msq1".
+        let dir = tmpdir("old-magic");
+        let mut old = 0x6d73_7131u32.to_le_bytes().to_vec();
+        old.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(dir.join("catalog.bin"), old).unwrap();
+        assert!(is_corrupt(Catalog::open(&dir)));
+    }
+
+    #[test]
+    fn damaged_counts_and_keys_are_corrupt_not_a_panic() {
+        let dir = tmpdir("damaged");
+        Catalog::open(&dir)
+            .unwrap()
+            .create_table(adj_table())
+            .unwrap();
+        let good = std::fs::read(dir.join("catalog.bin")).unwrap();
+        // Offsets: name length at 4, column count at 11, key count at 45,
+        // first key column at 49 (column 2 is the BLOB).
+        for (at, word) in [
+            (4, u32::MAX),
+            (11, u32::MAX),
+            (45, u32::MAX),
+            (49, 2),
+            (45, 0),
+        ] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            std::fs::write(dir.join("catalog.bin"), &bad).unwrap();
+            assert!(is_corrupt(Catalog::open(&dir)), "word {word} at {at}");
+        }
+        // Every truncation is corrupt too.
+        for len in 0..good.len() {
+            std::fs::write(dir.join("catalog.bin"), &good[..len]).unwrap();
+            assert!(is_corrupt(Catalog::open(&dir)), "truncated to {len}");
+        }
     }
 }

@@ -81,9 +81,9 @@ impl MySqlGraphDb {
     /// Runs a one-column `SELECT data …`, returning its blobs.
     fn blobs(&mut self, sql: &str, params: &[Value]) -> Result<Vec<Vec<u8>>> {
         let rs = self.db.execute(sql, params)?;
-        rs.rows
+        rs.values
             .into_iter()
-            .map(|mut row| match row.swap_remove(0) {
+            .map(|value| match value {
                 Value::Blob(b) => Ok(b),
                 other => Err(GraphStorageError::corrupt(format!(
                     "non-blob chunk {other}"
@@ -139,9 +139,9 @@ impl ChunkRecords for MySqlGraphDb {
             "SELECT vertex FROM adj WHERE chunk = -1 ORDER BY vertex",
             &[],
         )?;
-        rs.rows
+        rs.values
             .iter()
-            .map(|r| Ok(Gid::new(r[0].as_int()? as u64)))
+            .map(|v| Ok(Gid::new(v.as_int()? as u64)))
             .collect()
     }
 

@@ -11,8 +11,8 @@
 //!
 //! Slots grow up from the header; row bytes grow down from the page end.
 //! A [`RowId`] (page, slot) is stable across updates that fit in place;
-//! growing updates move the row and report the new id so indexes can be
-//! fixed up.
+//! growing updates move the row, leaving a dead slot for a later insert to
+//! reuse, and report the new id so the index can be fixed up.
 
 use mssg_types::{GraphStorageError, Result};
 use simio::{BlockFile, CacheKey, EngineCache, IoStats};
@@ -161,19 +161,6 @@ impl HeapFile {
         Ok(page_get(&page, rid.slot).map(|s| s.to_vec()))
     }
 
-    /// Deletes a row; returns whether it existed.
-    pub fn delete(&mut self, rid: RowId) -> Result<bool> {
-        if rid.page >= self.pages() {
-            return Ok(false);
-        }
-        let mut page = self.load(rid.page)?;
-        let existed = page_delete(&mut page, rid.slot);
-        if existed {
-            self.store(rid.page, page)?;
-        }
-        Ok(existed)
-    }
-
     /// Updates a row in place when possible; otherwise moves it. Returns
     /// the row's (possibly new) id, or `None` if it did not exist.
     pub fn update(&mut self, rid: RowId, row: &[u8]) -> Result<Option<RowId>> {
@@ -188,33 +175,28 @@ impl HeapFile {
             }
             UpdateOutcome::Missing => Ok(None),
             UpdateOutcome::TooBig => {
-                page_delete(&mut page, rid.slot);
+                set_slot(&mut page, rid.slot, DEAD, 0);
                 self.store(rid.page, page)?;
                 Ok(Some(self.insert(row)?))
             }
         }
     }
 
-    /// Visits every live row. The callback returns `false` to stop.
-    pub fn scan(&mut self, cb: &mut dyn FnMut(RowId, &[u8]) -> bool) -> Result<()> {
+    /// The ids of every live row, in file order.
+    pub fn row_ids(&mut self) -> Result<Vec<RowId>> {
+        let mut rids = Vec::new();
         for page_id in 0..self.pages() {
             let page = self.load(page_id)?;
-            let slots = slot_count(&page);
-            for slot in 0..slots {
-                if let Some(row) = page_get(&page, slot) {
-                    if !cb(
-                        RowId {
-                            page: page_id,
-                            slot,
-                        },
-                        row,
-                    ) {
-                        return Ok(());
-                    }
+            for slot in 0..slot_count(&page) {
+                if page_get(&page, slot).is_some() {
+                    rids.push(RowId {
+                        page: page_id,
+                        slot,
+                    });
                 }
             }
         }
-        Ok(())
+        Ok(rids)
     }
 
     /// Flushes dirty pages to disk.
@@ -301,14 +283,6 @@ fn page_insert(page: &mut [u8], row: &[u8]) -> Option<u16> {
     Some(slot)
 }
 
-fn page_delete(page: &mut [u8], slot: u16) -> bool {
-    if slot >= slot_count(page) || slot_at(page, slot).0 == DEAD {
-        return false;
-    }
-    set_slot(page, slot, DEAD, 0);
-    true
-}
-
 enum UpdateOutcome {
     Done,
     Missing,
@@ -377,18 +351,27 @@ mod tests {
         }
     }
 
+    /// Fills page 0 after `rid` so a grown `rid` must move to page 1.
+    fn fill_first_page(h: &mut HeapFile) {
+        while h.pages() == 1 {
+            h.insert(&[7u8; 64]).unwrap();
+        }
+    }
+
     #[test]
-    fn delete_and_slot_reuse() {
-        let mut h = heap("delete.hp");
+    fn moved_row_leaves_a_reusable_slot() {
+        let mut h = heap("reuse.hp");
         let a = h.insert(b"aaaa").unwrap();
-        let _b = h.insert(b"bbbb").unwrap();
-        assert!(h.delete(a).unwrap());
-        assert!(!h.delete(a).unwrap());
+        fill_first_page(&mut h);
+        let moved = h.update(a, &[9u8; 100]).unwrap().unwrap();
+        assert_ne!(moved.page, a.page);
         assert_eq!(h.get(a).unwrap(), None);
-        // A new insert on the same page reuses slot a.
-        let c = h.insert(b"cccc").unwrap();
+        assert_eq!(h.update(a, b"z").unwrap(), None);
+        // An insert on a's page reuses its dead slot.
+        h.last_page = a.page;
+        let c = h.insert(b"c").unwrap();
         assert_eq!(c, a);
-        assert_eq!(h.get(c).unwrap(), Some(b"cccc".to_vec()));
+        assert_eq!(h.get(c).unwrap(), Some(b"c".to_vec()));
     }
 
     #[test]
@@ -404,10 +387,7 @@ mod tests {
     fn growing_update_moves_row() {
         let mut h = heap("grow.hp");
         let rid = h.insert(b"x").unwrap();
-        // Fill the rest of the page so the grown row cannot stay.
-        while h.pages() == 1 {
-            h.insert(&[7u8; 64]).unwrap();
-        }
+        fill_first_page(&mut h);
         let grown = vec![9u8; 100];
         let new_rid = h.update(rid, &grown).unwrap().unwrap();
         assert_eq!(h.get(new_rid).unwrap(), Some(grown));
@@ -424,26 +404,26 @@ mod tests {
     fn update_missing_row() {
         let mut h = heap("updmiss.hp");
         let rid = h.insert(b"a").unwrap();
-        h.delete(rid).unwrap();
+        let unused = RowId { slot: 1, ..rid };
+        assert_eq!(h.update(unused, b"b").unwrap(), None);
+        // A growing update leaves the row's old slot dead.
+        fill_first_page(&mut h);
+        h.update(rid, &[9u8; 100]).unwrap().unwrap();
         assert_eq!(h.update(rid, b"b").unwrap(), None);
         assert_eq!(h.update(RowId { page: 99, slot: 0 }, b"b").unwrap(), None);
     }
 
     #[test]
-    fn scan_sees_live_rows_only() {
+    fn row_ids_sees_live_rows_only() {
         let mut h = heap("scan.hp");
         let a = h.insert(b"a").unwrap();
-        let _b = h.insert(b"b").unwrap();
-        let c = h.insert(b"c").unwrap();
-        h.delete(a).unwrap();
-        let mut seen = Vec::new();
-        h.scan(&mut |rid, row| {
-            seen.push((rid, row.to_vec()));
-            true
-        })
-        .unwrap();
-        assert_eq!(seen.len(), 2);
-        assert!(seen.iter().any(|(rid, r)| *rid == c && r == b"c"));
+        let b = h.insert(b"b").unwrap();
+        fill_first_page(&mut h);
+        let before = h.row_ids().unwrap();
+        let moved = h.update(a, &[9u8; 100]).unwrap().unwrap();
+        let after = h.row_ids().unwrap();
+        assert_eq!(after.len(), before.len());
+        assert!(!after.contains(&a) && after.contains(&moved) && after.contains(&b));
     }
 
     #[test]

@@ -1,23 +1,20 @@
 //! SQL tokenizer.
 //!
-//! Handles the dialect subset the engine executes: identifiers, integer
-//! literals, single-quoted strings, `X'..'` hex blobs, `?` placeholders,
-//! punctuation, and comparison operators. Keywords are case-insensitive.
+//! Handles the dialect the engine executes: identifiers, integer literals
+//! (`-1` included), `?` placeholders, parentheses, commas, `=` and `>=`.
+//! Keywords are case-insensitive. Any other character is a typed
+//! [`GraphStorageError::Query`].
 
 use mssg_types::{GraphStorageError, Result};
 
 /// A lexical token.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Token {
-    /// Keyword or identifier (keywords are resolved by the parser; the
-    /// lexer uppercases candidates via [`Token::keyword_eq`]).
+    /// Keyword or identifier (keywords are resolved by the parser through
+    /// [`Token::keyword_eq`]).
     Ident(String),
     /// Integer literal.
     Int(i64),
-    /// String literal (single quotes, `''` escape).
-    Str(String),
-    /// Hex blob literal `X'0AFF'`.
-    HexBlob(Vec<u8>),
     /// `?` placeholder, numbered in appearance order from 0.
     Param(usize),
     /// `(`
@@ -26,22 +23,10 @@ pub enum Token {
     RParen,
     /// `,`
     Comma,
-    /// `;`
-    Semi,
-    /// `*`
-    Star,
     /// `=`
     Eq,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `<=`
-    Le,
     /// `>=`
     Ge,
-    /// `<>` or `!=`
-    Ne,
 }
 
 impl Token {
@@ -59,143 +44,53 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
     let mut params = 0usize;
     let err = |msg: String| GraphStorageError::Query(msg);
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
-                out.push(Token::LParen);
+        let start = i;
+        i += 1;
+        let token = match bytes[start] {
+            b' ' | b'\t' | b'\r' | b'\n' => continue,
+            b'(' => Token::LParen,
+            b')' => Token::RParen,
+            b',' => Token::Comma,
+            b'=' => Token::Eq,
+            b'>' if bytes.get(i) == Some(&b'=') => {
                 i += 1;
+                Token::Ge
             }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Semi);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Eq);
-                i += 1;
-            }
-            '?' => {
-                out.push(Token::Param(params));
+            b'?' => {
                 params += 1;
-                i += 1;
+                Token::Param(params - 1)
             }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Le);
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
+            c @ (b'-' | b'0'..=b'9') => {
+                if c == b'-' && !bytes.get(i).is_some_and(|b| b.is_ascii_digit()) {
+                    return Err(err(format!("stray '-' at byte {start}")));
                 }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(err(format!("stray '!' at byte {i}")));
-                }
-            }
-            '\'' => {
-                let (s, next) = lex_string(input, i)?;
-                out.push(Token::Str(s));
-                i = next;
-            }
-            '-' | '0'..='9' => {
-                let start = i;
-                if c == '-' {
-                    i += 1;
-                    if !bytes.get(i).is_some_and(|b| b.is_ascii_digit()) {
-                        return Err(err(format!("stray '-' at byte {start}")));
-                    }
-                }
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                while bytes.get(i).is_some_and(|b| b.is_ascii_digit()) {
                     i += 1;
                 }
                 let text = &input[start..i];
-                let n: i64 = text
-                    .parse()
-                    .map_err(|_| err(format!("integer literal {text:?} out of range")))?;
-                out.push(Token::Int(n));
+                Token::Int(
+                    text.parse()
+                        .map_err(|_| err(format!("integer literal {text:?} out of range")))?,
+                )
             }
-            'x' | 'X' if bytes.get(i + 1) == Some(&b'\'') => {
-                let (s, next) = lex_string(input, i + 1)?;
-                let blob =
-                    decode_hex(&s).ok_or_else(|| err(format!("bad hex blob near byte {i}")))?;
-                out.push(Token::HexBlob(blob));
-                i = next;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                while bytes
+                    .get(i)
+                    .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
+                {
                     i += 1;
                 }
-                out.push(Token::Ident(input[start..i].to_string()));
+                Token::Ident(input[start..i].to_string())
             }
-            other => return Err(err(format!("unexpected character {other:?} at byte {i}"))),
-        }
+            _ => {
+                // Only ASCII has been consumed, so `start` is a char boundary.
+                let c = input[start..].chars().next().unwrap_or_default();
+                return Err(err(format!("unexpected character {c:?} at byte {start}")));
+            }
+        };
+        out.push(token);
     }
     Ok(out)
-}
-
-/// Lexes a single-quoted string starting at `start` (which must point at
-/// the opening quote). Returns the contents and the index after the
-/// closing quote. `''` escapes a quote.
-fn lex_string(input: &str, start: usize) -> Result<(String, usize)> {
-    let bytes = input.as_bytes();
-    debug_assert_eq!(bytes[start], b'\'');
-    let mut i = start + 1;
-    let mut s = String::new();
-    while i < bytes.len() {
-        if bytes[i] == b'\'' {
-            if bytes.get(i + 1) == Some(&b'\'') {
-                s.push('\'');
-                i += 2;
-            } else {
-                return Ok((s, i + 1));
-            }
-        } else {
-            s.push(bytes[i] as char);
-            i += 1;
-        }
-    }
-    Err(GraphStorageError::Query(
-        "unterminated string literal".into(),
-    ))
-}
-
-fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -204,13 +99,11 @@ mod tests {
 
     #[test]
     fn basic_statement() {
-        let toks = lex("SELECT * FROM adj WHERE vertex = 42;").unwrap();
+        let toks = lex("SELECT data FROM adj WHERE vertex = 42").unwrap();
         assert_eq!(toks[0], Token::Ident("SELECT".into()));
         assert!(toks[0].keyword_eq("select"));
-        assert_eq!(toks[1], Token::Star);
         assert_eq!(toks[6], Token::Eq);
         assert_eq!(toks[7], Token::Int(42));
-        assert_eq!(toks[8], Token::Semi);
     }
 
     #[test]
@@ -231,34 +124,9 @@ mod tests {
 
     #[test]
     fn comparison_operators() {
-        let toks = lex("a <= b >= c <> d != e < f > g").unwrap();
-        let ops: Vec<&Token> = toks
-            .iter()
-            .filter(|t| !matches!(t, Token::Ident(_)))
-            .collect();
-        assert_eq!(
-            ops,
-            vec![
-                &Token::Le,
-                &Token::Ge,
-                &Token::Ne,
-                &Token::Ne,
-                &Token::Lt,
-                &Token::Gt
-            ]
-        );
-    }
-
-    #[test]
-    fn string_with_escape() {
-        let toks = lex("SELECT 'it''s'").unwrap();
-        assert_eq!(toks[1], Token::Str("it's".into()));
-    }
-
-    #[test]
-    fn hex_blob() {
-        let toks = lex("INSERT INTO t VALUES (X'0aFF')").unwrap();
-        assert!(toks.contains(&Token::HexBlob(vec![0x0a, 0xff])));
+        let toks = lex("a >= b = c").unwrap();
+        assert_eq!(toks[1], Token::Ge);
+        assert_eq!(toks[3], Token::Eq);
     }
 
     #[test]
@@ -268,19 +136,30 @@ mod tests {
     }
 
     #[test]
-    fn identifier_x_not_blob() {
-        // 'x' followed by something other than a quote is an identifier.
-        let toks = lex("SELECT x FROM t").unwrap();
-        assert_eq!(toks[1], Token::Ident("x".into()));
+    fn errors() {
+        for bad in [
+            "a @ b",
+            "- 5",
+            "99999999999999999999",
+            "a > b",
+            "a < b",
+            "'text'",
+            "x'00'",
+            "SELECT *",
+            "SELECT a;",
+            "é",
+        ] {
+            assert!(
+                matches!(lex(bad), Err(GraphStorageError::Query(_))),
+                "{bad:?} must be a typed query error"
+            );
+        }
     }
 
     #[test]
-    fn errors() {
-        assert!(lex("SELECT 'unterminated").is_err());
-        assert!(lex("a @ b").is_err());
-        assert!(lex("x'zz'").is_err());
-        assert!(lex("- 5").is_err());
-        assert!(lex("99999999999999999999").is_err());
+    fn multibyte_character_is_named_whole() {
+        let err = lex("a = ñ").unwrap_err();
+        assert!(err.to_string().contains('ñ'), "{err}");
     }
 
     #[test]

@@ -1,8 +1,21 @@
 //! Recursive-descent parser for the supported SQL subset.
+//!
+//! The grammar is exactly what the `adj` table's statements need:
+//!
+//! ```text
+//! CREATE TABLE name ( col type, ..., PRIMARY KEY ( col, ... ) )
+//! INSERT INTO name VALUES ( scalar, ... )
+//! SELECT col FROM name WHERE pred [AND pred]* [ORDER BY col]
+//! UPDATE name SET col = scalar WHERE pred [AND pred]*
+//! type:   BIGINT | BLOB
+//! pred:   col = scalar | col >= scalar
+//! scalar: integer | ?
+//! ```
 
-use crate::ast::{CmpOp, ColumnDef, Predicate, Scalar, Statement};
+use crate::ast::{CmpOp, Predicate, Scalar, Statement};
+use crate::catalog::{ColumnDef, TableDef};
 use crate::lexer::{lex, Token};
-use crate::value::{ColType, Value};
+use crate::value::ColType;
 use mssg_types::{GraphStorageError, Result};
 
 /// Parses one SQL statement.
@@ -10,7 +23,6 @@ pub fn parse(sql: &str) -> Result<Statement> {
     let tokens = lex(sql)?;
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
-    p.eat_optional_semi();
     if p.pos != p.tokens.len() {
         return Err(p.error("trailing tokens after statement"));
     }
@@ -25,10 +37,6 @@ struct Parser {
 impl Parser {
     fn error(&self, msg: &str) -> GraphStorageError {
         GraphStorageError::Query(format!("parse error at token {}: {msg}", self.pos))
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
     }
 
     fn next(&mut self) -> Result<Token> {
@@ -50,6 +58,13 @@ impl Parser {
         }
     }
 
+    /// Consumes `t` if it is next.
+    fn eat(&mut self, t: &Token) -> bool {
+        let found = self.tokens.get(self.pos) == Some(t);
+        self.pos += usize::from(found);
+        found
+    }
+
     fn keyword(&mut self, kw: &str) -> Result<()> {
         let got = self.next()?;
         if got.keyword_eq(kw) {
@@ -60,12 +75,9 @@ impl Parser {
     }
 
     fn try_keyword(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.keyword_eq(kw)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let found = self.tokens.get(self.pos).is_some_and(|t| t.keyword_eq(kw));
+        self.pos += usize::from(found);
+        found
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -75,92 +87,95 @@ impl Parser {
         }
     }
 
-    fn eat_optional_semi(&mut self) {
-        if self.peek() == Some(&Token::Semi) {
-            self.pos += 1;
+    /// `( item, ... )`, at least one item.
+    fn parens<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        self.expect(&Token::LParen)?;
+        let mut items = vec![item(self)?];
+        while self.eat(&Token::Comma) {
+            items.push(item(self)?);
         }
+        self.expect(&Token::RParen)?;
+        Ok(items)
     }
 
     fn statement(&mut self) -> Result<Statement> {
-        let head = self
-            .peek()
-            .cloned()
-            .ok_or_else(|| self.error("empty statement"))?;
+        let head = self.next()?;
         if head.keyword_eq("CREATE") {
-            self.pos += 1;
-            if self.try_keyword("TABLE") {
-                self.create_table()
-            } else if self.try_keyword("INDEX") {
-                self.create_index()
-            } else {
-                Err(self.error("expected TABLE or INDEX after CREATE"))
-            }
+            self.keyword("TABLE")?;
+            self.create_table()
         } else if head.keyword_eq("INSERT") {
-            self.pos += 1;
-            self.insert()
+            self.keyword("INTO")?;
+            let table = self.ident()?;
+            self.keyword("VALUES")?;
+            let row = self.parens(Self::scalar)?;
+            Ok(Statement::Insert { table, row })
         } else if head.keyword_eq("SELECT") {
-            self.pos += 1;
-            self.select()
+            let column = self.ident()?;
+            self.keyword("FROM")?;
+            let table = self.ident()?;
+            let predicates = self.where_clause()?;
+            let order_by = if self.try_keyword("ORDER") {
+                self.keyword("BY")?;
+                Some(self.ident()?)
+            } else {
+                None
+            };
+            Ok(Statement::Select {
+                column,
+                table,
+                predicates,
+                order_by,
+            })
         } else if head.keyword_eq("UPDATE") {
-            self.pos += 1;
-            self.update()
-        } else if head.keyword_eq("DELETE") {
-            self.pos += 1;
-            self.delete()
+            let table = self.ident()?;
+            self.keyword("SET")?;
+            let column = self.ident()?;
+            self.expect(&Token::Eq)?;
+            let set = (column, self.scalar()?);
+            let predicates = self.where_clause()?;
+            Ok(Statement::Update {
+                table,
+                set,
+                predicates,
+            })
         } else {
             Err(self.error(&format!("unknown statement head {head:?}")))
         }
     }
 
+    /// The column list ends with the primary key, which every table has:
+    /// the engine reaches each row through it.
     fn create_table(&mut self) -> Result<Statement> {
         let name = self.ident()?;
         self.expect(&Token::LParen)?;
         let mut columns = Vec::new();
+        while !self.try_keyword("PRIMARY") {
+            let name = self.ident()?;
+            let col_type = self.col_type()?;
+            columns.push(ColumnDef { name, col_type });
+            self.expect(&Token::Comma)?;
+        }
+        self.keyword("KEY")?;
+        let key_names = self.parens(Self::ident)?;
+        self.expect(&Token::RParen)?;
         let mut primary_key = Vec::new();
-        loop {
-            if self.try_keyword("PRIMARY") {
-                self.keyword("KEY")?;
-                self.expect(&Token::LParen)?;
-                loop {
-                    primary_key.push(self.ident()?);
-                    match self.next()? {
-                        Token::Comma => continue,
-                        Token::RParen => break,
-                        other => return Err(self.error(&format!("in PRIMARY KEY: {other:?}"))),
-                    }
-                }
-            } else {
-                let col = self.ident()?;
-                let ty = self.col_type()?;
-                columns.push(ColumnDef {
-                    name: col,
-                    col_type: ty,
-                });
-            }
-            match self.next()? {
-                Token::Comma => continue,
-                Token::RParen => break,
-                other => return Err(self.error(&format!("in column list: {other:?}"))),
+        for k in &key_names {
+            match columns.iter().position(|c| c.name.eq_ignore_ascii_case(k)) {
+                Some(i) if columns[i].col_type == ColType::BigInt => primary_key.push(i),
+                Some(_) => return Err(self.error(&format!("PRIMARY KEY column {k} not BIGINT"))),
+                None => return Err(self.error(&format!("PRIMARY KEY column {k} not declared"))),
             }
         }
-        if columns.is_empty() {
-            return Err(self.error("table needs at least one column"));
-        }
-        for pk in &primary_key {
-            if !columns.iter().any(|c| &c.name == pk) {
-                return Err(self.error(&format!("PRIMARY KEY column {pk} not declared")));
-            }
-        }
-        Ok(Statement::CreateTable {
+        Ok(Statement::CreateTable(TableDef {
             name,
             columns,
             primary_key,
-        })
+        }))
     }
 
     fn col_type(&mut self) -> Result<ColType> {
         let t = self.next()?;
-        if t.keyword_eq("BIGINT") || t.keyword_eq("INTEGER") || t.keyword_eq("INT") {
+        if t.keyword_eq("BIGINT") {
             Ok(ColType::BigInt)
         } else if t.keyword_eq("BLOB") {
             Ok(ColType::Blob)
@@ -169,166 +184,30 @@ impl Parser {
         }
     }
 
-    fn create_index(&mut self) -> Result<Statement> {
-        let name = self.ident()?;
-        self.keyword("ON")?;
-        let table = self.ident()?;
-        self.expect(&Token::LParen)?;
-        let mut columns = Vec::new();
-        loop {
-            columns.push(self.ident()?);
-            match self.next()? {
-                Token::Comma => continue,
-                Token::RParen => break,
-                other => return Err(self.error(&format!("in index columns: {other:?}"))),
-            }
-        }
-        Ok(Statement::CreateIndex {
-            name,
-            table,
-            columns,
-        })
-    }
-
-    fn insert(&mut self) -> Result<Statement> {
-        self.keyword("INTO")?;
-        let table = self.ident()?;
-        self.keyword("VALUES")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect(&Token::LParen)?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.scalar()?);
-                match self.next()? {
-                    Token::Comma => continue,
-                    Token::RParen => break,
-                    other => return Err(self.error(&format!("in VALUES row: {other:?}"))),
-                }
-            }
-            rows.push(row);
-            if self.peek() == Some(&Token::Comma) {
-                self.pos += 1;
-                continue;
-            }
-            break;
-        }
-        Ok(Statement::Insert { table, rows })
-    }
-
-    fn select(&mut self) -> Result<Statement> {
-        let mut columns = Vec::new();
-        let mut count_star = false;
-        if self.peek() == Some(&Token::Star) {
-            self.pos += 1;
-        } else if self.peek().is_some_and(|t| t.keyword_eq("COUNT"))
-            && self.tokens.get(self.pos + 1) == Some(&Token::LParen)
-        {
-            self.pos += 1;
-            self.expect(&Token::LParen)?;
-            self.expect(&Token::Star)?;
-            self.expect(&Token::RParen)?;
-            count_star = true;
-        } else {
-            loop {
-                columns.push(self.ident()?);
-                if self.peek() == Some(&Token::Comma) {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.keyword("FROM")?;
-        let table = self.ident()?;
-        let predicates = self.where_clause()?;
-        let order_by = if self.try_keyword("ORDER") {
-            self.keyword("BY")?;
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        let limit = if self.try_keyword("LIMIT") {
-            match self.next()? {
-                Token::Int(n) if n >= 0 => Some(n as u64),
-                other => return Err(self.error(&format!("bad LIMIT value {other:?}"))),
-            }
-        } else {
-            None
-        };
-        Ok(Statement::Select {
-            columns,
-            count_star,
-            table,
-            predicates,
-            order_by,
-            limit,
-        })
-    }
-
-    fn update(&mut self) -> Result<Statement> {
-        let table = self.ident()?;
-        self.keyword("SET")?;
-        let mut sets = Vec::new();
-        loop {
-            let col = self.ident()?;
-            self.expect(&Token::Eq)?;
-            sets.push((col, self.scalar()?));
-            if self.peek() == Some(&Token::Comma) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let predicates = self.where_clause()?;
-        Ok(Statement::Update {
-            table,
-            sets,
-            predicates,
-        })
-    }
-
-    fn delete(&mut self) -> Result<Statement> {
-        self.keyword("FROM")?;
-        let table = self.ident()?;
-        let predicates = self.where_clause()?;
-        Ok(Statement::Delete { table, predicates })
-    }
-
-    /// `WHERE pred (AND pred)*`, or empty.
+    /// `WHERE pred (AND pred)*`.
     fn where_clause(&mut self) -> Result<Vec<Predicate>> {
-        if !self.try_keyword("WHERE") {
-            return Ok(Vec::new());
-        }
+        self.keyword("WHERE")?;
         let mut preds = Vec::new();
         loop {
             let column = self.ident()?;
             let op = match self.next()? {
                 Token::Eq => CmpOp::Eq,
-                Token::Ne => CmpOp::Ne,
-                Token::Lt => CmpOp::Lt,
-                Token::Le => CmpOp::Le,
-                Token::Gt => CmpOp::Gt,
                 Token::Ge => CmpOp::Ge,
-                other => return Err(self.error(&format!("expected comparison, got {other:?}"))),
+                other => return Err(self.error(&format!("expected = or >=, got {other:?}"))),
             };
             let rhs = self.scalar()?;
             preds.push(Predicate { column, op, rhs });
             if !self.try_keyword("AND") {
-                break;
+                return Ok(preds);
             }
         }
-        Ok(preds)
     }
 
     fn scalar(&mut self) -> Result<Scalar> {
         match self.next()? {
-            Token::Int(i) => Ok(Scalar::Literal(Value::Int(i))),
-            Token::Str(s) => Ok(Scalar::Literal(Value::Blob(s.into_bytes()))),
-            Token::HexBlob(b) => Ok(Scalar::Literal(Value::Blob(b))),
+            Token::Int(i) => Ok(Scalar::Int(i)),
             Token::Param(i) => Ok(Scalar::Param(i)),
-            t if t.keyword_eq("NULL") => Ok(Scalar::Literal(Value::Null)),
-            other => Err(self.error(&format!("expected scalar, got {other:?}"))),
+            other => Err(self.error(&format!("expected integer or ?, got {other:?}"))),
         }
     }
 }
@@ -345,155 +224,67 @@ mod tests {
         )
         .unwrap();
         match s {
-            Statement::CreateTable {
-                name,
-                columns,
-                primary_key,
-            } => {
-                assert_eq!(name, "adj");
-                assert_eq!(columns.len(), 3);
-                assert_eq!(columns[2].col_type, ColType::Blob);
-                assert_eq!(primary_key, vec!["vertex", "chunk"]);
+            Statement::CreateTable(t) => {
+                assert_eq!(t.name, "adj");
+                assert_eq!(t.columns.len(), 3);
+                assert_eq!(t.columns[2].col_type, ColType::Blob);
+                assert_eq!(t.primary_key, vec![0, 1]);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn pk_must_reference_columns() {
+    fn pk_must_reference_integer_columns() {
         assert!(parse("CREATE TABLE t (a BIGINT, PRIMARY KEY (b))").is_err());
+        assert!(parse("CREATE TABLE t (a BLOB, PRIMARY KEY (a))").is_err());
+        assert!(parse("CREATE TABLE t (a BIGINT)").is_err());
     }
 
     #[test]
-    fn create_index() {
-        let s = parse("CREATE INDEX iv ON adj (vertex)").unwrap();
+    fn insert_with_params() {
+        let s = parse("INSERT INTO t VALUES (1, ?, -1)").unwrap();
         assert_eq!(
             s,
-            Statement::CreateIndex {
-                name: "iv".into(),
-                table: "adj".into(),
-                columns: vec!["vertex".into()]
+            Statement::Insert {
+                table: "t".into(),
+                row: vec![Scalar::Int(1), Scalar::Param(0), Scalar::Int(-1)],
             }
         );
     }
 
     #[test]
-    fn insert_multi_row_with_params() {
-        let s = parse("INSERT INTO t VALUES (1, ?), (?, x'ff')").unwrap();
-        match s {
-            Statement::Insert { table, rows } => {
-                assert_eq!(table, "t");
-                assert_eq!(rows.len(), 2);
-                assert_eq!(rows[0][0], Scalar::Literal(Value::Int(1)));
-                assert_eq!(rows[0][1], Scalar::Param(0));
-                assert_eq!(rows[1][0], Scalar::Param(1));
-                assert_eq!(rows[1][1], Scalar::Literal(Value::Blob(vec![0xff])));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn select_star_where_and() {
-        let s = parse("SELECT * FROM adj WHERE vertex = ? AND chunk >= 2 ORDER BY chunk").unwrap();
+    fn select_where_and_order() {
+        let s =
+            parse("SELECT data FROM adj WHERE vertex = ? AND chunk >= 0 ORDER BY chunk").unwrap();
         match s {
             Statement::Select {
-                columns,
-                count_star,
+                column,
                 table,
                 predicates,
                 order_by,
-                limit,
             } => {
-                assert!(columns.is_empty());
-                assert!(!count_star);
+                assert_eq!(column, "data");
                 assert_eq!(table, "adj");
                 assert_eq!(predicates.len(), 2);
                 assert_eq!(predicates[0].op, CmpOp::Eq);
                 assert_eq!(predicates[1].op, CmpOp::Ge);
+                assert_eq!(predicates[1].rhs, Scalar::Int(0));
                 assert_eq!(order_by, Some("chunk".into()));
-                assert_eq!(limit, None);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn select_columns() {
-        let s = parse("SELECT a, b FROM t").unwrap();
-        match s {
-            Statement::Select { columns, .. } => assert_eq!(columns, vec!["a", "b"]),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn update_and_delete() {
+    fn update() {
         let s = parse("UPDATE adj SET data = ? WHERE vertex = 3 AND chunk = 0").unwrap();
         match s {
             Statement::Update {
-                sets, predicates, ..
+                set, predicates, ..
             } => {
-                assert_eq!(sets.len(), 1);
+                assert_eq!(set, ("data".into(), Scalar::Param(0)));
                 assert_eq!(predicates.len(), 2);
-            }
-            other => panic!("{other:?}"),
-        }
-        let s = parse("DELETE FROM adj WHERE vertex = 3").unwrap();
-        matches!(s, Statement::Delete { .. }).then_some(()).unwrap();
-    }
-
-    #[test]
-    fn delete_without_where() {
-        let s = parse("DELETE FROM t").unwrap();
-        match s {
-            Statement::Delete { predicates, .. } => assert!(predicates.is_empty()),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn count_star_and_limit() {
-        let s = parse("SELECT COUNT(*) FROM t WHERE a = 1").unwrap();
-        match s {
-            Statement::Select {
-                count_star,
-                columns,
-                ..
-            } => {
-                assert!(count_star);
-                assert!(columns.is_empty());
-            }
-            other => panic!("{other:?}"),
-        }
-        let s = parse("SELECT * FROM t ORDER BY a LIMIT 5").unwrap();
-        match s {
-            Statement::Select { limit, .. } => assert_eq!(limit, Some(5)),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse("SELECT * FROM t LIMIT -3").is_err());
-        assert!(parse("SELECT COUNT(* FROM t").is_err());
-        // COUNT not followed by a paren is a plain column name.
-        let s = parse("SELECT count FROM t").unwrap();
-        match s {
-            Statement::Select {
-                columns,
-                count_star,
-                ..
-            } => {
-                assert_eq!(columns, vec!["count"]);
-                assert!(!count_star);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn null_literal() {
-        let s = parse("INSERT INTO t VALUES (NULL)").unwrap();
-        match s {
-            Statement::Insert { rows, .. } => {
-                assert_eq!(rows[0][0], Scalar::Literal(Value::Null))
             }
             other => panic!("{other:?}"),
         }
@@ -501,13 +292,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        assert!(parse("SELECT * FROM t garbage garbage").is_err());
-        assert!(parse("SELECT * FROM t; SELECT").is_err());
-    }
-
-    #[test]
-    fn semicolon_ok() {
-        assert!(parse("SELECT * FROM t;").is_ok());
+        assert!(parse("SELECT a FROM t WHERE a = 1 garbage garbage").is_err());
     }
 
     #[test]

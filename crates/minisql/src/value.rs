@@ -6,17 +6,16 @@ use std::fmt;
 /// Column data types. The MSSG adjacency table needs exactly these two.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ColType {
-    /// 64-bit signed integer (`BIGINT` / `INTEGER`).
+    /// 64-bit signed integer (`BIGINT`).
     BigInt,
     /// Arbitrary byte string (`BLOB`).
     Blob,
 }
 
-/// A runtime value.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A runtime value. Values of one type order as SQL orders them: integers
+/// numerically, blobs bytewise.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Value {
-    /// SQL NULL.
-    Null,
     /// Integer value.
     Int(i64),
     /// Byte-string value.
@@ -24,18 +23,12 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's type, or `None` for NULL.
-    pub fn col_type(&self) -> Option<ColType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ColType::BigInt),
-            Value::Blob(_) => Some(ColType::Blob),
-        }
-    }
-
     /// `true` if this value can be stored in a column of type `t`.
     pub fn fits(&self, t: ColType) -> bool {
-        matches!(self, Value::Null) || self.col_type() == Some(t)
+        matches!(
+            (self, t),
+            (Value::Int(_), ColType::BigInt) | (Value::Blob(_), ColType::Blob)
+        )
     }
 
     /// Extracts an integer.
@@ -48,20 +41,9 @@ impl Value {
         }
     }
 
-    /// SQL comparison; NULL compares as unknown (`None`).
-    pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Blob(a), Value::Blob(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
-    }
-
     /// Serialises into a row buffer.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push(0),
             Value::Int(i) => {
                 out.push(1);
                 out.extend_from_slice(&i.to_le_bytes());
@@ -81,7 +63,6 @@ impl Value {
             .ok_or_else(|| GraphStorageError::corrupt("row truncated at value tag"))?;
         *pos += 1;
         match tag {
-            0 => Ok(Value::Null),
             1 => {
                 let end = *pos + 8;
                 let bytes = buf
@@ -149,7 +130,6 @@ pub fn decode_row(buf: &[u8], n: usize) -> Result<Vec<Value>> {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Blob(b) => write!(f, "<blob {} bytes>", b.len()),
         }
@@ -159,13 +139,12 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Ordering;
 
     #[test]
     fn row_roundtrip() {
-        let row = vec![Value::Int(-5), Value::Null, Value::Blob(vec![1, 2, 3])];
+        let row = vec![Value::Int(-5), Value::Blob(vec![1, 2, 3])];
         let enc = encode_row(&row);
-        assert_eq!(decode_row(&enc, 3).unwrap(), row);
+        assert_eq!(decode_row(&enc, 2).unwrap(), row);
     }
 
     #[test]
@@ -181,6 +160,12 @@ mod tests {
         let mut enc = encode_row(&[Value::Int(1)]);
         enc.push(0);
         assert!(decode_row(&enc, 1).is_err());
+    }
+
+    #[test]
+    fn unknown_tag_is_corrupt() {
+        let err = decode_row(&[0], 1).unwrap_err();
+        assert!(matches!(err, GraphStorageError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
@@ -201,25 +186,19 @@ mod tests {
     fn blob_key_rejected() {
         let mut k = Vec::new();
         assert!(Value::Blob(vec![1]).encode_key(&mut k).is_err());
-        assert!(Value::Null.encode_key(&mut k).is_err());
     }
 
     #[test]
-    fn sql_cmp_semantics() {
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Int(2)), Some(Ordering::Less));
-        assert_eq!(Value::Null.sql_cmp(&Value::Int(2)), None);
-        assert_eq!(
-            Value::Blob(vec![1]).sql_cmp(&Value::Blob(vec![1])),
-            Some(Ordering::Equal)
-        );
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Blob(vec![])), None);
+    fn values_order_within_a_type() {
+        assert!(Value::Int(-1) < Value::Int(2));
+        assert!(Value::Blob(vec![1]) < Value::Blob(vec![1, 0]));
     }
 
     #[test]
     fn type_checks() {
         assert!(Value::Int(1).fits(ColType::BigInt));
         assert!(!Value::Int(1).fits(ColType::Blob));
-        assert!(Value::Null.fits(ColType::Blob));
+        assert!(!Value::Blob(vec![]).fits(ColType::BigInt));
         assert_eq!(Value::Int(3).as_int().unwrap(), 3);
         assert!(Value::Blob(vec![]).as_int().is_err());
     }

@@ -141,11 +141,14 @@ const GROUPS: &[Group] = &[
     Group {
         name: "storage-adapters",
         why: "A reopened disk cluster keeps its count and refuses an unsafe resume, an ingest \
-              writes no engine metadata, every engine filters metadata as HashMapDb does",
+              writes no engine metadata, every engine filters metadata as HashMapDb does, \
+              a corrupt on-disk count is a typed error",
         runs: &[
             "--test persistence",
             "--test properties -- storage_engines_match_reference",
             "-p graphdb -p kvdb -p minisql --lib",
+            "-p grdb --lib -- store::tests::a_free_list_count_past_the_file_is_corrupt",
+            "-p kvdb --lib -- tree::tests::an_overflow_length_past_the_chain_is_corrupt",
         ],
     },
     Group {
